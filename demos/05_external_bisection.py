@@ -10,13 +10,13 @@ least half of its inner degree as cross degree.
 Run:  python demos/05_external_bisection.py
 """
 
-from degpart import ParamSet, bisect_external, gen_gnp, verify_certificate
-from degpart.refine_ext import min_outdegree_tripartition
+from degpart import (ParamSet, bisect_external, gen_gnp, tripartition,
+                     verify_certificate)
 
 g = gen_gnp(3000, 0.05, seed=9)
 params = ParamSet(0.0, 0.09, "external", d_const=1.0)
 
-tri = min_outdegree_tripartition(g, params, seed=9)
+tri = tripartition(g, params, seed=9)
 print("tripartition ok:", tri.ok, "| conditions:", tri.conditions)
 trace = tri.traces[0]
 print("extraction deleted:", 0 if trace.extract is None else

@@ -21,11 +21,11 @@ from .thresholds import (
 )
 from .dense import ClassFamily, DegreeClass, ExtractResult, compute_a_plus, check_key_condition, extract_dense
 from .cuts import BiasVector, local_maxcut, biased_max_r_cut
-from .stage1 import StageOneResult, random_tripartition, relocate_bad_from_c, stage_one
-from .refine_int import refine_internal_once, min_indegree_tripartition
-from .refine_ext import min_outdegree_tripartition
+from .stage1 import StageOneResult, relocate_bad_from_c, stage_one
+from .refine_int import refine_internal_once
 from .pipelines import (
     PipelineReport,
+    tripartition,
     partition_stats,
     bisect_internal,
     bisect_external,
@@ -34,7 +34,7 @@ from .pipelines import (
     bisect_with_cut_average,
     r_partition,
 )
-from .certify import Certificate, VerifyResult, graph_fingerprint, verify_certificate
+from .certify import Certificate, VerifyResult, check_claims, graph_fingerprint, verify_certificate
 from .oracle import best_bisection, ko_bisection_exists, dense_fixed_point_check
 from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite, complete_graph, cycle_graph, path_graph
 from .bench import bench_sweep, write_csv
@@ -63,13 +63,11 @@ __all__ = [
     "local_maxcut",
     "biased_max_r_cut",
     "StageOneResult",
-    "random_tripartition",
     "relocate_bad_from_c",
     "stage_one",
     "refine_internal_once",
-    "min_indegree_tripartition",
-    "min_outdegree_tripartition",
     "PipelineReport",
+    "tripartition",
     "partition_stats",
     "bisect_internal",
     "bisect_external",
@@ -79,6 +77,7 @@ __all__ = [
     "r_partition",
     "Certificate",
     "VerifyResult",
+    "check_claims",
     "graph_fingerprint",
     "verify_certificate",
     "best_bisection",

@@ -14,9 +14,6 @@ import csv
 import io
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from . import pipelines
 from .gen import gen_complete_bipartite, gen_gnp, gen_kuhn_osthus
@@ -31,9 +28,6 @@ COLUMNS = [
     "min_cross_degree", "min_own_ratio", "min_cross_ratio", "cut_edges",
     "cut_avg_degree", "runtime_s", "error", "labels",
 ]
-
-WORKERS_ENV = "DEGPART_WORKERS"
-
 
 def build_graph(spec: dict) -> Graph:
     kind = spec["type"]
@@ -124,33 +118,22 @@ def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
                          runtime_s=round(time.perf_counter() - t0, 6),
                          error=str(exc)))
     t0 = time.perf_counter()
-    baseline_stats = pipelines.random_bisection_stats(graph, seed=seed)
+    labels = pipelines.random_bisection_labels(graph.n, seed)
+    baseline_stats = pipelines.partition_stats(graph, labels, 2)
     brow = _row_from_stats(dict(base, row_kind="baseline", ok=True,
                                 guaranteed=False,
                                 runtime_s=round(time.perf_counter() - t0, 6)),
                            baseline_stats)
     if emit_labels:
-        rng = np.random.default_rng(seed)
-        labels = np.zeros(graph.n, dtype=np.int64)
-        labels[rng.permutation(graph.n)[: graph.n // 2]] = 1
         brow["labels"] = " ".join(map(str, labels.tolist()))
     rows.append(brow)
     return rows
 
 
-def bench_sweep(manifest: list[dict], workers: int | None = None,
-                emit_labels: bool = False) -> list[dict]:
+def bench_sweep(manifest: list[dict], emit_labels: bool = False) -> list[dict]:
     """Run every (entry, seed) pair; returns rows in manifest order."""
-    jobs = [(entry, seed) for entry in manifest
-            for seed in entry.get("seeds", [0])]
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers <= 1 or len(jobs) <= 1:
-        batches = [run_entry(e, s, emit_labels) for e, s in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda js: run_entry(*js, emit_labels), jobs))
-    return [row for batch in batches for row in batch]
+    return [row for entry in manifest for seed in entry.get("seeds", [0])
+            for row in run_entry(entry, seed, emit_labels)]
 
 
 def write_csv(rows: list[dict], path_or_fh) -> None:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, part_profile
-from .thresholds import ParamSet, build_threshold_table
+from .graph import Graph, LabelError, part_profile
+from .thresholds import INTERNAL, ParamSet, build_threshold_table
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -68,6 +68,7 @@ class VerifyResult:
     failed_index: int | None = None
     failed_claim: dict | None = None
     witness: int | None = None
+    reason: str | None = None  # set when the labels themselves are malformed
 
     def __bool__(self) -> bool:
         return self.passed
@@ -122,6 +123,33 @@ def claim_extremal_ratio(stat: str, num: int, den: int) -> dict:
             "den": int(den)}
 
 
+def tripartition_claims(mode: str, floor: dict, window) -> dict[str, list]:
+    """The conditions of a tripartition A|B|C, each as a list of claims.
+
+    size_window: |A| and |B| within window = (lo, hi).  Internal mode:
+    floor_a / floor_b, every A- (B-) vertex meets the floor inside its own
+    part; floor_c, every C-vertex meets twice the floor toward both A and B.
+    External mode: floor_cross, every A- and B-vertex meets the floor toward
+    the other side; floor_z, the doubled floors of C.
+    """
+    lo, hi = window
+    doubled = (dict(floor, value=2 * floor["value"]) if floor["type"] == "const"
+               else dict(floor, factor=2 * floor["factor"]))
+    conditions = {"size_window": [claim_part_size_window(0, lo, hi),
+                                  claim_part_size_window(1, lo, hi)]}
+    if mode == INTERNAL:
+        conditions["floor_a"] = [claim_degree_floor(0, 0, floor)]
+        conditions["floor_b"] = [claim_degree_floor(1, 1, floor)]
+        doubled_name = "floor_c"
+    else:
+        conditions["floor_cross"] = [claim_degree_floor(0, 1, floor),
+                                     claim_degree_floor(1, 0, floor)]
+        doubled_name = "floor_z"
+    conditions[doubled_name] = [claim_degree_floor(2, 0, doubled),
+                                claim_degree_floor(2, 1, doubled)]
+    return conditions
+
+
 # -- verification ------------------------------------------------------------
 
 
@@ -130,12 +158,12 @@ class _Context:
 
     def __init__(self, graph: Graph, labels: np.ndarray, r: int):
         self.graph = graph
-        self.labels = labels
+        self.counts = part_profile(graph, labels, r)  # refuses bad labels
+        self.labels = np.asarray(labels, dtype=np.int64)
         self.r = r
-        self.counts = part_profile(graph, labels, r)
-        self.own = self.counts[np.arange(graph.n), labels]
+        self.own = self.counts[np.arange(graph.n), self.labels]
         self.cross = graph.degree - self.own
-        self.sizes = np.bincount(labels, minlength=r)
+        self.sizes = np.bincount(self.labels, minlength=r)
         self._tables: dict = {}
 
     def stat(self, target) -> np.ndarray:
@@ -218,13 +246,25 @@ def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
     raise ValueError(f"unknown claim kind {kind!r}")
 
 
+def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
+    """Judge each claim from scratch against (graph, labels); one flag each.
+
+    Raises LabelError unless labels is an integer array of length n with
+    values in [0, r).
+    """
+    ctx = _Context(graph, labels, r)
+    return [_check_claim(ctx, claim)[0] for claim in claims]
+
+
 def verify_certificate(graph: Graph, partition, cert: Certificate,
                        r: int | None = None) -> VerifyResult:
     """Recompute every claim from scratch against (graph, labels).
 
     ``partition`` is a LabeledPartition or a bare label array (then ``r``
     defaults to max label + 1, at least 2).  A graph-hash mismatch refuses
-    verification outright (ValueError) rather than failing a claim.
+    verification outright (ValueError) rather than failing a claim.  Labels
+    that are no r-partition of the vertices fail with ``reason`` set and the
+    first bad vertex as the witness.
     """
     actual = graph_fingerprint(graph)
     if cert.graph_hash != actual:
@@ -232,15 +272,18 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
             f"certificate bound to graph {cert.graph_hash[:12]}..., "
             f"got {actual[:12]}...")
     if hasattr(partition, "labels"):
-        labels = np.asarray(partition.labels, dtype=np.int64)
-        r = partition.r
+        labels, r = partition.labels, partition.r
     else:
-        labels = np.asarray(partition, dtype=np.int64)
+        labels = np.asarray(partition)
         if r is None:
-            r = max(2, int(labels.max()) + 1) if labels.size else 2
-    ctx = _Context(graph, labels, r)
-    for idx, claim in enumerate(cert.claims):
-        ok, witness = _check_claim(ctx, claim)
-        if not ok:
-            return VerifyResult(False, idx, claim, witness)
-    return VerifyResult(True)
+            integer = np.issubdtype(labels.dtype, np.integer)
+            r = max(2, int(labels.max()) + 1) if labels.size and integer else 2
+    try:
+        flags = check_claims(graph, labels, r, cert.claims)
+    except LabelError as exc:
+        return VerifyResult(False, witness=exc.vertex, reason=str(exc))
+    if all(flags):
+        return VerifyResult(True)
+    idx = flags.index(False)
+    _, witness = _check_claim(_Context(graph, labels, r), cert.claims[idx])
+    return VerifyResult(False, idx, cert.claims[idx], witness)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 parameter error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -52,19 +53,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_partition(args) -> int:
-    graph = _read_graph(args.graph)
+def _run_shape(args, graph, common: dict) -> PipelineReport:
     d_const = _parse_d_const(args.d_const)
-    common = {"seed": args.seed, "attempts": args.retries}
-    if args.size_window:
-        lo, hi = args.size_window.split(":")
-        common["size_window"] = (float(lo), float(hi))
-    if args.vacuous_windows:
-        common["size_window"] = "vacuous"
-        common["weight_budget"] = "vacuous"
-    stage_log_fh = open(args.stage_log, "w") if args.stage_log else None
-    if stage_log_fh is not None and args.shape == "bisect":
-        common["stage_log"] = stage_log_fh
     if args.shape == "bisect":
         if args.mode == "int":
             params = ParamSet(args.c, args.eps, INTERNAL, d_const=d_const)
@@ -92,8 +82,23 @@ def _cmd_partition(args) -> int:
                                                    d_const=d_const, **common)
     else:
         raise ValueError(f"unknown shape {args.shape!r}")
-    if stage_log_fh is not None:
-        stage_log_fh.close()
+    return report
+
+
+def _cmd_partition(args) -> int:
+    graph = _read_graph(args.graph)
+    common = {"seed": args.seed, "attempts": args.retries}
+    if args.size_window:
+        lo, hi = args.size_window.split(":")
+        common["size_window"] = (float(lo), float(hi))
+    if args.vacuous_windows:
+        common["size_window"] = "vacuous"
+        common["weight_budget"] = "vacuous"
+    if args.stage_log and args.shape == "rpart":
+        raise ValueError("--stage-log: rpart has no stage one to log")
+    with (open(args.stage_log, "w") if args.stage_log
+          else contextlib.nullcontext()) as stage_log:
+        report = _run_shape(args, graph, dict(common, stage_log=stage_log))
     payload = json.dumps(report.to_jsonable(), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -115,8 +120,8 @@ def _cmd_verify(args) -> int:
     if result.passed:
         print("PASS: all claims verified")
         return EXIT_OK
-    print(f"FAIL: claim #{result.failed_index} {result.failed_claim} "
-          f"(witness vertex {result.witness})")
+    what = result.reason or f"claim #{result.failed_index} {result.failed_claim}"
+    print(f"FAIL: {what} (witness vertex {result.witness})")
     return EXIT_VERIFY_FAIL
 
 
@@ -136,8 +141,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_bench(args) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    rows = bench.bench_sweep(manifest, workers=args.workers,
-                             emit_labels=args.emit_labels)
+    rows = bench.bench_sweep(manifest, emit_labels=args.emit_labels)
     if args.out:
         bench.write_csv(rows, args.out)
     else:
@@ -198,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vacuous-windows", action="store_true",
                    help="disable stage-one windows (diagnostic runs)")
     p.add_argument("--stage-log",
-                   help="write per-attempt stage-one diagnostics (JSON lines)")
+                   help="write per-attempt stage-one diagnostics (JSON lines);"
+                        " not for rpart")
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=_cmd_partition)
 
@@ -218,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a manifest sweep to CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--emit-labels", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

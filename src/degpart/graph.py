@@ -18,6 +18,18 @@ class GraphFormatError(ValueError):
     """Raised on malformed graph input (self-loop, bad token, bad header)."""
 
 
+class LabelError(ValueError):
+    """A label array that is no r-partition of the graph's vertices.
+
+    ``vertex`` is the first vertex whose label is missing, non-integer or
+    outside [0, r).
+    """
+
+    def __init__(self, message: str, vertex: int):
+        super().__init__(message)
+        self.vertex = vertex
+
+
 class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges.
 
@@ -166,14 +178,6 @@ class LabeledPartition:
         return abs(int(s[0]) - int(s[1])) <= 1
 
 
-def bipartition(labels: np.ndarray) -> LabeledPartition:
-    return LabeledPartition(2, labels)
-
-
-def tripartition(labels: np.ndarray) -> LabeledPartition:
-    return LabeledPartition(3, labels)
-
-
 # -- ingestion -------------------------------------------------------------
 
 
@@ -185,9 +189,9 @@ def load_graph(text, n: int | None = None) -> Graph:
     "p edge <n> <m>" header followed by "e u v" lines with 1-indexed ids
     (converted internally); 'c' lines are comments.
 
-    Duplicate edges are collapsed and counted in the returned graph's
-    ``duplicates_collapsed``.  Self-loops and non-integer tokens raise
-    GraphFormatError with the offending line number.
+    Duplicate edges are collapsed by ``Graph.from_edges`` and counted in the
+    returned graph's ``duplicates_collapsed``.  Self-loops and non-integer
+    tokens raise GraphFormatError with the offending line number.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -196,8 +200,6 @@ def load_graph(text, n: int | None = None) -> Graph:
                     for ln in lines)
     edges: list[tuple[int, int]] = []
     declared_n = n
-    dups = 0
-    seen: set[tuple[int, int]] = set()
 
     def parse_int(tok: str, lineno: int) -> int:
         try:
@@ -222,12 +224,7 @@ def load_graph(text, n: int | None = None) -> Graph:
                 v = parse_int(parts[2], lineno) - 1
                 if u == v:
                     raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    dups += 1
-                else:
-                    seen.add(key)
-                    edges.append(key)
+                edges.append((u, v))
             else:
                 raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
         if declared_n is None:
@@ -254,15 +251,10 @@ def load_graph(text, n: int | None = None) -> Graph:
             if u < 0 or v < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex id")
             max_id = max(max_id, u, v)
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                dups += 1
-            else:
-                seen.add(key)
-                edges.append(key)
+            edges.append((u, v))
         if declared_n is None:
             declared_n = max_id + 1
-    return Graph.from_edges(declared_n, edges, duplicates_collapsed=dups)
+    return Graph.from_edges(declared_n, edges)
 
 
 # -- degree/cut primitives --------------------------------------------------
@@ -286,12 +278,22 @@ def degree_in_set(graph: Graph, v: int, subset) -> int:
 
 
 def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
-    """(n, r) matrix: entry [v, j] = number of neighbors of v in part j."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != graph.n:
-        raise ValueError(f"label array length {len(labels)} != n={graph.n}")
+    """(n, r) matrix: entry [v, j] = number of neighbors of v in part j.
+
+    Raises LabelError unless labels holds one integer in [0, r) per vertex.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (graph.n,):
+        raise LabelError(f"label array of shape {labels.shape} for n={graph.n}",
+                         min(labels.size, graph.n))
     if graph.n == 0:
         return np.zeros((0, r), dtype=np.int64)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise LabelError(f"labels have non-integer dtype {labels.dtype}", 0)
+    bad = (labels < 0) | (labels >= r)
+    if bad.any():
+        v = int(np.argmax(bad))
+        raise LabelError(f"vertex {v} has label {labels[v]} outside [0, {r})", v)
     rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degree)
     cols = labels[graph.indices]
     flat = np.bincount(rows * r + cols, minlength=graph.n * r)

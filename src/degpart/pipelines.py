@@ -9,6 +9,10 @@ asymptotic guarantees to bind) the pipeline still runs but reports
 guaranteed=False; nothing is claimed silently.  The asymptotic thresholds
 have no known explicit values, so guaranteed=True additionally requires the
 caller to set ``n_guarantee_threshold`` and the instance to clear it.
+
+Every tripartition comes from one driver, ``tripartition``: stage one, the
+refinement of the run's mode, and the target conditions expressed as
+certificate claims and judged by the verifier.
 """
 
 from __future__ import annotations
@@ -23,12 +27,17 @@ from . import certify
 from .certify import Certificate, graph_fingerprint
 from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
 from .graph import Graph, LabeledPartition, part_profile
-from .refine_ext import min_outdegree_tripartition
-from .refine_int import min_indegree_tripartition
-from .stage1 import PART_A, PART_B, PART_C
-from .thresholds import EXTERNAL, INTERNAL, ParamSet
+from .refine_ext import refine_external
+from .refine_int import refine_internal_once
+from .stage1 import PART_A, PART_B, PART_C, StageOneResult, stage_one
+from .thresholds import (EXTERNAL, INTERNAL, ParamSet, ThresholdTable,
+                         build_threshold_table)
 
 VERSION = "0.1.0"
+
+# the table floor and the degree a mode constrains
+_FLOOR_FN = {INTERNAL: "phi", EXTERNAL: "psi"}
+_TARGET = {INTERNAL: "own", EXTERNAL: "cross"}
 
 
 # -- statistics --------------------------------------------------------------
@@ -102,12 +111,17 @@ def _stats_claims(stats: dict) -> list[dict]:
     return claims
 
 
+def random_bisection_labels(n: int, seed: int = 0) -> np.ndarray:
+    """A uniformly random balanced bisection: n // 2 vertices in part 1."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.permutation(n)[: n // 2]] = 1
+    return labels
+
+
 def random_bisection_stats(graph: Graph, seed: int = 0) -> dict:
     """Stats of a uniformly random balanced bisection (baseline pairing)."""
-    rng = np.random.default_rng(seed)
-    labels = np.zeros(graph.n, dtype=np.int64)
-    labels[rng.permutation(graph.n)[: graph.n // 2]] = 1
-    return partition_stats(graph, labels, 2)
+    return partition_stats(graph, random_bisection_labels(graph.n, seed), 2)
 
 
 # -- report ------------------------------------------------------------------
@@ -143,41 +157,46 @@ class PipelineReport:
     @classmethod
     def from_jsonable(cls, d: dict) -> "PipelineReport":
         return cls(d["mode"], d["shape"], d["params"], d["n"], d["r"],
-                   np.asarray(d["labels"], dtype=np.int64), d["stats"],
+                   np.asarray(d["labels"]), d["stats"],
                    Certificate.from_jsonable(d["certificate"]), d["ok"],
                    d["guaranteed"], d.get("seed", 0), d.get("diagnostics", {}))
 
 
 def _make_report(graph: Graph, shape: str, params: ParamSet | dict,
-                 labels: np.ndarray, r: int, claims: list, ok: bool,
-                 guaranteed: bool, seed: int, diagnostics: dict) -> PipelineReport:
+                 labels: np.ndarray, r: int, claims: list, ok: bool, seed: int,
+                 diagnostics: dict, n_guarantee_threshold: int | None = None,
+                 hyp_ok: bool = True) -> PipelineReport:
+    """Assemble a report; its certificate must pass the verifier."""
+    # the asymptotic size thresholds have no explicit values; without a
+    # user-asserted threshold no run claims a guarantee
+    guaranteed = bool(ok and hyp_ok and n_guarantee_threshold is not None
+                      and graph.n >= n_guarantee_threshold)
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
     mode = pdict.get("mode", "n/a")
     stats = partition_stats(graph, labels, r)
     cert = Certificate(graph_fingerprint(graph), pdict, seed, VERSION,
                        claims + _stats_claims(stats))
+    res = certify.verify_certificate(graph, labels, cert, r=r)
+    assert res.passed, (
+        f"pipeline emitted a certificate its own verifier rejects: "
+        f"claim {res.failed_claim} witness {res.witness}")
     return PipelineReport(mode, shape, pdict, graph.n, r, labels, stats, cert,
                           ok, guaranteed, seed, diagnostics)
 
 
-def _guarantee(ok: bool, hyp_ok: bool, n: int,
-               n_guarantee_threshold: int | None) -> bool:
-    # the asymptotic size thresholds have no explicit values; without a
-    # user-asserted threshold no run claims a guarantee
-    return bool(ok and hyp_ok and n_guarantee_threshold is not None
-                and n >= n_guarantee_threshold)
+def _judge(graph: Graph, labels: np.ndarray, r: int, conditions: dict):
+    """Judge named conditions, each a list of claims, with the verifier.
 
-
-def _verified_claims(graph: Graph, labels: np.ndarray, r: int,
-                     candidates: list[dict]):
-    """Check each candidate claim from scratch; emit only the true ones.
-
-    Returns (true claims, per-candidate truth flags).  Keeps failure reports
-    honest: a pipeline never certifies a statement its own recount rejects.
+    Returns ({name: whether all its claims hold}, the claims of the conditions
+    that hold).  Keeps failure reports honest: a pipeline never certifies a
+    statement the verifier rejects.
     """
-    ctx = certify._Context(graph, np.asarray(labels, dtype=np.int64), r)
-    flags = [certify._check_claim(ctx, c)[0] for c in candidates]
-    return [c for c, ok in zip(candidates, flags) if ok], flags
+    flags = iter(certify.check_claims(
+        graph, labels, r, [c for claims in conditions.values() for c in claims]))
+    verdict = {name: all([next(flags) for _ in claims])
+               for name, claims in conditions.items()}
+    return verdict, [c for name, claims in conditions.items() if verdict[name]
+                     for c in claims]
 
 
 # -- C distribution ----------------------------------------------------------
@@ -229,15 +248,125 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
     return lab, True
 
 
+# -- the tripartition driver -------------------------------------------------
+
+
+def _swap_ab(labels: np.ndarray) -> np.ndarray:
+    out = labels.copy()
+    out[labels == PART_A] = PART_B
+    out[labels == PART_B] = PART_A
+    return out
+
+
+@dataclass
+class TripartitionResult:
+    """A tripartition run: labels, per-condition outcomes, and the audit trail."""
+
+    ok: bool
+    labels: np.ndarray
+    conditions: dict
+    stage1: StageOneResult
+    traces: list
+    params: ParamSet
+    table: ThresholdTable
+    diagnostics: dict = field(default_factory=dict)
+
+
+def tripartition(graph: Graph, params: ParamSet,
+                 table: ThresholdTable | None = None, seed: int = 0,
+                 attempts: int = 64, size_window=None, weight_budget=None,
+                 stage_log=None) -> TripartitionResult:
+    """Stage one, then the refinement of ``params.mode``, then the conditions.
+
+    Internal mode refines side A, then side B with the roles of the sides
+    exchanged (``refine_internal_once``); external mode extracts, absorbs and
+    cuts (``refine_external``).  The conditions of
+    ``certify.tripartition_claims`` under the mode's table floor are judged
+    by the verifier; ok means the construction completed and every condition
+    holds.  An explicit size_window override replaces the default contract:
+    the final size window is still recorded but no longer gates ok.
+    Stage-one failure short-circuits with the stage diagnostics.
+    """
+    if table is None:
+        table = build_threshold_table(params, np.unique(graph.degree))
+    s1 = stage_one(graph, params, table, seed=seed, attempts=attempts,
+                   size_window=size_window, weight_budget=weight_budget,
+                   diagnostics_fh=stage_log)
+    if not s1.ok:
+        return TripartitionResult(
+            False, s1.labels, {}, s1, [], params, table,
+            {"stage": "stage1", "violated": s1.violated,
+             "failure_counts": s1.failure_counts})
+    if params.mode == INTERNAL:
+        labels, traces, diagnostics = s1.labels, [], {}
+        for stage, swap in (("refine_a", False), ("refine_b", True)):
+            trace = refine_internal_once(
+                graph, _swap_ab(labels) if swap else labels, params, table)
+            traces.append(trace)
+            labels = _swap_ab(trace.labels_out) if swap else trace.labels_out
+            if not trace.ok:
+                return TripartitionResult(
+                    False, labels, {}, s1, traces, params, table,
+                    {"stage": stage, "failed_vertex": trace.failed_vertex})
+    else:
+        trace = refine_external(graph, s1.labels, params, table, cut_seed=seed)
+        labels, traces = trace.labels_out, [trace]
+        diagnostics = {"precut_checks": dict(trace.checks),
+                       "refine_precond": dict(trace.precond)}
+    n, c, eps = graph.n, params.c, params.eps
+    # rounded outward like the stage window, so small instances are not
+    # rejected by a sub-integer window width
+    window = (math.floor((1.0 - c - 3.0 * eps) / 2.0 * n),
+              math.ceil((1.0 - c - eps) / 2.0 * n))
+    conditions, _ = _judge(graph, labels, 3, certify.tripartition_claims(
+        params.mode, certify.table_floor(_FLOOR_FN[params.mode], params), window))
+    failed = [k for k, v in conditions.items() if not v]
+    ok = not [k for k in failed if size_window is None or k != "size_window"]
+    if not ok:
+        diagnostics.update({"stage": "conditions", "failed": failed})
+    return TripartitionResult(ok, labels, conditions, s1, traces, params, table,
+                              diagnostics)
+
+
 # -- bisection pipelines -----------------------------------------------------
 
 
 def _failure_report(graph: Graph, shape: str, params: ParamSet, tri,
-                    seed: int, r: int = 3) -> PipelineReport:
+                    seed: int) -> PipelineReport:
     diagnostics = {"failure": tri.diagnostics,
-                   "stage1_attempts": tri.stage1.attempts if tri.stage1 else None}
-    return _make_report(graph, shape, params, tri.labels, r, [], False, False,
-                        seed, diagnostics)
+                   "stage1_attempts": tri.stage1.attempts}
+    return _make_report(graph, shape, params, tri.labels, 3, [], False, seed,
+                        diagnostics)
+
+
+def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
+            size_window, weight_budget, stage_log,
+            n_guarantee_threshold: int | None) -> PipelineReport:
+    """Tripartition with doubled floors on C, then fold C in for balance:
+    either destination preserves a C-vertex's floor."""
+    if params.c != 0.0 or params.mode != mode:
+        raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
+    tri = tripartition(graph, params, seed=seed, attempts=attempts,
+                       size_window=size_window, weight_budget=weight_budget,
+                       stage_log=stage_log)
+    if not tri.ok:
+        return _failure_report(graph, "bisect", params, tri, seed)
+    labels, feasible = distribute_c_for_balance(graph, tri.labels,
+                                                prefer=_TARGET[mode])
+    part = LabeledPartition(2, np.where(labels == PART_B, 1, 0))
+    verdict, claims = _judge(graph, part.labels, 2, {
+        "balance": [certify.claim_balance(1)],
+        "sizes": [certify.claim_part_sizes(part.sizes())],
+        "floor": [certify.claim_degree_floor(
+            "all", _TARGET[mode], certify.table_floor(_FLOOR_FN[mode], params, 1))],
+    })
+    ok = feasible and verdict["balance"] and verdict["floor"]
+    diagnostics = {"tripartition_conditions": tri.conditions}
+    if mode == EXTERNAL:
+        diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
+    diagnostics["stage1_attempts"] = tri.stage1.attempts
+    return _make_report(graph, "bisect", params, part.labels, 2, claims, ok,
+                        seed, diagnostics, n_guarantee_threshold)
 
 
 def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
@@ -246,34 +375,12 @@ def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
                     weight_budget=None, stage_log=None,
                     n_guarantee_threshold: int | None = None) -> PipelineReport:
     """Bisection where every active vertex keeps floor(phi(d)) own-part
-    neighbors: tripartition with doubled floors on C, then fold C in for
-    balance (either destination preserves a C-vertex's floor)."""
+    neighbors: C-vertices carry doubled floors and join the side they lean
+    toward."""
     if params is None:
         params = ParamSet(0.0, eps, INTERNAL, d_const=d_const)
-    if params.c != 0.0 or params.mode != INTERNAL:
-        raise ValueError("bisect_internal needs an internal-mode ParamSet with c=0")
-    tri = min_indegree_tripartition(graph, params, seed=seed, attempts=attempts,
-                                    size_window=size_window,
-                                    weight_budget=weight_budget,
-                                    stage_log=stage_log)
-    if not tri.ok:
-        return _failure_report(graph, "bisect", params, tri, seed)
-    labels, feasible = distribute_c_for_balance(graph, tri.labels, prefer="own")
-    part = LabeledPartition(2, np.where(labels == PART_B, 1, 0))
-    floor_claim = certify.claim_degree_floor(
-        "all", "own", certify.table_floor("phi", params, 1))
-    claims, flags = _verified_claims(graph, part.labels, 2, [
-        certify.claim_balance(1),
-        certify.claim_part_sizes(part.sizes()),
-        floor_claim,
-    ])
-    ok = feasible and flags[0] and flags[2]
-    report = _make_report(graph, "bisect", params, part.labels, 2, claims, ok,
-                          _guarantee(ok, True, graph.n, n_guarantee_threshold),
-                          seed, {"tripartition_conditions": tri.conditions,
-                                 "stage1_attempts": tri.stage1.attempts})
-    _assert_self_verifies(graph, report)
-    return report
+    return _bisect(graph, params, INTERNAL, seed, attempts, size_window,
+                   weight_budget, stage_log, n_guarantee_threshold)
 
 
 def bisect_external(graph: Graph, params: ParamSet | None = None, *,
@@ -286,42 +393,36 @@ def bisect_external(graph: Graph, params: ParamSet | None = None, *,
     any destination works."""
     if params is None:
         params = ParamSet(0.0, eps, EXTERNAL, d_const=d_const)
-    if params.c != 0.0 or params.mode != EXTERNAL:
-        raise ValueError("bisect_external needs an external-mode ParamSet with c=0")
-    tri = min_outdegree_tripartition(graph, params, seed=seed, attempts=attempts,
-                                     size_window=size_window,
-                                     weight_budget=weight_budget,
-                                     stage_log=stage_log)
-    if not tri.ok:
-        return _failure_report(graph, "bisect", params, tri, seed)
-    labels, feasible = distribute_c_for_balance(graph, tri.labels, prefer="cross")
-    part = LabeledPartition(2, np.where(labels == PART_B, 1, 0))
-    claims, flags = _verified_claims(graph, part.labels, 2, [
-        certify.claim_balance(1),
-        certify.claim_part_sizes(part.sizes()),
-        certify.claim_degree_floor("all", "cross",
-                                   certify.table_floor("psi", params, 1)),
-    ])
-    ok = feasible and flags[0] and flags[2]
-    report = _make_report(graph, "bisect", params, part.labels, 2, claims, ok,
-                          _guarantee(ok, True, graph.n, n_guarantee_threshold),
-                          seed, {"tripartition_conditions": tri.conditions,
-                                 "precut_checks": tri.diagnostics.get("precut_checks"),
-                                 "stage1_attempts": tri.stage1.attempts})
-    _assert_self_verifies(graph, report)
-    return report
+    return _bisect(graph, params, EXTERNAL, seed, attempts, size_window,
+                   weight_budget, stage_log, n_guarantee_threshold)
 
 
 # -- exact tripartitions and derived bisection pipelines ---------------------
 
 
-def _derived_eps(c: float, eps: float) -> float:
-    return (1.0 - c) ** 2 * eps / 40.0
+def _run_derived(graph: Graph, shape: str, c: float, eps: float, mode: str,
+                 d_const: float | None, hyp_floor: float, run: dict):
+    """Run the tripartition at c with the derived eps' = (1-c)^2*eps/40.
+
+    ``run`` holds the driver's seed, attempts, size_window, weight_budget and
+    stage_log.  Returns (run params, tripartition, min-degree-hypothesis
+    dict, failure report or None); unmet final conditions are not a failure
+    here, the caller reports them.
+    """
+    run_params = ParamSet(c, (1.0 - c) ** 2 * eps / 40.0, mode, d_const=d_const)
+    tri = tripartition(graph, run_params, **run)
+    min_deg = int(graph.degree.min()) if graph.n else 0
+    hyp = {"required": hyp_floor, "actual": min_deg, "ok": min_deg >= hyp_floor}
+    failure = None
+    if not tri.ok and tri.diagnostics.get("stage") != "conditions":
+        failure = _failure_report(graph, shape, run_params, tri, run["seed"])
+        failure.diagnostics["min_degree_hypothesis"] = hyp
+    return run_params, tri, hyp, failure
 
 
 def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
                        seed: int = 0, attempts: int = 64, size_window=None,
-                       weight_budget=None,
+                       weight_budget=None, stage_log=None,
                        n_guarantee_threshold: int | None = None) -> PipelineReport:
     """Tripartition with integer floors: own-degree >= k on A and B (internal
     mode) or cross-degree >= k on A∪B (external), plus >= 2k from C toward
@@ -336,73 +437,32 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
     c, eps = params.c, params.eps
     if eps > 1.0 - c:
         raise ValueError(f"tripartition_exact needs eps <= 1-c, got {eps}")
-    run_params = ParamSet(c, _derived_eps(c, eps), params.mode,
-                          d_const=params.d_const)
     n = graph.n
     if size_window is None:
-        lo = (1.0 - c - eps) / 2.0 * n
-        hi = (1.0 - c) / 2.0 * n
-        size_window = (lo, hi)
-    runner = min_indegree_tripartition if params.mode == INTERNAL \
-        else min_outdegree_tripartition
-    tri = runner(graph, run_params, seed=seed, attempts=attempts,
-                 size_window=size_window, weight_budget=weight_budget)
-    min_deg = int(graph.degree.min()) if n else 0
-    hyp_floor = (4.0 / (1.0 - c) + eps) * k
-    hyp_ok = min_deg >= hyp_floor
-    if not tri.ok and tri.diagnostics.get("stage") != "conditions":
-        rep = _failure_report(graph, "tripart", run_params, tri, seed)
-        rep.diagnostics["min_degree_hypothesis"] = {"required": hyp_floor,
-                                                    "actual": min_deg,
-                                                    "ok": hyp_ok}
-        return rep
-
-    labels = tri.labels
-    counts = part_profile(graph, labels, 3)
-    in_a, in_b, in_c = (labels == 0), (labels == 1), (labels == 2)
-    lo, hi = size_window
-    sizes = np.bincount(labels, minlength=3)
-    if params.mode == INTERNAL:
-        floor_ab = bool((counts[in_a, PART_A] >= k).all()
-                        and (counts[in_b, PART_B] >= k).all())
-    else:
-        cross = np.where(in_a, counts[:, PART_B], counts[:, PART_A])
-        floor_ab = bool((cross[in_a | in_b] >= k).all())
-    conditions = {
-        "size_window": bool(lo <= sizes[0] <= hi and lo <= sizes[1] <= hi),
-        "floor_ab": floor_ab,
-        "floor_c": bool(((counts[in_c, PART_A] >= 2 * k)
-                         & (counts[in_c, PART_B] >= 2 * k)).all()),
-    }
+        size_window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
+    run_params, tri, hyp, failure = _run_derived(
+        graph, "tripart", c, eps, params.mode, params.d_const,
+        (4.0 / (1.0 - c) + eps) * k,
+        dict(seed=seed, attempts=attempts, size_window=size_window,
+             weight_budget=weight_budget, stage_log=stage_log))
+    if failure:
+        return failure
+    # the integer-floor contract names the floors of A and B jointly
+    groups = list(certify.tripartition_claims(
+        params.mode, certify.const_floor(k), size_window).values())
+    named = {"size_window": groups[0], "floor_ab": sum(groups[1:-1], []),
+             "floor_c": groups[-1]}
+    conditions, claims = _judge(graph, tri.labels, 3, named)
     ok = all(conditions.values())
-    claims = []
-    if conditions["size_window"]:
-        claims += [certify.claim_part_size_window(0, lo, hi),
-                   certify.claim_part_size_window(1, lo, hi)]
-    if conditions["floor_ab"]:
-        if params.mode == INTERNAL:
-            claims += [certify.claim_degree_floor(0, 0, certify.const_floor(k)),
-                       certify.claim_degree_floor(1, 1, certify.const_floor(k))]
-        else:
-            claims += [certify.claim_degree_floor(0, 1, certify.const_floor(k)),
-                       certify.claim_degree_floor(1, 0, certify.const_floor(k))]
-    if conditions["floor_c"]:
-        claims += [certify.claim_degree_floor(2, 0, certify.const_floor(2 * k)),
-                   certify.claim_degree_floor(2, 1, certify.const_floor(2 * k))]
-    diagnostics = {"conditions": conditions,
-                   "min_degree_hypothesis": {"required": hyp_floor,
-                                             "actual": min_deg, "ok": hyp_ok},
+    diagnostics = {"conditions": conditions, "min_degree_hypothesis": hyp,
                    "k": k, "stage1_attempts": tri.stage1.attempts}
-    report = _make_report(graph, "tripart", run_params, labels, 3, claims, ok,
-                          _guarantee(ok, hyp_ok, n, n_guarantee_threshold),
-                          seed, diagnostics)
-    _assert_self_verifies(graph, report)
-    return report
+    return _make_report(graph, "tripart", run_params, tri.labels, 3, claims, ok,
+                        seed, diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
                 d_const: float | None = None, seed: int = 0, attempts: int = 64,
-                size_window=None, weight_budget=None,
+                size_window=None, weight_budget=None, stage_log=None,
                 n_guarantee_threshold: int | None = None) -> PipelineReport:
     """Bisection meeting the primary floor k everywhere, with the count of
     vertices also meeting the secondary floor k reported against (1-eps)*n.
@@ -414,63 +474,48 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     c = 1.0 - eps
-    run_params = ParamSet(c, _derived_eps(c, eps), primary, d_const=d_const)
     n = graph.n
     if size_window is None:
         size_window = (0.0, (1.0 - c) / 2.0 * n)
-    runner = min_indegree_tripartition if primary == INTERNAL \
-        else min_outdegree_tripartition
-    tri = runner(graph, run_params, seed=seed, attempts=attempts,
-                 size_window=size_window, weight_budget=weight_budget)
-    min_deg = int(graph.degree.min()) if n else 0
-    hyp_floor = (4.0 / eps + eps) * k
-    hyp_ok = min_deg >= hyp_floor
-    if not tri.ok and tri.diagnostics.get("stage") != "conditions":
-        rep = _failure_report(graph, "dual", run_params, tri, seed)
-        rep.diagnostics["min_degree_hypothesis"] = {"required": hyp_floor,
-                                                    "actual": min_deg,
-                                                    "ok": hyp_ok}
-        return rep
-    prefer = "own" if primary == INTERNAL else "cross"
-    labels, feasible = distribute_c_for_balance(graph, tri.labels, prefer=prefer)
+    run_params, tri, hyp, failure = _run_derived(
+        graph, "dual", c, eps, primary, d_const, (4.0 / eps + eps) * k,
+        dict(seed=seed, attempts=attempts, size_window=size_window,
+             weight_budget=weight_budget, stage_log=stage_log))
+    if failure:
+        return failure
+    labels, feasible = distribute_c_for_balance(graph, tri.labels,
+                                                prefer=_TARGET[primary])
     part_labels = np.where(labels == PART_B, 1, 0)
     counts = part_profile(graph, part_labels, 2)
     own = counts[np.arange(n), part_labels]
-    cross = graph.degree - own
-    primary_stat, secondary_stat = (own, cross) if primary == INTERNAL else (cross, own)
-    primary_ok = bool((primary_stat >= k).all())
-    secondary_count = int((secondary_stat >= k).sum())
+    secondary = graph.degree - own if primary == INTERNAL else own
+    secondary_count = int((secondary >= k).sum())
     secondary_target = (1.0 - eps) * n
     secondary_name = "cross" if primary == INTERNAL else "own"
-    candidates = [certify.claim_balance(1),
-                  certify.claim_count_meeting_floor(secondary_name, k,
-                                                    secondary_count)]
-    if primary_ok:
-        candidates.append(certify.claim_degree_floor(
-            "all", "own" if primary == INTERNAL else "cross",
-            certify.const_floor(k)))
-    claims, flags = _verified_claims(graph, part_labels, 2, candidates)
-    ok = feasible and primary_ok and flags[0]
+    verdict, claims = _judge(graph, part_labels, 2, {
+        "balance": [certify.claim_balance(1)],
+        "secondary": [certify.claim_count_meeting_floor(
+            secondary_name, k, secondary_count)],
+        "primary": [certify.claim_degree_floor(
+            "all", _TARGET[primary], certify.const_floor(k))],
+    })
+    ok = feasible and verdict["primary"] and verdict["balance"]
     diagnostics = {
         "k": k, "eps": eps, "primary": primary,
         "secondary_count": secondary_count,
         "secondary_target": secondary_target,
         "secondary_ok": secondary_count >= secondary_target,
-        "min_degree_hypothesis": {"required": hyp_floor, "actual": min_deg,
-                                  "ok": hyp_ok},
+        "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    report = _make_report(graph, "dual", run_params, part_labels, 2, claims, ok,
-                          _guarantee(ok, hyp_ok, n, n_guarantee_threshold),
-                          seed, diagnostics)
-    _assert_self_verifies(graph, report)
-    return report
+    return _make_report(graph, "dual", run_params, part_labels, 2, claims, ok,
+                        seed, diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
                             d_const: float | None = None, seed: int = 0,
                             attempts: int = 64, size_window=None,
-                            weight_budget=None,
+                            weight_budget=None, stage_log=None,
                             n_guarantee_threshold: int | None = None) -> PipelineReport:
     """Bisection with own-degree >= k on both sides and cut size >= 2k*|C|.
 
@@ -480,61 +525,42 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
     cut at least 2k*|C| >= k*n/2 edges when the tripartition conditions held.
     """
     c = 0.25
-    run_params = ParamSet(c, _derived_eps(c, eps), INTERNAL, d_const=d_const)
     n = graph.n
     if size_window is None:
         size_window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
-    tri = min_indegree_tripartition(graph, run_params, seed=seed,
-                                    attempts=attempts, size_window=size_window,
-                                    weight_budget=weight_budget)
-    min_deg = int(graph.degree.min()) if n else 0
-    hyp_floor = (16.0 / 3.0 + eps) * k
-    hyp_ok = min_deg >= hyp_floor
-    if not tri.ok and tri.diagnostics.get("stage") != "conditions":
-        rep = _failure_report(graph, "cutavg", run_params, tri, seed)
-        rep.diagnostics["min_degree_hypothesis"] = {"required": hyp_floor,
-                                                    "actual": min_deg,
-                                                    "ok": hyp_ok}
-        return rep
+    run_params, tri, hyp, failure = _run_derived(
+        graph, "cutavg", c, eps, INTERNAL, d_const, (16.0 / 3.0 + eps) * k,
+        dict(seed=seed, attempts=attempts, size_window=size_window,
+             weight_budget=weight_budget, stage_log=stage_log))
+    if failure:
+        return failure
     sizes = np.bincount(tri.labels, minlength=3)
     cap_a = n // 2 - int(sizes[PART_A])
     size_c = int(sizes[PART_C])
     if not 0 <= cap_a <= size_c:
-        rep = _make_report(graph, "cutavg", run_params, tri.labels, 3, [],
-                           False, False, seed,
-                           {"failure": "C split infeasible",
-                            "cap_a": cap_a, "size_c": size_c})
-        return rep
+        return _make_report(graph, "cutavg", run_params, tri.labels, 3, [],
+                            False, seed, {"failure": "C split infeasible",
+                                          "cap_a": cap_a, "size_c": size_c})
     labels, _ = distribute_c_for_balance(graph, tri.labels, prefer="own",
                                          cap_a=cap_a)
     part_labels = np.where(labels == PART_B, 1, 0)
-    counts = part_profile(graph, part_labels, 2)
-    own = counts[np.arange(n), part_labels]
-    cut = int((graph.degree - own).sum()) // 2
+    cut = int(part_profile(graph, part_labels, 2)[part_labels == 0, 1].sum())
     cut_bound = 2 * k * size_c
-    own_ok = bool((own >= k).all())
-    cut_ok = cut >= cut_bound
-    candidates = [certify.claim_balance(1)]
-    if own_ok:
-        candidates.append(certify.claim_degree_floor("all", "own",
-                                                     certify.const_floor(k)))
-    if cut_ok:
-        candidates.append(certify.claim_cut_edges_at_least(cut_bound))
-    claims, flags = _verified_claims(graph, part_labels, 2, candidates)
-    ok = own_ok and cut_ok and flags[0]
+    verdict, claims = _judge(graph, part_labels, 2, {
+        "balance": [certify.claim_balance(1)],
+        "own": [certify.claim_degree_floor("all", "own", certify.const_floor(k))],
+        "cut": [certify.claim_cut_edges_at_least(cut_bound)],
+    })
+    ok = all(verdict.values())
     diagnostics = {
         "k": k, "eps": eps, "cut_edges": cut, "cut_bound": cut_bound,
         "size_c": size_c, "cut_avg_degree": 2.0 * cut / n if n else 0.0,
         "avg_cut_target": float(k),
-        "min_degree_hypothesis": {"required": hyp_floor, "actual": min_deg,
-                                  "ok": hyp_ok},
+        "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    report = _make_report(graph, "cutavg", run_params, part_labels, 2, claims,
-                          ok, _guarantee(ok, hyp_ok, n, n_guarantee_threshold),
-                          seed, diagnostics)
-    _assert_self_verifies(graph, report)
-    return report
+    return _make_report(graph, "cutavg", run_params, part_labels, 2, claims,
+                        ok, seed, diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 # -- r-partitions ------------------------------------------------------------
@@ -614,20 +640,5 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     }
     params = {"mode": mode, "alpha": [float(a) for a in bias.alpha],
               "r": bias.r}
-    report = _make_report(graph, "rpart", params, labels, bias.r, claims, True,
-                          _guarantee(True, True, graph.n, n_guarantee_threshold),
-                          seed, diagnostics)
-    _assert_self_verifies(graph, report)
-    return report
-
-
-# -- self-check --------------------------------------------------------------
-
-
-def _assert_self_verifies(graph: Graph, report: PipelineReport) -> None:
-    from .certify import verify_certificate
-    res = verify_certificate(graph, report.labels, report.certificate,
-                             r=report.r)
-    assert res.passed, (
-        f"pipeline emitted a certificate its own verifier rejects: "
-        f"claim {res.failed_claim} witness {res.witness}")
+    return _make_report(graph, "rpart", params, labels, bias.r, claims, True,
+                        seed, diagnostics, n_guarantee_threshold)

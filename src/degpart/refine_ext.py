@@ -17,14 +17,13 @@ a floored cross-degree floor:
      gives it >= floor(psi(i)) cross neighbors.
 
 The three absorption-exit facts (both side-degrees below floor(psi), inner
-W2 degree at least twice it) are asserted on every run, and the final
-tripartition is re-verified from scratch.
+W2 degree at least twice it) are asserted on every run;
+``pipelines.tripartition`` judges the final tripartition with the
+certificate verifier.
 """
 
 from __future__ import annotations
 
-import math
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,8 @@ import numpy as np
 from .cuts import local_maxcut
 from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
 from .graph import Graph, part_profile
-from .refine_int import TripartitionResult
-from .stage1 import PART_A, PART_B, PART_C, goodness_map, stage_one
-from .thresholds import EXTERNAL, ParamSet, ThresholdTable, build_threshold_table
+from .stage1 import PART_A, PART_B, PART_C, goodness_map
+from .thresholds import ParamSet, ThresholdTable
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
@@ -76,28 +74,6 @@ class ExternalTrace:
             "precond": self.precond,
             "checks": self.checks,
         }
-
-
-def check_external_conditions(graph: Graph, labels: np.ndarray,
-                              params: ParamSet, table: ThresholdTable) -> dict:
-    """Re-verify size window, cross floors on X∪Y, doubled floors on Z."""
-    n = graph.n
-    counts = part_profile(graph, labels, 3)
-    rows = table.row_index(graph.degree)
-    active = table.active[rows]
-    fpsi = table.fpsi[rows]
-    # rounded outward like the stage window (see refine_int)
-    lo = math.floor((1.0 - params.c - 3.0 * params.eps) / 2.0 * n)
-    hi = math.ceil((1.0 - params.c - params.eps) / 2.0 * n)
-    sizes = np.bincount(labels, minlength=3)
-    in_x, in_y, in_z = (labels == PART_X), (labels == PART_Y), (labels == PART_Z)
-    cross = np.where(in_x, counts[:, PART_Y], counts[:, PART_X])
-    return {
-        "size_window": bool(lo <= sizes[PART_X] <= hi and lo <= sizes[PART_Y] <= hi),
-        "floor_cross": bool((~((in_x | in_y) & active) | (cross >= fpsi)).all()),
-        "floor_z": bool((~(in_z & active) | ((counts[:, PART_X] >= 2 * fpsi)
-                                             & (counts[:, PART_Y] >= 2 * fpsi))).all()),
-    }
 
 
 def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
@@ -265,39 +241,3 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
 
     return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), out,
                          precond, checks)
-
-
-def min_outdegree_tripartition(graph: Graph, params: ParamSet,
-                               table: ThresholdTable | None = None,
-                               seed: int = 0, attempts: int = 64,
-                               size_window=None, weight_budget=None,
-                               stage_log=None) -> TripartitionResult:
-    """Stage one then the external refinement; conditions re-verified."""
-    if params.mode != EXTERNAL:
-        raise ValueError("min_outdegree_tripartition needs an external-mode ParamSet")
-    if table is None:
-        table = build_threshold_table(params, np.unique(graph.degree))
-    # as in the internal driver: explicit window overrides demote the final
-    # size-window condition to a recorded (non-gating) check
-    enforce_size = size_window is None
-    s1 = stage_one(graph, params, table, seed=seed, attempts=attempts,
-                   size_window=size_window, weight_budget=weight_budget,
-                   diagnostics_fh=stage_log)
-    if not s1.ok:
-        return TripartitionResult(
-            False, s1.labels, {}, s1, [], params, table,
-            diagnostics={"stage": "stage1", "violated": s1.violated,
-                         "failure_counts": s1.failure_counts})
-    trace = refine_external(graph, s1.labels, params, table, cut_seed=seed)
-    conditions = check_external_conditions(graph, trace.labels_out, params, table)
-    gating = {k: v for k, v in conditions.items()
-              if enforce_size or k != "size_window"}
-    ok = all(gating.values())
-    diagnostics = {"precut_checks": dict(trace.checks),
-                   "refine_precond": dict(trace.precond)}
-    if not ok:
-        diagnostics.update({"stage": "conditions",
-                            "failed": [k for k, v in conditions.items() if not v]})
-    return TripartitionResult(
-        ok, trace.labels_out, conditions, s1, [trace], params, table,
-        diagnostics=diagnostics)

@@ -19,25 +19,22 @@ i - floor(phi(i)) + 1 or more B-neighbors, which exceeds the B-goodness
 threshold (the per-degree inequality i - floor(phi(i)) >= floor(thr_int(i))
 is re-checked numerically before each run rather than taken on faith).
 
-``min_indegree_tripartition`` applies the pass twice, the second time with
-the roles of the two sides exchanged, and re-verifies the target conditions
-(size window, per-vertex floors on A and B, doubled floors on C) from
-scratch.
+``pipelines.tripartition`` applies the pass twice after stage one, the
+second time with the roles of the two sides exchanged, and judges the target
+conditions with the certificate verifier.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
 from .graph import Graph, part_profile
-from .stage1 import (PART_A, PART_B, PART_C, StageOneResult, goodness_map,
-                     stage_one)
-from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
+from .stage1 import PART_A, PART_B, PART_C, goodness_map
+from .thresholds import ParamSet, ThresholdTable
 
 
 @dataclass
@@ -228,102 +225,3 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         and all(checks.values())
     return InternalRefineTrace(ok, failed_vertex, a_star, extract, evacuations,
                                patch, labels_in, lab, precond, checks, guaranteed)
-
-
-@dataclass
-class TripartitionResult:
-    """A tripartition run: labels, per-condition outcomes, and the audit trail."""
-
-    ok: bool
-    labels: np.ndarray
-    conditions: dict
-    stage1: StageOneResult
-    traces: list
-    params: ParamSet
-    table: ThresholdTable
-    diagnostics: dict = field(default_factory=dict)
-    guaranteed: bool = False
-
-
-def _swap_ab(labels: np.ndarray) -> np.ndarray:
-    out = labels.copy()
-    out[labels == PART_A] = PART_B
-    out[labels == PART_B] = PART_A
-    return out
-
-
-def check_tripartition_conditions(graph: Graph, labels: np.ndarray,
-                                  params: ParamSet, table: ThresholdTable,
-                                  factor_fn: str = "fphi") -> dict:
-    """Re-verify the tripartition contract from scratch.
-
-    size_window: (1-c-3e)/2*n <= |A|,|B| <= (1-c-e)/2*n; floor_a/floor_b:
-    every active vertex meets floor of the threshold function in its own
-    part; floor_c: every active C-vertex meets twice the floor toward both A
-    and B.
-    """
-    n = graph.n
-    counts = part_profile(graph, labels, 3)
-    rows = table.row_index(graph.degree)
-    active = table.active[rows]
-    floor_v = table.column(factor_fn)[rows]
-    # rounded outward like the stage window, so small instances are not
-    # rejected by a sub-integer window width
-    lo = math.floor((1.0 - params.c - 3.0 * params.eps) / 2.0 * n)
-    hi = math.ceil((1.0 - params.c - params.eps) / 2.0 * n)
-    sizes = np.bincount(labels, minlength=3)
-    in_a, in_b, in_c = (labels == PART_A), (labels == PART_B), (labels == PART_C)
-    return {
-        "size_window": bool(lo <= sizes[PART_A] <= hi and lo <= sizes[PART_B] <= hi),
-        "floor_a": bool((~(in_a & active) | (counts[:, PART_A] >= floor_v)).all()),
-        "floor_b": bool((~(in_b & active) | (counts[:, PART_B] >= floor_v)).all()),
-        "floor_c": bool((~(in_c & active) | ((counts[:, PART_A] >= 2 * floor_v)
-                                             & (counts[:, PART_B] >= 2 * floor_v))).all()),
-    }
-
-
-def min_indegree_tripartition(graph: Graph, params: ParamSet,
-                              table: ThresholdTable | None = None,
-                              seed: int = 0, attempts: int = 64,
-                              size_window=None, weight_budget=None,
-                              stage_log=None) -> TripartitionResult:
-    """Stage one, refine the A side, then refine the B side (roles swapped).
-
-    The returned conditions dict re-verifies the four target properties under
-    the run's thresholds; ok means the construction completed and all four
-    hold.  Stage-one failure short-circuits with the stage diagnostics.
-    """
-    if params.mode != INTERNAL:
-        raise ValueError("min_indegree_tripartition needs an internal-mode ParamSet")
-    if table is None:
-        table = build_threshold_table(params, np.unique(graph.degree))
-    # an explicit window override replaces the default contract: the final
-    # size window is still recorded but no longer gates ok
-    enforce_size = size_window is None
-    s1 = stage_one(graph, params, table, seed=seed, attempts=attempts,
-                   size_window=size_window, weight_budget=weight_budget,
-                   diagnostics_fh=stage_log)
-    if not s1.ok:
-        return TripartitionResult(
-            False, s1.labels, {}, s1, [], params, table,
-            diagnostics={"stage": "stage1", "violated": s1.violated,
-                         "failure_counts": s1.failure_counts})
-    t1 = refine_internal_once(graph, s1.labels, params, table)
-    if not t1.ok:
-        return TripartitionResult(
-            False, t1.labels_out, {}, s1, [t1], params, table,
-            diagnostics={"stage": "refine_a", "failed_vertex": t1.failed_vertex})
-    t2 = refine_internal_once(graph, _swap_ab(t1.labels_out), params, table)
-    if not t2.ok:
-        return TripartitionResult(
-            False, _swap_ab(t2.labels_out), {}, s1, [t1, t2], params, table,
-            diagnostics={"stage": "refine_b", "failed_vertex": t2.failed_vertex})
-    final = _swap_ab(t2.labels_out)
-    conditions = check_tripartition_conditions(graph, final, params, table, "fphi")
-    gating = {k: v for k, v in conditions.items()
-              if enforce_size or k != "size_window"}
-    ok = all(gating.values())
-    return TripartitionResult(
-        ok, final, conditions, s1, [t1, t2], params, table,
-        diagnostics={} if ok else {"stage": "conditions",
-                                   "failed": [k for k, v in conditions.items() if not v]})

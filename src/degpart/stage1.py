@@ -45,13 +45,6 @@ def tripartition_probabilities(params: ParamSet) -> tuple[float, float, float]:
     return p_side, p_side, p_c
 
 
-def random_tripartition(graph: Graph, params: ParamSet, seed: int = 0) -> np.ndarray:
-    """One independent random placement; reproducible from the seed."""
-    probs = tripartition_probabilities(params)
-    rng = np.random.default_rng(seed)
-    return rng.choice(3, size=graph.n, p=probs).astype(np.int64)
-
-
 @dataclass
 class GoodnessMap:
     """Per-vertex A-/B-goodness flags and the relocation weight aggregate.

@@ -263,9 +263,6 @@ class ThresholdTable:
         """Per-row check eta_i >= eps/5, meaningful on active rows."""
         return self.eta >= self.params.eps / 5.0 - 1e-15
 
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
     def dump_csv(self, fh=None) -> str:
         """CSV with columns (i, phi, psi, psi_star, mu, lambda, eta, thr_int,
         thr_ext, active)."""

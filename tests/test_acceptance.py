@@ -21,8 +21,7 @@ from degpart.graph import part_profile
 from degpart.oracle import best_bisection, ko_bisection_exists
 from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
                                bisect_with_cut_average, random_bisection_stats,
-                               tripartition_exact)
-from degpart.refine_ext import min_outdegree_tripartition
+                               tripartition, tripartition_exact)
 from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
                                 build_threshold_table, default_d_constant,
                                 verify_series_bound)
@@ -363,7 +362,7 @@ def test_criterion_9_external_end_to_end():
     for seed in range(20):
         g = gen_gnp(4000, 0.05, seed=seed)
         params = ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0)
-        tri = min_outdegree_tripartition(g, params, seed=seed)
+        tri = tripartition(g, params, seed=seed)
         if tri.stage1.ok:
             checks = tri.diagnostics["precut_checks"]
             assert checks["precut_side_floors"], f"seed {seed}: side floors"

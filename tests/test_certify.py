@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degpart import certify
-from degpart.certify import (Certificate, graph_fingerprint, verify_certificate)
-from degpart.gen import complete_graph, cycle_graph, gen_gnp
+from degpart.certify import (Certificate, check_claims, graph_fingerprint,
+                             verify_certificate)
+from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
 from degpart.pipelines import bisect_internal
-from degpart.thresholds import INTERNAL, ParamSet
+from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
+
+from conftest import graphs
+from test_acceptance import naive_claim_truth
 
 
 def make_cert(graph, claims, params=None):
@@ -110,3 +116,106 @@ def test_certificate_json_round_trip():
     assert back.graph_hash == cert.graph_hash
     assert back.claims == cert.claims
     assert verify_certificate(g, np.array([0, 1, 0, 1]), back, r=2).passed
+
+
+def test_verify_refuses_malformed_labels_naming_the_first_bad_vertex():
+    g = path_graph(4)
+    cert = make_cert(g, [certify.claim_degree_floor(
+        "all", "own", certify.const_floor(0))])
+    # label 2 with r=2 used to raise IndexError from the degree recount
+    res = verify_certificate(g, np.array([0, 2, 0, 0]), cert, r=2)
+    assert not res.passed and res.witness == 1 and "outside" in res.reason
+    res = verify_certificate(g, np.array([0, 1, 0]), cert, r=2)
+    assert not res.passed and res.witness == 3 and "shape" in res.reason
+    res = verify_certificate(g, np.array([0.0, 1.0, 0.0, 1.0]), cert, r=2)
+    assert not res.passed and res.witness == 0 and "non-integer" in res.reason
+    res = verify_certificate(g, np.array([0, 1, -1, 1]), cert)
+    assert not res.passed and res.witness == 2
+    assert verify_certificate(g, np.array([0, 1, 0, 1]), cert).passed
+
+
+def test_check_claims_one_flag_per_claim():
+    g = complete_graph(4)
+    claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),
+              certify.claim_degree_floor("all", "own", certify.const_floor(1))]
+    assert check_claims(g, np.array([0, 0, 1, 1]), 2, claims) == [True, False, True]
+    assert check_claims(g, np.array([0, 0, 1, 1]), 2, []) == []
+    with pytest.raises(ValueError):
+        check_claims(g, np.array([0, 0, 1, 3]), 2, claims)
+
+
+def test_tripartition_claims_per_mode():
+    floor = certify.const_floor(2)
+    internal = certify.tripartition_claims(INTERNAL, floor, (1, 3))
+    assert list(internal) == ["size_window", "floor_a", "floor_b", "floor_c"]
+    assert [(c["source"], c["target"], c["floor"]["value"])
+            for c in internal["floor_a"] + internal["floor_b"] + internal["floor_c"]] \
+        == [(0, 0, 2), (1, 1, 2), (2, 0, 4), (2, 1, 4)]
+    table = certify.table_floor("psi", ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01))
+    external = certify.tripartition_claims(EXTERNAL, table, (1, 3))
+    assert list(external) == ["size_window", "floor_cross", "floor_z"]
+    assert [(c["source"], c["target"], c["floor"]["factor"])
+            for c in external["floor_cross"] + external["floor_z"]] \
+        == [(0, 1, 1), (1, 0, 1), (2, 0, 2), (2, 1, 2)]
+    assert [(c["part"], c["lo"], c["hi"]) for c in internal["size_window"]] \
+        == [(0, 1.0, 3.0), (1, 1.0, 3.0)]
+
+
+TABLE_FLOOR = certify.table_floor(
+    "phi", ParamSet(0.0, 0.02, INTERNAL, d_const=0.05))
+
+
+@st.composite
+def claim_sets(draw, r):
+    k = st.integers(0, 6)
+    part = st.integers(0, r - 1)
+    target = st.sampled_from(["own", "cross"]) | part
+    return [
+        certify.claim_balance(draw(st.integers(0, 3))),
+        certify.claim_part_sizes(draw(st.lists(st.integers(0, 6),
+                                               min_size=r, max_size=r))),
+        certify.claim_part_size_window(draw(part), draw(k), draw(k) + 3),
+        certify.claim_degree_floor(draw(st.just("all") | part), draw(target),
+                                   certify.const_floor(draw(k))),
+        certify.claim_degree_floor(draw(st.just("all") | part), draw(target),
+                                   TABLE_FLOOR),
+        certify.claim_cut_edges_at_least(draw(k), parts=(0, 1)),
+        certify.claim_count_meeting_floor(draw(st.sampled_from(["own", "cross"])),
+                                          draw(k), draw(k)),
+        certify.claim_extremal_stat(
+            draw(st.sampled_from(["min_own_degree", "min_cross_degree"])),
+            draw(k)),
+        certify.claim_extremal_ratio(draw(st.sampled_from(["own", "cross"])),
+                                     draw(k), draw(st.integers(1, 6))),
+    ]
+
+
+@st.composite
+def labeled_claims(draw):
+    g = draw(graphs())
+    r = draw(st.integers(2, 3))
+    # mostly well-formed labels, sometimes off by one in length or range
+    n = g.n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    labels = draw(st.lists(st.integers(0, r - 1) | st.integers(-1, r),
+                           min_size=n, max_size=n))
+    claims = draw(claim_sets(r))
+    return g, labels, r, claims
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_claims())
+def test_verifier_agrees_with_naive_recount(case):
+    g, labels, r, claims = case
+    cert = make_cert(g, claims)
+    res = verify_certificate(g, np.array(labels, dtype=np.int64), cert, r=r)
+    if len(labels) != g.n:
+        assert not res.passed and res.witness == min(len(labels), g.n)
+        return
+    bad = [v for v, lab in enumerate(labels) if not 0 <= lab < r]
+    if bad:
+        assert not res.passed and res.witness == bad[0] and res.reason
+        return
+    truth = [naive_claim_truth(g, labels, r, c) for c in claims]
+    assert res.passed == all(truth)
+    if not res.passed:
+        assert res.failed_index == truth.index(False)

@@ -149,3 +149,47 @@ def test_cli_thresholds_and_bench(tmp_path):
 
 def test_cli_ko_oracle():
     assert cli.main(["oracle", "--ko", "4", "2", "1"]) == 0
+
+
+def test_cli_stage_log_for_tripart(tmp_path):
+    gpath = tmp_path / "g.txt"
+    log = tmp_path / "stage.jsonl"
+    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--seed", "2",
+              "--out", str(gpath)])
+    code = cli.main(["partition", "--graph", str(gpath), "--shape", "tripart",
+                     "--k", "1", "--c", "0.5", "--eps", "0.5", "--retries", "3",
+                     "--stage-log", str(log), "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1)
+    lines = [json.loads(ln) for ln in log.read_text().splitlines()]
+    assert lines and {"attempt", "sizes", "weight", "violated"} <= set(lines[0])
+
+
+def test_cli_stage_log_refused_for_rpart(tmp_path):
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",
+              "--out", str(gpath)])
+    assert cli.main(["partition", "--graph", str(gpath), "--shape", "rpart",
+                     "--stage-log", str(tmp_path / "s.jsonl")]) == 2
+
+
+def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "cert.json"
+    cli.main(["gen", "--type", "gnp", "--n", "30", "--p", "0.4", "--seed", "3",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--seed", "1",
+              "--out", str(cpath)])
+    payload = json.loads(cpath.read_text())
+    for labels in ([2] + payload["labels"][1:], payload["labels"][:-1],
+                   [0.5] + payload["labels"][1:]):
+        cpath.write_text(json.dumps(dict(payload, labels=labels)))
+        capsys.readouterr()
+        assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+
+def test_bench_has_no_workers_option(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[]")
+    with pytest.raises(SystemExit):
+        cli.main(["bench", "--manifest", str(manifest), "--workers", "2"])

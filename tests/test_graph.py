@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from degpart.gen import complete_graph, cycle_graph
+from degpart.gen import complete_graph, cycle_graph, path_graph
 from degpart.graph import (Graph, GraphFormatError, LabeledPartition,
                            cut_and_internal_profile, degree_in_set, load_graph,
                            part_profile)
@@ -148,3 +148,28 @@ def test_cross_subgraph_keeps_only_cross_edges():
     h = g.cross_subgraph(labels, 0, 1)
     assert h.m == 2  # edges 0-2 and 1-2 only
     assert h.degree.tolist() == [1, 1, 2, 0]
+
+
+def test_load_dimacs_collapses_duplicates_with_counter():
+    g = load_graph("p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 1 2\n")
+    assert g.m == 2 and g.duplicates_collapsed == 2
+
+
+def test_load_out_of_range_dimacs_edge_refused():
+    with pytest.raises(GraphFormatError, match="out of range"):
+        load_graph("p edge 2 1\ne 1 3\n")
+
+
+def test_part_profile_refuses_malformed_labels():
+    g = path_graph(4)
+    # a label outside [0, r) used to count as a neighbour in part 0 or 1
+    with pytest.raises(ValueError, match="vertex 1 has label 2"):
+        part_profile(g, [0, 2, 0, 0], 2)
+    with pytest.raises(ValueError, match="outside"):
+        part_profile(g, [0, -1, 0, 0], 2)
+    with pytest.raises(ValueError, match="shape"):
+        part_profile(g, [0, 1, 0], 2)
+    with pytest.raises(ValueError, match="non-integer"):
+        part_profile(g, np.array([0.0, 1.0, 0.0, 1.0]), 2)
+    assert part_profile(g, np.array([0, 1, 0, 1], dtype=np.int32), 2).tolist() == \
+        [[0, 1], [2, 0], [0, 2], [1, 0]]

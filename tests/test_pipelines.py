@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -251,3 +253,17 @@ def test_guarantee_requires_configured_threshold():
     assert not r.guaranteed  # no n threshold configured
     r2 = bisect_dual(g, 1, 0.5, INTERNAL, seed=0, n_guarantee_threshold=10)
     assert r2.guaranteed == r2.ok
+
+
+def test_derived_pipelines_write_the_stage_log():
+    g = complete_graph(20)
+    for run in (lambda log: tripartition_exact(
+                    g, 1, ParamSet(0.5, 0.5, INTERNAL, relaxed=True), seed=0,
+                    stage_log=log),
+                lambda log: bisect_dual(g, 1, 0.5, INTERNAL, seed=0, stage_log=log),
+                lambda log: bisect_with_cut_average(g, 1, 0.5, seed=0,
+                                                    stage_log=log)):
+        log = io.StringIO()
+        rep = run(log)
+        lines = [json.loads(ln) for ln in log.getvalue().splitlines()]
+        assert len(lines) == rep.diagnostics["stage1_attempts"]

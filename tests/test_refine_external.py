@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from degpart.certify import check_claims, table_floor, tripartition_claims
 from degpart.gen import gen_gnp
 from degpart.graph import part_profile
-from degpart.refine_ext import (check_external_conditions,
-                                min_outdegree_tripartition, refine_external)
+from degpart.pipelines import tripartition
+from degpart.refine_ext import refine_external
 from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import EXTERNAL, ParamSet, build_threshold_table
 
@@ -60,8 +61,8 @@ def test_refine_external_w1_accounting_and_trace_json():
 def test_min_outdegree_pipeline_vacuous_settings():
     g = gen_gnp(120, 0.25, seed=3)
     p = ParamSet(0.0, 0.09, EXTERNAL)
-    tri = min_outdegree_tripartition(g, p, seed=0, size_window="vacuous",
-                                     weight_budget="vacuous")
+    tri = tripartition(g, p, seed=0, size_window="vacuous",
+                       weight_budget="vacuous")
     assert tri.ok
     assert tri.conditions["floor_cross"] and tri.conditions["floor_z"]
 
@@ -74,10 +75,11 @@ def test_min_outdegree_pipeline_enforces_cross_floor():
     t = table_for(g, p)
     if not t.active.any():
         pytest.skip("no active degrees at this size")
-    tri = min_outdegree_tripartition(g, p, seed=1, size_window="vacuous",
-                                     weight_budget="vacuous")
-    cond = check_external_conditions(g, tri.labels, p, tri.table)
-    assert cond["floor_cross"] and cond["floor_z"]
+    tri = tripartition(g, p, seed=1, size_window="vacuous",
+                       weight_budget="vacuous")
+    claims = tripartition_claims(EXTERNAL, table_floor("psi", p), (0, g.n))
+    assert all(check_claims(g, tri.labels, 3,
+                            claims["floor_cross"] + claims["floor_z"]))
     rows = tri.table.row_index(g.degree)
     active = tri.table.active[rows]
     fpsi = tri.table.fpsi[rows]
@@ -91,8 +93,7 @@ def test_min_outdegree_pipeline_enforces_cross_floor():
 def test_min_outdegree_stage_failure_propagates():
     g = gen_gnp(8, 0.5, seed=2)
     p = ParamSet(0.0, 0.09, EXTERNAL)
-    tri = min_outdegree_tripartition(g, p, seed=0, attempts=4,
-                                     size_window=(3.9, 4.0))
+    tri = tripartition(g, p, seed=0, attempts=4, size_window=(3.9, 4.0))
     if not tri.ok:
         assert tri.diagnostics.get("stage") in ("stage1", "conditions")
 

@@ -1,10 +1,10 @@
 import numpy as np
 
+from degpart.certify import check_claims, table_floor, tripartition_claims
 from degpart.gen import complete_graph, gen_gnp
 from degpart.graph import part_profile
-from degpart.refine_int import (check_tripartition_conditions,
-                                min_indegree_tripartition,
-                                refine_internal_once)
+from degpart.pipelines import tripartition
+from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import INTERNAL, ParamSet, build_threshold_table
 
@@ -123,8 +123,8 @@ def test_refine_smoke_k9_floor_one():
 def test_min_indegree_pipeline_vacuous_settings():
     g = gen_gnp(100, 0.2, seed=9)
     p = ParamSet(0.0, 0.25, INTERNAL)
-    tri = min_indegree_tripartition(g, p, seed=0, size_window="vacuous",
-                                    weight_budget="vacuous")
+    tri = tripartition(g, p, seed=0, size_window="vacuous",
+                       weight_budget="vacuous")
     assert tri.ok
     assert set(tri.conditions) == {"size_window", "floor_a", "floor_b", "floor_c"}
     assert tri.conditions["floor_a"] and tri.conditions["floor_b"]
@@ -137,7 +137,7 @@ def test_min_indegree_seeded_nonzero_c():
     # the target window and the certificate-grade conditions hold
     g = gen_gnp(1500, 0.05, seed=17)
     p = ParamSet(0.3, 0.17, INTERNAL, d_const=1.0)
-    tri = min_indegree_tripartition(g, p, seed=4)
+    tri = tripartition(g, p, seed=4)
     assert tri.ok
     assert tri.conditions["size_window"]
     import math
@@ -150,19 +150,19 @@ def test_min_indegree_seeded_nonzero_c():
 def test_min_indegree_pipeline_active_regime():
     g = gen_gnp(250, 0.3, seed=13)
     p = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
-    tri = min_indegree_tripartition(g, p, seed=2, size_window="vacuous",
-                                    weight_budget="vacuous")
+    tri = tripartition(g, p, seed=2, size_window="vacuous",
+                       weight_budget="vacuous")
     # the two refinement passes enforce the floors on both sides
-    cond = check_tripartition_conditions(g, tri.labels, p, tri.table, "fphi")
-    assert cond["floor_a"] and cond["floor_b"]
+    claims = tripartition_claims(INTERNAL, table_floor("phi", p), (0, g.n))
+    assert all(check_claims(g, tri.labels, 3,
+                            claims["floor_a"] + claims["floor_b"]))
     assert tri.conditions["floor_a"] and tri.conditions["floor_b"]
 
 
 def test_min_indegree_stage_failure_propagates():
     g = gen_gnp(8, 0.5, seed=2)
     p = ParamSet(0.0, 0.25, INTERNAL)
-    tri = min_indegree_tripartition(g, p, seed=0, attempts=4,
-                                    size_window=(3.9, 4.0))
+    tri = tripartition(g, p, seed=0, attempts=4, size_window=(3.9, 4.0))
     if not tri.ok:
         assert tri.diagnostics.get("stage") in ("stage1", "conditions")
 
@@ -171,8 +171,8 @@ def test_isolated_vertices_unconstrained():
     from degpart.graph import Graph
     g = Graph.from_edges(30, [(i, i + 1) for i in range(20)])
     p = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
-    tri = min_indegree_tripartition(g, p, seed=1, size_window="vacuous",
-                                    weight_budget="vacuous")
+    tri = tripartition(g, p, seed=1, size_window="vacuous",
+                       weight_budget="vacuous")
     assert tri.ok
     # degree-0 and low-degree vertices land somewhere without constraint
     rows = tri.table.row_index(g.degree)

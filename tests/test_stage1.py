@@ -3,7 +3,7 @@ import pytest
 
 from degpart.gen import complete_graph, gen_gnp
 from degpart.stage1 import (PART_A, PART_B, PART_C, goodness_map,
-                            random_tripartition, relocate_bad_from_c,
+                            random_tripartition_attempt, relocate_bad_from_c,
                             stage_one, tripartition_probabilities)
 from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
                                 build_threshold_table)
@@ -28,10 +28,10 @@ def test_probabilities_boundary_rejected():
 def test_random_tripartition_deterministic():
     g = complete_graph(4)
     p = ParamSet(0.0, 0.25, INTERNAL)
-    a = random_tripartition(g, p, seed=11)
-    b = random_tripartition(g, p, seed=11)
+    a = random_tripartition_attempt(g, p, 11, 0)
+    b = random_tripartition_attempt(g, p, 11, 0)
     assert (a == b).all()
-    c = random_tripartition(g, p, seed=12)
+    c = random_tripartition_attempt(g, p, 12, 0)
     assert a.shape == c.shape
 
 
@@ -63,7 +63,7 @@ def test_relocate_weight_never_increases_and_goodness_monotone():
     g = gen_gnp(120, 0.3, seed=4)
     p = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
     t = table_for(g, p)
-    labels = random_tripartition(g, p, seed=9)
+    labels = random_tripartition_attempt(g, p, 9, 0)
     gm = goodness_map(g, labels, t)
     out = relocate_bad_from_c(g, labels, gm)
     gm2 = goodness_map(g, out, t)
