@@ -55,18 +55,22 @@ def _cmd_gen(args) -> int:
 
 def _run_shape(args, graph, common: dict) -> PipelineReport:
     d_const = _parse_d_const(args.d_const)
+    eps = args.eps
+    if eps is None:
+        # bisect_external's default: external mode caps eps at 0.1
+        eps = 0.09 if (args.shape, args.mode) == ("bisect", "ext") else 0.25
     if args.shape == "bisect":
         if args.mode == "int":
-            params = ParamSet(args.c, args.eps, INTERNAL, d_const=d_const)
+            params = ParamSet(args.c, eps, INTERNAL, d_const=d_const)
             report = pipelines.bisect_internal(graph, params, **common)
         else:
-            params = ParamSet(args.c, args.eps, EXTERNAL, d_const=d_const)
+            params = ParamSet(args.c, eps, EXTERNAL, d_const=d_const)
             report = pipelines.bisect_external(graph, params, **common)
     elif args.shape == "tripart":
         mode = INTERNAL if args.mode == "int" else EXTERNAL
         # the integer-floor construction accepts eps up to 1-c; the derived
         # run parameter always satisfies the mode cap
-        params = ParamSet(args.c, args.eps, mode, d_const=d_const, relaxed=True)
+        params = ParamSet(args.c, eps, mode, d_const=d_const, relaxed=True)
         report = pipelines.tripartition_exact(graph, args.k, params, **common)
     elif args.shape == "rpart":
         alpha = tuple(args.alpha.split(","))
@@ -75,10 +79,10 @@ def _run_shape(args, graph, common: dict) -> PipelineReport:
                                        seed=args.seed)
     elif args.shape == "dual":
         primary = INTERNAL if args.mode == "int" else EXTERNAL
-        report = pipelines.bisect_dual(graph, args.k, args.eps, primary,
+        report = pipelines.bisect_dual(graph, args.k, eps, primary,
                                        d_const=d_const, **common)
     elif args.shape == "cutavg":
-        report = pipelines.bisect_with_cut_average(graph, args.k, args.eps,
+        report = pipelines.bisect_with_cut_average(graph, args.k, eps,
                                                    d_const=d_const, **common)
     else:
         raise ValueError(f"unknown shape {args.shape!r}")
@@ -189,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", choices=["bisect", "tripart", "rpart", "dual",
                                        "cutavg"], default="bisect")
     p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=0.25)
+    p.add_argument("--eps", type=float,
+                   help="default 0.25, or 0.09 for --shape bisect --mode ext")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--alpha", default="1/2,1/2",
                    help="comma-separated rationals for rpart, e.g. 1/5,3/10,1/2")

@@ -125,9 +125,8 @@ class ExtractResult:
 
 def _host_degrees(graph: Graph, host_mask: np.ndarray) -> np.ndarray:
     """Degrees counted inside the host set, zero outside it."""
-    rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degree)
-    both = host_mask[rows] & host_mask[graph.indices]
-    return np.bincount(rows[both], minlength=graph.n)
+    both = host_mask[graph.rows] & host_mask[graph.indices]
+    return np.bincount(graph.rows[both], minlength=graph.n)
 
 
 def compute_a_plus(graph: Graph, family: ClassFamily) -> list[np.ndarray]:

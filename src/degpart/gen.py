@@ -18,12 +18,11 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
+    edges = [np.empty((0, 2), dtype=np.int64)]
     for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-        for j in hits.tolist():
-            edges.append((i, i + 1 + j))
-    return Graph.from_edges(n, edges)
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges.append(np.column_stack((np.full(len(hits), i), hits)))
+    return Graph.from_edges(n, np.concatenate(edges))
 
 
 def gen_kuhn_osthus(n: int, l: int, max_vertices: int = 2_000_000) -> Graph:
@@ -41,11 +40,8 @@ def gen_kuhn_osthus(n: int, l: int, max_vertices: int = 2_000_000) -> Graph:
     total = n + comb(n, l)
     if total > max_vertices:
         raise ValueError(f"graph would have {total} vertices (cap {max_vertices})")
-    edges = []
-    for k, subset in enumerate(combinations(range(n), l)):
-        vf = n + k
-        for i in subset:
-            edges.append((i, vf))
+    edges = [(i, n + k) for k, subset in enumerate(combinations(range(n), l))
+             for i in subset]
     return Graph.from_edges(total, edges)
 
 

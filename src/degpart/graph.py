@@ -9,6 +9,7 @@ concurrent readers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,13 @@ class Graph:
         indptr, indices: CSR adjacency; indices[indptr[v]:indptr[v+1]] are the
             sorted neighbors of v.
         degree: per-vertex degree array, degree[v] == len(neighbors(v)).
+        rows: the CSR row of each entry of indices, rows[k] == v for
+            indptr[v] <= k < indptr[v+1].
         duplicates_collapsed: how many duplicate input edges were dropped at
             construction (a warning counter, not an error).
     """
 
-    __slots__ = ("n", "indptr", "indices", "degree", "duplicates_collapsed")
+    __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  duplicates_collapsed: int = 0):
@@ -50,43 +53,38 @@ class Graph:
         self.indptr = indptr
         self.indices = indices
         self.degree = np.diff(indptr).astype(np.int64)
+        self.rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degree)
         self.duplicates_collapsed = int(duplicates_collapsed)
 
     @classmethod
-    def from_edges(cls, n: int, edges, duplicates_collapsed: int = 0) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
+    def from_edges(cls, n: int, edges) -> "Graph":
+        """Build a graph from an (m, 2) integer array or an iterable of (u, v)
+        pairs.
 
-        Duplicate pairs are collapsed (counted on top of any collapse count
-        already passed in); self-loops raise GraphFormatError.
+        Duplicate pairs are collapsed and counted in ``duplicates_collapsed``;
+        a self-loop or an id outside [0, n) raises GraphFormatError naming the
+        first bad pair in input order.
         """
         n = int(n)
-        pairs = set()
-        dups = int(duplicates_collapsed)
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in pairs:
-                dups += 1
-            else:
-                pairs.add(key)
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            src = np.concatenate([arr[:, 0], arr[:, 1]])
-            dst = np.concatenate([arr[:, 1], arr[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, src + 1, 1)
-            indptr = np.cumsum(indptr)
-            indices = dst
-        else:
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices = np.empty(0, dtype=np.int64)
-        return cls(n, indptr, indices, dups)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                           dtype=np.int64)
+        pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphFormatError(f"edges of shape {pairs.shape} are not (u, v) pairs")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            a, b = (int(x) for x in pairs[np.argmax(bad)])
+            if a == b:
+                raise GraphFormatError(f"self-loop at vertex {a}")
+            raise GraphFormatError(f"edge ({a},{b}) out of range for n={n}")
+        keys = np.sort(lo * n + hi)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        lo, hi = np.divmod(keys, n)
+        # both orientations, sorted by (source, target): the CSR order
+        src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+        return cls(n, np.searchsorted(src, np.arange(n + 1)), dst,
+                   len(pairs) - len(keys))
 
     # -- basic queries ----------------------------------------------------
 
@@ -99,28 +97,21 @@ class Graph:
         """Sorted neighbor ids of v (a read-only view)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (u, v) with u < v, one entry per edge, sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degree)
-        mask = src < self.indices
-        return src[mask], self.indices[mask]
+        mask = self.rows < self.indices
+        return self.rows[mask], self.indices[mask]
 
     def validate(self) -> None:
         """Re-check the structural invariants (symmetry, sortedness, sums)."""
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
         assert int(self.degree.sum()) == 2 * self.m
-        for v in range(self.n):
-            nb = self.neighbors(v)
-            assert np.all(nb[:-1] < nb[1:]), f"adjacency of {v} not strictly sorted"
-            assert v not in nb, f"self-loop at {v}"
-        u, w = self.edge_array()
-        for a, b in zip(u.tolist(), w.tolist()):
-            assert self.has_edge(b, a), f"asymmetric edge ({a},{b})"
+        assert np.all((self.indices >= 0) & (self.indices < self.n)), "id out of range"
+        assert not np.any(self.rows == self.indices), "self-loop"
+        keys = self.rows * self.n + self.indices
+        assert np.all(keys[:-1] < keys[1:]), "adjacency not strictly sorted"
+        assert np.array_equal(np.sort(self.indices * self.n + self.rows), keys), \
+            "asymmetric adjacency"
 
     # -- derived graphs ---------------------------------------------------
 
@@ -130,10 +121,10 @@ class Graph:
         Vertex ids are preserved; vertices outside the two parts become
         isolated.  Used for extraction over the cross adjacency.
         """
-        u, v = self.edge_array()
-        lu, lv = labels[u], labels[v]
+        lu, lv = labels[self.rows], labels[self.indices]
         keep = ((lu == part_a) & (lv == part_b)) | ((lu == part_b) & (lv == part_a))
-        return Graph.from_edges(self.n, zip(u[keep].tolist(), v[keep].tolist()))
+        return Graph(self.n, np.searchsorted(self.rows[keep], np.arange(self.n + 1)),
+                     self.indices[keep])
 
     # -- serialization ----------------------------------------------------
 
@@ -195,10 +186,9 @@ def load_graph(text, n: int | None = None) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
-    lines = text.splitlines()
-    is_dimacs = any(ln.strip().startswith("p ") or ln.strip().startswith("p\t")
-                    for ln in lines)
-    edges: list[tuple[int, int]] = []
+    dimacs = re.search(r"^\s*p[ \t]", text, re.MULTILINE) is not None
+    comment, offset = ("c", 1) if dimacs else ("#", 0)
+    ids: list[int] = []
     declared_n = n
 
     def parse_int(tok: str, lineno: int) -> int:
@@ -207,54 +197,41 @@ def load_graph(text, n: int | None = None) -> Graph:
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer token {tok!r}") from None
 
-    if is_dimacs:
-        for lineno, raw in enumerate(lines, start=1):
-            ln = raw.strip()
-            if not ln or ln.startswith("c"):
-                continue
-            parts = ln.split()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0].startswith(comment):
+            # "# n <count>" records isolated trailing vertices
+            parts = raw.strip()[1:].split()
+            if not dimacs and len(parts) == 2 and parts[0] == "n":
+                declared_n = parse_int(parts[1], lineno)
+            continue
+        if dimacs:
             if parts[0] == "p":
                 if len(parts) < 4:
                     raise GraphFormatError(f"line {lineno}: malformed problem line")
                 declared_n = parse_int(parts[2], lineno)
-            elif parts[0] == "e":
-                if len(parts) != 3:
-                    raise GraphFormatError(f"line {lineno}: malformed edge line")
-                u = parse_int(parts[1], lineno) - 1
-                v = parse_int(parts[2], lineno) - 1
-                if u == v:
-                    raise GraphFormatError(f"line {lineno}: self-loop at vertex {u + 1}")
-                edges.append((u, v))
-            else:
+                continue
+            if parts[0] != "e":
                 raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-        if declared_n is None:
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: malformed edge line")
+            parts = parts[1:]
+        elif len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected two vertex ids")
+        u, v = parse_int(parts[0], lineno), parse_int(parts[1], lineno)
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+        if u < offset or v < offset:
+            raise GraphFormatError(f"line {lineno}: vertex id {min(u, v)} below {offset}")
+        ids += (u, v)
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2) - offset
+    if declared_n is None:
+        if dimacs:
             raise GraphFormatError("DIMACS stream without a problem line")
-    else:
-        max_id = -1
-        for lineno, raw in enumerate(lines, start=1):
-            ln = raw.strip()
-            if not ln:
-                continue
-            if ln.startswith("#"):
-                # "# n <count>" records isolated trailing vertices
-                parts = ln[1:].split()
-                if len(parts) == 2 and parts[0] == "n":
-                    declared_n = parse_int(parts[1], lineno)
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected two vertex ids")
-            u = parse_int(parts[0], lineno)
-            v = parse_int(parts[1], lineno)
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-            if u < 0 or v < 0:
-                raise GraphFormatError(f"line {lineno}: negative vertex id")
-            max_id = max(max_id, u, v)
-            edges.append((u, v))
-        if declared_n is None:
-            declared_n = max_id + 1
-    return Graph.from_edges(declared_n, edges)
+        declared_n = int(pairs.max()) + 1 if len(pairs) else 0
+    return Graph.from_edges(declared_n, pairs)
 
 
 # -- degree/cut primitives --------------------------------------------------
@@ -294,9 +271,7 @@ def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
     if bad.any():
         v = int(np.argmax(bad))
         raise LabelError(f"vertex {v} has label {labels[v]} outside [0, {r})", v)
-    rows = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degree)
-    cols = labels[graph.indices]
-    flat = np.bincount(rows * r + cols, minlength=graph.n * r)
+    flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=graph.n * r)
     return flat.reshape(graph.n, r)
 
 

@@ -29,7 +29,7 @@ from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
 from .graph import Graph, LabeledPartition, part_profile
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
-from .stage1 import PART_A, PART_B, PART_C, StageOneResult, stage_one
+from .stage1 import PART_A, PART_B, PART_C, VACUOUS, StageOneResult, stage_one
 from .thresholds import (EXTERNAL, INTERNAL, ParamSet, ThresholdTable,
                          build_threshold_table)
 
@@ -44,22 +44,20 @@ _TARGET = {INTERNAL: "own", EXTERNAL: "cross"}
 
 
 def _exact_min_ratio(num: np.ndarray, den: np.ndarray):
-    """Exact min of num[i]/den[i] over entries with den > 0.
+    """Exact min of num[i]/den[i] over entries with den > 0, as a reduced
+    Fraction (inf when no entry qualifies).
 
-    Returns (Fraction, index) or (inf, None) when no entry qualifies.  A
-    float argmin seeds the scan; the exact sweep settles near-ties.
+    A float argmin seeds the search; int64 cross-multiplication settles it,
+    exactly, because the products of degree counts stay below n^2.
     """
     pos = den > 0
     if not pos.any():
-        return math.inf, None
-    idx = np.nonzero(pos)[0]
-    best_i = int(idx[np.argmin(num[idx] / den[idx])])
-    best = Fraction(int(num[best_i]), int(den[best_i]))
-    for i in idx.tolist():
-        f = Fraction(int(num[i]), int(den[i]))
-        if f < best:
-            best, best_i = f, i
-    return best, best_i
+        return math.inf
+    num, den = num[pos], den[pos]
+    best = int(np.argmin(num / den))
+    while (below := np.flatnonzero(num * den[best] < num[best] * den)).size:
+        best = int(below[np.argmin(num[below] / den[below])])
+    return Fraction(int(num[best]), int(den[best]))
 
 
 def partition_stats(graph: Graph, labels: np.ndarray, r: int) -> dict:
@@ -74,8 +72,8 @@ def partition_stats(graph: Graph, labels: np.ndarray, r: int) -> dict:
     own = counts[np.arange(graph.n), labels]
     cross = graph.degree - own
     cut = int(cross.sum()) // 2
-    own_ratio, _ = _exact_min_ratio(own, graph.degree)
-    cross_ratio, _ = _exact_min_ratio(cross, graph.degree)
+    own_ratio = _exact_min_ratio(own, graph.degree)
+    cross_ratio = _exact_min_ratio(cross, graph.degree)
 
     def frac_fields(frac):
         if frac is math.inf:
@@ -440,6 +438,8 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
     n = graph.n
     if size_window is None:
         size_window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
+    elif size_window == VACUOUS:
+        size_window = (0.0, float(n))
     run_params, tri, hyp, failure = _run_derived(
         graph, "tripart", c, eps, params.mode, params.d_const,
         (4.0 / (1.0 - c) + eps) * k,

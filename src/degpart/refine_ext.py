@@ -125,22 +125,18 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
         deleted_ids = extract.deleted_vertices
 
     # step 2: quarantine W1 and keep the pure remainder of Z
-    in_w = np.zeros(n, dtype=bool)
-    in_w[deleted_ids] = True
-    for v in deleted_ids.tolist():
-        for u in graph.neighbors(v).tolist():
-            if lab[u] == PART_Z:
-                in_w[u] = True
+    deleted_mask = np.zeros(n, dtype=bool)
+    deleted_mask[deleted_ids] = True
+    in_w = deleted_mask.copy()
+    touched = graph.indices[deleted_mask[graph.rows]]
+    in_w[touched[lab[touched] == PART_Z]] = True
     w1 = np.nonzero(in_w)[0]
     # purity: Z1 vertices have all their X/Y neighbors inside the core, i.e.
     # no Z1 vertex touches an extracted vertex (those went to W1 instead)
     x1_mask = in_x & ~in_w
     y1_mask = in_y & ~in_w
     z1_mask = in_z0 & ~in_w
-    deleted_mask = np.zeros(n, dtype=bool)
-    deleted_mask[deleted_ids] = True
-    rows_all = np.repeat(np.arange(n, dtype=np.int64), graph.degree)
-    assert not bool((z1_mask[rows_all] & deleted_mask[graph.indices]).any()), \
+    assert not bool((z1_mask[graph.rows] & deleted_mask[graph.indices]).any()), \
         "a Z1 vertex touches an extracted vertex"
     w1_budget = len(deleted_ids) + int(graph.degree[deleted_ids].sum())
     assert len(w1) <= w1_budget, "W1 accounting bound violated"
@@ -153,11 +149,8 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
     d_to_y = np.zeros(n, dtype=np.int64)
     w2 = sorted(w1.tolist())
     for v in w2:
-        for u in graph.neighbors(v).tolist():
-            if side[u] == PART_X:
-                d_to_x[v] += 1
-            elif side[u] == PART_Y:
-                d_to_y[v] += 1
+        nb_side = side[graph.neighbors(v)]
+        d_to_x[v], d_to_y[v] = (nb_side == PART_X).sum(), (nb_side == PART_Y).sum()
     absorbed: list[Absorption] = []
     probe_x_first = True
     changed = True

@@ -164,6 +164,27 @@ def test_cli_stage_log_for_tripart(tmp_path):
     assert lines and {"attempt", "sizes", "weight", "violated"} <= set(lines[0])
 
 
+def test_cli_tripart_vacuous_windows(tmp_path):
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "60", "--p", "0.3", "--seed", "2",
+              "--out", str(gpath)])
+    code = cli.main(["partition", "--graph", str(gpath), "--shape", "tripart",
+                     "--k", "1", "--c", "0.5", "--eps", "0.5", "--retries", "3",
+                     "--vacuous-windows", "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1)
+
+
+def test_cli_external_bisect_uses_its_default_eps(tmp_path):
+    gpath = tmp_path / "g.txt"
+    out = tmp_path / "r.json"
+    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--seed", "2",
+              "--out", str(gpath)])
+    code = cli.main(["partition", "--graph", str(gpath), "--mode", "ext",
+                     "--d-const", "1", "--out", str(out)])
+    assert code in (0, 1)
+    assert json.loads(out.read_text())["certificate"]["params"]["eps"] == 0.09
+
+
 def test_cli_stage_log_refused_for_rpart(tmp_path):
     gpath = tmp_path / "g.txt"
     cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from degpart.gen import complete_graph, cycle_graph, path_graph
 from degpart.graph import (Graph, GraphFormatError, LabeledPartition,
@@ -45,6 +46,9 @@ def test_load_dimacs():
     assert g.degree.tolist() == [1, 2, 2, 1]
     with pytest.raises(GraphFormatError):
         load_graph("p edge 3 1\ne 2 2\n")
+    # ids are 1-indexed: id 0 is refused where it is read, not as a bad pair
+    with pytest.raises(GraphFormatError, match="line 2"):
+        load_graph("p edge 3 1\ne 0 1\n")
 
 
 def test_load_accepts_file_handle_and_comments():
@@ -65,6 +69,7 @@ def test_serialize_reload_identity(g):
 def test_structural_invariants(g):
     g.validate()
     assert int(g.degree.sum()) == 2 * g.m
+    assert g.rows.tolist() == np.repeat(np.arange(g.n), g.degree).tolist()
 
 
 def test_degree_in_set_examples():
@@ -148,6 +153,63 @@ def test_cross_subgraph_keeps_only_cross_edges():
     h = g.cross_subgraph(labels, 0, 1)
     assert h.m == 2  # edges 0-2 and 1-2 only
     assert h.degree.tolist() == [1, 1, 2, 0]
+
+
+@given(graphs(), st.data())
+def test_cross_subgraph_matches_rebuild_from_edges(g, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=g.n,
+                                         max_size=g.n)), dtype=np.int64)
+    a, b = data.draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (1, 2)]))
+    h = g.cross_subgraph(labels, a, b)
+    u, v = g.edge_array()
+    lu, lv = labels[u], labels[v]
+    keep = ((lu == a) & (lv == b)) | ((lu == b) & (lv == a))
+    ref = Graph.from_edges(g.n, zip(u[keep].tolist(), v[keep].tolist()))
+    assert h.indptr.tolist() == ref.indptr.tolist()
+    assert h.indices.tolist() == ref.indices.tolist()
+    h.validate()
+
+
+@st.composite
+def edge_lists(draw, max_n=10):
+    """(n, pairs) with repeats in both orientations and no self-loops."""
+    n = draw(st.integers(2, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=40))
+
+
+@given(edge_lists())
+def test_from_edges_array_and_pairs_agree(case):
+    n, pairs = case
+    g = Graph.from_edges(n, pairs)
+    ga = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert g.indptr.tolist() == ga.indptr.tolist()
+    assert g.indices.tolist() == ga.indices.tolist()
+    # reference: a python set of unordered pairs
+    unique = {(min(e), max(e)) for e in pairs}
+    assert g.duplicates_collapsed == ga.duplicates_collapsed == len(pairs) - len(unique)
+    for v in range(n):
+        expect = sorted({b for a, b in unique if a == v} | {a for a, b in unique if b == v})
+        assert g.neighbors(v).tolist() == expect
+
+
+def test_from_edges_names_the_first_bad_pair():
+    for edges in ([(0, 2), (1, 1), (0, 7)], np.array([[0, 2], [1, 1], [0, 7]])):
+        with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
+            Graph.from_edges(3, edges)
+    for edges in ([(0, 2), (0, 7), (1, 1)], np.array([[0, 2], [0, 7], [1, 1]])):
+        with pytest.raises(GraphFormatError, match=r"edge \(0,7\) out of range for n=3"):
+            Graph.from_edges(3, edges)
+    with pytest.raises(GraphFormatError, match=r"edge \(-1,2\) out of range"):
+        Graph.from_edges(3, [(-1, 2)])
+
+
+def test_from_edges_accepts_empty_input():
+    for n, edges in [(0, []), (3, []), (3, np.empty((0, 2), dtype=np.int64))]:
+        g = Graph.from_edges(n, edges)
+        assert g.n == n and g.m == 0 and g.duplicates_collapsed == 0
+        assert g.indptr.tolist() == [0] * (n + 1) and g.rows.size == 0
 
 
 def test_load_dimacs_collapses_duplicates_with_counter():

@@ -1,16 +1,20 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import part_profile
 from degpart.oracle import best_bisection
-from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
+from degpart.pipelines import (_exact_min_ratio, bisect_dual, bisect_external,
+                               bisect_internal,
                                bisect_with_cut_average, distribute_c_for_balance,
                                partition_stats, r_partition,
                                random_bisection_stats, tripartition_exact)
@@ -99,6 +103,14 @@ def test_tripartition_exact_complete_graph():
     r = tripartition_exact(g, 3, p, seed=0)
     assert r.ok
     assert r.diagnostics["min_degree_hypothesis"]["ok"]
+    assert verify_certificate(g, r.labels, r.certificate, r=3).passed
+
+
+def test_tripartition_exact_vacuous_windows():
+    g = gen_gnp(60, 0.3, seed=2)
+    p = ParamSet(0.5, 0.5, INTERNAL, d_const=1.0, relaxed=True)
+    r = tripartition_exact(g, 1, p, seed=0, **VAC)
+    assert r.diagnostics["conditions"]["size_window"]
     assert verify_certificate(g, r.labels, r.certificate, r=3).passed
 
 
@@ -229,6 +241,19 @@ def test_partition_stats_exactness():
     assert s["min_own_degree"] == 0 and s["min_cross_degree"] == 2
     assert s["cut_edges"] == 6 and s["cut_avg_degree"] == 2.0
     assert s["min_cross_ratio_frac"] == [1, 1]
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+                max_size=30))
+@example([(0, 0), (3, 0)])                        # no positive denominator
+@example([(0, 5), (2, 4), (1, 2), (3, 6)])        # a zero numerator, then ties
+@example([(100000009, 100000010), (100000008, 100000009)])  # equal as floats
+def test_exact_min_ratio_matches_fractions(pairs):
+    num = np.array([a for a, _ in pairs], dtype=np.int64)
+    den = np.array([b for _, b in pairs], dtype=np.int64)
+    expect = min((Fraction(a, b) for a, b in pairs if b > 0), default=math.inf)
+    got = _exact_min_ratio(num, den)
+    assert got == expect and type(got) is type(expect)
 
 
 def test_random_bisection_stats_deterministic():
