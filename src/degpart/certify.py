@@ -26,7 +26,6 @@ Claim kinds:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +35,8 @@ from .thresholds import INTERNAL, ParamSet, build_threshold_table
 
 
 def graph_fingerprint(graph: Graph) -> str:
-    """Order-independent hash of (n, sorted edge set)."""
-    u, v = graph.edge_array()
-    h = hashlib.sha256()
-    h.update(f"n={graph.n};".encode())
-    h.update(np.stack([u, v]).astype("<i8").tobytes())
-    return h.hexdigest()
+    """Order-independent hash of (n, sorted edge set): ``graph.fingerprint``."""
+    return graph.fingerprint
 
 
 @dataclass
@@ -266,7 +261,7 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
     that are no r-partition of the vertices fail with ``reason`` set and the
     first bad vertex as the witness.
     """
-    actual = graph_fingerprint(graph)
+    actual = graph.fingerprint
     if cert.graph_hash != actual:
         raise ValueError(
             f"certificate bound to graph {cert.graph_hash[:12]}..., "

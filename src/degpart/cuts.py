@@ -15,6 +15,18 @@ vector is given as rationals, all comparisons run in exact integer
 arithmetic (weights scaled to a common denominator), so the local-optimum
 certificate is independent of float rounding; float biases fall back to a
 1e-12 relative guard.
+
+Both searches run one kernel, ``_flip_search``: sweeps over the vertices in
+index order, each moving every vertex that has a strictly improving move
+(to the first such part, unless that would empty its part), until a sweep
+moves nothing.  ``local_maxcut`` is the case r = 2 with equal weights on
+G[S], minimized.  The kernel keeps a candidate mask, true for the vertices
+with a strictly improving move, and a sweep jumps from one candidate to the
+next.  Whether v can move depends only on its own label and its own row of
+neighbor counts per part, and these change only when v or a neighbor of v
+moves; after each move the mask is recomputed for exactly those vertices.
+So the mask is exact whenever a vertex is reached, and the sweeps make the
+same moves, in the same order, as sweeps that visit every vertex.
 """
 
 from __future__ import annotations
@@ -104,44 +116,98 @@ def local_maxcut(graph: Graph, subset=None, seed: int = 0):
         ids = np.unique(np.asarray(subset, dtype=np.int64))
     if len(ids) == 0:
         return ids.copy(), ids.copy(), 0
+    sub = graph if subset is None else graph.induced_subgraph(ids)
     rng = np.random.default_rng(seed)
-    side = np.full(graph.n, -1, dtype=np.int64)
-    side[ids] = _balanced_random_split(ids, 2, rng)
-    in_s = np.zeros(graph.n, dtype=bool)
-    in_s[ids] = True
+    side = _balanced_random_split(ids, 2, rng)
+    # flipping x strictly improves e(plus) + e(minus) iff d_own(x) > d_cross(x);
+    # a lone vertex has d_own = 0, so the part-size guard never fires
+    _, _, flips = _flip_search(sub, side, [1, 1])
+    return ids[side == 0], ids[side == 1], flips
 
-    own = np.zeros(graph.n, dtype=np.int64)
-    cross = np.zeros(graph.n, dtype=np.int64)
-    for v in ids.tolist():
-        for w in graph.neighbors(v).tolist():
-            if in_s[w]:
-                if side[w] == side[v]:
-                    own[v] += 1
-                else:
-                    cross[v] += 1
 
-    flips = 0
-    improved = True
-    while improved:
-        improved = False
-        for v in ids.tolist():
-            if own[v] > cross[v]:
-                sv = side[v]
-                side[v] = 1 - sv
-                own[v], cross[v] = cross[v], own[v]
-                for w in graph.neighbors(v).tolist():
-                    if in_s[w]:
-                        if side[w] == sv:       # was same side, now across
-                            own[w] -= 1
-                            cross[w] += 1
-                        else:
-                            own[w] += 1
-                            cross[w] -= 1
-                flips += 1
-                improved = True
-    plus = ids[side[ids] == 0]
-    minus = ids[side[ids] == 1]
-    return plus, minus, flips
+def _exact_array(values: list, max_factor: int) -> np.ndarray:
+    """Integers as int64, or as python ints (dtype=object) when a product
+    with a factor up to max_factor might not fit in int64."""
+    fits = max(values) * max_factor < 2 ** 63
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _flip_search(graph: Graph, labels: np.ndarray, w: list,
+                 maximize: bool = False):
+    """Single-vertex moves on ``labels`` (in place, r = len(w) parts) until
+    no vertex of a part with >= 2 vertices has a move that strictly improves
+    f = sum_i w_i * e(U_i): down by default, up under maximize.
+
+    Returns (f at the start, f at the end, moves).  Integer weights compare
+    exactly; float weights need a FLOAT_GUARD relative margin.  See the
+    module docstring for why the candidate mask keeps the move sequence of a
+    plain sweep over all vertices.
+    """
+    n, r = graph.n, len(w)
+    exact = all(isinstance(x, int) for x in w)
+    # counts[j, v]: neighbors of v in part j; part-major, so that the
+    # per-part passes of movable read contiguous rows
+    counts = np.ascontiguousarray(part_profile(graph, labels, r).T)
+    sizes = np.bincount(labels, minlength=r)
+    weights = (_exact_array(w, int(graph.degree.max(initial=0))) if exact
+               else np.array(w, dtype=np.float64))
+
+    beats = np.greater if maximize else np.less
+
+    def bar(own_cost):
+        """The cost that a target part must strictly beat."""
+        if exact:
+            return own_cost
+        guard = FLOAT_GUARD * np.maximum(1.0, np.abs(own_cost))
+        return own_cost + guard if maximize else own_cost - guard
+
+    def movable(vs):
+        """Whether vertex vs[k] has a strictly improving move."""
+        cost = counts[:, vs] * weights[:, None]
+        b = bar(cost[labels[vs], np.arange(len(vs))])
+        out = beats(cost[0], b)
+        for c in cost[1:]:  # r - 1 elementwise passes: cheaper than one reduce
+            out |= beats(c, b)
+        return out
+
+    tot = 0 if exact else 0.0
+    for j in range(r):
+        tot += w[j] * int(counts[j, labels == j].sum())
+    f0 = f_cur = tot // 2 if exact else tot / 2.0
+    sign = -1 if maximize else 1
+    cand = movable(np.arange(n))
+    moves = 0
+    moved = True
+    while moved:
+        moved = False
+        v = -1
+        while v + 1 < n:
+            rest = cand[v + 1:]
+            k = int(rest.argmax())
+            if not rest[k]:
+                break
+            v += 1 + k
+            i = int(labels[v])
+            if sizes[i] < 2:
+                continue  # move would empty the part
+            cost = counts[:, v] * weights
+            j = int(beats(cost, bar(cost[i])).argmax())  # first improving part
+            f_new = f_cur + (w[j] * int(counts[j, v]) - w[i] * int(counts[i, v]))
+            # f must strictly improve in the chosen direction
+            if exact:
+                assert sign * (f_new - f_cur) < 0
+            f_cur = f_new
+            labels[v] = j
+            sizes[i] -= 1
+            sizes[j] += 1
+            nb = graph.neighbors(v)
+            counts[i, nb] -= 1
+            counts[j, nb] += 1
+            touched = np.concatenate((nb, (v,)))
+            cand[touched] = movable(touched)
+            moves += 1
+            moved = True
+    return f0, f_cur, moves
 
 
 @dataclass
@@ -173,82 +239,22 @@ def biased_max_r_cut(graph: Graph, bias: BiasVector, seed: int = 0,
     if r > graph.n:
         raise ValueError(f"r={r} parts need at least r vertices, got n={graph.n}")
     rng = np.random.default_rng(seed)
-    ids = np.arange(graph.n, dtype=np.int64)
-    labels = _balanced_random_split(ids, r, rng)
-    w = bias.weights()
-    counts = part_profile(graph, labels, r)
-    part_size = np.bincount(labels, minlength=r)
-
-    def objective():
-        # sum over parts of w_i * e(U_i), with e(U_i) half the own-degree sum
-        tot = 0 if bias.exact else 0.0
-        for j in range(r):
-            tot += w[j] * int(counts[labels == j, j].sum())
-        return tot // 2 if bias.exact else tot / 2.0
-
-    f0 = objective()
-    f_cur = f0
-    moves = 0
-    sign = -1 if maximize else 1
-
-    improved = True
-    while improved:
-        improved = False
-        for v in range(graph.n):
-            i = int(labels[v])
-            if part_size[i] < 2:
-                continue  # move would empty the part
-            di = int(counts[v, i])
-            cost_i = w[i] * di
-            for j in range(r):
-                if j == i:
-                    continue
-                dj = int(counts[v, j])
-                cost_j = w[j] * dj
-                if bias.exact:
-                    better = cost_j < cost_i if not maximize else cost_j > cost_i
-                else:
-                    guard = FLOAT_GUARD * max(1.0, abs(cost_i))
-                    better = (cost_j < cost_i - guard) if not maximize \
-                        else (cost_j > cost_i + guard)
-                if better:
-                    labels[v] = j
-                    part_size[i] -= 1
-                    part_size[j] += 1
-                    for u in graph.neighbors(v).tolist():
-                        counts[u, i] -= 1
-                        counts[u, j] += 1
-                    delta = cost_j - cost_i
-                    f_new = f_cur + delta
-                    # f must strictly improve in the chosen direction
-                    if bias.exact:
-                        assert sign * (f_new - f_cur) < 0
-                    f_cur = f_new
-                    moves += 1
-                    improved = True
-                    break
-    return RCutResult(labels, f0, f_cur, moves, bias.exact)
+    labels = _balanced_random_split(np.arange(graph.n, dtype=np.int64), r, rng)
+    f0, f_end, moves = _flip_search(graph, labels, bias.weights(), maximize)
+    return RCutResult(labels, f0, f_end, moves, bias.exact)
 
 
 def check_flip_local_optimum(graph: Graph, plus: np.ndarray, minus: np.ndarray) -> list[int]:
-    """Vertices violating d_cross >= d_own within G[plus ∪ minus] (empty if OK)."""
-    in_s = np.zeros(graph.n, dtype=bool)
-    side = np.zeros(graph.n, dtype=np.int64)
-    in_s[plus] = True
-    in_s[minus] = True
+    """Vertices violating d_cross >= d_own within G[plus ∪ minus] (empty if OK),
+    in the order of plus, then minus."""
+    side = np.full(graph.n, 2, dtype=np.int64)  # part 2: outside the subset
+    side[plus] = 0
     side[minus] = 1
-    bad = []
-    for v in np.concatenate([plus, minus]).tolist():
-        own = cross = 0
-        for wv in graph.neighbors(v).tolist():
-            if in_s[wv]:
-                if side[wv] == side[v]:
-                    own += 1
-                else:
-                    cross += 1
-        if cross < own:
-            bad.append(v)
-    return bad
+    counts = part_profile(graph, side, 3)
+    order = np.concatenate([plus, minus]).astype(np.int64)
+    own = counts[order, side[order]]
+    cross = counts[order, 1 - side[order]]
+    return order[cross < own].tolist()
 
 
 def check_biased_local_min(graph: Graph, labels: np.ndarray, bias: BiasVector,
@@ -257,27 +263,28 @@ def check_biased_local_min(graph: Graph, labels: np.ndarray, bias: BiasVector,
 
     For each x in U_i with |U_i| >= 2 and each j != i, checks
     alpha_j * d_{U_i}(x) <= alpha_i * d_{U_j}(x) (reversed under maximize).
-    Rational biases are compared exactly.  Returns a list of
-    (vertex, i, j, d_i, d_j) violations; empty means certified.
+    Rational biases are compared exactly, as integers scaled by the lcm of
+    the denominators.  Returns a list of (vertex, i, j, d_i, d_j) violations
+    in vertex, then j, order; empty means certified.
     """
     r = bias.r
     counts = part_profile(graph, labels, r)
+    labels = np.asarray(labels)
+    d_own = counts[np.arange(graph.n), labels]
+    if bias.exact:
+        scale = math.lcm(*(a.denominator for a in bias.alpha))
+        alpha = _exact_array([int(a * scale) for a in bias.alpha],
+                             int(graph.degree.max(initial=0)))
+    else:
+        alpha = np.array(bias.as_floats())
+    lhs = alpha[None, :] * d_own[:, None]  # alpha_j * d_i
+    rhs = alpha[labels][:, None] * counts  # alpha_i * d_j
+    ok = lhs >= rhs if maximize else lhs <= rhs
+    if not bias.exact:
+        ok |= np.abs(lhs - rhs) <= FLOAT_GUARD * np.maximum(1.0, rhs)
     sizes = np.bincount(labels, minlength=r)
-    alpha = bias.alpha if bias.exact else bias.as_floats()
-    bad = []
-    for v in range(graph.n):
-        i = int(labels[v])
-        if sizes[i] < 2:
-            continue
-        di = int(counts[v, i])
-        for j in range(r):
-            if j == i:
-                continue
-            dj = int(counts[v, j])
-            lhs, rhs = alpha[j] * di, alpha[i] * dj
-            ok = (lhs <= rhs) if not maximize else (lhs >= rhs)
-            if not ok and not bias.exact:
-                ok = abs(float(lhs) - float(rhs)) <= FLOAT_GUARD * max(1.0, float(rhs))
-            if not ok:
-                bad.append((v, i, j, di, dj))
-    return bad
+    bad = ~ok & (sizes[labels] >= 2)[:, None]
+    bad[np.arange(graph.n), labels] = False
+    vs, js = np.nonzero(bad)
+    return list(zip(vs.tolist(), labels[vs].tolist(), js.tolist(),
+                    d_own[vs].tolist(), counts[vs, js].tolist()))

@@ -3,12 +3,14 @@
 Vertices are dense integer ids 0..n-1.  Adjacency is stored CSR-style
 (indptr/indices) with each neighbor list sorted, so membership tests are
 binary searches and whole-partition degree profiles are single vectorized
-passes.  Graphs are immutable after construction and safe to share across
-concurrent readers.
+passes.  Graphs are immutable after construction (their arrays are
+read-only) and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -43,9 +45,12 @@ class Graph:
             indptr[v] <= k < indptr[v+1].
         duplicates_collapsed: how many duplicate input edges were dropped at
             construction (a warning counter, not an error).
+
+    The arrays are read-only, so a graph's ``fingerprint`` is computed once.
     """
 
-    __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed")
+    __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed",
+                 "_fingerprint")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  duplicates_collapsed: int = 0):
@@ -54,7 +59,10 @@ class Graph:
         self.indices = indices
         self.degree = np.diff(indptr).astype(np.int64)
         self.rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degree)
+        for a in (self.indptr, self.indices, self.degree, self.rows):
+            a.setflags(write=False)
         self.duplicates_collapsed = int(duplicates_collapsed)
+        self._fingerprint = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -102,6 +110,17 @@ class Graph:
         mask = self.rows < self.indices
         return self.rows[mask], self.indices[mask]
 
+    @property
+    def fingerprint(self) -> str:
+        """Order-independent sha256 of (n, sorted edge set), computed once."""
+        if self._fingerprint is None:
+            u, v = self.edge_array()
+            h = hashlib.sha256()
+            h.update(f"n={self.n};".encode())
+            h.update(np.stack([u, v]).astype("<i8").tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
+
     def validate(self) -> None:
         """Re-check the structural invariants (symmetry, sortedness, sums)."""
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
@@ -125,6 +144,21 @@ class Graph:
         keep = ((lu == part_a) & (lv == part_b)) | ((lu == part_b) & (lv == part_a))
         return Graph(self.n, np.searchsorted(self.rows[keep], np.arange(self.n + 1)),
                      self.indices[keep])
+
+    def induced_subgraph(self, ids: np.ndarray) -> "Graph":
+        """G[ids] with vertex ids[k] renamed k; ids must be sorted and distinct,
+        so the renaming keeps the vertex order."""
+        k = len(ids)
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[ids] = np.arange(k)
+        lens = self.degree[ids]
+        # the CSR entries of the rows in ids, in order: O(n + sum of degrees)
+        entries = (np.repeat(self.indptr[ids] - np.cumsum(lens) + lens, lens)
+                   + np.arange(lens.sum()))
+        nb = pos[self.indices[entries]]
+        keep = nb >= 0
+        rows = np.repeat(np.arange(k), lens)[keep]
+        return Graph(k, np.searchsorted(rows, np.arange(k + 1)), nb[keep])
 
     # -- serialization ----------------------------------------------------
 
@@ -231,7 +265,20 @@ def load_graph(text, n: int | None = None) -> Graph:
         if dimacs:
             raise GraphFormatError("DIMACS stream without a problem line")
         declared_n = int(pairs.max()) + 1 if len(pairs) else 0
-    return Graph.from_edges(declared_n, pairs)
+    try:
+        return Graph.from_edges(declared_n, pairs)
+    except GraphFormatError:
+        # every id is at least the offset here, so some id is above n:
+        # name it as written, on its line (the k-th edge record)
+        k = int(np.argmax(pairs.max(axis=1) >= declared_n))
+        records = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                   if (parts := raw.split()) and not parts[0].startswith(comment)
+                   and parts[0] != "p")
+        lineno = next(itertools.islice(records, k, None))
+        bad = max(int(x) for x in pairs[k]) + offset
+        raise GraphFormatError(f"line {lineno}: vertex id {bad} above "
+                               f"{declared_n - 1 + offset} (out of range for "
+                               f"n={declared_n})") from None
 
 
 # -- degree/cut primitives --------------------------------------------------

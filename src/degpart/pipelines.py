@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .certify import Certificate, graph_fingerprint
+from .certify import Certificate
 from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
 from .graph import Graph, LabeledPartition, part_profile
 from .refine_ext import refine_external
@@ -172,7 +172,7 @@ def _make_report(graph: Graph, shape: str, params: ParamSet | dict,
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
     mode = pdict.get("mode", "n/a")
     stats = partition_stats(graph, labels, r)
-    cert = Certificate(graph_fingerprint(graph), pdict, seed, VERSION,
+    cert = Certificate(graph.fingerprint, pdict, seed, VERSION,
                        claims + _stats_claims(stats))
     res = certify.verify_certificate(graph, labels, cert, r=r)
     assert res.passed, (

@@ -35,6 +35,16 @@ def test_verify_refuses_on_hash_mismatch():
         verify_certificate(g, np.array([0, 0, 1, 1]), cert)
 
 
+def test_verify_refuses_certificate_of_another_graph():
+    g = gen_gnp(60, 0.2, seed=2)
+    report = bisect_internal(g, ParamSet(0.0, 0.25, INTERNAL), seed=0)
+    assert verify_certificate(g, report.labels, report.certificate, r=2).passed
+    other = gen_gnp(60, 0.2, seed=3)
+    assert other.fingerprint != g.fingerprint
+    with pytest.raises(ValueError, match="bound to graph"):
+        verify_certificate(other, report.labels, report.certificate, r=2)
+
+
 def test_k4_own_degree_claim_passes_and_flip_fails():
     g = complete_graph(4)
     labels = np.array([0, 0, 1, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degpart.gen import complete_graph, cycle_graph, path_graph
+from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
 from degpart.graph import (Graph, GraphFormatError, LabeledPartition,
                            cut_and_internal_profile, degree_in_set, load_graph,
                            part_profile)
@@ -49,6 +50,16 @@ def test_load_dimacs():
     # ids are 1-indexed: id 0 is refused where it is read, not as a bad pair
     with pytest.raises(GraphFormatError, match="line 2"):
         load_graph("p edge 3 1\ne 0 1\n")
+    # an id above n is named as written, on its line
+    with pytest.raises(GraphFormatError, match=r"^line 2: vertex id 3 above 2 "):
+        load_graph("p edge 2 1\ne 1 3\n")
+    with pytest.raises(GraphFormatError, match=r"^line 6: vertex id 5 above 3 "):
+        load_graph("c x\np edge 3 2\n\ne 1 2\nc y\ne 5 1\ne 9 1\n")
+    # the edge-list "# n" header bounds 0-based ids the same way
+    with pytest.raises(GraphFormatError, match=r"^line 5: vertex id 7 above 2 "):
+        load_graph("# n 3\n0 1\n\n# c\n1 7\n")
+    with pytest.raises(GraphFormatError, match=r"^line 2: vertex id 4 above 3 "):
+        load_graph("0 1\n4 2\n", n=4)
 
 
 def test_load_accepts_file_handle_and_comments():
@@ -235,3 +246,36 @@ def test_part_profile_refuses_malformed_labels():
         part_profile(g, np.array([0.0, 1.0, 0.0, 1.0]), 2)
     assert part_profile(g, np.array([0, 1, 0, 1], dtype=np.int32), 2).tolist() == \
         [[0, 1], [2, 0], [0, 2], [1, 0]]
+
+
+def test_graph_arrays_are_read_only():
+    g = gen_gnp(30, 0.2, seed=1)
+    for a in (g.indptr, g.indices, g.degree, g.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    sub = g.induced_subgraph(np.array([1, 4, 5]))
+    with pytest.raises(ValueError, match="read-only"):
+        sub.indices[:] = 0
+
+
+@given(graphs())
+def test_fingerprint_is_cached_sha256_of_edges(g):
+    u, v = g.edge_array()
+    h = hashlib.sha256(f"n={g.n};".encode())
+    h.update(np.stack([u, v]).astype("<i8").tobytes())
+    assert g.fingerprint == h.hexdigest()
+    assert g.fingerprint is g.fingerprint
+
+
+@given(graphs(), st.data())
+def test_induced_subgraph_matches_filtered_edges(g, data):
+    ids = np.array(sorted(data.draw(st.sets(st.integers(0, g.n - 1)))), dtype=np.int64)
+    pos = {v: k for k, v in enumerate(ids.tolist())}
+    u, v = g.edge_array()
+    pairs = [(pos[a], pos[b]) for a, b in zip(u.tolist(), v.tolist())
+             if a in pos and b in pos]
+    sub = g.induced_subgraph(ids)
+    want = Graph.from_edges(len(ids), pairs)
+    assert sub.n == want.n
+    assert sub.indptr.tolist() == want.indptr.tolist()
+    assert sub.indices.tolist() == want.indices.tolist()
