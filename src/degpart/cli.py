@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from . import __version__, bench, pipelines
@@ -137,8 +138,13 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     graph = _read_graph(args.graph)
     value, witness = best_bisection(graph, args.objective)
-    print(json.dumps({"objective": args.objective, "value": float(value),
-                      "labels": witness.tolist()}))
+    payload = {"objective": args.objective, "value": float(value)}
+    if args.objective.endswith("ratio"):
+        # the exact optimum, as partition_stats reports its ratio minima
+        payload["value_frac"] = (None if value == math.inf
+                                 else [value.numerator, value.denominator])
+    payload["labels"] = witness.tolist()
+    print(json.dumps(payload))
     return EXIT_OK
 
 
@@ -218,11 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exact answers on small graphs")
-    p.add_argument("--graph")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--graph")
+    target.add_argument("--ko", nargs=3, type=int, metavar=("N", "L", "K"),
+                        help="existence check on the set-inclusion graph")
     p.add_argument("--objective", choices=list(OBJECTIVES),
                    default="min-own-degree")
-    p.add_argument("--ko", nargs=3, type=int, metavar=("N", "L", "K"),
-                   help="existence check on the set-inclusion graph")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="run a manifest sweep to CSV")

@@ -71,9 +71,11 @@ class Graph:
 
         Duplicate pairs are collapsed and counted in ``duplicates_collapsed``;
         a self-loop or an id outside [0, n) raises GraphFormatError naming the
-        first bad pair in input order.
+        first bad pair in input order, and so does a negative n.
         """
         n = int(n)
+        if n < 0:
+            raise GraphFormatError(f"negative vertex count n={n}")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64)
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
@@ -216,13 +218,16 @@ def load_graph(text, n: int | None = None) -> Graph:
 
     Duplicate edges are collapsed by ``Graph.from_edges`` and counted in the
     returned graph's ``duplicates_collapsed``.  Self-loops and non-integer
-    tokens raise GraphFormatError with the offending line number.
+    tokens raise GraphFormatError with the offending line number, and so
+    does a negative vertex count in a header.
     """
     if hasattr(text, "read"):
         text = text.read()
     dimacs = re.search(r"^\s*p[ \t]", text, re.MULTILINE) is not None
     comment, offset = ("c", 1) if dimacs else ("#", 0)
     ids: list[int] = []
+    if n is not None and n < 0:
+        raise GraphFormatError(f"negative vertex count n={n}")
     declared_n = n
 
     def parse_int(tok: str, lineno: int) -> int:
@@ -230,6 +235,12 @@ def load_graph(text, n: int | None = None) -> Graph:
             return int(tok)
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer token {tok!r}") from None
+
+    def parse_count(tok: str, lineno: int) -> int:
+        count = parse_int(tok, lineno)
+        if count < 0:
+            raise GraphFormatError(f"line {lineno}: negative vertex count {count}")
+        return count
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -239,13 +250,13 @@ def load_graph(text, n: int | None = None) -> Graph:
             # "# n <count>" records isolated trailing vertices
             parts = raw.strip()[1:].split()
             if not dimacs and len(parts) == 2 and parts[0] == "n":
-                declared_n = parse_int(parts[1], lineno)
+                declared_n = parse_count(parts[1], lineno)
             continue
         if dimacs:
             if parts[0] == "p":
                 if len(parts) < 4:
                     raise GraphFormatError(f"line {lineno}: malformed problem line")
-                declared_n = parse_int(parts[2], lineno)
+                declared_n = parse_count(parts[2], lineno)
                 continue
             if parts[0] != "e":
                 raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")

@@ -1,24 +1,33 @@
 """Brute-force ground truth on small instances.
 
-``best_bisection`` enumerates every bisection of a graph with at most 24
-vertices and returns the exact maximin value of a per-vertex degree
-statistic, with one witness partition.  Enumeration walks fixed-size subsets
-in revolving-door order (one vertex swapped in, one out per step) so the
-per-vertex counts update incrementally.
+All three searches share one enumerator.  It walks the subsets of range(n)
+as bitmasks, vertex i on bit n-1-i, from the largest mask down, and yields
+them in chunks of 0/1 rows, one row per candidate set; with a ``size`` it
+keeps only the sets of that size.  Within one size, descending masks are
+exactly the lexicographic order of ``itertools.combinations``.  One product
+``rows @ adj`` then gives the neighbours of every vertex inside every set of
+a chunk, so no python loop runs per set.
+
+``best_bisection`` returns the exact maximin value of a per-vertex degree
+statistic over every bisection of a graph with at most 24 vertices.  Its
+witness is the first optimal bisection in that order, because a later set
+replaces the best only when it is strictly better.  Ratio objectives are
+compared exactly as integers: every degree divides L = lcm(1..n-1), so
+own/deg is the integer own * (L // deg) over L, which stays below 5.4e9 at
+n=24 and so fits in int64.
 
 ``ko_bisection_exists`` answers, by exhaustion, whether the set-inclusion
 bipartite graph admits a bisection in which every vertex has k own-part
 neighbors and every vertex of one side has k cross neighbors.
 
 ``dense_fixed_point_check`` confirms that greedy dense extraction lands on
-the unique maximal fixed point, by unioning all valid subsets.
+the unique maximal fixed point, by unioning all valid subsets of the host.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, inf
+from math import comb, inf, lcm
 
 import numpy as np
 
@@ -27,37 +36,44 @@ from .gen import gen_kuhn_osthus
 from .graph import Graph
 
 MAX_ORACLE_N = 24
+MAX_HOST = 15
+CHUNK = 4096  # masks per chunk: memory stays flat at every n
 
 OBJECTIVES = ("min-own-degree", "min-cross-degree", "min-own-ratio",
               "min-cross-ratio")
 
 
-def _subset_walk(n: int, k: int):
-    """Walk all k-subsets of range(n), yielding the swaps between successive
-    subsets.  Lexicographic order changes only a suffix per step, so the
-    amortized number of (out, in) exchanges per subset is a small constant."""
-    prev: tuple[int, ...] | None = None
-    for comb_t in combinations(range(n), k):
-        if prev is None:
-            yield comb_t, None
-        else:
-            gone = [x for x in prev if x not in comb_t]
-            came = [x for x in comb_t if x not in prev]
-            yield comb_t, list(zip(gone, came))
-        prev = comb_t
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry below 2**24, by shift and add."""
+    x = x - ((x >> 1) & 0x555555)
+    x = (x & 0x333333) + ((x >> 2) & 0x333333)
+    x = (x + (x >> 4)) & 0x0F0F0F
+    return (x + (x >> 8) + (x >> 16)) & 0xFF
 
 
-def _objective_value(objective: str, own: np.ndarray, deg: np.ndarray):
-    if objective == "min-own-degree":
-        return int(own.min()) if len(own) else 0
-    if objective == "min-cross-degree":
-        return int((deg - own).min()) if len(own) else 0
-    pos = deg > 0
-    if not pos.any():
-        return inf  # min over an empty set of constrained vertices
-    num = own[pos] if objective == "min-own-ratio" else (deg - own)[pos]
-    return min(Fraction(int(a), int(b))
-               for a, b in zip(num.tolist(), deg[pos].tolist()))
+def _sets(graph: Graph, size: int | None = None):
+    """Yield (rows, in_set) per chunk of candidate sets of the graph's vertices.
+
+    rows[s, v] is 1 when v is in set s; in_set[s, v] counts v's neighbours
+    in set s.  Sets come in descending mask order (see the module docstring);
+    with ``size``, only the sets of that size.
+    """
+    n = graph.n
+    adj = np.zeros((n, n), dtype=np.int16)
+    adj[graph.rows, graph.indices] = 1
+    shifts = np.arange(n - 1, -1, -1)
+    for top in range(1 << n, 0, -CHUNK):
+        masks = np.arange(top - 1, max(top - CHUNK, 0) - 1, -1)
+        if size is not None:
+            masks = masks[_popcount(masks) == size]
+        if len(masks):
+            rows = ((masks[:, None] >> shifts) & 1).astype(np.int16)
+            yield rows, rows @ adj
+
+
+def _own(rows: np.ndarray, in_set: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Each vertex's neighbours on its own side of each bisection."""
+    return np.where(rows == 1, in_set, deg - in_set)
 
 
 def best_bisection(graph: Graph, objective: str):
@@ -74,49 +90,28 @@ def best_bisection(graph: Graph, objective: str):
         raise ValueError(f"oracle enumerates bisections only up to n={MAX_ORACLE_N}")
     if n < 2:
         raise ValueError("a bisection needs at least 2 vertices")
-    k = n // 2
     deg = graph.degree
-    # own-degree counts for the current subset-as-part-0, updated per swap
-    side = np.zeros(n, dtype=np.int64)   # 1 = in part 0
-    own = np.zeros(n, dtype=np.int64)    # neighbors on one's own side
-
-    def apply_swap(v: int, enter: bool):
-        # v switches sides; neighbors on its new side gain a same-side
-        # neighbor, those on its old side lose one
-        nb = graph.neighbors(v)
-        side[v] = 1 if enter else 0
-        for w in nb.tolist():
-            if side[w] == side[v]:
-                own[w] += 1
-            else:
-                own[w] -= 1
-        same = int(side[nb].sum())
-        own[v] = same if enter else len(nb) - same
-
-    best_val = None
-    best_labels = None
-    first = True
-    for subset, swaps in _subset_walk(n, k):
-        if first:
-            side[:] = 0
-            side[list(subset)] = 1
-            for v in range(n):
-                nb = graph.neighbors(v)
-                same = side[nb] == side[v]
-                own[v] = int(same.sum())
-            first = False
-        else:
-            for out_v, in_v in swaps:
-                apply_swap(out_v, False)
-                apply_swap(in_v, True)
-        val = _objective_value(objective, own, deg)
-        if best_val is None or val > best_val:
-            best_val = val
-            best_labels = (1 - side).copy()  # part 0 label 0
-    return best_val, best_labels
+    ratio = objective.endswith("ratio")
+    if ratio:
+        scale = lcm(*range(1, n))
+        weight, counted = scale // np.maximum(deg, 1), deg > 0
+    else:
+        scale, weight, counted = 1, 1, np.ones(n, dtype=bool)
+    empty = scale * n  # above every key: the minimum over no counted vertex
+    best = witness = None
+    for rows, in_set in _sets(graph, n // 2):
+        own = _own(rows, in_set, deg)
+        stat = own if objective.startswith("min-own") else deg - own
+        keys = (stat * weight).min(axis=1, initial=empty, where=counted)
+        i = int(np.argmax(keys))
+        if best is None or keys[i] > best:
+            best, witness = int(keys[i]), 1 - rows[i].astype(np.int64)
+    if best == empty:
+        return inf, witness
+    return (Fraction(best, scale) if ratio else best), witness
 
 
-def ko_bisection_exists(n: int, l: int, k: int, max_total: int = MAX_ORACLE_N):
+def ko_bisection_exists(n: int, l: int, k: int):
     """Exhaustively test the joint own/cross floor on the inclusion graph.
 
     Builds the bipartite graph on [n] and its l-subsets and searches all
@@ -126,9 +121,11 @@ def ko_bisection_exists(n: int, l: int, k: int, max_total: int = MAX_ORACLE_N):
     a ``witness`` labeling (or None) and ``refuted`` = number of oriented
     splits checked when none works.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     total = n + comb(n, l)
-    if total > max_total:
-        raise ValueError(f"{total} vertices exceed the oracle bound {max_total}")
+    if total > MAX_ORACLE_N:
+        raise ValueError(f"{total} vertices exceed the oracle bound {MAX_ORACLE_N}")
     graph = gen_kuhn_osthus(n, l)
     nv = graph.n
     if k == 0:
@@ -136,61 +133,41 @@ def ko_bisection_exists(n: int, l: int, k: int, max_total: int = MAX_ORACLE_N):
         labels[nv // 2:] = 1
         return {"exists": True, "witness": labels.tolist(), "refuted": 0,
                 "n": n, "l": l, "k": k}
-    half = nv // 2
-    checked = 0
-    for subset in combinations(range(nv), half):
-        labels = np.ones(nv, dtype=np.int64)
-        labels[list(subset)] = 0
-        own = np.empty(nv, dtype=np.int64)
-        for v in range(nv):
-            nb = graph.neighbors(v)
-            own[v] = int((labels[nb] == labels[v]).sum())
-        if (own < k).any():
-            checked += 2
-            continue
-        cross = graph.degree - own
-        # orientation 1: A = part 0 needs k cross; orientation 2: A = part 1
-        for a_part in (0, 1):
-            checked += 1
-            if not (cross[labels == a_part] < k).any():
-                return {"exists": True, "witness": labels.tolist(),
-                        "a_part": a_part, "refuted": 0, "n": n, "l": l, "k": k}
-    return {"exists": False, "witness": None, "refuted": checked,
+    deg = graph.degree
+    for rows, in_set in _sets(graph, nv // 2):
+        own = _own(rows, in_set, deg)
+        cross_ok = deg - own >= k
+        # the set is part 0; A = part 0 or A = part 1 needs the cross floor
+        a0 = (cross_ok | (rows == 0)).all(axis=1)
+        a1 = (cross_ok | (rows == 1)).all(axis=1)
+        found = (own >= k).all(axis=1) & (a0 | a1)
+        if found.any():
+            i = int(np.argmax(found))
+            return {"exists": True, "witness": (1 - rows[i]).tolist(),
+                    "a_part": 0 if a0[i] else 1, "refuted": 0,
+                    "n": n, "l": l, "k": k}
+    return {"exists": False, "witness": None, "refuted": 2 * comb(nv, nv // 2),
             "n": n, "l": l, "k": k}
 
 
-def dense_fixed_point_check(graph: Graph, family: ClassFamily,
-                            max_host: int = 15) -> bool:
+def dense_fixed_point_check(graph: Graph, family: ClassFamily) -> bool:
     """Greedy extraction equals the unique maximal valid subset.
 
     A subset S of the host is valid when every classed vertex in S has at
     least its target degree inside S.  Valid subsets are closed under union,
-    so the maximal one is the union of all of them; hosts above ``max_host``
-    vertices are refused.
+    so the maximal one is the union of all of them; hosts above 15 vertices
+    are refused.
     """
-    mask = family.host_mask(graph.n)
-    host = np.nonzero(mask)[0]
-    if len(host) > max_host:
-        raise ValueError(f"host has {len(host)} vertices (cap {max_host})")
-    class_of = {}
-    target_of = {}
+    host = np.nonzero(family.host_mask(graph.n))[0]
+    if len(host) > MAX_HOST:
+        raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
+    target = np.zeros(graph.n, dtype=np.int64)  # 0: unclassed, always met
     for cl in family.classes:
-        for v in cl.vertices.tolist():
-            class_of[v] = cl
-            target_of[v] = cl.target
-    best: set[int] = set()
-    host_list = host.tolist()
-    for size in range(len(host_list) + 1):
-        for sub in combinations(host_list, size):
-            s = set(sub)
-            ok = True
-            for v in sub:
-                if v in target_of:
-                    d = sum(1 for w in graph.neighbors(v).tolist() if w in s)
-                    if d < target_of[v]:
-                        ok = False
-                        break
-            if ok:
-                best |= s
+        target[cl.vertices] = cl.target
+    target = target[host]
+    union = np.zeros(len(host), dtype=bool)
+    for rows, in_set in _sets(graph.induced_subgraph(host)):
+        valid = ((rows == 0) | (in_set >= target)).all(axis=1)
+        union |= rows[valid].any(axis=0)
     result = extract_dense(graph, family)
-    return set(result.surviving.tolist()) == best
+    return set(result.surviving.tolist()) == set(host[union].tolist())

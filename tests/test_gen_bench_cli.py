@@ -149,6 +149,36 @@ def test_cli_thresholds_and_bench(tmp_path):
 
 def test_cli_ko_oracle():
     assert cli.main(["oracle", "--ko", "4", "2", "1"]) == 0
+    # a negative floor is a parameter error, not a trivially met one
+    assert cli.main(["oracle", "--ko", "4", "2", "-5"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["oracle"],
+                                  ["oracle", "--graph", "g.txt", "--ko", "4", "2", "1"]])
+def test_cli_oracle_needs_exactly_one_of_graph_and_ko(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: degpart oracle")
+
+
+def test_cli_oracle_prints_exact_ratio(tmp_path, capsys):
+    k4, edgeless = tmp_path / "k4.txt", tmp_path / "e.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    edgeless.write_text("# n 4\n")
+
+    def oracle(path, objective):
+        capsys.readouterr()
+        assert cli.main(["oracle", "--graph", str(path),
+                         "--objective", objective]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    # every vertex of K4 keeps 1 of its 3 neighbours: 1/3 has no exact float
+    out = oracle(k4, "min-own-ratio")
+    assert out["value_frac"] == [1, 3] and out["value"] == 1 / 3
+    assert oracle(k4, "min-cross-ratio")["value_frac"] == [2, 3]
+    assert "value_frac" not in oracle(k4, "min-own-degree")
+    assert oracle(edgeless, "min-own-ratio")["value_frac"] is None
 
 
 def test_cli_stage_log_for_tripart(tmp_path):

@@ -60,6 +60,15 @@ def test_load_dimacs():
         load_graph("# n 3\n0 1\n\n# c\n1 7\n")
     with pytest.raises(GraphFormatError, match=r"^line 2: vertex id 4 above 3 "):
         load_graph("0 1\n4 2\n", n=4)
+    # a negative vertex count is refused on its header line, not kept as n
+    with pytest.raises(GraphFormatError, match=r"^line 1: negative vertex count -3$"):
+        load_graph("p edge -3 0\n")
+    with pytest.raises(GraphFormatError, match=r"^line 2: negative vertex count -2$"):
+        load_graph("# c\n# n -2\n")
+    with pytest.raises(GraphFormatError, match=r"^negative vertex count n=-1$"):
+        load_graph("0 1\n", n=-1)
+    with pytest.raises(GraphFormatError, match=r"^negative vertex count n=-3$"):
+        Graph.from_edges(-3, [])
 
 
 def test_load_accepts_file_handle_and_comments():

@@ -1,14 +1,21 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb, inf
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from degpart.dense import ClassFamily, DegreeClass
+import degpart.oracle as oracle
+from degpart.dense import ClassFamily, DegreeClass, extract_dense
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, gen_kuhn_osthus
 from degpart.graph import Graph, part_profile
-from degpart.oracle import (best_bisection, dense_fixed_point_check,
+from degpart.oracle import (OBJECTIVES, best_bisection, dense_fixed_point_check,
                             ko_bisection_exists)
+
+from conftest import graphs
 
 
 def brute_force_value(graph, objective):
@@ -36,6 +43,231 @@ def brute_force_value(graph, objective):
         if best is None or val > best:
             best = val
     return best
+
+
+# -- reference implementations: the per-subset python loops the chunked
+# -- enumerator replaced, kept to pin its values, witnesses and verdicts
+
+
+def _ref_subset_walk(n, k):
+    prev = None
+    for comb_t in combinations(range(n), k):
+        if prev is None:
+            yield comb_t, None
+        else:
+            gone = [x for x in prev if x not in comb_t]
+            came = [x for x in comb_t if x not in prev]
+            yield comb_t, list(zip(gone, came))
+        prev = comb_t
+
+
+def _ref_objective_value(objective, own, deg):
+    if objective == "min-own-degree":
+        return int(own.min()) if len(own) else 0
+    if objective == "min-cross-degree":
+        return int((deg - own).min()) if len(own) else 0
+    pos = deg > 0
+    if not pos.any():
+        return inf
+    num = own[pos] if objective == "min-own-ratio" else (deg - own)[pos]
+    return min(Fraction(int(a), int(b))
+               for a, b in zip(num.tolist(), deg[pos].tolist()))
+
+
+def ref_best_bisection(graph, objective):
+    """Lexicographic subset walk with an incremental swap update."""
+    n = graph.n
+    k = n // 2
+    deg = graph.degree
+    side = np.zeros(n, dtype=np.int64)
+    own = np.zeros(n, dtype=np.int64)
+
+    def apply_swap(v, enter):
+        nb = graph.neighbors(v)
+        side[v] = 1 if enter else 0
+        for w in nb.tolist():
+            if side[w] == side[v]:
+                own[w] += 1
+            else:
+                own[w] -= 1
+        same = int(side[nb].sum())
+        own[v] = same if enter else len(nb) - same
+
+    best_val = None
+    best_labels = None
+    first = True
+    for subset, swaps in _ref_subset_walk(n, k):
+        if first:
+            side[:] = 0
+            side[list(subset)] = 1
+            for v in range(n):
+                nb = graph.neighbors(v)
+                own[v] = int((side[nb] == side[v]).sum())
+            first = False
+        else:
+            for out_v, in_v in swaps:
+                apply_swap(out_v, False)
+                apply_swap(in_v, True)
+        val = _ref_objective_value(objective, own, deg)
+        if best_val is None or val > best_val:
+            best_val = val
+            best_labels = (1 - side).copy()
+    return best_val, best_labels
+
+
+def ref_ko_bisection_exists(n, l, k):
+    """Per-vertex neighbour loop over every split of the inclusion graph."""
+    graph = gen_kuhn_osthus(n, l)
+    nv = graph.n
+    if k == 0:
+        labels = np.zeros(nv, dtype=np.int64)
+        labels[nv // 2:] = 1
+        return {"exists": True, "witness": labels.tolist(), "refuted": 0,
+                "n": n, "l": l, "k": k}
+    checked = 0
+    for subset in combinations(range(nv), nv // 2):
+        labels = np.ones(nv, dtype=np.int64)
+        labels[list(subset)] = 0
+        own = np.empty(nv, dtype=np.int64)
+        for v in range(nv):
+            nb = graph.neighbors(v)
+            own[v] = int((labels[nb] == labels[v]).sum())
+        if (own < k).any():
+            checked += 2
+            continue
+        cross = graph.degree - own
+        for a_part in (0, 1):
+            checked += 1
+            if not (cross[labels == a_part] < k).any():
+                return {"exists": True, "witness": labels.tolist(),
+                        "a_part": a_part, "refuted": 0, "n": n, "l": l, "k": k}
+    return {"exists": False, "witness": None, "refuted": checked,
+            "n": n, "l": l, "k": k}
+
+
+def ref_dense_fixed_point_check(graph, family):
+    """Python-set degree loop over every subset of the host."""
+    host = np.nonzero(family.host_mask(graph.n))[0]
+    target_of = {}
+    for cl in family.classes:
+        for v in cl.vertices.tolist():
+            target_of[v] = cl.target
+    best = set()
+    host_list = host.tolist()
+    for size in range(len(host_list) + 1):
+        for sub in combinations(host_list, size):
+            s = set(sub)
+            ok = True
+            for v in sub:
+                if v in target_of:
+                    d = sum(1 for w in graph.neighbors(v).tolist() if w in s)
+                    if d < target_of[v]:
+                        ok = False
+                        break
+            if ok:
+                best |= s
+    return set(extract_dense(graph, family).surviving.tolist()) == best
+
+
+# -- the chunked enumerator against the references ----------------------------
+
+
+def assert_same_bisection(graph, objective):
+    value, witness = best_bisection(graph, objective)
+    ref_value, ref_witness = ref_best_bisection(graph, objective)
+    assert value == ref_value
+    assert type(value) is type(ref_value)
+    assert witness.dtype == ref_witness.dtype
+    assert witness.tobytes() == ref_witness.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs(min_n=2, max_n=14), st.sampled_from(OBJECTIVES))
+@example(Graph.from_edges(2, []), "min-own-ratio")
+@example(Graph.from_edges(2, [(0, 1)]), "min-cross-ratio")
+@example(Graph.from_edges(7, []), "min-cross-ratio")
+@example(Graph.from_edges(9, [(0, 1), (2, 3)]), "min-own-ratio")
+@example(cycle_graph(13), "min-own-degree")
+def test_best_bisection_matches_reference(graph, objective):
+    assert_same_bisection(graph, objective)
+
+
+@pytest.mark.parametrize("n,p", [(11, 0.0), (12, 0.2), (13, 0.5), (14, 0.5)])
+def test_best_bisection_matches_reference_all_objectives(n, p):
+    g = gen_gnp(n, p, seed=n)
+    for objective in OBJECTIVES:
+        assert_same_bisection(g, objective)
+
+
+# every inclusion graph with at most 15 vertices
+KO_CASES = [(n, l) for n in range(1, 15) for l in range(1, n + 1)
+            if n + comb(n, l) <= 15]
+
+
+@pytest.mark.parametrize("n,l", KO_CASES)
+def test_ko_matches_reference(n, l):
+    for k in range(4):
+        assert ko_bisection_exists(n, l, k) == ref_ko_bisection_exists(n, l, k)
+
+
+@st.composite
+def host_families(draw):
+    n = draw(st.integers(1, 18))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=len(pairs))) if pairs else []
+    graph = Graph.from_edges(n, edges)
+    host = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True,
+                                     min_size=1, max_size=min(n, 15)))
+    if host is None and n > 15:
+        host = list(range(15))
+    pool = list(range(n)) if host is None else host
+    classed = draw(st.lists(st.sampled_from(pool), unique=True))
+    cut = draw(st.integers(0, len(classed)))
+    classes = tuple(DegreeClass(np.array(vs, dtype=np.int64),
+                                draw(st.integers(1, 3)), Fraction(1, 2))
+                    for vs in (classed[:cut], classed[cut:]) if vs)
+    return graph, ClassFamily(classes, None if host is None
+                              else np.array(host, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(host_families())
+def test_dense_fixed_point_matches_reference(case):
+    graph, family = case
+    assert dense_fixed_point_check(graph, family) == \
+        ref_dense_fixed_point_check(graph, family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(host_families(), st.integers(0, 14))
+def test_dense_fixed_point_refuses_a_wrong_extraction(case, pick):
+    # a surviving set with one host vertex toggled is no longer the maximal
+    # valid subset, so both the check and its reference must say False
+    graph, family = case
+    host = np.nonzero(family.host_mask(graph.n))[0]
+    v = int(host[pick % len(host)])
+    real = extract_dense(graph, family)
+    wrong = np.setxor1d(real.surviving, [v])
+
+    class Fake:
+        surviving = wrong
+
+    with mock.patch.object(oracle, "extract_dense", lambda g, f: Fake):
+        assert dense_fixed_point_check(graph, family) is False
+
+
+def test_n24_best_bisection_witness_achieves_value():
+    g = gen_gnp(24, 0.4, seed=24)
+    value, witness = best_bisection(g, "min-own-ratio")
+    assert np.bincount(witness, minlength=2).tolist() == [12, 12]
+    own = part_profile(g, witness, 2)[np.arange(24), witness]
+    pos = g.degree > 0
+    assert value == min(Fraction(int(a), int(b))
+                        for a, b in zip(own[pos], g.degree[pos]))
+
+
+# -- fixed examples ------------------------------------------------------------
 
 
 def test_k4_min_own_degree():
@@ -83,6 +315,11 @@ def test_witness_achieves_value_and_swap_symmetry():
 
 def test_ko_k_zero_trivially_exists():
     assert ko_bisection_exists(4, 2, 0)["exists"] is True
+
+
+def test_ko_negative_k_is_refused():
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        ko_bisection_exists(4, 2, -5)
 
 
 def test_ko_4_2_1_matches_direct_search():
