@@ -7,6 +7,18 @@ thresholds enter only through their floors, which the verifier recomputes
 itself from the recorded parameters.  The certificate binds to the exact
 graph through an order-independent hash of the sorted edge set.
 
+Claims are judged against a context: the neighbour counts of one labeling.
+Three kinds of context split the work of one run:
+
+* the producer maintains its counts (``graph.Counts``) while it moves
+  vertices, and ``from_counts`` judges its intermediate conditions on them
+  with the table it built;
+* each labeling a pipeline emits is counted once from scratch
+  (``recount``), and that one count serves its statistics, its conditions
+  and the self-verification of its certificate (``verify_counted``);
+* the standalone ``verify_certificate`` always recounts, and rebuilds its
+  tables from the recorded parameters; that is what makes it independent.
+
 Claim kinds:
 
     part_size_window   part j size within [lo, hi]
@@ -30,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, LabelError, part_profile
-from .thresholds import INTERNAL, ParamSet, build_threshold_table
+from .graph import Counts, Graph, LabelError, part_profile
+from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -148,18 +160,28 @@ def tripartition_claims(mode: str, floor: dict, window) -> dict[str, list]:
 # -- verification ------------------------------------------------------------
 
 
-class _Context:
-    """Recomputed quantities shared across the claims of one verification."""
+def _table_key(params: ParamSet) -> tuple:
+    return params.c, params.eps, params.mode, params.d
 
-    def __init__(self, graph: Graph, labels: np.ndarray, r: int):
+
+class _Context:
+    """The counts of one labeling, shared across the claims judged on it.
+
+    ``counts`` is its (n, r) neighbour-count matrix, ``own``/``cross`` each
+    vertex's degree inside/outside its part and ``sizes`` the part sizes.
+    Threshold tables are built once per parameter set, unless one was
+    handed in.
+    """
+
+    def __init__(self, graph: Graph, labels: np.ndarray, counts: np.ndarray,
+                 sizes: np.ndarray, tables: dict | None = None):
         self.graph = graph
-        self.counts = part_profile(graph, labels, r)  # refuses bad labels
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.r = r
-        self.own = self.counts[np.arange(graph.n), self.labels]
+        self.counts = counts
+        self.labels = labels
+        self.own = counts[np.arange(graph.n), labels]
         self.cross = graph.degree - self.own
-        self.sizes = np.bincount(self.labels, minlength=r)
-        self._tables: dict = {}
+        self.sizes = sizes
+        self._tables = dict(tables or {})
 
     def stat(self, target) -> np.ndarray:
         if target == "own":
@@ -176,7 +198,7 @@ class _Context:
                     np.ones(n, dtype=bool))
         params = ParamSet(floor["c"], floor["eps"], floor["mode"],
                           d_const=floor["d_const"], relaxed=True)
-        key = (params.c, params.eps, params.mode, params.d)
+        key = _table_key(params)
         if key not in self._tables:
             self._tables[key] = build_threshold_table(
                 params, np.unique(self.graph.degree))
@@ -241,14 +263,60 @@ def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
     raise ValueError(f"unknown claim kind {kind!r}")
 
 
+def recount(graph: Graph, labels, r: int) -> _Context:
+    """Count a labeling from scratch, to judge claims against.
+
+    Raises LabelError unless labels is an integer array of length n with
+    values in [0, r).
+    """
+    counts = part_profile(graph, labels, r)  # refuses bad labels
+    labels = np.asarray(labels, dtype=np.int64)
+    return _Context(graph, labels, counts, np.bincount(labels, minlength=r))
+
+
+def from_counts(graph: Graph, counts: Counts,
+                table: ThresholdTable | None = None) -> _Context:
+    """A context over the counts a producer maintains, for judging its own
+    intermediate conditions; ``table`` serves the table floors of its
+    parameters.  Emitted labelings are judged on a ``recount`` instead."""
+    tables = {} if table is None else {_table_key(table.params): table}
+    return _Context(graph, counts.labels, counts.matrix, counts.sizes, tables)
+
+
+def judge(ctx: _Context, claims: list) -> list[bool]:
+    """Whether each claim holds in a context; one flag each."""
+    return [_check_claim(ctx, claim)[0] for claim in claims]
+
+
 def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
     """Judge each claim from scratch against (graph, labels); one flag each.
 
     Raises LabelError unless labels is an integer array of length n with
     values in [0, r).
     """
-    ctx = _Context(graph, labels, r)
-    return [_check_claim(ctx, claim)[0] for claim in claims]
+    return judge(recount(graph, labels, r), claims)
+
+
+def _check_binding(graph: Graph, cert: Certificate) -> None:
+    actual = graph.fingerprint
+    if cert.graph_hash != actual:
+        raise ValueError(
+            f"certificate bound to graph {cert.graph_hash[:12]}..., "
+            f"got {actual[:12]}...")
+
+
+def verify_counted(ctx: _Context, cert: Certificate) -> VerifyResult:
+    """Judge every claim of a certificate against one counted labeling.
+
+    A graph-hash mismatch refuses verification outright (ValueError); a
+    failure names the first failing claim and its witness vertex.
+    """
+    _check_binding(ctx.graph, cert)
+    results = [_check_claim(ctx, claim) for claim in cert.claims]
+    for idx, (ok, witness) in enumerate(results):
+        if not ok:
+            return VerifyResult(False, idx, cert.claims[idx], witness)
+    return VerifyResult(True)
 
 
 def verify_certificate(graph: Graph, partition, cert: Certificate,
@@ -259,13 +327,10 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
     defaults to max label + 1, at least 2).  A graph-hash mismatch refuses
     verification outright (ValueError) rather than failing a claim.  Labels
     that are no r-partition of the vertices fail with ``reason`` set and the
-    first bad vertex as the witness.
+    first bad vertex as the witness.  The labels are counted once, and the
+    threshold tables rebuilt from the recorded parameters.
     """
-    actual = graph.fingerprint
-    if cert.graph_hash != actual:
-        raise ValueError(
-            f"certificate bound to graph {cert.graph_hash[:12]}..., "
-            f"got {actual[:12]}...")
+    _check_binding(graph, cert)
     if hasattr(partition, "labels"):
         labels, r = partition.labels, partition.r
     else:
@@ -274,11 +339,7 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
             integer = np.issubdtype(labels.dtype, np.integer)
             r = max(2, int(labels.max()) + 1) if labels.size and integer else 2
     try:
-        flags = check_claims(graph, labels, r, cert.claims)
+        ctx = recount(graph, labels, r)
     except LabelError as exc:
         return VerifyResult(False, witness=exc.vertex, reason=str(exc))
-    if all(flags):
-        return VerifyResult(True)
-    idx = flags.index(False)
-    _, witness = _check_claim(_Context(graph, labels, r), cert.claims[idx])
-    return VerifyResult(False, idx, cert.claims[idx], witness)
+    return verify_counted(ctx, cert)

@@ -153,14 +153,17 @@ class Graph:
         k = len(ids)
         pos = np.full(self.n, -1, dtype=np.int64)
         pos[ids] = np.arange(k)
-        lens = self.degree[ids]
-        # the CSR entries of the rows in ids, in order: O(n + sum of degrees)
-        entries = (np.repeat(self.indptr[ids] - np.cumsum(lens) + lens, lens)
-                   + np.arange(lens.sum()))
-        nb = pos[self.indices[entries]]
+        nb = pos[self.indices[self.row_entries(ids)]]
         keep = nb >= 0
-        rows = np.repeat(np.arange(k), lens)[keep]
+        rows = np.repeat(np.arange(k), self.degree[ids])[keep]
         return Graph(k, np.searchsorted(rows, np.arange(k + 1)), nb[keep])
+
+    def row_entries(self, ids: np.ndarray) -> np.ndarray:
+        """Positions in ``indices`` of the CSR rows of ids, row after row, in
+        O(len(ids) + sum of their degrees)."""
+        lens = self.degree[ids]
+        return (np.repeat(self.indptr[ids] - np.cumsum(lens) + lens, lens)
+                + np.arange(lens.sum()))
 
     # -- serialization ----------------------------------------------------
 
@@ -331,6 +334,58 @@ def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
         raise LabelError(f"vertex {v} has label {labels[v]} outside [0, {r})", v)
     flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=graph.n * r)
     return flat.reshape(graph.n, r)
+
+
+class Counts:
+    """The neighbour counts of a labeling, kept current as vertices move.
+
+    ``matrix`` is ``part_profile(graph, labels, r)`` and ``sizes`` the part
+    sizes; the object owns its copy of ``labels``.  It is counted once, at
+    construction; ``move`` then touches only the CSR rows of the moved
+    vertices, and ``swap`` exchanges two parts by swapping columns.  Change
+    the labels only through these two methods.
+    """
+
+    __slots__ = ("graph", "labels", "matrix", "sizes")
+
+    def __init__(self, graph: Graph, labels: np.ndarray, r: int):
+        self.graph = graph
+        self.matrix = part_profile(graph, labels, r)  # refuses bad labels
+        self.labels = np.array(labels, dtype=np.int64)
+        self.sizes = np.bincount(self.labels, minlength=r)
+
+    @property
+    def r(self) -> int:
+        return self.matrix.shape[1]
+
+    def copy(self) -> "Counts":
+        out = Counts.__new__(Counts)
+        out.graph = self.graph
+        out.labels, out.matrix, out.sizes = (self.labels.copy(), self.matrix.copy(),
+                                             self.sizes.copy())
+        return out
+
+    def move(self, vs, dst) -> None:
+        """Relabel the distinct vertices vs to dst (one part, or one per
+        vertex), in O(len(vs) + sum of their degrees)."""
+        vs = np.asarray(vs, dtype=np.int64)
+        dst = np.broadcast_to(np.asarray(dst, dtype=np.int64), vs.shape)
+        src = self.labels[vs]
+        lens = self.graph.degree[vs]
+        nb = self.graph.indices[self.graph.row_entries(vs)] * self.r
+        flat = self.matrix.reshape(-1)
+        np.subtract.at(flat, nb + np.repeat(src, lens), 1)
+        np.add.at(flat, nb + np.repeat(dst, lens), 1)
+        np.subtract.at(self.sizes, src, 1)
+        np.add.at(self.sizes, dst, 1)
+        self.labels[vs] = dst
+
+    def swap(self, a: int, b: int) -> None:
+        """Exchange the names of parts a and b."""
+        in_a, in_b = self.labels == a, self.labels == b
+        self.labels[in_a], self.labels[in_b] = b, a
+        self.matrix[:, [a, b]] = self.matrix[:, [b, a]]
+        self.sizes[[a, b]] = self.sizes[[b, a]]
 
 
 def cut_and_internal_profile(graph: Graph, partition: LabeledPartition):

@@ -55,11 +55,13 @@ def _sets(graph: Graph, size: int | None = None):
     """Yield (rows, in_set) per chunk of candidate sets of the graph's vertices.
 
     rows[s, v] is 1 when v is in set s; in_set[s, v] counts v's neighbours
-    in set s.  Sets come in descending mask order (see the module docstring);
-    with ``size``, only the sets of that size.
+    in set s.  Both are int16.  Sets come in descending mask order (see the
+    module docstring); with ``size``, only the sets of that size.  The
+    product runs in float32, which numpy hands to BLAS and which is exact
+    for counts below 2**24.
     """
     n = graph.n
-    adj = np.zeros((n, n), dtype=np.int16)
+    adj = np.zeros((n, n), dtype=np.float32)
     adj[graph.rows, graph.indices] = 1
     shifts = np.arange(n - 1, -1, -1)
     for top in range(1 << n, 0, -CHUNK):
@@ -67,8 +69,9 @@ def _sets(graph: Graph, size: int | None = None):
         if size is not None:
             masks = masks[_popcount(masks) == size]
         if len(masks):
-            rows = ((masks[:, None] >> shifts) & 1).astype(np.int16)
-            yield rows, rows @ adj
+            bits = (masks[:, None] >> shifts) & 1
+            yield (bits.astype(np.int16),
+                   (bits.astype(np.float32) @ adj).astype(np.int16))
 
 
 def _own(rows: np.ndarray, in_set: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -121,6 +124,8 @@ def ko_bisection_exists(n: int, l: int, k: int):
     a ``witness`` labeling (or None) and ``refuted`` = number of oriented
     splits checked when none works.
     """
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     total = n + comb(n, l)

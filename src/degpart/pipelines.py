@@ -12,7 +12,12 @@ caller to set ``n_guarantee_threshold`` and the instance to clear it.
 
 Every tripartition comes from one driver, ``tripartition``: stage one, the
 refinement of the run's mode, and the target conditions expressed as
-certificate claims and judged by the verifier.
+certificate claims and judged by the verifier.  The driver keeps one
+``graph.Counts`` for the whole run: stage one counts each attempt once, and
+every later move, check and judgement reads the maintained counts.  Each
+labeling a pipeline emits is counted once more from scratch
+(``certify.recount``); that count serves its statistics, its conditions and
+the self-verification of its certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from . import certify
 from .certify import Certificate
 from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
-from .graph import Graph, LabeledPartition, part_profile
+from .graph import Counts, Graph, LabeledPartition
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
 from .stage1 import PART_A, PART_B, PART_C, VACUOUS, StageOneResult, stage_one
@@ -60,17 +65,17 @@ def _exact_min_ratio(num: np.ndarray, den: np.ndarray):
     return Fraction(int(num[best]), int(den[best]))
 
 
-def partition_stats(graph: Graph, labels: np.ndarray, r: int) -> dict:
+def partition_stats(graph: Graph, labels: np.ndarray, r: int, counted=None) -> dict:
     """From-scratch degree statistics of a labeling.
 
     Degree minima run over all vertices (isolated vertices count as 0);
     ratio minima run over positive-degree vertices only and are exact
-    fractions (inf when every vertex is isolated).
+    fractions (inf when every vertex is isolated).  counted is a
+    ``certify.recount`` of the same labeling to read, when the caller has one.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    counts = part_profile(graph, labels, r)
-    own = counts[np.arange(graph.n), labels]
-    cross = graph.degree - own
+    if counted is None:
+        counted = certify.recount(graph, np.asarray(labels, dtype=np.int64), r)
+    own, cross = counted.own, counted.cross
     cut = int(cross.sum()) // 2
     own_ratio = _exact_min_ratio(own, graph.degree)
     cross_ratio = _exact_min_ratio(cross, graph.degree)
@@ -83,7 +88,7 @@ def partition_stats(graph: Graph, labels: np.ndarray, r: int) -> dict:
     own_val, own_frac = frac_fields(own_ratio)
     cross_val, cross_frac = frac_fields(cross_ratio)
     return {
-        "sizes": np.bincount(labels, minlength=r).tolist(),
+        "sizes": counted.sizes.tolist(),
         "min_own_degree": int(own.min()) if graph.n else 0,
         "min_cross_degree": int(cross.min()) if graph.n else 0,
         "min_own_ratio": own_val,
@@ -163,18 +168,24 @@ class PipelineReport:
 def _make_report(graph: Graph, shape: str, params: ParamSet | dict,
                  labels: np.ndarray, r: int, claims: list, ok: bool, seed: int,
                  diagnostics: dict, n_guarantee_threshold: int | None = None,
-                 hyp_ok: bool = True) -> PipelineReport:
-    """Assemble a report; its certificate must pass the verifier."""
+                 hyp_ok: bool = True, counted=None) -> PipelineReport:
+    """Assemble a report; its certificate must pass the verifier.
+
+    counted is the ``certify.recount`` of labels that judged the claims;
+    the stats and every certificate claim are judged on it as well.
+    """
     # the asymptotic size thresholds have no explicit values; without a
     # user-asserted threshold no run claims a guarantee
     guaranteed = bool(ok and hyp_ok and n_guarantee_threshold is not None
                       and graph.n >= n_guarantee_threshold)
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
     mode = pdict.get("mode", "n/a")
-    stats = partition_stats(graph, labels, r)
+    if counted is None:
+        counted = certify.recount(graph, labels, r)
+    stats = partition_stats(graph, labels, r, counted)
     cert = Certificate(graph.fingerprint, pdict, seed, VERSION,
                        claims + _stats_claims(stats))
-    res = certify.verify_certificate(graph, labels, cert, r=r)
+    res = certify.verify_counted(counted, cert)
     assert res.passed, (
         f"pipeline emitted a certificate its own verifier rejects: "
         f"claim {res.failed_claim} witness {res.witness}")
@@ -182,15 +193,16 @@ def _make_report(graph: Graph, shape: str, params: ParamSet | dict,
                           ok, guaranteed, seed, diagnostics)
 
 
-def _judge(graph: Graph, labels: np.ndarray, r: int, conditions: dict):
-    """Judge named conditions, each a list of claims, with the verifier.
+def _judge(counted, conditions: dict):
+    """Judge named conditions, each a list of claims, with the verifier's
+    claim code on a certify context (a recount, or the driver's counts).
 
     Returns ({name: whether all its claims hold}, the claims of the conditions
     that hold).  Keeps failure reports honest: a pipeline never certifies a
     statement the verifier rejects.
     """
-    flags = iter(certify.check_claims(
-        graph, labels, r, [c for claims in conditions.values() for c in claims]))
+    flags = iter(certify.judge(
+        counted, [c for claims in conditions.values() for c in claims]))
     verdict = {name: all([next(flags) for _ in claims])
                for name, claims in conditions.items()}
     return verdict, [c for name, claims in conditions.items() if verdict[name]
@@ -202,7 +214,8 @@ def _judge(graph: Graph, labels: np.ndarray, r: int, conditions: dict):
 
 def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
                              prefer: str = "own",
-                             cap_a: int | None = None):
+                             cap_a: int | None = None,
+                             counts: Counts | None = None):
     """Fold part C of a tripartition into A and B to form a bisection.
 
     C-vertices are sorted by d_A - d_B (descending), and the available A
@@ -213,10 +226,13 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
     (cut-average split); default fills A up to ceil-half of n.
 
     Returns (labels2, feasible); infeasible slot counts fall back to
-    smaller-side filling and feasible=False.
+    smaller-side filling and feasible=False.  counts is the maintained
+    Counts of labels, read instead of a recount; the fold does not update
+    it, since at c=0 it moves half the vertices.
     """
     lab = np.asarray(labels, dtype=np.int64).copy()
-    counts = part_profile(graph, lab, 3)
+    if counts is None:
+        counts = Counts(graph, lab, 3)
     c_ids = np.nonzero(lab == PART_C)[0]
     size_a = int((lab == PART_A).sum())
     size_b = int((lab == PART_B).sum())
@@ -236,7 +252,7 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
                 lab[v] = PART_B
                 size_b += 1
         return lab, False
-    lean = counts[c_ids, PART_A] - counts[c_ids, PART_B]
+    lean = counts.matrix[c_ids, PART_A] - counts.matrix[c_ids, PART_B]
     order = np.lexsort((c_ids, -lean))  # descending lean, ties by id
     ranked = c_ids[order]
     if prefer == "cross":
@@ -249,16 +265,10 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
 # -- the tripartition driver -------------------------------------------------
 
 
-def _swap_ab(labels: np.ndarray) -> np.ndarray:
-    out = labels.copy()
-    out[labels == PART_A] = PART_B
-    out[labels == PART_B] = PART_A
-    return out
-
-
 @dataclass
 class TripartitionResult:
-    """A tripartition run: labels, per-condition outcomes, and the audit trail."""
+    """A tripartition run: labels, per-condition outcomes, and the audit
+    trail; counts are the run's maintained Counts of labels."""
 
     ok: bool
     labels: np.ndarray
@@ -268,6 +278,7 @@ class TripartitionResult:
     params: ParamSet
     table: ThresholdTable
     diagnostics: dict = field(default_factory=dict)
+    counts: Counts | None = None
 
 
 def tripartition(graph: Graph, params: ParamSet,
@@ -280,9 +291,10 @@ def tripartition(graph: Graph, params: ParamSet,
     exchanged (``refine_internal_once``); external mode extracts, absorbs and
     cuts (``refine_external``).  The conditions of
     ``certify.tripartition_claims`` under the mode's table floor are judged
-    by the verifier; ok means the construction completed and every condition
-    holds.  An explicit size_window override replaces the default contract:
-    the final size window is still recorded but no longer gates ok.
+    by the verifier's claim code on the maintained counts and this table; ok
+    means the construction completed and every condition holds.  An explicit
+    size_window override replaces the default contract: the final size
+    window is still recorded but no longer gates ok.
     Stage-one failure short-circuits with the stage diagnostics.
     """
     if table is None:
@@ -290,25 +302,30 @@ def tripartition(graph: Graph, params: ParamSet,
     s1 = stage_one(graph, params, table, seed=seed, attempts=attempts,
                    size_window=size_window, weight_budget=weight_budget,
                    diagnostics_fh=stage_log)
+    counts = s1.counts.copy()
     if not s1.ok:
         return TripartitionResult(
-            False, s1.labels, {}, s1, [], params, table,
+            False, counts.labels, {}, s1, [], params, table,
             {"stage": "stage1", "violated": s1.violated,
-             "failure_counts": s1.failure_counts})
+             "failure_counts": s1.failure_counts}, counts)
     if params.mode == INTERNAL:
-        labels, traces, diagnostics = s1.labels, [], {}
+        traces, diagnostics = [], {}
         for stage, swap in (("refine_a", False), ("refine_b", True)):
-            trace = refine_internal_once(
-                graph, _swap_ab(labels) if swap else labels, params, table)
+            if swap:
+                counts.swap(PART_A, PART_B)
+            trace = refine_internal_once(graph, counts.labels, params, table,
+                                         counts=counts)
+            if swap:
+                counts.swap(PART_A, PART_B)
             traces.append(trace)
-            labels = _swap_ab(trace.labels_out) if swap else trace.labels_out
             if not trace.ok:
                 return TripartitionResult(
-                    False, labels, {}, s1, traces, params, table,
-                    {"stage": stage, "failed_vertex": trace.failed_vertex})
+                    False, counts.labels, {}, s1, traces, params, table,
+                    {"stage": stage, "failed_vertex": trace.failed_vertex}, counts)
     else:
-        trace = refine_external(graph, s1.labels, params, table, cut_seed=seed)
-        labels, traces = trace.labels_out, [trace]
+        trace = refine_external(graph, counts.labels, params, table,
+                                cut_seed=seed, counts=counts)
+        traces = [trace]
         diagnostics = {"precut_checks": dict(trace.checks),
                        "refine_precond": dict(trace.precond)}
     n, c, eps = graph.n, params.c, params.eps
@@ -316,14 +333,15 @@ def tripartition(graph: Graph, params: ParamSet,
     # rejected by a sub-integer window width
     window = (math.floor((1.0 - c - 3.0 * eps) / 2.0 * n),
               math.ceil((1.0 - c - eps) / 2.0 * n))
-    conditions, _ = _judge(graph, labels, 3, certify.tripartition_claims(
-        params.mode, certify.table_floor(_FLOOR_FN[params.mode], params), window))
+    floor = certify.table_floor(_FLOOR_FN[params.mode], params)
+    conditions, _ = _judge(certify.from_counts(graph, counts, table),
+                           certify.tripartition_claims(params.mode, floor, window))
     failed = [k for k, v in conditions.items() if not v]
     ok = not [k for k in failed if size_window is None or k != "size_window"]
     if not ok:
         diagnostics.update({"stage": "conditions", "failed": failed})
-    return TripartitionResult(ok, labels, conditions, s1, traces, params, table,
-                              diagnostics)
+    return TripartitionResult(ok, counts.labels, conditions, s1, traces, params,
+                              table, diagnostics, counts)
 
 
 # -- bisection pipelines -----------------------------------------------------
@@ -350,11 +368,13 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
     if not tri.ok:
         return _failure_report(graph, "bisect", params, tri, seed)
     labels, feasible = distribute_c_for_balance(graph, tri.labels,
-                                                prefer=_TARGET[mode])
-    part = LabeledPartition(2, np.where(labels == PART_B, 1, 0))
-    verdict, claims = _judge(graph, part.labels, 2, {
+                                                prefer=_TARGET[mode],
+                                                counts=tri.counts)
+    part_labels = np.where(labels == PART_B, 1, 0)
+    counted = certify.recount(graph, part_labels, 2)
+    verdict, claims = _judge(counted, {
         "balance": [certify.claim_balance(1)],
-        "sizes": [certify.claim_part_sizes(part.sizes())],
+        "sizes": [certify.claim_part_sizes(counted.sizes)],
         "floor": [certify.claim_degree_floor(
             "all", _TARGET[mode], certify.table_floor(_FLOOR_FN[mode], params, 1))],
     })
@@ -363,8 +383,8 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
     if mode == EXTERNAL:
         diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
     diagnostics["stage1_attempts"] = tri.stage1.attempts
-    return _make_report(graph, "bisect", params, part.labels, 2, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold)
+    return _make_report(graph, "bisect", params, part_labels, 2, claims, ok,
+                        seed, diagnostics, n_guarantee_threshold, counted=counted)
 
 
 def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
@@ -452,12 +472,14 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
         params.mode, certify.const_floor(k), size_window).values())
     named = {"size_window": groups[0], "floor_ab": sum(groups[1:-1], []),
              "floor_c": groups[-1]}
-    conditions, claims = _judge(graph, tri.labels, 3, named)
+    counted = certify.recount(graph, tri.labels, 3)
+    conditions, claims = _judge(counted, named)
     ok = all(conditions.values())
     diagnostics = {"conditions": conditions, "min_degree_hypothesis": hyp,
                    "k": k, "stage1_attempts": tri.stage1.attempts}
     return _make_report(graph, "tripart", run_params, tri.labels, 3, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold, hyp["ok"])
+                        seed, diagnostics, n_guarantee_threshold, hyp["ok"],
+                        counted)
 
 
 def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
@@ -484,15 +506,15 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
     if failure:
         return failure
     labels, feasible = distribute_c_for_balance(graph, tri.labels,
-                                                prefer=_TARGET[primary])
+                                                prefer=_TARGET[primary],
+                                                counts=tri.counts)
     part_labels = np.where(labels == PART_B, 1, 0)
-    counts = part_profile(graph, part_labels, 2)
-    own = counts[np.arange(n), part_labels]
-    secondary = graph.degree - own if primary == INTERNAL else own
+    counted = certify.recount(graph, part_labels, 2)
+    secondary = counted.cross if primary == INTERNAL else counted.own
     secondary_count = int((secondary >= k).sum())
     secondary_target = (1.0 - eps) * n
     secondary_name = "cross" if primary == INTERNAL else "own"
-    verdict, claims = _judge(graph, part_labels, 2, {
+    verdict, claims = _judge(counted, {
         "balance": [certify.claim_balance(1)],
         "secondary": [certify.claim_count_meeting_floor(
             secondary_name, k, secondary_count)],
@@ -509,7 +531,8 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
         "stage1_attempts": tri.stage1.attempts,
     }
     return _make_report(graph, "dual", run_params, part_labels, 2, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold, hyp["ok"])
+                        seed, diagnostics, n_guarantee_threshold, hyp["ok"],
+                        counted)
 
 
 def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
@@ -542,11 +565,12 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
                             False, seed, {"failure": "C split infeasible",
                                           "cap_a": cap_a, "size_c": size_c})
     labels, _ = distribute_c_for_balance(graph, tri.labels, prefer="own",
-                                         cap_a=cap_a)
+                                         cap_a=cap_a, counts=tri.counts)
     part_labels = np.where(labels == PART_B, 1, 0)
-    cut = int(part_profile(graph, part_labels, 2)[part_labels == 0, 1].sum())
+    counted = certify.recount(graph, part_labels, 2)
+    cut = int(counted.counts[part_labels == 0, 1].sum())
     cut_bound = 2 * k * size_c
-    verdict, claims = _judge(graph, part_labels, 2, {
+    verdict, claims = _judge(counted, {
         "balance": [certify.claim_balance(1)],
         "own": [certify.claim_degree_floor("all", "own", certify.const_floor(k))],
         "cut": [certify.claim_cut_edges_at_least(cut_bound)],
@@ -560,7 +584,8 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
         "stage1_attempts": tri.stage1.attempts,
     }
     return _make_report(graph, "cutavg", run_params, part_labels, 2, claims,
-                        ok, seed, diagnostics, n_guarantee_threshold, hyp["ok"])
+                        ok, seed, diagnostics, n_guarantee_threshold, hyp["ok"],
+                        counted)
 
 
 # -- r-partitions ------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cuts import local_maxcut
 from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
-from .graph import Graph, part_profile
+from .graph import Counts, Graph
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
 
@@ -78,21 +78,27 @@ class ExternalTrace:
 
 def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
                     table: ThresholdTable, cut_seed: int = 0,
-                    skip_cut: bool = False) -> ExternalTrace:
+                    skip_cut: bool = False,
+                    counts: Counts | None = None) -> ExternalTrace:
     """Run extraction, quarantine, absorption and the W2 cut on X|Y|Z labels.
 
     skip_cut replaces the max-cut split of the leftover W2 by an arbitrary
     one-sided assignment (ablation: shows why the cut step is needed for the
     leftover vertices' cross floors).
+
+    counts, when given, is the maintained Counts of labels: the W1 side
+    assignments go through it and the final check reads it, so it ends at
+    ``labels_out``.  Without it the labels are counted once here.
     """
     n = graph.n
     lab = np.asarray(labels, dtype=np.int64).copy()
+    if counts is None:
+        counts = Counts(graph, lab, 3)
     rows = table.row_index(graph.degree)
     active = table.active[rows]
     fpsi = table.fpsi[rows]
-    fpsi_star = table.fpsi_star[rows]
 
-    gm = goodness_map(graph, lab, table)
+    gm = goodness_map(graph, lab, table, counts.matrix)
     in_z0 = lab == PART_Z
     precond = {
         "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
@@ -213,10 +219,10 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
     side[w_plus] = PART_X
     side[w_minus] = PART_Y
 
-    out = lab.copy()
-    out[side == PART_X] = PART_X
-    out[side == PART_Y] = PART_Y
     # Z3 = Z1: quarantined Z vertices all got a side, the rest keep PART_Z
+    assert bool((side[w1] >= 0).all()), "a W1 vertex got no side"
+    counts.move(w1, side[w1])
+    out = counts.labels
 
     # membership sandwich: X \ W1 ⊆ X1 ⊆ X3 ⊆ X ∪ W1
     in_x3 = out == PART_X
@@ -227,10 +233,9 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
 
     # cut guarantee for the leftover vertices (void under the ablation)
     if len(w2) and checks["precut_inner_floor"] and not skip_cut:
-        counts3 = part_profile(graph, out, 3)
         for v in w2.tolist():
-            cross = counts3[v, PART_Y] if out[v] == PART_X else counts3[v, PART_X]
+            cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
             assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
 
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), out,
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), out.copy(),
                          precond, checks)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
-from .graph import Graph, part_profile
+from .graph import Counts, Graph
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
 
@@ -93,8 +93,8 @@ def _evacuee_landing_is_good(table: ThresholdTable) -> dict[int, bool]:
 
 
 def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
-                         table: ThresholdTable,
-                         skip_patch: bool = False) -> InternalRefineTrace:
+                         table: ThresholdTable, skip_patch: bool = False,
+                         counts: Counts | None = None) -> InternalRefineTrace:
     """One refinement pass over part 0 of a tripartition (parts 0|1|2).
 
     Preconditions (every active C-vertex both-good; the A-side weight below
@@ -102,16 +102,21 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
     trace's ``guaranteed`` flag reports whether everything the construction
     promises under those preconditions actually held.  skip_patch disables
     step 3 for ablation runs (the floor check then reports honestly).
+
+    counts, when given, is the maintained Counts of labels: every move of
+    the pass goes through it, and every check reads it, so it ends at
+    ``labels_out``.  Without it the labels are counted once here.
     """
     n = graph.n
     labels_in = np.asarray(labels, dtype=np.int64).copy()
-    lab = labels_in.copy()
+    if counts is None:
+        counts = Counts(graph, labels_in, 3)
+    lab = counts.labels
     rows = table.row_index(graph.degree)
     active = table.active[rows]
     fphi = table.fphi[rows]
 
-    counts = part_profile(graph, lab, 3)
-    gm = goodness_map(graph, lab, table)
+    gm = goodness_map(graph, lab, table, counts.matrix)
     in_a = lab == PART_A
     weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
     precond = {
@@ -141,21 +146,20 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         a_star = host.copy()
 
     # step 2: evacuation of joint-degree-deficient A vertices
-    dac = counts[:, PART_A] + counts[:, PART_C]
+    dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
     constrained = active & (fphi >= 1)
     evacuations: list[Evacuation] = []
     queue = deque(np.nonzero(in_a & constrained & (dac < fphi))[0].tolist())
     in_c = lab == PART_C
     while queue:
         v = queue.popleft()
-        if lab[v] != PART_A or dac[v] >= fphi[v]:
+        if not in_a[v] or dac[v] >= fphi[v]:
             continue
         absorbed = [w for w in graph.neighbors(v).tolist() if in_c[w]]
         evacuations.append(Evacuation(int(v), int(graph.degree[v]), int(dac[v]),
                                       absorbed))
         moved = [v] + absorbed
         for u in moved:
-            lab[u] = PART_B
             in_c[u] = False
         in_a[v] = False
         for u in moved:
@@ -164,6 +168,7 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
                     dac[w] -= 1
                     if constrained[w] and dac[w] < fphi[w]:
                         queue.append(w)
+    counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
 
     a1 = np.nonzero(in_a)[0]
     a_star_set = set(a_star.tolist())
@@ -171,14 +176,14 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         "extracted core lost vertices during evacuation"
 
     # step 3: patch deficient A vertices from their C-neighborhoods
-    counts1 = part_profile(graph, lab, 3)
+    d_a = counts.matrix[:, PART_A]
     patch: dict[int, list[int]] = {}
     ok = True
     failed_vertex = None
     if not skip_patch:
         for v in a1.tolist():
-            if constrained[v] and counts1[v, PART_A] < fphi[v]:
-                need = int(fphi[v] - counts1[v, PART_A])
+            if constrained[v] and d_a[v] < fphi[v]:
+                need = int(fphi[v] - d_a[v])
                 donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
                 if len(donors) < need:
                     ok = False
@@ -186,14 +191,10 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
                     break
                 patch[int(v)] = donors[:need]
     if ok:
-        moved = sorted({w for rx in patch.values() for w in rx})
-        for w in moved:
-            lab[w] = PART_A
-            in_c[w] = False
+        counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
-    # from-scratch verification of the pass contract
-    counts2 = part_profile(graph, lab, 3)
-    gm2 = goodness_map(graph, lab, table)
+    # the pass contract, checked on the maintained counts
+    gm2 = goodness_map(graph, lab, table, counts.matrix)
     in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
     in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
     drift = params.eps * n / 500.0
@@ -205,7 +206,7 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         "size_drift_a": abs(sz(in_a2) - sz(labels_in == PART_A)) <= drift,
         "size_drift_b": sz(in_b0) <= sz(in_b2) <= sz(in_b0) + drift,
         "size_drift_c": sz(in_c0) - drift <= sz(in_c2) <= sz(in_c0),
-        "floor_a": bool((~(active & in_a2) | (counts2[:, PART_A] >= fphi)).all()),
+        "floor_a": bool((~(active & in_a2) | (d_a >= fphi)).all()),
         "c_both_good": not bool((in_c2 & active & ~gm2.both_good).any()),
         "new_b_good": not bool((in_b2 & ~in_b0 & active & ~gm2.good_b).any()),
         "bad_b_contained": bool(
@@ -224,4 +225,5 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
     guaranteed = ok and precond["goodness_ok"] and precond["weight_ok_entry"] \
         and all(checks.values())
     return InternalRefineTrace(ok, failed_vertex, a_star, extract, evacuations,
-                               patch, labels_in, lab, precond, checks, guaranteed)
+                               patch, labels_in, lab.copy(), precond, checks,
+                               guaranteed)

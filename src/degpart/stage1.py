@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, part_profile
+from .graph import Counts, Graph, part_profile
 from .thresholds import EXTERNAL, INTERNAL, ParamSet, ThresholdTable
 
 PART_A, PART_B, PART_C = 0, 1, 2
@@ -64,9 +64,15 @@ class GoodnessMap:
         return self.good_a & self.good_b
 
 
-def goodness_map(graph: Graph, labels: np.ndarray, table: ThresholdTable) -> GoodnessMap:
-    """Recompute goodness of every vertex against parts A and B from scratch."""
-    counts = part_profile(graph, labels, 3)
+def goodness_map(graph: Graph, labels: np.ndarray, table: ThresholdTable,
+                 counts: np.ndarray | None = None) -> GoodnessMap:
+    """Goodness of every vertex against parts A and B.
+
+    counts is the (n, 3) neighbour-count matrix of labels when the caller
+    maintains one; without it the labels are counted from scratch.
+    """
+    if counts is None:
+        counts = part_profile(graph, labels, 3)
     rows = table.row_index(graph.degree)
     active = table.active[rows]
     thr_col = table.fthr_int if table.params.mode == INTERNAL else table.fthr_ext
@@ -129,6 +135,7 @@ class StageOneResult:
     failure_counts: dict = field(default_factory=dict)
     size_window: tuple[float, float] = (0.0, math.inf)
     weight_budget: float = math.inf
+    counts: Counts | None = None  # the maintained counts of labels
 
 
 def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
@@ -163,11 +170,15 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     fail_counts = {"size": 0, "goodness": 0, "weight": 0}
     best: StageOneResult | None = None
     for t in range(attempts):
-        labels = random_tripartition_attempt(graph, params, seed, t)
-        gm = goodness_map(graph, labels, table)
-        labels = relocate_bad_from_c(graph, labels, gm)
-        gm2 = goodness_map(graph, labels, table)
-        sizes = tuple(int(s) for s in np.bincount(labels, minlength=3))
+        # one count per attempt; the relocation moves vertices through it
+        counts = Counts(graph, random_tripartition_attempt(graph, params, seed, t), 3)
+        gm = goodness_map(graph, counts.labels, table, counts.matrix)
+        relocated = relocate_bad_from_c(graph, counts.labels, gm)
+        movers = np.flatnonzero(relocated != counts.labels)
+        counts.move(movers, relocated[movers])
+        labels = counts.labels
+        gm2 = goodness_map(graph, labels, table, counts.matrix)
+        sizes = tuple(int(s) for s in counts.sizes)
         violated = []
         if not (lo_a <= sizes[PART_A] <= hi_a and lo_b <= sizes[PART_B] <= hi_b):
             violated.append("size")
@@ -185,7 +196,7 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
             diagnostics_fh.write("\n")
         res = StageOneResult(not violated, labels, gm2, t + 1, sizes, gm2.weight,
                              violated, dict(fail_counts),
-                             ((lo_a, hi_a), (lo_b, hi_b)), weight_budget)
+                             ((lo_a, hi_a), (lo_b, hi_b)), weight_budget, counts)
         if res.ok:
             return res
         if best is None or (len(res.violated), res.weight) < (len(best.violated), best.weight):

@@ -178,11 +178,12 @@ class ThresholdTable:
     """Precomputed thresholds for a fixed ParamSet over a set of degrees.
 
     Column arrays are aligned with ``degrees`` (sorted unique).  ``phi`` and
-    ``psi`` are computed from the table's single resolved constant d, so they
-    coincide numerically; they are kept as separate columns because the
-    internal pipeline floors phi while the external pipeline floors psi and
-    psi_star.  Integer floors of every threshold are precomputed since all
-    degree comparisons use them.  Immutable after construction.
+    ``psi`` have the same closed form under the table's single resolved
+    constant d, so one column is stored and ``psi``/``fpsi`` are aliases of
+    ``phi``/``fphi``: the internal pipeline names its floor phi, the external
+    one psi (and psi_star).  Integer floors of every threshold are
+    precomputed since all degree comparisons use them.  Immutable after
+    construction.
     """
 
     def __init__(self, params: ParamSet, degrees):
@@ -214,7 +215,6 @@ class ThresholdTable:
                 f"phi form mismatch at degree {degs[j]}: "
                 f"{phi_direct[j]!r} vs {phi_product[j]!r}")
         self.phi = np.where(pos, phi_direct, 0.0)
-        self.psi = self.phi.copy()
         self.psi_star = np.maximum(self.psi, ((1.0 - c) / 8.0) * i)
 
         # eta switches branch exactly where psi drops below ((1-c)/8) i
@@ -239,7 +239,6 @@ class ThresholdTable:
                 f"external threshold identity fails at degree {degs[j]}")
 
         self.fphi = np.floor(self.phi).astype(np.int64)
-        self.fpsi = np.floor(self.psi).astype(np.int64)
         self.fpsi_star = np.floor(self.psi_star).astype(np.int64)
         self.fthr_int = np.floor(self.thr_int).astype(np.int64)
         self.fthr_ext = np.floor(self.thr_ext).astype(np.int64)
@@ -248,6 +247,14 @@ class ThresholdTable:
         self._row_of = np.full(int(degs.max()) + 1 if degs.size else 1, -1,
                                dtype=np.int64)
         self._row_of[degs] = np.arange(degs.size)
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.phi
+
+    @property
+    def fpsi(self) -> np.ndarray:
+        return self.fphi
 
     # -- lookup helpers ----------------------------------------------------
 

@@ -229,3 +229,38 @@ def test_verifier_agrees_with_naive_recount(case):
     assert res.passed == all(truth)
     if not res.passed:
         assert res.failed_index == truth.index(False)
+
+
+FLOOR1 = certify.claim_degree_floor("all", "own", certify.const_floor(1))
+THREE = [certify.claim_balance(1), certify.claim_extremal_stat("min_own_degree", 1),
+         FLOOR1]
+
+
+@pytest.mark.parametrize("g, labels, claims, failed_index, witness", [
+    (complete_graph(4), [1, 0, 1, 1], [FLOOR1], 0, 1),
+    (complete_graph(5), [0, 0, 0, 0, 1],
+     [certify.claim_balance(1), certify.claim_part_sizes([2, 3]),
+      certify.claim_part_size_window(0, 1.5, 2.5)], 0, None),
+    (cycle_graph(6), [0, 1, 0, 1, 0, 1], [certify.claim_cut_edges_at_least(7)], 0,
+     None),
+    (complete_graph(4), [0, 0, 1, 1],
+     [certify.claim_extremal_stat("min_own_degree", 2)], 0, 0),
+    (complete_graph(4), [0, 0, 1, 1], [certify.claim_extremal_ratio("own", 1, 4)],
+     0, None),
+    (complete_graph(4), [1, 0, 1, 1], THREE, 0, None),
+    (complete_graph(4), [1, 0, 1, 1], THREE[::-1], 0, 1),
+    (complete_graph(5), [0, 0, 1, 1, 1],
+     [certify.claim_balance(1), FLOOR1,
+      certify.claim_extremal_stat("min_cross_degree", 3)], 2, 2),
+])
+def test_failing_verification_counts_once_and_names_its_witness(
+        monkeypatch, g, labels, claims, failed_index, witness):
+    calls = []
+    original = certify.part_profile
+    monkeypatch.setattr(certify, "part_profile",
+                        lambda *args: calls.append(args) or original(*args))
+    res = verify_certificate(g, np.array(labels), make_cert(g, claims), r=2)
+    assert (res.passed, res.failed_index, res.witness) == (False, failed_index,
+                                                           witness)
+    assert res.failed_claim == claims[failed_index]
+    assert len(calls) == 1

@@ -153,6 +153,11 @@ def test_cli_ko_oracle():
     assert cli.main(["oracle", "--ko", "4", "2", "-5"]) == 2
 
 
+def test_cli_ko_oracle_names_a_bad_subset_size(capsys):
+    assert cli.main(["oracle", "--ko", "4", "-1", "1"]) == 2
+    assert "need 1 <= l <= n, got l=-1, n=4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["oracle"],
                                   ["oracle", "--graph", "g.txt", "--ko", "4", "2", "1"]])
 def test_cli_oracle_needs_exactly_one_of_graph_and_ko(argv, capsys):

@@ -3,11 +3,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
-from degpart.graph import (Graph, GraphFormatError, LabeledPartition,
+from degpart.graph import (Counts, Graph, GraphFormatError, LabeledPartition,
                            cut_and_internal_profile, degree_in_set, load_graph,
                            part_profile)
 
@@ -288,3 +288,50 @@ def test_induced_subgraph_matches_filtered_edges(g, data):
     assert sub.n == want.n
     assert sub.indptr.tolist() == want.indptr.tolist()
     assert sub.indices.tolist() == want.indices.tolist()
+
+
+@st.composite
+def count_scripts(draw):
+    """A graph, a labeling, and a sequence of moves and part swaps."""
+    g = draw(graphs(max_n=40))
+    r = draw(st.sampled_from([2, 3]))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=g.n, max_size=g.n))
+    part = st.integers(0, r - 1)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("swap"), part, part),
+        st.tuples(st.just("move"),
+                  st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n),
+                  part | st.lists(part, min_size=g.n, max_size=g.n))),
+        max_size=8))
+    return g, r, labels, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_scripts())
+def test_counts_stay_equal_to_a_recount_under_moves_and_swaps(script):
+    g, r, labels, steps = script
+    counts = Counts(g, np.array(labels), r)
+    expect = list(labels)  # the labeling, replayed without Counts
+    for kind, x, y in steps:
+        if kind == "swap":
+            counts.swap(x, y)
+            expect = [y if lab == x else x if lab == y else lab for lab in expect]
+        else:
+            dst = y if isinstance(y, int) else y[:len(x)]
+            counts.move(x, dst)
+            for k, v in enumerate(x):
+                expect[v] = dst if isinstance(dst, int) else dst[k]
+        assert counts.labels.tolist() == expect
+        assert counts.matrix.tolist() == naive_profile(g, expect, r)
+        assert (counts.matrix == part_profile(g, np.array(expect), r)).all()
+        assert counts.sizes.tolist() == np.bincount(expect, minlength=r).tolist()
+
+
+def test_counts_copy_is_independent():
+    g = gen_gnp(30, 0.3, seed=1)
+    counts = Counts(g, np.arange(30) % 3, 3)
+    twin = counts.copy()
+    counts.move([0, 1, 2], 1)
+    counts.swap(0, 2)
+    assert (twin.labels == np.arange(30) % 3).all()
+    assert (twin.matrix == part_profile(g, np.arange(30) % 3, 3)).all()

@@ -370,3 +370,9 @@ def test_dense_fixed_point_size_cap():
     fam = ClassFamily((DegreeClass(np.array([0]), 1, Fraction(1)),))
     with pytest.raises(ValueError):
         dense_fixed_point_check(g, fam)
+
+
+@pytest.mark.parametrize("l", [-1, 0, 5])
+def test_ko_refuses_l_outside_its_range_by_name(l):
+    with pytest.raises(ValueError, match=rf"^need 1 <= l <= n, got l={l}, n=4$"):
+        ko_bisection_exists(4, l, 1)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,17 +9,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from degpart import certify
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
-from degpart.graph import part_profile
+from degpart.graph import Counts, part_profile
 from degpart.oracle import best_bisection
-from degpart.pipelines import (_exact_min_ratio, bisect_dual, bisect_external,
-                               bisect_internal,
+from degpart.pipelines import (_exact_min_ratio, _make_report, bisect_dual,
+                               bisect_external, bisect_internal,
                                bisect_with_cut_average, distribute_c_for_balance,
                                partition_stats, r_partition,
-                               random_bisection_stats, tripartition_exact)
-from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
+                               random_bisection_stats, tripartition,
+                               tripartition_exact)
+from degpart.refine_ext import refine_external
+from degpart.refine_int import refine_internal_once
+from degpart.stage1 import PART_A, PART_B, stage_one
+from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet, build_threshold_table
 
 VAC = {"size_window": "vacuous", "weight_budget": "vacuous"}
 
@@ -292,3 +298,123 @@ def test_derived_pipelines_write_the_stage_log():
         rep = run(log)
         lines = [json.loads(ln) for ln in log.getvalue().splitlines()]
         assert len(lines) == rep.diagnostics["stage1_attempts"]
+
+
+# -- one maintained count per run --------------------------------------------
+
+BINDING = [  # (graph, params, seed): floors active on every vertex
+    (lambda: gen_gnp(400, 0.03, seed=1), ParamSet(0.0, 0.02, INTERNAL, d_const=0.01), 1),
+    (lambda: gen_gnp(400, 0.03, seed=0), ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01), 0),
+    (lambda: gen_gnp(250, 0.3, seed=13), ParamSet(0.0, 0.02, INTERNAL, d_const=0.05), 1),
+    (lambda: gen_gnp(250, 0.3, seed=13), ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01), 1),
+]
+
+
+def assert_recounted(g, counts):
+    assert (counts.matrix == part_profile(g, counts.labels, 3)).all()
+    assert (counts.sizes == np.bincount(counts.labels, minlength=3)).all()
+
+
+@pytest.mark.parametrize("make, params, seed", BINDING)
+def test_maintained_counts_equal_a_recount_after_every_stage(make, params, seed):
+    g = make()
+    table = build_threshold_table(params, np.unique(g.degree))
+    assert table.active[table.row_index(g.degree)].all()
+    s1 = stage_one(g, params, table, seed=seed, **VAC)
+    assert_recounted(g, s1.counts)
+    assert (s1.counts.labels == s1.labels).all()
+    counts = s1.counts.copy()
+    if params.mode == INTERNAL:
+        traces = []
+        for swap in (False, True):
+            if swap:
+                counts.swap(PART_A, PART_B)
+            labels = counts.labels.copy()
+            traces.append(refine_internal_once(g, labels, params, table,
+                                               counts=counts))
+            assert_recounted(g, counts)
+            # the pass behaves as it does on a fresh count of its labels
+            fresh = refine_internal_once(g, labels, params, table)
+            for got in (fresh, traces[-1]):
+                assert (got.labels_out == counts.labels).all()
+            assert (fresh.precond, fresh.checks) == (traces[-1].precond,
+                                                     traces[-1].checks)
+            if swap:
+                counts.swap(PART_A, PART_B)
+                assert_recounted(g, counts)
+        work = sum(len(t.evacuations) + len(t.patch) for t in traces)
+    else:
+        labels = counts.labels.copy()
+        trace = refine_external(g, labels, params, table, cut_seed=seed,
+                                counts=counts)
+        assert_recounted(g, counts)
+        fresh = refine_external(g, labels, params, table, cut_seed=seed)
+        assert (trace.labels_out == counts.labels).all()
+        assert (fresh.labels_out == counts.labels).all()
+        assert (fresh.precond, fresh.checks) == (trace.precond, trace.checks)
+        work = len(trace.w1)
+    tri = tripartition(g, params, table, seed=seed, **VAC)
+    assert tri.ok and (tri.labels == counts.labels).all()
+    assert_recounted(g, tri.counts)
+    if g.n == 400:  # sparse enough that the refinement moves vertices
+        assert work > 0
+
+
+def test_maintained_counts_follow_the_w2_cut():
+    # a thin Y side: extraction deletes every vertex, and the cut places them
+    g = gen_gnp(90, 0.4, seed=0)
+    params = ParamSet(0.0, 0.09, EXTERNAL, d_const=0.02)
+    table = build_threshold_table(params, np.unique(g.degree))
+    rng = np.random.default_rng(2)
+    counts = Counts(g, rng.choice(3, size=g.n, p=[0.7, 0.1, 0.2]), 3)
+    trace = refine_external(g, counts.labels.copy(), params, table, cut_seed=1,
+                            counts=counts)
+    assert len(trace.w2) == g.n
+    assert (trace.labels_out == counts.labels).all()
+    assert_recounted(g, counts)
+
+
+def count_part_profile(monkeypatch) -> list:
+    """Wrap part_profile in every degpart namespace; returns the call log."""
+    calls = []
+    original = sys.modules["degpart.graph"].part_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("degpart") and getattr(module, "part_profile",
+                                                  None) is original:
+            monkeypatch.setattr(module, "part_profile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda g: bisect_internal(g, ParamSet(0.0, 0.02, INTERNAL, d_const=0.01),
+                              seed=1, **VAC),
+    lambda g: bisect_external(g, ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01),
+                              seed=0, **VAC),
+    lambda g: bisect_internal(g, ParamSet(0.0, 0.25, INTERNAL, d_const=1.0), seed=3),
+    lambda g: bisect_external(g, ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0), seed=3),
+])
+def test_a_bisection_counts_once_per_attempt_and_once_for_its_output(monkeypatch,
+                                                                     run):
+    g = gen_gnp(400, 0.03, seed=1)
+    calls = count_part_profile(monkeypatch)
+    report = run(g)
+    assert 2 <= len(calls) <= report.diagnostics["stage1_attempts"] + 1
+
+
+def test_make_report_refuses_a_claim_its_labels_break():
+    g = complete_graph(4)
+    labels = np.array([0, 0, 0, 1])
+    broken = [certify.claim_balance(1)]
+    with pytest.raises(AssertionError, match="verifier rejects"):
+        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, broken, True, 0, {})
+    # a count handed in is the emitted labels' own count: it judges the same
+    with pytest.raises(AssertionError, match="verifier rejects"):
+        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, broken, True, 0, {},
+                     counted=certify.recount(g, labels, 2))
+    floor = certify.claim_degree_floor("all", "own", certify.const_floor(1))
+    with pytest.raises(AssertionError, match="verifier rejects"):
+        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, [floor], True, 0, {})

@@ -92,6 +92,12 @@ def test_table_zero_degree_row_inactive():
     assert t.phi[k] == 0.0 and t.psi[k] == 0.0 and not t.active[k]
 
 
+def test_psi_is_one_stored_column_with_phi():
+    t = build_threshold_table(ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01),
+                              range(0, 300, 7))
+    assert t.psi is t.phi and t.fpsi is t.fphi
+
+
 def test_table_d_zero_cancels():
     p = ParamSet(0.0, 0.25, INTERNAL, d_const=0.0, relaxed=True)
     t = build_threshold_table(p, range(1, 50))
