@@ -274,13 +274,12 @@ def recount(graph: Graph, labels, r: int) -> _Context:
     return _Context(graph, labels, counts, np.bincount(labels, minlength=r))
 
 
-def from_counts(graph: Graph, counts: Counts,
-                table: ThresholdTable | None = None) -> _Context:
+def from_counts(graph: Graph, counts: Counts, table: ThresholdTable) -> _Context:
     """A context over the counts a producer maintains, for judging its own
     intermediate conditions; ``table`` serves the table floors of its
     parameters.  Emitted labelings are judged on a ``recount`` instead."""
-    tables = {} if table is None else {_table_key(table.params): table}
-    return _Context(graph, counts.labels, counts.matrix, counts.sizes, tables)
+    return _Context(graph, counts.labels, counts.matrix, counts.sizes,
+                    {_table_key(table.params): table})
 
 
 def judge(ctx: _Context, claims: list) -> list[bool]:

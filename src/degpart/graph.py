@@ -354,10 +354,6 @@ class Counts:
         self.labels = np.array(labels, dtype=np.int64)
         self.sizes = np.bincount(self.labels, minlength=r)
 
-    @property
-    def r(self) -> int:
-        return self.matrix.shape[1]
-
     def copy(self) -> "Counts":
         out = Counts.__new__(Counts)
         out.graph = self.graph
@@ -372,7 +368,7 @@ class Counts:
         dst = np.broadcast_to(np.asarray(dst, dtype=np.int64), vs.shape)
         src = self.labels[vs]
         lens = self.graph.degree[vs]
-        nb = self.graph.indices[self.graph.row_entries(vs)] * self.r
+        nb = self.graph.indices[self.graph.row_entries(vs)] * self.matrix.shape[1]
         flat = self.matrix.reshape(-1)
         np.subtract.at(flat, nb + np.repeat(src, lens), 1)
         np.add.at(flat, nb + np.repeat(dst, lens), 1)
