@@ -7,15 +7,16 @@ thresholds enter only through their floors, which the verifier recomputes
 itself from the recorded parameters.  The certificate binds to the exact
 graph through an order-independent hash of the sorted edge set.
 
-Claims are judged against a context: the neighbour counts of one labeling.
-Three kinds of context split the work of one run:
+Claims are judged against a context: the neighbour counts of one labeling,
+one ``graph.Counts``.  Three kinds of context split the work of one run:
 
-* the producer maintains its counts (``graph.Counts``) while it moves
-  vertices, and ``from_counts`` judges its intermediate conditions on them
+* the producer maintains its counts while it moves vertices, and
+  ``from_counts(counts, table)`` judges its intermediate conditions on them
   with the table it built;
-* each labeling a pipeline emits is counted once from scratch
-  (``recount``), and that one count serves its statistics, its conditions
-  and the self-verification of its certificate (``verify_counted``);
+* each labeling a pipeline emits is counted once from scratch into a fresh
+  Counts (``recount(graph, labels, r)``), and that one count serves its
+  statistics, its conditions and the self-verification of its certificate
+  (``verify_counted``);
 * the standalone ``verify_certificate`` always recounts, and rebuilds its
   tables from the recorded parameters; that is what makes it independent.
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Counts, Graph, LabelError, part_profile
+from .graph import Counts, Graph, LabelError
 from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
 
 
@@ -167,20 +168,17 @@ def _table_key(params: ParamSet) -> tuple:
 class _Context:
     """The counts of one labeling, shared across the claims judged on it.
 
-    ``counts`` is its (n, r) neighbour-count matrix, ``own``/``cross`` each
-    vertex's degree inside/outside its part and ``sizes`` the part sizes.
-    Threshold tables are built once per parameter set, unless one was
-    handed in.
+    ``graph``, ``labels``, ``matrix`` and ``sizes`` are read from a
+    ``graph.Counts``; ``own``/``cross`` are each vertex's degree
+    inside/outside its part.  Threshold tables are built once per parameter
+    set, unless one was handed in.
     """
 
-    def __init__(self, graph: Graph, labels: np.ndarray, counts: np.ndarray,
-                 sizes: np.ndarray, tables: dict | None = None):
-        self.graph = graph
-        self.counts = counts
-        self.labels = labels
-        self.own = counts[np.arange(graph.n), labels]
-        self.cross = graph.degree - self.own
-        self.sizes = sizes
+    def __init__(self, counts: Counts, tables: dict | None = None):
+        self.graph, self.labels = counts.graph, counts.labels
+        self.matrix, self.sizes = counts.matrix, counts.sizes
+        self.own = self.matrix[np.arange(self.graph.n), self.labels]
+        self.cross = self.graph.degree - self.own
         self._tables = dict(tables or {})
 
     def stat(self, target) -> np.ndarray:
@@ -188,7 +186,7 @@ class _Context:
             return self.own
         if target == "cross":
             return self.cross
-        return self.counts[:, int(target)]
+        return self.matrix[:, int(target)]
 
     def floors(self, floor: dict) -> tuple[np.ndarray, np.ndarray]:
         """(floor value per vertex, active mask per vertex)."""
@@ -232,7 +230,7 @@ def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
     if kind == "cut_edges_at_least":
         pa, pb = claim["parts"]
         mask = ctx.labels == pa
-        cut = int(ctx.counts[mask, pb].sum())
+        cut = int(ctx.matrix[mask, pb].sum())
         return cut >= claim["bound"], None
     if kind == "count_meeting_floor":
         stat = ctx.stat(claim["target"])
@@ -269,17 +267,14 @@ def recount(graph: Graph, labels, r: int) -> _Context:
     Raises LabelError unless labels is an integer array of length n with
     values in [0, r).
     """
-    counts = part_profile(graph, labels, r)  # refuses bad labels
-    labels = np.asarray(labels, dtype=np.int64)
-    return _Context(graph, labels, counts, np.bincount(labels, minlength=r))
+    return _Context(Counts(graph, labels, r))
 
 
-def from_counts(graph: Graph, counts: Counts, table: ThresholdTable) -> _Context:
+def from_counts(counts: Counts, table: ThresholdTable) -> _Context:
     """A context over the counts a producer maintains, for judging its own
     intermediate conditions; ``table`` serves the table floors of its
     parameters.  Emitted labelings are judged on a ``recount`` instead."""
-    return _Context(graph, counts.labels, counts.matrix, counts.sizes,
-                    {_table_key(table.params): table})
+    return _Context(counts, {_table_key(table.params): table})
 
 
 def judge(ctx: _Context, claims: list) -> list[bool]:

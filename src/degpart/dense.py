@@ -90,6 +90,23 @@ class ClassFamily:
         return min(cl.eta_exact for cl in self.classes)
 
 
+def degree_classes(graph: Graph, members: np.ndarray, target: np.ndarray,
+                   slack: np.ndarray) -> tuple:
+    """The members with a target of at least 1, one class per degree.
+
+    target and slack are per-vertex arrays that depend on the degree only.
+    Classes come in ascending degree, and each keeps the order of members:
+    a stable sort by degree, split where the degree changes.
+    """
+    members = members[target[members] >= 1]
+    members = members[np.argsort(graph.degree[members], kind="stable")]
+    if not len(members):
+        return ()
+    chunks = np.split(members, np.flatnonzero(np.diff(graph.degree[members])) + 1)
+    return tuple(DegreeClass(vs, int(target[vs[0]]), float(slack[vs[0]]))
+                 for vs in chunks)
+
+
 @dataclass(frozen=True)
 class KeyCondition:
     lhs: float

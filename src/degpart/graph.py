@@ -185,7 +185,11 @@ class LabeledPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            # a cast would truncate them silently
+            raise LabelError(f"labels have non-integer dtype {labels.dtype}", 0)
+        self.labels = labels.astype(np.int64)
         if self.r < 2:
             raise ValueError("a partition needs at least 2 parts")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.r):

@@ -34,7 +34,8 @@ from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
 from .graph import Counts, Graph, LabeledPartition
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
-from .stage1 import PART_A, PART_B, PART_C, VACUOUS, StageOneResult, stage_one
+from .stage1 import (PART_A, PART_B, PART_C, VACUOUS, StageOneResult,
+                     balancing_sides, stage_one)
 from .thresholds import (EXTERNAL, INTERNAL, ParamSet, ThresholdTable,
                          build_threshold_table)
 
@@ -74,7 +75,7 @@ def partition_stats(graph: Graph, labels: np.ndarray, r: int, counted=None) -> d
     ``certify.recount`` of the same labeling to read, when the caller has one.
     """
     if counted is None:
-        counted = certify.recount(graph, np.asarray(labels, dtype=np.int64), r)
+        counted = certify.recount(graph, labels, r)
     own, cross = counted.own, counted.cross
     cut = int(cross.sum()) // 2
     own_ratio = _exact_min_ratio(own, graph.degree)
@@ -212,11 +213,9 @@ def _judge(counted, conditions: dict):
 # -- C distribution ----------------------------------------------------------
 
 
-def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
-                             prefer: str = "own",
-                             cap_a: int | None = None,
-                             counts: Counts | None = None):
-    """Fold part C of a tripartition into A and B to form a bisection.
+def distribute_c_for_balance(counts: Counts, prefer: str = "own",
+                             cap_a: int | None = None):
+    """Fold part C of a counted tripartition into A and B to form a bisection.
 
     C-vertices are sorted by d_A - d_B (descending), and the available A
     slots go to the most A-leaning vertices when prefer="own" (internal
@@ -226,31 +225,19 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
     (cut-average split); default fills A up to ceil-half of n.
 
     Returns (labels2, feasible); infeasible slot counts fall back to
-    smaller-side filling and feasible=False.  counts is the maintained
-    Counts of labels, read instead of a recount; the fold does not update
-    it, since at c=0 it moves half the vertices.
+    smaller-side filling and feasible=False.  The fold reads counts and does
+    not update them, since at c=0 it moves half the vertices.
     """
-    lab = np.asarray(labels, dtype=np.int64).copy()
-    if counts is None:
-        counts = Counts(graph, lab, 3)
+    lab = counts.labels.copy()
     c_ids = np.nonzero(lab == PART_C)[0]
-    size_a = int((lab == PART_A).sum())
-    size_b = int((lab == PART_B).sum())
-    n = graph.n
-    if cap_a is None:
-        target_a = n - n // 2 if size_a >= size_b else n // 2
-        slots_a = target_a - size_a
-    else:
-        slots_a = int(cap_a)
+    size_a, size_b = int(counts.sizes[PART_A]), int(counts.sizes[PART_B])
+    n = counts.graph.n
+    slots_a = ((n - n // 2 if size_a >= size_b else n // 2) - size_a
+               if cap_a is None else int(cap_a))
     slots_b = len(c_ids) - slots_a
     if slots_a < 0 or slots_b < 0:
-        for v in c_ids.tolist():  # best effort: keep sizes as close as we can
-            if size_a <= size_b:
-                lab[v] = PART_A
-                size_a += 1
-            else:
-                lab[v] = PART_B
-                size_b += 1
+        # best effort: keep sizes as close as we can
+        lab[c_ids] = balancing_sides(size_a, size_b, len(c_ids))
         return lab, False
     lean = counts.matrix[c_ids, PART_A] - counts.matrix[c_ids, PART_B]
     order = np.lexsort((c_ids, -lean))  # descending lean, ties by id
@@ -260,6 +247,14 @@ def distribute_c_for_balance(graph: Graph, labels: np.ndarray,
     lab[ranked[:slots_a]] = PART_A
     lab[ranked[slots_a:]] = PART_B
     return lab, True
+
+
+def _fold(graph: Graph, tri: TripartitionResult, prefer: str,
+          cap_a: int | None = None):
+    """Fold C of a tripartition in, relabel A to 0 and B to 1, and count the
+    bisection: (its ``certify.recount``, whether the fold was feasible)."""
+    labels, feasible = distribute_c_for_balance(tri.counts, prefer, cap_a)
+    return certify.recount(graph, np.where(labels == PART_B, 1, 0), 2), feasible
 
 
 # -- the tripartition driver -------------------------------------------------
@@ -313,8 +308,7 @@ def tripartition(graph: Graph, params: ParamSet,
         for stage, swap in (("refine_a", False), ("refine_b", True)):
             if swap:
                 counts.swap(PART_A, PART_B)
-            trace = refine_internal_once(graph, counts.labels, params, table,
-                                         counts=counts)
+            trace = refine_internal_once(counts, params, table)
             if swap:
                 counts.swap(PART_A, PART_B)
             traces.append(trace)
@@ -323,8 +317,7 @@ def tripartition(graph: Graph, params: ParamSet,
                     False, counts.labels, {}, s1, traces, params, table,
                     {"stage": stage, "failed_vertex": trace.failed_vertex}, counts)
     else:
-        trace = refine_external(graph, counts.labels, params, table,
-                                cut_seed=seed, counts=counts)
+        trace = refine_external(counts, params, table, cut_seed=seed)
         traces = [trace]
         diagnostics = {"precut_checks": dict(trace.checks),
                        "refine_precond": dict(trace.precond)}
@@ -334,7 +327,7 @@ def tripartition(graph: Graph, params: ParamSet,
     window = (math.floor((1.0 - c - 3.0 * eps) / 2.0 * n),
               math.ceil((1.0 - c - eps) / 2.0 * n))
     floor = certify.table_floor(_FLOOR_FN[params.mode], params)
-    conditions, _ = _judge(certify.from_counts(graph, counts, table),
+    conditions, _ = _judge(certify.from_counts(counts, table),
                            certify.tripartition_claims(params.mode, floor, window))
     failed = [k for k, v in conditions.items() if not v]
     ok = not [k for k in failed if size_window is None or k != "size_window"]
@@ -367,11 +360,7 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
                        stage_log=stage_log)
     if not tri.ok:
         return _failure_report(graph, "bisect", params, tri, seed)
-    labels, feasible = distribute_c_for_balance(graph, tri.labels,
-                                                prefer=_TARGET[mode],
-                                                counts=tri.counts)
-    part_labels = np.where(labels == PART_B, 1, 0)
-    counted = certify.recount(graph, part_labels, 2)
+    counted, feasible = _fold(graph, tri, _TARGET[mode])
     verdict, claims = _judge(counted, {
         "balance": [certify.claim_balance(1)],
         "sizes": [certify.claim_part_sizes(counted.sizes)],
@@ -383,7 +372,7 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
     if mode == EXTERNAL:
         diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
     diagnostics["stage1_attempts"] = tri.stage1.attempts
-    return _make_report(graph, "bisect", params, part_labels, 2, claims, ok,
+    return _make_report(graph, "bisect", params, counted.labels, 2, claims, ok,
                         seed, diagnostics, n_guarantee_threshold, counted=counted)
 
 
@@ -505,11 +494,7 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
              weight_budget=weight_budget, stage_log=stage_log))
     if failure:
         return failure
-    labels, feasible = distribute_c_for_balance(graph, tri.labels,
-                                                prefer=_TARGET[primary],
-                                                counts=tri.counts)
-    part_labels = np.where(labels == PART_B, 1, 0)
-    counted = certify.recount(graph, part_labels, 2)
+    counted, feasible = _fold(graph, tri, _TARGET[primary])
     secondary = counted.cross if primary == INTERNAL else counted.own
     secondary_count = int((secondary >= k).sum())
     secondary_target = (1.0 - eps) * n
@@ -530,7 +515,7 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
         "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    return _make_report(graph, "dual", run_params, part_labels, 2, claims, ok,
+    return _make_report(graph, "dual", run_params, counted.labels, 2, claims, ok,
                         seed, diagnostics, n_guarantee_threshold, hyp["ok"],
                         counted)
 
@@ -557,18 +542,15 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
              weight_budget=weight_budget, stage_log=stage_log))
     if failure:
         return failure
-    sizes = np.bincount(tri.labels, minlength=3)
+    sizes = tri.counts.sizes
     cap_a = n // 2 - int(sizes[PART_A])
     size_c = int(sizes[PART_C])
     if not 0 <= cap_a <= size_c:
         return _make_report(graph, "cutavg", run_params, tri.labels, 3, [],
                             False, seed, {"failure": "C split infeasible",
                                           "cap_a": cap_a, "size_c": size_c})
-    labels, _ = distribute_c_for_balance(graph, tri.labels, prefer="own",
-                                         cap_a=cap_a, counts=tri.counts)
-    part_labels = np.where(labels == PART_B, 1, 0)
-    counted = certify.recount(graph, part_labels, 2)
-    cut = int(counted.counts[part_labels == 0, 1].sum())
+    counted, _ = _fold(graph, tri, "own", cap_a)
+    cut = int(counted.matrix[counted.labels == 0, 1].sum())
     cut_bound = 2 * k * size_c
     verdict, claims = _judge(counted, {
         "balance": [certify.claim_balance(1)],
@@ -583,7 +565,7 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
         "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    return _make_report(graph, "cutavg", run_params, part_labels, 2, claims,
+    return _make_report(graph, "cutavg", run_params, counted.labels, 2, claims,
                         ok, seed, diagnostics, n_guarantee_threshold, hyp["ok"],
                         counted)
 

@@ -16,10 +16,11 @@ a floored cross-degree floor:
      vertex has >= 2*floor(psi(i)) neighbors inside W2, so its cut side
      gives it >= floor(psi(i)) cross neighbors.
 
-The three absorption-exit facts (both side-degrees below floor(psi), inner
-W2 degree at least twice it) are asserted on every run;
-``pipelines.tripartition`` judges the final tripartition with the
-certificate verifier.
+It takes the run's ``graph.Counts`` of X|Y|Z and moves W1 through it; H is
+built only when some degree class exists.  The three absorption-exit facts
+(both side-degrees below floor(psi), inner W2 degree at least twice it) are
+asserted on every run; ``pipelines.tripartition`` judges the final
+tripartition with the certificate verifier.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import local_maxcut
-from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
-from .graph import Counts, Graph
+from .dense import ClassFamily, ExtractResult, degree_classes, extract_dense
+from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
 
@@ -76,58 +77,48 @@ class ExternalTrace:
         }
 
 
-def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
-                    table: ThresholdTable, cut_seed: int = 0,
-                    skip_cut: bool = False,
-                    counts: Counts | None = None) -> ExternalTrace:
-    """Run extraction, quarantine, absorption and the W2 cut on X|Y|Z labels.
+def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
+                    cut_seed: int = 0, skip_cut: bool = False) -> ExternalTrace:
+    """Run extraction, quarantine, absorption and the W2 cut on counted
+    X|Y|Z labels.
 
     skip_cut replaces the max-cut split of the leftover W2 by an arbitrary
     one-sided assignment (ablation: shows why the cut step is needed for the
     leftover vertices' cross floors).
 
-    counts, when given, is the maintained Counts of labels: the W1 side
-    assignments go through it and the final check reads it, so it ends at
-    ``labels_out``.  Without it the labels are counted once here.
+    The W1 side assignments go through counts and the final check reads
+    them, so they end at ``labels_out``.
     """
+    graph = counts.graph
     n = graph.n
-    lab = np.asarray(labels, dtype=np.int64).copy()
-    if counts is None:
-        counts = Counts(graph, lab, 3)
+    labels_in = counts.labels.copy()
     rows = table.row_index(graph.degree)
     active = table.active[rows]
     fpsi = table.fpsi[rows]
 
-    gm = goodness_map(graph, lab, table, counts.matrix)
-    in_z0 = lab == PART_Z
+    gm = goodness_map(counts, table)
+    in_z0 = labels_in == PART_Z
     precond = {
         "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
         "stage_weight": gm.weight,
     }
     # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
-    for k, i in enumerate(table.degrees.tolist()):
-        if table.active[k]:
-            assert i <= 8.0 * table.psi_star[k] / (1.0 - params.c) * (1 + 1e-12), \
-                f"psi* lift violated at degree {i}"
+    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - params.c) * (1 + 1e-12)
+    assert (lifted | ~table.active).all(), \
+        f"psi* lift violated at degree {table.degrees[table.active & ~lifted][0]}"
 
-    in_x = lab == PART_X
-    in_y = lab == PART_Y
+    in_x = labels_in == PART_X
+    in_y = labels_in == PART_Y
     host = np.nonzero(in_x | in_y)[0]
 
     # step 1: extraction over the cross subgraph
-    h_graph = graph.cross_subgraph(lab, PART_X, PART_Y)
-    classes = []
-    for k, i in enumerate(table.degrees.tolist()):
-        if table.active[k] and table.fpsi_star[k] >= 1:
-            members = host[graph.degree[host] == i]
-            if len(members):
-                classes.append(DegreeClass(members, int(table.fpsi_star[k]),
-                                           float(table.eta[k])))
+    classes = degree_classes(graph, host,
+                             np.where(active, table.fpsi_star[rows], 0), table.eta[rows])
     extract = None
     deleted_ids = np.empty(0, dtype=np.int64)
     if classes:
-        family = ClassFamily(tuple(classes), host)
-        extract = extract_dense(h_graph, family)
+        h_graph = graph.cross_subgraph(labels_in, PART_X, PART_Y)
+        extract = extract_dense(h_graph, ClassFamily(classes, host))
         deleted_ids = extract.deleted_vertices
 
     # step 2: quarantine W1 and keep the pure remainder of Z
@@ -135,7 +126,7 @@ def refine_external(graph: Graph, labels: np.ndarray, params: ParamSet,
     deleted_mask[deleted_ids] = True
     in_w = deleted_mask.copy()
     touched = graph.indices[deleted_mask[graph.rows]]
-    in_w[touched[lab[touched] == PART_Z]] = True
+    in_w[touched[labels_in[touched] == PART_Z]] = True
     w1 = np.nonzero(in_w)[0]
     # purity: Z1 vertices have all their X/Y neighbors inside the core, i.e.
     # no Z1 vertex touches an extracted vertex (those went to W1 instead)

@@ -19,9 +19,11 @@ i - floor(phi(i)) + 1 or more B-neighbors, which exceeds the B-goodness
 threshold (the per-degree inequality i - floor(phi(i)) >= floor(thr_int(i))
 is re-checked numerically before each run rather than taken on faith).
 
-``pipelines.tripartition`` applies the pass twice after stage one, the
-second time with the roles of the two sides exchanged, and judges the target
-conditions with the certificate verifier.
+The pass takes the run's ``graph.Counts`` of the tripartition: every move
+goes through it and every check reads it.  ``pipelines.tripartition``
+applies the pass twice after stage one, the second time with the roles of
+the two sides exchanged, and judges the target conditions with the
+certificate verifier.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ClassFamily, DegreeClass, ExtractResult, extract_dense
-from .graph import Counts, Graph
+from .dense import ClassFamily, ExtractResult, degree_classes, extract_dense
+from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
 
@@ -77,7 +79,7 @@ class InternalRefineTrace:
         }
 
 
-def _evacuee_landing_is_good(table: ThresholdTable) -> dict[int, bool]:
+def _evacuee_landing_is_good(table: ThresholdTable) -> bool:
     """Check i - floor(phi(i)) >= floor(thr_int(i)) for every active degree.
 
     This is the arithmetic fact that makes evacuated vertices B-good.  It
@@ -85,17 +87,12 @@ def _evacuee_landing_is_good(table: ThresholdTable) -> dict[int, bool]:
     reaches 1), but the refinement relies on it per degree, so it is checked
     numerically for the degrees actually present.
     """
-    out = {}
-    for k, i in enumerate(table.degrees.tolist()):
-        if table.active[k]:
-            out[int(i)] = bool(i - table.fphi[k] >= table.fthr_int[k])
-    return out
+    return bool((~table.active | (table.degrees - table.fphi >= table.fthr_int)).all())
 
 
-def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
-                         table: ThresholdTable, skip_patch: bool = False,
-                         counts: Counts | None = None) -> InternalRefineTrace:
-    """One refinement pass over part 0 of a tripartition (parts 0|1|2).
+def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable,
+                         skip_patch: bool = False) -> InternalRefineTrace:
+    """One refinement pass over part 0 of a counted tripartition (parts 0|1|2).
 
     Preconditions (every active C-vertex both-good; the A-side weight below
     eps^2*n/250) are checked and recorded, and the pass runs regardless; the
@@ -103,20 +100,17 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
     promises under those preconditions actually held.  skip_patch disables
     step 3 for ablation runs (the floor check then reports honestly).
 
-    counts, when given, is the maintained Counts of labels: every move of
-    the pass goes through it, and every check reads it, so it ends at
-    ``labels_out``.  Without it the labels are counted once here.
+    Every move of the pass goes through counts and every check reads them,
+    so they end at ``labels_out``.
     """
+    graph, lab = counts.graph, counts.labels
     n = graph.n
-    labels_in = np.asarray(labels, dtype=np.int64).copy()
-    if counts is None:
-        counts = Counts(graph, labels_in, 3)
-    lab = counts.labels
+    labels_in = lab.copy()
     rows = table.row_index(graph.degree)
     active = table.active[rows]
     fphi = table.fphi[rows]
 
-    gm = goodness_map(graph, lab, table, counts.matrix)
+    gm = goodness_map(counts, table)
     in_a = lab == PART_A
     weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
     precond = {
@@ -125,22 +119,15 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         "weight_ok_entry": weight_a <= params.eps ** 2 * n / 250.0,
         "weight_ok_stage": weight_a <= params.eps ** 2 * n / 1e4,
     }
-    landing = _evacuee_landing_is_good(table)
-    arithmetic_ok = all(landing.values())
+    arithmetic_ok = _evacuee_landing_is_good(table)
 
     # step 1: the dense core of G[A]
     host = np.nonzero(in_a)[0]
-    classes = []
-    for k, i in enumerate(table.degrees.tolist()):
-        if table.active[k] and table.fphi[k] >= 1:
-            members = host[graph.degree[host] == i]
-            if len(members):
-                classes.append(DegreeClass(members, int(table.fphi[k]),
-                                           float(table.mu[k])))
+    classes = degree_classes(graph, host, np.where(active, fphi, 0),
+                             table.mu[rows])
     extract = None
     if classes:
-        family = ClassFamily(tuple(classes), host)
-        extract = extract_dense(graph, family)
+        extract = extract_dense(graph, ClassFamily(classes, host))
         a_star = extract.surviving
     else:
         a_star = host.copy()
@@ -194,7 +181,7 @@ def refine_internal_once(graph: Graph, labels: np.ndarray, params: ParamSet,
         counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
     # the pass contract, checked on the maintained counts
-    gm2 = goodness_map(graph, lab, table, counts.matrix)
+    gm2 = goodness_map(counts, table)
     in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
     in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
     drift = params.eps * n / 500.0

@@ -17,6 +17,9 @@ Attempts repeat with derived seeds until all three hold or the budget runs
 out; validation is deterministic, so retrying is sound.  A vertex is S-good
 when its degree into S reaches floor of the mode's goodness threshold for its
 total degree; inactive vertices are unconstrained and never counted bad.
+
+Each attempt is counted once into a ``graph.Counts``: ``goodness_map`` reads
+it, ``relocate_bad_from_c`` moves through it, and the result hands it on.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Counts, Graph, part_profile
+from .graph import Counts, Graph
 from .thresholds import EXTERNAL, INTERNAL, ParamSet, ThresholdTable
 
 PART_A, PART_B, PART_C = 0, 1, 2
@@ -64,44 +67,38 @@ class GoodnessMap:
         return self.good_a & self.good_b
 
 
-def goodness_map(graph: Graph, labels: np.ndarray, table: ThresholdTable,
-                 counts: np.ndarray | None = None) -> GoodnessMap:
-    """Goodness of every vertex against parts A and B.
-
-    counts is the (n, 3) neighbour-count matrix of labels when the caller
-    maintains one; without it the labels are counted from scratch.
-    """
-    if counts is None:
-        counts = part_profile(graph, labels, 3)
-    rows = table.row_index(graph.degree)
+def goodness_map(counts: Counts, table: ThresholdTable) -> GoodnessMap:
+    """Goodness of every vertex of a counted labeling against parts A and B."""
+    degree = counts.graph.degree
+    rows = table.row_index(degree)
     active = table.active[rows]
     thr_col = table.fthr_int if table.params.mode == INTERNAL else table.fthr_ext
     thr = thr_col[rows]
-    good_a = ~active | (counts[:, PART_A] >= thr)
-    good_b = ~active | (counts[:, PART_B] >= thr)
+    good_a = ~active | (counts.matrix[:, PART_A] >= thr)
+    good_b = ~active | (counts.matrix[:, PART_B] >= thr)
     bad = active & ~(good_a & good_b)
-    weight = int(graph.degree[bad].sum())
+    weight = int(degree[bad].sum())
     return GoodnessMap(good_a, good_b, active, weight)
 
 
-def relocate_bad_from_c(graph: Graph, labels: np.ndarray, gm: GoodnessMap) -> np.ndarray:
+def balancing_sides(size_a: int, size_b: int, k: int) -> np.ndarray:
+    """Sides of k vertices placed one by one on the currently smaller of A
+    and B (ties to A): the gap closes first, then they alternate A, B."""
+    gap = size_b - size_a
+    step = np.arange(k)
+    return np.where(step < abs(gap), PART_A if gap >= 0 else PART_B,
+                    (step - abs(gap)) % 2)
+
+
+def relocate_bad_from_c(counts: Counts, gm: GoodnessMap) -> None:
     """Move every not-both-good vertex of C into A or B, balancing sizes.
 
     Movers are processed in ascending id; each goes to the currently smaller
     side (ties to A).  Goodness never decreases: A and B only grow.
     """
-    out = labels.copy()
-    movers = np.nonzero((labels == PART_C) & ~gm.both_good)[0]
-    size_a = int((labels == PART_A).sum())
-    size_b = int((labels == PART_B).sum())
-    for v in movers.tolist():
-        if size_a <= size_b:
-            out[v] = PART_A
-            size_a += 1
-        else:
-            out[v] = PART_B
-            size_b += 1
-    return out
+    movers = np.flatnonzero((counts.labels == PART_C) & ~gm.both_good)
+    counts.move(movers, balancing_sides(int(counts.sizes[PART_A]),
+                                        int(counts.sizes[PART_B]), len(movers)))
 
 
 def default_size_window(params: ParamSet, n: int) -> tuple[float, float]:
@@ -172,12 +169,9 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     for t in range(attempts):
         # one count per attempt; the relocation moves vertices through it
         counts = Counts(graph, random_tripartition_attempt(graph, params, seed, t), 3)
-        gm = goodness_map(graph, counts.labels, table, counts.matrix)
-        relocated = relocate_bad_from_c(graph, counts.labels, gm)
-        movers = np.flatnonzero(relocated != counts.labels)
-        counts.move(movers, relocated[movers])
+        relocate_bad_from_c(counts, goodness_map(counts, table))
         labels = counts.labels
-        gm2 = goodness_map(graph, labels, table, counts.matrix)
+        gm2 = goodness_map(counts, table)
         sizes = tuple(int(s) for s in counts.sizes)
         violated = []
         if not (lo_a <= sizes[PART_A] <= hi_a and lo_b <= sizes[PART_B] <= hi_b):

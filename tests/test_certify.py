@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degpart import certify
+from degpart import graph as graph_module
 from degpart.certify import (Certificate, check_claims, graph_fingerprint,
                              verify_certificate)
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
+from degpart.graph import LabeledPartition, LabelError
 from degpart.pipelines import bisect_internal
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
@@ -144,6 +146,21 @@ def test_verify_refuses_malformed_labels_naming_the_first_bad_vertex():
     assert verify_certificate(g, np.array([0, 1, 0, 1]), cert).passed
 
 
+def test_shifted_report_labels_are_refused_on_both_routes():
+    # a +0.4 shift used to be truncated away by LabeledPartition, so the
+    # report passed as a partition while its bare labels failed
+    g = gen_gnp(40, 0.3, seed=2)
+    report = bisect_internal(g, seed=0)
+    shifted = report.labels + 0.4
+    res = verify_certificate(g, shifted, report.certificate, r=2)
+    assert not res.passed and res.witness == 0 and "non-integer" in res.reason
+    report.labels = shifted
+    with pytest.raises(LabelError, match="non-integer") as exc:
+        verify_certificate(g, report.partition(), report.certificate)
+    assert exc.value.vertex == 0
+    assert LabeledPartition(2, np.array([], dtype=float)).n == 0
+
+
 def test_check_claims_one_flag_per_claim():
     g = complete_graph(4)
     claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),
@@ -256,8 +273,8 @@ THREE = [certify.claim_balance(1), certify.claim_extremal_stat("min_own_degree",
 def test_failing_verification_counts_once_and_names_its_witness(
         monkeypatch, g, labels, claims, failed_index, witness):
     calls = []
-    original = certify.part_profile
-    monkeypatch.setattr(certify, "part_profile",
+    original = graph_module.part_profile
+    monkeypatch.setattr(graph_module, "part_profile",
                         lambda *args: calls.append(args) or original(*args))
     res = verify_certificate(g, np.array(labels), make_cert(g, claims), r=2)
     assert (res.passed, res.failed_index, res.witness) == (False, failed_index,

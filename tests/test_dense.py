@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degpart.dense import (ClassFamily, DegreeClass, check_key_condition,
-                           compute_a_plus, extract_dense)
+                           compute_a_plus, degree_classes, extract_dense)
 from degpart.gen import complete_graph, gen_complete_bipartite
 from degpart.graph import Graph
 
@@ -171,3 +171,31 @@ def test_extract_fixed_point_and_item_a(instance):
                                                  res.surviving))
             assert again.deleted == []
             assert again.surviving.tolist() == res.surviving.tolist()
+
+
+def per_degree_classes(graph, host, target_of, slack_of):
+    """The classes as both refinements built them before ``degree_classes``:
+    one scan of the host per degree, in ascending degree."""
+    classes = []
+    for i in np.unique(graph.degree).tolist():
+        if target_of[i] >= 1:
+            members = host[graph.degree[host] == i]
+            if len(members):
+                classes.append(DegreeClass(members, int(target_of[i]),
+                                           float(slack_of[i])))
+    return classes
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=14), st.data())
+def test_degree_classes_match_the_per_degree_loop(g, data):
+    host = np.array(sorted(data.draw(st.sets(st.integers(0, g.n - 1)))),
+                    dtype=np.int64)
+    target_of = np.array(data.draw(st.lists(st.integers(0, 3), min_size=g.n,
+                                            max_size=g.n)))
+    slack_of = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=g.n,
+                                           max_size=g.n)))
+    got = degree_classes(g, host, target_of[g.degree], slack_of[g.degree])
+    want = per_degree_classes(g, host, target_of, slack_of)
+    assert [(c.vertices.tolist(), c.target, c.eta) for c in got] == \
+        [(c.vertices.tolist(), c.target, c.eta) for c in want]

@@ -13,7 +13,7 @@ from degpart import certify
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
-from degpart.graph import Counts, part_profile
+from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import best_bisection
 from degpart.pipelines import (_exact_min_ratio, _make_report, bisect_dual,
                                bisect_external, bisect_internal,
@@ -178,10 +178,19 @@ def test_cut_average_infeasible_split_is_failure():
 def test_distribute_c_balance_prefers_neighbors():
     g = complete_graph(6)
     labels = np.array([0, 0, 1, 1, 2, 2])
-    out, feasible = distribute_c_for_balance(g, labels, prefer="own")
+    out, feasible = distribute_c_for_balance(Counts(g, labels, 3), prefer="own")
     assert feasible
     sizes = np.bincount(out, minlength=3)
     assert sizes[2] == 0 and abs(sizes[0] - sizes[1]) <= 0
+
+
+def test_distribute_c_infeasible_slots_fill_the_smaller_side():
+    g = complete_graph(8)
+    labels = np.array([0, 0, 0, 1, 2, 2, 2, 2])
+    out, feasible = distribute_c_for_balance(Counts(g, labels, 3), cap_a=9)
+    assert not feasible
+    # |A| = 3, |B| = 1: B takes C until the sides tie, then A, then B
+    assert out.tolist() == [0, 0, 0, 1, 1, 1, 0, 1]
 
 
 def test_r_partition_exact_sizes_k10():
@@ -330,11 +339,10 @@ def test_maintained_counts_equal_a_recount_after_every_stage(make, params, seed)
             if swap:
                 counts.swap(PART_A, PART_B)
             labels = counts.labels.copy()
-            traces.append(refine_internal_once(g, labels, params, table,
-                                               counts=counts))
+            traces.append(refine_internal_once(counts, params, table))
             assert_recounted(g, counts)
             # the pass behaves as it does on a fresh count of its labels
-            fresh = refine_internal_once(g, labels, params, table)
+            fresh = refine_internal_once(Counts(g, labels, 3), params, table)
             for got in (fresh, traces[-1]):
                 assert (got.labels_out == counts.labels).all()
             assert (fresh.precond, fresh.checks) == (traces[-1].precond,
@@ -345,10 +353,9 @@ def test_maintained_counts_equal_a_recount_after_every_stage(make, params, seed)
         work = sum(len(t.evacuations) + len(t.patch) for t in traces)
     else:
         labels = counts.labels.copy()
-        trace = refine_external(g, labels, params, table, cut_seed=seed,
-                                counts=counts)
+        trace = refine_external(counts, params, table, cut_seed=seed)
         assert_recounted(g, counts)
-        fresh = refine_external(g, labels, params, table, cut_seed=seed)
+        fresh = refine_external(Counts(g, labels, 3), params, table, cut_seed=seed)
         assert (trace.labels_out == counts.labels).all()
         assert (fresh.labels_out == counts.labels).all()
         assert (fresh.precond, fresh.checks) == (trace.precond, trace.checks)
@@ -367,11 +374,44 @@ def test_maintained_counts_follow_the_w2_cut():
     table = build_threshold_table(params, np.unique(g.degree))
     rng = np.random.default_rng(2)
     counts = Counts(g, rng.choice(3, size=g.n, p=[0.7, 0.1, 0.2]), 3)
-    trace = refine_external(g, counts.labels.copy(), params, table, cut_seed=1,
-                            counts=counts)
+    trace = refine_external(counts, params, table, cut_seed=1)
     assert len(trace.w2) == g.n
     assert (trace.labels_out == counts.labels).all()
     assert_recounted(g, counts)
+
+
+def count_cross_subgraph(monkeypatch) -> list:
+    """Wrap Graph.cross_subgraph; returns the call log."""
+    calls = []
+    original = Graph.cross_subgraph
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+    monkeypatch.setattr(Graph, "cross_subgraph", counted)
+    return calls
+
+
+def test_no_active_vertex_builds_no_cross_subgraph(monkeypatch):
+    g = gen_gnp(400, 0.05, seed=3)
+    params = ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0)
+    table = build_threshold_table(params, np.unique(g.degree))
+    assert not table.active.any()
+    calls = count_cross_subgraph(monkeypatch)
+    report = bisect_external(g, params, seed=3)
+    assert report.diagnostics["stage1_attempts"] >= 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, params, seed",
+                         [b for b in BINDING if b[1].mode == EXTERNAL])
+def test_refine_external_builds_one_cross_subgraph(monkeypatch, make, params, seed):
+    g = make()
+    table = build_threshold_table(params, np.unique(g.degree))
+    counts = stage_one(g, params, table, seed=seed, **VAC).counts
+    calls = count_cross_subgraph(monkeypatch)
+    refine_external(counts, params, table, cut_seed=seed)
+    assert len(calls) == 1
 
 
 def count_part_profile(monkeypatch) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 
 from degpart.certify import check_claims, table_floor, tripartition_claims
 from degpart.gen import complete_graph, gen_gnp
-from degpart.graph import part_profile
+from degpart.graph import Counts, part_profile
 from degpart.pipelines import tripartition
 from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
@@ -19,7 +19,7 @@ def test_vacuous_thresholds_refinement_is_identity():
     t = table_for(g, p)
     res = stage_one(g, p, t, seed=0, size_window="vacuous",
                     weight_budget="vacuous")
-    trace = refine_internal_once(g, res.labels, p, t)
+    trace = refine_internal_once(Counts(g, res.labels, 3), p, t)
     assert trace.ok
     assert (trace.labels_out == res.labels).all()
     assert trace.evacuations == [] and trace.patch == {}
@@ -39,7 +39,7 @@ def active_setup(n=250, p_edge=0.3, seed=3, eps=0.02, d=0.05):
 
 def test_refine_enforces_own_floor_with_active_thresholds():
     g, params, t, res = active_setup()
-    trace = refine_internal_once(g, res.labels, params, t)
+    trace = refine_internal_once(Counts(g, res.labels, 3), params, t)
     assert trace.ok
     assert trace.checks["floor_a"]
     assert trace.checks["b_grew_only"] and trace.checks["c_shrank_only"]
@@ -54,7 +54,7 @@ def test_refine_enforces_own_floor_with_active_thresholds():
 
 def test_refine_trace_replay_evacuations_sound():
     g, params, t, res = active_setup(seed=11)
-    trace = refine_internal_once(g, res.labels, params, t)
+    trace = refine_internal_once(Counts(g, res.labels, 3), params, t)
     rows = t.row_index(g.degree)
     fphi = t.fphi[rows]
     # replay: at each evacuation the recorded joint degree was below the
@@ -80,7 +80,7 @@ def test_refine_trace_replay_evacuations_sound():
 
 def test_refine_c_goodness_stable_per_step_small_instance():
     g, params, t, res = active_setup(n=60, p_edge=0.4, seed=21)
-    trace = refine_internal_once(g, res.labels, params, t)
+    trace = refine_internal_once(Counts(g, res.labels, 3), params, t)
     # surviving C vertices never lose A-side degree at any evacuation step
     lab = trace.labels_in.copy()
     for ev in trace.evacuations:
@@ -97,7 +97,7 @@ def test_refine_c_goodness_stable_per_step_small_instance():
 
 def test_refine_new_b_vertices_good_and_contained():
     g, params, t, res = active_setup(seed=5)
-    trace = refine_internal_once(g, res.labels, params, t)
+    trace = refine_internal_once(Counts(g, res.labels, 3), params, t)
     assert trace.precond["goodness_ok"]
     assert trace.checks["new_b_good"]
     assert trace.checks["bad_b_contained"]
@@ -113,7 +113,7 @@ def test_refine_smoke_k9_floor_one():
     k = int(t.row_index(np.array([8]))[0])
     assert t.fphi[k] == 1
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-    trace = refine_internal_once(g, labels, params, t)
+    trace = refine_internal_once(Counts(g, labels, 3), params, t)
     assert trace.ok
     counts = part_profile(g, trace.labels_out, 3)
     in_a = trace.labels_out == PART_A
@@ -187,9 +187,9 @@ def test_skip_patch_ablation_reports_honestly():
     t = table_for(g, params)
     res = stage_one(g, params, t, seed=4, size_window="vacuous",
                     weight_budget="vacuous")
-    full = refine_internal_once(g, res.labels, params, t)
+    full = refine_internal_once(Counts(g, res.labels, 3), params, t)
     assert full.patch and full.checks["floor_a"]
-    ablated = refine_internal_once(g, res.labels, params, t, skip_patch=True)
+    ablated = refine_internal_once(Counts(g, res.labels, 3), params, t, skip_patch=True)
     assert ablated.patch == {}
     assert not ablated.checks["floor_a"]
     assert not ablated.guaranteed

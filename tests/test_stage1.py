@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from degpart.gen import complete_graph, gen_gnp
-from degpart.stage1 import (PART_A, PART_B, PART_C, goodness_map,
+from degpart.graph import Counts
+from degpart.stage1 import (PART_A, PART_B, PART_C, balancing_sides, goodness_map,
                             random_tripartition_attempt, relocate_bad_from_c,
                             stage_one, tripartition_probabilities)
 from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
@@ -35,15 +38,35 @@ def test_random_tripartition_deterministic():
     assert a.shape == c.shape
 
 
+def sequential_sides(size_a, size_b, k):
+    """One vertex at a time onto the smaller side, ties to A."""
+    sides = []
+    for _ in range(k):
+        if size_a <= size_b:
+            sides.append(PART_A)
+            size_a += 1
+        else:
+            sides.append(PART_B)
+            size_b += 1
+    return sides
+
+
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 60))
+def test_balancing_sides_matches_the_sequential_loop(size_a, size_b, k):
+    assert balancing_sides(size_a, size_b, k).tolist() == \
+        sequential_sides(size_a, size_b, k)
+
+
 def test_relocate_identity_when_no_bad():
     g = complete_graph(6)
     p = ParamSet(0.0, 0.25, INTERNAL)  # default constant: nothing active
     t = table_for(g, p)
     labels = np.array([0, 0, 1, 1, 2, 2])
-    gm = goodness_map(g, labels, t)
+    counts = Counts(g, labels, 3)
+    gm = goodness_map(counts, t)
     assert gm.both_good.all() and gm.weight == 0
-    out = relocate_bad_from_c(g, labels, gm)
-    assert (out == labels).all()
+    relocate_bad_from_c(counts, gm)
+    assert (counts.labels == labels).all()
 
 
 def test_relocate_splits_all_bad_c_evenly():
@@ -52,10 +75,11 @@ def test_relocate_splits_all_bad_c_evenly():
     p = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
     t = table_for(g, p)
     labels = np.full(10, PART_C)
-    gm = goodness_map(g, labels, t)
+    counts = Counts(g, labels, 3)
+    gm = goodness_map(counts, t)
     assert not gm.both_good.any()  # d_A = d_B = 0 below any active floor
-    out = relocate_bad_from_c(g, labels, gm)
-    sizes = np.bincount(out, minlength=3)
+    relocate_bad_from_c(counts, gm)
+    sizes = np.bincount(counts.labels, minlength=3)
     assert sizes[PART_C] == 0 and sizes[PART_A] == 5 and sizes[PART_B] == 5
 
 
@@ -63,10 +87,11 @@ def test_relocate_weight_never_increases_and_goodness_monotone():
     g = gen_gnp(120, 0.3, seed=4)
     p = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
     t = table_for(g, p)
-    labels = random_tripartition_attempt(g, p, 9, 0)
-    gm = goodness_map(g, labels, t)
-    out = relocate_bad_from_c(g, labels, gm)
-    gm2 = goodness_map(g, out, t)
+    counts = Counts(g, random_tripartition_attempt(g, p, 9, 0), 3)
+    gm = goodness_map(counts, t)
+    relocate_bad_from_c(counts, gm)
+    out = counts.labels
+    gm2 = goodness_map(counts, t)
     assert gm2.weight <= gm.weight
     # parts 0 and 1 only grew, so goodness flags never decay
     assert (gm.good_a <= gm2.good_a).all()
@@ -102,7 +127,7 @@ def test_stage_one_success_passes_independent_recount():
     res = stage_one(g, p, t, seed=5, size_window="vacuous",
                     weight_budget="vacuous")
     assert res.ok
-    gm = goodness_map(g, res.labels, t)
+    gm = goodness_map(Counts(g, res.labels, 3), t)
     in_c = res.labels == PART_C
     assert not (in_c & gm.active & ~gm.both_good).any()
     assert gm.weight == res.weight
@@ -123,6 +148,6 @@ def test_stage_one_external_weight_budget_counts_active_only():
     t = table_for(g, p)
     res = stage_one(g, p, t, seed=2, size_window="vacuous",
                     weight_budget="vacuous")
-    gm = goodness_map(g, res.labels, t)
+    gm = goodness_map(Counts(g, res.labels, 3), t)
     recount = int(g.degree[gm.active & ~gm.both_good].sum())
     assert res.weight == recount
