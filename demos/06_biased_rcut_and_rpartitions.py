@@ -20,7 +20,7 @@ import numpy as np
 
 from degpart import BiasVector, biased_max_r_cut, gen_gnp, r_partition
 from degpart.cuts import check_biased_local_min
-from degpart.graph import part_profile
+from degpart.graph import Counts, part_profile
 
 g = gen_gnp(400, 0.05, seed=2)
 bias = BiasVector((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
@@ -28,7 +28,7 @@ bias = BiasVector((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
 res = biased_max_r_cut(g, bias, seed=2)
 print(f"objective (scaled integer): {res.objective_start} -> {res.objective_end} "
       f"in {res.moves} moves")
-print("local-minimum violations:", len(check_biased_local_min(g, res.labels, bias)))
+print("local-minimum violations:", len(check_biased_local_min(Counts(g, res.labels, 3), bias)))
 
 counts = part_profile(g, res.labels, 3)
 own = counts[np.arange(g.n), res.labels]

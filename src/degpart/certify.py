@@ -168,13 +168,14 @@ def _table_key(params: ParamSet) -> tuple:
 class _Context:
     """The counts of one labeling, shared across the claims judged on it.
 
-    ``graph``, ``labels``, ``matrix`` and ``sizes`` are read from a
-    ``graph.Counts``; ``own``/``cross`` are each vertex's degree
-    inside/outside its part.  Threshold tables are built once per parameter
-    set, unless one was handed in.
+    ``graph``, ``labels``, ``matrix`` and ``sizes`` are read from
+    ``counts``, a ``graph.Counts``; ``own``/``cross`` are each vertex's
+    degree inside/outside its part.  Threshold tables are built once per
+    parameter set, unless one was handed in.
     """
 
     def __init__(self, counts: Counts, tables: dict | None = None):
+        self.counts = counts
         self.graph, self.labels = counts.graph, counts.labels
         self.matrix, self.sizes = counts.matrix, counts.sizes
         self.own = self.matrix[np.arange(self.graph.n), self.labels]

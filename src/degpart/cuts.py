@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph, LabeledPartition, part_profile
+from .graph import Counts, Graph, LabeledPartition, part_profile
 
 FLOAT_GUARD = 1e-12
 
@@ -257,9 +257,10 @@ def check_flip_local_optimum(graph: Graph, plus: np.ndarray, minus: np.ndarray) 
     return order[cross < own].tolist()
 
 
-def check_biased_local_min(graph: Graph, labels: np.ndarray, bias: BiasVector,
+def check_biased_local_min(counts: Counts, bias: BiasVector,
                            maximize: bool = False) -> list[tuple]:
-    """Violations of the ratio inequalities at a claimed local optimum.
+    """Violations of the ratio inequalities at a claimed local optimum,
+    read from the neighbour counts of its labeling.
 
     For each x in U_i with |U_i| >= 2 and each j != i, checks
     alpha_j * d_{U_i}(x) <= alpha_i * d_{U_j}(x) (reversed under maximize).
@@ -267,10 +268,8 @@ def check_biased_local_min(graph: Graph, labels: np.ndarray, bias: BiasVector,
     the denominators.  Returns a list of (vertex, i, j, d_i, d_j) violations
     in vertex, then j, order; empty means certified.
     """
-    r = bias.r
-    counts = part_profile(graph, labels, r)
-    labels = np.asarray(labels)
-    d_own = counts[np.arange(graph.n), labels]
+    graph, labels, matrix = counts.graph, counts.labels, counts.matrix
+    d_own = matrix[np.arange(graph.n), labels]
     if bias.exact:
         scale = math.lcm(*(a.denominator for a in bias.alpha))
         alpha = _exact_array([int(a * scale) for a in bias.alpha],
@@ -278,13 +277,12 @@ def check_biased_local_min(graph: Graph, labels: np.ndarray, bias: BiasVector,
     else:
         alpha = np.array(bias.as_floats())
     lhs = alpha[None, :] * d_own[:, None]  # alpha_j * d_i
-    rhs = alpha[labels][:, None] * counts  # alpha_i * d_j
+    rhs = alpha[labels][:, None] * matrix  # alpha_i * d_j
     ok = lhs >= rhs if maximize else lhs <= rhs
     if not bias.exact:
         ok |= np.abs(lhs - rhs) <= FLOAT_GUARD * np.maximum(1.0, rhs)
-    sizes = np.bincount(labels, minlength=r)
-    bad = ~ok & (sizes[labels] >= 2)[:, None]
+    bad = ~ok & (counts.sizes[labels] >= 2)[:, None]
     bad[np.arange(graph.n), labels] = False
     vs, js = np.nonzero(bad)
     return list(zip(vs.tolist(), labels[vs].tolist(), js.tolist(),
-                    d_own[vs].tolist(), counts[vs, js].tolist()))
+                    d_own[vs].tolist(), matrix[vs, js].tolist()))

@@ -10,6 +10,7 @@ read-only) and safe to share across concurrent readers.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ class Graph:
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphFormatError(f"edges of shape {pairs.shape} are not (u, v) pairs")
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
             a, b = (int(x) for x in pairs[np.argmax(bad)])
@@ -185,15 +187,9 @@ class LabeledPartition:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            # a cast would truncate them silently
-            raise LabelError(f"labels have non-integer dtype {labels.dtype}", 0)
-        self.labels = labels.astype(np.int64)
         if self.r < 2:
             raise ValueError("a partition needs at least 2 parts")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.r):
-            raise ValueError("labels out of range [0, r)")
+        self.labels = _check_labels(self.labels, self.r).astype(np.int64)
 
     @property
     def n(self) -> int:
@@ -219,22 +215,81 @@ def load_graph(text, n: int | None = None) -> Graph:
     """Parse an edge-list or DIMACS-style stream into a validated Graph.
 
     Edge-list format: one "u v" pair of integer ids per line, whitespace
-    separated; lines starting with '#' are comments.  DIMACS-style: a
-    "p edge <n> <m>" header followed by "e u v" lines with 1-indexed ids
-    (converted internally); 'c' lines are comments.
+    separated; lines starting with '#' are comments, and "# n <count>" sets
+    the vertex count.  DIMACS-style: a "p edge <n> <m>" header followed by
+    "e u v" lines with 1-indexed ids (converted internally); 'c' lines are
+    comments.
 
-    Duplicate edges are collapsed by ``Graph.from_edges`` and counted in the
-    returned graph's ``duplicates_collapsed``.  Self-loops and non-integer
-    tokens raise GraphFormatError with the offending line number, and so
-    does a negative vertex count in a header.
+    A clean edge list is read by one vectorised ``np.loadtxt`` parse; the
+    line loop reads DIMACS text and whatever that parse declines, and makes
+    every diagnosis, so both give the same graph on the same text.  Duplicate edges are collapsed by
+    ``Graph.from_edges`` and counted in the returned graph's
+    ``duplicates_collapsed``.  Self-loops, non-integer tokens and ids out of
+    range raise GraphFormatError with the offending line number, and so does
+    a negative vertex count in a header.
     """
     if hasattr(text, "read"):
         text = text.read()
+    if n is not None and n < 0:
+        raise GraphFormatError(f"negative vertex count n={n}")
+    graph = _read_clean(text, n) if isinstance(text, str) else None
+    return graph if graph is not None else _read_lines(text, n)
+
+
+def _read_clean(text: str, n: int | None) -> Graph | None:
+    """What ``_read_lines`` returns for an edge list, parsed at once; None
+    declines.
+
+    The leading blank and '#' comment lines are read here in python; the
+    records after them go to one ``np.loadtxt`` call.  It declines unless
+    every record is exactly "u v" of ASCII digits and signs between blanks
+    and line breaks that both parsers split on alike, with no self-loop and
+    every id in range, so it never has a line to name.  DIMACS text always
+    goes to the loop.
+    """
+    declared_n, pos = n, 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line = text[pos:end]
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            break
+        pos = end
+        if not parts:
+            continue
+        # one line to str.splitlines too, or the loop reads more than a comment
+        if len(line.splitlines()) != 1:
+            return None
+        rest = line.strip()[1:].split()
+        if len(rest) == 2 and rest[0] == "n":
+            if not (rest[1].isascii() and rest[1].isdigit()):
+                return None
+            declared_n = int(rest[1])
+    body = text[pos:]
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, b"0123456789+- \t\r\n") or not raw or raw.isspace():
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if pairs.shape[1] != 2 or pairs.min() < 0 or (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    if declared_n is None:
+        declared_n = int(pairs.max()) + 1
+    elif pairs.max() >= declared_n:
+        return None
+    return Graph.from_edges(declared_n, pairs)
+
+
+def _read_lines(text: str, n: int | None) -> Graph:
+    """The reference parser of ``load_graph``: one line at a time, naming
+    the first malformed line by number."""
     dimacs = re.search(r"^\s*p[ \t]", text, re.MULTILINE) is not None
     comment, offset = ("c", 1) if dimacs else ("#", 0)
     ids: list[int] = []
-    if n is not None and n < 0:
-        raise GraphFormatError(f"negative vertex count n={n}")
     declared_n = n
 
     def parse_int(tok: str, lineno: int) -> int:
@@ -319,23 +374,35 @@ def degree_in_set(graph: Graph, v: int, subset) -> int:
     return sum(1 for w in nb.tolist() if w in s)
 
 
-def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
-    """(n, r) matrix: entry [v, j] = number of neighbors of v in part j.
-
-    Raises LabelError unless labels holds one integer in [0, r) per vertex.
-    """
+def _check_labels(labels, r: int, n: int | None = None) -> np.ndarray:
+    """labels as an array, refused with LabelError unless it holds one
+    integer in [0, r) per vertex (n vertices, when n is given)."""
     labels = np.asarray(labels)
-    if labels.shape != (graph.n,):
-        raise LabelError(f"label array of shape {labels.shape} for n={graph.n}",
-                         min(labels.size, graph.n))
-    if graph.n == 0:
-        return np.zeros((0, r), dtype=np.int64)
+    if n is not None and labels.shape != (n,):
+        raise LabelError(f"label array of shape {labels.shape} for n={n}",
+                         min(labels.size, n))
+    if labels.ndim != 1:
+        raise LabelError(f"label array of shape {labels.shape} is not 1-D", 0)
+    if labels.size == 0:
+        return labels
     if not np.issubdtype(labels.dtype, np.integer):
+        # a cast would truncate them silently
         raise LabelError(f"labels have non-integer dtype {labels.dtype}", 0)
     bad = (labels < 0) | (labels >= r)
     if bad.any():
         v = int(np.argmax(bad))
         raise LabelError(f"vertex {v} has label {labels[v]} outside [0, {r})", v)
+    return labels
+
+
+def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
+    """(n, r) matrix: entry [v, j] = number of neighbors of v in part j.
+
+    Raises LabelError unless labels holds one integer in [0, r) per vertex.
+    """
+    labels = _check_labels(labels, r, graph.n)
+    if graph.n == 0:
+        return np.zeros((0, r), dtype=np.int64)
     flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=graph.n * r)
     return flat.reshape(graph.n, r)
 

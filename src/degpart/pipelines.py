@@ -610,9 +610,10 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     targets = _target_sizes(bias, graph.n)
     maximize = mode == INTERNAL
     result = biased_max_r_cut(graph, bias, seed=seed, maximize=maximize)
-    violations = check_biased_local_min(graph, result.labels, bias,
-                                        maximize=maximize)
-    pre_stats = partition_stats(graph, result.labels, bias.r)
+    # one count of the local optimum serves its check and its statistics
+    pre = certify.recount(graph, result.labels, bias.r)
+    violations = check_biased_local_min(pre.counts, bias, maximize=maximize)
+    pre_stats = partition_stats(graph, result.labels, bias.r, pre)
     pre_certified = not violations
 
     labels = result.labels.copy()

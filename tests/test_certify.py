@@ -161,6 +161,28 @@ def test_shifted_report_labels_are_refused_on_both_routes():
     assert LabeledPartition(2, np.array([], dtype=float)).n == 0
 
 
+def test_out_of_range_and_2d_report_labels_are_refused_on_both_routes():
+    # LabeledPartition used to raise a plain ValueError naming no vertex for
+    # an out-of-range label, and to accept a 2-D label array
+    g = gen_gnp(40, 0.3, seed=2)
+    report = bisect_internal(g, seed=0)
+    bad = report.labels.copy()
+    bad[7] = 2
+    res = verify_certificate(g, bad, report.certificate, r=2)
+    assert not res.passed and res.witness == 7 and "outside" in res.reason
+    report.labels = bad
+    with pytest.raises(LabelError, match=r"^vertex 7 has label 2 outside \[0, 2\)$") as exc:
+        verify_certificate(g, report.partition(), report.certificate)
+    assert exc.value.vertex == 7
+    square = bad.reshape(8, 5) % 2
+    res = verify_certificate(g, square, report.certificate, r=2)
+    assert not res.passed and "shape" in res.reason
+    report.labels = square
+    with pytest.raises(LabelError, match="is not 1-D") as exc:
+        verify_certificate(g, report.partition(), report.certificate)
+    assert exc.value.vertex == 0
+
+
 def test_check_claims_one_flag_per_claim():
     g = complete_graph(4)
     claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),

@@ -23,7 +23,7 @@ from degpart.cuts import (FLOAT_GUARD, BiasVector, _balanced_random_split,
                           biased_max_r_cut, check_biased_local_min,
                           check_flip_local_optimum, local_maxcut)
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
-from degpart.graph import Graph, part_profile
+from degpart.graph import Counts, Graph, part_profile
 
 from conftest import graphs
 
@@ -89,7 +89,7 @@ def test_biased_cut_c4_half_half():
     g = cycle_graph(4)
     bv = BiasVector((Fraction(1, 2), Fraction(1, 2)))
     res = biased_max_r_cut(g, bv, seed=3)
-    assert check_biased_local_min(g, res.labels, bv) == []
+    assert check_biased_local_min(Counts(g, res.labels, bv.r), bv) == []
     assert res.objective_end <= res.objective_start
 
 
@@ -100,7 +100,7 @@ def test_biased_cut_k3_lopsided():
     # every nontrivial 2-partition of K3 is a 2|1 split with one inner edge
     # in the pair part: scaled objective = w_0 * 1 = 3 or w_1 * 1 = 6
     assert res.objective_end in (3, 6)
-    assert check_biased_local_min(g, res.labels, bv) == []
+    assert check_biased_local_min(Counts(g, res.labels, bv.r), bv) == []
 
 
 def test_biased_cut_rejects_r_above_n():
@@ -113,7 +113,7 @@ def test_biased_cut_singleton_part_trivially_fine():
     g = complete_graph(5)
     bv = BiasVector((Fraction(9, 10), Fraction(1, 10)))
     res = biased_max_r_cut(g, bv, seed=1)
-    assert check_biased_local_min(g, res.labels, bv) == []
+    assert check_biased_local_min(Counts(g, res.labels, bv.r), bv) == []
 
 
 BIASES = [
@@ -130,7 +130,7 @@ def test_biased_cut_exact_invariants(g, alpha, seed):
     if bv.r > g.n:
         return
     res = biased_max_r_cut(g, bv, seed=seed)
-    assert check_biased_local_min(g, res.labels, bv) == []
+    assert check_biased_local_min(Counts(g, res.labels, bv.r), bv) == []
     counts = part_profile(g, res.labels, bv.r)
     # d_own(x) <= alpha_i * d(x) for every x, exactly (cross-multiplied)
     for v in range(g.n):
@@ -145,7 +145,7 @@ def test_biased_cut_exact_invariants(g, alpha, seed):
 def test_biased_cut_maximize_gives_own_floor(g, seed):
     bv = BiasVector((Fraction(1, 2), Fraction(1, 2)))
     res = biased_max_r_cut(g, bv, seed=seed, maximize=True)
-    assert check_biased_local_min(g, res.labels, bv, maximize=True) == []
+    assert check_biased_local_min(Counts(g, res.labels, bv.r), bv, maximize=True) == []
     counts = part_profile(g, res.labels, 2)
     sizes = np.bincount(res.labels, minlength=2)
     for v in range(g.n):
@@ -395,7 +395,7 @@ def labelings(draw):
           BiasVector((0.1, 0.3, 0.6)), np.array([1, 1, 1, 1, 0, 2])), False)
 def test_check_biased_local_min_matches_reference(case, maximize):
     g, bv, labels = case
-    assert check_biased_local_min(g, labels, bv, maximize) == \
+    assert check_biased_local_min(Counts(g, labels, bv.r), bv, maximize) == \
         ref_check_biased_local_min(g, labels, bv, maximize)
 
 
@@ -414,7 +414,7 @@ def test_checkers_report_violations_in_order():
     bv = BiasVector(("1/2", "1/2"))
     labels = np.array([0, 0, 0, 1])
     want = [(0, 0, 1, 2, 1), (1, 0, 1, 2, 1), (2, 0, 1, 2, 1)]
-    assert check_biased_local_min(g, labels, bv) == want
+    assert check_biased_local_min(Counts(g, labels, bv.r), bv) == want
     assert ref_check_biased_local_min(g, labels, bv) == want
     assert check_flip_local_optimum(g, np.array([2, 0, 1]), np.array([3])) == [2, 0, 1]
 

@@ -3,15 +3,19 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from degpart import graph as graph_module
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
 from degpart.graph import (Counts, Graph, GraphFormatError, LabeledPartition,
-                           cut_and_internal_profile, degree_in_set, load_graph,
-                           part_profile)
+                           LabelError, cut_and_internal_profile, degree_in_set,
+                           load_graph, part_profile)
 
 from conftest import graphs, naive_profile
+
+# np.loadtxt warns on a body without data; the loader must decline it first
+pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 
 def test_load_path_on_three_vertices():
@@ -148,6 +152,19 @@ def test_profile_matches_naive(g):
     assert counts.tolist() == naive_profile(g, labels.tolist(), 3)
     own = counts[np.arange(g.n), labels]
     assert ((own + (counts.sum(axis=1) - own)) == g.degree).all()
+
+
+def test_labeled_partition_names_the_first_bad_vertex():
+    with pytest.raises(LabelError, match=r"^vertex 1 has label 2 outside \[0, 2\)$") as exc:
+        LabeledPartition(2, [0, 2, 1])
+    assert exc.value.vertex == 1
+    with pytest.raises(LabelError, match=r"^vertex 2 has label -1 outside \[0, 3\)$"):
+        LabeledPartition(3, np.array([0, 1, -1, 5]))
+    for labels in ([[0, 1], [1, 0]], 1, np.zeros((3, 1), dtype=np.int64)):
+        with pytest.raises(LabelError, match="is not 1-D") as exc:
+            LabeledPartition(2, labels)
+        assert exc.value.vertex == 0
+    assert LabeledPartition(3, np.array([2, 0, 1], dtype=np.int8)).labels.dtype == np.int64
 
 
 def test_partition_helpers():
@@ -335,3 +352,148 @@ def test_counts_copy_is_independent():
     counts.swap(0, 2)
     assert (twin.labels == np.arange(30) % 3).all()
     assert (twin.matrix == part_profile(g, np.arange(30) % 3, 3)).all()
+
+
+# -- the vectorised parse against the line loop --------------------------------
+
+# the characters the fast parse must decline on (line breaks that
+# str.splitlines knows and np.loadtxt does not, a stray "#", unknown record
+# letters), and the ones python's int accepts but np.loadtxt refuses
+LOADER_ALPHABET = "0123 \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028#npecx-+_\u0663"
+# spliced into a line: a third column, signs, ids the loop alone reads,
+# record letters, a stray "#", and any short run of LOADER_ALPHABET
+SPLICE = st.sampled_from([" 3", " -1", "-", "+", " 0", "0", " 1_0", "\u0663", "1.0",
+                          "#", " #", "e", "e ", "x ", "p ", "c ", "\r"]) \
+    | st.text(LOADER_ALPHABET, min_size=1, max_size=2)
+END = st.sampled_from(["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+                       "\r\r\n", " # c\n", " \n", "\t\n", "\n\n", ""])
+
+
+@st.composite
+def loader_texts(draw):
+    """Raw strings over LOADER_ALPHABET, or an edge list or DIMACS text of
+    small ids (comment lines, "# n" or a problem line, then records), where
+    a quarter of the texts get odd pieces spliced into some lines or odd
+    line ends."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(LOADER_ALPHABET, max_size=30))
+    dirty = draw(st.integers(0, 3)) == 0
+
+    def odd():
+        return dirty and draw(st.integers(0, 4)) == 0
+
+    dimacs = draw(st.booleans())
+    comments = (["c x", "c", "c n 3"] if dimacs
+                else ["# c", "# n 5", "#n 6", "", "#\t n 4", "# n 6 6"])
+    lines = [draw(st.sampled_from(comments)) for _ in range(draw(st.integers(0, 2)))]
+    if dimacs:
+        lines.append(draw(st.sampled_from(["p edge 5 3", "p edge 6 0", "p x 6 1"])))
+    for _ in range(draw(st.integers(0, 6))):
+        ids = [str(draw(st.integers(int(dimacs), 6))) for _ in range(2)]
+        lines.append(" ".join(["e"] * dimacs + ids))
+    text = ""
+    for line in lines:
+        if odd():
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(SPLICE) + line[at:]
+        text += line + draw(END if odd() else st.just("\n"))
+    return text
+
+
+def load_outcome(load, text):
+    """The GraphFormatError message, or the graph as plain lists."""
+    try:
+        g = load(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.indptr.tolist(), g.indices.tolist(), g.duplicates_collapsed
+
+
+def small_ids(text):
+    """Every integer token of text is small (a text-made n is allocated)."""
+    for tok in text.split():
+        try:
+            if abs(int(tok)) > 10**4:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(loader_texts())
+# one text for each guard of the fast parse, which accepts it without one
+@example("# c\x1c0 1\n2 3\n")  # one header line to str.splitlines
+@example("c x\n0 1\n")  # body characters
+@example("0\x0b1\n")
+@example("# n x\n0 1\n")  # counts of ASCII digits only
+@example("# n \u00b2\n0 1\n")
+@example("p edge 3 0\ne \n")  # DIMACS goes to the loop, never to np.loadtxt
+# a lone "\r" ends a line for the loop, and np.loadtxt refuses it mid-line
+@example("0 1\r")
+@example("0 1\r2 3\n")
+@example("\r0 1\n")
+@example("0 1\n\r\n2 3")
+def test_fast_parse_agrees_with_the_line_loop(text):
+    assume(small_ids(text))
+    want = load_outcome(lambda t: graph_module._read_lines(t, None), text)
+    assert load_outcome(load_graph, text) == want
+    fast = graph_module._read_clean(text, None)
+    assert fast is None or load_outcome(lambda t: fast, text) == want
+
+
+def test_clean_text_never_enters_the_line_loop(monkeypatch):
+    loop, entered = graph_module._read_lines, []
+    monkeypatch.setattr(graph_module, "_read_lines",
+                        lambda text, n: entered.append(text) or loop(text, n))
+    g = gen_gnp(60, 0.2, seed=4)
+    u, v = (a.tolist() for a in g.edge_array())
+    dups = [f"{b} {a}" for a, b in zip(u[:5], v[:5])]
+    texts = [
+        g.to_edge_list_text(),
+        "# made by hand\n\n# n 70\r\n"
+        + "".join(f"{a}\t+{b}\r\n" for a, b in zip(u, v)) + "\n".join(dups),
+    ]
+    for text in texts:
+        got = load_graph(text)
+        assert not entered, "clean text went to the line loop"
+        assert load_outcome(lambda t: got, text) == load_outcome(lambda t: loop(t, None), text)
+    assert load_graph(texts[1]).n == 70 and load_graph(texts[1]).duplicates_collapsed == 5
+    assert load_graph(texts[0].split("\n", 1)[1], n=80).n == 80  # no "# n" header
+    assert not entered
+    # DIMACS text is read by the loop alone
+    dimacs = f"c made by hand\np edge 60 {len(u)}\n" + "".join(
+        f"e {a + 1} {b + 1}\n" for a, b in zip(u, v))
+    assert load_graph(dimacs).n == 60 and entered == [dimacs]
+
+
+@pytest.mark.parametrize("text, message", [
+    # line breaks str.splitlines knows and np.loadtxt does not
+    ("1\x0b2\n", "line 1: expected two vertex ids"),
+    ("1\x1c2\n", "line 1: expected two vertex ids"),
+    ("1\x852\n", "line 1: expected two vertex ids"),
+    ("1\u20282\n", "line 1: expected two vertex ids"),
+    ("0\r1\n", "line 1: expected two vertex ids"),
+    ("1 2 # c\n", "line 1: expected two vertex ids"),
+    ("1 2 3\n", "line 1: expected two vertex ids"),
+    ("0 1\n2\n", "line 2: expected two vertex ids"),
+    ("0 1\n1 2\n# n 2\n", "line 2: vertex id 2 above 1 (out of range for n=2)"),
+    ("c x\n0 1\n", "line 1: non-integer token 'c'"),
+    ("0 1\n1 0 1\n2 2\n", "line 2: expected two vertex ids"),
+    ("4 -1\n", "line 1: vertex id -1 below 0"),
+])
+def test_fast_parse_declines_and_the_loop_names_the_line(text, message):
+    assert graph_module._read_clean(text, None) is None
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text)
+    assert str(exc.value) == message
+
+
+def test_fast_parse_declines_what_only_python_int_reads():
+    # an empty body (np.loadtxt would warn), "1_000" and an Arabic-Indic
+    # three go to the loop, which reads them
+    for text, n, m in [("# n 5\n", 5, 0), ("", 0, 0), ("1_000 2\n", 1001, 1),
+                       ("\u0663 1\n", 4, 1)]:
+        assert graph_module._read_clean(text, None) is None
+        g = load_graph(text)
+        assert (g.n, g.m) == (n, m)
