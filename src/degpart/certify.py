@@ -12,7 +12,8 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
 
 * the producer maintains its counts while it moves vertices, and
   ``from_counts(counts, table)`` judges its intermediate conditions on them
-  with the table it built;
+  with the table it built (an r-partition reads the pre-repair statistics
+  of its local optimum from the search's counts the same way);
 * each labeling a pipeline emits is counted once from scratch into a fresh
   Counts (``recount(graph, labels, r)``), and that one count serves its
   statistics, its conditions and the self-verification of its certificate
@@ -271,11 +272,12 @@ def recount(graph: Graph, labels, r: int) -> _Context:
     return _Context(Counts(graph, labels, r))
 
 
-def from_counts(counts: Counts, table: ThresholdTable) -> _Context:
+def from_counts(counts: Counts, table: ThresholdTable | None = None) -> _Context:
     """A context over the counts a producer maintains, for judging its own
-    intermediate conditions; ``table`` serves the table floors of its
-    parameters.  Emitted labelings are judged on a ``recount`` instead."""
-    return _Context(counts, {_table_key(table.params): table})
+    intermediate conditions; ``table``, if given, serves the table floors of
+    its parameters.  Emitted labelings are judged on a ``recount`` instead."""
+    return _Context(counts, {_table_key(table.params): table} if table is not None
+                    else None)
 
 
 def judge(ctx: _Context, claims: list) -> list[bool]:

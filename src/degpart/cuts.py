@@ -20,13 +20,32 @@ Both searches run one kernel, ``_flip_search``: sweeps over the vertices in
 index order, each moving every vertex that has a strictly improving move
 (to the first such part, unless that would empty its part), until a sweep
 moves nothing.  ``local_maxcut`` is the case r = 2 with equal weights on
-G[S], minimized.  The kernel keeps a candidate mask, true for the vertices
+G[S], minimized.  The kernel runs on a ``graph.Counts`` that the caller
+builds and keeps: it updates the labels, the neighbour-count matrix and the
+part sizes in place.  It keeps a candidate mask, true for the vertices
 with a strictly improving move, and a sweep jumps from one candidate to the
 next.  Whether v can move depends only on its own label and its own row of
 neighbor counts per part, and these change only when v or a neighbor of v
 moves; after each move the mask is recomputed for exactly those vertices.
 So the mask is exact whenever a vertex is reached, and the sweeps make the
 same moves, in the same order, as sweeps that visit every vertex.
+
+A move of x from part l to part q improves f iff w_q * c_q beats the bar of
+w_l * c_l, where c_j counts the neighbours of x in part j, "beats" is < (>
+under maximize) and the bar is w_l * c_l itself for integer weights and
+w_l * c_l -/+ the FLOAT_GUARD margin for float weights.  The kernel decides
+this from an integer table built once per search, thr[q, l, c_l]: the move
+improves iff c_q < thr (c_q > thr under maximize).  The entry is the
+``searchsorted`` position of the bar among the costs w_q * 0, ..., w_q *
+maxdeg.  This is exact, not an approximation: a product c * w_q, in int64,
+in python ints or in floats, never decreases as the integer c grows, so the
+counts whose cost beats the bar form a prefix (a suffix under maximize) of
+0..maxdeg, and the table stores where it ends.  The bar and the costs are
+computed by the same expressions as a direct comparison, so every decision,
+near-ties within the float guard included, is the one that comparison
+makes.  The diagonal q = l never fires, because no cost beats its own bar.
+Building the table costs O(r^2 * maxdeg); a move then costs one gather of
+each part's count column and of the table row per touched vertex.
 """
 
 from __future__ import annotations
@@ -37,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Counts, Graph, LabeledPartition, part_profile
+from .graph import Counts, Graph, part_profile
 
 FLOAT_GUARD = 1e-12
 
@@ -118,64 +137,101 @@ def local_maxcut(graph: Graph, subset=None, seed: int = 0):
         return ids.copy(), ids.copy(), 0
     sub = graph if subset is None else graph.induced_subgraph(ids)
     rng = np.random.default_rng(seed)
-    side = _balanced_random_split(ids, 2, rng)
+    counts = Counts(sub, _balanced_random_split(ids, 2, rng), 2)
     # flipping x strictly improves e(plus) + e(minus) iff d_own(x) > d_cross(x);
     # a lone vertex has d_own = 0, so the part-size guard never fires
-    _, _, flips = _flip_search(sub, side, [1, 1])
+    _, _, flips = _flip_search(counts, [1, 1])
+    side = counts.labels
     return ids[side == 0], ids[side == 1], flips
 
 
 def _exact_array(values: list, max_factor: int) -> np.ndarray:
-    """Integers as int64, or as python ints (dtype=object) when a product
-    with a factor up to max_factor might not fit in int64."""
-    fits = max(values) * max_factor < 2 ** 63
+    """Integers as int64, or as python ints (dtype=object) when they, or a
+    product with a factor up to max_factor, might not fit in int64."""
+    fits = max(values) * max(max_factor, 1) < 2 ** 63
     return np.array(values, dtype=np.int64 if fits else object)
 
 
-def _flip_search(graph: Graph, labels: np.ndarray, w: list,
-                 maximize: bool = False):
-    """Single-vertex moves on ``labels`` (in place, r = len(w) parts) until
-    no vertex of a part with >= 2 vertices has a move that strictly improves
-    f = sum_i w_i * e(U_i): down by default, up under maximize.
+def _move_thresholds(w: list, maxdeg: int, maximize: bool) -> np.ndarray:
+    """thr[q, l, c]: a vertex of part l with c neighbours there may move to
+    part q iff its count c_q toward q is below thr (above it under maximize).
 
-    Returns (f at the start, f at the end, moves).  Integer weights compare
-    exactly; float weights need a FLOAT_GUARD relative margin.  See the
-    module docstring for why the candidate mask keeps the move sequence of a
-    plain sweep over all vertices.
+    Each entry is the searchsorted position of the bar of w_l * c among the
+    costs w_q * 0, ..., w_q * maxdeg, so the table decides exactly what a
+    direct comparison of the costs decides; see the module docstring.
     """
+    exact = all(isinstance(x, int) for x in w)
+    grid = np.arange(maxdeg + 1, dtype=np.int64)
+    weights = (_exact_array(w, maxdeg) if exact
+               else np.array(w, dtype=np.float64))
+    costs = weights[:, None] * grid[None, :]  # costs[q, c] = w_q * c
+    bars = costs
+    if not exact:
+        guard = FLOAT_GUARD * np.maximum(1.0, np.abs(costs))
+        bars = costs + guard if maximize else costs - guard
+    r = len(w)
+    thr = np.empty((r, r, maxdeg + 1), dtype=np.int64)
+    for q in range(r):
+        for l in range(r):
+            if maximize:  # the last count whose cost does not beat the bar
+                thr[q, l] = np.searchsorted(costs[q], bars[l], side="right") - 1
+            else:  # the first count whose cost does not beat the bar
+                thr[q, l] = np.searchsorted(costs[q], bars[l], side="left")
+    return thr
+
+
+def _flip_search(counts: Counts, w: list, maximize: bool = False):
+    """Single-vertex moves on the labeling of ``counts`` (r = len(w) parts)
+    until no vertex of a part with >= 2 vertices has a move that strictly
+    improves f = sum_i w_i * e(U_i): down by default, up under maximize.
+
+    ``counts`` is updated in place (labels, matrix and sizes).  Returns (f
+    at the start, f at the end, moves).  Integer weights compare exactly;
+    float weights need a FLOAT_GUARD relative margin.  See the module
+    docstring for the move-threshold table and for why the candidate mask
+    keeps the move sequence of a plain sweep over all vertices.
+    """
+    graph, labels, matrix = counts.graph, counts.labels, counts.matrix
     n, r = graph.n, len(w)
     exact = all(isinstance(x, int) for x in w)
-    # counts[j, v]: neighbors of v in part j; part-major, so that the
-    # per-part passes of movable read contiguous rows
-    counts = np.ascontiguousarray(part_profile(graph, labels, r).T)
-    sizes = np.bincount(labels, minlength=r)
-    weights = (_exact_array(w, int(graph.degree.max(initial=0))) if exact
-               else np.array(w, dtype=np.float64))
-
+    width = int(graph.degree.max(initial=0)) + 1
+    thr = _move_thresholds(w, width - 1, maximize)
+    # thr_rows[q][l * width + c] for the numpy passes, thr_py[l][c][q] for one
+    # vertex at a time
+    thr_rows = thr.reshape(r, -1)
+    thr_py = thr.transpose(1, 2, 0).tolist()
+    cols = [matrix[:, q] for q in range(r)]  # strided views, updated in place
+    flat = matrix.reshape(-1)
+    nb_rows = graph.indices * r  # where each CSR neighbour's row starts in flat
     beats = np.greater if maximize else np.less
 
-    def bar(own_cost):
-        """The cost that a target part must strictly beat."""
-        if exact:
-            return own_cost
-        guard = FLOAT_GUARD * np.maximum(1.0, np.abs(own_cost))
-        return own_cost + guard if maximize else own_cost - guard
+    def improves(row, lab):
+        """The first part that a vertex of part lab with neighbour counts
+        row (a list) improves by moving to, or None."""
+        bar = thr_py[lab][row[lab]]
+        for q in range(r):
+            if (row[q] > bar[q]) if maximize else (row[q] < bar[q]):
+                return q
+        return None
 
-    def movable(vs):
-        """Whether vertex vs[k] has a strictly improving move."""
-        cost = counts[:, vs] * weights[:, None]
-        b = bar(cost[labels[vs], np.arange(len(vs))])
-        out = beats(cost[0], b)
-        for c in cost[1:]:  # r - 1 elementwise passes: cheaper than one reduce
-            out |= beats(c, b)
+    def movable(vs, rows):
+        """Whether vertex vs[k], whose row starts at flat[rows[k]], has a
+        strictly improving move."""
+        lab = labels[vs]
+        key = flat[rows + lab]
+        key += lab * width
+        out = beats(cols[0][vs], thr_rows[0][key])
+        for q in range(1, r):
+            out |= beats(cols[q][vs], thr_rows[q][key])
         return out
 
     tot = 0 if exact else 0.0
     for j in range(r):
-        tot += w[j] * int(counts[j, labels == j].sum())
+        tot += w[j] * int(cols[j][labels == j].sum())
     f0 = f_cur = tot // 2 if exact else tot / 2.0
     sign = -1 if maximize else 1
-    cand = movable(np.arange(n))
+    sizes = counts.sizes.tolist()
+    cand = movable(np.arange(n), np.arange(0, n * r, r))
     moves = 0
     moved = True
     while moved:
@@ -190,9 +246,9 @@ def _flip_search(graph: Graph, labels: np.ndarray, w: list,
             i = int(labels[v])
             if sizes[i] < 2:
                 continue  # move would empty the part
-            cost = counts[:, v] * weights
-            j = int(beats(cost, bar(cost[i])).argmax())  # first improving part
-            f_new = f_cur + (w[j] * int(counts[j, v]) - w[i] * int(counts[i, v]))
+            row = matrix[v].tolist()
+            j = improves(row, i)
+            f_new = f_cur + (w[j] * row[j] - w[i] * row[i])
             # f must strictly improve in the chosen direction
             if exact:
                 assert sign * (f_new - f_cur) < 0
@@ -200,26 +256,33 @@ def _flip_search(graph: Graph, labels: np.ndarray, w: list,
             labels[v] = j
             sizes[i] -= 1
             sizes[j] += 1
-            nb = graph.neighbors(v)
-            counts[i, nb] -= 1
-            counts[j, nb] += 1
-            touched = np.concatenate((nb, (v,)))
-            cand[touched] = movable(touched)
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
+            nb = graph.indices[lo:hi]
+            cols[i][nb] -= 1
+            cols[j][nb] += 1
+            cand[nb] = movable(nb, nb_rows[lo:hi])
+            cand[v] = improves(row, j) is not None  # v's own row is unchanged
             moves += 1
             moved = True
+    counts.sizes[:] = sizes
     return f0, f_cur, moves
 
 
 @dataclass
 class RCutResult:
-    labels: np.ndarray
+    """A biased max-r-cut local optimum: its ``graph.Counts`` (labels, the
+    neighbour counts and the part sizes), the objective at the start and
+    end, the moves made, and whether the biases were exact."""
+
+    counts: Counts
     objective_start: object
     objective_end: object
     moves: int
     exact: bool
 
-    def partition(self, r: int) -> LabeledPartition:
-        return LabeledPartition(r, self.labels)
+    @property
+    def labels(self) -> np.ndarray:
+        return self.counts.labels
 
 
 def biased_max_r_cut(graph: Graph, bias: BiasVector, seed: int = 0,
@@ -239,9 +302,10 @@ def biased_max_r_cut(graph: Graph, bias: BiasVector, seed: int = 0,
     if r > graph.n:
         raise ValueError(f"r={r} parts need at least r vertices, got n={graph.n}")
     rng = np.random.default_rng(seed)
-    labels = _balanced_random_split(np.arange(graph.n, dtype=np.int64), r, rng)
-    f0, f_end, moves = _flip_search(graph, labels, bias.weights(), maximize)
-    return RCutResult(labels, f0, f_end, moves, bias.exact)
+    counts = Counts(graph, _balanced_random_split(
+        np.arange(graph.n, dtype=np.int64), r, rng), r)
+    f0, f_end, moves = _flip_search(counts, bias.weights(), maximize)
+    return RCutResult(counts, f0, f_end, moves, bias.exact)
 
 
 def check_flip_local_optimum(graph: Graph, plus: np.ndarray, minus: np.ndarray) -> list[int]:

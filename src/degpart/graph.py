@@ -12,10 +12,15 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
-import re
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# the most vertices a graph holds: from_edges keys each edge as lo * n + hi,
+# which must fit in int64
+MAX_VERTICES = math.isqrt(2 ** 63 - 1)
 
 
 class GraphFormatError(ValueError):
@@ -72,11 +77,10 @@ class Graph:
 
         Duplicate pairs are collapsed and counted in ``duplicates_collapsed``;
         a self-loop or an id outside [0, n) raises GraphFormatError naming the
-        first bad pair in input order, and so does a negative n.
+        first bad pair in input order, and so does an n below 0 or above
+        ``MAX_VERTICES``.
         """
-        n = int(n)
-        if n < 0:
-            raise GraphFormatError(f"negative vertex count n={n}")
+        n = _vertex_count(n)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                            dtype=np.int64)
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
@@ -226,14 +230,28 @@ def load_graph(text, n: int | None = None) -> Graph:
     ``Graph.from_edges`` and counted in the returned graph's
     ``duplicates_collapsed``.  Self-loops, non-integer tokens and ids out of
     range raise GraphFormatError with the offending line number, and so does
-    a negative vertex count in a header.
+    a vertex count in a header below 0 or above ``MAX_VERTICES``
+    (isqrt(2**63 - 1), the most whose edge keys fit in int64).  A count up to
+    that limit, declared or inferred as the largest id + 1, is honoured as
+    declared: the graph's arrays hold n + 1 offsets, however few edges follow.
     """
     if hasattr(text, "read"):
         text = text.read()
-    if n is not None and n < 0:
-        raise GraphFormatError(f"negative vertex count n={n}")
+    if n is not None:
+        n = _vertex_count(n)
     graph = _read_clean(text, n) if isinstance(text, str) else None
     return graph if graph is not None else _read_lines(text, n)
+
+
+def _vertex_count(n) -> int:
+    """n as an int, refused with GraphFormatError unless 0 <= n <= MAX_VERTICES."""
+    n = int(n)
+    if n < 0:
+        raise GraphFormatError(f"negative vertex count n={n}")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count n={n} above {MAX_VERTICES}, the most "
+                               f"a graph holds")
+    return n
 
 
 def _read_clean(text: str, n: int | None) -> Graph | None:
@@ -265,6 +283,8 @@ def _read_clean(text: str, n: int | None) -> Graph | None:
             if not (rest[1].isascii() and rest[1].isdigit()):
                 return None
             declared_n = int(rest[1])
+            if declared_n > MAX_VERTICES:
+                return None
     body = text[pos:]
     if not body.isascii():
         return None
@@ -277,17 +297,18 @@ def _read_clean(text: str, n: int | None) -> Graph | None:
         return None
     if pairs.shape[1] != 2 or pairs.min() < 0 or (pairs[:, 0] == pairs[:, 1]).any():
         return None
+    if pairs.max() >= (MAX_VERTICES if declared_n is None else declared_n):
+        return None
     if declared_n is None:
         declared_n = int(pairs.max()) + 1
-    elif pairs.max() >= declared_n:
-        return None
     return Graph.from_edges(declared_n, pairs)
 
 
 def _read_lines(text: str, n: int | None) -> Graph:
     """The reference parser of ``load_graph``: one line at a time, naming
     the first malformed line by number."""
-    dimacs = re.search(r"^\s*p[ \t]", text, re.MULTILINE) is not None
+    # a problem line as the loop below splits it
+    dimacs = any(raw.split()[:1] == ["p"] for raw in text.splitlines())
     comment, offset = ("c", 1) if dimacs else ("#", 0)
     ids: list[int] = []
     declared_n = n
@@ -302,6 +323,9 @@ def _read_lines(text: str, n: int | None) -> Graph:
         count = parse_int(tok, lineno)
         if count < 0:
             raise GraphFormatError(f"line {lineno}: negative vertex count {count}")
+        if count > MAX_VERTICES:
+            raise GraphFormatError(f"line {lineno}: vertex count {count} above "
+                                   f"{MAX_VERTICES}, the most a graph holds")
         return count
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -333,25 +357,28 @@ def _read_lines(text: str, n: int | None) -> Graph:
         if u < offset or v < offset:
             raise GraphFormatError(f"line {lineno}: vertex id {min(u, v)} below {offset}")
         ids += (u, v)
-    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2) - offset
-    if declared_n is None:
-        if dimacs:
-            raise GraphFormatError("DIMACS stream without a problem line")
-        declared_n = int(pairs.max()) + 1 if len(pairs) else 0
-    try:
-        return Graph.from_edges(declared_n, pairs)
-    except GraphFormatError:
-        # every id is at least the offset here, so some id is above n:
-        # name it as written, on its line (the k-th edge record)
-        k = int(np.argmax(pairs.max(axis=1) >= declared_n))
+    if declared_n is None and dimacs:
+        raise GraphFormatError("DIMACS stream without a problem line")
+    # every id is at least the offset here; name the first one above the
+    # count (or above the most vertices a graph holds, when the count is
+    # inferred) as written, on its line (the k-th edge record)
+    top = (MAX_VERTICES if declared_n is None else declared_n) - 1 + offset
+    if ids and max(ids) > top:
+        k = next(at for at, x in enumerate(ids) if x > top) // 2
         records = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
                    if (parts := raw.split()) and not parts[0].startswith(comment)
                    and parts[0] != "p")
         lineno = next(itertools.islice(records, k, None))
-        bad = max(int(x) for x in pairs[k]) + offset
-        raise GraphFormatError(f"line {lineno}: vertex id {bad} above "
-                               f"{declared_n - 1 + offset} (out of range for "
-                               f"n={declared_n})") from None
+        bad = max(ids[2 * k], ids[2 * k + 1])
+        if declared_n is None:
+            raise GraphFormatError(f"line {lineno}: vertex id {bad} above {top}, "
+                                   f"the largest a graph holds")
+        raise GraphFormatError(f"line {lineno}: vertex id {bad} above {top} (out of "
+                               f"range for n={declared_n})")
+    pairs = np.array(ids, dtype=np.int64).reshape(-1, 2) - offset
+    if declared_n is None:
+        declared_n = int(pairs.max()) + 1 if len(pairs) else 0
+    return Graph.from_edges(declared_n, pairs)
 
 
 # -- degree/cut primitives --------------------------------------------------

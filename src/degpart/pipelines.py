@@ -166,23 +166,24 @@ class PipelineReport:
                    d["guaranteed"], d.get("seed", 0), d.get("diagnostics", {}))
 
 
-def _make_report(graph: Graph, shape: str, params: ParamSet | dict,
-                 labels: np.ndarray, r: int, claims: list, ok: bool, seed: int,
-                 diagnostics: dict, n_guarantee_threshold: int | None = None,
-                 hyp_ok: bool = True, counted=None) -> PipelineReport:
-    """Assemble a report; its certificate must pass the verifier.
+def _make_report(counted, shape: str, params: ParamSet | dict, claims: list,
+                 ok: bool, seed: int, diagnostics: dict,
+                 n_guarantee_threshold: int | None = None,
+                 hyp_ok: bool = True) -> PipelineReport:
+    """Assemble the report of an emitted labeling; its certificate must pass
+    the verifier.
 
-    counted is the ``certify.recount`` of labels that judged the claims;
-    the stats and every certificate claim are judged on it as well.
+    counted is the ``certify.recount`` of the labeling, the one that judged
+    the claims; the stats and every certificate claim are judged on it too.
     """
+    graph, labels = counted.graph, counted.labels
+    r = counted.matrix.shape[1]
     # the asymptotic size thresholds have no explicit values; without a
     # user-asserted threshold no run claims a guarantee
     guaranteed = bool(ok and hyp_ok and n_guarantee_threshold is not None
                       and graph.n >= n_guarantee_threshold)
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
     mode = pdict.get("mode", "n/a")
-    if counted is None:
-        counted = certify.recount(graph, labels, r)
     stats = partition_stats(graph, labels, r, counted)
     cert = Certificate(graph.fingerprint, pdict, seed, VERSION,
                        claims + _stats_claims(stats))
@@ -344,8 +345,8 @@ def _failure_report(graph: Graph, shape: str, params: ParamSet, tri,
                     seed: int) -> PipelineReport:
     diagnostics = {"failure": tri.diagnostics,
                    "stage1_attempts": tri.stage1.attempts}
-    return _make_report(graph, shape, params, tri.labels, 3, [], False, seed,
-                        diagnostics)
+    return _make_report(certify.recount(graph, tri.labels, 3), shape, params, [],
+                        False, seed, diagnostics)
 
 
 def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
@@ -372,8 +373,8 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
     if mode == EXTERNAL:
         diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
     diagnostics["stage1_attempts"] = tri.stage1.attempts
-    return _make_report(graph, "bisect", params, counted.labels, 2, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold, counted=counted)
+    return _make_report(counted, "bisect", params, claims, ok, seed, diagnostics,
+                        n_guarantee_threshold)
 
 
 def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
@@ -466,9 +467,8 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
     ok = all(conditions.values())
     diagnostics = {"conditions": conditions, "min_degree_hypothesis": hyp,
                    "k": k, "stage1_attempts": tri.stage1.attempts}
-    return _make_report(graph, "tripart", run_params, tri.labels, 3, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold, hyp["ok"],
-                        counted)
+    return _make_report(counted, "tripart", run_params, claims, ok, seed,
+                        diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
@@ -515,9 +515,8 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
         "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    return _make_report(graph, "dual", run_params, counted.labels, 2, claims, ok,
-                        seed, diagnostics, n_guarantee_threshold, hyp["ok"],
-                        counted)
+    return _make_report(counted, "dual", run_params, claims, ok, seed,
+                        diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
@@ -546,9 +545,10 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
     cap_a = n // 2 - int(sizes[PART_A])
     size_c = int(sizes[PART_C])
     if not 0 <= cap_a <= size_c:
-        return _make_report(graph, "cutavg", run_params, tri.labels, 3, [],
-                            False, seed, {"failure": "C split infeasible",
-                                          "cap_a": cap_a, "size_c": size_c})
+        return _make_report(certify.recount(graph, tri.labels, 3), "cutavg",
+                            run_params, [], False, seed,
+                            {"failure": "C split infeasible", "cap_a": cap_a,
+                             "size_c": size_c})
     counted, _ = _fold(graph, tri, "own", cap_a)
     cut = int(counted.matrix[counted.labels == 0, 1].sum())
     cut_bound = 2 * k * size_c
@@ -565,9 +565,8 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
         "min_degree_hypothesis": hyp,
         "stage1_attempts": tri.stage1.attempts,
     }
-    return _make_report(graph, "cutavg", run_params, counted.labels, 2, claims,
-                        ok, seed, diagnostics, n_guarantee_threshold, hyp["ok"],
-                        counted)
+    return _make_report(counted, "cutavg", run_params, claims, ok, seed,
+                        diagnostics, n_guarantee_threshold, hyp["ok"])
 
 
 # -- r-partitions ------------------------------------------------------------
@@ -610,10 +609,11 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     targets = _target_sizes(bias, graph.n)
     maximize = mode == INTERNAL
     result = biased_max_r_cut(graph, bias, seed=seed, maximize=maximize)
-    # one count of the local optimum serves its check and its statistics
-    pre = certify.recount(graph, result.labels, bias.r)
-    violations = check_biased_local_min(pre.counts, bias, maximize=maximize)
-    pre_stats = partition_stats(graph, result.labels, bias.r, pre)
+    # the search's own counts serve the check of the local optimum and its
+    # statistics: diagnostics of a labeling that is not emitted
+    violations = check_biased_local_min(result.counts, bias, maximize=maximize)
+    pre_stats = partition_stats(graph, result.labels, bias.r,
+                                certify.from_counts(result.counts))
     pre_certified = not violations
 
     labels = result.labels.copy()
@@ -648,5 +648,5 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     }
     params = {"mode": mode, "alpha": [float(a) for a in bias.alpha],
               "r": bias.r}
-    return _make_report(graph, "rpart", params, labels, bias.r, claims, True,
-                        seed, diagnostics, n_guarantee_threshold)
+    return _make_report(certify.recount(graph, labels, bias.r), "rpart", params,
+                        claims, True, seed, diagnostics, n_guarantee_threshold)

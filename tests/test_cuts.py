@@ -13,15 +13,18 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from degpart import cuts
 from degpart.cuts import (FLOAT_GUARD, BiasVector, _balanced_random_split,
-                          biased_max_r_cut, check_biased_local_min,
-                          check_flip_local_optimum, local_maxcut)
+                          _move_thresholds, biased_max_r_cut,
+                          check_biased_local_min, check_flip_local_optimum,
+                          local_maxcut)
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 
@@ -417,6 +420,102 @@ def test_checkers_report_violations_in_order():
     assert check_biased_local_min(Counts(g, labels, bv.r), bv) == want
     assert ref_check_biased_local_min(g, labels, bv) == want
     assert check_flip_local_optimum(g, np.array([2, 0, 1]), np.array([3])) == [2, 0, 1]
+
+
+# -- the move-threshold table and the counts the kernel leaves behind -----------
+
+
+@st.composite
+def move_weights(draw, r):
+    """Per-part weights: exact ints, ints of about 2**139 (python ints in
+    object arrays), or floats, a part of them tied or nearly tied to another
+    part's weight at a ratio of small counts (within FLOAT_GUARD)."""
+    kind = draw(st.sampled_from(["exact", "huge", "float"]))
+    if kind == "exact":
+        return draw(st.lists(st.integers(1, 10 ** 6), min_size=r, max_size=r))
+    if kind == "huge":
+        return [2 ** 139 + draw(st.integers(-2 ** 70, 2 ** 70)) for _ in range(r)]
+    w = [draw(st.floats(0.5, 64.0)) for _ in range(r)]
+    for q in range(1, r):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+            w[q] = w[draw(st.integers(0, q - 1))] * a / b * (
+                1.0 + draw(st.integers(-20, 20)) * 1e-13)
+    return w
+
+
+@st.composite
+def table_cases(draw):
+    r = draw(st.sampled_from([2, 3, 4]))
+    return draw(move_weights(r)), draw(st.integers(0, 24)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(table_cases())
+@example(([1, 1], 0, False))
+@example(([2 ** 139, 2 ** 139 + 1, 2 ** 139 - 1], 9, True))
+@example(([0.1, 0.1 * 3 / 7 * (1 + 3e-13), 2.5], 12, False))
+@example(([1 / 0.2, 1 / 0.3, 1 / 0.5], 20, True))
+def test_move_table_decides_as_the_direct_comparison(case):
+    w, maxdeg, maximize = case
+    thr = _move_thresholds(w, maxdeg, maximize)
+    assert thr.shape == (len(w), len(w), maxdeg + 1)
+    exact = all(isinstance(x, int) for x in w)
+    for l in range(len(w)):
+        for c_l in range(maxdeg + 1):
+            own = w[l] * c_l
+            if exact:
+                bar = own
+            else:
+                guard = FLOAT_GUARD * max(1.0, abs(own))
+                bar = own + guard if maximize else own - guard
+            for q in range(len(w)):
+                for c_q in range(maxdeg + 1):
+                    cost = w[q] * c_q
+                    direct = cost > bar if maximize else cost < bar
+                    table = c_q > thr[q, l, c_l] if maximize else c_q < thr[q, l, c_l]
+                    assert table == direct, (l, q, c_l, c_q)
+
+
+def assert_counts_current(counts, graph, r):
+    assert (counts.matrix == part_profile(graph, counts.labels, r)).all()
+    assert counts.sizes.tolist() == np.bincount(counts.labels, minlength=r).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_cases(), st.integers(0, 7), st.booleans())
+# weights of 2**139 with no edge: the weights themselves need python ints
+@example((Graph.from_edges(3, []), BiasVector(HUGE)), 0, False)
+@example((Graph.from_edges(3, []), BiasVector(HUGE)), 0, True)
+def test_biased_cut_returns_current_counts(case, seed, maximize):
+    g, bv = case
+    res = biased_max_r_cut(g, bv, seed=seed, maximize=maximize)
+    assert res.counts.graph is g and res.labels is res.counts.labels
+    assert_counts_current(res.counts, g, bv.r)
+    assert check_biased_local_min(res.counts, bv, maximize) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(maxcut_cases(), st.integers(0, 7))
+def test_local_maxcut_leaves_its_counts_current(case, seed):
+    g, subset = case
+    kernel, seen = cuts._flip_search, []
+
+    def spy(counts, w, maximize=False):
+        out = kernel(counts, w, maximize)
+        seen.append(counts)
+        return out
+    with mock.patch.object(cuts, "_flip_search", spy):
+        plus, minus, _ = local_maxcut(g, subset, seed=seed)
+    if not seen:  # an empty subset runs no search
+        assert len(plus) == len(minus) == 0
+        return
+    (counts,) = seen
+    assert_counts_current(counts, counts.graph, 2)
+    ids = np.unique(np.asarray(subset if subset is not None else range(g.n),
+                               dtype=np.int64))
+    assert plus.tolist() == ids[counts.labels == 0].tolist()
+    assert minus.tolist() == ids[counts.labels == 1].tolist()
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cuts.json"

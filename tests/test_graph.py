@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from degpart import graph as graph_module
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
-from degpart.graph import (Counts, Graph, GraphFormatError, LabeledPartition,
-                           LabelError, cut_and_internal_profile, degree_in_set,
-                           load_graph, part_profile)
+from degpart.graph import (MAX_VERTICES, Counts, Graph, GraphFormatError,
+                           LabeledPartition, LabelError, cut_and_internal_profile,
+                           degree_in_set, load_graph, part_profile)
 
 from conftest import graphs, naive_profile
 
@@ -429,6 +429,7 @@ def small_ids(text):
 @example("# n x\n0 1\n")  # counts of ASCII digits only
 @example("# n \u00b2\n0 1\n")
 @example("p edge 3 0\ne \n")  # DIMACS goes to the loop, never to np.loadtxt
+@example("p\x1fedge 5 1\ne 1 2\n")  # a problem line as str.split reads it
 # a lone "\r" ends a line for the loop, and np.loadtxt refuses it mid-line
 @example("0 1\r")
 @example("0 1\r2 3\n")
@@ -497,3 +498,44 @@ def test_fast_parse_declines_what_only_python_int_reads():
         assert graph_module._read_clean(text, None) is None
         g = load_graph(text)
         assert (g.n, g.m) == (n, m)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "\x1f", "\xa0", "\u2003"])
+def test_a_problem_line_is_found_as_the_loop_splits_it(blank):
+    # any blank that str.split splits on, not only a space or a tab
+    g = load_graph(f"p{blank}edge 5 1\ne 1 2\n")
+    assert (g.n, g.m, g.neighbors(0).tolist()) == (5, 1, [1])
+    with pytest.raises(GraphFormatError, match="line 1: malformed problem line"):
+        load_graph("p\ne 1 2\n")
+
+
+TOO_MANY = MAX_VERTICES + 1
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"# n {TOO_MANY}\n0 1\n", f"line 1: vertex count {TOO_MANY} above"),
+    ("# n 1000000000000\n0 1\n", "line 1: vertex count 1000000000000 above"),
+    (f"c made by hand\np edge {TOO_MANY} 1\ne 1 2\n",f"line 2: vertex count {TOO_MANY} above"),
+    # an inferred count: the largest id names its line
+    (f"0 1\n2 {MAX_VERTICES}\n", f"line 2: vertex id {MAX_VERTICES} above "
+     f"{MAX_VERTICES - 1}, the largest a graph holds"),
+    ("0 1\n0 99999999999999999999\n", "line 2: vertex id 99999999999999999999 above"),
+    ("p edge 5 1\ne 1 99999999999999999999\n",
+     "line 2: vertex id 99999999999999999999 above 5 (out of range for n=5)"),
+])
+def test_a_vertex_count_past_the_int64_keys_is_refused_on_its_line(text, message):
+    assert graph_module._read_clean(text, None) is None
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text)
+    assert str(exc.value).startswith(message)
+
+
+def test_from_edges_refuses_a_vertex_count_past_the_int64_keys():
+    assert MAX_VERTICES ** 2 < 2 ** 63 <= (MAX_VERTICES + 1) ** 2
+    for call in (lambda: Graph.from_edges(TOO_MANY, []),
+                 lambda: load_graph("0 1\n", n=TOO_MANY)):
+        with pytest.raises(GraphFormatError, match=f"n={TOO_MANY} above {MAX_VERTICES}"):
+            call()
+    # the limit itself is a legal count (not built here: it would hold
+    # MAX_VERTICES + 1 offsets)
+    assert graph_module._vertex_count(MAX_VERTICES) == MAX_VERTICES

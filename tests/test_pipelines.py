@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from degpart import certify
 from degpart.certify import verify_certificate
-from degpart.cuts import BiasVector
+from degpart.cuts import BiasVector, biased_max_r_cut
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import best_bisection
@@ -445,16 +445,31 @@ def test_a_bisection_counts_once_per_attempt_and_once_for_its_output(monkeypatch
     assert 2 <= len(calls) <= report.diagnostics["stage1_attempts"] + 1
 
 
+@pytest.mark.parametrize("mode", [EXTERNAL, INTERNAL])
+def test_an_r_partition_counts_its_search_once_and_its_output_once(monkeypatch, mode):
+    # the search's start; the emitted labels' recount.  The pre-repair check
+    # and statistics read the search's own counts.
+    g = gen_gnp(120, 0.1, seed=2)
+    calls = count_part_profile(monkeypatch)
+    report = r_partition(g, BiasVector(("1/5", "3/10", "1/2")), mode, seed=1)
+    assert report.ok and len(calls) == 2
+    monkeypatch.undo()
+    bias = BiasVector(("1/5", "3/10", "1/2"))
+    local = biased_max_r_cut(g, bias, seed=1, maximize=mode == INTERNAL)
+    pre = report.diagnostics["pre_repair"]
+    assert pre["moves"] == local.moves > 0
+    assert pre["stats"] == partition_stats(g, local.labels, 3)
+
+
 def test_make_report_refuses_a_claim_its_labels_break():
     g = complete_graph(4)
     labels = np.array([0, 0, 0, 1])
     broken = [certify.claim_balance(1)]
+    # the report is made from the emitted labels' own count, which judges them
     with pytest.raises(AssertionError, match="verifier rejects"):
-        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, broken, True, 0, {})
-    # a count handed in is the emitted labels' own count: it judges the same
-    with pytest.raises(AssertionError, match="verifier rejects"):
-        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, broken, True, 0, {},
-                     counted=certify.recount(g, labels, 2))
+        _make_report(certify.recount(g, labels, 2), "bisect", {"mode": INTERNAL},
+                     broken, True, 0, {})
     floor = certify.claim_degree_floor("all", "own", certify.const_floor(1))
     with pytest.raises(AssertionError, match="verifier rejects"):
-        _make_report(g, "bisect", {"mode": INTERNAL}, labels, 2, [floor], True, 0, {})
+        _make_report(certify.recount(g, labels, 2), "bisect", {"mode": INTERNAL},
+                     [floor], True, 0, {})
