@@ -1,9 +1,10 @@
 """Greedy dense-subgraph extraction with its deletion-budget certificate.
 
-Given disjoint vertex classes with integer degree targets, iteratively delete
-any classed vertex that falls below its target inside the surviving set.  The
-survivor set is the same for every deletion order (unique maximal fixed
-point), and the number of deletions is bounded by an explicit budget chain.
+Given an integer degree target per vertex (0: unclassed) and a slack per
+classed vertex, iteratively delete any classed vertex that falls below its
+target inside the surviving set.  The survivor set is the same for every
+deletion order (unique maximal fixed point), and the number of deletions is
+bounded by an explicit budget chain.
 
 Run:  python demos/03_dense_extraction.py
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from degpart import ClassFamily, DegreeClass, check_key_condition, extract_dense
+from degpart import check_key_condition, extract_dense
 from degpart import gen_gnp
 
 # a dense core plus 15 tendril vertices hanging by a single edge
@@ -24,36 +25,37 @@ from degpart.graph import Graph
 g = Graph.from_edges(315, edges)
 print("host graph:", g, "mean degree", round(float(g.degree.mean()), 1))
 
-# the class mixes the tendrils (degree 1, below target) with random core
-# vertices (far above it): the tendrils get deleted, the core survives
+# the classed vertices mix the tendrils (degree 1, below target) with random
+# core vertices (far above it): the tendrils get deleted, the core survives
 rng = np.random.default_rng(0)
 members = np.concatenate([np.arange(300, 315),
                           rng.permutation(300)[:30]])
-fam = ClassFamily((DegreeClass(members, 2, Fraction(1)),))
+host = np.arange(g.n)
+target = np.zeros(g.n, dtype=np.int64)
+target[members] = 2
+eta = np.full(g.n, Fraction(1), dtype=object)
 
-cond = check_key_condition(g, fam)
+cond = check_key_condition(g, host, target, eta)
 print(f"key condition: lhs={cond.lhs:.1f} < |V(H)|={cond.rhs}? {cond.satisfied}")
 
-result = extract_dense(g, fam)
+result = extract_dense(g, host, target, eta)
 b = result.budget
 print(f"deleted {b.deleted_count} vertices "
       f"(<= weighted deficit {b.weighted_deficit} <= bound {b.bound:.1f})")
 print(f"survivors: {len(result.surviving)} of {g.n}; "
       f"guaranteed non-empty: {result.guaranteed}")
-print("first deletions (vertex, class, degree at deletion):",
+print("first deletions (vertex, degree at deletion):",
       result.deleted[:5])
 
 # order independence: shuffle the deletion schedule, same fixed point
 for order_seed in (1, 2, 3):
-    alt = extract_dense(g, fam, order_seed=order_seed)
+    alt = extract_dense(g, host, target, eta, order_seed=order_seed)
     assert alt.surviving.tolist() == result.surviving.tolist()
 print("same surviving set under 3 randomized deletion orders")
 
 # every surviving classed vertex meets its target inside the survivors
 surv = set(result.surviving.tolist())
-for cl in fam.classes:
-    kept = [v for v in cl.vertices.tolist() if v in surv]
-    degs = [sum(1 for w in g.neighbors(v).tolist() if w in surv) for v in kept]
-    if degs:
-        print(f"class target {cl.target}: kept {len(kept)} of "
-              f"{len(cl.vertices)}, min surviving degree {min(degs)}")
+kept = [v for v in members.tolist() if v in surv]
+degs = [sum(1 for w in g.neighbors(v).tolist() if w in surv) for v in kept]
+print(f"class target 2: kept {len(kept)} of {len(members)}, "
+      f"min surviving degree {min(degs)}")

@@ -19,7 +19,7 @@ from .thresholds import (
     build_threshold_table,
     goodness_threshold,
 )
-from .dense import ClassFamily, DegreeClass, ExtractResult, compute_a_plus, check_key_condition, extract_dense
+from .dense import ExtractResult, check_key_condition, extract_dense
 from .cuts import BiasVector, local_maxcut, biased_max_r_cut
 from .stage1 import StageOneResult, relocate_bad_from_c, stage_one
 from .refine_int import refine_internal_once
@@ -53,10 +53,7 @@ __all__ = [
     "verify_series_bound",
     "build_threshold_table",
     "goodness_threshold",
-    "ClassFamily",
-    "DegreeClass",
     "ExtractResult",
-    "compute_a_plus",
     "check_key_condition",
     "extract_dense",
     "BiasVector",

@@ -77,7 +77,7 @@ class VerifyResult:
     failed_index: int | None = None
     failed_claim: dict | None = None
     witness: int | None = None
-    reason: str | None = None  # set when the labels themselves are malformed
+    reason: str | None = None  # set when the labels or a claim are malformed
 
     def __bool__(self) -> bool:
         return self.passed
@@ -135,17 +135,18 @@ def claim_extremal_ratio(stat: str, num: int, den: int) -> dict:
 def tripartition_claims(mode: str, floor: dict, window) -> dict[str, list]:
     """The conditions of a tripartition A|B|C, each as a list of claims.
 
-    size_window: |A| and |B| within window = (lo, hi).  Internal mode:
+    size_window: |A| and |B| within window = (lo, hi), or each within its
+    own window when window = ((lo_a, hi_a), (lo_b, hi_b)).  Internal mode:
     floor_a / floor_b, every A- (B-) vertex meets the floor inside its own
     part; floor_c, every C-vertex meets twice the floor toward both A and B.
     External mode: floor_cross, every A- and B-vertex meets the floor toward
     the other side; floor_z, the doubled floors of C.
     """
-    lo, hi = window
+    windows = window if hasattr(window[0], "__len__") else (window, window)
     doubled = (dict(floor, value=2 * floor["value"]) if floor["type"] == "const"
                else dict(floor, factor=2 * floor["factor"]))
-    conditions = {"size_window": [claim_part_size_window(0, lo, hi),
-                                  claim_part_size_window(1, lo, hi)]}
+    conditions = {"size_window": [claim_part_size_window(part, lo, hi)
+                                  for part, (lo, hi) in enumerate(windows)]}
     if mode == INTERNAL:
         conditions["floor_a"] = [claim_degree_floor(0, 0, floor)]
         conditions["floor_b"] = [claim_degree_floor(1, 1, floor)]
@@ -263,6 +264,58 @@ def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
     raise ValueError(f"unknown claim kind {kind!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _floor_ok(floor) -> bool:
+    if not isinstance(floor, dict):
+        return False
+    if floor.get("type") == "const":
+        return _is_int(floor.get("value"))
+    try:
+        ParamSet(floor["c"], floor["eps"], floor["mode"], d_const=floor["d_const"],
+                 relaxed=True)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return floor.get("type") == "table" and floor.get("fn") in ("phi", "psi") \
+        and _is_int(floor.get("factor"))
+
+
+def _malformed(claim, r: int) -> str | None:
+    """Why a claim cannot be judged on an r-partition; None when it can.
+
+    Part indices must lie in [0, r): numpy would read -1 as the last part.
+    """
+    kind = claim.get("kind") if isinstance(claim, dict) else None
+    part = lambda x: _is_int(x) and 0 <= x < r
+    real = lambda x: _is_int(x) or isinstance(x, (float, np.floating))
+    target = lambda x: x in ("own", "cross") or part(x)
+    fields = {
+        "part_size_window": {"part": part, "lo": real, "hi": real},
+        "part_sizes": {"sizes": lambda x: isinstance(x, list) and all(map(_is_int, x))},
+        "balance": {"max_diff": _is_int},
+        "degree_floor": {"source": lambda x: x == "all" or part(x),
+                         "target": target, "floor": _floor_ok},
+        "cut_edges_at_least": {"bound": _is_int, "parts": lambda x: isinstance(
+            x, list) and len(x) == 2 and all(map(part, x))},
+        "count_meeting_floor": {"target": target, "at_least": _is_int,
+                                "floor": lambda x: _floor_ok(x) and x["type"] == "const"},
+        "extremal_stat": {"stat": lambda x: x in ("min_own_degree", "min_cross_degree"),
+                          "value": _is_int},
+        "extremal_ratio": {"stat": lambda x: x in ("own", "cross"), "num": _is_int,
+                           "den": _is_int},
+    }.get(kind)
+    if fields is None:
+        return f"unknown claim kind {kind!r}"
+    for name, valid in fields.items():
+        if name not in claim:
+            return f"{kind} claim has no {name!r} field"
+        if not valid(claim[name]):
+            return f"{kind} claim has a bad {name!r}: {claim[name]!r} (r={r})"
+    return None
+
+
 def recount(graph: Graph, labels, r: int) -> _Context:
     """Count a labeling from scratch, to judge claims against.
 
@@ -306,13 +359,19 @@ def verify_counted(ctx: _Context, cert: Certificate) -> VerifyResult:
     """Judge every claim of a certificate against one counted labeling.
 
     A graph-hash mismatch refuses verification outright (ValueError); a
-    failure names the first failing claim and its witness vertex.
+    failure names the first failing claim and its witness vertex, or, for a
+    claim of unknown kind, missing fields or a part index outside [0, r),
+    the reason it cannot be judged.
     """
     _check_binding(ctx.graph, cert)
-    results = [_check_claim(ctx, claim) for claim in cert.claims]
-    for idx, (ok, witness) in enumerate(results):
+    r = ctx.matrix.shape[1]
+    for idx, claim in enumerate(cert.claims):
+        reason = _malformed(claim, r)
+        if reason:
+            return VerifyResult(False, idx, claim, reason=f"malformed claim #{idx}: {reason}")
+        ok, witness = _check_claim(ctx, claim)
         if not ok:
-            return VerifyResult(False, idx, cert.claims[idx], witness)
+            return VerifyResult(False, idx, claim, witness)
     return VerifyResult(True)
 
 

@@ -118,15 +118,20 @@ def _cmd_partition(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = _read_graph(args.graph)
-    with open(args.cert) as fh:
-        report = PipelineReport.from_jsonable(json.load(fh))
+    try:
+        with open(args.cert) as fh:
+            report = PipelineReport.from_jsonable(json.load(fh))
+    except (KeyError, TypeError, AttributeError) as exc:
+        print(f"FAIL: malformed report file: missing or bad field {exc}")
+        return EXIT_VERIFY_FAIL
     result = verify_certificate(graph, report.labels, report.certificate,
                                 r=report.r)
     if result.passed:
         print("PASS: all claims verified")
         return EXIT_OK
     what = result.reason or f"claim #{result.failed_index} {result.failed_claim}"
-    print(f"FAIL: {what} (witness vertex {result.witness})")
+    witness = "" if result.witness is None else f" (witness vertex {result.witness})"
+    print(f"FAIL: {what}{witness}")
     return EXIT_VERIFY_FAIL
 
 

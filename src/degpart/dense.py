@@ -1,29 +1,36 @@
 r"""Greedy dense-subgraph extraction with a deletion-budget certificate.
 
-Given disjoint vertex classes A_i inside a host graph H, each with an
-integer target a_i >= 1 and a slack eta_i > 0, iteratively delete any classed
-vertex whose degree inside the surviving set falls below its target.  The
-surviving set is the unique maximal S with d_S(v) >= a_i for every classed
-v in S (the constraint is monotone in S, so deletion order is irrelevant),
-and the number of deletions obeys the budget chain
+Inside a host vertex set H, each vertex v carries an integer target a_v
+(0 means unclassed) and, when classed (a_v >= 1), a slack eta_v > 0.
+Iteratively delete any classed vertex whose degree inside the surviving set
+falls below its target.  The surviving set is the unique maximal S with
+d_S(v) >= a_v for every classed v in S (the constraint is monotone in S, so
+deletion order is irrelevant), and the number of deletions obeys the budget
+chain
 
-    |deleted| <= sum_i a_i*|A_i \ surviving|
-              <= (1 + 1/eta) * sum_i a_i*|A_i \ A_i+|,
+    |deleted| <= sum of a_v over the deleted classed v
+              <= (1 + 1/eta) * sum of a_v over the classed v outside A+,
 
-where A_i+ = {v in A_i : d_H(v) >= 2*(1+eta_i)*a_i} and eta = min_i eta_i.
-The budget chain holds on every run; when additionally the key condition
-(1 + 1/eta) * sum_i a_i*|A_i \ A_i+| < |V(H)| holds at entry, the surviving
-set is guaranteed non-empty.
+where A+ = {v classed : d_H(v) >= 2*(1+eta_v)*a_v} and eta = min eta_v over
+the classed vertices.  The budget chain holds on every run; when
+additionally the key condition (1 + 1/eta) * sum_{v not in A+} a_v < |V(H)|
+holds at entry, the surviving set is guaranteed non-empty.
 
-Threshold comparisons for A_i+ and the budget bound run in exact rational
-arithmetic (integer degrees against Fraction thresholds), so the certificate
-never depends on float rounding.
+The lemma groups the classed vertices into classes A_i that share a target
+a_i and a slack eta_i, but every quantity it uses is a sum of a_v or a
+minimum of eta_v over vertices, so the grouping carries no information and
+is not stored: the per-vertex target and slack arrays are the one input
+format, and the refinements pass their table columns straight in.
+
+Threshold comparisons for A+ and the budget bound run in exact rational
+arithmetic (integer degrees against Fraction thresholds, float slacks read
+exactly), so the certificate never depends on float rounding.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,86 +40,11 @@ from .graph import Graph
 
 
 @dataclass(frozen=True)
-class DegreeClass:
-    """One class: a vertex set, its integer degree target, and its slack."""
-
-    vertices: np.ndarray
-    target: int
-    eta: Fraction | float
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           np.unique(np.asarray(self.vertices, dtype=np.int64)))
-        if int(self.target) != self.target or self.target < 1:
-            raise ValueError(f"class target must be an integer >= 1, got {self.target}")
-        if self.eta <= 0:
-            raise ValueError(f"class slack eta must be positive, got {self.eta}")
-
-    @property
-    def eta_exact(self) -> Fraction:
-        return self.eta if isinstance(self.eta, Fraction) else Fraction(self.eta)
-
-
-@dataclass(frozen=True)
-class ClassFamily:
-    """Disjoint classes over a host vertex set (host=None means all of V)."""
-
-    classes: tuple
-    host: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if self.host is not None:
-            object.__setattr__(self, "host",
-                               np.unique(np.asarray(self.host, dtype=np.int64)))
-        seen: set[int] = set()
-        for cl in self.classes:
-            vs = set(cl.vertices.tolist())
-            if vs & seen:
-                raise ValueError("classes must be pairwise disjoint")
-            seen |= vs
-        if self.host is not None and self.classes:
-            hostset = set(self.host.tolist())
-            if not seen <= hostset:
-                raise ValueError("classed vertices must lie inside the host set")
-
-    def host_mask(self, n: int) -> np.ndarray:
-        if self.host is None:
-            return np.ones(n, dtype=bool)
-        mask = np.zeros(n, dtype=bool)
-        mask[self.host] = True
-        return mask
-
-    @property
-    def eta_min(self) -> Fraction:
-        if not self.classes:
-            raise ValueError("eta_min of an empty family")
-        return min(cl.eta_exact for cl in self.classes)
-
-
-def degree_classes(graph: Graph, members: np.ndarray, target: np.ndarray,
-                   slack: np.ndarray) -> tuple:
-    """The members with a target of at least 1, one class per degree.
-
-    target and slack are per-vertex arrays that depend on the degree only.
-    Classes come in ascending degree, and each keeps the order of members:
-    a stable sort by degree, split where the degree changes.
-    """
-    members = members[target[members] >= 1]
-    members = members[np.argsort(graph.degree[members], kind="stable")]
-    if not len(members):
-        return ()
-    chunks = np.split(members, np.flatnonzero(np.diff(graph.degree[members])) + 1)
-    return tuple(DegreeClass(vs, int(target[vs[0]]), float(slack[vs[0]]))
-                 for vs in chunks)
-
-
-@dataclass(frozen=True)
 class KeyCondition:
     lhs: float
     rhs: int
     satisfied: bool
-    deficits: tuple  # per-class |A_i \ A_i+|
+    deficit: int  # sum of a_v over the classed v outside A+
 
 
 @dataclass(frozen=True)
@@ -120,8 +52,8 @@ class BudgetChain:
     """The three quantities of the deletion budget, in chain order."""
 
     deleted_count: int
-    weighted_deficit: int  # sum_i a_i * |A_i \ surviving|
-    bound: float           # (1 + 1/eta) * sum_i a_i * |A_i \ A_i+|
+    weighted_deficit: int  # sum of a_v over the deleted classed v
+    bound: float           # (1 + 1/eta) * sum of a_v over classed v outside A+
 
     def holds(self) -> bool:
         return self.deleted_count <= self.weighted_deficit and \
@@ -131,121 +63,97 @@ class BudgetChain:
 @dataclass
 class ExtractResult:
     surviving: np.ndarray
-    deleted: list  # (vertex, class index, degree at deletion) in order
+    deleted: list  # (vertex, degree at deletion) in order
     budget: BudgetChain
     guaranteed: bool  # key condition held at entry
 
     @property
     def deleted_vertices(self) -> np.ndarray:
-        return np.array([v for v, _, _ in self.deleted], dtype=np.int64)
+        return np.array([v for v, _ in self.deleted], dtype=np.int64)
 
 
-def _host_degrees(graph: Graph, host_mask: np.ndarray) -> np.ndarray:
-    """Degrees counted inside the host set, zero outside it."""
-    both = host_mask[graph.rows] & host_mask[graph.indices]
-    return np.bincount(graph.rows[both], minlength=graph.n)
-
-
-def compute_a_plus(graph: Graph, family: ClassFamily) -> list[np.ndarray]:
-    """Per-class A_i+ = {v in A_i : d_H(v) >= 2*(1+eta_i)*a_i}.
-
-    The threshold is compared exactly (integer degree vs rational threshold),
-    because flooring it would admit vertices that break the budget chain.
-    """
-    mask = family.host_mask(graph.n)
-    deg = _host_degrees(graph, mask)
-    out = []
-    for cl in family.classes:
-        thr = 2 * (1 + cl.eta_exact) * int(cl.target)
-        # integer d >= rational thr  <=>  d >= ceil(thr)
-        need = -((-thr.numerator) // thr.denominator)
-        out.append(cl.vertices[deg[cl.vertices] >= need])
-    return out
-
-
-def check_key_condition(graph: Graph, family: ClassFamily) -> KeyCondition:
-    """lhs = (1 + 1/eta) * sum_i a_i*|A_i \\ A_i+| vs rhs = |V(H)|."""
-    mask = family.host_mask(graph.n)
+def _key_condition(graph: Graph, host, target, eta):
+    """(host mask, targets, host degrees, classed ids, condition, exact lhs):
+    host degrees are counted once, and the exact lhs is the budget bound."""
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[np.asarray(host, dtype=np.int64)] = True
+    target = np.asarray(target, dtype=np.int64)
+    eta = np.asarray(eta)
+    classed = np.flatnonzero(target >= 1)
+    if (target < 0).any() or not mask[classed].all():
+        raise ValueError("targets must be >= 0, and positive only on host vertices")
+    if not (eta[classed] > 0).all():
+        raise ValueError("every classed vertex needs a positive slack eta")
+    both = mask[graph.rows] & mask[graph.indices]
+    deg = np.bincount(graph.rows[both], minlength=graph.n)
+    lhs, deficit = Fraction(0), 0
+    if len(classed):
+        a, e = target[classed], eta[classed]
+        # A+ needs d_H(v) >= ceil(2*(1+eta_v)*a_v) = ceil(2*a_v*(q+p)/q) for
+        # eta_v = p/q exactly, once per distinct (a_v, eta_v): a floored
+        # threshold would admit vertices that break the budget chain.  A pair
+        # id is below n**2, which fits int64 (graph.MAX_VERTICES).
+        a_vals, a_id = np.unique(a, return_inverse=True)
+        _, e_id = np.unique(e, return_inverse=True)
+        _, first, inv = np.unique(e_id.ravel() * len(a_vals) + a_id.ravel(),
+                                  return_index=True, return_inverse=True)
+        ratios = [(int(a[i]), *Fraction(e[i]).as_integer_ratio()) for i in first.tolist()]
+        need = [-(-2 * ai * (q + p) // q) for ai, p, q in ratios]
+        deficit = int(a[deg[classed] < np.array(need, dtype=np.int64)[inv.ravel()]].sum())
+        lhs = (1 + 1 / Fraction(e.min())) * deficit
     rhs = int(mask.sum())
-    if not family.classes:
-        return KeyCondition(0.0, rhs, 0 < rhs, ())
-    pluses = compute_a_plus(graph, family)
-    deficits = tuple(len(cl.vertices) - len(ap)
-                     for cl, ap in zip(family.classes, pluses))
-    s = sum(int(cl.target) * d for cl, d in zip(family.classes, deficits))
-    lhs_exact = (1 + 1 / family.eta_min) * s
-    return KeyCondition(float(lhs_exact), rhs, lhs_exact < rhs, deficits)
+    cond = KeyCondition(float(lhs), rhs, lhs < rhs, deficit)
+    return mask, target, deg, classed, cond, lhs
 
 
-def extract_dense(graph: Graph, family: ClassFamily,
+def check_key_condition(graph: Graph, host, target, eta) -> KeyCondition:
+    """lhs = (1 + 1/eta) * sum of a_v over classed v outside A+ vs rhs = |V(H)|.
+
+    host holds the host's vertex ids; target and eta are per-vertex arrays
+    over all of V (target 0: unclassed; eta float or Fraction).
+    """
+    return _key_condition(graph, host, target, eta)[4]
+
+
+def extract_dense(graph: Graph, host, target, eta,
                   order_seed: int | None = None) -> ExtractResult:
     """Run the greedy deletion to its fixed point.
 
-    order_seed randomizes the deletion schedule (the surviving set is the
-    same for every order); None processes a FIFO queue in ascending-id order.
-    The key condition is checked at entry; if it fails the extraction still
-    runs but the result is flagged guaranteed=False.
+    host, target and eta as in ``check_key_condition``.  order_seed
+    randomizes the deletion schedule (the surviving set is the same for
+    every order); None processes a FIFO queue in ascending-id order.  The key
+    condition is checked at entry; if it fails the extraction still runs but
+    the result is flagged guaranteed=False.
     """
-    cond = check_key_condition(graph, family)
-    mask = family.host_mask(graph.n)
-    alive = mask.copy()
-    deg = _host_degrees(graph, mask)
-
-    class_of = np.full(graph.n, -1, dtype=np.int64)
-    target_of = np.zeros(graph.n, dtype=np.int64)
-    for ci, cl in enumerate(family.classes):
-        class_of[cl.vertices] = ci
-        target_of[cl.vertices] = cl.target
-
-    classed = np.nonzero((class_of >= 0) & alive)[0]
-    deficient = classed[deg[classed] < target_of[classed]]
-
+    alive, target, deg, classed, cond, bound_exact = \
+        _key_condition(graph, host, target, eta)
+    # one heap serves both schedules: FIFO keys every entry 0.0, a seeded
+    # order a random draw; the push counter breaks ties in push order
     rng = None if order_seed is None else np.random.default_rng(order_seed)
-    if rng is None:
-        queue = deque(deficient.tolist())
-        push = queue.append
-        pop = queue.popleft
-        empty = lambda: not queue
-    else:
-        heap: list = []
-        counter = 0
-        for v in deficient.tolist():
-            heapq.heappush(heap, (rng.random(), counter, v))
-            counter += 1
+    heap: list = []
+    pushes = itertools.count()
 
-        def push(v, _h=heap):
-            nonlocal counter
-            heapq.heappush(_h, (rng.random(), counter, v))
-            counter += 1
+    def push(v):
+        heapq.heappush(heap, (0.0 if rng is None else rng.random(), next(pushes), v))
 
-        pop = lambda: heapq.heappop(heap)[2]
-        empty = lambda: not heap
-
-    deleted: list[tuple[int, int, int]] = []
-    while not empty():
-        v = pop()
-        if not alive[v] or deg[v] >= target_of[v]:
+    for v in classed[deg[classed] < target[classed]].tolist():
+        push(v)
+    # unclassed vertices have target 0, which a count never falls below
+    deleted: list[tuple[int, int]] = []
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if not alive[v] or deg[v] >= target[v]:
             continue  # stale entry
         alive[v] = False
-        deleted.append((int(v), int(class_of[v]), int(deg[v])))
+        deleted.append((int(v), int(deg[v])))
         for w in graph.neighbors(v).tolist():
             if alive[w]:
                 deg[w] -= 1
-                if class_of[w] >= 0 and deg[w] < target_of[w]:
+                if deg[w] < target[w]:
                     push(w)
 
     surviving = np.nonzero(alive)[0]
-    # budget chain quantities
-    weighted_deficit = 0
-    for ci, cl in enumerate(family.classes):
-        gone = int((~alive[cl.vertices]).sum())
-        weighted_deficit += int(cl.target) * gone
-    if family.classes:
-        s = sum(int(cl.target) * d
-                for cl, d in zip(family.classes, cond.deficits))
-        bound_exact = (1 + 1 / family.eta_min) * s
-    else:
-        bound_exact = Fraction(0)
+    weighted_deficit = int(target[classed][~alive[classed]].sum())
     budget = BudgetChain(len(deleted), weighted_deficit, float(bound_exact))
 
     # item (b) chain must hold on every run, key condition or not

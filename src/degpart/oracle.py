@@ -31,7 +31,7 @@ from math import comb, inf, lcm
 
 import numpy as np
 
-from .dense import ClassFamily, extract_dense
+from .dense import extract_dense
 from .gen import gen_kuhn_osthus
 from .graph import Graph
 
@@ -155,24 +155,21 @@ def ko_bisection_exists(n: int, l: int, k: int):
             "n": n, "l": l, "k": k}
 
 
-def dense_fixed_point_check(graph: Graph, family: ClassFamily) -> bool:
+def dense_fixed_point_check(graph: Graph, host, target, eta) -> bool:
     """Greedy extraction equals the unique maximal valid subset.
 
-    A subset S of the host is valid when every classed vertex in S has at
-    least its target degree inside S.  Valid subsets are closed under union,
-    so the maximal one is the union of all of them; hosts above 15 vertices
-    are refused.
+    host, target and eta as in ``dense.extract_dense``.  A subset S of the
+    host is valid when every classed vertex in S has at least its target
+    degree inside S.  Valid subsets are closed under union, so the maximal
+    one is the union of all of them; hosts above 15 vertices are refused.
     """
-    host = np.nonzero(family.host_mask(graph.n))[0]
+    host = np.unique(np.asarray(host, dtype=np.int64))
     if len(host) > MAX_HOST:
         raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
-    target = np.zeros(graph.n, dtype=np.int64)  # 0: unclassed, always met
-    for cl in family.classes:
-        target[cl.vertices] = cl.target
-    target = target[host]
+    need = np.asarray(target, dtype=np.int64)[host]  # 0: unclassed, always met
     union = np.zeros(len(host), dtype=bool)
     for rows, in_set in _sets(graph.induced_subgraph(host)):
-        valid = ((rows == 0) | (in_set >= target)).all(axis=1)
+        valid = ((rows == 0) | (in_set >= need)).all(axis=1)
         union |= rows[valid].any(axis=0)
-    result = extract_dense(graph, family)
+    result = extract_dense(graph, host, target, eta)
     return set(result.surviving.tolist()) == set(host[union].tolist())

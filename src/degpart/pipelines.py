@@ -66,17 +66,16 @@ def _exact_min_ratio(num: np.ndarray, den: np.ndarray):
     return Fraction(int(num[best]), int(den[best]))
 
 
-def partition_stats(graph: Graph, labels: np.ndarray, r: int, counted=None) -> dict:
-    """From-scratch degree statistics of a labeling.
+def partition_stats(counted) -> dict:
+    """Degree statistics of a counted labeling.
 
-    Degree minima run over all vertices (isolated vertices count as 0);
-    ratio minima run over positive-degree vertices only and are exact
-    fractions (inf when every vertex is isolated).  counted is a
-    ``certify.recount`` of the same labeling to read, when the caller has one.
+    counted is a ``certify`` context (``recount`` or ``from_counts``); graph,
+    labels and part count are read from it.  Degree minima run over all
+    vertices (isolated vertices count as 0); ratio minima run over
+    positive-degree vertices only and are exact fractions (inf when every
+    vertex is isolated).
     """
-    if counted is None:
-        counted = certify.recount(graph, labels, r)
-    own, cross = counted.own, counted.cross
+    graph, own, cross = counted.graph, counted.own, counted.cross
     cut = int(cross.sum()) // 2
     own_ratio = _exact_min_ratio(own, graph.degree)
     cross_ratio = _exact_min_ratio(cross, graph.degree)
@@ -125,7 +124,8 @@ def random_bisection_labels(n: int, seed: int = 0) -> np.ndarray:
 
 def random_bisection_stats(graph: Graph, seed: int = 0) -> dict:
     """Stats of a uniformly random balanced bisection (baseline pairing)."""
-    return partition_stats(graph, random_bisection_labels(graph.n, seed), 2)
+    return partition_stats(
+        certify.recount(graph, random_bisection_labels(graph.n, seed), 2))
 
 
 # -- report ------------------------------------------------------------------
@@ -184,7 +184,7 @@ def _make_report(counted, shape: str, params: ParamSet | dict, claims: list,
                       and graph.n >= n_guarantee_threshold)
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
     mode = pdict.get("mode", "n/a")
-    stats = partition_stats(graph, labels, r, counted)
+    stats = partition_stats(counted)
     cert = Certificate(graph.fingerprint, pdict, seed, VERSION,
                        claims + _stats_claims(stats))
     res = certify.verify_counted(counted, cert)
@@ -612,8 +612,7 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     # the search's own counts serve the check of the local optimum and its
     # statistics: diagnostics of a labeling that is not emitted
     violations = check_biased_local_min(result.counts, bias, maximize=maximize)
-    pre_stats = partition_stats(graph, result.labels, bias.r,
-                                certify.from_counts(result.counts))
+    pre_stats = partition_stats(certify.from_counts(result.counts))
     pre_certified = not violations
 
     labels = result.labels.copy()

@@ -4,9 +4,10 @@ Starting from a stage-one tripartition X|Y|Z whose active Z-vertices are
 X-good and Y-good, the construction makes every vertex of the two sides meet
 a floored cross-degree floor:
 
-  1. dense-extract on the bipartite cross subgraph H = (X,Y)_G with classes
-     V^i ∩ (X ∪ Y), targets floor(psi*(i)) and slacks eta_i, leaving a core
-     H' = X1 ∪ Y1 in which every vertex already has enough cross neighbors;
+  1. dense-extract on the bipartite cross subgraph H = (X,Y)_G, each active
+     vertex of X ∪ Y of degree i with target floor(psi*(i)) and slack eta_i,
+     leaving a core H' = X1 ∪ Y1 in which every vertex already has enough
+     cross neighbors;
   2. quarantine W1 = V(H \ H') ∪ (N(V(H \ H')) ∩ Z); the rest of Z becomes
      Z1 and keeps its entire X/Y-neighborhood inside the core (purity);
   3. greedily absorb W vertices: anyone with floor(psi(i)) neighbors in the
@@ -17,7 +18,7 @@ a floored cross-degree floor:
      gives it >= floor(psi(i)) cross neighbors.
 
 It takes the run's ``graph.Counts`` of X|Y|Z and moves W1 through it; H is
-built only when some degree class exists.  The three absorption-exit facts
+built only when some target is at least 1.  The three absorption-exit facts
 (both side-degrees below floor(psi), inner W2 degree at least twice it) are
 asserted on every run; ``pipelines.tripartition`` judges the final
 tripartition with the certificate verifier.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuts import local_maxcut
-from .dense import ClassFamily, ExtractResult, degree_classes, extract_dense
+from .dense import ExtractResult, extract_dense
 from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
@@ -112,13 +113,12 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     host = np.nonzero(in_x | in_y)[0]
 
     # step 1: extraction over the cross subgraph
-    classes = degree_classes(graph, host,
-                             np.where(active, table.fpsi_star[rows], 0), table.eta[rows])
+    target = np.where((in_x | in_y) & active, table.fpsi_star[rows], 0)
     extract = None
     deleted_ids = np.empty(0, dtype=np.int64)
-    if classes:
+    if target.any():
         h_graph = graph.cross_subgraph(labels_in, PART_X, PART_Y)
-        extract = extract_dense(h_graph, ClassFamily(classes, host))
+        extract = extract_dense(h_graph, host, target, table.eta[rows])
         deleted_ids = extract.deleted_vertices
 
     # step 2: quarantine W1 and keep the pure remainder of Z
@@ -142,44 +142,29 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     side = np.full(n, -1, dtype=np.int64)   # current side of core members
     side[x1_mask] = PART_X
     side[y1_mask] = PART_Y
-    d_to_x = np.zeros(n, dtype=np.int64)
-    d_to_y = np.zeros(n, dtype=np.int64)
+    d_to = np.zeros((n, 2), dtype=np.int64)  # neighbors in columns PART_X, PART_Y
     w2 = sorted(w1.tolist())
     for v in w2:
         nb_side = side[graph.neighbors(v)]
-        d_to_x[v], d_to_y[v] = (nb_side == PART_X).sum(), (nb_side == PART_Y).sum()
+        d_to[v] = (nb_side == PART_X).sum(), (nb_side == PART_Y).sum()
     absorbed: list[Absorption] = []
-    probe_x_first = True
+    probe = [PART_X, PART_Y]  # reversed after every absorption
     changed = True
     while changed:
         changed = False
         remaining = []
         for v in w2:
             thr = fpsi[v]
-            take = None
-            if probe_x_first:
-                if d_to_x[v] >= thr:
-                    take = (PART_Y, int(d_to_x[v]))
-                elif d_to_y[v] >= thr:
-                    take = (PART_X, int(d_to_y[v]))
-            else:
-                if d_to_y[v] >= thr:
-                    take = (PART_X, int(d_to_y[v]))
-                elif d_to_x[v] >= thr:
-                    take = (PART_Y, int(d_to_x[v]))
-            if take is None:
+            seen = next((s for s in probe if d_to[v, s] >= thr), None)
+            if seen is None:
                 remaining.append(v)
                 continue
-            dest, witnessed = take
+            dest = PART_X + PART_Y - seen
             side[v] = dest
             absorbed.append(Absorption(int(v), int(graph.degree[v]), dest,
-                                       witnessed, int(thr)))
-            for u in graph.neighbors(v).tolist():
-                if dest == PART_X:
-                    d_to_x[u] += 1
-                else:
-                    d_to_y[u] += 1
-            probe_x_first = not probe_x_first
+                                       int(d_to[v, seen]), int(thr)))
+            d_to[graph.neighbors(v), dest] += 1
+            probe.reverse()
             changed = True
         w2 = remaining
     w2 = np.array(w2, dtype=np.int64)
@@ -191,7 +176,7 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
               "precut_side_floors": True, "precut_inner_floor": True}
     for v in w2.tolist():
         d_w2 = int(in_w2[graph.neighbors(v)].sum())
-        if not (d_to_x[v] < fpsi[v] and d_to_y[v] < fpsi[v]):
+        if not (d_to[v] < fpsi[v]).all():
             checks["precut_side_floors"] = False
         if d_w2 < 2 * fpsi[v]:
             checks["precut_inner_floor"] = False

@@ -5,8 +5,8 @@ vertex left in A meets the floored own-degree threshold, without disturbing
 the goodness structure that C provides:
 
   1. extract a core A* of G[A] in which every vertex of degree i already has
-     floor(phi(i)) neighbors inside the core (greedy dense extraction with
-     classes A ∩ V^i, targets floor(phi(i)), slacks mu_i);
+     floor(phi(i)) neighbors inside the core (greedy dense extraction, each
+     active A-vertex of degree i with target floor(phi(i)) and slack mu_i);
   2. evacuate vertices of A whose joint degree into A ∪ C falls below
      floor(phi(i)), moving each one together with its current C-neighborhood
      into B (processed in ascending id over a work queue);
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ClassFamily, ExtractResult, degree_classes, extract_dense
+from .dense import ExtractResult, extract_dense
 from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
 from .thresholds import ParamSet, ThresholdTable
@@ -123,11 +123,10 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
 
     # step 1: the dense core of G[A]
     host = np.nonzero(in_a)[0]
-    classes = degree_classes(graph, host, np.where(active, fphi, 0),
-                             table.mu[rows])
+    target = np.where(in_a & active, fphi, 0)
     extract = None
-    if classes:
-        extract = extract_dense(graph, ClassFamily(classes, host))
+    if target.any():
+        extract = extract_dense(graph, host, target, table.mu[rows])
         a_star = extract.surviving
     else:
         a_star = host.copy()

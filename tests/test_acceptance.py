@@ -14,8 +14,7 @@ import numpy as np
 
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector, biased_max_r_cut, local_maxcut
-from degpart.dense import (ClassFamily, DegreeClass, check_key_condition,
-                           extract_dense)
+from degpart.dense import extract_dense
 from degpart.gen import complete_graph, gen_gnp
 from degpart.graph import part_profile
 from degpart.oracle import best_bisection, ko_bisection_exists
@@ -46,7 +45,9 @@ def test_criterion_1_dense_extract_exactness():
         p = min(1.0, 8.0 / n)
         g = gen_gnp(n, p, seed=int(rng.integers(1 << 30)))
         perm = rng.permutation(n)
-        classes = []
+        host = np.arange(n)
+        target = np.zeros(n, dtype=np.int64)
+        eta = np.zeros(n, dtype=object)
         used = 0
         for _ in range(int(rng.integers(1, 4))):
             size = int(rng.integers(1, max(2, n // 4)))
@@ -54,27 +55,27 @@ def test_criterion_1_dense_extract_exactness():
             used += size
             if len(members) == 0:
                 break
-            classes.append(DegreeClass(members, int(rng.integers(1, 7)),
-                                       Fraction(int(rng.integers(1, 31)), 10)))
-        fam = ClassFamily(tuple(classes))
-        base = extract_dense(g, fam)
+            target[members] = int(rng.integers(1, 7))
+            eta[members] = Fraction(int(rng.integers(1, 31)), 10)
+        base = extract_dense(g, host, target, eta)
         surv = set(base.surviving.tolist())
+        classed = np.flatnonzero(target).tolist()
         # item (a): every surviving classed vertex meets its target, exactly
-        for cl in fam.classes:
-            for v in cl.vertices.tolist():
-                if v in surv:
-                    d = sum(1 for w in g.neighbors(v).tolist() if w in surv)
-                    assert d >= cl.target
-        # item (b): integer chain with the exact rational bound
+        for v in classed:
+            if v in surv:
+                d = sum(1 for w in g.neighbors(v).tolist() if w in surv)
+                assert d >= target[v]
+        # item (b): integer chain with the exact rational bound, recomputed
+        # vertex by vertex: a_v summed over v outside A+, and the least slack
         b = base.budget
         assert b.deleted_count <= b.weighted_deficit
-        s = sum(int(cl.target) * d
-                for cl, d in zip(fam.classes,
-                                 check_key_condition(g, fam).deficits))
-        assert Fraction(b.weighted_deficit) <= (1 + 1 / fam.eta_min) * s
+        s = sum(int(target[v]) for v in classed
+                if int(g.degree[v]) < 2 * (1 + eta[v]) * int(target[v]))
+        eta_min = min(eta[v] for v in classed)
+        assert Fraction(b.weighted_deficit) <= (1 + 1 / eta_min) * s
         # deletion-order independence
         for k in range(5):
-            alt = extract_dense(g, fam, order_seed=1000 * trial + k)
+            alt = extract_dense(g, host, target, eta, order_seed=1000 * trial + k)
             assert alt.surviving.tolist() == base.surviving.tolist()
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -183,6 +183,45 @@ def test_out_of_range_and_2d_report_labels_are_refused_on_both_routes():
     assert exc.value.vertex == 0
 
 
+MALFORMED_CLAIMS = [
+    # numpy would read part -1 (or target -1) as the last part and pass
+    ({"kind": "part_size_window", "part": -1, "lo": 0, "hi": 40}, "'part'"),
+    ({"kind": "part_size_window", "part": True, "lo": 0, "hi": 40}, "'part'"),
+    (certify.claim_degree_floor("all", -1, certify.const_floor(0)), "'target'"),
+    (certify.claim_degree_floor(7, "own", certify.const_floor(0)), "'source'"),
+    (certify.claim_degree_floor("all", "own", {"type": "const"}), "'floor'"),
+    # used to end in IndexError / KeyError tracebacks
+    ({"kind": "cut_edges_at_least", "bound": 0, "parts": [0, 9]}, "'parts'"),
+    ({"kind": "balance"}, "no 'max_diff'"),
+    ({"kind": "count_meeting_floor", "target": "own", "at_least": 1,
+      "floor": certify.table_floor("phi", ParamSet(0.0, 0.25, INTERNAL))}, "'floor'"),
+    ({"kind": "extremal_stat", "stat": "min_degree", "value": 0}, "'stat'"),
+    # used to exit as a parameter error
+    ({"kind": "no_such_kind"}, "unknown claim kind 'no_such_kind'"),
+    ("balance", "unknown claim kind None"),
+]
+
+
+@pytest.mark.parametrize("claim,why", MALFORMED_CLAIMS)
+def test_verify_refuses_a_malformed_claim_on_both_routes(claim, why):
+    g = gen_gnp(40, 0.3, seed=2)
+    report = bisect_internal(g, seed=0)
+    cert = report.certificate
+    assert verify_certificate(g, report.labels, cert, r=2).passed
+    idx = len(cert.claims)
+    bad = Certificate(cert.graph_hash, cert.params, cert.seed, cert.version,
+                      cert.claims + [claim])
+    for res in (verify_certificate(g, report.labels, bad, r=2),
+                verify_certificate(g, report.partition(), bad)):
+        assert not res.passed and res.failed_index == idx
+        assert res.failed_claim == claim and res.witness is None
+        assert res.reason.startswith(f"malformed claim #{idx}: ") and why in res.reason
+    # a well-formed claim on the last part still passes
+    ok = Certificate(cert.graph_hash, cert.params, cert.seed, cert.version,
+                     cert.claims + [certify.claim_part_size_window(1, 0, 40)])
+    assert verify_certificate(g, report.partition(), ok).passed
+
+
 def test_check_claims_one_flag_per_claim():
     g = complete_graph(4)
     claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),

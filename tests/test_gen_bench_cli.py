@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from degpart import bench, cli
+from degpart import bench, certify, cli
 from degpart.gen import (gen_complete_bipartite, gen_gnp, gen_kuhn_osthus)
 from degpart.pipelines import partition_stats
 
@@ -83,7 +83,7 @@ def test_bench_rows_recomputable_from_emitted_labels():
     pipe = [r for r in rows if r["row_kind"] == "pipeline"][0]
     g = bench.build_graph({"type": "gnp", "n": 30, "p": 0.3, "seed": 1})
     labels = np.array([int(x) for x in pipe["labels"].split()])
-    stats = partition_stats(g, labels, 2)
+    stats = partition_stats(certify.recount(g, labels, 2))
     assert stats["min_own_degree"] == pipe["min_own_degree"]
     assert stats["cut_edges"] == pipe["cut_edges"]
 
@@ -242,6 +242,33 @@ def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_malformed_claim_or_report_exit_1(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "cert.json"
+    cli.main(["gen", "--type", "gnp", "--n", "30", "--p", "0.4", "--seed", "3",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--seed", "1",
+              "--out", str(cpath)])
+    payload = json.loads(cpath.read_text())
+    claims = payload["certificate"]["claims"]
+    for claim, why in (
+            ({"kind": "part_size_window", "part": -1, "lo": 0, "hi": 30}, "'part'"),
+            ({"kind": "balance"}, "no 'max_diff'"),
+            ({"kind": "no_such_kind"}, "unknown claim kind")):
+        cert = dict(payload["certificate"], claims=claims + [claim])
+        cpath.write_text(json.dumps(dict(payload, certificate=cert)))
+        capsys.readouterr()
+        assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL: malformed claim #{len(claims)}: ") and why in out
+    for field in ("labels", "certificate", "r"):
+        cpath.write_text(json.dumps({k: v for k, v in payload.items() if k != field}))
+        capsys.readouterr()
+        assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+        assert f"FAIL: malformed report file: missing or bad field '{field}'" \
+            in capsys.readouterr().out
 
 
 def test_bench_has_no_workers_option(tmp_path):

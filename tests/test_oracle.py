@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degpart.oracle as oracle
-from degpart.dense import ClassFamily, DegreeClass, extract_dense
+from degpart.dense import extract_dense
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, gen_kuhn_osthus
 from degpart.graph import Graph, part_profile
 from degpart.oracle import (OBJECTIVES, best_bisection, dense_fixed_point_check,
@@ -145,15 +145,11 @@ def ref_ko_bisection_exists(n, l, k):
             "n": n, "l": l, "k": k}
 
 
-def ref_dense_fixed_point_check(graph, family):
+def ref_dense_fixed_point_check(graph, host, target, eta):
     """Python-set degree loop over every subset of the host."""
-    host = np.nonzero(family.host_mask(graph.n))[0]
-    target_of = {}
-    for cl in family.classes:
-        for v in cl.vertices.tolist():
-            target_of[v] = cl.target
+    target_of = {v: int(target[v]) for v in range(graph.n) if target[v] >= 1}
     best = set()
-    host_list = host.tolist()
+    host_list = sorted(set(np.asarray(host).tolist()))
     for size in range(len(host_list) + 1):
         for sub in combinations(host_list, size):
             s = set(sub)
@@ -166,7 +162,7 @@ def ref_dense_fixed_point_check(graph, family):
                         break
             if ok:
                 best |= s
-    return set(extract_dense(graph, family).surviving.tolist()) == best
+    return set(extract_dense(graph, host, target, eta).surviving.tolist()) == best
 
 
 # -- the chunked enumerator against the references ----------------------------
@@ -224,19 +220,18 @@ def host_families(draw):
     pool = list(range(n)) if host is None else host
     classed = draw(st.lists(st.sampled_from(pool), unique=True))
     cut = draw(st.integers(0, len(classed)))
-    classes = tuple(DegreeClass(np.array(vs, dtype=np.int64),
-                                draw(st.integers(1, 3)), Fraction(1, 2))
-                    for vs in (classed[:cut], classed[cut:]) if vs)
-    return graph, ClassFamily(classes, None if host is None
-                              else np.array(host, dtype=np.int64))
+    target = np.zeros(n, dtype=np.int64)
+    for vs in (classed[:cut], classed[cut:]):
+        if vs:
+            target[vs] = draw(st.integers(1, 3))
+    eta = np.full(n, Fraction(1, 2), dtype=object)
+    return graph, np.array(pool, dtype=np.int64), target, eta
 
 
 @settings(max_examples=200, deadline=None)
 @given(host_families())
 def test_dense_fixed_point_matches_reference(case):
-    graph, family = case
-    assert dense_fixed_point_check(graph, family) == \
-        ref_dense_fixed_point_check(graph, family)
+    assert dense_fixed_point_check(*case) == ref_dense_fixed_point_check(*case)
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,17 +239,17 @@ def test_dense_fixed_point_matches_reference(case):
 def test_dense_fixed_point_refuses_a_wrong_extraction(case, pick):
     # a surviving set with one host vertex toggled is no longer the maximal
     # valid subset, so both the check and its reference must say False
-    graph, family = case
-    host = np.nonzero(family.host_mask(graph.n))[0]
+    graph, host, target, eta = case
+    host = np.unique(host)
     v = int(host[pick % len(host)])
-    real = extract_dense(graph, family)
+    real = extract_dense(graph, host, target, eta)
     wrong = np.setxor1d(real.surviving, [v])
 
     class Fake:
         surviving = wrong
 
-    with mock.patch.object(oracle, "extract_dense", lambda g, f: Fake):
-        assert dense_fixed_point_check(graph, family) is False
+    with mock.patch.object(oracle, "extract_dense", lambda *args: Fake):
+        assert dense_fixed_point_check(graph, host, target, eta) is False
 
 
 def test_n24_best_bisection_witness_achieves_value():
@@ -348,11 +343,10 @@ def test_ko_size_bound():
 
 def test_dense_fixed_point_examples():
     k5 = complete_graph(5)
-    fam = ClassFamily((DegreeClass(np.arange(5), 1, Fraction(1)),))
-    assert dense_fixed_point_check(k5, fam)
+    assert dense_fixed_point_check(k5, np.arange(5), np.ones(5, dtype=np.int64),
+                                   np.ones(5))
     g = Graph.from_edges(3, [(0, 1)])
-    fam2 = ClassFamily((DegreeClass(np.array([2]), 1, Fraction(1)),))
-    assert dense_fixed_point_check(g, fam2)
+    assert dense_fixed_point_check(g, np.arange(3), np.array([0, 0, 1]), np.ones(3))
 
 
 def test_dense_fixed_point_random_instances():
@@ -360,16 +354,17 @@ def test_dense_fixed_point_random_instances():
         g = gen_gnp(10, 0.35, seed=seed)
         rng = np.random.default_rng(seed)
         members = rng.choice(10, size=4, replace=False)
-        fam = ClassFamily((DegreeClass(members, int(rng.integers(1, 3)),
-                                       Fraction(1, 2)),))
-        assert dense_fixed_point_check(g, fam)
+        target = np.zeros(10, dtype=np.int64)
+        target[members] = int(rng.integers(1, 3))
+        assert dense_fixed_point_check(g, np.arange(10), target,
+                                       np.full(10, Fraction(1, 2), dtype=object))
 
 
 def test_dense_fixed_point_size_cap():
     g = gen_gnp(16, 0.2, seed=0)
-    fam = ClassFamily((DegreeClass(np.array([0]), 1, Fraction(1)),))
     with pytest.raises(ValueError):
-        dense_fixed_point_check(g, fam)
+        dense_fixed_point_check(g, np.arange(16), np.eye(1, 16, dtype=np.int64)[0],
+                                np.ones(16))
 
 
 @pytest.mark.parametrize("l", [-1, 0, 5])

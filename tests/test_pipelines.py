@@ -120,6 +120,19 @@ def test_tripartition_exact_vacuous_windows():
     assert verify_certificate(g, r.labels, r.certificate, r=3).passed
 
 
+def test_tripartition_exact_asymmetric_window():
+    # stage one takes ((loA, hiA), (loB, hiB)); each side is claimed against
+    # its own window (a float() of the pair used to raise TypeError)
+    g = gen_gnp(100, 0.3, seed=1)
+    p = ParamSet(0.5, 0.3, INTERNAL, relaxed=True)
+    r = tripartition_exact(g, 1, p, seed=1, size_window=((10, 30), (5, 25)))
+    windows = [(c["part"], c["lo"], c["hi"]) for c in r.certificate.claims
+               if c["kind"] == "part_size_window"]
+    assert windows == [(0, 10.0, 30.0), (1, 5.0, 25.0)]
+    assert r.diagnostics["conditions"]["size_window"]
+    assert verify_certificate(g, r.labels, r.certificate, r=3).passed
+
+
 def test_tripartition_exact_hypothesis_shortfall_flagged():
     g = cycle_graph(20)  # min degree 2
     p = ParamSet(0.0, 0.5, INTERNAL, relaxed=True)
@@ -252,7 +265,7 @@ def test_pipeline_values_never_beat_oracle():
 def test_partition_stats_exactness():
     g = cycle_graph(6)
     labels = np.array([0, 1, 0, 1, 0, 1])
-    s = partition_stats(g, labels, 2)
+    s = partition_stats(certify.recount(g, labels, 2))
     assert s["min_own_degree"] == 0 and s["min_cross_degree"] == 2
     assert s["cut_edges"] == 6 and s["cut_avg_degree"] == 2.0
     assert s["min_cross_ratio_frac"] == [1, 1]
@@ -458,7 +471,7 @@ def test_an_r_partition_counts_its_search_once_and_its_output_once(monkeypatch, 
     local = biased_max_r_cut(g, bias, seed=1, maximize=mode == INTERNAL)
     pre = report.diagnostics["pre_repair"]
     assert pre["moves"] == local.moves > 0
-    assert pre["stats"] == partition_stats(g, local.labels, 3)
+    assert pre["stats"] == partition_stats(certify.recount(g, local.labels, 3))
 
 
 def test_make_report_refuses_a_claim_its_labels_break():

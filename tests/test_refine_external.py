@@ -68,6 +68,46 @@ def test_refine_external_thin_y_quarantines_and_absorbs():
     assert (cross[trace.w1] >= fpsi[trace.w1]).all()
 
 
+def replay_absorption(g, labels, w1, fpsi):
+    """The absorption rule from scratch: passes in ascending id, each vertex
+    probing X then Y for floor(psi) neighbors among the current sides, the
+    probe order reversed after every absorption, until a pass absorbs none."""
+    side = {v: int(labels[v]) for v in range(g.n)
+            if labels[v] in (PART_A, PART_B) and v not in set(w1.tolist())}
+    pending, probe, absorbed = w1.tolist(), [PART_A, PART_B], []
+    while True:
+        rest = []
+        for v in pending:
+            count = {s: sum(side.get(w) == s for w in g.neighbors(v).tolist())
+                     for s in probe}
+            seen = next((s for s in probe if count[s] >= fpsi[v]), None)
+            if seen is None:
+                rest.append(v)
+                continue
+            side[v] = PART_B if seen == PART_A else PART_A
+            absorbed.append((v, side[v], count[seen]))
+            probe.reverse()
+        if rest == pending:
+            return absorbed, rest
+        pending = rest
+
+
+@pytest.mark.parametrize("rng_seed,probs", [
+    (0, [0.7, 0.1, 0.2]), (0, [0.1, 0.7, 0.2]), (9, [0.7, 0.1, 0.2])])
+def test_absorption_order_matches_the_rule(rng_seed, probs):
+    g = gen_gnp(90, 0.4, seed=8)
+    p = ParamSet(0.0, 0.09, EXTERNAL, d_const=0.02)
+    t = table_for(g, p)
+    labels = np.random.default_rng(rng_seed).choice(3, size=g.n, p=probs)
+    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=1)
+    absorbed, w2 = replay_absorption(g, labels, trace.w1,
+                                     t.fpsi[t.row_index(g.degree)])
+    assert len(absorbed) > 10
+    assert [(a.vertex, a.destination, a.witnessed_cross)
+            for a in trace.absorbed] == absorbed
+    assert trace.w2.tolist() == w2
+
+
 def test_refine_external_thin_y_reaches_the_cut():
     g, fpsi, trace, cross = thin_y_trace(2)
     assert len(trace.w1) == len(trace.w2) == g.n and trace.absorbed == []
