@@ -1,7 +1,8 @@
 """Greedy dense-subgraph extraction with its deletion-budget certificate.
 
-Given an integer degree target per vertex (0: unclassed) and a slack per
-classed vertex, iteratively delete any classed vertex that falls below its
+The host is a part of a counted labeling (here the whole graph is part 0
+of a two-part one).  Given an integer degree target per vertex (0:
+unclassed) and a slack per classed vertex, iteratively delete any classed vertex that falls below its
 target inside the surviving set.  The survivor set is the same for every
 deletion order (unique maximal fixed point), and the number of deletions is
 bounded by an explicit budget chain.
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from degpart import check_key_condition, extract_dense
+from degpart import Counts, check_key_condition, extract_dense
 from degpart import gen_gnp
 
 # a dense core plus 15 tendril vertices hanging by a single edge
@@ -30,15 +31,15 @@ print("host graph:", g, "mean degree", round(float(g.degree.mean()), 1))
 rng = np.random.default_rng(0)
 members = np.concatenate([np.arange(300, 315),
                           rng.permutation(300)[:30]])
-host = np.arange(g.n)
+counts = Counts(g, np.zeros(g.n, dtype=np.int64), 2)  # host: part 0, all of V
 target = np.zeros(g.n, dtype=np.int64)
 target[members] = 2
 eta = np.full(g.n, Fraction(1), dtype=object)
 
-cond = check_key_condition(g, host, target, eta)
+cond = check_key_condition(counts, (0,), target, eta)
 print(f"key condition: lhs={cond.lhs:.1f} < |V(H)|={cond.rhs}? {cond.satisfied}")
 
-result = extract_dense(g, host, target, eta)
+result = extract_dense(counts, (0,), target, eta)
 b = result.budget
 print(f"deleted {b.deleted_count} vertices "
       f"(<= weighted deficit {b.weighted_deficit} <= bound {b.bound:.1f})")
@@ -49,7 +50,7 @@ print("first deletions (vertex, degree at deletion):",
 
 # order independence: shuffle the deletion schedule, same fixed point
 for order_seed in (1, 2, 3):
-    alt = extract_dense(g, host, target, eta, order_seed=order_seed)
+    alt = extract_dense(counts, (0,), target, eta, order_seed=order_seed)
     assert alt.surviving.tolist() == result.surviving.tolist()
 print("same surviving set under 3 randomized deletion orders")
 

@@ -10,7 +10,7 @@ verifier re-checks from scratch, and a brute-force oracle supplies ground
 truth on small instances.
 """
 
-from .graph import Graph, LabeledPartition, load_graph, degree_in_set, cut_and_internal_profile
+from .graph import Counts, Graph, LabeledPartition, load_graph, degree_in_set, cut_and_internal_profile
 from .thresholds import (
     ParamSet,
     ThresholdTable,
@@ -42,6 +42,7 @@ from .bench import bench_sweep, write_csv
 __version__ = "0.1.0"
 
 __all__ = [
+    "Counts",
     "Graph",
     "LabeledPartition",
     "load_graph",

@@ -21,6 +21,12 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
 * the standalone ``verify_certificate`` always recounts, and rebuilds its
   tables from the recorded parameters; that is what makes it independent.
 
+Every judgement screens its claims first (``judge``, and through it
+``check_claims`` and the pipelines, raise ``MalformedClaim``;
+``verify_counted`` fails with the reason): a claim of unknown kind, with a
+missing or ill-typed field, or with a part index outside [0, r) is refused,
+never read.
+
 Claim kinds:
 
     part_size_window   part j size within [lo, hi]
@@ -44,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Counts, Graph, LabelError
+from .graph import Counts, Graph
 from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
 
 
@@ -192,10 +198,18 @@ class _Context:
         return self.matrix[:, int(target)]
 
     def floors(self, floor: dict) -> tuple[np.ndarray, np.ndarray]:
-        """(floor value per vertex, active mask per vertex)."""
+        """(floor value per vertex, active mask per vertex).
+
+        A const value and a table factor are clipped to [0, max degree + 1]
+        before the int64 arithmetic, so no floor wraps; the verdict is the
+        same, since no degree count is negative, no count exceeds the maximum
+        degree, and an active vertex's table floor is at least 0.
+        """
         n = self.graph.n
+        top = int(self.graph.degree.max(initial=0)) + 1
+        clip = lambda k: min(max(int(k), 0), top)
         if floor["type"] == "const":
-            return (np.full(n, int(floor["value"]), dtype=np.int64),
+            return (np.full(n, clip(floor["value"]), dtype=np.int64),
                     np.ones(n, dtype=bool))
         params = ParamSet(floor["c"], floor["eps"], floor["mode"],
                           d_const=floor["d_const"], relaxed=True)
@@ -206,7 +220,7 @@ class _Context:
         table = self._tables[key]
         rows = table.row_index(self.graph.degree)
         col = {"phi": table.fphi, "psi": table.fpsi}[floor["fn"]]
-        return int(floor["factor"]) * col[rows], table.active[rows]
+        return clip(floor["factor"]) * col[rows], table.active[rows]
 
 
 def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
@@ -319,10 +333,13 @@ def _malformed(claim, r: int) -> str | None:
 def recount(graph: Graph, labels, r: int) -> _Context:
     """Count a labeling from scratch, to judge claims against.
 
-    Raises LabelError unless labels is an integer array of length n with
-    values in [0, r).
+    Raises ValueError unless r is an integer >= 1, and LabelError (a
+    ValueError) unless labels is an integer array of length n with values
+    in [0, r).
     """
-    return _Context(Counts(graph, labels, r))
+    if not (_is_int(r) and r >= 1):
+        raise ValueError(f"part count r={r!r} is not an integer >= 1")
+    return _Context(Counts(graph, labels, int(r)))
 
 
 def from_counts(counts: Counts, table: ThresholdTable | None = None) -> _Context:
@@ -333,16 +350,40 @@ def from_counts(counts: Counts, table: ThresholdTable | None = None) -> _Context
                     else None)
 
 
+class MalformedClaim(ValueError):
+    """A claim that cannot be judged; the message names it by index."""
+
+    def __init__(self, index: int, claim, reason: str):
+        super().__init__(f"malformed claim #{index}: {reason}")
+        self.index, self.claim = index, claim
+
+
+def _screen(ctx: _Context, claims: list) -> None:
+    """Raise MalformedClaim for the first claim that cannot be judged."""
+    r = ctx.matrix.shape[1]
+    for idx, claim in enumerate(claims):
+        reason = _malformed(claim, r)
+        if reason:
+            raise MalformedClaim(idx, claim, reason)
+
+
 def judge(ctx: _Context, claims: list) -> list[bool]:
-    """Whether each claim holds in a context; one flag each."""
+    """Whether each claim holds in a context; one flag each.
+
+    Raises MalformedClaim (a ValueError) naming the first claim of unknown
+    kind, with a missing or ill-typed field, or with a part index outside
+    [0, r); no claim is judged then.
+    """
+    _screen(ctx, claims)
     return [_check_claim(ctx, claim)[0] for claim in claims]
 
 
 def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
     """Judge each claim from scratch against (graph, labels); one flag each.
 
-    Raises LabelError unless labels is an integer array of length n with
-    values in [0, r).
+    Raises ValueError unless r is an integer >= 1, LabelError unless labels
+    is an integer array of length n with values in [0, r), and
+    MalformedClaim for a claim that cannot be judged (all ValueErrors).
     """
     return judge(recount(graph, labels, r), claims)
 
@@ -358,17 +399,18 @@ def _check_binding(graph: Graph, cert: Certificate) -> None:
 def verify_counted(ctx: _Context, cert: Certificate) -> VerifyResult:
     """Judge every claim of a certificate against one counted labeling.
 
-    A graph-hash mismatch refuses verification outright (ValueError); a
-    failure names the first failing claim and its witness vertex, or, for a
-    claim of unknown kind, missing fields or a part index outside [0, r),
-    the reason it cannot be judged.
+    A graph-hash mismatch refuses verification outright (ValueError).  The
+    claims are screened as ``judge`` screens them: a failure names the
+    first claim of unknown kind, with missing or ill-typed fields or with a
+    part index outside [0, r), and the reason it cannot be judged; else the
+    first failing claim and its witness vertex.
     """
     _check_binding(ctx.graph, cert)
-    r = ctx.matrix.shape[1]
+    try:
+        _screen(ctx, cert.claims)
+    except MalformedClaim as exc:
+        return VerifyResult(False, exc.index, exc.claim, reason=str(exc))
     for idx, claim in enumerate(cert.claims):
-        reason = _malformed(claim, r)
-        if reason:
-            return VerifyResult(False, idx, claim, reason=f"malformed claim #{idx}: {reason}")
         ok, witness = _check_claim(ctx, claim)
         if not ok:
             return VerifyResult(False, idx, claim, witness)
@@ -383,7 +425,8 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
     defaults to max label + 1, at least 2).  A graph-hash mismatch refuses
     verification outright (ValueError) rather than failing a claim.  Labels
     that are no r-partition of the vertices fail with ``reason`` set and the
-    first bad vertex as the witness.  The labels are counted once, and the
+    first bad vertex as the witness; an r that is no integer >= 1 fails with
+    ``reason`` set.  The labels are counted once, and the
     threshold tables rebuilt from the recorded parameters.
     """
     _check_binding(graph, cert)
@@ -396,6 +439,6 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
             r = max(2, int(labels.max()) + 1) if labels.size and integer else 2
     try:
         ctx = recount(graph, labels, r)
-    except LabelError as exc:
-        return VerifyResult(False, witness=exc.vertex, reason=str(exc))
+    except ValueError as exc:  # a bad r, or a LabelError naming its vertex
+        return VerifyResult(False, witness=getattr(exc, "vertex", None), reason=str(exc))
     return verify_counted(ctx, cert)

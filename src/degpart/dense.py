@@ -22,6 +22,15 @@ minimum of eta_v over vertices, so the grouping carries no information and
 is not stored: the per-vertex target and slack arrays are the one input
 format, and the refinements pass their table columns straight in.
 
+The host is named by the parts of a counted labeling (``graph.Counts``):
+one part p gives H = G[p], two parts p, q the bipartite graph between them.
+A host vertex's degree in H is its count toward its partner part (p for
+one part; the other of p, q for two), so the extraction reads it from the
+count matrix and peels on the full adjacency, decrementing a neighbour only
+when it is alive and labelled with the deleted vertex's partner part.  No
+subgraph is built.  A caller holding a bare vertex set counts a two-part
+labeling with the set as part 0 and passes ``(0,)``.
+
 Threshold comparisons for A+ and the budget bound run in exact rational
 arithmetic (integer degrees against Fraction thresholds, float slacks read
 exactly), so the certificate never depends on float rounding.
@@ -36,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Counts
 
 
 @dataclass(frozen=True)
@@ -72,11 +81,23 @@ class ExtractResult:
         return np.array([v for v, _ in self.deleted], dtype=np.int64)
 
 
-def _key_condition(graph: Graph, host, target, eta):
-    """(host mask, targets, host degrees, classed ids, condition, exact lhs):
-    host degrees are counted once, and the exact lhs is the budget bound."""
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[np.asarray(host, dtype=np.int64)] = True
+def _key_condition(counts: Counts, parts, target, eta):
+    """(alive host mask, partner part per vertex, targets, host degrees,
+    classed ids, condition, exact lhs): host degrees are read from the count
+    columns, and the exact lhs is the budget bound."""
+    r = counts.matrix.shape[1]
+    parts = tuple(parts)
+    if not (1 <= len(parts) <= 2 and len(set(parts)) == len(parts)
+            and all(isinstance(p, (int, np.integer)) and 0 <= p < r for p in parts)):
+        raise ValueError(f"parts must be one or two distinct parts of [0, {r}), "
+                         f"got {parts}")
+    lab = counts.labels
+    mask = (lab == parts[0]) | (lab == parts[-1])
+    # H = G[part] for one part, the bipartite graph between two parts for two
+    partner_of = np.arange(r)
+    partner_of[parts[0]], partner_of[parts[-1]] = parts[-1], parts[0]
+    partner = partner_of[lab]
+    deg = counts.matrix[np.arange(len(lab)), partner]
     target = np.asarray(target, dtype=np.int64)
     eta = np.asarray(eta)
     classed = np.flatnonzero(target >= 1)
@@ -84,8 +105,6 @@ def _key_condition(graph: Graph, host, target, eta):
         raise ValueError("targets must be >= 0, and positive only on host vertices")
     if not (eta[classed] > 0).all():
         raise ValueError("every classed vertex needs a positive slack eta")
-    both = mask[graph.rows] & mask[graph.indices]
-    deg = np.bincount(graph.rows[both], minlength=graph.n)
     lhs, deficit = Fraction(0), 0
     if len(classed):
         a, e = target[classed], eta[classed]
@@ -101,32 +120,36 @@ def _key_condition(graph: Graph, host, target, eta):
         need = [-(-2 * ai * (q + p) // q) for ai, p, q in ratios]
         deficit = int(a[deg[classed] < np.array(need, dtype=np.int64)[inv.ravel()]].sum())
         lhs = (1 + 1 / Fraction(e.min())) * deficit
-    rhs = int(mask.sum())
+    rhs = int(counts.sizes[list(parts)].sum())
     cond = KeyCondition(float(lhs), rhs, lhs < rhs, deficit)
-    return mask, target, deg, classed, cond, lhs
+    return mask, partner, target, deg, classed, cond, lhs
 
 
-def check_key_condition(graph: Graph, host, target, eta) -> KeyCondition:
+def check_key_condition(counts: Counts, parts, target, eta) -> KeyCondition:
     """lhs = (1 + 1/eta) * sum of a_v over classed v outside A+ vs rhs = |V(H)|.
 
-    host holds the host's vertex ids; target and eta are per-vertex arrays
-    over all of V (target 0: unclassed; eta float or Fraction).
+    counts is a labeling's ``graph.Counts``.  parts names the host H: one
+    part p gives H = G[p], two parts p, q the bipartite graph between them.
+    target and eta are per-vertex arrays over all of V (target 0: unclassed,
+    positive only on vertices of the parts; eta float or Fraction).
     """
-    return _key_condition(graph, host, target, eta)[4]
+    return _key_condition(counts, parts, target, eta)[5]
 
 
-def extract_dense(graph: Graph, host, target, eta,
+def extract_dense(counts: Counts, parts, target, eta,
                   order_seed: int | None = None) -> ExtractResult:
     """Run the greedy deletion to its fixed point.
 
-    host, target and eta as in ``check_key_condition``.  order_seed
+    counts, parts, target and eta as in ``check_key_condition``; the
+    extraction reads the counts and leaves them unchanged.  order_seed
     randomizes the deletion schedule (the surviving set is the same for
     every order); None processes a FIFO queue in ascending-id order.  The key
     condition is checked at entry; if it fails the extraction still runs but
     the result is flagged guaranteed=False.
     """
-    alive, target, deg, classed, cond, bound_exact = \
-        _key_condition(graph, host, target, eta)
+    alive, partner, target, deg, classed, cond, bound_exact = \
+        _key_condition(counts, parts, target, eta)
+    graph, lab = counts.graph, counts.labels
     # one heap serves both schedules: FIFO keys every entry 0.0, a seeded
     # order a random draw; the push counter breaks ties in push order
     rng = None if order_seed is None else np.random.default_rng(order_seed)
@@ -145,12 +168,13 @@ def extract_dense(graph: Graph, host, target, eta,
         if not alive[v] or deg[v] >= target[v]:
             continue  # stale entry
         alive[v] = False
-        deleted.append((int(v), int(deg[v])))
-        for w in graph.neighbors(v).tolist():
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < target[w]:
-                    push(w)
+        deleted.append((v, int(deg[v])))
+        # the neighbours of v in H that are still alive, in ascending id
+        nb = graph.neighbors(v)
+        nb = nb[alive[nb] & (lab[nb] == partner[v])]
+        deg[nb] -= 1
+        for w in nb[deg[nb] < target[nb]].tolist():
+            push(w)
 
     surviving = np.nonzero(alive)[0]
     weighted_deficit = int(target[classed][~alive[classed]].sum())

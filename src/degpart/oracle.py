@@ -33,7 +33,7 @@ import numpy as np
 
 from .dense import extract_dense
 from .gen import gen_kuhn_osthus
-from .graph import Graph
+from .graph import Counts, Graph
 
 MAX_ORACLE_N = 24
 MAX_HOST = 15
@@ -158,10 +158,12 @@ def ko_bisection_exists(n: int, l: int, k: int):
 def dense_fixed_point_check(graph: Graph, host, target, eta) -> bool:
     """Greedy extraction equals the unique maximal valid subset.
 
-    host, target and eta as in ``dense.extract_dense``.  A subset S of the
-    host is valid when every classed vertex in S has at least its target
-    degree inside S.  Valid subsets are closed under union, so the maximal
-    one is the union of all of them; hosts above 15 vertices are refused.
+    host holds the host's vertex ids, and target and eta are as in
+    ``dense.extract_dense``, which runs on the two-part labeling with the
+    host as part 0.  A subset S of the host is valid when every classed
+    vertex in S has at least its target degree inside S.  Valid subsets are
+    closed under union, so the maximal one is the union of all of them;
+    hosts above 15 vertices are refused.
     """
     host = np.unique(np.asarray(host, dtype=np.int64))
     if len(host) > MAX_HOST:
@@ -171,5 +173,7 @@ def dense_fixed_point_check(graph: Graph, host, target, eta) -> bool:
     for rows, in_set in _sets(graph.induced_subgraph(host)):
         valid = ((rows == 0) | (in_set >= need)).all(axis=1)
         union |= rows[valid].any(axis=0)
-    result = extract_dense(graph, host, target, eta)
+    labels = np.ones(graph.n, dtype=np.int64)
+    labels[host] = 0
+    result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
     return set(result.surviving.tolist()) == set(host[union].tolist())

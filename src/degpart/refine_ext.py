@@ -4,10 +4,11 @@ Starting from a stage-one tripartition X|Y|Z whose active Z-vertices are
 X-good and Y-good, the construction makes every vertex of the two sides meet
 a floored cross-degree floor:
 
-  1. dense-extract on the bipartite cross subgraph H = (X,Y)_G, each active
+  1. dense-extract on the bipartite cross graph H = (X,Y)_G, each active
      vertex of X ∪ Y of degree i with target floor(psi*(i)) and slack eta_i,
      leaving a core H' = X1 ∪ Y1 in which every vertex already has enough
-     cross neighbors;
+     cross neighbors (a vertex's degree in H is its count toward the other
+     side, so H is never built);
   2. quarantine W1 = V(H \ H') ∪ (N(V(H \ H')) ∩ Z); the rest of Z becomes
      Z1 and keeps its entire X/Y-neighborhood inside the core (purity);
   3. greedily absorb W vertices: anyone with floor(psi(i)) neighbors in the
@@ -17,11 +18,14 @@ a floored cross-degree floor:
      vertex has >= 2*floor(psi(i)) neighbors inside W2, so its cut side
      gives it >= floor(psi(i)) cross neighbors.
 
-It takes the run's ``graph.Counts`` of X|Y|Z and moves W1 through it; H is
-built only when some target is at least 1.  The three absorption-exit facts
-(both side-degrees below floor(psi), inner W2 degree at least twice it) are
-asserted on every run; ``pipelines.tripartition`` judges the final
-tripartition with the certificate verifier.
+It takes the run's ``graph.Counts`` of X|Y|Z: the extraction reads H's
+degrees from its X and Y columns, quarantine and purity read only the CSR
+rows of the extracted vertices, absorption's side counts start from one
+gather over the rows of W1, and W1 moves through the counts at the end.
+The three absorption-exit facts (both side-degrees below floor(psi), inner
+W2 degree at least twice it) are asserted on every run;
+``pipelines.tripartition`` judges the final tripartition with the
+certificate verifier.
 """
 
 from __future__ import annotations
@@ -110,31 +114,28 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
 
     in_x = labels_in == PART_X
     in_y = labels_in == PART_Y
-    host = np.nonzero(in_x | in_y)[0]
 
-    # step 1: extraction over the cross subgraph
+    # step 1: extraction over the cross graph (X,Y)_G, on the counts of X|Y
     target = np.where((in_x | in_y) & active, table.fpsi_star[rows], 0)
     extract = None
     deleted_ids = np.empty(0, dtype=np.int64)
     if target.any():
-        h_graph = graph.cross_subgraph(labels_in, PART_X, PART_Y)
-        extract = extract_dense(h_graph, host, target, table.eta[rows])
+        extract = extract_dense(counts, (PART_X, PART_Y), target, table.eta[rows])
         deleted_ids = extract.deleted_vertices
 
     # step 2: quarantine W1 and keep the pure remainder of Z
-    deleted_mask = np.zeros(n, dtype=bool)
-    deleted_mask[deleted_ids] = True
-    in_w = deleted_mask.copy()
-    touched = graph.indices[deleted_mask[graph.rows]]
+    in_w = np.zeros(n, dtype=bool)
+    in_w[deleted_ids] = True
+    touched = graph.indices[graph.row_entries(deleted_ids)]
     in_w[touched[labels_in[touched] == PART_Z]] = True
     w1 = np.nonzero(in_w)[0]
     # purity: Z1 vertices have all their X/Y neighbors inside the core, i.e.
-    # no Z1 vertex touches an extracted vertex (those went to W1 instead)
+    # no Z1 vertex touches an extracted vertex (those went to W1 instead);
+    # adjacency is symmetric, so the rows of the extracted vertices tell
     x1_mask = in_x & ~in_w
     y1_mask = in_y & ~in_w
     z1_mask = in_z0 & ~in_w
-    assert not bool((z1_mask[graph.rows] & deleted_mask[graph.indices]).any()), \
-        "a Z1 vertex touches an extracted vertex"
+    assert not bool(z1_mask[touched].any()), "a Z1 vertex touches an extracted vertex"
     w1_budget = len(deleted_ids) + int(graph.degree[deleted_ids].sum())
     assert len(w1) <= w1_budget, "W1 accounting bound violated"
 
@@ -142,11 +143,13 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     side = np.full(n, -1, dtype=np.int64)   # current side of core members
     side[x1_mask] = PART_X
     side[y1_mask] = PART_Y
-    d_to = np.zeros((n, 2), dtype=np.int64)  # neighbors in columns PART_X, PART_Y
-    w2 = sorted(w1.tolist())
-    for v in w2:
-        nb_side = side[graph.neighbors(v)]
-        d_to[v] = (nb_side == PART_X).sum(), (nb_side == PART_Y).sum()
+    # neighbors in columns PART_X, PART_Y, from one gather over W1's rows
+    owner = np.repeat(w1, graph.degree[w1])
+    nb_side = side[graph.indices[graph.row_entries(w1)]]
+    sided = nb_side >= 0
+    d_to = np.bincount(2 * owner[sided] + nb_side[sided],
+                       minlength=2 * n).reshape(n, 2)
+    w2 = w1.tolist()
     absorbed: list[Absorption] = []
     probe = [PART_X, PART_Y]  # reversed after every absorption
     changed = True

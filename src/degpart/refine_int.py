@@ -6,7 +6,8 @@ the goodness structure that C provides:
 
   1. extract a core A* of G[A] in which every vertex of degree i already has
      floor(phi(i)) neighbors inside the core (greedy dense extraction, each
-     active A-vertex of degree i with target floor(phi(i)) and slack mu_i);
+     active A-vertex of degree i with target floor(phi(i)) and slack mu_i,
+     read from the counts of A);
   2. evacuate vertices of A whose joint degree into A ∪ C falls below
      floor(phi(i)), moving each one together with its current C-neighborhood
      into B (processed in ascending id over a work queue);
@@ -121,15 +122,14 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     }
     arithmetic_ok = _evacuee_landing_is_good(table)
 
-    # step 1: the dense core of G[A]
-    host = np.nonzero(in_a)[0]
+    # step 1: the dense core of G[A], on the counts of A
     target = np.where(in_a & active, fphi, 0)
     extract = None
     if target.any():
-        extract = extract_dense(graph, host, target, table.mu[rows])
+        extract = extract_dense(counts, (PART_A,), target, table.mu[rows])
         a_star = extract.surviving
     else:
-        a_star = host.copy()
+        a_star = np.nonzero(in_a)[0]
 
     # step 2: evacuation of joint-degree-deficient A vertices
     dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
@@ -156,10 +156,7 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
                         queue.append(w)
     counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
 
-    a1 = np.nonzero(in_a)[0]
-    a_star_set = set(a_star.tolist())
-    assert a_star_set <= set(a1.tolist()), \
-        "extracted core lost vertices during evacuation"
+    assert in_a[a_star].all(), "extracted core lost vertices during evacuation"
 
     # step 3: patch deficient A vertices from their C-neighborhoods
     d_a = counts.matrix[:, PART_A]
@@ -167,15 +164,14 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     ok = True
     failed_vertex = None
     if not skip_patch:
-        for v in a1.tolist():
-            if constrained[v] and d_a[v] < fphi[v]:
-                need = int(fphi[v] - d_a[v])
-                donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-                if len(donors) < need:
-                    ok = False
-                    failed_vertex = int(v)
-                    break
-                patch[int(v)] = donors[:need]
+        for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
+            need = int(fphi[v] - d_a[v])
+            donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
+            if len(donors) < need:
+                ok = False
+                failed_vertex = v
+                break
+            patch[v] = donors[:need]
     if ok:
         counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 

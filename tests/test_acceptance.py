@@ -16,7 +16,7 @@ from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector, biased_max_r_cut, local_maxcut
 from degpart.dense import extract_dense
 from degpart.gen import complete_graph, gen_gnp
-from degpart.graph import part_profile
+from degpart.graph import Counts, part_profile
 from degpart.oracle import best_bisection, ko_bisection_exists
 from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
                                bisect_with_cut_average, random_bisection_stats,
@@ -45,7 +45,7 @@ def test_criterion_1_dense_extract_exactness():
         p = min(1.0, 8.0 / n)
         g = gen_gnp(n, p, seed=int(rng.integers(1 << 30)))
         perm = rng.permutation(n)
-        host = np.arange(n)
+        counts = Counts(g, np.zeros(n, dtype=np.int64), 2)  # host: all of V
         target = np.zeros(n, dtype=np.int64)
         eta = np.zeros(n, dtype=object)
         used = 0
@@ -57,7 +57,7 @@ def test_criterion_1_dense_extract_exactness():
                 break
             target[members] = int(rng.integers(1, 7))
             eta[members] = Fraction(int(rng.integers(1, 31)), 10)
-        base = extract_dense(g, host, target, eta)
+        base = extract_dense(counts, (0,), target, eta)
         surv = set(base.surviving.tolist())
         classed = np.flatnonzero(target).tolist()
         # item (a): every surviving classed vertex meets its target, exactly
@@ -75,7 +75,7 @@ def test_criterion_1_dense_extract_exactness():
         assert Fraction(b.weighted_deficit) <= (1 + 1 / eta_min) * s
         # deletion-order independence
         for k in range(5):
-            alt = extract_dense(g, host, target, eta, order_seed=1000 * trial + k)
+            alt = extract_dense(counts, (0,), target, eta, order_seed=1000 * trial + k)
             assert alt.surviving.tolist() == base.surviving.tolist()
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -222,6 +222,63 @@ def test_verify_refuses_a_malformed_claim_on_both_routes(claim, why):
     assert verify_certificate(g, report.partition(), ok).passed
 
 
+@pytest.mark.parametrize("claim,why", MALFORMED_CLAIMS)
+def test_judge_refuses_a_malformed_claim_on_every_path(claim, why):
+    g = complete_graph(4)
+    labels = np.array([0, 0, 1, 1])
+    claims = [certify.claim_balance(1), claim]
+    with pytest.raises(ValueError, match=r"^malformed claim #1: ") as exc:
+        check_claims(g, labels, 2, claims)
+    assert why in str(exc.value) and exc.value.claim == claim
+    # the pipelines judge their conditions on the counts they maintain
+    with pytest.raises(certify.MalformedClaim, match=r"^malformed claim #1: "):
+        certify.judge(certify.from_counts(graph_module.Counts(g, labels, 2)), claims)
+
+
+def test_check_claims_refuses_a_part_read_from_the_end():
+    # numpy read part -1 and target -1 as the last part: [True, True]
+    claims = [{"kind": "part_size_window", "part": -1, "lo": 2, "hi": 2},
+              {"kind": "degree_floor", "source": "all", "target": -1,
+               "floor": {"type": "const", "value": 1}}]
+    with pytest.raises(ValueError, match=r"^malformed claim #0: part_size_window "
+                                         r"claim has a bad 'part': -1 \(r=2\)$"):
+        check_claims(complete_graph(4), [0, 0, 1, 1], 2, claims)
+
+
+@pytest.mark.parametrize("r", ["2", 2.5, True, 0])
+def test_verify_refuses_a_part_count_that_is_no_integer(r):
+    # '2' raised numpy's UFuncTypeError and 2.5 a casting TypeError
+    g = complete_graph(4)
+    cert = make_cert(g, [certify.claim_balance(1)])
+    labels = np.array([0, 0, 1, 1])
+    res = verify_certificate(g, labels, cert, r=r)
+    assert not res.passed and res.witness is None and res.failed_index is None
+    assert res.reason == f"part count r={r!r} is not an integer >= 1"
+    with pytest.raises(ValueError, match="is not an integer >= 1"):
+        check_claims(g, labels, r, [certify.claim_balance(1)])
+    assert verify_certificate(g, labels, cert, r=np.int64(2)).passed
+
+
+def test_huge_floors_do_not_wrap_on_both_routes():
+    # K10 split 5|5: every own degree is 4 and floor(phi(9)) = 2 here, so a
+    # table floor with factor f asks for 2f; factor 2**62 wrapped to -2**63
+    # in int64 and passed, and a const floor of 2**63 raised OverflowError
+    g = complete_graph(10)
+    params = ParamSet(0, 0.01, INTERNAL, d_const=1e-4)
+    labels = np.array([0] * 5 + [1] * 5)
+    routes = lambda cert: (verify_certificate(g, labels, cert, r=2),
+                           verify_certificate(g, LabeledPartition(2, labels), cert))
+    cases = [(certify.table_floor("phi", params, f), f <= 2)
+             for f in (-2 ** 70, 0, 2, 3, 2 ** 62, 2 ** 63, 2 ** 70)]
+    cases += [(certify.const_floor(k), k <= 4)
+              for k in (-2 ** 70, 4, 5, 2 ** 63, 2 ** 64)]
+    for floor, holds in cases:
+        cert = make_cert(g, [certify.claim_degree_floor("all", "own", floor)])
+        for res in routes(cert):
+            assert res.passed == holds and res.reason is None, floor
+            assert res.witness == (None if holds else 0)
+
+
 def test_check_claims_one_flag_per_claim():
     g = complete_graph(4)
     claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from degpart import dense
 from degpart.dense import BudgetChain
 from degpart.gen import complete_graph, gen_complete_bipartite
-from degpart.graph import Graph
+from degpart.graph import Counts, Graph
 
 from conftest import graphs
 
@@ -218,11 +219,83 @@ def extract_dense(graph: Graph, family: ClassFamily,
     return ExtractResult(surviving, deleted, budget, cond.satisfied)
 
 
+# -- the graph-level reference ----------------------------------------------------
+#
+# The per-vertex extraction as it stood when it took a graph and a host id
+# set: host degrees counted by a mask over every CSR entry, the peel run on
+# the graph it was given (for a cross host, the subgraph of cross edges).
+# ``dense.extract_dense`` on a labeling's counts must give the same
+# surviving set, deletion sequence, budget chain and key condition.
+
+
+def graph_key_condition(graph: Graph, host, target, eta):
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[np.asarray(host, dtype=np.int64)] = True
+    target = np.asarray(target, dtype=np.int64)
+    eta = np.asarray(eta)
+    classed = np.flatnonzero(target >= 1)
+    both = mask[graph.rows] & mask[graph.indices]
+    deg = np.bincount(graph.rows[both], minlength=graph.n)
+    lhs, deficit = Fraction(0), 0
+    if len(classed):
+        a, e = target[classed], eta[classed]
+        a_vals, a_id = np.unique(a, return_inverse=True)
+        _, e_id = np.unique(e, return_inverse=True)
+        _, first, inv = np.unique(e_id.ravel() * len(a_vals) + a_id.ravel(),
+                                  return_index=True, return_inverse=True)
+        ratios = [(int(a[i]), *Fraction(e[i]).as_integer_ratio()) for i in first.tolist()]
+        need = [-(-2 * ai * (q + p) // q) for ai, p, q in ratios]
+        deficit = int(a[deg[classed] < np.array(need, dtype=np.int64)[inv.ravel()]].sum())
+        lhs = (1 + 1 / Fraction(e.min())) * deficit
+    rhs = int(mask.sum())
+    cond = dense.KeyCondition(float(lhs), rhs, lhs < rhs, deficit)
+    return mask, target, deg, classed, cond, lhs
+
+
+def graph_extract_dense(graph: Graph, host, target, eta, order_seed=None):
+    alive, target, deg, classed, cond, bound_exact = \
+        graph_key_condition(graph, host, target, eta)
+    rng = None if order_seed is None else np.random.default_rng(order_seed)
+    heap: list = []
+    pushes = itertools.count()
+
+    def push(v):
+        heapq.heappush(heap, (0.0 if rng is None else rng.random(), next(pushes), v))
+
+    for v in classed[deg[classed] < target[classed]].tolist():
+        push(v)
+    deleted = []
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if not alive[v] or deg[v] >= target[v]:
+            continue
+        alive[v] = False
+        deleted.append((int(v), int(deg[v])))
+        for w in graph.neighbors(v).tolist():
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] < target[w]:
+                    push(w)
+    weighted_deficit = int(target[classed][~alive[classed]].sum())
+    budget = BudgetChain(len(deleted), weighted_deficit, float(bound_exact))
+    return dense.ExtractResult(np.nonzero(alive)[0], deleted, budget, cond.satisfied)
+
+
 # -- per-vertex inputs ---------------------------------------------------------
 
 
+def host_counts(graph, host=None) -> Counts:
+    """The two-part labeling with the host (all of V when None) as part 0."""
+    labels = np.zeros(graph.n, dtype=np.int64)
+    if host is not None:
+        labels[:] = 1
+        labels[np.asarray(host, dtype=np.int64)] = 0
+    return Counts(graph, labels, 2)
+
+
 def arrays(graph, *classes, host=None):
-    """(host ids, target, eta) of disjoint classes (vertices, a, eta).
+    """(counts, parts, target, eta) of disjoint classes (vertices, a, eta) on
+    the host as part 0 of a two-part labeling.
 
     Unclassed vertices get target 0; eta is float64 when every slack is a
     float and an object array as soon as one is a Fraction.
@@ -232,58 +305,56 @@ def arrays(graph, *classes, host=None):
     for vs, a, e in classes:
         for v in vs:
             target[v], eta[v] = a, e
-    host = np.arange(graph.n) if host is None else np.asarray(host, dtype=np.int64)
-    return host, target, np.array(eta)
+    return host_counts(graph, host), (0,), target, np.array(eta)
 
 
 def test_a_plus_complete_graph():
     # deficit = |A \ A+| at a = 1: A+ is all of K5 (degree 4 >= 2*(1+1)*1)
     k5 = complete_graph(5)
-    cond = dense.check_key_condition(k5, *arrays(k5, (range(5), 1, Fraction(1))))
+    cond = dense.check_key_condition(*arrays(k5, (range(5), 1, Fraction(1))))
     assert cond.deficit == 0
 
 
 def test_a_plus_star_leaves_empty():
     star = gen_complete_bipartite(1, 4)  # center 0, leaves 1..4
-    cond = dense.check_key_condition(
-        star, *arrays(star, ([1, 2, 3, 4], 1, Fraction(4))))
+    cond = dense.check_key_condition(*arrays(star, ([1, 2, 3, 4], 1, Fraction(4))))
     assert cond.deficit == 4  # A+ empty: leaf degree 1 < 2*(1+4)*1 = 10
 
 
 def test_a_plus_empty_class():
     k5 = complete_graph(5)
-    cond = dense.check_key_condition(k5, *arrays(k5, ([], 1, Fraction(1))))
+    cond = dense.check_key_condition(*arrays(k5, ([], 1, Fraction(1))))
     assert cond.deficit == 0 and cond.lhs == 0.0
 
 
 def test_key_condition_satisfied_on_complete_graph():
     k5 = complete_graph(5)
-    cond = dense.check_key_condition(k5, *arrays(k5, (range(5), 1, Fraction(1))))
+    cond = dense.check_key_condition(*arrays(k5, (range(5), 1, Fraction(1))))
     assert cond.satisfied and cond.lhs == 0.0 and cond.rhs == 5
 
 
 def test_key_condition_edge_plus_isolated():
     g = Graph.from_edges(3, [(0, 1)])  # edge u-v, isolated w=2
-    cond = dense.check_key_condition(g, *arrays(g, ([2], 1, Fraction(1))))
+    cond = dense.check_key_condition(*arrays(g, ([2], 1, Fraction(1))))
     assert cond.lhs == 2.0 and cond.rhs == 3 and cond.satisfied
 
 
 def test_key_condition_endpoint_unsatisfied():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])  # path, endpoint degree 1
-    cond = dense.check_key_condition(g, *arrays(g, ([0], 2, Fraction(1))))
+    cond = dense.check_key_condition(*arrays(g, ([0], 2, Fraction(1))))
     assert cond.lhs == 4.0 and cond.rhs == 3 and not cond.satisfied
 
 
 def test_extract_complete_graph_keeps_everything():
     k5 = complete_graph(5)
-    res = dense.extract_dense(k5, *arrays(k5, (range(5), 1, Fraction(1))))
+    res = dense.extract_dense(*arrays(k5, (range(5), 1, Fraction(1))))
     assert res.surviving.tolist() == [0, 1, 2, 3, 4]
     assert res.deleted == [] and res.guaranteed
 
 
 def test_extract_single_deletion_budget():
     g = Graph.from_edges(3, [(0, 1)])
-    res = dense.extract_dense(g, *arrays(g, ([2], 1, Fraction(1))))
+    res = dense.extract_dense(*arrays(g, ([2], 1, Fraction(1))))
     assert res.deleted == [(2, 0)]
     assert res.surviving.tolist() == [0, 1]
     b = res.budget
@@ -295,13 +366,13 @@ def test_extract_complete_bipartite_tightness_family():
     # class = the large side with target d: every member has degree exactly d
     d, n = 3, 7
     g = gen_complete_bipartite(d, n)
-    res = dense.extract_dense(g, *arrays(g, (range(d, d + n), d, Fraction(1, 100))))
+    res = dense.extract_dense(*arrays(g, (range(d, d + n), d, Fraction(1, 100))))
     assert len(res.surviving) == g.n and not res.deleted
 
 
 def test_extract_runs_unguaranteed_when_condition_fails():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    res = dense.extract_dense(g, *arrays(g, ([0, 2], 2, Fraction(1))))
+    res = dense.extract_dense(*arrays(g, ([0, 2], 2, Fraction(1))))
     assert not res.guaranteed
     assert res.budget.holds()
     assert set(v for v, _ in res.deleted) <= {0, 2}
@@ -309,21 +380,25 @@ def test_extract_runs_unguaranteed_when_condition_fails():
 
 def test_extract_can_empty_host_without_guarantee():
     k3 = complete_graph(3)
-    res = dense.extract_dense(k3, *arrays(k3, (range(3), 5, Fraction(1, 10))))
+    res = dense.extract_dense(*arrays(k3, (range(3), 5, Fraction(1, 10))))
     assert len(res.surviving) == 0 and not res.guaranteed
 
 
 def test_class_validation():
     g = complete_graph(3)
-    host, target, eta = arrays(g, ([0], 1, 1.0))
+    counts, parts, target, eta = arrays(g, ([0], 1, 1.0))
     with pytest.raises(ValueError):
-        dense.extract_dense(g, host, np.array([-1, 0, 0]), eta)  # negative target
+        dense.extract_dense(counts, parts, np.array([-1, 0, 0]), eta)  # negative target
     with pytest.raises(ValueError):
-        dense.extract_dense(g, host, target, np.zeros(3))  # classed eta 0
-    with pytest.raises(ValueError):
-        dense.check_key_condition(g, [1, 2], target, eta)  # classed outside host
+        dense.extract_dense(counts, parts, target, np.zeros(3))  # classed eta 0
+    with pytest.raises(ValueError):  # classed outside host
+        dense.check_key_condition(host_counts(g, [1, 2]), parts, target, eta)
+    for bad in [(), (0, 0), (2,), (-1,), (0, 1, 1), (0.0,)]:
+        with pytest.raises(ValueError, match="parts must be"):
+            dense.check_key_condition(counts, bad, target, eta)
     # an unclassed vertex may carry any slack
-    assert dense.extract_dense(g, host, target, np.array([1.0, 0.0, -1.0])).guaranteed
+    assert dense.extract_dense(counts, parts, target,
+                               np.array([1.0, 0.0, -1.0])).guaranteed
 
 
 @st.composite
@@ -352,9 +427,9 @@ def extraction_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(extraction_instances(), st.integers(0, 10))
 def test_extract_order_independence_and_budget(instance, order_seed):
-    g, (host, target, eta) = instance
-    base = dense.extract_dense(g, host, target, eta)
-    randomized = dense.extract_dense(g, host, target, eta, order_seed=order_seed)
+    g, (counts, parts, target, eta) = instance
+    base = dense.extract_dense(counts, parts, target, eta)
+    randomized = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
     assert base.surviving.tolist() == randomized.surviving.tolist()
     assert base.budget.holds() and randomized.budget.holds()
     # deletions stay inside the classed vertices
@@ -364,8 +439,8 @@ def test_extract_order_independence_and_budget(instance, order_seed):
 @settings(max_examples=40, deadline=None)
 @given(extraction_instances())
 def test_extract_fixed_point_and_item_a(instance):
-    g, (host, target, eta) = instance
-    res = dense.extract_dense(g, host, target, eta)
+    g, (counts, parts, target, eta) = instance
+    res = dense.extract_dense(counts, parts, target, eta)
     surv = set(res.surviving.tolist())
     # item (a): every surviving classed vertex meets its target inside H'
     for v in np.flatnonzero(target).tolist():
@@ -376,7 +451,8 @@ def test_extract_fixed_point_and_item_a(instance):
     if len(res.surviving):
         kept = np.zeros(g.n, dtype=bool)
         kept[res.surviving] = True
-        again = dense.extract_dense(g, res.surviving, np.where(kept, target, 0), eta)
+        again = dense.extract_dense(host_counts(g, res.surviving), (0,),
+                                    np.where(kept, target, 0), eta)
         assert again.deleted == []
         assert again.surviving.tolist() == res.surviving.tolist()
 
@@ -422,13 +498,13 @@ def class_instances(draw):
     return g, family, arrays(g, *classes, host=host)
 
 
-def assert_same_as_reference(g, family, host, target, eta, order_seed):
+def assert_same_as_reference(g, family, counts, parts, target, eta, order_seed):
     want = extract_dense(g, family, order_seed=order_seed)
-    got = dense.extract_dense(g, host, target, eta, order_seed=order_seed)
+    got = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
     assert got.surviving.tolist() == want.surviving.tolist()
     assert got.deleted == [(v, d) for v, _, d in want.deleted]
     assert got.budget == want.budget and got.guaranteed == want.guaranteed
-    cond, ref = dense.check_key_condition(g, host, target, eta), \
+    cond, ref = dense.check_key_condition(counts, parts, target, eta), \
         check_key_condition(g, family)
     assert (cond.lhs, cond.rhs, cond.satisfied) == (ref.lhs, ref.rhs, ref.satisfied)
     assert cond.deficit == sum(int(cl.target) * d
@@ -438,11 +514,10 @@ def assert_same_as_reference(g, family, host, target, eta, order_seed):
 @settings(max_examples=300, deadline=None)
 @given(class_instances(), st.none() | st.integers(0, 2 ** 32 - 1))
 @example((Graph.from_edges(2, [(0, 1)]), ClassFamily((), np.array([], dtype=np.int64)),
-          (np.array([], dtype=np.int64), np.zeros(2, dtype=np.int64), np.zeros(2))),
-         None)
+          arrays(Graph.from_edges(2, [(0, 1)]), host=[])), None)
 def test_per_vertex_extraction_matches_the_class_reference(instance, order_seed):
-    g, family, (host, target, eta) = instance
-    assert_same_as_reference(g, family, host, target, eta, order_seed)
+    g, family, arrs = instance
+    assert_same_as_reference(g, family, *arrs, order_seed)
 
 
 @pytest.mark.parametrize("eta,deficit", [
@@ -455,7 +530,47 @@ def test_near_integer_a_plus_threshold_matches_the_reference(eta, deficit):
     g = Graph.from_edges(30, [(0, w) for w in range(1, 12)]
                          + [(12, w) for w in range(13, 28)] + [(28, 1)])
     family = ClassFamily((DegreeClass(np.array([0, 12, 28]), 5, eta),))
-    host, target, eta_of = arrays(g, ([0, 12, 28], 5, eta))
-    assert dense.check_key_condition(g, host, target, eta_of).deficit == deficit
+    arrs = arrays(g, ([0, 12, 28], 5, eta))
+    assert dense.check_key_condition(*arrs).deficit == deficit
     for seed in (None, 0, 1):
-        assert_same_as_reference(g, family, host, target, eta_of, seed)
+        assert_same_as_reference(g, family, *arrs, seed)
+
+
+# -- equivalence with the graph-level reference ---------------------------------
+
+
+@st.composite
+def labeled_instances(draw):
+    """A graph, a 3-labeling, one or two of its parts as the host, and a
+    target (0-4) and slack per host vertex."""
+    g = draw(graphs(min_n=2, max_n=16))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)),
+                      dtype=np.int64)
+    parts = tuple(draw(st.permutations([0, 1, 2]))[:draw(st.integers(1, 2))])
+    target = np.zeros(g.n, dtype=np.int64)
+    eta = np.zeros(g.n, dtype=object)
+    for v in np.flatnonzero(np.isin(labels, parts)).tolist():
+        target[v] = draw(st.integers(0, 4))
+        eta[v] = draw(slacks(max(1, int(target[v]))))
+    if not any(isinstance(e, Fraction) for e in eta.tolist()):
+        eta = eta.astype(float)
+    return g, labels, parts, target, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_instances(), st.none() | st.integers(0, 2 ** 32 - 1))
+def test_counts_extraction_matches_the_graph_level_reference(instance, order_seed):
+    g, labels, parts, target, eta = instance
+    host = np.flatnonzero(np.isin(labels, parts))
+    h = g if len(parts) == 1 else g.cross_subgraph(labels, *parts)
+    want = graph_extract_dense(h, host, target, eta, order_seed=order_seed)
+    counts = Counts(g, labels, 3)
+    got = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
+    assert got.surviving.tolist() == want.surviving.tolist()
+    assert got.deleted == want.deleted
+    assert got.budget == want.budget and got.guaranteed == want.guaranteed
+    assert dense.check_key_condition(counts, parts, target, eta) == \
+        graph_key_condition(h, host, target, eta)[4]
+    # the extraction reads the counts and leaves them as they were
+    assert (counts.labels == labels).all()
+    assert (counts.matrix == Counts(g, labels, 3).matrix).all()

@@ -244,6 +244,22 @@ def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
         assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_non_integer_r_exit_1(tmp_path, capsys):
+    # a report whose r is '2' or 2.5 used to end in a numpy traceback
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "cert.json"
+    cli.main(["gen", "--type", "gnp", "--n", "30", "--p", "0.4", "--seed", "3",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--seed", "1",
+              "--out", str(cpath)])
+    payload = json.loads(cpath.read_text())
+    for r in ("2", 2.5):
+        cpath.write_text(json.dumps(dict(payload, r=r)))
+        capsys.readouterr()
+        assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+        assert capsys.readouterr().out == f"FAIL: part count r={r!r} is not an integer >= 1\n"
+
+
 def test_cli_verify_malformed_claim_or_report_exit_1(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "cert.json"

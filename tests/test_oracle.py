@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import degpart.oracle as oracle
 from degpart.dense import extract_dense
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, gen_kuhn_osthus
-from degpart.graph import Graph, part_profile
+from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import (OBJECTIVES, best_bisection, dense_fixed_point_check,
                             ko_bisection_exists)
 
@@ -162,7 +162,10 @@ def ref_dense_fixed_point_check(graph, host, target, eta):
                         break
             if ok:
                 best |= s
-    return set(extract_dense(graph, host, target, eta).surviving.tolist()) == best
+    labels = np.ones(graph.n, dtype=np.int64)
+    labels[host_list] = 0
+    result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
+    return set(result.surviving.tolist()) == best
 
 
 # -- the chunked enumerator against the references ----------------------------
@@ -242,7 +245,9 @@ def test_dense_fixed_point_refuses_a_wrong_extraction(case, pick):
     graph, host, target, eta = case
     host = np.unique(host)
     v = int(host[pick % len(host)])
-    real = extract_dense(graph, host, target, eta)
+    labels = np.ones(graph.n, dtype=np.int64)
+    labels[host] = 0
+    real = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
     wrong = np.setxor1d(real.surviving, [v])
 
     class Fake:

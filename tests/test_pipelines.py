@@ -418,13 +418,14 @@ def test_no_active_vertex_builds_no_cross_subgraph(monkeypatch):
 
 @pytest.mark.parametrize("make, params, seed",
                          [b for b in BINDING if b[1].mode == EXTERNAL])
-def test_refine_external_builds_one_cross_subgraph(monkeypatch, make, params, seed):
+def test_refine_external_builds_no_cross_subgraph(monkeypatch, make, params, seed):
+    # the extraction reads the cross degrees from the counts' X and Y columns
     g = make()
     table = build_threshold_table(params, np.unique(g.degree))
     counts = stage_one(g, params, table, seed=seed, **VAC).counts
     calls = count_cross_subgraph(monkeypatch)
-    refine_external(counts, params, table, cut_seed=seed)
-    assert len(calls) == 1
+    trace = refine_external(counts, params, table, cut_seed=seed)
+    assert trace.extract is not None and calls == []
 
 
 def count_part_profile(monkeypatch) -> list:
