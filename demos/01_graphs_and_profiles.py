@@ -3,8 +3,9 @@
 Run:  python demos/01_graphs_and_profiles.py
 """
 
-from degpart import (LabeledPartition, cut_and_internal_profile, degree_in_set,
-                     gen_gnp, load_graph)
+import numpy as np
+
+from degpart import Counts, LabeledPartition, gen_gnp, load_graph
 
 # Graphs load from plain edge lists (or DIMACS "p edge / e u v" streams).
 text = """\
@@ -18,12 +19,15 @@ text = """\
 c5 = load_graph(text)
 print("C5:", c5, "degrees", c5.degree.tolist())
 
-# Neighborhood counts into arbitrary vertex sets.
-print("neighbors of 0 inside {1, 3}:", degree_in_set(c5, 0, {1, 3}))
+# Neighborhood counts into a vertex set S: label S as part 1 and read the
+# count matrix's column 1.
+in_s = Counts(c5, np.isin(np.arange(c5.n), [1, 3]).astype(np.int64), 2)
+print("neighbors of 0 inside {1, 3}:", in_s.matrix[0, 1])
 
 # Per-vertex cut profiles: own-part degree plus cross degrees per part.
 part = LabeledPartition(2, [0, 0, 0, 1, 1])
-d_own, counts = cut_and_internal_profile(c5, part)
+counts = Counts(c5, part.labels, part.r).matrix
+d_own = counts[np.arange(c5.n), part.labels]
 for v in range(c5.n):
     print(f"  vertex {v}: own {d_own[v]}, toward part 0 {counts[v,0]}, "
           f"toward part 1 {counts[v,1]}")

@@ -10,7 +10,7 @@ verifier re-checks from scratch, and a brute-force oracle supplies ground
 truth on small instances.
 """
 
-from .graph import Counts, Graph, LabeledPartition, load_graph, degree_in_set, cut_and_internal_profile
+from .graph import Counts, Graph, LabeledPartition, load_graph
 from .thresholds import (
     ParamSet,
     ThresholdTable,
@@ -34,7 +34,7 @@ from .pipelines import (
     bisect_with_cut_average,
     r_partition,
 )
-from .certify import Certificate, VerifyResult, check_claims, graph_fingerprint, verify_certificate
+from .certify import Certificate, VerifyResult, check_claims, verify_certificate
 from .oracle import best_bisection, ko_bisection_exists, dense_fixed_point_check
 from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite, complete_graph, cycle_graph, path_graph
 from .bench import bench_sweep, write_csv
@@ -46,8 +46,6 @@ __all__ = [
     "Graph",
     "LabeledPartition",
     "load_graph",
-    "degree_in_set",
-    "cut_and_internal_profile",
     "ParamSet",
     "ThresholdTable",
     "default_d_constant",
@@ -76,7 +74,6 @@ __all__ = [
     "Certificate",
     "VerifyResult",
     "check_claims",
-    "graph_fingerprint",
     "verify_certificate",
     "best_bisection",
     "ko_bisection_exists",

@@ -41,22 +41,19 @@ Claim kinds:
     count_meeting_floor  at least N vertices meet a constant floor
     extremal_stat      the min over vertices of a degree stat equals a value
     extremal_ratio     the min over positive-degree vertices of stat/degree
-                       equals num/den (compared cross-multiplied, exactly)
+                       equals num/den (compared cross-multiplied, exactly);
+                       den >= 1 unless no vertex has positive degree
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Counts, Graph
 from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
-
-
-def graph_fingerprint(graph: Graph) -> str:
-    """Order-independent hash of (n, sorted edge set): ``graph.fingerprint``."""
-    return graph.fingerprint
 
 
 @dataclass
@@ -263,18 +260,29 @@ def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:
         return True, None
     if kind == "extremal_ratio":
         col = {"own": ctx.own, "cross": ctx.cross}[claim["stat"]]
-        num, den = claim["num"], claim["den"]
-        pos = ctx.graph.degree > 0
-        if not pos.any():
+        num, den = int(claim["num"]), int(claim["den"])
+        pos = np.flatnonzero(ctx.graph.degree)
+        if len(pos) == 0:
             return den == 0, None
-        # ratio comparisons cross-multiplied: col/deg vs num/den
-        lhs = col[pos].astype(object) * den
-        rhs = num * ctx.graph.degree[pos].astype(object)
+        if den < 1:
+            return False, None
+        # col/deg vs num/den, cross-multiplied.  Every achievable ratio is
+        # col/deg with 0 <= col <= deg <= top, so a claim in lowest terms
+        # outside 0 <= num <= den <= top cannot hold; inside, the products
+        # are at most top**2 < 2**63 (top < MAX_VERTICES), exact in int64.
+        # Outside, python ints find the first vertex below num/den, the
+        # witness of its failure.
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        deg, col = ctx.graph.degree[pos], col[pos]
+        top = int(deg.max())
+        if not 0 <= num <= den <= top:
+            deg, col = deg.astype(object), col.astype(object)
+        lhs, rhs = col * den, num * deg
         below = lhs < rhs
         if below.any():
-            return False, int(np.nonzero(pos)[0][np.nonzero(below)[0][0]])
-        achieves = lhs == rhs
-        return bool(achieves.any()), None
+            return False, int(pos[np.argmax(below)])
+        return bool((lhs == rhs).any()), None
     raise ValueError(f"unknown claim kind {kind!r}")
 
 

@@ -384,23 +384,6 @@ def _read_lines(text: str, n: int | None) -> Graph:
 # -- degree/cut primitives --------------------------------------------------
 
 
-def degree_in_set(graph: Graph, v: int, subset) -> int:
-    """|N(v) ∩ S| for a vertex v and a vertex set S.
-
-    S may be a boolean mask over all vertices, a numpy index array, or any
-    iterable of vertex ids.
-    """
-    if not (0 <= v < graph.n):
-        raise ValueError(f"vertex {v} out of range for n={graph.n}")
-    nb = graph.neighbors(v)
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
-        return int(subset[nb].sum())
-    if isinstance(subset, np.ndarray):
-        return int(np.isin(nb, subset).sum())
-    s = set(int(x) for x in subset)
-    return sum(1 for w in nb.tolist() if w in s)
-
-
 def _check_labels(labels, r: int, n: int | None = None) -> np.ndarray:
     """labels as an array, refused with LabelError unless it holds one
     integer in [0, r) per vertex (n vertices, when n is given)."""
@@ -425,13 +408,36 @@ def _check_labels(labels, r: int, n: int | None = None) -> np.ndarray:
 def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
     """(n, r) matrix: entry [v, j] = number of neighbors of v in part j.
 
+    The r counts of a row are summed at once, packed into one int64 word
+    (SIMD within a register): with ``bits`` = the bit length of the maximum
+    degree, part j is the code ``1 << (bits * j)``, and a row's sum of its
+    neighbours' codes holds its count into part j in bits [bits*j,
+    bits*(j+1)).  No count exceeds the maximum degree < 2**bits, so no field
+    carries into the next, and no sum exceeds 2**(r*bits) <= 2**63.  The sums
+    are one gather over the CSR and one ``np.add.reduceat`` over the starts
+    of the non-empty rows (empty rows hold no entries, so consecutive
+    non-empty starts delimit the rows exactly); isolated vertices keep rows
+    of zeros.  When r * bits > 63 the words would overflow, and one
+    ``np.bincount`` over the n*r (row, part) keys counts instead.
+
     Raises LabelError unless labels holds one integer in [0, r) per vertex.
     """
     labels = _check_labels(labels, r, graph.n)
-    if graph.n == 0:
-        return np.zeros((0, r), dtype=np.int64)
-    flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=graph.n * r)
-    return flat.reshape(graph.n, r)
+    n, bits = graph.n, int(graph.degree.max(initial=0)).bit_length()
+    if r * bits > 63:
+        flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=n * r)
+        return flat.reshape(n, r)
+    codes = np.left_shift(1, bits * np.arange(r, dtype=np.int64))
+    words = np.zeros(n, dtype=np.int64)
+    if len(graph.indices):
+        nonempty = np.flatnonzero(graph.degree)
+        words[nonempty] = np.add.reduceat(codes[labels][graph.indices],
+                                          graph.indptr[nonempty])
+    # one column at a time: a broadcast (n, r) shift is several times slower
+    matrix = np.empty((n, r), dtype=np.int64)
+    for j in range(r):
+        np.bitwise_and(words >> (bits * j), (1 << bits) - 1, out=matrix[:, j])
+    return matrix
 
 
 class Counts:
@@ -480,17 +486,3 @@ class Counts:
         self.labels[in_a], self.labels[in_b] = b, a
         self.matrix[:, [a, b]] = self.matrix[:, [b, a]]
         self.sizes[[a, b]] = self.sizes[[b, a]]
-
-
-def cut_and_internal_profile(graph: Graph, partition: LabeledPartition):
-    """Per-vertex own-part degree and cross degrees toward each other part.
-
-    Returns (d_own, counts) where counts is the (n, r) neighbor-count matrix
-    and d_own[v] = counts[v, labels[v]].  For every v,
-    d_own[v] + sum of cross entries == degree[v].
-    """
-    if partition.n != graph.n:
-        raise ValueError(f"partition has {partition.n} labels for n={graph.n}")
-    counts = part_profile(graph, partition.labels, partition.r)
-    d_own = counts[np.arange(graph.n), partition.labels]
-    return d_own, counts

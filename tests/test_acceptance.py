@@ -245,6 +245,8 @@ def naive_claim_truth(graph, labels, r, claim):
         pos = [v for v in range(n) if deg[v] > 0]
         if not pos:
             return claim["den"] == 0
+        if claim["den"] < 1:
+            return False
         ratios = [Fraction(col[v], deg[v]) for v in pos]
         return min(ratios) == Fraction(claim["num"], claim["den"])
     raise ValueError(kind)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,9 @@ from hypothesis import strategies as st
 
 from degpart import certify
 from degpart import graph as graph_module
-from degpart.certify import (Certificate, check_claims, graph_fingerprint,
-                             verify_certificate)
+from degpart.certify import Certificate, check_claims, verify_certificate
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
-from degpart.graph import LabeledPartition, LabelError
+from degpart.graph import Graph, LabeledPartition, LabelError
 from degpart.pipelines import bisect_internal
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
@@ -17,7 +18,7 @@ from test_acceptance import naive_claim_truth
 
 
 def make_cert(graph, claims, params=None):
-    return Certificate(graph_fingerprint(graph),
+    return Certificate(graph.fingerprint,
                        params or {}, 0, "test", claims)
 
 
@@ -25,9 +26,9 @@ def test_fingerprint_is_order_independent_and_binding():
     g1 = complete_graph(4)
     from degpart.graph import Graph
     g2 = Graph.from_edges(4, [(3, 2), (0, 1), (2, 0), (1, 3), (0, 3), (1, 2)])
-    assert graph_fingerprint(g1) == graph_fingerprint(g2)
+    assert g1.fingerprint == g2.fingerprint
     g3 = cycle_graph(4)
-    assert graph_fingerprint(g1) != graph_fingerprint(g3)
+    assert g1.fingerprint != g3.fingerprint
 
 
 def test_verify_refuses_on_hash_mismatch():
@@ -277,6 +278,83 @@ def test_huge_floors_do_not_wrap_on_both_routes():
         for res in routes(cert):
             assert res.passed == holds and res.reason is None, floor
             assert res.witness == (None if holds else 0)
+
+
+def test_zero_denominator_ratio_fails_on_both_routes():
+    # K10 split 5|5: the true minimum own ratio is 4/9; with den = 0 both
+    # cross-multiplied sides were 0 at every vertex, so 0/0 "was achieved"
+    g = complete_graph(10)
+    labels = np.array([0] * 5 + [1] * 5)
+    for num, den, holds in ((4, 9, True), (8, 18, True), (0, 0, False), (4, 0, False),
+                            (-4, -9, False), (1, -1, False), (0, 1, False)):
+        cert = make_cert(g, [certify.claim_extremal_ratio("own", num, den)])
+        for res in (verify_certificate(g, labels, cert, r=2),
+                    verify_certificate(g, LabeledPartition(2, labels), cert)):
+            assert res.passed == holds and res.reason is None, (num, den)
+            assert res.failed_index == (None if holds else 0)
+    # a graph without a positive-degree vertex claims den = 0, and only that
+    empty = Graph.from_edges(4, [])
+    for den, holds in ((0, True), (1, False)):
+        cert = make_cert(empty, [certify.claim_extremal_ratio("cross", 0, den)])
+        assert verify_certificate(empty, np.array([0, 0, 1, 1]), cert).passed == holds
+
+
+def ref_ratio_claim(graph, col, num, den):
+    """The extremal_ratio verdict and witness in Fractions: the first
+    positive-degree vertex whose ratio lies below num/den fails the claim;
+    else it holds iff some ratio equals num/den.  den < 1 fails, with no
+    witness, unless no vertex has positive degree (then den must be 0)."""
+    deg = graph.degree.tolist()
+    pos = [v for v in range(graph.n) if deg[v] > 0]
+    if not pos:
+        return den == 0, None
+    if den < 1:
+        return False, None
+    claimed = Fraction(num, den)
+    ratios = [Fraction(int(col[v]), deg[v]) for v in pos]
+    below = [v for v, q in zip(pos, ratios) if q < claimed]
+    if below:
+        return False, below[0]
+    return claimed in ratios, None
+
+
+@st.composite
+def ratio_cases(draw):
+    """The count of a labeled graph and an (own or cross) extremal_ratio
+    claim near, at or far from the true minimum."""
+    g = draw(graphs() | st.builds(
+        gen_gnp, st.integers(20, 60), st.sampled_from([0.1, 0.3]), st.integers(0, 99)))
+    r = draw(st.integers(2, 3))
+    labels = np.array(draw(st.lists(st.integers(0, r - 1), min_size=g.n,
+                                    max_size=g.n)), dtype=np.int64)
+    stat = draw(st.sampled_from(["own", "cross"]))
+    ctx = certify.recount(g, labels, r)
+    col, deg = ctx.stat(stat), g.degree
+    pos = np.flatnonzero(deg)
+    true = min((Fraction(int(col[v]), int(deg[v])) for v in pos), default=Fraction(0))
+    top = int(deg.max(initial=0))
+    big = st.integers(-2 ** 70, 2 ** 70)
+    num, den = draw(st.one_of(
+        st.just((true.numerator, true.denominator)),  # the true minimum
+        st.sampled_from([2, 3, 2 ** 31, 2 ** 40, 2 ** 70]).map(  # unreduced multiples
+            lambda k: (k * true.numerator, k * true.denominator)),
+        st.just((true.numerator + 1, true.denominator)),
+        st.tuples(st.integers(top + 1, top + 4), st.just(top + 1)),  # num > den
+        st.tuples(st.integers(-2 ** 70, -1), st.integers(1, 5)),  # num < 0
+        st.tuples(st.integers(0, 3), st.integers(top + 1, 2 ** 70)),  # den > top
+        st.tuples(st.integers(0, 5), st.just(0)),  # den = 0
+        st.tuples(big, big),
+        st.tuples(st.integers(0, top + 1), st.integers(1, top + 1))))
+    return ctx, stat, num, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(ratio_cases())
+def test_extremal_ratio_matches_a_fraction_reference(case):
+    ctx, stat, num, den = case
+    claim = certify.claim_extremal_ratio(stat, num, den)
+    assert certify._check_claim(ctx, claim) == \
+        ref_ratio_claim(ctx.graph, ctx.stat(stat), num, den)
 
 
 def test_check_claims_one_flag_per_claim():

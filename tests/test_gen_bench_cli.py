@@ -260,6 +260,24 @@ def test_cli_verify_non_integer_r_exit_1(tmp_path, capsys):
         assert capsys.readouterr().out == f"FAIL: part count r={r!r} is not an integer >= 1\n"
 
 
+def test_cli_verify_zero_denominator_ratio_exit_1(tmp_path, capsys):
+    # 0/0 used to pass as the min own ratio of a graph with edges
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "cert.json"
+    cli.main(["gen", "--type", "gnp", "--n", "30", "--p", "0.4", "--seed", "3",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--seed", "1",
+              "--out", str(cpath)])
+    payload = json.loads(cpath.read_text())
+    claims = payload["certificate"]["claims"]
+    cert = dict(payload["certificate"],
+                claims=claims + [certify.claim_extremal_ratio("own", 0, 0)])
+    cpath.write_text(json.dumps(dict(payload, certificate=cert)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL: claim #{len(claims)} ")
+
+
 def test_cli_verify_malformed_claim_or_report_exit_1(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     cpath = tmp_path / "cert.json"

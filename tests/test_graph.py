@@ -1,5 +1,6 @@
 import hashlib
 import io
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from degpart import graph as graph_module
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
 from degpart.graph import (MAX_VERTICES, Counts, Graph, GraphFormatError,
-                           LabeledPartition, LabelError, cut_and_internal_profile,
-                           degree_in_set, load_graph, part_profile)
+                           LabeledPartition, LabelError, load_graph, part_profile)
 
 from conftest import graphs, naive_profile
 
@@ -96,62 +96,118 @@ def test_structural_invariants(g):
     assert g.rows.tolist() == np.repeat(np.arange(g.n), g.degree).tolist()
 
 
+def set_labels(n, subset):
+    """A 2-labeling with the vertex set S as part 1: column 1 of its profile
+    holds each vertex's degree into S."""
+    labels = np.zeros(n, dtype=np.int64)
+    labels[list(subset)] = 1
+    return labels
+
+
+def own_and_profile(g, part):
+    """(d_own, counts) of a LabeledPartition: the (n, r) profile and each
+    vertex's count into its own part."""
+    counts = part_profile(g, part.labels, part.r)
+    return counts[np.arange(g.n), part.labels], counts
+
+
 def test_degree_in_set_examples():
     k3 = complete_graph(3)
-    assert degree_in_set(k3, 0, {1, 2}) == 2
-    assert degree_in_set(k3, 0, {0}) == 0
+    assert part_profile(k3, set_labels(3, {1, 2}), 2)[0, 1] == 2
+    assert part_profile(k3, set_labels(3, {0}), 2)[0, 1] == 0
     c5 = cycle_graph(5)
-    assert degree_in_set(c5, 0, {1, 3}) == 1
-    mask = np.zeros(5, dtype=bool)
-    mask[[1, 3]] = True
-    assert degree_in_set(c5, 0, mask) == 1
-    with pytest.raises(ValueError):
-        degree_in_set(k3, 5, {0})
+    assert part_profile(c5, set_labels(5, {1, 3}), 2)[0, 1] == 1
+    assert part_profile(c5, set_labels(5, {1, 3}), 2)[:, 1].tolist() == [1, 0, 2, 0, 1]
 
 
 @given(graphs())
 def test_degree_in_full_vertex_set_is_degree(g):
-    everything = np.ones(g.n, dtype=bool)
-    for v in range(g.n):
-        assert degree_in_set(g, v, everything) == g.degree[v]
+    assert (part_profile(g, np.zeros(g.n, dtype=np.int64), 1)[:, 0] == g.degree).all()
 
 
 def test_cut_profile_k4_bisection():
     g = complete_graph(4)
-    part = LabeledPartition(2, [0, 0, 1, 1])
-    d_own, counts = cut_and_internal_profile(g, part)
+    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 0, 1, 1]))
     assert d_own.tolist() == [1, 1, 1, 1]
     assert (counts.sum(axis=1) == g.degree).all()
 
 
 def test_cut_profile_c4_proper_bipartition():
     g = cycle_graph(4)
-    part = LabeledPartition(2, [0, 1, 0, 1])
-    d_own, counts = cut_and_internal_profile(g, part)
+    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 1, 0, 1]))
     assert d_own.tolist() == [0, 0, 0, 0]
 
 
 def test_cut_profile_c5_example():
     g = cycle_graph(5)
-    part = LabeledPartition(2, [0, 0, 0, 1, 1])
-    d_own, counts = cut_and_internal_profile(g, part)
+    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 0, 0, 1, 1]))
     assert d_own[1] == 2 and (g.degree[1] - d_own[1]) == 0
 
 
 def test_cut_profile_size_mismatch():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        cut_and_internal_profile(g, LabeledPartition(2, [0, 1]))
+        own_and_profile(g, LabeledPartition(2, [0, 1]))
 
 
-@given(graphs())
-def test_profile_matches_naive(g):
-    rng = np.random.default_rng(0)
-    labels = rng.integers(0, 3, size=g.n)
-    counts = part_profile(g, labels, 3)
-    assert counts.tolist() == naive_profile(g, labels.tolist(), 3)
+@st.composite
+def profile_cases(draw):
+    """(graph, r, labels): any n from 0, edgeless graphs and trailing
+    isolated vertices included, r from 1 to 20 (so graphs of max degree 8
+    or more reach the bincount path, r * bits > 63, and the rest the packed
+    one), labels in one of four integer dtypes."""
+    n = draw(st.integers(0, 14))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.from_edges(n + draw(st.integers(0, 3)), edges)
+    r = draw(st.integers(1, 20))
+    dtype = draw(st.sampled_from([np.int8, np.uint8, np.int32, np.int64]))
+    labels = draw(st.lists(st.integers(0, r - 1), min_size=g.n, max_size=g.n))
+    return g, r, np.array(labels, dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_cases())
+@example((complete_graph(12), 20, np.arange(12) % 20))  # 20 * 4 bits: bincount
+@example((complete_graph(12), 15, np.arange(12) % 15))  # 15 * 4 bits: one word
+@example((Graph.from_edges(0, []), 3, np.zeros(0, dtype=np.int8)))
+@example((Graph.from_edges(5, []), 2, np.zeros(5, dtype=np.uint8)))
+def test_profile_matches_naive(case):
+    g, r, labels = case
+    counts = part_profile(g, labels, r)
+    assert counts.dtype == np.int64 and counts.shape == (g.n, r)
+    assert counts.tolist() == naive_profile(g, labels.tolist(), r)
     own = counts[np.arange(g.n), labels]
     assert ((own + (counts.sum(axis=1) - own)) == g.degree).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 127, 128, 255, 256, 4095])
+def test_packed_fields_hold_the_max_degree_without_carry(d):
+    # a star K_{1,d}: the centre counts all d leaves into the top part, a
+    # full field when d = 2**bits - 1, at the most parts that fit one word
+    g = Graph.from_edges(d + 1, [(0, leaf) for leaf in range(1, d + 1)])
+    for r in (63 // d.bit_length(), 63 // d.bit_length() + 1):
+        for top in (r - 1, 0):
+            labels = np.full(d + 1, top)
+            counts = part_profile(g, labels, r)
+            assert counts[0].tolist() == [d if j == top else 0 for j in range(r)]
+            assert (counts[1:, top] == 1).all() and counts[1:].sum() == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_cases(), st.data())
+def test_counts_move_after_a_packed_count_matches_a_fresh_count(case, data):
+    g, r, labels = case
+    counts = Counts(g, labels, r)
+    expect = labels.astype(np.int64)
+    for _ in range(data.draw(st.integers(1, 3))):
+        vs = data.draw(st.lists(st.integers(0, g.n - 1), unique=True)) if g.n else []
+        dst = data.draw(st.integers(0, r - 1))
+        counts.move(vs, dst)
+        expect[vs] = dst
+        assert counts.matrix.tolist() == naive_profile(g, expect.tolist(), r)
+        assert (counts.matrix == part_profile(g, expect, r)).all()
+        assert counts.sizes.tolist() == np.bincount(expect, minlength=r).tolist()
 
 
 def test_labeled_partition_names_the_first_bad_vertex():
