@@ -17,7 +17,6 @@ from .thresholds import (
     default_d_constant,
     verify_series_bound,
     build_threshold_table,
-    goodness_threshold,
 )
 from .dense import ExtractResult, check_key_condition, extract_dense
 from .cuts import BiasVector, local_maxcut, biased_max_r_cut
@@ -33,13 +32,12 @@ from .pipelines import (
     bisect_dual,
     bisect_with_cut_average,
     r_partition,
+    VERSION as __version__,
 )
 from .certify import Certificate, VerifyResult, check_claims, verify_certificate
 from .oracle import best_bisection, ko_bisection_exists, dense_fixed_point_check
 from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite, complete_graph, cycle_graph, path_graph
 from .bench import bench_sweep, write_csv
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Counts",
@@ -51,7 +49,6 @@ __all__ = [
     "default_d_constant",
     "verify_series_bound",
     "build_threshold_table",
-    "goodness_threshold",
     "ExtractResult",
     "check_key_condition",
     "extract_dense",

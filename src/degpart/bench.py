@@ -16,9 +16,8 @@ import os
 import time
 
 from . import certify, pipelines
-from .gen import gen_complete_bipartite, gen_gnp, gen_kuhn_osthus
-from .graph import Graph
-from .thresholds import INTERNAL, ParamSet
+from .gen import generate
+from .thresholds import INTERNAL
 
 SCHEMA_VERSION = 1
 
@@ -29,39 +28,10 @@ COLUMNS = [
     "cut_avg_degree", "runtime_s", "error", "labels",
 ]
 
-def build_graph(spec: dict) -> Graph:
-    kind = spec["type"]
-    if kind == "gnp":
-        return gen_gnp(int(spec["n"]), float(spec["p"]), int(spec.get("seed", 0)))
-    if kind == "kuhn_osthus":
-        return gen_kuhn_osthus(int(spec["n"]), int(spec["l"]))
-    if kind == "complete_bipartite":
-        return gen_complete_bipartite(int(spec["a"]), int(spec["b"]))
-    raise ValueError(f"unknown generator type {spec['type']!r}")
-
-
-def _run_pipeline(graph: Graph, entry: dict, seed: int):
-    shape = entry.get("shape", "bisect")
-    mode = entry.get("mode", INTERNAL)
-    kwargs = {}
-    for key in ("attempts", "size_window", "weight_budget"):
-        if key in entry:
-            kwargs[key] = entry[key]
-    if shape == "bisect":
-        fn = pipelines.bisect_internal if mode == INTERNAL else pipelines.bisect_external
-        params = ParamSet(0.0, float(entry.get("eps", 0.25 if mode == INTERNAL else 0.09)),
-                          mode, d_const=entry.get("d_const"))
-        return fn(graph, params, seed=seed, **kwargs)
-    if shape == "tripart":
-        params = ParamSet(float(entry.get("c", 0.0)), float(entry["eps"]), mode,
-                          d_const=entry.get("d_const"))
-        return pipelines.tripartition_exact(graph, int(entry["k"]), params,
-                                            seed=seed, **kwargs)
-    if shape == "rpart":
-        from .cuts import BiasVector
-        bias = BiasVector(tuple(entry["alpha"]))
-        return pipelines.r_partition(graph, bias, mode, seed=seed)
-    raise ValueError(f"unknown shape {shape!r}")
+# manifest keys passed on to ``pipelines.run_shape``; an absent key takes its
+# default there
+_SHAPE_KEYS = ("c", "eps", "k", "alpha", "d_const", "attempts", "size_window",
+               "weight_budget")
 
 
 def _row_from_stats(base: dict, stats: dict) -> dict:
@@ -79,9 +49,8 @@ def _row_from_stats(base: dict, stats: dict) -> dict:
 
 def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
     """One (manifest entry, seed) run: a pipeline row plus a baseline row."""
-    gen_spec = dict(entry["generator"])
-    if gen_spec.get("type") == "gnp":
-        gen_spec.setdefault("seed", seed)
+    # every generator that takes a seed gets the run's, unless the spec names one
+    gen_spec = {"seed": seed, **entry["generator"]}
     base = {
         "schema_version": SCHEMA_VERSION,
         "generator": gen_spec["type"],
@@ -95,7 +64,7 @@ def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
     }
     rows = []
     try:
-        graph = build_graph(gen_spec)
+        graph = generate(gen_spec["type"], gen_spec)
         base["n"], base["m"] = graph.n, graph.m
     except Exception as exc:
         row = dict(base)
@@ -104,7 +73,9 @@ def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
         return [row]
     t0 = time.perf_counter()
     try:
-        report = _run_pipeline(graph, entry, seed)
+        report = pipelines.run_shape(
+            graph, base["shape"], base["mode"], seed=seed,
+            **{key: entry[key] for key in _SHAPE_KEYS if key in entry})
         runtime = time.perf_counter() - t0
         row = _row_from_stats(dict(base, row_kind="pipeline", ok=report.ok,
                                    guaranteed=report.guaranteed,

@@ -13,8 +13,7 @@ import sys
 
 from . import __version__, bench, pipelines
 from .certify import verify_certificate
-from .cuts import BiasVector
-from .gen import gen_complete_bipartite, gen_gnp, gen_kuhn_osthus
+from .gen import GENERATORS, generate
 from .graph import GraphFormatError, load_graph
 from .oracle import OBJECTIVES, best_bisection, ko_bisection_exists
 from .pipelines import PipelineReport
@@ -24,10 +23,22 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_PARAM = 2
 
+# the command line's mode names
+MODES = {"int": INTERNAL, "ext": EXTERNAL}
+
 
 def _read_graph(path: str):
     with open(path) as fh:
         return load_graph(fh)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_d_const(text: str) -> float | None:
@@ -37,79 +48,29 @@ def _parse_d_const(text: str) -> float | None:
 
 
 def _cmd_gen(args) -> int:
-    if args.type == "gnp":
-        graph = gen_gnp(args.n, args.p, args.seed)
-    elif args.type == "ko":
-        graph = gen_kuhn_osthus(args.n, args.l)
-    elif args.type == "kbipartite":
-        graph = gen_complete_bipartite(args.a, args.b)
-    else:
-        raise ValueError(f"unknown generator {args.type!r}")
-    text = graph.to_edge_list_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(generate(args.type, vars(args)).to_edge_list_text(), args.out)
     return EXIT_OK
-
-
-def _run_shape(args, graph, common: dict) -> PipelineReport:
-    d_const = _parse_d_const(args.d_const)
-    eps = args.eps
-    if eps is None:
-        # bisect_external's default: external mode caps eps at 0.1
-        eps = 0.09 if (args.shape, args.mode) == ("bisect", "ext") else 0.25
-    if args.shape == "bisect":
-        if args.mode == "int":
-            params = ParamSet(args.c, eps, INTERNAL, d_const=d_const)
-            report = pipelines.bisect_internal(graph, params, **common)
-        else:
-            params = ParamSet(args.c, eps, EXTERNAL, d_const=d_const)
-            report = pipelines.bisect_external(graph, params, **common)
-    elif args.shape == "tripart":
-        mode = INTERNAL if args.mode == "int" else EXTERNAL
-        # the integer-floor construction accepts eps up to 1-c; the derived
-        # run parameter always satisfies the mode cap
-        params = ParamSet(args.c, eps, mode, d_const=d_const, relaxed=True)
-        report = pipelines.tripartition_exact(graph, args.k, params, **common)
-    elif args.shape == "rpart":
-        alpha = tuple(args.alpha.split(","))
-        mode = INTERNAL if args.mode == "int" else EXTERNAL
-        report = pipelines.r_partition(graph, BiasVector(alpha), mode,
-                                       seed=args.seed)
-    elif args.shape == "dual":
-        primary = INTERNAL if args.mode == "int" else EXTERNAL
-        report = pipelines.bisect_dual(graph, args.k, eps, primary,
-                                       d_const=d_const, **common)
-    elif args.shape == "cutavg":
-        report = pipelines.bisect_with_cut_average(graph, args.k, eps,
-                                                   d_const=d_const, **common)
-    else:
-        raise ValueError(f"unknown shape {args.shape!r}")
-    return report
 
 
 def _cmd_partition(args) -> int:
     graph = _read_graph(args.graph)
-    common = {"seed": args.seed, "attempts": args.retries}
+    options = {"attempts": args.retries}
     if args.size_window:
         lo, hi = args.size_window.split(":")
-        common["size_window"] = (float(lo), float(hi))
+        options["size_window"] = (float(lo), float(hi))
     if args.vacuous_windows:
-        common["size_window"] = "vacuous"
-        common["weight_budget"] = "vacuous"
+        options["size_window"] = "vacuous"
+        options["weight_budget"] = "vacuous"
     if args.stage_log and args.shape == "rpart":
         raise ValueError("--stage-log: rpart has no stage one to log")
     with (open(args.stage_log, "w") if args.stage_log
           else contextlib.nullcontext()) as stage_log:
-        report = _run_shape(args, graph, dict(common, stage_log=stage_log))
-    payload = json.dumps(report.to_jsonable(), indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+        report = pipelines.run_shape(
+            graph, args.shape, MODES[args.mode], c=args.c, eps=args.eps,
+            k=args.k, alpha=args.alpha.split(","),
+            d_const=_parse_d_const(args.d_const), seed=args.seed,
+            stage_log=stage_log, **options)
+    _write(json.dumps(report.to_jsonable(), indent=2) + "\n", args.out)
     print(f"ok={report.ok} guaranteed={report.guaranteed} "
           f"stats={report.stats['min_own_degree']}/{report.stats['min_cross_degree']}",
           file=sys.stderr)
@@ -165,18 +126,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    mode = INTERNAL if args.mode == "int" else EXTERNAL
-    params = ParamSet(args.c, args.eps, mode,
+    params = ParamSet(args.c, args.eps, MODES[args.mode],
                       d_const=_parse_d_const(args.d_const),
                       relaxed=args.relaxed)
     lo, hi = (int(x) for x in args.degrees.split(":"))
     table = build_threshold_table(params, range(lo, hi + 1))
-    text = table.dump_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(table.dump_csv(), args.out)
     return EXIT_OK
 
 
@@ -188,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as edge-list text")
-    p.add_argument("--type", choices=["gnp", "ko", "kbipartite"], required=True)
+    p.add_argument("--type", choices=list(GENERATORS), required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--l", type=int, default=2)
@@ -200,9 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="run a partitioning pipeline")
     p.add_argument("--graph", required=True)
-    p.add_argument("--mode", choices=["int", "ext"], default="int")
-    p.add_argument("--shape", choices=["bisect", "tripart", "rpart", "dual",
-                                       "cutavg"], default="bisect")
+    p.add_argument("--mode", choices=list(MODES), default="int")
+    p.add_argument("--shape", choices=pipelines.SHAPES, default="bisect")
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--eps", type=float,
                    help="default 0.25, or 0.09 for --shape bisect --mode ext")
@@ -212,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-const", default="paper",
                    help="'paper' selects the built-in default; otherwise a positive real")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=64)
+    p.add_argument("--retries", type=int,
+                   help="stage-one attempts (default 64); not for rpart")
     p.add_argument("--size-window", default="",
                    help="lo:hi override for the stage-one size window")
     p.add_argument("--vacuous-windows", action="store_true",
@@ -246,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="dump a threshold table as CSV")
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--mode", choices=["int", "ext"], default="int")
+    p.add_argument("--mode", choices=list(MODES), default="int")
     p.add_argument("--d-const", default="paper")
     p.add_argument("--degrees", default="1:100", help="lo:hi inclusive range")
     p.add_argument("--relaxed", action="store_true")

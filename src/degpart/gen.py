@@ -53,6 +53,26 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, edges)
 
 
+# name -> (generator, its parameters with their types); a generator that
+# takes a seed lists it, and callers may offer one to every generator
+GENERATORS = {
+    "gnp": (gen_gnp, {"n": int, "p": float, "seed": int}),
+    "kuhn_osthus": (gen_kuhn_osthus, {"n": int, "l": int}),
+    "complete_bipartite": (gen_complete_bipartite, {"a": int, "b": int}),
+}
+
+
+def generate(name: str, params: dict) -> Graph:
+    """Run the generator a name stands for on the entries of params that it
+    takes, each cast to its type; other entries are ignored, and a missing
+    one takes the generator's default."""
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator type {name!r}")
+    fn, types = GENERATORS[name]
+    return fn(**{key: cast(params[key]) for key, cast in types.items()
+                 if key in params})
+
+
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, combinations(range(n), 2))
 

@@ -649,3 +649,50 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
               "r": bias.r}
     return _make_report(certify.recount(graph, labels, bias.r), "rpart", params,
                         claims, True, seed, diagnostics, n_guarantee_threshold)
+
+
+# -- shapes by name ----------------------------------------------------------
+
+
+SHAPES = ("bisect", "tripart", "rpart", "dual", "cutavg")
+
+
+def run_shape(graph: Graph, shape: str, mode: str, *, c: float = 0.0,
+              eps: float | None = None, k: int = 0, alpha=("1/2", "1/2"),
+              d_const: float | None = None, seed: int = 0,
+              **stage_one_options) -> PipelineReport:
+    """Run the construction a shape name stands for, for the command line and
+    the bench alike.
+
+    eps defaults to 0.25, or to 0.09 for an external bisection (external mode
+    caps eps at 0.1).  stage_one_options (attempts, size_window,
+    weight_budget, stage_log) go to stage one, None meaning the default;
+    rpart has none.
+    """
+    if eps is None:
+        eps = 0.09 if (shape, mode) == ("bisect", EXTERNAL) else 0.25
+    opts = {key: v for key, v in stage_one_options.items() if v is not None}
+    if shape == "rpart":
+        if opts:
+            raise ValueError(f"rpart has no stage one; it takes no "
+                             f"{', '.join(sorted(opts))}")
+        return r_partition(graph, BiasVector(tuple(alpha)), mode, seed=seed)
+    opts["seed"] = seed
+    if shape == "bisect":
+        # refused before ParamSet judges eps against a c it never runs at
+        if c != 0.0:
+            raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
+        run = bisect_internal if mode == INTERNAL else bisect_external
+        return run(graph, ParamSet(0.0, eps, mode, d_const=d_const), **opts)
+    if shape == "tripart":
+        # the integer-floor construction accepts eps up to 1-c; the derived
+        # run parameter always satisfies the mode cap
+        params = ParamSet(c, eps, mode, d_const=d_const, relaxed=True)
+        return tripartition_exact(graph, k, params, **opts)
+    if shape == "dual":
+        return bisect_dual(graph, k, eps, mode, d_const=d_const, **opts)
+    if shape == "cutavg":
+        if mode != INTERNAL:
+            raise ValueError(f"cutavg runs in internal mode only, got {mode!r}")
+        return bisect_with_cut_average(graph, k, eps, d_const=d_const, **opts)
+    raise ValueError(f"unknown shape {shape!r}")

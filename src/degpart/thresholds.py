@@ -238,14 +238,18 @@ class ThresholdTable:
             raise AssertionError(
                 f"external threshold identity fails at degree {degs[j]}")
 
-        self.fphi = np.floor(self.phi).astype(np.int64)
-        self.fpsi_star = np.floor(self.psi_star).astype(np.int64)
-        self.fthr_int = np.floor(self.thr_int).astype(np.int64)
-        self.fthr_ext = np.floor(self.thr_ext).astype(np.int64)
+        # floors, single or doubled, are only compared with neighbour counts
+        # in [0, max degree], so clipping them to [-1, max degree + 1]
+        # decides every comparison as before (as certify's floors do); it
+        # also keeps the int64 cast defined where tiny eps makes d, and so a
+        # floor, larger than 2**63
+        top = int(degs.max(initial=0)) + 1
+        self.fphi, self.fpsi_star, self.fthr_int, self.fthr_ext = (
+            np.clip(np.floor(col), -1, top).astype(np.int64)
+            for col in (self.phi, self.psi_star, self.thr_int, self.thr_ext))
 
         # dense degree -> row lookup
-        self._row_of = np.full(int(degs.max()) + 1 if degs.size else 1, -1,
-                               dtype=np.int64)
+        self._row_of = np.full(top, -1, dtype=np.int64)
         self._row_of[degs] = np.arange(degs.size)
 
     @property
@@ -266,10 +270,6 @@ class ThresholdTable:
             raise KeyError(f"degree {missing} not in table")
         return idx
 
-    def eta_floor_ok(self) -> np.ndarray:
-        """Per-row check eta_i >= eps/5, meaningful on active rows."""
-        return self.eta >= self.params.eps / 5.0 - 1e-15
-
     def dump_csv(self, fh=None) -> str:
         """CSV with columns (i, phi, psi, psi_star, mu, lambda, eta, thr_int,
         thr_ext, active)."""
@@ -286,19 +286,3 @@ class ThresholdTable:
 def build_threshold_table(params: ParamSet, degrees) -> ThresholdTable:
     """Construct the immutable per-degree threshold table for a run."""
     return ThresholdTable(params, degrees)
-
-
-def goodness_threshold(table: ThresholdTable, i: int, mode: str) -> float:
-    """The S-goodness threshold for a single degree.
-
-    internal: 2*(1+mu_i)*phi(i); external: 2*(1+eta_i)*psi*(i).  Inactive
-    degrees return 0.0 (check ``table.active`` for the marker).
-    """
-    k = int(table.row_index(np.array([i]))[0])
-    if not table.active[k]:
-        return 0.0
-    if mode == INTERNAL:
-        return float(table.thr_int[k])
-    if mode == EXTERNAL:
-        return float(table.thr_ext[k])
-    raise ValueError(f"unknown mode {mode!r}")

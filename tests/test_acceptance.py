@@ -167,7 +167,7 @@ def test_criterion_5_threshold_algebra():
         lifted = ((1.0 - c) / 8.0) * i
         assert (table.psi_star == np.maximum(table.psi, lifted)).all()
         active = table.active
-        assert table.eta_floor_ok()[active].all()
+        assert (table.eta[active] >= eps / 5 - 1e-15).all()
         details.append(f"(c={c},eps={eps}): {int(active.sum())} active")
         del table
     report_line(5, True,

@@ -4,8 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import degpart
 from degpart import bench, certify, cli
-from degpart.gen import (gen_complete_bipartite, gen_gnp, gen_kuhn_osthus)
+from degpart.gen import (GENERATORS, gen_complete_bipartite, gen_gnp,
+                         gen_kuhn_osthus, generate)
 from degpart.pipelines import partition_stats
 
 
@@ -81,7 +83,7 @@ def test_bench_rows_recomputable_from_emitted_labels():
                  "shape": "bisect", "mode": "internal", "seeds": [1]}]
     rows = bench.bench_sweep(manifest, emit_labels=True)
     pipe = [r for r in rows if r["row_kind"] == "pipeline"][0]
-    g = bench.build_graph({"type": "gnp", "n": 30, "p": 0.3, "seed": 1})
+    g = generate("gnp", {"n": 30, "p": 0.3, "seed": 1})
     labels = np.array([int(x) for x in pipe["labels"].split()])
     stats = partition_stats(certify.recount(g, labels, 2))
     assert stats["min_own_degree"] == pipe["min_own_degree"]
@@ -226,6 +228,8 @@ def test_cli_stage_log_refused_for_rpart(tmp_path):
               "--out", str(gpath)])
     assert cli.main(["partition", "--graph", str(gpath), "--shape", "rpart",
                      "--stage-log", str(tmp_path / "s.jsonl")]) == 2
+    # refused before the log is opened, so no empty file is left behind
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
@@ -310,3 +314,106 @@ def test_bench_has_no_workers_option(tmp_path):
     manifest.write_text("[]")
     with pytest.raises(SystemExit):
         cli.main(["bench", "--manifest", str(manifest), "--workers", "2"])
+
+
+def test_cli_gen_runs_every_generator_of_the_table(tmp_path, capsys):
+    args = {"gnp": ["--n", "12", "--p", "0.4", "--seed", "5"],
+            "kuhn_osthus": ["--n", "4", "--l", "2"],
+            "complete_bipartite": ["--a", "2", "--b", "3"]}
+    assert set(args) == set(GENERATORS)
+    for name, argv in args.items():
+        capsys.readouterr()
+        assert cli.main(["gen", "--type", name] + argv) == 0
+        params = dict(zip([a[2:] for a in argv[::2]], argv[1::2]))
+        assert capsys.readouterr().out == \
+            generate(name, params).to_edge_list_text()
+    with pytest.raises(ValueError, match="unknown generator type 'ko'"):
+        generate("ko", {"n": 4, "l": 2})
+
+
+# (shape, CLI mode, options): every shape in each mode it runs in
+AGREE_CASES = [
+    ("bisect", "int", {"eps": 0.25, "d_const": 1.0}),
+    ("bisect", "ext", {"d_const": 1.0}),
+    ("tripart", "int", {"k": 1, "c": 0.5, "eps": 0.5}),
+    ("tripart", "ext", {"k": 1, "c": 0.5}),
+    ("rpart", "int", {"alpha": ["1/5", "3/10", "1/2"]}),
+    ("rpart", "ext", {"alpha": ["1/5", "3/10", "1/2"]}),
+    ("dual", "int", {"k": 1, "eps": 0.5}),
+    ("dual", "ext", {"k": 1, "eps": 0.5, "d_const": 1.0}),
+    ("cutavg", "int", {"k": 1, "eps": 0.5}),
+]
+
+
+def test_agree_cases_cover_every_shape():
+    assert {shape for shape, _, _ in AGREE_CASES} == set(degpart.pipelines.SHAPES)
+
+
+@pytest.mark.parametrize("shape,mode,options", AGREE_CASES,
+                         ids=[f"{s}-{m}" for s, m, _ in AGREE_CASES])
+def test_bench_and_cli_agree_on_every_shape(shape, mode, options, tmp_path):
+    seed = 2
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    assert cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4",
+                     "--seed", str(seed), "--out", str(gpath)]) == 0
+    flags = []
+    for key, value in options.items():
+        text = ",".join(value) if key == "alpha" else str(value)
+        flags += ["--" + key.replace("_", "-"), text]
+    code = cli.main(["partition", "--graph", str(gpath), "--shape", shape,
+                     "--mode", mode, "--seed", str(seed), "--out", str(rpath)]
+                    + flags)
+    assert code in (0, 1)
+    report = json.loads(rpath.read_text())
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(rpath)]) == 0
+
+    entry = dict(options, generator={"type": "gnp", "n": 40, "p": 0.4},
+                 shape=shape, mode=cli.MODES[mode], seeds=[seed])
+    row = bench.bench_sweep([entry])[0]
+    assert row["row_kind"] == "pipeline" and row["error"] == ""
+    assert row["ok"] == report["ok"] and report["shape"] == shape
+    for key in ("min_own_degree", "min_cross_degree", "min_own_ratio",
+                "min_cross_ratio", "cut_edges", "cut_avg_degree"):
+        assert row[key] == report["stats"][key], key
+
+
+def test_bisect_with_nonzero_c_is_refused_on_both_routes(tmp_path, capsys):
+    # c=0.5 used to fail on eps <= (1-c)/4 on the command line, and to run at
+    # c=0 in the bench while its row recorded c=0.5
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",
+              "--out", str(gpath)])
+    want = "bisect_internal needs an internal-mode ParamSet with c=0"
+    capsys.readouterr()
+    assert cli.main(["partition", "--graph", str(gpath), "--shape", "bisect",
+                     "--c", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    row = bench.bench_sweep([{"generator": {"type": "gnp", "n": 20, "p": 0.4},
+                              "shape": "bisect", "c": 0.5, "seeds": [0]}])[0]
+    assert row["row_kind"] == "pipeline" and row["error"] == want
+
+
+def test_options_a_shape_does_not_read_are_refused(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",
+              "--out", str(gpath)])
+    for argv, why in ((["--shape", "rpart", "--retries", "3"],
+                       "rpart has no stage one; it takes no attempts"),
+                      (["--shape", "cutavg", "--mode", "ext"],
+                       "cutavg runs in internal mode only, got 'external'")):
+        capsys.readouterr()
+        assert cli.main(["partition", "--graph", str(gpath)] + argv) == 2
+        assert capsys.readouterr().err == f"error: {why}\n"
+    row = bench.bench_sweep([{"generator": {"type": "gnp", "n": 20, "p": 0.4},
+                              "shape": "rpart", "size_window": [0, 20],
+                              "seeds": [0]}])[0]
+    assert row["error"] == "rpart has no stage one; it takes no size_window"
+
+
+def test_report_records_the_package_version(tmp_path):
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--out", str(rpath)])
+    report = json.loads(rpath.read_text())
+    assert report["certificate"]["version"] == degpart.__version__

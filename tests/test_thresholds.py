@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
                                 build_threshold_table, default_d_constant,
-                                goodness_threshold, verify_series_bound)
+                                verify_series_bound)
 
 
 def test_default_d_constant_values():
@@ -109,8 +109,7 @@ def test_goodness_threshold_internal_formula():
     t = build_threshold_table(p, [100])
     k = int(t.row_index(np.array([100]))[0])
     assert t.active[k]
-    val = goodness_threshold(t, 100, INTERNAL)
-    assert val == pytest.approx(2 * (1 + t.mu[k]) * t.phi[k], rel=1e-15)
+    assert t.thr_int[k] == pytest.approx(2 * (1 + t.mu[k]) * t.phi[k], rel=1e-15)
 
 
 def test_goodness_threshold_external_worked_example():
@@ -129,7 +128,9 @@ def test_goodness_threshold_external_worked_example():
 def test_goodness_threshold_inactive_returns_zero():
     p = ParamSet(0.0, 0.25, INTERNAL)  # default constant: nothing active
     t = build_threshold_table(p, [10])
-    assert goodness_threshold(t, 10, INTERNAL) == 0.0
+    # an inactive degree carries no goodness threshold: its row is marked
+    # inactive, and the floor every comparison reads is negative
+    assert not t.active[0] and t.fthr_int[0] < 0
 
 
 def test_psi_star_is_exact_maximum():
@@ -151,7 +152,7 @@ def test_eta_branch_switch_is_exact():
 def test_eta_floor_on_active_degrees():
     p = ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0)
     t = build_threshold_table(p, range(1, 200000))
-    assert t.eta_floor_ok()[t.active].all()
+    assert (t.eta[t.active] >= 0.09 / 5 - 1e-15).all()
     # activity begins only past small degrees at this override
     assert t.active.any() and not t.active.all()
 
@@ -174,3 +175,34 @@ def test_csv_dump_schema():
     header = text.splitlines()[0]
     assert header == "i,phi,psi,psi_star,mu,lambda,eta,thr_int,thr_ext,active"
     assert len(text.splitlines()) == 4
+
+
+def _derived(c, eps, mode):
+    # the run parameters of tripart (c given), dual (c = 1-eps) and cutavg
+    # (c = 1/4), with the paper's d
+    return ParamSet(c, (1 - c) ** 2 * eps / 40, mode, relaxed=True)
+
+
+@pytest.mark.parametrize("params", [
+    _derived(0.5, 0.05, INTERNAL),    # tripart --k 1 --c 0.5 --eps 0.05
+    _derived(0.9, 0.1, INTERNAL),     # dual --eps 0.1
+    _derived(0.25, 0.05, INTERNAL),   # cutavg --eps 0.05
+    _derived(0.99, 0.01, EXTERNAL),   # dual --eps 0.01 --mode ext
+    ParamSet(0.0, 0.25, INTERNAL, d_const=1.0),
+    ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0),
+])
+def test_integer_floors_clip_to_the_tabulated_degrees(params):
+    import warnings
+    with warnings.catch_warnings():
+        # an int64 cast of a float beyond 2**63 warns and is platform-defined
+        warnings.simplefilter("error")
+        t = build_threshold_table(params, range(0, 2001))
+    top = 2001
+    for floor, col in ((t.fphi, t.phi), (t.fpsi_star, t.psi_star),
+                       (t.fthr_int, t.thr_int), (t.fthr_ext, t.thr_ext)):
+        exact = np.floor(col)
+        inside = (exact >= -1) & (exact <= top)
+        assert (floor[inside] == exact[inside]).all()
+        assert (floor[exact < -1] == -1).all() and (floor[exact > top] == top).all()
+        # an active row's floor is never clipped
+        assert inside[t.active].all()
