@@ -21,11 +21,11 @@ index order, each moving every vertex that has a strictly improving move
 (to the first such part, unless that would empty its part), until a sweep
 moves nothing.  ``local_maxcut`` is the case r = 2 with equal weights on
 G[S], minimized.  The kernel runs on a ``graph.Counts`` that the caller
-builds and keeps: it updates the labels, the neighbour-count matrix and the
-part sizes in place.  It keeps a candidate mask, true for the vertices
-with a strictly improving move, and a sweep jumps from one candidate to the
-next.  Whether v can move depends only on its own label and its own row of
-neighbor counts per part, and these change only when v or a neighbor of v
+builds and keeps, and writes its labels, neighbour-count matrix and part
+sizes back at exit.  It keeps a candidate mask, true for the vertices with
+a strictly improving move, and a sweep jumps from one candidate to the
+next.  Whether v can move depends only on its own label and its own
+neighbour counts per part, and these change only when v or a neighbor of v
 moves; after each move the mask is recomputed for exactly those vertices.
 So the mask is exact whenever a vertex is reached, and the sweeps make the
 same moves, in the same order, as sweeps that visit every vertex.
@@ -44,13 +44,42 @@ counts whose cost beats the bar form a prefix (a suffix under maximize) of
 computed by the same expressions as a direct comparison, so every decision,
 near-ties within the float guard included, is the one that comparison
 makes.  The diagonal q = l never fires, because no cost beats its own bar.
-Building the table costs O(r^2 * maxdeg); a move then costs one gather of
-each part's count column and of the table row per touched vertex.
+
+During the search a vertex's counts live in packed int64 words (SIMD
+within a register, as in Warren, *Hacker's Delight*, ch. 2).  With bits =
+the bit length of the maximum degree, the count c_q of part q sits in a
+field of bits + 1 bits: the count below, a guard bit on top.  Word 0 also
+holds, above its own fields, the vertex's key (label l, own count c_l), so
+``word >> shift`` indexes a bar table built from thr once per search.  In
+the field of each part q != l, bar[l, c_l] holds B = 2^bits - 1 + t with t =
+thr[q, l, c_l] (2^bits - 1 - t under maximize); the field of l holds a value
+that never fires.  Subtracting the word from its bar (adding it, under
+maximize) and keeping the guard bits leaves a guard bit set exactly for the
+parts that x improves f by moving to.  The guarded subtract decides what c_q
+< t decides: B - c_q = 2^bits + (t - 1 - c_q) reaches 2^bits iff c_q < t.
+No field borrows from or carries into the next, because 0 <= c_q <= maxdeg <
+2^bits and 0 <= t <= maxdeg + 1 <= 2^bits put B - c_q in [2^bits - 1 -
+maxdeg, 2^bits + maxdeg], within [0, 2^(bits+1)).  Under maximize, -1 <= t
+<= maxdeg puts 2^bits - 1 - t + c_q in the same range, and it reaches 2^bits
+iff c_q > t.  The key bits above the fields may borrow, but no guard bit
+reads them.  The first part a single vertex improves by moving to is the
+lowest set guard bit of the first word that has one, as words 0, 1, ...
+hold the parts in index order.
+
+So the mask of a set of vertices costs, per word, one gather of their bars,
+one subtract and one AND.  A move of x from i to j adds a delta to each
+neighbour's words: -1 in field i, +1 in field j, and -/+1 in word 0's own
+count for a neighbour labelled i or j.  That is one gather of the
+neighbours' words, one add of the delta gathered by their label, and one
+scatter.  The fields take as few words as they need (``_word_layout``): one
+word holds 3 parts up to maximum degree 2^14 - 1, and more parts or larger
+degrees take more words.  Building the tables costs O(r^2 * 2^bits).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -180,6 +209,28 @@ def _move_thresholds(w: list, maxdeg: int, maximize: bool) -> np.ndarray:
     return thr
 
 
+def _word_layout(r: int, maxdeg: int):
+    """Where the flip kernel keeps the neighbour counts of a vertex.
+
+    Returns (bits, word, offset, shift): the count of part q is the field
+    at bit offset[q] of word word[q], bits + 1 bits wide (the count in the
+    low bits, the guard bit on top), and word 0 holds the key (label, own
+    count) from bit shift up.  Words 0, 1, ... hold the parts in index
+    order, each from bit 0 in field order; words 1, 2, ... are filled first
+    and word 0 takes the parts that do not fit in them, so as few words are
+    used as the fields need.  No word sets its top bit.
+    """
+    bits = maxdeg.bit_length()
+    span = bits + 1
+    cap = 63 // span
+    cap0 = (63 - bits - (r - 1).bit_length()) // span
+    others = -(-max(r - cap0, 0) // cap)  # words besides word 0
+    in0 = max(r - others * cap, 0)  # parts 0..in0-1 sit in word 0
+    word = [0 if q < in0 else 1 + (q - in0) // cap for q in range(r)]
+    offset = [(q if q < in0 else (q - in0) % cap) * span for q in range(r)]
+    return bits, word, offset, in0 * span
+
+
 def _flip_search(counts: Counts, w: list, maximize: bool = False):
     """Single-vertex moves on the labeling of ``counts`` (r = len(w) parts)
     until no vertex of a part with >= 2 vertices has a move that strictly
@@ -188,50 +239,84 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     ``counts`` is updated in place (labels, matrix and sizes).  Returns (f
     at the start, f at the end, moves).  Integer weights compare exactly;
     float weights need a FLOAT_GUARD relative margin.  See the module
-    docstring for the move-threshold table and for why the candidate mask
-    keeps the move sequence of a plain sweep over all vertices.
+    docstring for the packed count words, the bar table and why the
+    candidate mask keeps the move sequence of a plain sweep over all
+    vertices.
     """
     graph, labels, matrix = counts.graph, counts.labels, counts.matrix
     n, r = graph.n, len(w)
     exact = all(isinstance(x, int) for x in w)
-    width = int(graph.degree.max(initial=0)) + 1
-    thr = _move_thresholds(w, width - 1, maximize)
-    # thr_rows[q][l * width + c] for the numpy passes, thr_py[l][c][q] for one
-    # vertex at a time
-    thr_rows = thr.reshape(r, -1)
-    thr_py = thr.transpose(1, 2, 0).tolist()
-    cols = [matrix[:, q] for q in range(r)]  # strided views, updated in place
-    flat = matrix.reshape(-1)
-    nb_rows = graph.indices * r  # where each CSR neighbour's row starts in flat
-    beats = np.greater if maximize else np.less
+    maxdeg = int(graph.degree.max(initial=0))
+    bits, word, offset, shift = _word_layout(r, maxdeg)
+    nw, span, lab_shift = max(word) + 1, bits + 1, shift + bits
+    one, mask = 1 << bits, (1 << bits) - 1
+    guard = [0] * nw
+    for q in range(r):
+        guard[word[q]] |= one << offset[q]
+    first = [word.index(k) if k in word else 0 for k in range(nw)]
+    # bar[k][l << bits | c]: per field of word k, 2**bits - 1 + thr (minus
+    # thr under maximize) for a vertex of part l with c own neighbours
+    thr = _move_thresholds(w, maxdeg, maximize)[:, :, np.minimum(np.arange(one), maxdeg)]
+    thr[np.arange(r), np.arange(r)] = mask if maximize else 0  # never fires
+    field = mask - thr if maximize else mask + thr
+    bar = np.zeros((nw, r << bits), dtype=np.int64)
+    for q in range(r):
+        bar[word[q]] += (field[q] << offset[q]).reshape(-1)
+    bars = list(bar)
+    combine = np.add if maximize else np.subtract
+    combine_py = operator.add if maximize else operator.sub
 
-    def improves(row, lab):
-        """The first part that a vertex of part lab with neighbour counts
-        row (a list) improves by moving to, or None."""
-        bar = thr_py[lab][row[lab]]
-        for q in range(r):
-            if (row[q] > bar[q]) if maximize else (row[q] < bar[q]):
-                return q
+    words = np.zeros((nw, n), dtype=np.int64)
+    for q in range(r):
+        words[word[q]] += matrix[:, q] << offset[q]
+    words[0] += ((labels << bits) + matrix[np.arange(n), labels]) << shift
+    rows = list(words)
+
+    def fires(xs):
+        """The guard bits that fire, per vertex, given each word of the
+        vertices (xs[k] for word k)."""
+        key = xs[0] >> shift
+        hit = bars[0][key]
+        combine(hit, xs[0], out=hit)
+        hit &= guard[0]
+        for k in range(1, nw):
+            h = bars[k][key]
+            combine(h, xs[k], out=h)
+            h &= guard[k]
+            hit |= h
+        return hit
+
+    def first_fire(xs, key):
+        """The first part whose field fires for one vertex with words xs (a
+        list of ints) and key, or None: the lowest guard bit of the first
+        word that has one."""
+        for k in range(nw):
+            h = combine_py(bars[k].item(key), xs[k]) & guard[k]
+            if h:
+                return first[k] + ((h & -h).bit_length() - 1) // span
         return None
 
-    def movable(vs, rows):
-        """Whether vertex vs[k], whose row starts at flat[rows[k]], has a
-        strictly improving move."""
-        lab = labels[vs]
-        key = flat[rows + lab]
-        key += lab * width
-        out = beats(cols[0][vs], thr_rows[0][key])
-        for q in range(1, r):
-            out |= beats(cols[q][vs], thr_rows[q][key])
-        return out
+    # a move from i to j adds plan[i][j] to the words of the mover's
+    # neighbours: to word 0 by the neighbour's label, to word k its constant
+    plan = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            delta = [0] * nw
+            delta[word[i]] -= 1 << offset[i]
+            delta[word[j]] += 1 << offset[j]
+            by_label = np.full(r, delta[0], dtype=np.int64)
+            by_label[i] -= 1 << shift
+            by_label[j] += 1 << shift
+            plan[i][j] = by_label, [(k, delta[k]) for k in range(1, nw) if delta[k]]
 
     tot = 0 if exact else 0.0
     for j in range(r):
-        tot += w[j] * int(cols[j][labels == j].sum())
+        tot += w[j] * int(matrix[labels == j, j].sum())
     f0 = f_cur = tot // 2 if exact else tot / 2.0
     sign = -1 if maximize else 1
     sizes = counts.sizes.tolist()
-    cand = movable(np.arange(n), np.arange(0, n * r, r))
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    cand = fires(rows).astype(bool)
     moves = 0
     moved = True
     while moved:
@@ -239,31 +324,42 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
         v = -1
         while v + 1 < n:
             rest = cand[v + 1:]
-            k = int(rest.argmax())
-            if not rest[k]:
+            skip = int(rest.argmax())
+            if not rest[skip]:
                 break
-            v += 1 + k
-            i = int(labels[v])
+            v += 1 + skip
+            xv = [row.item(v) for row in rows]
+            key = xv[0] >> shift
+            i = key >> bits
             if sizes[i] < 2:
                 continue  # move would empty the part
-            row = matrix[v].tolist()
-            j = improves(row, i)
-            f_new = f_cur + (w[j] * row[j] - w[i] * row[i])
+            j = first_fire(xv, key)
+            c_i, c_j = key & mask, xv[word[j]] >> offset[j] & mask
+            f_new = f_cur + (w[j] * c_j - w[i] * c_i)
             # f must strictly improve in the chosen direction
             if exact:
                 assert sign * (f_new - f_cur) < 0
             f_cur = f_new
-            labels[v] = j
             sizes[i] -= 1
             sizes[j] += 1
-            lo, hi = graph.indptr[v], graph.indptr[v + 1]
-            nb = graph.indices[lo:hi]
-            cols[i][nb] -= 1
-            cols[j][nb] += 1
-            cand[nb] = movable(nb, nb_rows[lo:hi])
-            cand[v] = improves(row, j) is not None  # v's own row is unchanged
+            new_key = j << bits | c_j
+            xv[0] += (new_key - key) << shift
+            rows[0][v] = xv[0]
+            nb = indices[indptr[v]:indptr[v + 1]]
+            by_label, rest_words = plan[i][j]
+            xs = [row[nb] for row in rows]
+            xs[0] += by_label[xs[0] >> lab_shift]
+            rows[0][nb] = xs[0]
+            for k, d in rest_words:
+                xs[k] += d
+                rows[k][nb] = xs[k]
+            cand[nb] = fires(xs).astype(bool)
+            cand[v] = first_fire(xv, new_key) is not None  # v's counts are unchanged
             moves += 1
             moved = True
+    labels[:] = rows[0] >> lab_shift
+    for q in range(r):
+        np.bitwise_and(rows[word[q]] >> offset[q], mask, out=matrix[:, q])
     counts.sizes[:] = sizes
     return f0, f_cur, moves
 

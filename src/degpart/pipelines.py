@@ -655,6 +655,10 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
 
 
 SHAPES = ("bisect", "tripart", "rpart", "dual", "cutavg")
+# the run_shape parameters each shape never reads: dual runs at c = 1-eps and
+# cutavg at c = 1/4 whatever c is given
+_UNREAD = {"bisect": ("k",), "rpart": ("c", "k", "eps", "d_const"),
+           "dual": ("c",), "cutavg": ("c",)}
 
 
 def run_shape(graph: Graph, shape: str, mode: str, *, c: float = 0.0,
@@ -667,8 +671,18 @@ def run_shape(graph: Graph, shape: str, mode: str, *, c: float = 0.0,
     eps defaults to 0.25, or to 0.09 for an external bisection (external mode
     caps eps at 0.1).  stage_one_options (attempts, size_window,
     weight_budget, stage_log) go to stage one, None meaning the default;
-    rpart has none.
+    rpart has none.  A parameter the shape does not read must keep its
+    default (c=0, k=0, eps and d_const None), or ValueError is raised.
     """
+    given = {"c": c != 0.0, "k": k != 0, "eps": eps is not None,
+             "d_const": d_const is not None}
+    if shape == "bisect" and given["c"]:
+        # refused before ParamSet judges eps against a c it never runs at
+        raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
+    unread = [name for name in _UNREAD.get(shape, ()) if given[name]]
+    if unread:
+        raise ValueError(f"{shape} does not read {', '.join(unread)}; "
+                         f"keep the default")
     if eps is None:
         eps = 0.09 if (shape, mode) == ("bisect", EXTERNAL) else 0.25
     opts = {key: v for key, v in stage_one_options.items() if v is not None}
@@ -679,9 +693,6 @@ def run_shape(graph: Graph, shape: str, mode: str, *, c: float = 0.0,
         return r_partition(graph, BiasVector(tuple(alpha)), mode, seed=seed)
     opts["seed"] = seed
     if shape == "bisect":
-        # refused before ParamSet judges eps against a c it never runs at
-        if c != 0.0:
-            raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
         run = bisect_internal if mode == INTERNAL else bisect_external
         return run(graph, ParamSet(0.0, eps, mode, d_const=d_const), **opts)
     if shape == "tripart":

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from degpart import cuts
 from degpart.cuts import (FLOAT_GUARD, BiasVector, _balanced_random_split,
-                          _move_thresholds, biased_max_r_cut,
+                          _move_thresholds, _word_layout, biased_max_r_cut,
                           check_biased_local_min, check_flip_local_optimum,
                           local_maxcut)
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
@@ -317,6 +317,42 @@ def ref_check_biased_local_min(graph, labels, bias, maximize=False):
 
 # weights of 2**139: the flip search and the checker fall back to python ints
 HUGE = (Fraction(2 ** 69 + 1, 2 ** 70), Fraction(2 ** 69 - 1, 2 ** 70))
+# eight parts, weights near 2**528: python ints on a two-word layout
+HUGE8 = tuple(Fraction(2 ** 66 + e, 2 ** 69) for e in (1, -1, 3, -3, 5, -5, 7, -7))
+
+
+def star(d):
+    """K_{1,d}: vertex 0 joined to 1..d."""
+    return Graph.from_edges(d + 1, [(0, v) for v in range(1, d + 1)])
+
+
+def with_examples(cases):
+    """Apply @example(*case) for every case, in order."""
+    def apply(test):
+        for case in reversed(cases):
+            test = example(*case)(test)
+        return test
+    return apply
+
+
+THREE = BiasVector(("1/5", "3/10", "1/2"))
+# stars whose max degree sits at and around each field width 2**k, r = 3: one
+# word up to 2**14 - 1, then two words with no count field in word 0
+STAR_CASES = [((star(d), THREE if d >= 2 else BiasVector(("1/3", "2/3"))), k, d % 2 == 0)
+              for k in range(1, 15) for d in (2 ** k - 1, 2 ** k)]
+# K_12 in 12 parts and 8 parts at max degree 40-44 take two words, no count
+# field in word 0; K_11 in 11 parts fills one word
+LAYOUT_CASES = [
+    ((complete_graph(12), BiasVector(tuple(Fraction(1, 12) for _ in range(12)))), 0, False),
+    ((complete_graph(12), BiasVector(tuple(1 / 12 for _ in range(12)))), 1, True),
+    ((complete_graph(11), BiasVector(tuple(Fraction(1, 11) for _ in range(11)))), 2, False),
+    ((star(40), BiasVector(HUGE8)), 0, False),
+    ((star(40), BiasVector(HUGE8)), 1, True),
+    ((gen_gnp(48, 0.8, 3), BiasVector(HUGE8)), 2, False),
+    ((gen_gnp(48, 0.8, 4), BiasVector(HUGE8[::-1])), 3, True),
+    ((gen_gnp(24, 0.4, 5), BiasVector(HUGE[::-1])), 4, False),
+    ((gen_gnp(24, 0.4, 6), BiasVector(HUGE[::-1])), 5, True),
+]
 
 
 @st.composite
@@ -330,7 +366,10 @@ def biases(draw, r):
 
 @st.composite
 def cut_cases(draw):
-    r = draw(st.sampled_from([2, 3, 4]))
+    """A graph and biases for 2 to 20 parts.  The kernel keeps a vertex's
+    counts in two or three words from r = 10 on at max degree 16-23, and
+    from r = 19 on at max degree 2-3."""
+    r = draw(st.sampled_from([2, 3, 4]) | st.integers(5, 20))
     g = draw(graphs(min_n=r, max_n=24))
     return g, draw(biases(r))
 
@@ -343,6 +382,7 @@ def cut_cases(draw):
 # costs equal up to float rounding: only FLOAT_GUARD keeps these from moving
 @example((gen_gnp(12, 0.7, 0), BiasVector((1 / 13, 5 / 13, 7 / 13))), 2, False)
 @example((gen_gnp(12, 0.6, 2), BiasVector((5 / 13, 5 / 13, 3 / 13))), 3, True)
+@with_examples(STAR_CASES + LAYOUT_CASES)
 def test_biased_cut_matches_reference_sweep(case, seed, maximize):
     g, bv = case
     res = biased_max_r_cut(g, bv, seed=seed, maximize=maximize)
@@ -477,6 +517,38 @@ def test_move_table_decides_as_the_direct_comparison(case):
                     assert table == direct, (l, q, c_l, c_q)
 
 
+def test_word_layout_packs_every_field_once():
+    for r in range(2, 21):
+        for maxdeg in [0, 1, 2, 3, 7, 8, 23, 40, 255, 2 ** 14 - 1, 2 ** 14, 2 ** 20]:
+            bits, word, offset, shift = _word_layout(r, maxdeg)
+            span = bits + 1
+            assert maxdeg < 2 ** bits
+            nw = max(word) + 1
+            used = [0] * nw
+            for q in range(r):
+                field = (2 ** span - 1) << offset[q]
+                assert not used[word[q]] & field, (r, maxdeg, q)
+                used[word[q]] |= field
+            # word 0's key (label, own count) sits above its fields
+            assert used[0] < 2 ** shift
+            assert shift + bits + (r - 1).bit_length() <= 63
+            assert all(u < 2 ** 63 for u in used)
+            # parts in index order across words 0, 1, ..., fields from bit 0
+            assert word == sorted(word)
+            assert all(offset[q] == (offset[q - 1] + span if word[q] == word[q - 1] else 0)
+                       for q in range(1, r))
+            # no fewer words would hold the fields
+            cap, cap0 = 63 // span, (63 - bits - (r - 1).bit_length()) // span
+            assert nw == 1 or cap0 + (nw - 2) * cap < r
+    # the layouts the @examples of the kernel tests stand for
+    assert _word_layout(3, 2 ** 14 - 1)[1] == [0, 0, 0]
+    assert _word_layout(3, 2 ** 14)[1:] == ([1, 1, 1], [0, 16, 32], 0)  # word 0: key only
+    assert _word_layout(11, 10)[1] == [0] * 11  # one full word
+    assert _word_layout(12, 11)[1] == [1] * 12
+    assert _word_layout(8, 40)[1] == [1] * 8
+    assert max(_word_layout(20, 23)[1]) == 2
+
+
 def assert_counts_current(counts, graph, r):
     assert (counts.matrix == part_profile(graph, counts.labels, r)).all()
     assert counts.sizes.tolist() == np.bincount(counts.labels, minlength=r).tolist()
@@ -487,6 +559,7 @@ def assert_counts_current(counts, graph, r):
 # weights of 2**139 with no edge: the weights themselves need python ints
 @example((Graph.from_edges(3, []), BiasVector(HUGE)), 0, False)
 @example((Graph.from_edges(3, []), BiasVector(HUGE)), 0, True)
+@with_examples(STAR_CASES[-4:] + LAYOUT_CASES)
 def test_biased_cut_returns_current_counts(case, seed, maximize):
     g, bv = case
     res = biased_max_r_cut(g, bv, seed=seed, maximize=maximize)

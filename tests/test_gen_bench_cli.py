@@ -1,5 +1,7 @@
 import json
+import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import degpart
 from degpart import bench, certify, cli
 from degpart.gen import (GENERATORS, gen_complete_bipartite, gen_gnp,
                          gen_kuhn_osthus, generate)
-from degpart.pipelines import partition_stats
+from degpart.pipelines import SHAPES, partition_stats, run_shape
 
 
 def test_gnp_edge_extremes():
@@ -408,6 +410,53 @@ def test_options_a_shape_does_not_read_are_refused(tmp_path, capsys):
                               "shape": "rpart", "size_window": [0, 20],
                               "seeds": [0]}])[0]
     assert row["error"] == "rpart has no stage one; it takes no size_window"
+
+
+def test_parameters_a_shape_never_reads_are_refused(tmp_path, capsys):
+    # dual used to run at c = 1-eps = 0.6 and record c=0.6 for this call
+    g = gen_gnp(40, 0.4, seed=0)
+    with pytest.raises(ValueError, match="^dual does not read c; keep the default$"):
+        run_shape(g, "dual", "internal", c=0.7, k=1, eps=0.4)
+    for shape, mode, given, want in (
+            ("cutavg", "internal", {"c": 0.25, "k": 1}, "c"),
+            ("bisect", "external", {"k": 2}, "k"),
+            ("rpart", "internal", {"c": 0.5, "k": 1, "eps": 0.3, "d_const": 1.0},
+             "c, k, eps, d_const"),
+            ("rpart", "external", {"d_const": 1.0}, "d_const")):
+        with pytest.raises(ValueError, match=f"^{shape} does not read {want};"):
+            run_shape(g, shape, mode, **given)
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--out", str(gpath)])
+    capsys.readouterr()
+    assert cli.main(["partition", "--graph", str(gpath), "--shape", "dual",
+                     "--c", "0.7"]) == 2
+    assert capsys.readouterr().err == "error: dual does not read c; keep the default\n"
+    row = bench.bench_sweep([{"generator": {"type": "gnp", "n": 40, "p": 0.4},
+                              "shape": "dual", "c": 0.7, "k": 1, "eps": 0.4,
+                              "seeds": [0]}])[0]
+    assert row["row_kind"] == "pipeline" and row["error"] == \
+        "dual does not read c; keep the default"
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cli_defaults_run_every_shape(shape, tmp_path):
+    gpath, rpath = tmp_path / "g.txt", tmp_path / "r.json"
+    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--out", str(gpath)])
+    assert cli.main(["partition", "--graph", str(gpath), "--shape", shape,
+                     "--out", str(rpath)]) in (0, 1)
+    assert json.loads(rpath.read_text())["shape"] == shape
+
+
+def test_distribution_version_is_the_package_version():
+    # pyproject.toml reads its version from pipelines.VERSION, as setuptools
+    # resolves it when it builds the distribution
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    from setuptools.dist import Distribution
+    root = Path(__file__).resolve().parent.parent
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dist = pyprojecttoml.apply_configuration(Distribution(), root / "pyproject.toml")
+    assert dist.get_version() == degpart.__version__
 
 
 def test_report_records_the_package_version(tmp_path):
