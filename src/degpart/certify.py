@@ -39,6 +39,8 @@ Claim kinds:
                        recorded threshold table, applied to active vertices
     cut_edges_at_least edge count between two parts is at least a bound
     count_meeting_floor  at least N vertices meet a constant floor
+                       (``bisect_dual`` claims its measured count: a
+                       measurement, not the (1-eps)n target)
     extremal_stat      the min over vertices of a degree stat equals a value
     extremal_ratio     the min over positive-degree vertices of stat/degree
                        equals num/den (compared cross-multiplied, exactly);

@@ -70,7 +70,8 @@ def _cmd_partition(args) -> int:
             k=args.k, alpha=args.alpha.split(","),
             d_const=_parse_d_const(args.d_const), seed=args.seed,
             stage_log=stage_log, **options)
-    _write(json.dumps(report.to_jsonable(), indent=2) + "\n", args.out)
+    _write(json.dumps(report.to_jsonable(), indent=2, allow_nan=False) + "\n",
+           args.out)
     print(f"ok={report.ok} guaranteed={report.guaranteed} "
           f"stats={report.stats['min_own_degree']}/{report.stats['min_cross_degree']}",
           file=sys.stderr)
@@ -104,13 +105,17 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     graph = _read_graph(args.graph)
     value, witness = best_bisection(graph, args.objective)
-    payload = {"objective": args.objective, "value": float(value)}
+    # an infinite ratio optimum (no vertex of positive degree) is null,
+    # as in a report's stats
+    unbounded = value == math.inf
+    payload = {"objective": args.objective,
+               "value": None if unbounded else float(value)}
     if args.objective.endswith("ratio"):
         # the exact optimum, as partition_stats reports its ratio minima
-        payload["value_frac"] = (None if value == math.inf
+        payload["value_frac"] = (None if unbounded
                                  else [value.numerator, value.denominator])
     payload["labels"] = witness.tolist()
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return EXIT_OK
 
 

@@ -1,32 +1,37 @@
 """Brute-force ground truth on small instances.
 
-All three searches share one enumerator.  It walks the subsets of range(n)
-as bitmasks, vertex i on bit n-1-i, from the largest mask down, and yields
-them in chunks of 0/1 rows, one row per candidate set; with a ``size`` it
-keeps only the sets of that size.  Within one size, descending masks are
-exactly the lexicographic order of ``itertools.combinations``.  One product
-``rows @ adj`` then gives the neighbours of every vertex inside every set of
-a chunk, so no python loop runs per set.
+``best_bisection``, ``ko_bisection_exists`` and ``dense_fixed_point_check``
+share one enumerator.  It walks the subsets of range(n) as bitmasks, vertex
+i on bit n-1-i, from the largest mask down: within one size, exactly the
+lexicographic order of ``itertools.combinations``.  The masks of size k
+come from a table that depends only on (n, k), built once by the recursion
+M(n, k) = [M(n-1, k-1) | 2**(n-1), M(n-1, k)], which is descending as
+built; only the requested table is kept, read-only.
+
+A set and its complement are the same bisection, and no objective here
+changes when the sides swap.  So for even n the first optimum in that order
+contains vertex 0 (the complement of an optimum without it is optimal too,
+and comes earlier), and only the first block of M(n, n/2) is enumerated:
+the sets holding vertex 0.
+
+Each chunk is vertex-major: an (n, sets) float32 matrix s, +1 on the set's
+vertices and -1 elsewhere.  t = adj @ s is each vertex's neighbours inside
+the set minus those outside, so twice its own degree is deg + s*t and twice
+its cross degree deg - s*t, exact in float32.  About 1k sets per chunk keep
+s and t cache-sized (64 KB each at n=16), with no python loop per set.
 
 ``best_bisection`` returns the exact maximin value of a per-vertex degree
 statistic over every bisection of a graph with at most 24 vertices.  Its
-witness is the first optimal bisection in that order, because a later set
-replaces the best only when it is strictly better.  Ratio objectives are
-compared exactly as integers: every degree divides L = lcm(1..n-1), so
-own/deg is the integer own * (L // deg) over L, which stays below 5.4e9 at
-n=24 and so fits in int64.
-
-``ko_bisection_exists`` answers, by exhaustion, whether the set-inclusion
-bipartite graph admits a bisection in which every vertex has k own-part
-neighbors and every vertex of one side has k cross neighbors.
-
-``dense_fixed_point_check`` confirms that greedy dense extraction lands on
-the unique maximal fixed point, by unioning all valid subsets of the host.
+witness is the first optimum in that order, as only a strictly better set
+replaces the best.  Ratio objectives compare exactly as integers: every
+degree divides L = lcm(1..n-1), so own/deg is own * (L // deg) over L, and
+twice that stays below 2.6e11 at n=24, exact in float64.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, inf, lcm
 
 import numpy as np
@@ -37,46 +42,37 @@ from .graph import Counts, Graph
 
 MAX_ORACLE_N = 24
 MAX_HOST = 15
-CHUNK = 4096  # masks per chunk: memory stays flat at every n
+CHUNK = 1024  # sets per chunk: s and adj @ s stay cache-sized at every n
 
 OBJECTIVES = ("min-own-degree", "min-cross-degree", "min-own-ratio",
               "min-cross-ratio")
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry below 2**24, by shift and add."""
-    x = x - ((x >> 1) & 0x555555)
-    x = (x & 0x333333) + ((x >> 2) & 0x333333)
-    x = (x + (x >> 4)) & 0x0F0F0F
-    return (x + (x >> 8) + (x >> 16)) & 0xFF
+@lru_cache(maxsize=None)
+def _set_table(n: int, size: int) -> np.ndarray:
+    """M(n, size), read-only; row i keeps only the M(i, k) that row n needs."""
+    none, row = np.zeros(0, dtype=np.int32), {0: np.zeros(1, dtype=np.int32)}
+    for i in range(n):
+        row = {k: np.concatenate((row.get(k - 1, none) | 1 << i, row.get(k, none)))
+               for k in range(max(0, size - n + i + 1), min(i + 1, size) + 1)}
+    row[size].flags.writeable = False
+    return row[size]
 
 
 def _sets(graph: Graph, size: int | None = None):
-    """Yield (rows, in_set) per chunk of candidate sets of the graph's vertices.
-
-    rows[s, v] is 1 when v is in set s; in_set[s, v] counts v's neighbours
-    in set s.  Both are int16.  Sets come in descending mask order (see the
-    module docstring); with ``size``, only the sets of that size.  The
-    product runs in float32, which numpy hands to BLAS and which is exact
-    for counts below 2**24.
-    """
+    """Yield (s, st) per chunk of candidate sets: the ±1 matrix s and
+    st = s * (adj @ s).  With ``size``, only the sets of that size (of an
+    even n's bisections, only those holding vertex 0)."""
     n = graph.n
     adj = np.zeros((n, n), dtype=np.float32)
     adj[graph.rows, graph.indices] = 1
-    shifts = np.arange(n - 1, -1, -1)
-    for top in range(1 << n, 0, -CHUNK):
-        masks = np.arange(top - 1, max(top - CHUNK, 0) - 1, -1)
-        if size is not None:
-            masks = masks[_popcount(masks) == size]
-        if len(masks):
-            bits = (masks[:, None] >> shifts) & 1
-            yield (bits.astype(np.int16),
-                   (bits.astype(np.float32) @ adj).astype(np.int16))
-
-
-def _own(rows: np.ndarray, in_set: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Each vertex's neighbours on its own side of each bisection."""
-    return np.where(rows == 1, in_set, deg - in_set)
+    masks = (np.arange((1 << n) - 1, -1, -1, dtype=np.int32) if size is None else
+             _set_table(n, size)[:comb(n - 1, size - 1) if 2 * size == n else None])
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int32)[:, None]
+    for start in range(0, len(masks), CHUNK):
+        s = ((masks[start:start + CHUNK] >> shifts) & 1).astype(np.float32)
+        s += s - 1
+        yield s, s * (adj @ s)
 
 
 def best_bisection(graph: Graph, objective: str):
@@ -93,25 +89,25 @@ def best_bisection(graph: Graph, objective: str):
         raise ValueError(f"oracle enumerates bisections only up to n={MAX_ORACLE_N}")
     if n < 2:
         raise ValueError("a bisection needs at least 2 vertices")
-    deg = graph.degree
+    sign = 1 if objective.startswith("min-own") else -1
     ratio = objective.endswith("ratio")
+    scale = lcm(*range(1, n)) if ratio else 1
+    empty = 2 * scale * n  # above every key: the minimum over no counted vertex
+    # a key is twice the stat, deg + sign * st, times the weight; under a ratio
+    # an isolated vertex reads deg 2n and weight L, so it keys empty
+    deg = graph.degree[:, None].astype(np.float32)
+    weight = scale // np.maximum(deg, 1).astype(np.float64) if ratio else 1
     if ratio:
-        scale = lcm(*range(1, n))
-        weight, counted = scale // np.maximum(deg, 1), deg > 0
-    else:
-        scale, weight, counted = 1, 1, np.ones(n, dtype=bool)
-    empty = scale * n  # above every key: the minimum over no counted vertex
+        deg[deg == 0] = 2 * n
     best = witness = None
-    for rows, in_set in _sets(graph, n // 2):
-        own = _own(rows, in_set, deg)
-        stat = own if objective.startswith("min-own") else deg - own
-        keys = (stat * weight).min(axis=1, initial=empty, where=counted)
+    for s, st in _sets(graph, n // 2):
+        keys = ((deg + sign * st) * weight).min(axis=0)
         i = int(np.argmax(keys))
         if best is None or keys[i] > best:
-            best, witness = int(keys[i]), 1 - rows[i].astype(np.int64)
+            best, witness = int(keys[i]), (s[:, i] < 0).astype(np.int64)
     if best == empty:
         return inf, witness
-    return (Fraction(best, scale) if ratio else best), witness
+    return (Fraction(best, 2 * scale) if ratio else best // 2), witness
 
 
 def ko_bisection_exists(n: int, l: int, k: int):
@@ -138,17 +134,18 @@ def ko_bisection_exists(n: int, l: int, k: int):
         labels[nv // 2:] = 1
         return {"exists": True, "witness": labels.tolist(), "refuted": 0,
                 "n": n, "l": l, "k": k}
-    deg = graph.degree
-    for rows, in_set in _sets(graph, nv // 2):
-        own = _own(rows, in_set, deg)
-        cross_ok = deg - own >= k
-        # the set is part 0; A = part 0 or A = part 1 needs the cross floor
-        a0 = (cross_ok | (rows == 0)).all(axis=1)
-        a1 = (cross_ok | (rows == 1)).all(axis=1)
-        found = (own >= k).all(axis=1) & (a0 | a1)
+    deg = graph.degree.astype(np.float32)[:, None]
+    for s, st in _sets(graph, nv // 2):
+        # twice the own degree is deg + st, twice the cross degree deg - st;
+        # the set is part 0, and A = part 0 or A = part 1 needs the cross floor
+        cross_ok = deg - st >= 2 * k
+        a0 = (cross_ok | (s < 0)).all(axis=0)
+        a1 = (cross_ok | (s > 0)).all(axis=0)
+        found = (deg + st >= 2 * k).all(axis=0) & (a0 | a1)
         if found.any():
             i = int(np.argmax(found))
-            return {"exists": True, "witness": (1 - rows[i]).tolist(),
+            return {"exists": True,
+                    "witness": (s[:, i] < 0).astype(np.int64).tolist(),
                     "a_part": 0 if a0[i] else 1, "refuted": 0,
                     "n": n, "l": l, "k": k}
     return {"exists": False, "witness": None, "refuted": 2 * comb(nv, nv // 2),
@@ -168,11 +165,14 @@ def dense_fixed_point_check(graph: Graph, host, target, eta) -> bool:
     host = np.unique(np.asarray(host, dtype=np.int64))
     if len(host) > MAX_HOST:
         raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
-    need = np.asarray(target, dtype=np.int64)[host]  # 0: unclassed, always met
+    sub = graph.induced_subgraph(host)
+    # a member meets its target (0: unclassed) when st = 2 * inside - deg
+    # reaches 2 * target - deg
+    need = (2 * np.asarray(target, dtype=np.int64)[host] - sub.degree)[:, None]
     union = np.zeros(len(host), dtype=bool)
-    for rows, in_set in _sets(graph.induced_subgraph(host)):
-        valid = ((rows == 0) | (in_set >= need)).all(axis=1)
-        union |= rows[valid].any(axis=0)
+    for s, st in _sets(sub):
+        inside = s > 0
+        union |= inside[:, (~inside | (st >= need)).all(axis=0)].any(axis=1)
     labels = np.ones(graph.n, dtype=np.int64)
     labels[host] = 0
     result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import operator
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from degpart.pipelines import bisect_internal
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
 from conftest import graphs
-from test_acceptance import naive_claim_truth
+from test_acceptance import _mutation_bases, naive_claim_truth
 
 
 def make_cert(graph, claims, params=None):
@@ -477,3 +481,66 @@ def test_failing_verification_counts_once_and_names_its_witness(
                                                            witness)
     assert res.failed_claim == claims[failed_index]
     assert len(calls) == 1
+
+
+# -- one mutated field of a golden claim ---------------------------------------
+
+
+mutation_bases = lru_cache(maxsize=None)(_mutation_bases)
+
+
+def int_fields(claim, path=()):
+    """Paths to the integer leaves of a claim (nested floors and lists too)."""
+    if isinstance(claim, dict):
+        items = claim.items()
+    elif isinstance(claim, list):
+        items = enumerate(claim)
+    else:
+        return [path] if type(claim) is int else []
+    return [p for key, value in items for p in int_fields(value, path + (key,))]
+
+
+def get_field(claim, path):
+    return reduce(operator.getitem, path, claim)
+
+
+def with_field(claim, path, value):
+    claim = copy.deepcopy(claim)
+    get_field(claim, path[:-1])[path[-1]] = value
+    return claim
+
+
+@st.composite
+def mutated_claims(draw):
+    g, rep = draw(st.sampled_from(mutation_bases()))
+    claims = rep.certificate.claims
+    idx = draw(st.integers(0, len(claims) - 1))
+    path = draw(st.sampled_from(int_fields(claims[idx])))
+    old = get_field(claims[idx], path)
+    new = draw(st.sampled_from([old - 1, old + 1, -1, -old - 1])
+               | st.integers(-2**70, 2**70)
+               | st.sampled_from([2**63 - 1, 2**63, 2**70, -2**63, -2**63 - 1, -2**70])
+               .flatmap(lambda big: st.integers(-2, 2).map(lambda d: big + d)))
+    return g, rep, idx, path, new, with_field(claims[idx], path, new)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_claims())
+def test_a_mutated_golden_claim_passes_only_when_it_holds(case):
+    # each base passes every claim, so a verdict turns only on the mutated one
+    g, rep, idx, path, new, mutated = case
+    claims = rep.certificate.claims
+    cert = dataclasses.replace(rep.certificate,
+                               claims=claims[:idx] + [mutated] + claims[idx + 1:])
+    res = verify_certificate(g, rep.labels, cert, r=rep.r)
+    names_a_part = path[-1] in ("part", "source", "target") or path[0] == "parts"
+    if names_a_part and not 0 <= new < rep.r:
+        assert not res.passed and res.failed_index == idx
+        assert "malformed claim" in res.reason
+        return
+    assert res.reason is None
+    truth = naive_claim_truth(g, rep.labels.tolist(), rep.r, mutated)
+    if res.passed:
+        assert truth
+    else:
+        assert res.failed_index == idx and not truth

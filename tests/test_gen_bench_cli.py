@@ -1,6 +1,6 @@
 import json
 import warnings
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import degpart
 from degpart import bench, certify, cli
 from degpart.gen import (GENERATORS, gen_complete_bipartite, gen_gnp,
                          gen_kuhn_osthus, generate)
-from degpart.pipelines import SHAPES, partition_stats, run_shape
+from degpart.pipelines import SHAPES, PipelineReport, partition_stats, run_shape
 
 
 def test_gnp_edge_extremes():
@@ -188,6 +188,42 @@ def test_cli_oracle_prints_exact_ratio(tmp_path, capsys):
     assert oracle(k4, "min-cross-ratio")["value_frac"] == [2, 3]
     assert "value_frac" not in oracle(k4, "min-own-degree")
     assert oracle(edgeless, "min-own-ratio")["value_frac"] is None
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, as other JSON readers do."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("objective", ["min-own-ratio", "min-cross-ratio"])
+def test_cli_oracle_on_an_edgeless_graph_prints_strict_json(tmp_path, capsys,
+                                                            objective):
+    edgeless = tmp_path / "e.txt"
+    edgeless.write_text("# n 4\n")
+    assert cli.main(["oracle", "--graph", str(edgeless),
+                     "--objective", objective]) == 0
+    out = strict_json(capsys.readouterr().out)
+    assert out["value"] is None and out["value_frac"] is None
+    assert out["labels"] == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("shape", ["bisect", "tripart"])
+def test_cli_report_of_an_edgeless_graph_is_strict_json_and_verifies(
+        tmp_path, capsys, shape):
+    gpath, cpath = tmp_path / "e.txt", tmp_path / "r.json"
+    gpath.write_text("# n 6\n")
+    assert cli.main(["partition", "--graph", str(gpath), "--shape", shape,
+                     "--vacuous-windows", "--out", str(cpath)]) == 0
+    stats = strict_json(cpath.read_text())["stats"]
+    for name in ("min_own_ratio", "min_cross_ratio"):
+        assert stats[name] is None and stats[f"{name}_frac"] is None
+    report = PipelineReport.from_jsonable(json.loads(cpath.read_text()))
+    assert report.stats["min_own_ratio"] == report.stats["min_cross_ratio"] == inf
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 def test_cli_stage_log_for_tripart(tmp_path):

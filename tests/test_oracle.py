@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb, inf
+from math import comb, inf, lcm
 from unittest import mock
 
 import numpy as np
@@ -12,8 +12,8 @@ import degpart.oracle as oracle
 from degpart.dense import extract_dense
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, gen_kuhn_osthus
 from degpart.graph import Counts, Graph, part_profile
-from degpart.oracle import (OBJECTIVES, best_bisection, dense_fixed_point_check,
-                            ko_bisection_exists)
+from degpart.oracle import (MAX_ORACLE_N, OBJECTIVES, best_bisection,
+                            dense_fixed_point_check, ko_bisection_exists)
 
 from conftest import graphs
 
@@ -168,16 +168,139 @@ def ref_dense_fixed_point_check(graph, host, target, eta):
     return set(result.surviving.tolist()) == best
 
 
-# -- the chunked enumerator against the references ----------------------------
+# -- the chunked reference ---------------------------------------------------
+#
+# The enumerator as it stood before the vertex-major rewrite: every mask of
+# range(2**n) filtered by popcount on each call, one 0/1 row per set, and
+# every set of a bisection visited (no complement halving).  Kept verbatim,
+# renamed; ``best_bisection`` must give the same value, value type and
+# witness bytes.
+
+CHUNK = 4096  # masks per chunk: memory stays flat at every n
 
 
-def assert_same_bisection(graph, objective):
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry below 2**24, by shift and add."""
+    x = x - ((x >> 1) & 0x555555)
+    x = (x & 0x333333) + ((x >> 2) & 0x333333)
+    x = (x + (x >> 4)) & 0x0F0F0F
+    return (x + (x >> 8) + (x >> 16)) & 0xFF
+
+
+def chunked_sets(graph, size=None):
+    """Yield (rows, in_set) per chunk of candidate sets of the graph's vertices.
+
+    rows[s, v] is 1 when v is in set s; in_set[s, v] counts v's neighbours
+    in set s.  Both are int16.  Sets come in descending mask order (see the
+    module docstring); with ``size``, only the sets of that size.  The
+    product runs in float32, which numpy hands to BLAS and which is exact
+    for counts below 2**24.
+    """
+    n = graph.n
+    adj = np.zeros((n, n), dtype=np.float32)
+    adj[graph.rows, graph.indices] = 1
+    shifts = np.arange(n - 1, -1, -1)
+    for top in range(1 << n, 0, -CHUNK):
+        masks = np.arange(top - 1, max(top - CHUNK, 0) - 1, -1)
+        if size is not None:
+            masks = masks[_popcount(masks) == size]
+        if len(masks):
+            bits = (masks[:, None] >> shifts) & 1
+            yield (bits.astype(np.int16),
+                   (bits.astype(np.float32) @ adj).astype(np.int16))
+
+
+def _own(rows, in_set, deg):
+    """Each vertex's neighbours on its own side of each bisection."""
+    return np.where(rows == 1, in_set, deg - in_set)
+
+
+def chunked_best_bisection(graph, objective):
+    """Exact maximin over all bisections; returns (value, witness labels).
+
+    value is an int for degree objectives and a Fraction for ratio
+    objectives (inf when no vertex has positive degree).  Graphs above 24
+    vertices are refused.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    n = graph.n
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"oracle enumerates bisections only up to n={MAX_ORACLE_N}")
+    if n < 2:
+        raise ValueError("a bisection needs at least 2 vertices")
+    deg = graph.degree
+    ratio = objective.endswith("ratio")
+    if ratio:
+        scale = lcm(*range(1, n))
+        weight, counted = scale // np.maximum(deg, 1), deg > 0
+    else:
+        scale, weight, counted = 1, 1, np.ones(n, dtype=bool)
+    empty = scale * n  # above every key: the minimum over no counted vertex
+    best = witness = None
+    for rows, in_set in chunked_sets(graph, n // 2):
+        own = _own(rows, in_set, deg)
+        stat = own if objective.startswith("min-own") else deg - own
+        keys = (stat * weight).min(axis=1, initial=empty, where=counted)
+        i = int(np.argmax(keys))
+        if best is None or keys[i] > best:
+            best, witness = int(keys[i]), 1 - rows[i].astype(np.int64)
+    if best == empty:
+        return inf, witness
+    return (Fraction(best, scale) if ratio else best), witness
+
+
+# -- the vertex-major enumerator against the references -----------------------
+
+
+def assert_same_bisection(graph, objective, reference):
+    """Same value, value type and witness bytes as a reference; the witness."""
     value, witness = best_bisection(graph, objective)
-    ref_value, ref_witness = ref_best_bisection(graph, objective)
+    ref_value, ref_witness = reference(graph, objective)
     assert value == ref_value
     assert type(value) is type(ref_value)
     assert witness.dtype == ref_witness.dtype
     assert witness.tobytes() == ref_witness.tobytes()
+    return witness
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_best_bisection_matches_chunked_reference(n, p):
+    g = gen_gnp(n, p, seed=100 * n + int(10 * p))
+    for objective in OBJECTIVES:
+        witness = assert_same_bisection(g, objective, chunked_best_bisection)
+        if p in (0.0, 1.0):
+            # every set ties, so the witness is the very first mask: the
+            # first n // 2 vertices in part 0
+            assert witness.tolist() == [0] * (n // 2) + [1] * (n - n // 2)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_set_table_is_the_descending_popcount_filter(n):
+    masks = np.arange((1 << n) - 1, -1, -1)
+    for k in range(n + 1):
+        table = oracle._set_table(n, k)
+        assert table.tolist() == masks[_popcount(masks) == k].tolist()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[:1] = 0
+
+
+@pytest.mark.parametrize("n,l,k", [(8, 7, 1), (8, 7, 3), (9, 8, 2)])
+def test_ko_even_inclusion_graph_finds_the_reference_witness(n, l, k):
+    # 16 and 18 vertices, beyond KO_CASES: only the sets holding vertex 0 are
+    # enumerated, and the witness and its side A must still be the first
+    assert (n + comb(n, l)) % 2 == 0
+    answer = ko_bisection_exists(n, l, k)
+    ref = ref_ko_bisection_exists(n, l, k)
+    assert answer["exists"] and ref["exists"]
+    assert answer["witness"] == ref["witness"]
+    assert answer["a_part"] == ref["a_part"]
+    assert answer == ref
+
+
+# -- the enumerator against the per-subset references ---------------------------
 
 
 @settings(max_examples=120, deadline=None)
@@ -188,14 +311,14 @@ def assert_same_bisection(graph, objective):
 @example(Graph.from_edges(9, [(0, 1), (2, 3)]), "min-own-ratio")
 @example(cycle_graph(13), "min-own-degree")
 def test_best_bisection_matches_reference(graph, objective):
-    assert_same_bisection(graph, objective)
+    assert_same_bisection(graph, objective, ref_best_bisection)
 
 
 @pytest.mark.parametrize("n,p", [(11, 0.0), (12, 0.2), (13, 0.5), (14, 0.5)])
 def test_best_bisection_matches_reference_all_objectives(n, p):
     g = gen_gnp(n, p, seed=n)
     for objective in OBJECTIVES:
-        assert_same_bisection(g, objective)
+        assert_same_bisection(g, objective, ref_best_bisection)
 
 
 # every inclusion graph with at most 15 vertices

@@ -297,6 +297,7 @@ def test_report_json_round_trip():
     r = bisect_internal(g, seed=0, **VAC)
     back = PipelineReport.from_jsonable(r.to_jsonable())
     assert (back.labels == r.labels).all()
+    assert back.stats == r.stats
     assert verify_certificate(g, back.labels, back.certificate, r=back.r).passed
 
 
