@@ -2,10 +2,10 @@
 
 The host is a part of a counted labeling (here the whole graph is part 0
 of a two-part one).  Given an integer degree target per vertex (0:
-unclassed) and a slack per classed vertex, iteratively delete any classed vertex that falls below its
-target inside the surviving set.  The survivor set is the same for every
-deletion order (unique maximal fixed point), and the number of deletions is
-bounded by an explicit budget chain.
+unclassed) and a slack per classed vertex, delete in rounds every classed
+vertex that falls below its target inside the surviving set.  The survivor
+set is the unique maximal fixed point, the same for every deletion order,
+and the number of deletions is bounded by an explicit budget chain.
 
 Run:  python demos/03_dense_extraction.py
 """
@@ -45,14 +45,9 @@ print(f"deleted {b.deleted_count} vertices "
       f"(<= weighted deficit {b.weighted_deficit} <= bound {b.bound:.1f})")
 print(f"survivors: {len(result.surviving)} of {g.n}; "
       f"guaranteed non-empty: {result.guaranteed}")
-print("first deletions (vertex, degree at deletion):",
+print(f"peel rounds: {result.rounds}")
+print("first deletions (vertex, degree at the start of its round):",
       result.deleted[:5])
-
-# order independence: shuffle the deletion schedule, same fixed point
-for order_seed in (1, 2, 3):
-    alt = extract_dense(counts, (0,), target, eta, order_seed=order_seed)
-    assert alt.surviving.tolist() == result.surviving.tolist()
-print("same surviving set under 3 randomized deletion orders")
 
 # every surviving classed vertex meets its target inside the survivors
 surv = set(result.surviving.tolist())

@@ -101,8 +101,34 @@ def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
     return rows
 
 
+def _screen(manifest) -> None:
+    """Raise ValueError, naming the entry's index, unless the manifest is a
+    list of objects, each with a ``generator`` object whose ``type`` is a
+    string and, if present, ``seeds`` a list of integers.  An unknown
+    generator type passes: its runs become error rows."""
+    if not isinstance(manifest, list):
+        raise ValueError(f"manifest must be a list of entries, "
+                         f"got {type(manifest).__name__}")
+    for idx, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            reason = f"is a {type(entry).__name__}, not an object"
+        elif not isinstance(entry.get("generator"), dict):
+            reason = "needs a 'generator' object"
+        elif not isinstance(entry["generator"].get("type"), str):
+            reason = "needs a string generator 'type'"
+        elif not (isinstance(seeds := entry.get("seeds", []), list)
+                  and all(isinstance(s, int) and not isinstance(s, bool)
+                          for s in seeds)):
+            reason = "has 'seeds' that is not a list of integers"
+        else:
+            continue
+        raise ValueError(f"manifest entry #{idx} {reason}")
+
+
 def bench_sweep(manifest: list[dict], emit_labels: bool = False) -> list[dict]:
-    """Run every (entry, seed) pair; returns rows in manifest order."""
+    """Run every (entry, seed) pair; returns rows in manifest order.  The
+    manifest is screened before any run (ValueError)."""
+    _screen(manifest)
     return [row for entry in manifest for seed in entry.get("seeds", [0])
             for row in run_entry(entry, seed, emit_labels)]
 

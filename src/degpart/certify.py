@@ -343,12 +343,16 @@ def _malformed(claim, r: int) -> str | None:
 def recount(graph: Graph, labels, r: int) -> _Context:
     """Count a labeling from scratch, to judge claims against.
 
-    Raises ValueError unless r is an integer >= 1, and LabelError (a
-    ValueError) unless labels is an integer array of length n with values
-    in [0, r).
+    Raises ValueError unless r is an integer in [1, max(3, n)], before
+    anything is counted: the counts take n*r entries, and no shape needs
+    more parts than that (a tripartition has 3, even on fewer vertices; an
+    r-partition leaves no part empty).  Raises LabelError (a ValueError)
+    unless labels is an integer array of length n with values in [0, r).
     """
     if not (_is_int(r) and r >= 1):
         raise ValueError(f"part count r={r!r} is not an integer >= 1")
+    if r > max(3, graph.n):
+        raise ValueError(f"part count r={r!r} exceeds max(3, n) = {max(3, graph.n)}")
     return _Context(Counts(graph, labels, int(r)))
 
 
@@ -391,14 +395,17 @@ def judge(ctx: _Context, claims: list) -> list[bool]:
 def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
     """Judge each claim from scratch against (graph, labels); one flag each.
 
-    Raises ValueError unless r is an integer >= 1, LabelError unless labels
-    is an integer array of length n with values in [0, r), and
-    MalformedClaim for a claim that cannot be judged (all ValueErrors).
+    Raises ValueError unless r is an integer in [1, max(3, n)], LabelError
+    unless labels is an integer array of length n with values in [0, r),
+    and MalformedClaim for a claim that cannot be judged (all ValueErrors).
     """
     return judge(recount(graph, labels, r), claims)
 
 
 def _check_binding(graph: Graph, cert: Certificate) -> None:
+    if not isinstance(cert.graph_hash, str):
+        raise ValueError(f"certificate field 'graph_hash' must be a string, "
+                         f"got {cert.graph_hash!r}")
     actual = graph.fingerprint
     if cert.graph_hash != actual:
         raise ValueError(
@@ -435,9 +442,9 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
     defaults to max label + 1, at least 2).  A graph-hash mismatch refuses
     verification outright (ValueError) rather than failing a claim.  Labels
     that are no r-partition of the vertices fail with ``reason`` set and the
-    first bad vertex as the witness; an r that is no integer >= 1 fails with
-    ``reason`` set.  The labels are counted once, and the
-    threshold tables rebuilt from the recorded parameters.
+    first bad vertex as the witness; an r that is no integer in
+    [1, max(3, n)] fails with ``reason`` set.  The labels are counted once,
+    and the threshold tables rebuilt from the recorded parameters.
     """
     _check_binding(graph, cert)
     if hasattr(partition, "labels"):

@@ -86,8 +86,12 @@ def _cmd_verify(args) -> int:
     except (KeyError, TypeError, AttributeError) as exc:
         print(f"FAIL: malformed report file: missing or bad field {exc}")
         return EXIT_VERIFY_FAIL
-    result = verify_certificate(graph, report.labels, report.certificate,
-                                r=report.r)
+    try:
+        result = verify_certificate(graph, report.labels, report.certificate,
+                                    r=report.r)
+    except ValueError as exc:  # refused: another graph's or a malformed hash
+        print(f"FAIL: {exc}")
+        return EXIT_VERIFY_FAIL
     if result.passed:
         print("PASS: all claims verified")
         return EXIT_OK

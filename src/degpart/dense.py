@@ -31,21 +31,35 @@ when it is alive and labelled with the deleted vertex's partner part.  No
 subgraph is built.  A caller holding a bare vertex set counts a two-part
 labeling with the set as part 0 and passes ``(0,)``.
 
-Threshold comparisons for A+ and the budget bound run in exact rational
-arithmetic (integer degrees against Fraction thresholds, float slacks read
-exactly), so the certificate never depends on float rounding.
+The peel runs in rounds (Batagelj & Zaveršnik 2003; Dhulipala, Blelloch &
+Shun 2017): every alive classed vertex below its target goes at once, its
+alive neighbours in H are decremented, and the next round examines only
+the touched vertices.  A deletion is recorded as (vertex, degree at the
+start of its round), in ascending id within a round.
+
+A+ is decided per vertex in float64: x^ = fl(2a * fl(1 + e)) against the
+exact x = 2a(1 + eta_v).  Degrees and 2a are integers below 2**53, hence
+exact, and each rounding is a factor (1 + delta), |delta| <= u = 2**-53.  A
+float slack e = eta_v gives x^ = x(1 + delta1)(1 + delta2), so |x^ - x| <=
+(2u + u^2)x; a Fraction slack is rounded first, e = eta_v(1 + delta0),
+which moves 1 + e by at most u(1 + eta_v), so |x^ - x| <= (3u + 3u^2 +
+u^3)x.  A degree whose computed distance from x^ exceeds 8u*x^ thus lies on
+the same side of x as of x^; one within it is decided exactly as
+deg*q < 2a(q + p) for eta_v = p/q.  The budget bound (1 + 1/eta) * deficit
+is one exact Fraction, so the certificate never depends on float rounding.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .graph import Counts
+
+# margin of the float A+ test: 8u, above its 3u forward-error bound
+_NEAR = 8 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -72,9 +86,10 @@ class BudgetChain:
 @dataclass
 class ExtractResult:
     surviving: np.ndarray
-    deleted: list  # (vertex, degree at deletion) in order
+    deleted: list  # (vertex, degree at the start of its round), round by round
     budget: BudgetChain
     guaranteed: bool  # key condition held at entry
+    rounds: int  # peel rounds that deleted a vertex
 
     @property
     def deleted_vertices(self) -> np.ndarray:
@@ -107,18 +122,13 @@ def _key_condition(counts: Counts, parts, target, eta):
         raise ValueError("every classed vertex needs a positive slack eta")
     lhs, deficit = Fraction(0), 0
     if len(classed):
-        a, e = target[classed], eta[classed]
-        # A+ needs d_H(v) >= ceil(2*(1+eta_v)*a_v) = ceil(2*a_v*(q+p)/q) for
-        # eta_v = p/q exactly, once per distinct (a_v, eta_v): a floored
-        # threshold would admit vertices that break the budget chain.  A pair
-        # id is below n**2, which fits int64 (graph.MAX_VERTICES).
-        a_vals, a_id = np.unique(a, return_inverse=True)
-        _, e_id = np.unique(e, return_inverse=True)
-        _, first, inv = np.unique(e_id.ravel() * len(a_vals) + a_id.ravel(),
-                                  return_index=True, return_inverse=True)
-        ratios = [(int(a[i]), *Fraction(e[i]).as_integer_ratio()) for i in first.tolist()]
-        need = [-(-2 * ai * (q + p) // q) for ai, p, q in ratios]
-        deficit = int(a[deg[classed] < np.array(need, dtype=np.int64)[inv.ravel()]].sum())
+        a, e, d = target[classed], eta[classed], deg[classed]
+        x = 2.0 * a * (1.0 + e.astype(np.float64))
+        below = d < x
+        for i in np.flatnonzero(np.abs(d - x) <= _NEAR * x).tolist():
+            p, q = Fraction(e[i]).as_integer_ratio()
+            below[i] = int(d[i]) * q < 2 * int(a[i]) * (q + p)
+        deficit = int(a[below].sum())
         lhs = (1 + 1 / Fraction(e.min())) * deficit
     rhs = int(counts.sizes[list(parts)].sum())
     cond = KeyCondition(float(lhs), rhs, lhs < rhs, deficit)
@@ -136,45 +146,32 @@ def check_key_condition(counts: Counts, parts, target, eta) -> KeyCondition:
     return _key_condition(counts, parts, target, eta)[5]
 
 
-def extract_dense(counts: Counts, parts, target, eta,
-                  order_seed: int | None = None) -> ExtractResult:
-    """Run the greedy deletion to its fixed point.
+def extract_dense(counts: Counts, parts, target, eta) -> ExtractResult:
+    """Run the round-synchronous peel to its fixed point.
 
     counts, parts, target and eta as in ``check_key_condition``; the
-    extraction reads the counts and leaves them unchanged.  order_seed
-    randomizes the deletion schedule (the surviving set is the same for
-    every order); None processes a FIFO queue in ascending-id order.  The key
+    extraction reads the counts and leaves them unchanged.  The key
     condition is checked at entry; if it fails the extraction still runs but
     the result is flagged guaranteed=False.
     """
     alive, partner, target, deg, classed, cond, bound_exact = \
         _key_condition(counts, parts, target, eta)
     graph, lab = counts.graph, counts.labels
-    # one heap serves both schedules: FIFO keys every entry 0.0, a seeded
-    # order a random draw; the push counter breaks ties in push order
-    rng = None if order_seed is None else np.random.default_rng(order_seed)
-    heap: list = []
-    pushes = itertools.count()
-
-    def push(v):
-        heapq.heappush(heap, (0.0 if rng is None else rng.random(), next(pushes), v))
-
-    for v in classed[deg[classed] < target[classed]].tolist():
-        push(v)
     # unclassed vertices have target 0, which a count never falls below
-    deleted: list[tuple[int, int]] = []
-    while heap:
-        v = heapq.heappop(heap)[2]
-        if not alive[v] or deg[v] >= target[v]:
-            continue  # stale entry
-        alive[v] = False
-        deleted.append((v, int(deg[v])))
-        # the neighbours of v in H that are still alive, in ascending id
-        nb = graph.neighbors(v)
-        nb = nb[alive[nb] & (lab[nb] == partner[v])]
-        deg[nb] -= 1
-        for w in nb[deg[nb] < target[nb]].tolist():
-            push(w)
+    peel = classed[deg[classed] < target[classed]]
+    gone, degs = [], []
+    while len(peel):
+        gone.append(peel)
+        degs.append(deg[peel])
+        alive[peel] = False
+        # the neighbours in H that are still alive, once per deleted neighbour
+        nb = graph.indices[graph.row_entries(peel)]
+        nb = nb[alive[nb] & (lab[nb] == np.repeat(partner[peel], graph.degree[peel]))]
+        touched, hits = np.unique(nb, return_counts=True)
+        deg[touched] -= hits
+        peel = touched[deg[touched] < target[touched]]
+    deleted = list(zip(np.concatenate(gone).tolist(), np.concatenate(degs).tolist())) \
+        if gone else []
 
     surviving = np.nonzero(alive)[0]
     weighted_deficit = int(target[classed][~alive[classed]].sum())
@@ -189,4 +186,4 @@ def extract_dense(counts: Counts, parts, target, eta,
         raise AssertionError(
             "surviving set empty although the key condition held; "
             "this indicates a bug in the deletion schedule")
-    return ExtractResult(surviving, deleted, budget, cond.satisfied)
+    return ExtractResult(surviving, deleted, budget, cond.satisfied, len(gone))

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from conftest import graphs
 # The extraction as it stood when the lemma's classes A_i were stored: one
 # DegreeClass per (vertex set, target, slack), validated by ClassFamily.  The
 # per-vertex functions of ``degpart.dense`` must give the same surviving
-# set, deletion sequence, budget chain and key condition.
+# set, deleted set, budget chain and key condition.
 
 
 @dataclass(frozen=True)
@@ -225,17 +226,12 @@ def extract_dense(graph: Graph, family: ClassFamily,
 # set: host degrees counted by a mask over every CSR entry, the peel run on
 # the graph it was given (for a cross host, the subgraph of cross edges).
 # ``dense.extract_dense`` on a labeling's counts must give the same
-# surviving set, deletion sequence, budget chain and key condition.
+# surviving set, deleted set, budget chain and key condition.
 
 
-def graph_key_condition(graph: Graph, host, target, eta):
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[np.asarray(host, dtype=np.int64)] = True
-    target = np.asarray(target, dtype=np.int64)
-    eta = np.asarray(eta)
-    classed = np.flatnonzero(target >= 1)
-    both = mask[graph.rows] & mask[graph.indices]
-    deg = np.bincount(graph.rows[both], minlength=graph.n)
+def fraction_key_condition(deg, target, eta, classed, rhs):
+    """(condition, exact lhs) with one Fraction threshold per distinct
+    (a_v, eta_v) pair: d_H(v) >= ceil(2*a_v*(q+p)/q) for eta_v = p/q."""
     lhs, deficit = Fraction(0), 0
     if len(classed):
         a, e = target[classed], eta[classed]
@@ -247,8 +243,18 @@ def graph_key_condition(graph: Graph, host, target, eta):
         need = [-(-2 * ai * (q + p) // q) for ai, p, q in ratios]
         deficit = int(a[deg[classed] < np.array(need, dtype=np.int64)[inv.ravel()]].sum())
         lhs = (1 + 1 / Fraction(e.min())) * deficit
-    rhs = int(mask.sum())
-    cond = dense.KeyCondition(float(lhs), rhs, lhs < rhs, deficit)
+    return dense.KeyCondition(float(lhs), rhs, lhs < rhs, deficit), lhs
+
+
+def graph_key_condition(graph: Graph, host, target, eta):
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[np.asarray(host, dtype=np.int64)] = True
+    target = np.asarray(target, dtype=np.int64)
+    eta = np.asarray(eta)
+    classed = np.flatnonzero(target >= 1)
+    both = mask[graph.rows] & mask[graph.indices]
+    deg = np.bincount(graph.rows[both], minlength=graph.n)
+    cond, lhs = fraction_key_condition(deg, target, eta, classed, int(mask.sum()))
     return mask, target, deg, classed, cond, lhs
 
 
@@ -278,7 +284,67 @@ def graph_extract_dense(graph: Graph, host, target, eta, order_seed=None):
                     push(w)
     weighted_deficit = int(target[classed][~alive[classed]].sum())
     budget = BudgetChain(len(deleted), weighted_deficit, float(bound_exact))
-    return dense.ExtractResult(np.nonzero(alive)[0], deleted, budget, cond.satisfied)
+    return dense.ExtractResult(np.nonzero(alive)[0], deleted, budget, cond.satisfied,
+                               len(deleted))
+
+
+# -- the heap reference -----------------------------------------------------------
+#
+# The extraction on a labeling's counts as it stood before the rounds: the
+# Fraction A+ test above and one deletion at a time off a heap, keyed 0.0
+# (FIFO in ascending-id push order) or by a seeded random draw.  The rounds
+# must reach the same surviving set, deleted set, budget chain and key
+# condition under every order.
+
+
+def heap_extract_dense(counts: Counts, parts, target, eta, order_seed=None):
+    graph, lab = counts.graph, counts.labels
+    r = counts.matrix.shape[1]
+    alive = np.isin(lab, parts)
+    partner_of = np.arange(r)
+    partner_of[parts[0]], partner_of[parts[-1]] = parts[-1], parts[0]
+    partner = partner_of[lab]
+    deg = counts.matrix[np.arange(len(lab)), partner]
+    target = np.asarray(target, dtype=np.int64)
+    eta = np.asarray(eta)
+    classed = np.flatnonzero(target >= 1)
+    cond, bound_exact = fraction_key_condition(
+        deg, target, eta, classed, int(counts.sizes[list(parts)].sum()))
+    rng = None if order_seed is None else np.random.default_rng(order_seed)
+    heap: list = []
+    pushes = itertools.count()
+
+    def push(v):
+        heapq.heappush(heap, (0.0 if rng is None else rng.random(), next(pushes), v))
+
+    for v in classed[deg[classed] < target[classed]].tolist():
+        push(v)
+    deleted = []
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if not alive[v] or deg[v] >= target[v]:
+            continue  # stale entry
+        alive[v] = False
+        deleted.append((v, int(deg[v])))
+        nb = graph.neighbors(v)
+        nb = nb[alive[nb] & (lab[nb] == partner[v])]
+        deg[nb] -= 1
+        for w in nb[deg[nb] < target[nb]].tolist():
+            push(w)
+    weighted_deficit = int(target[classed][~alive[classed]].sum())
+    budget = BudgetChain(len(deleted), weighted_deficit, float(bound_exact))
+    return dense.ExtractResult(np.nonzero(alive)[0], deleted, budget, cond.satisfied,
+                               len(deleted)), cond
+
+
+def assert_same_fixed_point(got, want, target):
+    """The rounds against a one-at-a-time reference: the same surviving set,
+    deleted set, budget chain and flag; the schedules differ by design, so
+    each recorded degree need only be below its vertex's target."""
+    assert got.surviving.tolist() == want.surviving.tolist()
+    assert sorted(v for v, _ in got.deleted) == sorted(v for v, *_ in want.deleted)
+    assert got.budget == want.budget and got.guaranteed == want.guaranteed
+    assert all(d < target[v] for v, d in got.deleted)
 
 
 # -- per-vertex inputs ---------------------------------------------------------
@@ -370,6 +436,16 @@ def test_extract_complete_bipartite_tightness_family():
     assert len(res.surviving) == g.n and not res.deleted
 
 
+def test_extract_peels_in_rounds():
+    # path 0-1-2-3-4, target 2 everywhere: the ends go in round 1, their
+    # neighbours in round 2, the middle in round 3; each deletion records its
+    # degree at the start of its round, in ascending id within the round
+    g = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+    res = dense.extract_dense(*arrays(g, (range(5), 2, 1.0)))
+    assert res.deleted == [(0, 1), (4, 1), (1, 1), (3, 1), (2, 0)]
+    assert res.rounds == 3 and len(res.surviving) == 0
+
+
 def test_extract_runs_unguaranteed_when_condition_fails():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     res = dense.extract_dense(*arrays(g, ([0, 2], 2, Fraction(1))))
@@ -429,9 +505,11 @@ def extraction_instances(draw):
 def test_extract_order_independence_and_budget(instance, order_seed):
     g, (counts, parts, target, eta) = instance
     base = dense.extract_dense(counts, parts, target, eta)
-    randomized = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
-    assert base.surviving.tolist() == randomized.surviving.tolist()
-    assert base.budget.holds() and randomized.budget.holds()
+    for seed in (None, order_seed):
+        want, cond = heap_extract_dense(counts, parts, target, eta, order_seed=seed)
+        assert_same_fixed_point(base, want, target)
+        assert dense.check_key_condition(counts, parts, target, eta) == cond
+    assert base.budget.holds()
     # deletions stay inside the classed vertices
     assert set(v for v, _ in base.deleted) <= set(np.flatnonzero(target).tolist())
 
@@ -462,9 +540,16 @@ def test_extract_fixed_point_and_item_a(instance):
 
 @st.composite
 def slacks(draw, a):
-    """A float or Fraction slack, sometimes putting 2*(1+eta)*a within 1e-12
-    of an integer k (or on it) from either side."""
+    """A float or Fraction slack, sometimes putting 2*(1+eta)*a on an integer
+    with a dyadic eta, or within 1e-12 of an integer k (or on it) from
+    either side."""
     exact = draw(st.booleans())
+    if draw(st.booleans()):
+        # eta = p/2**k with 2**k dividing 2*a*p: 2*(1+eta)*a is an integer,
+        # and so is its float value
+        k = draw(st.integers(0, 4))
+        p = draw(st.integers(1, 12)) * (2 ** k // math.gcd(2 * a, 2 ** k))
+        return Fraction(p, 2 ** k) if exact else p / 2 ** k
     if draw(st.booleans()):
         k = draw(st.integers(2 * a + 1, 2 * a + 12))
         if exact:
@@ -500,10 +585,8 @@ def class_instances(draw):
 
 def assert_same_as_reference(g, family, counts, parts, target, eta, order_seed):
     want = extract_dense(g, family, order_seed=order_seed)
-    got = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
-    assert got.surviving.tolist() == want.surviving.tolist()
-    assert got.deleted == [(v, d) for v, _, d in want.deleted]
-    assert got.budget == want.budget and got.guaranteed == want.guaranteed
+    got = dense.extract_dense(counts, parts, target, eta)
+    assert_same_fixed_point(got, want, target)
     cond, ref = dense.check_key_condition(counts, parts, target, eta), \
         check_key_condition(g, family)
     assert (cond.lhs, cond.rhs, cond.satisfied) == (ref.lhs, ref.rhs, ref.satisfied)
@@ -522,7 +605,7 @@ def test_per_vertex_extraction_matches_the_class_reference(instance, order_seed)
 
 @pytest.mark.parametrize("eta,deficit", [
     (0.1, 10), (Fraction(1, 10), 5), (0.5 + 1e-13, 15), (0.5 - 1e-13, 10),
-    (Fraction(1, 2) - Fraction(1, 10 ** 13), 10)])
+    (Fraction(1, 2) - Fraction(1, 10 ** 13), 10), (0.5, 10), (Fraction(1, 2), 10)])
 def test_near_integer_a_plus_threshold_matches_the_reference(eta, deficit):
     # target 5 on vertices of degree 11, 15 and 1: 2*(1+eta)*5 is 11 or 15 up
     # to the float error of eta, and an integer degree at that value is in
@@ -565,10 +648,8 @@ def test_counts_extraction_matches_the_graph_level_reference(instance, order_see
     h = g if len(parts) == 1 else g.cross_subgraph(labels, *parts)
     want = graph_extract_dense(h, host, target, eta, order_seed=order_seed)
     counts = Counts(g, labels, 3)
-    got = dense.extract_dense(counts, parts, target, eta, order_seed=order_seed)
-    assert got.surviving.tolist() == want.surviving.tolist()
-    assert got.deleted == want.deleted
-    assert got.budget == want.budget and got.guaranteed == want.guaranteed
+    got = dense.extract_dense(counts, parts, target, eta)
+    assert_same_fixed_point(got, want, target)
     assert dense.check_key_condition(counts, parts, target, eta) == \
         graph_key_condition(h, host, target, eta)[4]
     # the extraction reads the counts and leaves them as they were

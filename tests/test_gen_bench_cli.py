@@ -347,6 +347,69 @@ def test_cli_verify_malformed_claim_or_report_exit_1(tmp_path, capsys):
             in capsys.readouterr().out
 
 
+def _report_files(tmp_path):
+    """A G(30, 0.4) graph file and its bisection report, and the report's
+    payload."""
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "cert.json"
+    cli.main(["gen", "--type", "gnp", "--n", "30", "--p", "0.4", "--seed", "3",
+              "--out", str(gpath)])
+    cli.main(["partition", "--graph", str(gpath), "--seed", "1",
+              "--out", str(cpath)])
+    return gpath, cpath, json.loads(cpath.read_text())
+
+
+@pytest.mark.parametrize("r", [10 ** 30, 10 ** 6])
+def test_verify_refuses_a_part_count_above_the_vertex_count(tmp_path, capsys, r):
+    # r=10**30 used to raise OverflowError from the count, and r=10**6 to
+    # allocate n*r counters (about 248 MB) before any check
+    gpath, cpath, payload = _report_files(tmp_path)
+    why = f"part count r={r!r} exceeds max(3, n) = 30"
+    report = PipelineReport.from_jsonable(payload)
+    res = certify.verify_certificate(degpart.load_graph(gpath.read_text()),
+                                     report.labels, report.certificate, r=r)
+    assert not res.passed and res.reason == why
+    cpath.write_text(json.dumps(dict(payload, r=r)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    assert capsys.readouterr().out == f"FAIL: {why}\n"
+
+
+def test_verify_refuses_a_non_string_graph_hash(tmp_path, capsys):
+    # "graph_hash": 5 used to raise TypeError from the hash comparison
+    gpath, cpath, payload = _report_files(tmp_path)
+    cert = dict(payload["certificate"], graph_hash=5)
+    why = "certificate field 'graph_hash' must be a string, got 5"
+    report = PipelineReport.from_jsonable(dict(payload, certificate=cert))
+    with pytest.raises(ValueError, match=why):
+        certify.verify_certificate(degpart.load_graph(gpath.read_text()),
+                                   report.labels, report.certificate, r=2)
+    cpath.write_text(json.dumps(dict(payload, certificate=cert)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    assert capsys.readouterr().out == f"FAIL: {why}\n"
+
+
+@pytest.mark.parametrize("manifest,why", [
+    ({"generator": {"type": "gnp"}}, "manifest must be a list of entries, got dict"),
+    ([{"seeds": [0]}], "manifest entry #0 needs a 'generator' object"),
+    ([{"generator": {"type": "gnp", "n": 5}}, {"generator": "gnp"}],
+     "manifest entry #1 needs a 'generator' object"),
+    ([{"generator": {"type": "gnp"}, "seeds": 3}],
+     "manifest entry #0 has 'seeds' that is not a list of integers"),
+    ([["gnp", 10]], "manifest entry #0 is a list, not an object")])
+def test_bench_screens_its_manifest_before_any_run(tmp_path, capsys, manifest, why):
+    # each of these ended in a traceback from inside the sweep
+    with pytest.raises(ValueError, match=f"^{why}$"):
+        bench.bench_sweep(manifest)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["bench", "--manifest", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {why}\n"
+
+
 def test_bench_has_no_workers_option(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text("[]")
