@@ -72,8 +72,12 @@ class Certificate:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "Certificate":
+        claims = d.get("claims", [])
+        # list({}) is [], which would pass a report whose claims are a dict
+        if not isinstance(claims, list):
+            raise TypeError(f"'claims' must be a list, got {type(claims).__name__}")
         return cls(d["graph_hash"], d.get("params", {}), d.get("seed"),
-                   d.get("version", ""), list(d.get("claims", [])))
+                   d.get("version", ""), list(claims))
 
 
 @dataclass

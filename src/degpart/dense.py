@@ -45,8 +45,12 @@ float slack e = eta_v gives x^ = x(1 + delta1)(1 + delta2), so |x^ - x| <=
 which moves 1 + e by at most u(1 + eta_v), so |x^ - x| <= (3u + 3u^2 +
 u^3)x.  A degree whose computed distance from x^ exceeds 8u*x^ thus lies on
 the same side of x as of x^; one within it is decided exactly as
-deg*q < 2a(q + p) for eta_v = p/q.  The budget bound (1 + 1/eta) * deficit
-is one exact Fraction, so the certificate never depends on float rounding.
+deg*q < 2a(q + p) for eta_v = p/q.  A slack above 2**53 is capped there
+before the float conversion, which it could overflow: with a >= 1 the
+capped threshold is still above every degree and far outside the band, so
+the vertex is below it, as it is below its exact threshold.  The budget
+bound (1 + 1/eta) * deficit is one exact Fraction, so the certificate
+never depends on float rounding.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ from .graph import Counts
 
 # margin of the float A+ test: 8u, above its 3u forward-error bound
 _NEAR = 8 * 2.0 ** -53
+# cap of a slack: the A+ threshold 2a(1 + eta) is then above every degree
+_HUGE = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,7 @@ def _key_condition(counts: Counts, parts, target, eta):
     lhs, deficit = Fraction(0), 0
     if len(classed):
         a, e, d = target[classed], eta[classed], deg[classed]
-        x = 2.0 * a * (1.0 + e.astype(np.float64))
+        x = 2.0 * a * (1.0 + np.minimum(e, _HUGE).astype(np.float64))
         below = d < x
         for i in np.flatnonzero(np.abs(d - x) <= _NEAR * x).tolist():
             p, q = Fraction(e[i]).as_integer_ratio()

@@ -12,7 +12,12 @@ caller to set ``n_guarantee_threshold`` and the instance to clear it.
 
 Every tripartition comes from one driver, ``tripartition``: stage one, the
 refinement of the run's mode, and the target conditions expressed as
-certificate claims and judged by the verifier.  The driver keeps one
+certificate claims and judged by the verifier.  Every shape built on it
+(bisections, exact tripartitions, dual and cut-average bisections) sets its
+run parameters and a finish step, and one private driver, ``_construct``,
+does the rest.  The shapes take ``seed``, ``n_guarantee_threshold`` and the
+keywords of ``stage1.stage_one`` (attempts, size_window, weight_budget,
+stage_log) and pass them through unchanged.  ``tripartition`` keeps one
 ``graph.Counts`` for the whole run: stage one counts each attempt once, and
 every later move, check and judgement reads the maintained counts.  Each
 labeling a pipeline emits is counted once more from scratch
@@ -262,12 +267,12 @@ def distribute_c_for_balance(counts: Counts, prefer: str = "own",
     return lab, True
 
 
-def _fold(graph: Graph, tri: TripartitionResult, prefer: str,
-          cap_a: int | None = None):
+def _fold(tri: TripartitionResult, prefer: str, cap_a: int | None = None):
     """Fold C of a tripartition in, relabel A to 0 and B to 1, and count the
-    bisection: (its ``certify.recount``, whether the fold was feasible)."""
-    labels, feasible = distribute_c_for_balance(tri.counts, prefer, cap_a)
-    return certify.recount(graph, np.where(labels == PART_B, 1, 0), 2), feasible
+    bisection with ``certify.recount``.  An infeasible fold leaves the sides
+    at least two apart, so the balance claim of a bisection judges it."""
+    labels, _ = distribute_c_for_balance(tri.counts, prefer, cap_a)
+    return certify.recount(tri.counts.graph, np.where(labels == PART_B, 1, 0), 2)
 
 
 # -- the tripartition driver -------------------------------------------------
@@ -283,7 +288,6 @@ class TripartitionResult:
     conditions: dict
     stage1: StageOneResult
     traces: list
-    params: ParamSet
     table: ThresholdTable
     diagnostics: dict = field(default_factory=dict)
     counts: Counts | None = None
@@ -291,13 +295,13 @@ class TripartitionResult:
 
 def tripartition(graph: Graph, params: ParamSet,
                  table: ThresholdTable | None = None, seed: int = 0,
-                 attempts: int = 64, size_window=None, weight_budget=None,
-                 stage_log=None) -> TripartitionResult:
+                 **stage_one_options) -> TripartitionResult:
     """Stage one, then the refinement of ``params.mode``, then the conditions.
 
-    Internal mode refines side A, then side B with the roles of the sides
-    exchanged (``refine_internal_once``); external mode extracts, absorbs and
-    cuts (``refine_external``).  The conditions of
+    stage_one_options (attempts, size_window, weight_budget, stage_log) go
+    to ``stage_one``.  Internal mode refines side A, then side B with the
+    roles of the sides exchanged (``refine_internal_once``); external mode
+    extracts, absorbs and cuts (``refine_external``).  The conditions of
     ``certify.tripartition_claims`` under the mode's table floor are judged
     by the verifier's claim code on the maintained counts and this table; ok
     means the construction completed and every condition holds.  An explicit
@@ -307,13 +311,11 @@ def tripartition(graph: Graph, params: ParamSet,
     """
     if table is None:
         table = build_threshold_table(params, np.unique(graph.degree))
-    s1 = stage_one(graph, params, table, seed=seed, attempts=attempts,
-                   size_window=size_window, weight_budget=weight_budget,
-                   diagnostics_fh=stage_log)
+    s1 = stage_one(graph, params, table, seed=seed, **stage_one_options)
     counts = s1.counts.copy()
     if not s1.ok:
         return TripartitionResult(
-            False, counts.labels, {}, s1, [], params, table,
+            False, counts.labels, {}, s1, [], table,
             {"stage": "stage1", "violated": s1.violated,
              "failure_counts": s1.failure_counts}, counts)
     if params.mode == INTERNAL:
@@ -327,7 +329,7 @@ def tripartition(graph: Graph, params: ParamSet,
             traces.append(trace)
             if not trace.ok:
                 return TripartitionResult(
-                    False, counts.labels, {}, s1, traces, params, table,
+                    False, counts.labels, {}, s1, traces, table,
                     {"stage": stage, "failed_vertex": trace.failed_vertex}, counts)
     else:
         trace = refine_external(counts, params, table, cut_seed=seed)
@@ -343,107 +345,108 @@ def tripartition(graph: Graph, params: ParamSet,
     conditions, _ = _judge(certify.from_counts(counts, table),
                            certify.tripartition_claims(params.mode, floor, window))
     failed = [k for k, v in conditions.items() if not v]
-    ok = not [k for k in failed if size_window is None or k != "size_window"]
+    gate_window = stage_one_options.get("size_window") is None
+    ok = not [k for k in failed if gate_window or k != "size_window"]
     if not ok:
         diagnostics.update({"stage": "conditions", "failed": failed})
-    return TripartitionResult(ok, counts.labels, conditions, s1, traces, params,
-                              table, diagnostics, counts)
+    return TripartitionResult(ok, counts.labels, conditions, s1, traces, table,
+                              diagnostics, counts)
+
+
+def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
+               hyp_floor: float | None = None, window=None, /, *, seed: int = 0,
+               n_guarantee_threshold: int | None = None,
+               **stage_one_options) -> PipelineReport:
+    """Run the tripartition, report its failure or finish it, judge the
+    shape's conditions and make the report.
+
+    finish(tri) returns the counted labeling to emit, its named conditions
+    (each a list of claims), the names that gate ok, and diagnostics, whose
+    ``"conditions"`` key, if any, receives the verdict; giving up, it names
+    none and the report is not ok.  window is the shape's default stage-one
+    size window.  hyp_floor is a derived shape's minimum-degree hypothesis;
+    such a shape judges unmet tripartition conditions in its finish step,
+    while a bisection (no hypothesis) fails on them.  finish, hyp_floor and
+    window are positional only, so no option a caller passes can bind them.
+    """
+    if stage_one_options.get("size_window") is None:
+        stage_one_options["size_window"] = window
+    # the table is passed as None, so a caller's table= is refused
+    tri = tripartition(graph, run_params, None, seed=seed, **stage_one_options)
+    if tri.ok or (hyp_floor is not None and tri.diagnostics["stage"] == "conditions"):
+        counted, conditions, gate, diagnostics = finish(tri)
+    else:
+        counted, conditions, gate, diagnostics = (
+            certify.recount(graph, tri.labels, 3), {}, (), {"failure": tri.diagnostics})
+    verdict, claims = _judge(counted, conditions)
+    if "conditions" in diagnostics:
+        diagnostics["conditions"] = verdict
+    min_deg = int(graph.degree.min()) if graph.n else 0
+    hyp_ok = hyp_floor is None or min_deg >= hyp_floor
+    if hyp_floor is not None:
+        diagnostics["min_degree_hypothesis"] = {
+            "required": hyp_floor, "actual": min_deg, "ok": hyp_ok}
+    diagnostics["stage1_attempts"] = tri.stage1.attempts
+    ok = bool(gate) and all(verdict[name] for name in gate)
+    return _make_report(counted, shape, run_params, claims, ok, seed,
+                        diagnostics, n_guarantee_threshold, hyp_ok)
 
 
 # -- bisection pipelines -----------------------------------------------------
 
 
-def _failure_report(graph: Graph, shape: str, params: ParamSet, tri,
-                    seed: int) -> PipelineReport:
-    diagnostics = {"failure": tri.diagnostics,
-                   "stage1_attempts": tri.stage1.attempts}
-    return _make_report(certify.recount(graph, tri.labels, 3), shape, params, [],
-                        False, seed, diagnostics)
-
-
-def _bisect(graph: Graph, params: ParamSet, mode: str, seed: int, attempts: int,
-            size_window, weight_budget, stage_log,
-            n_guarantee_threshold: int | None) -> PipelineReport:
-    """Tripartition with doubled floors on C, then fold C in for balance:
-    either destination preserves a C-vertex's floor."""
+def _bisect(params: ParamSet, mode: str):
+    """The finish step of a bisection: C carries doubled floors, so folding
+    it in for balance keeps a C-vertex's floor on either side."""
     if params.c != 0.0 or params.mode != mode:
         raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
-    tri = tripartition(graph, params, seed=seed, attempts=attempts,
-                       size_window=size_window, weight_budget=weight_budget,
-                       stage_log=stage_log)
-    if not tri.ok:
-        return _failure_report(graph, "bisect", params, tri, seed)
-    counted, feasible = _fold(graph, tri, _TARGET[mode])
-    verdict, claims = _judge(counted, {
-        "balance": [certify.claim_balance(1)],
-        "sizes": [certify.claim_part_sizes(counted.sizes)],
-        "floor": [certify.claim_degree_floor(
-            "all", _TARGET[mode], certify.table_floor(_FLOOR_FN[mode], params, 1))],
-    })
-    ok = feasible and verdict["balance"] and verdict["floor"]
-    diagnostics = {"tripartition_conditions": tri.conditions}
-    if mode == EXTERNAL:
-        diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
-    diagnostics["stage1_attempts"] = tri.stage1.attempts
-    return _make_report(counted, "bisect", params, claims, ok, seed, diagnostics,
-                        n_guarantee_threshold)
+
+    def finish(tri):
+        counted = _fold(tri, _TARGET[mode])
+        diagnostics = {"tripartition_conditions": tri.conditions}
+        if mode == EXTERNAL:
+            diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
+        return counted, {
+            "balance": [certify.claim_balance(1)],
+            "sizes": [certify.claim_part_sizes(counted.sizes)],
+            "floor": [certify.claim_degree_floor(
+                "all", _TARGET[mode], certify.table_floor(_FLOOR_FN[mode], params, 1))],
+        }, ("balance", "floor"), diagnostics
+    return finish
 
 
 def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
                     eps: float = 0.25, d_const: float | None = None,
-                    seed: int = 0, attempts: int = 64, size_window=None,
-                    weight_budget=None, stage_log=None,
-                    n_guarantee_threshold: int | None = None) -> PipelineReport:
+                    **options) -> PipelineReport:
     """Bisection where every active vertex keeps floor(phi(d)) own-part
     neighbors: C-vertices carry doubled floors and join the side they lean
     toward."""
     if params is None:
         params = ParamSet(0.0, eps, INTERNAL, d_const=d_const)
-    return _bisect(graph, params, INTERNAL, seed, attempts, size_window,
-                   weight_budget, stage_log, n_guarantee_threshold)
+    return _construct(graph, "bisect", params, _bisect(params, INTERNAL), **options)
 
 
 def bisect_external(graph: Graph, params: ParamSet | None = None, *,
                     eps: float = 0.09, d_const: float | None = None,
-                    seed: int = 0, attempts: int = 64, size_window=None,
-                    weight_budget=None, stage_log=None,
-                    n_guarantee_threshold: int | None = None) -> PipelineReport:
+                    **options) -> PipelineReport:
     """Bisection where every active vertex keeps floor(psi(d)) neighbors in
     the opposite part; C-vertices carry doubled floors toward both sides, so
     any destination works."""
     if params is None:
         params = ParamSet(0.0, eps, EXTERNAL, d_const=d_const)
-    return _bisect(graph, params, EXTERNAL, seed, attempts, size_window,
-                   weight_budget, stage_log, n_guarantee_threshold)
+    return _construct(graph, "bisect", params, _bisect(params, EXTERNAL), **options)
 
 
 # -- exact tripartitions and derived bisection pipelines ---------------------
 
 
-def _run_derived(graph: Graph, shape: str, c: float, eps: float, mode: str,
-                 d_const: float | None, hyp_floor: float, run: dict):
-    """Run the tripartition at c with the derived eps' = (1-c)^2*eps/40.
-
-    ``run`` holds the driver's seed, attempts, size_window, weight_budget and
-    stage_log.  Returns (run params, tripartition, min-degree-hypothesis
-    dict, failure report or None); unmet final conditions are not a failure
-    here, the caller reports them.
-    """
-    run_params = ParamSet(c, (1.0 - c) ** 2 * eps / 40.0, mode, d_const=d_const)
-    tri = tripartition(graph, run_params, **run)
-    min_deg = int(graph.degree.min()) if graph.n else 0
-    hyp = {"required": hyp_floor, "actual": min_deg, "ok": min_deg >= hyp_floor}
-    failure = None
-    if not tri.ok and tri.diagnostics.get("stage") != "conditions":
-        failure = _failure_report(graph, shape, run_params, tri, run["seed"])
-        failure.diagnostics["min_degree_hypothesis"] = hyp
-    return run_params, tri, hyp, failure
+def _derived(c: float, eps: float, mode: str, d_const: float | None) -> ParamSet:
+    """The run parameters of a derived shape: c with eps' = (1-c)^2*eps/40."""
+    return ParamSet(c, (1.0 - c) ** 2 * eps / 40.0, mode, d_const=d_const)
 
 
-def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
-                       seed: int = 0, attempts: int = 64, size_window=None,
-                       weight_budget=None, stage_log=None,
-                       n_guarantee_threshold: int | None = None) -> PipelineReport:
+def tripartition_exact(graph: Graph, k: int, params: ParamSet,
+                       **options) -> PipelineReport:
     """Tripartition with integer floors: own-degree >= k on A and B (internal
     mode) or cross-degree >= k on A∪B (external), plus >= 2k from C toward
     both sides, and sizes within [(1-c-eps)/2, (1-c)/2]*n.
@@ -458,35 +461,27 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet, *,
     if eps > 1.0 - c:
         raise ValueError(f"tripartition_exact needs eps <= 1-c, got {eps}")
     n = graph.n
-    if size_window is None:
-        size_window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
-    elif size_window == VACUOUS:
-        size_window = (0.0, float(n))
-    run_params, tri, hyp, failure = _run_derived(
-        graph, "tripart", c, eps, params.mode, params.d_const,
-        (4.0 / (1.0 - c) + eps) * k,
-        dict(seed=seed, attempts=attempts, size_window=size_window,
-             weight_budget=weight_budget, stage_log=stage_log))
-    if failure:
-        return failure
-    # the integer-floor contract names the floors of A and B jointly
-    groups = list(certify.tripartition_claims(
-        params.mode, certify.const_floor(k), size_window).values())
-    named = {"size_window": groups[0], "floor_ab": sum(groups[1:-1], []),
-             "floor_c": groups[-1]}
-    counted = certify.recount(graph, tri.labels, 3)
-    conditions, claims = _judge(counted, named)
-    ok = all(conditions.values())
-    diagnostics = {"conditions": conditions, "min_degree_hypothesis": hyp,
-                   "k": k, "stage1_attempts": tri.stage1.attempts}
-    return _make_report(counted, "tripart", run_params, claims, ok, seed,
-                        diagnostics, n_guarantee_threshold, hyp["ok"])
+    # the window is stage one's and the final claim's alike
+    window = options.pop("size_window", None)
+    if window is None:
+        window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
+    elif window == VACUOUS:
+        window = (0.0, float(n))
+
+    def finish(tri):
+        # the integer-floor contract names the floors of A and B jointly
+        groups = list(certify.tripartition_claims(
+            params.mode, certify.const_floor(k), window).values())
+        named = {"size_window": groups[0], "floor_ab": sum(groups[1:-1], []),
+                 "floor_c": groups[-1]}
+        return (certify.recount(graph, tri.labels, 3), named, tuple(named),
+                {"conditions": None, "k": k})
+    return _construct(graph, "tripart", _derived(c, eps, params.mode, params.d_const),
+                      finish, (4.0 / (1.0 - c) + eps) * k, window, **options)
 
 
 def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
-                d_const: float | None = None, seed: int = 0, attempts: int = 64,
-                size_window=None, weight_budget=None, stage_log=None,
-                n_guarantee_threshold: int | None = None) -> PipelineReport:
+                d_const: float | None = None, **options) -> PipelineReport:
     """Bisection meeting the primary floor k everywhere, with the count of
     vertices also meeting the secondary floor k reported against (1-eps)*n.
 
@@ -503,44 +498,30 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
         raise ValueError("eps must lie in (0,1)")
     c = 1.0 - eps
     n = graph.n
-    if size_window is None:
-        size_window = (0.0, (1.0 - c) / 2.0 * n)
-    run_params, tri, hyp, failure = _run_derived(
-        graph, "dual", c, eps, primary, d_const, (4.0 / eps + eps) * k,
-        dict(seed=seed, attempts=attempts, size_window=size_window,
-             weight_budget=weight_budget, stage_log=stage_log))
-    if failure:
-        return failure
-    counted, feasible = _fold(graph, tri, _TARGET[primary])
-    secondary = counted.cross if primary == INTERNAL else counted.own
-    secondary_count = int((secondary >= k).sum())
-    secondary_target = (1.0 - eps) * n
-    secondary_name = "cross" if primary == INTERNAL else "own"
-    verdict, claims = _judge(counted, {
-        "balance": [certify.claim_balance(1)],
-        "secondary": [certify.claim_count_meeting_floor(
-            secondary_name, k, secondary_count)],
-        "primary": [certify.claim_degree_floor(
-            "all", _TARGET[primary], certify.const_floor(k))],
-    })
-    ok = feasible and verdict["primary"] and verdict["balance"]
-    diagnostics = {
-        "k": k, "eps": eps, "primary": primary,
-        "secondary_count": secondary_count,
-        "secondary_target": secondary_target,
-        "secondary_ok": secondary_count >= secondary_target,
-        "min_degree_hypothesis": hyp,
-        "stage1_attempts": tri.stage1.attempts,
-    }
-    return _make_report(counted, "dual", run_params, claims, ok, seed,
-                        diagnostics, n_guarantee_threshold, hyp["ok"])
+
+    def finish(tri):
+        counted = _fold(tri, _TARGET[primary])
+        secondary = counted.cross if primary == INTERNAL else counted.own
+        secondary_count = int((secondary >= k).sum())
+        secondary_target = (1.0 - eps) * n
+        secondary_name = "cross" if primary == INTERNAL else "own"
+        return counted, {
+            "balance": [certify.claim_balance(1)],
+            "secondary": [certify.claim_count_meeting_floor(
+                secondary_name, k, secondary_count)],
+            "primary": [certify.claim_degree_floor(
+                "all", _TARGET[primary], certify.const_floor(k))],
+        }, ("primary", "balance"), {
+            "k": k, "eps": eps, "primary": primary,
+            "secondary_count": secondary_count, "secondary_target": secondary_target,
+            "secondary_ok": secondary_count >= secondary_target}
+    return _construct(graph, "dual", _derived(c, eps, primary, d_const), finish,
+                      (4.0 / eps + eps) * k, (0.0, (1.0 - c) / 2.0 * n), **options)
 
 
 def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
-                            d_const: float | None = None, seed: int = 0,
-                            attempts: int = 64, size_window=None,
-                            weight_budget=None, stage_log=None,
-                            n_guarantee_threshold: int | None = None) -> PipelineReport:
+                            d_const: float | None = None,
+                            **options) -> PipelineReport:
     """Bisection with own-degree >= k on both sides and cut size >= 2k*|C|.
 
     Runs the internal tripartition at c = 1/4; C is split with exactly
@@ -550,40 +531,29 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
     """
     c = 0.25
     n = graph.n
-    if size_window is None:
-        size_window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
-    run_params, tri, hyp, failure = _run_derived(
-        graph, "cutavg", c, eps, INTERNAL, d_const, (16.0 / 3.0 + eps) * k,
-        dict(seed=seed, attempts=attempts, size_window=size_window,
-             weight_budget=weight_budget, stage_log=stage_log))
-    if failure:
-        return failure
-    sizes = tri.counts.sizes
-    cap_a = n // 2 - int(sizes[PART_A])
-    size_c = int(sizes[PART_C])
-    if not 0 <= cap_a <= size_c:
-        return _make_report(certify.recount(graph, tri.labels, 3), "cutavg",
-                            run_params, [], False, seed,
-                            {"failure": "C split infeasible", "cap_a": cap_a,
-                             "size_c": size_c})
-    counted, _ = _fold(graph, tri, "own", cap_a)
-    cut = int(counted.matrix[counted.labels == 0, 1].sum())
-    cut_bound = 2 * k * size_c
-    verdict, claims = _judge(counted, {
-        "balance": [certify.claim_balance(1)],
-        "own": [certify.claim_degree_floor("all", "own", certify.const_floor(k))],
-        "cut": [certify.claim_cut_edges_at_least(cut_bound)],
-    })
-    ok = all(verdict.values())
-    diagnostics = {
-        "k": k, "eps": eps, "cut_edges": cut, "cut_bound": cut_bound,
-        "size_c": size_c, "cut_avg_degree": 2.0 * cut / n if n else 0.0,
-        "avg_cut_target": float(k),
-        "min_degree_hypothesis": hyp,
-        "stage1_attempts": tri.stage1.attempts,
-    }
-    return _make_report(counted, "cutavg", run_params, claims, ok, seed,
-                        diagnostics, n_guarantee_threshold, hyp["ok"])
+
+    def finish(tri):
+        sizes = tri.counts.sizes
+        cap_a = n // 2 - int(sizes[PART_A])
+        size_c = int(sizes[PART_C])
+        if not 0 <= cap_a <= size_c:
+            return (certify.recount(graph, tri.labels, 3), {}, (),
+                    {"failure": "C split infeasible", "cap_a": cap_a,
+                     "size_c": size_c})
+        counted = _fold(tri, "own", cap_a)
+        cut = int(counted.matrix[counted.labels == 0, 1].sum())
+        cut_bound = 2 * k * size_c
+        return counted, {
+            "balance": [certify.claim_balance(1)],
+            "own": [certify.claim_degree_floor("all", "own", certify.const_floor(k))],
+            "cut": [certify.claim_cut_edges_at_least(cut_bound)],
+        }, ("balance", "own", "cut"), {
+            "k": k, "eps": eps, "cut_edges": cut, "cut_bound": cut_bound,
+            "size_c": size_c, "cut_avg_degree": 2.0 * cut / n if n else 0.0,
+            "avg_cut_target": float(k)}
+    return _construct(graph, "cutavg", _derived(c, eps, INTERNAL, d_const), finish,
+                      (16.0 / 3.0 + eps) * k,
+                      ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n), **options)
 
 
 # -- r-partitions ------------------------------------------------------------

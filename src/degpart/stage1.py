@@ -124,27 +124,24 @@ class StageOneResult:
 
     ok: bool
     labels: np.ndarray
-    goodness: GoodnessMap
     attempts: int
     sizes: tuple[int, int, int]
     weight: int
     violated: list[str] = field(default_factory=list)
     failure_counts: dict = field(default_factory=dict)
-    size_window: tuple[float, float] = (0.0, math.inf)
-    weight_budget: float = math.inf
     counts: Counts | None = None  # the maintained counts of labels
 
 
 def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
               seed: int = 0, attempts: int = 64,
               size_window=None, weight_budget=None,
-              diagnostics_fh=None) -> StageOneResult:
+              stage_log=None) -> StageOneResult:
     """Retry random tripartitions until (1a)-(1c) hold under the windows.
 
     size_window/weight_budget default to the values in the module docstring;
     pass the string "vacuous" for (0, n) and infinity.  On failure the best
     attempt (fewest violations, then smallest weight) is returned together
-    with per-property failure counts.  diagnostics_fh, when given, receives
+    with per-property failure counts.  stage_log, when given, receives
     one JSON line per attempt (sizes, weight, violated properties).
     """
     if attempts < 1:
@@ -183,14 +180,12 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
             violated.append("weight")
         for name in violated:
             fail_counts[name] += 1
-        if diagnostics_fh is not None:
+        if stage_log is not None:
             json.dump({"attempt": t, "sizes": list(sizes),
-                       "weight": gm2.weight, "violated": violated},
-                      diagnostics_fh)
-            diagnostics_fh.write("\n")
-        res = StageOneResult(not violated, labels, gm2, t + 1, sizes, gm2.weight,
-                             violated, dict(fail_counts),
-                             ((lo_a, hi_a), (lo_b, hi_b)), weight_budget, counts)
+                       "weight": gm2.weight, "violated": violated}, stage_log)
+            stage_log.write("\n")
+        res = StageOneResult(not violated, labels, t + 1, sizes, gm2.weight,
+                             violated, dict(fail_counts), counts)
         if res.ok:
             return res
         if best is None or (len(res.violated), res.weight) < (len(best.violated), best.weight):

@@ -460,6 +460,18 @@ def test_extract_can_empty_host_without_guarantee():
     assert len(res.surviving) == 0 and not res.guaranteed
 
 
+def test_a_slack_beyond_the_float_range_is_outside_a_plus():
+    # Fraction(10**400) used to overflow the float A+ test; its threshold
+    # 2a(1 + eta) is above every degree, as is that of Fraction(10**300)
+    k3 = complete_graph(3)
+    huge, large = (arrays(k3, (range(3), 1, Fraction(10 ** e))) for e in (400, 300))
+    assert dense.check_key_condition(*huge) == dense.check_key_condition(*large)
+    got, want = dense.extract_dense(*huge), dense.extract_dense(*large)
+    assert got.surviving.tolist() == want.surviving.tolist() == [0, 1, 2]
+    assert (got.deleted, got.budget, got.guaranteed, got.rounds) == \
+        (want.deleted, want.budget, want.guaranteed, want.rounds)
+
+
 def test_class_validation():
     g = complete_graph(3)
     counts, parts, target, eta = arrays(g, ([0], 1, 1.0))

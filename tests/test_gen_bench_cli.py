@@ -359,6 +359,22 @@ def _report_files(tmp_path):
     return gpath, cpath, json.loads(cpath.read_text())
 
 
+@pytest.mark.parametrize("claims,out", [
+    ({}, "FAIL: malformed report file: missing or bad field "
+         "'claims' must be a list, got dict\n"),
+    ("balance", "FAIL: malformed report file: missing or bad field "
+                "'claims' must be a list, got str\n"),
+    ([], "PASS: all claims verified\n")], ids=["dict", "str", "empty-list"])
+def test_verify_refuses_claims_that_are_not_a_list(tmp_path, capsys, claims, out):
+    # "claims": {} used to pass, since list({}) is []
+    gpath, cpath, payload = _report_files(tmp_path)
+    cert = dict(payload["certificate"], claims=claims)
+    cpath.write_text(json.dumps(dict(payload, certificate=cert)))
+    capsys.readouterr()
+    code = cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)])
+    assert (code, capsys.readouterr().out) == (0 if claims == [] else 1, out)
+
+
 @pytest.mark.parametrize("r", [10 ** 30, 10 ** 6])
 def test_verify_refuses_a_part_count_above_the_vertex_count(tmp_path, capsys, r):
     # r=10**30 used to raise OverflowError from the count, and r=10**6 to

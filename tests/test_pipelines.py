@@ -75,6 +75,20 @@ def test_bisect_requires_c_zero_and_matching_mode():
         bisect_external(g, ParamSet(0.0, 0.09, INTERNAL))
 
 
+def test_the_shapes_take_no_threshold_table():
+    g = complete_graph(4)
+    params = ParamSet(0.0, 0.25, INTERNAL)
+    table = build_threshold_table(params, np.unique(g.degree))
+    for run in (lambda **kw: bisect_internal(g, params, **kw),
+                lambda **kw: bisect_external(g, **kw),
+                lambda **kw: tripartition_exact(g, 1, ParamSet(0.2, 0.2, INTERNAL),
+                                                **kw),
+                lambda **kw: bisect_dual(g, 1, 0.25, **kw),
+                lambda **kw: bisect_with_cut_average(g, 1, 0.25, **kw)):
+        with pytest.raises(TypeError):
+            run(table=table)
+
+
 def test_bisect_internal_active_regime_floor_claim():
     g = gen_gnp(250, 0.3, seed=13)
     params = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)
@@ -186,6 +200,23 @@ def test_cut_average_infeasible_split_is_failure():
                                 weight_budget="vacuous")
     assert not r.ok
     assert r.diagnostics.get("failure") == "C split infeasible"
+
+
+def test_cut_average_split_failure_reports_attempts_and_hypothesis():
+    # this report used to carry only failure, cap_a and size_c
+    r = bisect_with_cut_average(gen_gnp(6, 0.6, seed=0), 0, 0.5, seed=6,
+                                attempts=1, **VAC)
+    assert not r.ok
+    assert r.diagnostics == {
+        "failure": "C split infeasible", "cap_a": 2, "size_c": 1,
+        "stage1_attempts": 1,
+        "min_degree_hypothesis": {"required": 0.0, "actual": 1, "ok": True}}
+    assert r.labels.tolist() == [1, 0, 1, 1, 2, 1]
+    assert r.certificate.claims == [
+        certify.claim_extremal_stat("min_own_degree", 0),
+        certify.claim_extremal_stat("min_cross_degree", 0),
+        certify.claim_extremal_ratio("own", 0, 1),
+        certify.claim_extremal_ratio("cross", 0, 1)]
 
 
 def test_distribute_c_balance_prefers_neighbors():
