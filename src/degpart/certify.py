@@ -15,17 +15,16 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
   with the table it built (an r-partition reads the pre-repair statistics
   of its local optimum from the search's counts the same way);
 * each labeling a pipeline emits is counted once from scratch into a fresh
-  Counts (``recount(graph, labels, r)``), and that one count serves its
-  statistics, its conditions and the self-verification of its certificate
-  (``verify_counted``);
+  Counts (``recount(graph, labels, r)``), on which its conditions and
+  statistics are judged in one pass (``judge``), each claim once;
 * the standalone ``verify_certificate`` always recounts, and rebuilds its
   tables from the recorded parameters; that is what makes it independent.
 
 Every judgement screens its claims first (``judge``, and through it
 ``check_claims`` and the pipelines, raise ``MalformedClaim``;
-``verify_counted`` fails with the reason): a claim of unknown kind, with a
-missing or ill-typed field, or with a part index outside [0, r) is refused,
-never read.
+``verify_certificate`` fails with the reason): a claim of unknown kind, with
+a missing or ill-typed field, or with a part index outside [0, r) is
+refused, never read.
 
 Claim kinds:
 
@@ -406,38 +405,6 @@ def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
     return judge(recount(graph, labels, r), claims)
 
 
-def _check_binding(graph: Graph, cert: Certificate) -> None:
-    if not isinstance(cert.graph_hash, str):
-        raise ValueError(f"certificate field 'graph_hash' must be a string, "
-                         f"got {cert.graph_hash!r}")
-    actual = graph.fingerprint
-    if cert.graph_hash != actual:
-        raise ValueError(
-            f"certificate bound to graph {cert.graph_hash[:12]}..., "
-            f"got {actual[:12]}...")
-
-
-def verify_counted(ctx: _Context, cert: Certificate) -> VerifyResult:
-    """Judge every claim of a certificate against one counted labeling.
-
-    A graph-hash mismatch refuses verification outright (ValueError).  The
-    claims are screened as ``judge`` screens them: a failure names the
-    first claim of unknown kind, with missing or ill-typed fields or with a
-    part index outside [0, r), and the reason it cannot be judged; else the
-    first failing claim and its witness vertex.
-    """
-    _check_binding(ctx.graph, cert)
-    try:
-        _screen(ctx, cert.claims)
-    except MalformedClaim as exc:
-        return VerifyResult(False, exc.index, exc.claim, reason=str(exc))
-    for idx, claim in enumerate(cert.claims):
-        ok, witness = _check_claim(ctx, claim)
-        if not ok:
-            return VerifyResult(False, idx, claim, witness)
-    return VerifyResult(True)
-
-
 def verify_certificate(graph: Graph, partition, cert: Certificate,
                        r: int | None = None) -> VerifyResult:
     """Recompute every claim from scratch against (graph, labels).
@@ -448,9 +415,18 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
     that are no r-partition of the vertices fail with ``reason`` set and the
     first bad vertex as the witness; an r that is no integer in
     [1, max(3, n)] fails with ``reason`` set.  The labels are counted once,
-    and the threshold tables rebuilt from the recorded parameters.
+    and the threshold tables rebuilt from the recorded parameters.  The
+    claims are screened as ``judge`` screens them: a failure names the first
+    claim that cannot be judged and the reason; else the first failing claim
+    and its witness vertex.
     """
-    _check_binding(graph, cert)
+    if not isinstance(cert.graph_hash, str):
+        raise ValueError(f"certificate field 'graph_hash' must be a string, "
+                         f"got {cert.graph_hash!r}")
+    if cert.graph_hash != graph.fingerprint:
+        raise ValueError(
+            f"certificate bound to graph {cert.graph_hash[:12]}..., "
+            f"got {graph.fingerprint[:12]}...")
     if hasattr(partition, "labels"):
         labels, r = partition.labels, partition.r
     else:
@@ -462,4 +438,12 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
         ctx = recount(graph, labels, r)
     except ValueError as exc:  # a bad r, or a LabelError naming its vertex
         return VerifyResult(False, witness=getattr(exc, "vertex", None), reason=str(exc))
-    return verify_counted(ctx, cert)
+    try:
+        _screen(ctx, cert.claims)
+    except MalformedClaim as exc:
+        return VerifyResult(False, exc.index, exc.claim, reason=str(exc))
+    for idx, claim in enumerate(cert.claims):
+        ok, witness = _check_claim(ctx, claim)
+        if not ok:
+            return VerifyResult(False, idx, claim, witness)
+    return VerifyResult(True)

@@ -85,7 +85,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Counts, Graph, part_profile
+from .graph import Counts, Graph
 
 FLOAT_GUARD = 1e-12
 
@@ -402,19 +402,6 @@ def biased_max_r_cut(graph: Graph, bias: BiasVector, seed: int = 0,
         np.arange(graph.n, dtype=np.int64), r, rng), r)
     f0, f_end, moves = _flip_search(counts, bias.weights(), maximize)
     return RCutResult(counts, f0, f_end, moves, bias.exact)
-
-
-def check_flip_local_optimum(graph: Graph, plus: np.ndarray, minus: np.ndarray) -> list[int]:
-    """Vertices violating d_cross >= d_own within G[plus ∪ minus] (empty if OK),
-    in the order of plus, then minus."""
-    side = np.full(graph.n, 2, dtype=np.int64)  # part 2: outside the subset
-    side[plus] = 0
-    side[minus] = 1
-    counts = part_profile(graph, side, 3)
-    order = np.concatenate([plus, minus]).astype(np.int64)
-    own = counts[order, side[order]]
-    cross = counts[order, 1 - side[order]]
-    return order[cross < own].tolist()
 
 
 def check_biased_local_min(counts: Counts, bias: BiasVector,

@@ -129,17 +129,6 @@ class Graph:
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 
-    def validate(self) -> None:
-        """Re-check the structural invariants (symmetry, sortedness, sums)."""
-        assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
-        assert int(self.degree.sum()) == 2 * self.m
-        assert np.all((self.indices >= 0) & (self.indices < self.n)), "id out of range"
-        assert not np.any(self.rows == self.indices), "self-loop"
-        keys = self.rows * self.n + self.indices
-        assert np.all(keys[:-1] < keys[1:]), "adjacency not strictly sorted"
-        assert np.array_equal(np.sort(self.indices * self.n + self.rows), keys), \
-            "asymmetric adjacency"
-
     # -- derived graphs ---------------------------------------------------
 
     def cross_subgraph(self, labels: np.ndarray, part_a: int, part_b: int) -> "Graph":
@@ -204,12 +193,6 @@ class LabeledPartition:
 
     def part(self, j: int) -> np.ndarray:
         return np.nonzero(self.labels == j)[0]
-
-    def is_bisection(self) -> bool:
-        if self.r != 2:
-            return False
-        s = self.sizes()
-        return abs(int(s[0]) - int(s[1])) <= 1
 
 
 # -- ingestion -------------------------------------------------------------

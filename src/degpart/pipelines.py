@@ -21,8 +21,9 @@ stage_log) and pass them through unchanged.  ``tripartition`` keeps one
 ``graph.Counts`` for the whole run: stage one counts each attempt once, and
 every later move, check and judgement reads the maintained counts.  Each
 labeling a pipeline emits is counted once more from scratch
-(``certify.recount``); that count serves its statistics, its conditions and
-the self-verification of its certificate.
+(``certify.recount``), and ``_make_report`` judges its conditions and its
+statistics on that count in one verifier pass, so each claim is judged
+once; ``_make_report`` is also the one place a report's ok is decided.
 """
 
 from __future__ import annotations
@@ -183,33 +184,36 @@ class PipelineReport:
                    d["guaranteed"], d.get("seed", 0), d.get("diagnostics", {}))
 
 
-def _make_report(counted, shape: str, params: ParamSet | dict, claims: list,
-                 ok: bool, seed: int, diagnostics: dict,
+def _make_report(counted, shape: str, params: ParamSet | dict, conditions: dict,
+                 gate: tuple, seed: int, diagnostics: dict,
                  n_guarantee_threshold: int | None = None,
                  hyp_ok: bool = True) -> PipelineReport:
-    """Assemble the report of an emitted labeling; its certificate must pass
-    the verifier.
+    """Judge an emitted labeling and assemble its report; the one place a
+    report's ok is decided.
 
-    counted is the ``certify.recount`` of the labeling, the one that judged
-    the claims; the stats and every certificate claim are judged on it too.
+    counted is the ``certify.recount`` of the labeling.  Its statistics and
+    the shape's named conditions (each a list of claims) are judged in one
+    verifier pass on it.  The certificate carries the claims of the
+    conditions that hold, then the statistics' claims, which must all hold.
+    ok means gate names a condition and every condition it names holds;
+    diagnostics' ``"conditions"`` key, if any, receives the verdict.
     """
-    graph, labels = counted.graph, counted.labels
-    r = counted.matrix.shape[1]
+    graph, labels, r = counted.graph, counted.labels, counted.matrix.shape[1]
+    stats = partition_stats(counted)
+    verdict, claims = _judge(counted, {**conditions, "stats": _stats_claims(stats)})
+    assert verdict.pop("stats"), (
+        f"pipeline emitted statistics its own verifier rejects: {stats}")
+    if "conditions" in diagnostics:
+        diagnostics["conditions"] = verdict
+    ok = bool(gate) and all(verdict[name] for name in gate)
     # the asymptotic size thresholds have no explicit values; without a
     # user-asserted threshold no run claims a guarantee
     guaranteed = bool(ok and hyp_ok and n_guarantee_threshold is not None
                       and graph.n >= n_guarantee_threshold)
     pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
-    mode = pdict.get("mode", "n/a")
-    stats = partition_stats(counted)
-    cert = Certificate(graph.fingerprint, pdict, seed, VERSION,
-                       claims + _stats_claims(stats))
-    res = certify.verify_counted(counted, cert)
-    assert res.passed, (
-        f"pipeline emitted a certificate its own verifier rejects: "
-        f"claim {res.failed_claim} witness {res.witness}")
-    return PipelineReport(mode, shape, pdict, graph.n, r, labels, stats, cert,
-                          ok, guaranteed, seed, diagnostics)
+    cert = Certificate(graph.fingerprint, pdict, seed, VERSION, claims)
+    return PipelineReport(pdict.get("mode", "n/a"), shape, pdict, graph.n, r,
+                          labels, stats, cert, ok, guaranteed, seed, diagnostics)
 
 
 def _judge(counted, conditions: dict):
@@ -242,9 +246,9 @@ def distribute_c_for_balance(counts: Counts, prefer: str = "own",
     neighbors).  cap_a fixes the number of C-vertices that A receives
     (cut-average split); default fills A up to ceil-half of n.
 
-    Returns (labels2, feasible); infeasible slot counts fall back to
-    smaller-side filling and feasible=False.  The fold reads counts and does
-    not update them, since at c=0 it moves half the vertices.
+    Returns the folded labels; infeasible slot counts fall back to
+    smaller-side filling.  The fold reads counts and does not update them,
+    since at c=0 it moves half the vertices.
     """
     lab = counts.labels.copy()
     c_ids = np.nonzero(lab == PART_C)[0]
@@ -256,7 +260,7 @@ def distribute_c_for_balance(counts: Counts, prefer: str = "own",
     if slots_a < 0 or slots_b < 0:
         # best effort: keep sizes as close as we can
         lab[c_ids] = balancing_sides(size_a, size_b, len(c_ids))
-        return lab, False
+        return lab
     lean = counts.matrix[c_ids, PART_A] - counts.matrix[c_ids, PART_B]
     order = np.lexsort((c_ids, -lean))  # descending lean, ties by id
     ranked = c_ids[order]
@@ -264,14 +268,14 @@ def distribute_c_for_balance(counts: Counts, prefer: str = "own",
         ranked = ranked[::-1]
     lab[ranked[:slots_a]] = PART_A
     lab[ranked[slots_a:]] = PART_B
-    return lab, True
+    return lab
 
 
 def _fold(tri: TripartitionResult, prefer: str, cap_a: int | None = None):
     """Fold C of a tripartition in, relabel A to 0 and B to 1, and count the
     bisection with ``certify.recount``.  An infeasible fold leaves the sides
     at least two apart, so the balance claim of a bisection judges it."""
-    labels, _ = distribute_c_for_balance(tri.counts, prefer, cap_a)
+    labels = distribute_c_for_balance(tri.counts, prefer, cap_a)
     return certify.recount(tri.counts.graph, np.where(labels == PART_B, 1, 0), 2)
 
 
@@ -357,13 +361,13 @@ def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
                hyp_floor: float | None = None, window=None, /, *, seed: int = 0,
                n_guarantee_threshold: int | None = None,
                **stage_one_options) -> PipelineReport:
-    """Run the tripartition, report its failure or finish it, judge the
-    shape's conditions and make the report.
+    """Run the tripartition, report its failure or finish it, and make the
+    report.
 
     finish(tri) returns the counted labeling to emit, its named conditions
-    (each a list of claims), the names that gate ok, and diagnostics, whose
-    ``"conditions"`` key, if any, receives the verdict; giving up, it names
-    none and the report is not ok.  window is the shape's default stage-one
+    (each a list of claims), the names that gate ok, and diagnostics, all
+    handed to ``_make_report`` to judge; giving up, it names no condition
+    and the report is not ok.  window is the shape's default stage-one
     size window.  hyp_floor is a derived shape's minimum-degree hypothesis;
     such a shape judges unmet tripartition conditions in its finish step,
     while a bisection (no hypothesis) fails on them.  finish, hyp_floor and
@@ -378,17 +382,13 @@ def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
     else:
         counted, conditions, gate, diagnostics = (
             certify.recount(graph, tri.labels, 3), {}, (), {"failure": tri.diagnostics})
-    verdict, claims = _judge(counted, conditions)
-    if "conditions" in diagnostics:
-        diagnostics["conditions"] = verdict
     min_deg = int(graph.degree.min()) if graph.n else 0
     hyp_ok = hyp_floor is None or min_deg >= hyp_floor
     if hyp_floor is not None:
         diagnostics["min_degree_hypothesis"] = {
             "required": hyp_floor, "actual": min_deg, "ok": hyp_ok}
     diagnostics["stage1_attempts"] = tri.stage1.attempts
-    ok = bool(gate) and all(verdict[name] for name in gate)
-    return _make_report(counted, shape, run_params, claims, ok, seed,
+    return _make_report(counted, shape, run_params, conditions, gate, seed,
                         diagnostics, n_guarantee_threshold, hyp_ok)
 
 
@@ -622,7 +622,6 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     sizes = np.bincount(labels, minlength=bias.r).tolist()
     assert sizes == targets, f"size repair missed targets: {sizes} vs {targets}"
 
-    claims = [certify.claim_part_sizes(targets)]
     diagnostics = {
         "pre_repair": {"stats": pre_stats, "local_optimum_certified": pre_certified,
                        "objective_start": str(result.objective_start),
@@ -635,7 +634,8 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     params = {"mode": mode, "alpha": [float(a) for a in bias.alpha],
               "r": bias.r}
     return _make_report(certify.recount(graph, labels, bias.r), "rpart", params,
-                        claims, True, seed, diagnostics, n_guarantee_threshold)
+                        {"sizes": [certify.claim_part_sizes(targets)]}, ("sizes",),
+                        seed, diagnostics, n_guarantee_threshold)
 
 
 # -- shapes by name ----------------------------------------------------------

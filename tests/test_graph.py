@@ -18,6 +18,18 @@ from conftest import graphs, naive_profile
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
 
 
+def validate(g):
+    """Re-check a graph's structural invariants (symmetry, sortedness, sums)."""
+    assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+    assert int(g.degree.sum()) == 2 * g.m
+    assert np.all((g.indices >= 0) & (g.indices < g.n)), "id out of range"
+    assert not np.any(g.rows == g.indices), "self-loop"
+    keys = g.rows * g.n + g.indices
+    assert np.all(keys[:-1] < keys[1:]), "adjacency not strictly sorted"
+    assert np.array_equal(np.sort(g.indices * g.n + g.rows), keys), \
+        "asymmetric adjacency"
+
+
 def test_load_path_on_three_vertices():
     g = load_graph("0 1\n1 2")
     assert g.n == 3 and g.m == 2
@@ -91,7 +103,7 @@ def test_serialize_reload_identity(g):
 
 @given(graphs())
 def test_structural_invariants(g):
-    g.validate()
+    validate(g)
     assert int(g.degree.sum()) == 2 * g.m
     assert g.rows.tolist() == np.repeat(np.arange(g.n), g.degree).tolist()
 
@@ -226,7 +238,6 @@ def test_labeled_partition_names_the_first_bad_vertex():
 def test_partition_helpers():
     p = LabeledPartition(2, [0, 1, 0, 1, 0])
     assert p.sizes().tolist() == [3, 2]
-    assert p.is_bisection()
     assert p.part(1).tolist() == [1, 3]
     with pytest.raises(ValueError):
         LabeledPartition(2, [0, 2])
@@ -260,7 +271,7 @@ def test_cross_subgraph_matches_rebuild_from_edges(g, data):
     ref = Graph.from_edges(g.n, zip(u[keep].tolist(), v[keep].tolist()))
     assert h.indptr.tolist() == ref.indptr.tolist()
     assert h.indices.tolist() == ref.indices.tolist()
-    h.validate()
+    validate(h)
 
 
 @st.composite

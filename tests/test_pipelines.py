@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from degpart import certify
+from degpart import certify, pipelines
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector, biased_max_r_cut
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
@@ -25,6 +25,8 @@ from degpart.refine_ext import refine_external
 from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, stage_one
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet, build_threshold_table
+
+from test_golden import RUNS
 
 VAC = {"size_window": "vacuous", "weight_budget": "vacuous"}
 
@@ -222,8 +224,7 @@ def test_cut_average_split_failure_reports_attempts_and_hypothesis():
 def test_distribute_c_balance_prefers_neighbors():
     g = complete_graph(6)
     labels = np.array([0, 0, 1, 1, 2, 2])
-    out, feasible = distribute_c_for_balance(Counts(g, labels, 3), prefer="own")
-    assert feasible
+    out = distribute_c_for_balance(Counts(g, labels, 3), prefer="own")
     sizes = np.bincount(out, minlength=3)
     assert sizes[2] == 0 and abs(sizes[0] - sizes[1]) <= 0
 
@@ -231,8 +232,7 @@ def test_distribute_c_balance_prefers_neighbors():
 def test_distribute_c_infeasible_slots_fill_the_smaller_side():
     g = complete_graph(8)
     labels = np.array([0, 0, 0, 1, 2, 2, 2, 2])
-    out, feasible = distribute_c_for_balance(Counts(g, labels, 3), cap_a=9)
-    assert not feasible
+    out = distribute_c_for_balance(Counts(g, labels, 3), cap_a=9)
     # |A| = 3, |B| = 1: B takes C until the sides tie, then A, then B
     assert out.tolist() == [0, 0, 0, 1, 1, 1, 0, 1]
 
@@ -507,15 +507,41 @@ def test_an_r_partition_counts_its_search_once_and_its_output_once(monkeypatch, 
     assert pre["stats"] == partition_stats(certify.recount(g, local.labels, 3))
 
 
-def test_make_report_refuses_a_claim_its_labels_break():
+def test_make_report_refuses_a_claim_its_labels_break(monkeypatch):
     g = complete_graph(4)
     labels = np.array([0, 0, 0, 1])
-    broken = [certify.claim_balance(1)]
-    # the report is made from the emitted labels' own count, which judges them
+    conditions = {"balance": [certify.claim_balance(1)],
+                  "sizes": [certify.claim_part_sizes([3, 1])]}
+    # the labels break the gated balance: it is left out and ok is False
+    report = _make_report(certify.recount(g, labels, 2), "bisect",
+                          {"mode": INTERNAL}, conditions, ("balance",), 0,
+                          {"conditions": None})
+    assert not report.ok
+    assert report.diagnostics["conditions"] == {"balance": False, "sizes": True}
+    assert report.certificate.claims[0] == certify.claim_part_sizes([3, 1])
+    assert certify.claim_balance(1) not in report.certificate.claims
+    assert verify_certificate(g, labels, report.certificate, r=2).passed
+    # the statistics' claims must all hold
+    def one_too_high(counted):
+        stats = partition_stats(counted)
+        return dict(stats, min_own_degree=stats["min_own_degree"] + 1)
+    monkeypatch.setattr(pipelines, "partition_stats", one_too_high)
     with pytest.raises(AssertionError, match="verifier rejects"):
         _make_report(certify.recount(g, labels, 2), "bisect", {"mode": INTERNAL},
-                     broken, True, 0, {})
-    floor = certify.claim_degree_floor("all", "own", certify.const_floor(1))
-    with pytest.raises(AssertionError, match="verifier rejects"):
-        _make_report(certify.recount(g, labels, 2), "bisect", {"mode": INTERNAL},
-                     [floor], True, 0, {})
+                     {}, (), 0, {})
+
+
+def test_no_claim_is_judged_twice_on_one_count(monkeypatch):
+    # each emitted labeling's conditions and statistics are judged in one pass
+    judged = []
+    check = certify._check_claim
+
+    def recording(ctx, claim):
+        judged.append((ctx, json.dumps(claim, sort_keys=True)))
+        return check(ctx, claim)
+    monkeypatch.setattr(certify, "_check_claim", recording)
+    reports = [RUNS[name]() for name in ("bisect-int", "bisect-ext", "tripart-int")]
+    reports.append(r_partition(gen_gnp(60, 0.3, seed=2),
+                               BiasVector((1 / 5, 3 / 10, 1 / 2)), INTERNAL, seed=1))
+    assert all(report.certificate.claims for report in reports)
+    assert len(judged) == len(set(judged))
