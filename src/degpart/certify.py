@@ -71,6 +71,8 @@ class Certificate:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "Certificate":
+        if not isinstance(d, dict):
+            raise TypeError(f"'certificate' must be an object, got {type(d).__name__}")
         claims = d.get("claims", [])
         # list({}) is [], which would pass a report whose claims are a dict
         if not isinstance(claims, list):

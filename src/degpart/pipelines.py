@@ -174,6 +174,8 @@ class PipelineReport:
     @classmethod
     def from_jsonable(cls, d: dict) -> "PipelineReport":
         """Read back ``to_jsonable``'s form; a null ratio minimum is inf."""
+        if not isinstance(d, dict):
+            raise TypeError(f"the report must be a JSON object, got {type(d).__name__}")
         stats = d["stats"]
         if isinstance(stats, dict):
             stats = {key: math.inf if key in _RATIO_STATS and value is None else value
@@ -577,6 +579,29 @@ def _target_sizes(bias: BiasVector, n: int) -> list[int]:
     return floors
 
 
+def _repair(labels: np.ndarray, degree: np.ndarray,
+            targets: list[int]) -> tuple[np.ndarray, int]:
+    """r_partition's size repair: (repaired labels, number of movers).  Only
+    deficit parts receive, so the destinations follow from the deficits
+    alone: part q's slots carry need_q, ..., 1, taken in (-deficit, q) order.
+    """
+    r = len(targets)
+    sizes = np.bincount(labels, minlength=r)
+    excess = sizes - np.asarray(targets)
+    # (part, degree, id) order: lexsort is stable, so ids stay ascending
+    by_part = np.lexsort((degree, labels))
+    rank = np.arange(len(labels)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    movers = np.sort(by_part[rank < np.maximum(excess, 0)[labels[by_part]]])
+    movers = movers[np.argsort(degree[movers], kind="stable")]
+    need = np.maximum(-excess, 0)
+    parts = np.repeat(np.arange(r), need)
+    # the deficit a slot carries is need - rank, so -deficit is rank - need
+    rank = np.arange(len(parts)) - np.repeat(np.cumsum(need) - need, need)
+    labels = labels.copy()
+    labels[movers] = parts[np.lexsort((parts, rank - need[parts]))]
+    return labels, len(movers)
+
+
 def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
                 seed: int = 0,
                 n_guarantee_threshold: int | None = None) -> PipelineReport:
@@ -586,10 +611,12 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     external mode minimizes sum e(U_i)/alpha_i: at the local optimum every
     vertex satisfies d_outside(x) >= (1-alpha_i)*d(x) exactly.  internal mode
     maximizes the same objective, giving d_own(x) >= alpha_i*d(x) for
-    vertices in parts of size >= 2.  The repair moves lowest-degree vertices
-    from oversized to undersized parts and can break the local-optimum
-    inequalities, so the report keeps the certified pre-repair values apart
-    from the measured post-repair values.
+    vertices in parts of size >= 2.  The repair: each oversized part gives up
+    its surplus of lowest-(degree, id) members; the movers, in (degree, id)
+    order, each go to the part with the largest remaining deficit, the lower
+    index on ties.  ``diagnostics["repaired_vertices"]`` counts the movers.
+    The repair can break the local-optimum inequalities, so the report keeps
+    the certified pre-repair values apart from the measured post-repair ones.
     """
     if mode not in (INTERNAL, EXTERNAL):
         raise ValueError(f"mode must be internal or external, got {mode!r}")
@@ -601,33 +628,14 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     violations = check_biased_local_min(result.counts, bias, maximize=maximize)
     pre_stats = partition_stats(certify.from_counts(result.counts))
     pre_certified = not violations
-
-    labels = result.labels.copy()
-    sizes = np.bincount(labels, minlength=bias.r).tolist()
-    deltas = [s - t for s, t in zip(sizes, targets)]
-    # movers: lowest-degree vertices of oversized parts first
-    movers = []
-    for j in range(bias.r):
-        if deltas[j] > 0:
-            members = np.nonzero(labels == j)[0]
-            order = np.lexsort((members, graph.degree[members]))
-            movers.extend(members[order][: deltas[j]].tolist())
-    movers.sort(key=lambda v: (int(graph.degree[v]), v))
-    for v in movers:
-        src = int(labels[v])
-        dst = min(range(bias.r), key=lambda q: (sizes[q] - targets[q], q))
-        labels[v] = dst
-        sizes[src] -= 1
-        sizes[dst] += 1
-    sizes = np.bincount(labels, minlength=bias.r).tolist()
-    assert sizes == targets, f"size repair missed targets: {sizes} vs {targets}"
+    labels, repaired = _repair(result.labels, graph.degree, targets)
 
     diagnostics = {
         "pre_repair": {"stats": pre_stats, "local_optimum_certified": pre_certified,
                        "objective_start": str(result.objective_start),
                        "objective_end": str(result.objective_end),
                        "moves": result.moves, "violations": len(violations)},
-        "repaired_vertices": len(movers),
+        "repaired_vertices": repaired,
         "alpha": [str(a) for a in bias.alpha],
         "bias_exact": bias.exact,
     }

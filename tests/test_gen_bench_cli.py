@@ -375,6 +375,27 @@ def test_verify_refuses_claims_that_are_not_a_list(tmp_path, capsys, claims, out
     assert (code, capsys.readouterr().out) == (0 if claims == [] else 1, out)
 
 
+@pytest.mark.parametrize("edit,why", [
+    (lambda payload: [], "the report must be a JSON object, got list"),
+    (lambda payload: None, "the report must be a JSON object, got NoneType"),
+    (lambda payload: 5, "the report must be a JSON object, got int"),
+    (lambda payload: dict(payload, certificate=[]),
+     "'certificate' must be an object, got list"),
+    (lambda payload: dict(payload, certificate="x"),
+     "'certificate' must be an object, got str")],
+    ids=["list", "null", "int", "certificate-list", "certificate-str"])
+def test_verify_names_a_report_or_certificate_that_is_not_an_object(
+        tmp_path, capsys, edit, why):
+    # these used to print Python internals ("list indices must be integers",
+    # "object is not subscriptable", "object has no attribute 'get'")
+    gpath, cpath, payload = _report_files(tmp_path)
+    cpath.write_text(json.dumps(edit(payload)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    assert capsys.readouterr().out == \
+        f"FAIL: malformed report file: missing or bad field {why}\n"
+
+
 @pytest.mark.parametrize("r", [10 ** 30, 10 ** 6])
 def test_verify_refuses_a_part_count_above_the_vertex_count(tmp_path, capsys, r):
     # r=10**30 used to raise OverflowError from the count, and r=10**6 to

@@ -1,0 +1,51 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from pairs import summarize  # noqa: E402
+
+END_TO_END = [{"name": "int_solve_s.p50", "better": "lower", "bound": 0.25},
+              {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+
+
+def report(solve, ops, out="o", failed=0):
+    return {"metrics": {"int_solve_s.p50": {"value": solve},
+                        "ops_per_s": {"value": ops}},
+            "attempted": 10, "failed": failed, "correct": failed == 0,
+            "input_sha256": "i", "output_sha256": out}
+
+
+def test_summary_of_a_clear_gain():
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2, 1.0, 0.95, 1.05, 1.0, 1.0]
+    runs = [(report(p, 10.0), report(0.5 * p, 10.0 + k))
+            for k, p in enumerate(parent)]
+    s = summarize(runs, END_TO_END)
+    assert (s["pairs"], s["attempted"], s["failed"]) == (
+        10, {"parent": 100, "change": 100}, {"parent": 0, "change": 0})
+    assert s["output_sha256_equal"] and s["input_sha256_equal"] and s["correct"]
+    solve = s["metrics"]["int_solve_s.p50"]
+    assert (solve["parent_median"], solve["change_median"]) == (1.0, 0.5)
+    assert solve["rel_change"] == -0.5 and solve["change_wins"] == "10/10"
+    assert solve["parent_iqr"] == pytest.approx(1.0625 - 0.9875)
+    assert solve["clear_gain"] and solve["within_bound"]
+    assert solve["parent"] == parent
+    # higher is better for ops_per_s: pair 0 ties, so the change wins 9/10,
+    # but a 4.5/s gain on an IQR of 0 is clear
+    ops = s["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == "9/10" and ops["clear_gain"]
+
+
+def test_summary_of_a_regression_and_a_mismatch():
+    runs = [(report(1.0, 10.0), report(1.3, 7.0, out="x" if k == 3 else "o",
+                                      failed=int(k == 5)))
+            for k in range(10)]
+    s = summarize(runs, END_TO_END)
+    assert not s["output_sha256_equal"] and s["input_sha256_equal"]
+    assert s["failed"] == {"parent": 0, "change": 1} and not s["correct"]
+    for name in ("int_solve_s.p50", "ops_per_s"):
+        m = s["metrics"][name]
+        assert m["change_wins"] == "0/10"
+        assert not m["clear_gain"] and not m["within_bound"]

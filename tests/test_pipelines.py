@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpart import certify, pipelines
@@ -15,8 +15,8 @@ from degpart.cuts import BiasVector, biased_max_r_cut
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import best_bisection
-from degpart.pipelines import (_exact_min_ratio, _make_report, bisect_dual,
-                               bisect_external, bisect_internal,
+from degpart.pipelines import (_exact_min_ratio, _make_report, _repair,
+                               bisect_dual, bisect_external, bisect_internal,
                                bisect_with_cut_average, distribute_c_for_balance,
                                partition_stats, r_partition,
                                random_bisection_stats, tripartition,
@@ -278,6 +278,86 @@ def test_r_partition_rejects_bad_alpha():
         r_partition(g, BiasVector((Fraction(1, 25), Fraction(24, 25))), EXTERNAL)
     with pytest.raises(ValueError):
         BiasVector((Fraction(0), Fraction(1)))
+
+
+# -- the size repair against the per-mover loop it replaced -------------------
+
+
+def loop_repair(labels, degree, targets):
+    """The size repair one mover at a time, as r_partition ran it before the
+    sorted form: the reference for ``_repair``."""
+    r = len(targets)
+    labels = labels.copy()
+    sizes = np.bincount(labels, minlength=r).tolist()
+    deltas = [s - t for s, t in zip(sizes, targets)]
+    movers = []
+    for j in range(r):
+        if deltas[j] > 0:
+            members = np.nonzero(labels == j)[0]
+            order = np.lexsort((members, degree[members]))
+            movers.extend(members[order][: deltas[j]].tolist())
+    movers.sort(key=lambda v: (int(degree[v]), v))
+    for v in movers:
+        src = int(labels[v])
+        dst = min(range(r), key=lambda q: (sizes[q] - targets[q], q))
+        labels[v] = dst
+        sizes[src] -= 1
+        sizes[dst] += 1
+    return labels, len(movers)
+
+
+def largest_remainder(weights, total):
+    quotas = [Fraction(w * total, sum(weights)) for w in weights]
+    sizes = [int(q) for q in quotas]
+    order = sorted(range(len(weights)), key=lambda i: (sizes[i] - quotas[i], i))
+    for i in order[:total - sum(sizes)]:
+        sizes[i] += 1
+    return sizes
+
+
+@st.composite
+def repair_cases(draw):
+    """Labels drawn uniformly or all in one part, degrees in 0..5 (many
+    ties), and targets of at least 1 by largest remainder."""
+    r = draw(st.integers(2, 8))
+    n = draw(st.integers(r, 60))
+    if draw(st.booleans()):
+        labels = [draw(st.integers(0, r - 1))] * n
+    else:
+        labels = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    degree = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    targets = [1 + size for size in largest_remainder(weights, n - r)]
+    return np.array(labels, dtype=np.int64), np.array(degree, dtype=np.int64), targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_cases())
+def test_repair_makes_the_loops_moves(case):
+    labels, degree, targets = case
+    before = labels.copy()
+    got, movers = _repair(labels, degree, targets)
+    want, want_movers = loop_repair(labels, degree, targets)
+    assert movers == want_movers and got.tolist() == want.tolist()
+    assert np.bincount(got, minlength=len(targets)).tolist() == targets
+    assert (labels == before).all()
+
+
+def test_repair_of_a_collapsed_search():
+    # internal mode can collapse to sizes [n-2, 1, 1]: part 0 gives up its 30
+    # lowest-(degree, id) members, and they fill the deficits 11 and 19
+    rng = np.random.default_rng(5)
+    labels = np.zeros(40, dtype=np.int64)
+    labels[[3, 17]] = [1, 2]
+    degree = rng.integers(0, 4, 40)
+    targets = [8, 12, 20]
+    got, movers = _repair(labels, degree, targets)
+    want, want_movers = loop_repair(labels, degree, targets)
+    assert (movers, got.tolist()) == (want_movers, want.tolist())
+    assert movers == 30 and np.bincount(got).tolist() == targets
+    part0 = [v for v in range(40) if v not in (3, 17)]
+    stay = sorted(part0, key=lambda v: (degree[v], v))[30:]
+    assert sorted(np.flatnonzero(got == 0).tolist()) == sorted(stay)
 
 
 def test_pipeline_values_never_beat_oracle():
