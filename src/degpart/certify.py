@@ -15,10 +15,14 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
   with the table it built (an r-partition reads the pre-repair statistics
   of its local optimum from the search's counts the same way);
 * each labeling a pipeline emits is counted once from scratch into a fresh
-  Counts (``recount(graph, labels, r)``), on which its conditions and
-  statistics are judged in one pass (``judge``), each claim once;
-* the standalone ``verify_certificate`` always recounts, and rebuilds its
+  Counts (``recount(graph, labels, r, table)``), on which its conditions and
+  statistics are judged in one pass (``judge``), each claim once, with the
+  table the run built;
+* the standalone ``verify_certificate`` always recounts, and builds its own
   tables from the recorded parameters; that is what makes it independent.
+
+Every table is built over the graph's ``degree_classes``, computed once per
+graph, and reads its vertices' rows through ``ThresholdTable.rows_of``.
 
 Every judgement screens its claims first (``judge``, and through it
 ``check_claims`` and the pipelines, raise ``MalformedClaim``;
@@ -182,17 +186,18 @@ class _Context:
 
     ``graph``, ``labels``, ``matrix`` and ``sizes`` are read from
     ``counts``, a ``graph.Counts``; ``own``/``cross`` are each vertex's
-    degree inside/outside its part.  Threshold tables are built once per
-    parameter set, unless one was handed in.
+    degree inside/outside its part.  A table floor reads the table handed in
+    for its parameters, if any; otherwise the context builds one over the
+    graph's degree classes, once per parameter set.
     """
 
-    def __init__(self, counts: Counts, tables: dict | None = None):
+    def __init__(self, counts: Counts, table: ThresholdTable | None = None):
         self.counts = counts
         self.graph, self.labels = counts.graph, counts.labels
         self.matrix, self.sizes = counts.matrix, counts.sizes
         self.own = self.matrix[np.arange(self.graph.n), self.labels]
         self.cross = self.graph.degree - self.own
-        self._tables = dict(tables or {})
+        self._tables = {} if table is None else {_table_key(table.params): table}
 
     def stat(self, target) -> np.ndarray:
         if target == "own":
@@ -220,9 +225,9 @@ class _Context:
         key = _table_key(params)
         if key not in self._tables:
             self._tables[key] = build_threshold_table(
-                params, np.unique(self.graph.degree))
+                params, self.graph.degree_classes[0])
         table = self._tables[key]
-        rows = table.row_index(self.graph.degree)
+        rows = table.rows_of(self.graph)
         col = {"phi": table.fphi, "psi": table.fpsi}[floor["fn"]]
         return clip(floor["factor"]) * col[rows], table.active[rows]
 
@@ -317,6 +322,8 @@ def _malformed(claim, r: int) -> str | None:
     Part indices must lie in [0, r): numpy would read -1 as the last part.
     """
     kind = claim.get("kind") if isinstance(claim, dict) else None
+    if not isinstance(kind, str):  # a list or dict kind is no dict key
+        return f"unknown claim kind {kind!r}"
     part = lambda x: _is_int(x) and 0 <= x < r
     real = lambda x: _is_int(x) or isinstance(x, (float, np.floating))
     target = lambda x: x in ("own", "cross") or part(x)
@@ -345,8 +352,11 @@ def _malformed(claim, r: int) -> str | None:
     return None
 
 
-def recount(graph: Graph, labels, r: int) -> _Context:
-    """Count a labeling from scratch, to judge claims against.
+def recount(graph: Graph, labels, r: int,
+            table: ThresholdTable | None = None) -> _Context:
+    """Count a labeling from scratch, to judge claims against; ``table``, if
+    given, serves the table floors of its parameters (a pipeline hands in
+    the table its run built, as ``from_counts`` does).
 
     Raises ValueError unless r is an integer in [1, max(3, n)], before
     anything is counted: the counts take n*r entries, and no shape needs
@@ -358,15 +368,14 @@ def recount(graph: Graph, labels, r: int) -> _Context:
         raise ValueError(f"part count r={r!r} is not an integer >= 1")
     if r > max(3, graph.n):
         raise ValueError(f"part count r={r!r} exceeds max(3, n) = {max(3, graph.n)}")
-    return _Context(Counts(graph, labels, int(r)))
+    return _Context(Counts(graph, labels, int(r)), table)
 
 
 def from_counts(counts: Counts, table: ThresholdTable | None = None) -> _Context:
     """A context over the counts a producer maintains, for judging its own
     intermediate conditions; ``table``, if given, serves the table floors of
     its parameters.  Emitted labelings are judged on a ``recount`` instead."""
-    return _Context(counts, {_table_key(table.params): table} if table is not None
-                    else None)
+    return _Context(counts, table)
 
 
 class MalformedClaim(ValueError):

@@ -52,11 +52,12 @@ class Graph:
         duplicates_collapsed: how many duplicate input edges were dropped at
             construction (a warning counter, not an error).
 
-    The arrays are read-only, so a graph's ``fingerprint`` is computed once.
+    The arrays are read-only, so a graph's ``fingerprint`` and its
+    ``degree_classes`` are each computed once, on first use.
     """
 
     __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed",
-                 "_fingerprint")
+                 "_fingerprint", "_degree_classes")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
                  duplicates_collapsed: int = 0):
@@ -69,6 +70,7 @@ class Graph:
             a.setflags(write=False)
         self.duplicates_collapsed = int(duplicates_collapsed)
         self._fingerprint = None
+        self._degree_classes = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -128,6 +130,19 @@ class Graph:
             h.update(np.stack([u, v]).astype("<i8").tobytes())
             self._fingerprint = h.hexdigest()
         return self._fingerprint
+
+    @property
+    def degree_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, row): the sorted distinct degrees, and each vertex's
+        position among them, so values[row] == degree; computed once, both
+        read-only.  Every degree floor depends on a vertex only through its
+        degree, so threshold tables are built over ``values``."""
+        if self._degree_classes is None:
+            values, row = np.unique(self.degree, return_inverse=True)
+            for a in (values, row):
+                a.setflags(write=False)
+            self._degree_classes = values, row
+        return self._degree_classes
 
     # -- derived graphs ---------------------------------------------------
 

@@ -18,10 +18,11 @@ run parameters and a finish step, and one private driver, ``_construct``,
 does the rest.  The shapes take ``seed``, ``n_guarantee_threshold`` and the
 keywords of ``stage1.stage_one`` (attempts, size_window, weight_budget,
 stage_log) and pass them through unchanged.  ``tripartition`` keeps one
-``graph.Counts`` for the whole run: stage one counts each attempt once, and
-every later move, check and judgement reads the maintained counts.  Each
-labeling a pipeline emits is counted once more from scratch
-(``certify.recount``), and ``_make_report`` judges its conditions and its
+``graph.Counts`` and one threshold table, built over the graph's degree
+classes, for the whole run: stage one counts each attempt once, and every
+later move, check and judgement reads the maintained counts.  Each labeling
+a pipeline emits is counted once more from scratch (``certify.recount``,
+with the run's table), and ``_make_report`` judges its conditions and its
 statistics on that count in one verifier pass, so each claim is judged
 once; ``_make_report`` is also the one place a report's ok is decided.
 """
@@ -275,10 +276,12 @@ def distribute_c_for_balance(counts: Counts, prefer: str = "own",
 
 def _fold(tri: TripartitionResult, prefer: str, cap_a: int | None = None):
     """Fold C of a tripartition in, relabel A to 0 and B to 1, and count the
-    bisection with ``certify.recount``.  An infeasible fold leaves the sides
-    at least two apart, so the balance claim of a bisection judges it."""
+    bisection with ``certify.recount``, which judges table floors with the
+    run's table.  An infeasible fold leaves the sides at least two apart, so
+    the balance claim of a bisection judges it."""
     labels = distribute_c_for_balance(tri.counts, prefer, cap_a)
-    return certify.recount(tri.counts.graph, np.where(labels == PART_B, 1, 0), 2)
+    return certify.recount(tri.counts.graph, np.where(labels == PART_B, 1, 0), 2,
+                           tri.table)
 
 
 # -- the tripartition driver -------------------------------------------------
@@ -316,7 +319,7 @@ def tripartition(graph: Graph, params: ParamSet,
     Stage-one failure short-circuits with the stage diagnostics.
     """
     if table is None:
-        table = build_threshold_table(params, np.unique(graph.degree))
+        table = build_threshold_table(params, graph.degree_classes[0])
     s1 = stage_one(graph, params, table, seed=seed, **stage_one_options)
     counts = s1.counts.copy()
     if not s1.ok:

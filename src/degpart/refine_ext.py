@@ -97,7 +97,7 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     graph = counts.graph
     n = graph.n
     labels_in = counts.labels.copy()
-    rows = table.row_index(graph.degree)
+    rows = table.rows_of(graph)
     active = table.active[rows]
     fpsi = table.fpsi[rows]
 

@@ -107,7 +107,7 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     graph, lab = counts.graph, counts.labels
     n = graph.n
     labels_in = lab.copy()
-    rows = table.row_index(graph.degree)
+    rows = table.rows_of(graph)
     active = table.active[rows]
     fphi = table.fphi[rows]
 

@@ -70,7 +70,7 @@ class GoodnessMap:
 def goodness_map(counts: Counts, table: ThresholdTable) -> GoodnessMap:
     """Goodness of every vertex of a counted labeling against parts A and B."""
     degree = counts.graph.degree
-    rows = table.row_index(degree)
+    rows = table.rows_of(counts.graph)
     active = table.active[rows]
     thr_col = table.fthr_int if table.params.mode == INTERNAL else table.fthr_ext
     thr = thr_col[rows]

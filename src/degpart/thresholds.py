@@ -62,7 +62,8 @@ class ParamSet:
 
     internal mode requires eps <= (1-c)/4 and external mode eps <= (1-c)/10;
     out-of-range values are rejected unless relaxed=True.  d_const=None means
-    the mode's built-in default.
+    the mode's built-in default; an override must be finite and positive (0
+    only when relaxed).
     """
 
     c: float
@@ -86,6 +87,8 @@ class ParamSet:
         if self.d_const is not None:
             # d=0 collapses phi to ((1-c)/4 - eps)i; useful for algebra
             # checks but not a legal run constant, hence relaxed-only
+            if not math.isfinite(self.d_const):
+                raise ValueError(f"d_const must be finite, got {self.d_const}")
             if self.d_const < 0 or (self.d_const == 0 and not self.relaxed):
                 raise ValueError(f"d_const must be positive, got {self.d_const}")
 
@@ -183,12 +186,15 @@ class ThresholdTable:
     ``phi``/``fphi``: the internal pipeline names its floor phi, the external
     one psi (and psi_star).  Integer floors of every threshold are
     precomputed since all degree comparisons use them.  Immutable after
-    construction.
+    construction; ``rows_of`` remembers the vertex rows of the last graph
+    it was asked about.
     """
 
     def __init__(self, params: ParamSet, degrees):
         self.params = params
-        degs = np.unique(np.asarray(list(degrees), dtype=np.int64))
+        if not isinstance(degrees, np.ndarray):
+            degrees = list(degrees)
+        degs = np.unique(np.asarray(degrees, dtype=np.int64))
         if degs.size and degs.min() < 0:
             raise ValueError("degrees must be non-negative")
         self.degrees = degs
@@ -251,6 +257,7 @@ class ThresholdTable:
         # dense degree -> row lookup
         self._row_of = np.full(top, -1, dtype=np.int64)
         self._row_of[degs] = np.arange(degs.size)
+        self._rows_graph = self._rows = None
 
     @property
     def psi(self) -> np.ndarray:
@@ -269,6 +276,17 @@ class ThresholdTable:
             missing = np.asarray(degree_values)[idx < 0][0]
             raise KeyError(f"degree {missing} not in table")
         return idx
+
+    def rows_of(self, graph) -> np.ndarray:
+        """``row_index(graph.degree)``, read-only, computed once per graph
+        through its ``degree_classes``: only the distinct degrees are looked
+        up.  The last graph's rows are kept."""
+        if self._rows_graph is not graph:
+            values, row = graph.degree_classes
+            rows = self.row_index(values)[row]
+            rows.setflags(write=False)
+            self._rows_graph, self._rows = graph, rows
+        return self._rows
 
     def dump_csv(self, fh=None) -> str:
         """CSV with columns (i, phi, psi, psi_star, mu, lambda, eta, thr_int,

@@ -204,6 +204,13 @@ MALFORMED_CLAIMS = [
     # used to exit as a parameter error
     ({"kind": "no_such_kind"}, "unknown claim kind 'no_such_kind'"),
     ("balance", "unknown claim kind None"),
+    # a list or dict kind is no dict key: used to raise TypeError
+    ({"kind": [1]}, "unknown claim kind [1]"),
+    ({"kind": {}}, "unknown claim kind {}"),
+    # a non-finite constant used to pass, every vertex reading as inactive
+    *[(certify.claim_degree_floor("all", "own", dict(
+        certify.table_floor("phi", ParamSet(0.0, 0.25, INTERNAL)), d_const=d)), "'floor'")
+      for d in (float("nan"), float("inf"), float("-inf"))],
 ]
 
 

@@ -396,6 +396,41 @@ def test_verify_names_a_report_or_certificate_that_is_not_an_object(
         f"FAIL: malformed report file: missing or bad field {why}\n"
 
 
+@pytest.mark.parametrize("kind", [[1], {}], ids=["list", "dict"])
+def test_verify_refuses_a_claim_kind_that_is_no_string(tmp_path, capsys, kind):
+    # a list or dict kind used to end in "TypeError: unhashable type"
+    gpath, cpath, payload = _report_files(tmp_path)
+    claims = payload["certificate"]["claims"]
+    cert = dict(payload["certificate"], claims=claims + [{"kind": kind}])
+    cpath.write_text(json.dumps(dict(payload, certificate=cert)))
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    assert capsys.readouterr().out == \
+        f"FAIL: malformed claim #{len(claims)}: unknown claim kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
+def test_a_non_finite_d_const_is_refused_by_verify_and_partition(tmp_path, capsys, d):
+    # verify used to print PASS for a floor claim with "d_const": NaN, and
+    # partition ran the whole pipeline and then died in json.dumps
+    gpath, cpath, payload = _report_files(tmp_path)
+    claims = payload["certificate"]["claims"]
+    idx = next(i for i, c in enumerate(claims) if c["kind"] == "degree_floor")
+    claims[idx]["floor"]["d_const"] = float(d)
+    cpath.write_text(json.dumps(payload))  # written as NaN, Infinity, -Infinity
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"FAIL: malformed claim #{idx}: degree_floor claim has a "
+                          f"bad 'floor': ") and out.count("\n") == 1
+    for shape in ("bisect", "tripart", "dual", "cutavg"):
+        assert cli.main(["partition", "--graph", str(gpath), "--shape", shape,
+                         f"--d-const={d}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: d_const must be finite, got {float(d)}\n"
+
+
 @pytest.mark.parametrize("r", [10 ** 30, 10 ** 6])
 def test_verify_refuses_a_part_count_above_the_vertex_count(tmp_path, capsys, r):
     # r=10**30 used to raise OverflowError from the count, and r=10**6 to

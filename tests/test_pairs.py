@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from pairs import summarize  # noqa: E402
+from pairs import summarize, summarize_traced  # noqa: E402
 
 END_TO_END = [{"name": "int_solve_s.p50", "better": "lower", "bound": 0.25},
               {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
@@ -49,3 +49,34 @@ def test_summary_of_a_regression_and_a_mismatch():
         m = s["metrics"][name]
         assert m["change_wins"] == "0/10"
         assert not m["clear_gain"] and not m["within_bound"]
+
+
+def traced(sha="o", **work):
+    """A traced report: one layer's self time, calls and work counts per op."""
+    return {"self_s_per_op": {"graph.part_profile": 0.004},
+            "calls_per_op": {"graph.part_profile": 3.0,
+                             "thresholds.build_threshold_table": work.get("builds", 3.0)},
+            "counts_per_op": {"dense.deleted": work.get("deleted", 145.25),
+                              **work.get("extra", {})},
+            "output_sha256": sha, "metrics": {}, "spans": 10}
+
+
+def test_traced_summary_keeps_each_side_and_lists_changed_work():
+    s = summarize_traced(traced(), traced(builds=2.0, extra={"cuts.flips": 1.5}))
+    assert set(s) == {"parent", "change", "output_sha256_equal", "work_changed"}
+    # each side keeps its per-layer figures and nothing else of the report
+    assert s["parent"] == {key: traced()[key] for key in (
+        "self_s_per_op", "calls_per_op", "counts_per_op", "output_sha256")}
+    assert s["change"]["calls_per_op"]["thresholds.build_threshold_table"] == 2.0
+    assert s["output_sha256_equal"]
+    # a count missing on one side reads 0 there; equal counts are not listed
+    assert s["work_changed"] == {
+        "calls_per_op": {"thresholds.build_threshold_table": [3.0, 2.0]},
+        "counts_per_op": {"cuts.flips": [0, 1.5]}}
+
+
+def test_traced_summary_of_identical_work_and_a_changed_output():
+    s = summarize_traced(traced(), traced(sha="x"))
+    assert s["work_changed"] == {"calls_per_op": {}, "counts_per_op": {}}
+    assert not s["output_sha256_equal"]
+    assert (s["parent"]["output_sha256"], s["change"]["output_sha256"]) == ("o", "x")

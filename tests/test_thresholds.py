@@ -35,6 +35,17 @@ def test_paramset_validation():
     ParamSet(0.0, 0.1, INTERNAL, d_const=0.0, relaxed=True)
 
 
+@pytest.mark.parametrize("d", [float("nan"), float("inf"), float("-inf"),
+                               np.float64("nan")])
+@pytest.mark.parametrize("mode", [INTERNAL, EXTERNAL])
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_paramset_refuses_a_non_finite_d_const(d, mode, relaxed):
+    # NaN < 0 is False: a NaN constant used to pass and leave every vertex
+    # inactive
+    with pytest.raises(ValueError, match="^d_const must be finite, got "):
+        ParamSet(0.0, 0.05, mode, d_const=d, relaxed=relaxed)
+
+
 def test_paramset_default_d():
     p = ParamSet(0.0, 0.25, INTERNAL)
     assert p.d == 16000.0

@@ -8,15 +8,19 @@ PARENT and CHANGE are git tree-ishes: a commit, a branch, or the tree id that
 ``git archive`` into a directory of its own, and every run is
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in that
 export, T being ``run_seconds`` of the repo's BENCHMARK.json.  Pair k runs the
-parent first when k is even and the change first when k is odd.  --workload
-may be given more than once; the pairs of each workload run in turn.
+parent first when k is even and the change first when k is odd.  After its
+pairs, each workload runs once more per side with ``--trace 1``, the parent
+first.  --workload may be given more than once; the workloads run in turn.
 
 The output holds, per workload, the ``pairs`` layout of BENCH_verdict.json:
 for each end-to-end metric of BENCHMARK.json every run's value, both medians,
 the parent's interquartile range, the pairs the change won, the bound and
 whether the change's median is within it; then the summed attempted and
 failed ops and whether the input and output digests matched in every pair.
-Nothing under perfbench/ and no BENCHMARK.json is written.
+Its ``traced`` section holds, per workload, each side's per-layer figures
+from the traced run (self seconds, calls and work counts per op, and the
+output digest) and every call or work count per op that differs between
+the sides.  Nothing under perfbench/ and no BENCHMARK.json is written.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# the per-layer figures of a traced report, and the ones that count work
+TRACED = ("self_s_per_op", "calls_per_op", "counts_per_op", "output_sha256")
+WORK = ("calls_per_op", "counts_per_op")
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -42,18 +49,19 @@ def export(ref: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in an exported tree: its full report, with the
-    result line's ``correct``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One run in an exported tree: its full report, with the result line's
+    ``correct``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree.name}: {workload} seed {seed} exited "
                            f"{proc.returncode}: {proc.stderr.strip()}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    path = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    path = tree / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}.json"
     report = json.loads(path.read_text())
     report["correct"] = result["correct"]
     return report
@@ -105,6 +113,26 @@ def summarize(runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def summarize_traced(parent: dict, change: dict) -> dict:
+    """The ``traced`` entry of one workload from one traced report per side.
+
+    Each side keeps its ``self_s_per_op``, ``calls_per_op``,
+    ``counts_per_op`` and ``output_sha256``.  ``work_changed`` lists, per
+    section, each call or work count per op that differs between the sides
+    as [parent, change]; a name missing on one side reads 0 there.
+    """
+    summary = {side: {key: report[key] for key in TRACED}
+               for side, report in zip(SIDES, (parent, change))}
+    summary["output_sha256_equal"] = parent["output_sha256"] == change["output_sha256"]
+    summary["work_changed"] = {}
+    for section in WORK:
+        p, c = parent[section], change[section]
+        summary["work_changed"][section] = {
+            name: [p.get(name, 0), c.get(name, 0)] for name in sorted(p.keys() | c.keys())
+            if p.get(name, 0) != c.get(name, 0)}
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -123,8 +151,9 @@ def main(argv=None) -> int:
         out = {"what": f"perfbench/run.py --seed {args.seed} --seconds "
                        f"{bench['run_seconds']} --trace 0 on {args.parent} "
                        f"('parent') and {args.change} ('change'), "
-                       f"{args.pairs} alternating pairs per workload",
-               "pairs": {}}
+                       f"{args.pairs} alternating pairs per workload, then "
+                       f"one --trace 1 run per side",
+               "pairs": {}, "traced": {}}
         for workload in args.workload:
             runs = []
             for k in range(args.pairs):
@@ -136,6 +165,9 @@ def main(argv=None) -> int:
                 runs.append(tuple(pair))
                 print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
             out["pairs"][workload] = summarize(runs, bench["end_to_end"])
+            out["traced"][workload] = summarize_traced(
+                *(run_once(tree, workload, args.seed, bench["run_seconds"], trace=1)
+                  for tree in trees))
             Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
