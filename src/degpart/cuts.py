@@ -10,11 +10,11 @@ every x in U_i and every j != i reachable by a legal move (|U_i| >= 2),
 
     d_{U_i}(x)/alpha_i <= d_{U_j}(x)/alpha_j,
 
-and summing over j gives d_{U_i}(x) <= alpha_i * d_G(x).  When the bias
-vector is given as rationals, all comparisons run in exact integer
-arithmetic (weights scaled to a common denominator), so the local-optimum
-certificate is independent of float rounding; float biases fall back to a
-1e-12 relative guard.
+and summing over j gives d_{U_i}(x) <= alpha_i * d_G(x).  The biases are
+rationals (``BiasVector`` snaps a float to p/q or refuses it), so all
+comparisons run in exact integer arithmetic (weights scaled to a common
+denominator) and the local-optimum certificate is independent of float
+rounding.
 
 Both searches run one kernel, ``_flip_search``: sweeps over the vertices in
 index order, each moving every vertex that has a strictly improving move
@@ -30,20 +30,17 @@ moves; after each move the mask is recomputed for exactly those vertices.
 So the mask is exact whenever a vertex is reached, and the sweeps make the
 same moves, in the same order, as sweeps that visit every vertex.
 
-A move of x from part l to part q improves f iff w_q * c_q beats the bar of
-w_l * c_l, where c_j counts the neighbours of x in part j, "beats" is < (>
-under maximize) and the bar is w_l * c_l itself for integer weights and
-w_l * c_l -/+ the FLOAT_GUARD margin for float weights.  The kernel decides
-this from an integer table built once per search, thr[q, l, c_l]: the move
-improves iff c_q < thr (c_q > thr under maximize).  The entry is the
-``searchsorted`` position of the bar among the costs w_q * 0, ..., w_q *
-maxdeg.  This is exact, not an approximation: a product c * w_q, in int64,
-in python ints or in floats, never decreases as the integer c grows, so the
-counts whose cost beats the bar form a prefix (a suffix under maximize) of
-0..maxdeg, and the table stores where it ends.  The bar and the costs are
-computed by the same expressions as a direct comparison, so every decision,
-near-ties within the float guard included, is the one that comparison
-makes.  The diagonal q = l never fires, because no cost beats its own bar.
+A move of x from part l to part q improves f iff w_q * c_q beats w_l * c_l,
+where c_j counts the neighbours of x in part j and "beats" is < (> under
+maximize).  The kernel decides this from an integer table built once per
+search, thr[q, l, c_l]: the move improves iff c_q < thr (c_q > thr under
+maximize).  The entry is the ``searchsorted`` position of w_l * c_l among
+the costs w_q * 0, ..., w_q * maxdeg.  This is exact, not an
+approximation: a product c * w_q, in int64 or in python ints, never
+decreases as the integer c grows, so the counts whose cost beats w_l * c_l
+form a prefix (a suffix under maximize) of 0..maxdeg, and the table stores
+where it ends.  The diagonal q = l never fires, because no cost beats
+itself.
 
 During the search a vertex's counts live in packed int64 words (SIMD
 within a register, as in Warren, *Hacker's Delight*, ch. 2).  With bits =
@@ -79,6 +76,7 @@ degrees take more words.  Building the tables costs O(r^2 * 2^bits).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,53 +85,62 @@ import numpy as np
 
 from .graph import Counts, Graph
 
-FLOAT_GUARD = 1e-12
+
+def _bias_entry(k: int, a) -> Fraction:
+    """Bias entry number k as a Fraction; see ``BiasVector``."""
+    if isinstance(a, (str, numbers.Rational)):
+        try:
+            return Fraction(a)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bias entry {k} is not a number: {a!r}") from None
+    if not isinstance(a, numbers.Real):
+        raise ValueError(f"bias entry {k} must be a number or a 'p/q' string, "
+                         f"got {a!r}")
+    x = float(a)
+    if not math.isfinite(x):
+        raise ValueError(f"bias entry {k} must be finite, got {x}")
+    snapped = Fraction(x).limit_denominator(10 ** 6)
+    if float(snapped) != x:
+        raise ValueError(f"bias entry {k} = {x!r} is no p/q with q <= 10**6; "
+                         f"pass it as 'p/q'")
+    return snapped
 
 
 @dataclass(frozen=True)
 class BiasVector:
-    """Part-size biases alpha_1..alpha_r, each in (0,1), summing to 1."""
+    """Part-size biases alpha_1..alpha_r, each in (0,1), summing to 1
+    exactly.
+
+    Every entry is kept as a Fraction.  A 'p/q' string or a rational (int,
+    Fraction, numpy integer) is taken as it is; a float, or any other finite
+    real, is snapped to the nearest p/q with q <= 10**6 and refused unless
+    that p/q is the same float.  So 0.2 and 1/3 become 1/5 and 1/3, and
+    0.3333333 is refused.  A refused entry raises ValueError naming its
+    position.
+    """
 
     alpha: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(a) if isinstance(a, (Fraction, int, str)) else a
-                     for a in self.alpha)
+        vals = tuple(_bias_entry(k, a) for k, a in enumerate(self.alpha))
         object.__setattr__(self, "alpha", vals)
         if len(vals) < 2:
             raise ValueError("need at least 2 parts")
         for a in vals:
             if not 0 < a < 1:
                 raise ValueError(f"bias entries must lie in (0,1), got {a}")
-        if self.exact:
-            if sum(vals) != 1:
-                raise ValueError(f"rational biases must sum to 1, got {sum(vals)}")
-        elif abs(float(sum(float(a) for a in vals)) - 1.0) > FLOAT_GUARD:
-            raise ValueError("biases must sum to 1 within 1e-12")
+        if sum(vals) != 1:
+            raise ValueError(f"biases must sum to 1, got {sum(vals)}")
 
     @property
     def r(self) -> int:
         return len(self.alpha)
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(a, Fraction) for a in self.alpha)
-
-    def weights(self):
-        """Per-part move weights w_i proportional to 1/alpha_i.
-
-        Rational biases yield exact integer weights (scaled by the lcm of the
-        numerators); float biases yield float weights.
-        """
-        if self.exact:
-            lcm = 1
-            for a in self.alpha:
-                lcm = lcm * a.numerator // math.gcd(lcm, a.numerator)
-            return [lcm * a.denominator // a.numerator for a in self.alpha]
-        return [1.0 / float(a) for a in self.alpha]
-
-    def as_floats(self) -> list[float]:
-        return [float(a) for a in self.alpha]
+    def weights(self) -> list[int]:
+        """Per-part move weights w_i proportional to 1/alpha_i: exact
+        integers, scaled by the lcm of the numerators."""
+        lcm = math.lcm(*(a.numerator for a in self.alpha))
+        return [lcm * a.denominator // a.numerator for a in self.alpha]
 
 
 def _balanced_random_split(ids: np.ndarray, r: int, rng) -> np.ndarray:
@@ -185,27 +192,21 @@ def _move_thresholds(w: list, maxdeg: int, maximize: bool) -> np.ndarray:
     """thr[q, l, c]: a vertex of part l with c neighbours there may move to
     part q iff its count c_q toward q is below thr (above it under maximize).
 
-    Each entry is the searchsorted position of the bar of w_l * c among the
-    costs w_q * 0, ..., w_q * maxdeg, so the table decides exactly what a
-    direct comparison of the costs decides; see the module docstring.
+    Each entry is the searchsorted position of w_l * c among the costs
+    w_q * 0, ..., w_q * maxdeg of the integer weights w, so the table decides
+    exactly what a direct comparison of the costs decides; see the module
+    docstring.
     """
-    exact = all(isinstance(x, int) for x in w)
     grid = np.arange(maxdeg + 1, dtype=np.int64)
-    weights = (_exact_array(w, maxdeg) if exact
-               else np.array(w, dtype=np.float64))
-    costs = weights[:, None] * grid[None, :]  # costs[q, c] = w_q * c
-    bars = costs
-    if not exact:
-        guard = FLOAT_GUARD * np.maximum(1.0, np.abs(costs))
-        bars = costs + guard if maximize else costs - guard
+    costs = _exact_array(w, maxdeg)[:, None] * grid[None, :]  # costs[q, c] = w_q * c
     r = len(w)
     thr = np.empty((r, r, maxdeg + 1), dtype=np.int64)
     for q in range(r):
         for l in range(r):
-            if maximize:  # the last count whose cost does not beat the bar
-                thr[q, l] = np.searchsorted(costs[q], bars[l], side="right") - 1
-            else:  # the first count whose cost does not beat the bar
-                thr[q, l] = np.searchsorted(costs[q], bars[l], side="left")
+            if maximize:  # the last count whose cost does not beat w_l * c
+                thr[q, l] = np.searchsorted(costs[q], costs[l], side="right") - 1
+            else:  # the first count whose cost does not beat w_l * c
+                thr[q, l] = np.searchsorted(costs[q], costs[l], side="left")
     return thr
 
 
@@ -237,15 +238,13 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     improves f = sum_i w_i * e(U_i): down by default, up under maximize.
 
     ``counts`` is updated in place (labels, matrix and sizes).  Returns (f
-    at the start, f at the end, moves).  Integer weights compare exactly;
-    float weights need a FLOAT_GUARD relative margin.  See the module
-    docstring for the packed count words, the bar table and why the
-    candidate mask keeps the move sequence of a plain sweep over all
-    vertices.
+    at the start, f at the end, moves), exact integers for the integer
+    weights w.  See the module docstring for the packed count words, the bar
+    table and why the candidate mask keeps the move sequence of a plain
+    sweep over all vertices.
     """
     graph, labels, matrix = counts.graph, counts.labels, counts.matrix
     n, r = graph.n, len(w)
-    exact = all(isinstance(x, int) for x in w)
     maxdeg = int(graph.degree.max(initial=0))
     bits, word, offset, shift = _word_layout(r, maxdeg)
     nw, span, lab_shift = max(word) + 1, bits + 1, shift + bits
@@ -309,10 +308,10 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
             by_label[j] += 1 << shift
             plan[i][j] = by_label, [(k, delta[k]) for k in range(1, nw) if delta[k]]
 
-    tot = 0 if exact else 0.0
+    tot = 0
     for j in range(r):
         tot += w[j] * int(matrix[labels == j, j].sum())
-    f0 = f_cur = tot // 2 if exact else tot / 2.0
+    f0 = f_cur = tot // 2
     sign = -1 if maximize else 1
     sizes = counts.sizes.tolist()
     indptr, indices = graph.indptr.tolist(), graph.indices
@@ -337,8 +336,7 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
             c_i, c_j = key & mask, xv[word[j]] >> offset[j] & mask
             f_new = f_cur + (w[j] * c_j - w[i] * c_i)
             # f must strictly improve in the chosen direction
-            if exact:
-                assert sign * (f_new - f_cur) < 0
+            assert sign * (f_new - f_cur) < 0
             f_cur = f_new
             sizes[i] -= 1
             sizes[j] += 1
@@ -367,14 +365,13 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
 @dataclass
 class RCutResult:
     """A biased max-r-cut local optimum: its ``graph.Counts`` (labels, the
-    neighbour counts and the part sizes), the objective at the start and
-    end, the moves made, and whether the biases were exact."""
+    neighbour counts and the part sizes), the integer objective at the start
+    and end, and the moves made."""
 
     counts: Counts
-    objective_start: object
-    objective_end: object
+    objective_start: int
+    objective_end: int
     moves: int
-    exact: bool
 
     @property
     def labels(self) -> np.ndarray:
@@ -401,7 +398,7 @@ def biased_max_r_cut(graph: Graph, bias: BiasVector, seed: int = 0,
     counts = Counts(graph, _balanced_random_split(
         np.arange(graph.n, dtype=np.int64), r, rng), r)
     f0, f_end, moves = _flip_search(counts, bias.weights(), maximize)
-    return RCutResult(counts, f0, f_end, moves, bias.exact)
+    return RCutResult(counts, f0, f_end, moves)
 
 
 def check_biased_local_min(counts: Counts, bias: BiasVector,
@@ -410,24 +407,19 @@ def check_biased_local_min(counts: Counts, bias: BiasVector,
     read from the neighbour counts of its labeling.
 
     For each x in U_i with |U_i| >= 2 and each j != i, checks
-    alpha_j * d_{U_i}(x) <= alpha_i * d_{U_j}(x) (reversed under maximize).
-    Rational biases are compared exactly, as integers scaled by the lcm of
-    the denominators.  Returns a list of (vertex, i, j, d_i, d_j) violations
-    in vertex, then j, order; empty means certified.
+    alpha_j * d_{U_i}(x) <= alpha_i * d_{U_j}(x) (reversed under maximize),
+    exactly, as integers scaled by the lcm of the denominators.  Returns a
+    list of (vertex, i, j, d_i, d_j) violations in vertex, then j, order;
+    empty means certified.
     """
     graph, labels, matrix = counts.graph, counts.labels, counts.matrix
     d_own = matrix[np.arange(graph.n), labels]
-    if bias.exact:
-        scale = math.lcm(*(a.denominator for a in bias.alpha))
-        alpha = _exact_array([int(a * scale) for a in bias.alpha],
-                             int(graph.degree.max(initial=0)))
-    else:
-        alpha = np.array(bias.as_floats())
+    scale = math.lcm(*(a.denominator for a in bias.alpha))
+    alpha = _exact_array([int(a * scale) for a in bias.alpha],
+                         int(graph.degree.max(initial=0)))
     lhs = alpha[None, :] * d_own[:, None]  # alpha_j * d_i
     rhs = alpha[labels][:, None] * matrix  # alpha_i * d_j
     ok = lhs >= rhs if maximize else lhs <= rhs
-    if not bias.exact:
-        ok |= np.abs(lhs - rhs) <= FLOAT_GUARD * np.maximum(1.0, rhs)
     bad = ~ok & (counts.sizes[labels] >= 2)[:, None]
     bad[np.arange(graph.n), labels] = False
     vs, js = np.nonzero(bad)

@@ -567,8 +567,7 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
 def _target_sizes(bias: BiasVector, n: int) -> list[int]:
     """floor(alpha_i * n) with the remainder going to the largest fractional
     parts (ties to the lower index)."""
-    alphas = [Fraction(a) if not isinstance(a, Fraction) else a
-              for a in bias.alpha]
+    alphas = bias.alpha
     floors = [int(a * n) for a in alphas]
     fracs = [a * n - f for a, f in zip(alphas, floors)]
     rest = n - sum(floors)
@@ -640,7 +639,6 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
                        "moves": result.moves, "violations": len(violations)},
         "repaired_vertices": repaired,
         "alpha": [str(a) for a in bias.alpha],
-        "bias_exact": bias.exact,
     }
     params = {"mode": mode, "alpha": [float(a) for a in bias.alpha],
               "r": bias.r}

@@ -270,11 +270,14 @@ class ThresholdTable:
     # -- lookup helpers ----------------------------------------------------
 
     def row_index(self, degree_values: np.ndarray) -> np.ndarray:
-        """Row positions for an array of degrees (must all be present)."""
-        idx = self._row_of[np.asarray(degree_values, dtype=np.int64)]
-        if (idx < 0).any():
-            missing = np.asarray(degree_values)[idx < 0][0]
-            raise KeyError(f"degree {missing} not in table")
+        """Row positions for an array of degrees; KeyError names the first
+        degree the table lacks, negative ones included."""
+        degs = np.asarray(degree_values, dtype=np.int64)
+        inside = (degs >= 0) & (degs < len(self._row_of))
+        idx = self._row_of[np.where(inside, degs, 0)]
+        lacking = ~inside | (idx < 0)
+        if lacking.any():
+            raise KeyError(f"degree {degs[lacking][0]} not in table")
         return idx
 
     def rows_of(self, graph) -> np.ndarray:

@@ -21,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpart import cuts
-from degpart.cuts import (FLOAT_GUARD, BiasVector, _balanced_random_split,
-                          _move_thresholds, _word_layout, biased_max_r_cut,
+from degpart.cuts import (BiasVector, _balanced_random_split, _move_thresholds,
+                          _word_layout, biased_max_r_cut,
                           check_biased_local_min, local_maxcut)
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import Counts, Graph, part_profile
@@ -70,16 +70,30 @@ def test_local_maxcut_empty_and_subset():
 
 
 def test_bias_vector_validation():
-    BiasVector((Fraction(1, 2), Fraction(1, 2)))
-    BiasVector(("1/5", "3/10", "1/2"))
+    F = Fraction
+    assert BiasVector((F(1, 2), F(1, 2))).alpha == (F(1, 2), F(1, 2))
+    assert BiasVector(("1/5", "3/10", "1/2")).alpha == (F(1, 5), F(3, 10), F(1, 2))
+    # floats snap to the p/q they stand for, numpy numbers included
+    assert BiasVector((1 / 5, 3 / 10, 1 / 2)).alpha == (F(1, 5), F(3, 10), F(1, 2))
+    assert BiasVector((1 / 3, 2 / 3)).alpha == (F(1, 3), F(2, 3))
+    assert BiasVector((np.float64(0.25), np.float32(0.75))).alpha == (F(1, 4), F(3, 4))
+    assert all(type(a) is Fraction for a in BiasVector((0.5, np.float64(0.5))).alpha)
     with pytest.raises(ValueError):
-        BiasVector((Fraction(1, 2), Fraction(1, 3)))  # sums to 5/6
+        BiasVector((F(1, 2), F(1, 3)))  # sums to 5/6
     with pytest.raises(ValueError):
-        BiasVector((Fraction(0), Fraction(1)))  # entries must be in (0,1)
+        BiasVector((F(0), F(1)))  # entries must be in (0,1)
     with pytest.raises(ValueError):
-        BiasVector((0.5, 0.5001))
-    assert not BiasVector((0.5, 0.5)).exact
-    assert BiasVector(("1/2", "1/2")).exact
+        BiasVector((np.int64(1), np.int64(0)))
+    with pytest.raises(ValueError, match="sum to 1"):
+        BiasVector((0.5, 0.5001))  # 1/2 + 5001/10000
+    # malformed entries are refused with their position
+    for bad, why in [(None, "number"), ([1], "number"), (1j, "number"),
+                     (float("nan"), "finite"), (float("inf"), "finite"),
+                     (-float("inf"), "finite"), ("abc", "not a number"),
+                     ("1/0", "not a number"), (0.3333333, "pass it as 'p/q'"),
+                     (np.float64(0.1 + 0.2), "pass it as 'p/q'")]:
+        with pytest.raises(ValueError, match=f"bias entry 1 .*{why}"):
+            BiasVector(("1/2", bad))
 
 
 def test_bias_weights_integer_scaling():
@@ -228,10 +242,10 @@ def ref_biased_max_r_cut(graph, bias, seed=0, maximize=False):
     part_size = np.bincount(labels, minlength=r)
 
     def objective():
-        tot = 0 if bias.exact else 0.0
+        tot = 0
         for j in range(r):
             tot += w[j] * int(counts[labels == j, j].sum())
-        return tot // 2 if bias.exact else tot / 2.0
+        return tot // 2
 
     f0 = objective()
     f_cur = f0
@@ -250,12 +264,7 @@ def ref_biased_max_r_cut(graph, bias, seed=0, maximize=False):
                     continue
                 dj = int(counts[v, j])
                 cost_j = w[j] * dj
-                if bias.exact:
-                    better = cost_j < cost_i if not maximize else cost_j > cost_i
-                else:
-                    guard = FLOAT_GUARD * max(1.0, abs(cost_i))
-                    better = (cost_j < cost_i - guard) if not maximize \
-                        else (cost_j > cost_i + guard)
+                better = cost_j < cost_i if not maximize else cost_j > cost_i
                 if better:
                     labels[v] = j
                     part_size[i] -= 1
@@ -294,7 +303,7 @@ def ref_check_biased_local_min(graph, labels, bias, maximize=False):
     r = bias.r
     counts = part_profile(graph, labels, r)
     sizes = np.bincount(labels, minlength=r)
-    alpha = bias.alpha if bias.exact else bias.as_floats()
+    alpha = bias.alpha
     bad = []
     for v in range(graph.n):
         i = int(labels[v])
@@ -307,8 +316,6 @@ def ref_check_biased_local_min(graph, labels, bias, maximize=False):
             dj = int(counts[v, j])
             lhs, rhs = alpha[j] * di, alpha[i] * dj
             ok = (lhs <= rhs) if not maximize else (lhs >= rhs)
-            if not ok and not bias.exact:
-                ok = abs(float(lhs) - float(rhs)) <= FLOAT_GUARD * max(1.0, float(rhs))
             if not ok:
                 bad.append((v, i, j, di, dj))
     return bad
@@ -356,7 +363,8 @@ LAYOUT_CASES = [
 
 @st.composite
 def biases(draw, r):
-    """Random biases, exact or float, from 1:1 to 1:60 lopsided."""
+    """Random biases from 1:1 to 1:60 lopsided, given as Fractions or as
+    floats (which snap to the same Fractions)."""
     ks = draw(st.lists(st.integers(1, 60), min_size=r, max_size=r))
     if draw(st.booleans()):
         return BiasVector(tuple(Fraction(k, sum(ks)) for k in ks))
@@ -378,7 +386,6 @@ def cut_cases(draw):
 @example((complete_graph(6), BiasVector(("1/20", "19/20"))), 0, True)
 @example((complete_graph(6), BiasVector(HUGE)), 1, False)
 @example((gen_gnp(24, 0.4, 1), BiasVector(HUGE)), 2, True)
-# costs equal up to float rounding: only FLOAT_GUARD keeps these from moving
 @example((gen_gnp(12, 0.7, 0), BiasVector((1 / 13, 5 / 13, 7 / 13))), 2, False)
 @example((gen_gnp(12, 0.6, 2), BiasVector((5 / 13, 5 / 13, 3 / 13))), 3, True)
 @with_examples(STAR_CASES + LAYOUT_CASES)
@@ -432,7 +439,6 @@ def labelings(draw):
 @settings(max_examples=200, deadline=None)
 @given(labelings(), st.booleans())
 @example((complete_graph(4), BiasVector(HUGE), np.array([0, 0, 1, 1])), False)
-# 0.1 * 3 > 0.3 * 1 in floats: only FLOAT_GUARD forgives vertex 0 toward part 0
 @example((Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4)]),
           BiasVector((0.1, 0.3, 0.6)), np.array([1, 1, 1, 1, 0, 2])), False)
 def test_check_biased_local_min_matches_reference(case, maximize):
@@ -455,21 +461,11 @@ def test_checkers_report_violations_in_order():
 
 @st.composite
 def move_weights(draw, r):
-    """Per-part weights: exact ints, ints of about 2**139 (python ints in
-    object arrays), or floats, a part of them tied or nearly tied to another
-    part's weight at a ratio of small counts (within FLOAT_GUARD)."""
-    kind = draw(st.sampled_from(["exact", "huge", "float"]))
-    if kind == "exact":
+    """Per-part integer weights: int64 ones, or ones of about 2**139 (python
+    ints in object arrays)."""
+    if draw(st.booleans()):
         return draw(st.lists(st.integers(1, 10 ** 6), min_size=r, max_size=r))
-    if kind == "huge":
-        return [2 ** 139 + draw(st.integers(-2 ** 70, 2 ** 70)) for _ in range(r)]
-    w = [draw(st.floats(0.5, 64.0)) for _ in range(r)]
-    for q in range(1, r):
-        if draw(st.booleans()):
-            a, b = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-            w[q] = w[draw(st.integers(0, q - 1))] * a / b * (
-                1.0 + draw(st.integers(-20, 20)) * 1e-13)
-    return w
+    return [2 ** 139 + draw(st.integers(-2 ** 70, 2 ** 70)) for _ in range(r)]
 
 
 @st.composite
@@ -482,25 +478,18 @@ def table_cases(draw):
 @given(table_cases())
 @example(([1, 1], 0, False))
 @example(([2 ** 139, 2 ** 139 + 1, 2 ** 139 - 1], 9, True))
-@example(([0.1, 0.1 * 3 / 7 * (1 + 3e-13), 2.5], 12, False))
-@example(([1 / 0.2, 1 / 0.3, 1 / 0.5], 20, True))
+@example(([15, 10, 6], 20, True))
 def test_move_table_decides_as_the_direct_comparison(case):
     w, maxdeg, maximize = case
     thr = _move_thresholds(w, maxdeg, maximize)
     assert thr.shape == (len(w), len(w), maxdeg + 1)
-    exact = all(isinstance(x, int) for x in w)
     for l in range(len(w)):
         for c_l in range(maxdeg + 1):
             own = w[l] * c_l
-            if exact:
-                bar = own
-            else:
-                guard = FLOAT_GUARD * max(1.0, abs(own))
-                bar = own + guard if maximize else own - guard
             for q in range(len(w)):
                 for c_q in range(maxdeg + 1):
                     cost = w[q] * c_q
-                    direct = cost > bar if maximize else cost < bar
+                    direct = cost > own if maximize else cost < own
                     table = c_q > thr[q, l, c_l] if maximize else c_q < thr[q, l, c_l]
                     assert table == direct, (l, q, c_l, c_q)
 

@@ -64,6 +64,15 @@ def test_rows_of_refuses_a_degree_the_table_lacks():
         table.rows_of(g)
 
 
+@pytest.mark.parametrize("degree", [-1, 10])
+def test_row_index_refuses_a_degree_outside_the_lookup(degree):
+    # below 0 and above the largest degree: refused before the lookup is read
+    table = build_threshold_table(ParamSet(0.0, 0.25, INTERNAL), range(10))
+    with pytest.raises(KeyError, match=f"degree {degree} not in table"):
+        table.row_index(np.array([3, degree]))
+    assert table.row_index(np.array([0, 9])).tolist() == [0, 9]
+
+
 def test_the_classes_are_computed_lazily():
     g = gen_gnp(50, 0.2, seed=4)
     assert g._degree_classes is None

@@ -280,6 +280,19 @@ def test_r_partition_rejects_bad_alpha():
         BiasVector((Fraction(0), Fraction(1)))
 
 
+@pytest.mark.parametrize("mode", [INTERNAL, EXTERNAL])
+def test_r_partition_float_biases_run_as_their_fractions(mode):
+    # floats snap to the p/q they stand for, so the run is the exact one
+    g = gen_gnp(400, 0.05, seed=3)
+    runs = [r_partition(g, BiasVector(alpha), mode, seed=3)
+            for alpha in [(1 / 5, 3 / 10, 1 / 2), ("1/5", "3/10", "1/2")]]
+    floats, exact = runs
+    assert floats.labels.tolist() == exact.labels.tolist()
+    assert floats.certificate.claims == exact.certificate.claims
+    assert (floats.ok, floats.params, floats.diagnostics) == \
+        (exact.ok, exact.params, exact.diagnostics)
+
+
 # -- the size repair against the per-mover loop it replaced -------------------
 
 

@@ -1,11 +1,13 @@
 """No helper that nothing calls.
 
-Every public module-level function and class of ``src/degpart``, and every
-public method, must be used somewhere in ``src/degpart``, ``perfbench/`` or
-``demos/`` besides its own definition; the names ``degpart.__all__`` exports
-are the API and exempt.  A use is a name or attribute reference, an import,
-or a dotted name in a string (the benchmark's tracer names the spans it pins
-as ``"module.function"``).  A helper only tests call belongs in the tests.
+Every public module-level function, class and constant of ``src/degpart``,
+and every public method, must be used somewhere in ``src/degpart``,
+``perfbench/`` or ``demos/`` besides its own definition; the names
+``degpart.__all__`` exports are the API and exempt.  A use is a name read
+(not assigned, so a definition is not its own use), an attribute reference,
+an import, or a dotted name in a string (the benchmark's tracer names the
+spans it pins as ``"module.function"``).  A helper only tests call belongs
+in the tests.
 """
 
 import ast
@@ -24,10 +26,15 @@ def public(name: str) -> bool:
 
 
 def defined(tree: ast.Module):
-    """Public module-level functions and classes, and public methods."""
+    """Public module-level functions, classes and constants (assignment
+    targets), and public methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and public(node.name):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name) and public(name.id))
         if isinstance(node, ast.ClassDef):
             yield from (item.name for item in node.body
                         if isinstance(item, ast.FunctionDef) and public(item.name))
@@ -35,7 +42,7 @@ def defined(tree: ast.Module):
 
 def used(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
