@@ -104,7 +104,7 @@ def run_entry(entry: dict, seed: int, emit_labels: bool = False) -> list[dict]:
 def _screen(manifest) -> None:
     """Raise ValueError, naming the entry's index, unless the manifest is a
     list of objects, each with a ``generator`` object whose ``type`` is a
-    string and, if present, ``seeds`` a list of integers.  An unknown
+    string and, if present, ``seeds`` a list of integers >= 0.  An unknown
     generator type passes: its runs become error rows."""
     if not isinstance(manifest, list):
         raise ValueError(f"manifest must be a list of entries, "
@@ -120,6 +120,8 @@ def _screen(manifest) -> None:
                   and all(isinstance(s, int) and not isinstance(s, bool)
                           for s in seeds)):
             reason = "has 'seeds' that is not a list of integers"
+        elif any(s < 0 for s in seeds):  # numpy takes no negative seed
+            reason = f"has a negative seed {min(seeds)}"
         else:
             continue
         raise ValueError(f"manifest entry #{idx} {reason}")

@@ -71,6 +71,26 @@ neighbours' words, one add of the delta gathered by their label, and one
 scatter.  The fields take as few words as they need (``_word_layout``): one
 word holds 3 parts up to maximum degree 2^14 - 1, and more parts or larger
 degrees take more words.  Building the tables costs O(r^2 * 2^bits).
+
+A sweep that reaches a dense stretch of vertex ids runs it as one block:
+when the window of ``_WINDOW`` ids from the next candidate holds at least
+``_DENSE`` candidates, the kernel reads the window's words and mask once as
+python ints and sweeps the window on them.  A mover updates the local words
+of its forward neighbours inside the window only, and marks them to be
+checked again when the sweep reaches them.  Then one pass applies all the
+block's moves to the packed words: an ``np.add.at`` of each move's field
+deltas over the movers' CSR rows, the word-0 key of every touched vertex
+rebuilt from its final label and that label's field, and the mask of the
+movers and their neighbours recomputed.  The block makes the moves that
+one-move steps make, in the same order, for three reasons.  Each vertex
+moves at most once per sweep, so the deltas commute and every field ends in
+[0, maxdeg] whatever order they are added in.  The sweep never returns to a
+vertex behind it, so a backward neighbour's words are needed only by later
+sweeps and windows, which read them after the bulk pass.  And whether a
+vertex can move is a function of its words, so a vertex whose local words
+no earlier mover of the window touched keeps the mask bit it had.  A window
+with fewer candidates (the sparse tail sweeps) keeps the one-move step,
+whose numpy calls per move are cheaper there than a block's per window.
 """
 
 from __future__ import annotations
@@ -158,17 +178,38 @@ def _balanced_random_split(ids: np.ndarray, r: int, rng) -> np.ndarray:
     return out
 
 
+def _subset_ids(subset, n: int) -> np.ndarray:
+    """The sorted distinct vertex ids of subset, refused with a ValueError
+    naming its first bad entry unless it is 1-D integer ids in [0, n)."""
+    ids = np.asarray(subset)
+    if ids.ndim != 1:
+        raise ValueError(f"subset must be 1-D vertex ids, got shape {ids.shape}")
+    if ids.dtype.kind in "iu":
+        bad = (ids < 0) | (ids >= n)
+    elif ids.dtype == object:  # python ints too large for int64, or no numbers
+        bad = np.array([not isinstance(x, numbers.Integral) or isinstance(x, bool)
+                        or not 0 <= x < n for x in ids.tolist()], dtype=bool)
+    else:  # floats and bools are no vertex ids
+        bad = np.ones(len(ids), dtype=bool)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"subset entry {k} is {ids.tolist()[k]!r}, "
+                         f"not a vertex id in [0, {n})")
+    return np.unique(ids.astype(np.int64))
+
+
 def local_maxcut(graph: Graph, subset=None, seed: int = 0):
     """Flip local search for max-cut on G[S].
 
     Returns (plus_ids, minus_ids, flips).  At exit every x in S satisfies
     d_cross(x) >= d_own(x) within G[S] (exact integer comparison), hence
-    d_cross(x) >= ceil(d_{G[S]}(x)/2).  Empty S returns two empty parts.
+    d_cross(x) >= ceil(d_{G[S]}(x)/2).  Empty S returns two empty parts.  S
+    must be 1-D integer vertex ids in [0, n); repeats are allowed.
     """
     if subset is None:
         ids = np.arange(graph.n, dtype=np.int64)
     else:
-        ids = np.unique(np.asarray(subset, dtype=np.int64))
+        ids = _subset_ids(subset, graph.n)
     if len(ids) == 0:
         return ids.copy(), ids.copy(), 0
     sub = graph if subset is None else graph.induced_subgraph(ids)
@@ -232,6 +273,15 @@ def _word_layout(r: int, maxdeg: int):
     return bits, word, offset, in0 * span
 
 
+# A sweep runs the window of _WINDOW vertex ids that starts at its next
+# candidate as one block when the window holds at least _DENSE candidates,
+# and moves one vertex at a time otherwise; see the module docstring.  A
+# window never holds more than _WINDOW candidates, so _DENSE > _WINDOW turns
+# blocks off.
+_WINDOW = 128
+_DENSE = 16
+
+
 def _flip_search(counts: Counts, w: list, maximize: bool = False):
     """Single-vertex moves on the labeling of ``counts`` (r = len(w) parts)
     until no vertex of a part with >= 2 vertices has a move that strictly
@@ -240,11 +290,12 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     ``counts`` is updated in place (labels, matrix and sizes).  Returns (f
     at the start, f at the end, moves), exact integers for the integer
     weights w.  See the module docstring for the packed count words, the bar
-    table and why the candidate mask keeps the move sequence of a plain
-    sweep over all vertices.
+    table, why the candidate mask keeps the move sequence of a plain sweep
+    over all vertices, and why a block keeps it too.
     """
     graph, labels, matrix = counts.graph, counts.labels, counts.matrix
     n, r = graph.n, len(w)
+    window, dense = _WINDOW, _DENSE
     maxdeg = int(graph.degree.max(initial=0))
     bits, word, offset, shift = _word_layout(r, maxdeg)
     nw, span, lab_shift = max(word) + 1, bits + 1, shift + bits
@@ -296,17 +347,28 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
         return None
 
     # a move from i to j adds plan[i][j] to the words of the mover's
-    # neighbours: to word 0 by the neighbour's label, to word k its constant
+    # neighbours: to word 0 by the neighbour's label, to word k its constant;
+    # step[i][j] is the same as python ints, and the block pass adds
+    # delta[k][i * r + j] (the fields only, no key) to word k
     plan = [[None] * r for _ in range(r)]
+    step = [[None] * r for _ in range(r)]
+    delta = np.zeros((nw, r * r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
-            delta = [0] * nw
-            delta[word[i]] -= 1 << offset[i]
-            delta[word[j]] += 1 << offset[j]
-            by_label = np.full(r, delta[0], dtype=np.int64)
+            d = delta[:, i * r + j]
+            d[word[i]] -= 1 << offset[i]
+            d[word[j]] += 1 << offset[j]
+            by_label = np.full(r, d[0], dtype=np.int64)
             by_label[i] -= 1 << shift
             by_label[j] += 1 << shift
-            plan[i][j] = by_label, [(k, delta[k]) for k in range(1, nw) if delta[k]]
+            rest_words = [(k, int(d[k])) for k in range(1, nw) if d[k]]
+            plan[i][j] = by_label, rest_words
+            step[i][j] = by_label.tolist(), rest_words
+    relabel = (np.arange(r * r) % r - np.arange(r * r) // r) << lab_shift
+    # the field of part q of vertex v is flat[word_at[q] + v] >> offset_of[q]
+    flat, word_at, offset_of = words.reshape(-1), np.array(word) * n, np.array(offset)
+    below_key = (1 << shift) - 1
+    seen = np.zeros(n, dtype=bool)
 
     tot = 0
     for j in range(r):
@@ -314,8 +376,75 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     f0 = f_cur = tot // 2
     sign = -1 if maximize else 1
     sizes = counts.sizes.tolist()
-    indptr, indices = graph.indptr.tolist(), graph.indices
+    degree, indptr, indices = graph.degree, graph.indptr.tolist(), graph.indices
     cand = fires(rows).astype(bool)
+
+    def take(xv):
+        """The move of a vertex with words xv (python ints), booked in f and
+        the sizes: (i, j, c_j), or None if it has none or would empty its
+        part."""
+        nonlocal f_cur
+        key = xv[0] >> shift
+        i = key >> bits
+        j = first_fire(xv, key) if sizes[i] >= 2 else None
+        if j is None:
+            return None
+        c_i, c_j = key & mask, xv[word[j]] >> offset[j] & mask
+        f_new = f_cur + (w[j] * c_j - w[i] * c_i)
+        # f must strictly improve in the chosen direction
+        assert sign * (f_new - f_cur) < 0
+        f_cur = f_new
+        sizes[i] -= 1
+        sizes[j] += 1
+        return i, j, c_j
+
+    def block(a, b):
+        """Sweep the vertices a..b-1 on python ints, then apply their moves
+        to the words and the mask in one pass.  Returns the moves made."""
+        local = [row[a:b].tolist() for row in rows]
+        lw0, due = local[0], cand[a:b].tolist()
+        # the forward neighbours inside the window of each row, t = v - a
+        nbs = indices[indptr[a]:indptr[b]]
+        src = np.repeat(np.arange(a, b), degree[a:b])
+        ahead = (nbs > src) & (nbs < b)
+        fwd = (nbs[ahead] - a).tolist()
+        ends = np.searchsorted(src[ahead], np.arange(a + 1, b + 1)).tolist()
+        movers, codes = [], []
+        lo = 0
+        for t in range(b - a):
+            hi = ends[t]
+            if due[t] and (move := take([lw[t] for lw in local])):
+                i, j, _ = move
+                movers.append(a + t)
+                codes.append(i * r + j)
+                by_label, rest_words = step[i][j]
+                for s in fwd[lo:hi]:
+                    lw0[s] += by_label[lw0[s] >> lab_shift]
+                    for k, d in rest_words:
+                        local[k][s] += d
+                    due[s] = True  # recheck s when the sweep reaches it
+            lo = hi
+        if not movers:
+            return 0
+        mv, code = np.array(movers), np.array(codes)
+        nb = indices[graph.row_entries(mv)]
+        reps = degree[mv]
+        for k in range(nw):
+            np.add.at(rows[k], nb, np.repeat(delta[k][code], reps))
+        rows[0][mv] += relabel[code]
+        seen[nb] = True
+        seen[mv] = True
+        touched = np.flatnonzero(seen)
+        seen[touched] = False
+        # word 0's key from the final label and the field of that label
+        xs = [row[touched] for row in rows]
+        lab = xs[0] >> lab_shift
+        own = flat[word_at[lab] + touched] >> offset_of[lab] & mask
+        xs[0] = xs[0] & below_key | ((lab << bits) + own) << shift
+        rows[0][touched] = xs[0]
+        cand[touched] = fires(xs).astype(bool)
+        return len(movers)
+
     moves = 0
     moved = True
     while moved:
@@ -327,21 +456,19 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
             if not rest[skip]:
                 break
             v += 1 + skip
+            if np.count_nonzero(cand[v:v + window]) >= dense:
+                b = min(v + window, n)
+                made = block(v, b)
+                moves += made
+                moved = moved or made > 0
+                v = b - 1
+                continue
             xv = [row.item(v) for row in rows]
-            key = xv[0] >> shift
-            i = key >> bits
-            if sizes[i] < 2:
-                continue  # move would empty the part
-            j = first_fire(xv, key)
-            c_i, c_j = key & mask, xv[word[j]] >> offset[j] & mask
-            f_new = f_cur + (w[j] * c_j - w[i] * c_i)
-            # f must strictly improve in the chosen direction
-            assert sign * (f_new - f_cur) < 0
-            f_cur = f_new
-            sizes[i] -= 1
-            sizes[j] += 1
-            new_key = j << bits | c_j
-            xv[0] += (new_key - key) << shift
+            move = take(xv)
+            if move is None:
+                continue  # the move would empty the part
+            i, j, c_j = move
+            xv[0] = xv[0] & below_key | (j << bits | c_j) << shift
             rows[0][v] = xv[0]
             nb = indices[indptr[v]:indptr[v + 1]]
             by_label, rest_words = plan[i][j]
@@ -352,7 +479,7 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
                 xs[k] += d
                 rows[k][nb] = xs[k]
             cand[nb] = fires(xs).astype(bool)
-            cand[v] = first_fire(xv, new_key) is not None  # v's counts are unchanged
+            cand[v] = first_fire(xv, xv[0] >> shift) is not None  # v's counts are unchanged
             moves += 1
             moved = True
     labels[:] = rows[0] >> lab_shift

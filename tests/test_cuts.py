@@ -69,6 +69,18 @@ def test_local_maxcut_empty_and_subset():
     assert ref_check_flip_local_optimum(g, plus, minus) == []
 
 
+@pytest.mark.parametrize("subset, entry", [
+    ([-10, 3], "entry 0 is -10"),  # used to wrap to vertex 0
+    ([0.5, 1], "entry 0 is 0.5"),  # used to be cut to vertex 0
+    ([0, 1, 12], "entry 2 is 12"),
+    ([-1, 0, 1, 2], "entry 0 is -1"),
+])
+def test_local_maxcut_refuses_a_subset_of_no_vertex_ids(subset, entry):
+    g = gen_gnp(10, 0.5, 0)
+    with pytest.raises(ValueError, match=rf"subset {entry}, not a vertex id in \[0, 10\)"):
+        local_maxcut(g, subset)
+
+
 def test_bias_vector_validation():
     F = Fraction
     assert BiasVector((F(1, 2), F(1, 2))).alpha == (F(1, 2), F(1, 2))
@@ -347,7 +359,8 @@ THREE = BiasVector(("1/5", "3/10", "1/2"))
 STAR_CASES = [((star(d), THREE if d >= 2 else BiasVector(("1/3", "2/3"))), k, d % 2 == 0)
               for k in range(1, 15) for d in (2 ** k - 1, 2 ** k)]
 # K_12 in 12 parts and 8 parts at max degree 40-44 take two words, no count
-# field in word 0; K_11 in 11 parts fills one word
+# field in word 0; K_11 in 11 parts fills one word; K_24 in 20 parts of
+# biases 1:2:...:20 takes three words, no count field in word 0
 LAYOUT_CASES = [
     ((complete_graph(12), BiasVector(tuple(Fraction(1, 12) for _ in range(12)))), 0, False),
     ((complete_graph(12), BiasVector(tuple(1 / 12 for _ in range(12)))), 1, True),
@@ -358,7 +371,25 @@ LAYOUT_CASES = [
     ((gen_gnp(48, 0.8, 4), BiasVector(HUGE8[::-1])), 3, True),
     ((gen_gnp(24, 0.4, 5), BiasVector(HUGE[::-1])), 4, False),
     ((gen_gnp(24, 0.4, 6), BiasVector(HUGE[::-1])), 5, True),
+    ((complete_graph(24), BiasVector(tuple(Fraction(k, 210) for k in range(1, 21)))), 6, False),
 ]
+
+# (window, dense) of the flip kernel: a sweep runs a window of that many ids
+# as one block when it holds at least dense candidates.  The shipped values
+# seldom make a block on graphs this small, so the kernel tests also run with
+# blocks everywhere, of one vertex, of five and of the shipped width, and
+# with blocks off.
+POLICIES = [(cuts._WINDOW, cuts._DENSE), (1, 0), (5, 0), (cuts._WINDOW, 0),
+            (cuts._WINDOW, cuts._WINDOW + 1)]
+
+
+def under_each_policy(run):
+    """run() under each window policy of the flip kernel, in turn."""
+    out = []
+    for window, dense in POLICIES:
+        with mock.patch.multiple(cuts, _WINDOW=window, _DENSE=dense):
+            out.append(run())
+    return out
 
 
 @st.composite
@@ -391,12 +422,13 @@ def cut_cases(draw):
 @with_examples(STAR_CASES + LAYOUT_CASES)
 def test_biased_cut_matches_reference_sweep(case, seed, maximize):
     g, bv = case
-    res = biased_max_r_cut(g, bv, seed=seed, maximize=maximize)
     labels, f0, f_end, moves = ref_biased_max_r_cut(g, bv, seed=seed,
                                                     maximize=maximize)
-    assert res.labels.tolist() == labels.tolist()
-    assert (res.moves, res.objective_start, res.objective_end) == (moves, f0, f_end)
-    assert type(res.objective_end) is type(f_end)
+    for res in under_each_policy(
+            lambda: biased_max_r_cut(g, bv, seed=seed, maximize=maximize)):
+        assert res.labels.tolist() == labels.tolist()
+        assert (res.moves, res.objective_start, res.objective_end) == (moves, f0, f_end)
+        assert type(res.objective_end) is type(f_end)
 
 
 def test_biased_cut_guard_keeps_last_vertex():
@@ -423,10 +455,10 @@ def maxcut_cases(draw):
 @example((cycle_graph(8), [7, 1, 1, 4, 0]), 2)
 def test_local_maxcut_matches_reference_sweep(case, seed):
     g, subset = case
-    got = local_maxcut(g, subset, seed=seed)
     want = ref_local_maxcut(g, subset, seed=seed)
-    assert [got[0].tolist(), got[1].tolist(), got[2]] == \
-        [want[0].tolist(), want[1].tolist(), want[2]]
+    for got in under_each_policy(lambda: local_maxcut(g, subset, seed=seed)):
+        assert [got[0].tolist(), got[1].tolist(), got[2]] == \
+            [want[0].tolist(), want[1].tolist(), want[2]]
 
 
 @st.composite
@@ -523,7 +555,7 @@ def test_word_layout_packs_every_field_once():
     assert _word_layout(11, 10)[1] == [0] * 11  # one full word
     assert _word_layout(12, 11)[1] == [1] * 12
     assert _word_layout(8, 40)[1] == [1] * 8
-    assert max(_word_layout(20, 23)[1]) == 2
+    assert max(_word_layout(20, 23)[1]) == 2 and _word_layout(20, 23)[3] == 0
 
 
 def assert_counts_current(counts, graph, r):
@@ -539,33 +571,39 @@ def assert_counts_current(counts, graph, r):
 @with_examples(STAR_CASES[-4:] + LAYOUT_CASES)
 def test_biased_cut_returns_current_counts(case, seed, maximize):
     g, bv = case
-    res = biased_max_r_cut(g, bv, seed=seed, maximize=maximize)
-    assert res.counts.graph is g and res.labels is res.counts.labels
-    assert_counts_current(res.counts, g, bv.r)
-    assert check_biased_local_min(res.counts, bv, maximize) == []
+    for res in under_each_policy(
+            lambda: biased_max_r_cut(g, bv, seed=seed, maximize=maximize)):
+        assert res.counts.graph is g and res.labels is res.counts.labels
+        assert_counts_current(res.counts, g, bv.r)
+        assert check_biased_local_min(res.counts, bv, maximize) == []
 
 
 @settings(max_examples=100, deadline=None)
 @given(maxcut_cases(), st.integers(0, 7))
 def test_local_maxcut_leaves_its_counts_current(case, seed):
     g, subset = case
-    kernel, seen = cuts._flip_search, []
-
-    def spy(counts, w, maximize=False):
-        out = kernel(counts, w, maximize)
-        seen.append(counts)
-        return out
-    with mock.patch.object(cuts, "_flip_search", spy):
-        plus, minus, _ = local_maxcut(g, subset, seed=seed)
-    if not seen:  # an empty subset runs no search
-        assert len(plus) == len(minus) == 0
-        return
-    (counts,) = seen
-    assert_counts_current(counts, counts.graph, 2)
+    kernel = cuts._flip_search
     ids = np.unique(np.asarray(subset if subset is not None else range(g.n),
                                dtype=np.int64))
-    assert plus.tolist() == ids[counts.labels == 0].tolist()
-    assert minus.tolist() == ids[counts.labels == 1].tolist()
+
+    def run():
+        seen = []
+
+        def spy(counts, w, maximize=False):
+            out = kernel(counts, w, maximize)
+            seen.append(counts)
+            return out
+        with mock.patch.object(cuts, "_flip_search", spy):
+            plus, minus, _ = local_maxcut(g, subset, seed=seed)
+        return seen, plus, minus
+    for seen, plus, minus in under_each_policy(run):
+        if not seen:  # an empty subset runs no search
+            assert len(plus) == len(minus) == 0
+            continue
+        (counts,) = seen
+        assert_counts_current(counts, counts.graph, 2)
+        assert plus.tolist() == ids[counts.labels == 0].tolist()
+        assert minus.tolist() == ids[counts.labels == 1].tolist()
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cuts.json"

@@ -469,9 +469,13 @@ def test_verify_refuses_a_non_string_graph_hash(tmp_path, capsys):
      "manifest entry #1 needs a 'generator' object"),
     ([{"generator": {"type": "gnp"}, "seeds": 3}],
      "manifest entry #0 has 'seeds' that is not a list of integers"),
-    ([["gnp", 10]], "manifest entry #0 is a list, not an object")])
+    ([["gnp", 10]], "manifest entry #0 is a list, not an object"),
+    ([{"generator": {"type": "gnp", "n": 5}},
+      {"generator": {"type": "complete_bipartite", "a": 2, "b": 2}, "seeds": [0, -1]}],
+     "manifest entry #1 has a negative seed -1")])
 def test_bench_screens_its_manifest_before_any_run(tmp_path, capsys, manifest, why):
-    # each of these ended in a traceback from inside the sweep
+    # each of these ended in a traceback from inside the sweep, or, for the
+    # negative seed, in "expected non-negative integer" after the earlier runs
     with pytest.raises(ValueError, match=f"^{why}$"):
         bench.bench_sweep(manifest)
     path = tmp_path / "m.json"
