@@ -22,7 +22,8 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
   tables from the recorded parameters; that is what makes it independent.
 
 Every table is built over the graph's ``degree_classes``, computed once per
-graph, and reads its vertices' rows through ``ThresholdTable.rows_of``.
+graph, and reads its per-vertex floor and ``active`` columns through
+``ThresholdTable.column``, gathered once per graph.
 
 Every judgement screens its claims first (``judge``, and through it
 ``check_claims`` and the pipelines, raise ``MalformedClaim``;
@@ -227,9 +228,8 @@ class _Context:
             self._tables[key] = build_threshold_table(
                 params, self.graph.degree_classes[0])
         table = self._tables[key]
-        rows = table.rows_of(self.graph)
-        col = {"phi": table.fphi, "psi": table.fpsi}[floor["fn"]]
-        return clip(floor["factor"]) * col[rows], table.active[rows]
+        col = table.column({"phi": "fphi", "psi": "fpsi"}[floor["fn"]], self.graph)
+        return clip(floor["factor"]) * col, table.column("active", self.graph)
 
 
 def _check_claim(ctx: _Context, claim: dict) -> tuple[bool, int | None]:

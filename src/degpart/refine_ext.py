@@ -13,15 +13,18 @@ a floored cross-degree floor:
      Z1 and keeps its entire X/Y-neighborhood inside the core (purity);
   3. greedily absorb W vertices: anyone with floor(psi(i)) neighbors in the
      current X side joins the Y side and vice versa (passes in ascending id,
-     alternating which side is probed first), until nobody qualifies;
+     alternating which side is probed first), until nobody qualifies; side
+     counts are kept only for W1, by position in W1, since no other
+     vertex's counts are read again;
   4. split the leftover W2 by a flip-local max-cut of G[W2]; each leftover
      vertex has >= 2*floor(psi(i)) neighbors inside W2, so its cut side
      gives it >= floor(psi(i)) cross neighbors.
 
 It takes the run's ``graph.Counts`` of X|Y|Z: the extraction reads H's
 degrees from its X and Y columns, quarantine and purity read only the CSR
-rows of the extracted vertices, absorption's side counts start from one
-gather over the rows of W1, and W1 moves through the counts at the end.
+rows of the extracted vertices, absorption's side counts and W1-internal
+adjacency come from one gather over the rows of W1, the passes run on
+Python ints, and W1 moves through the counts at the end.
 The three absorption-exit facts (both side-degrees below floor(psi), inner
 W2 degree at least twice it) are asserted on every run;
 ``pipelines.tripartition`` judges the final tripartition with the
@@ -97,9 +100,8 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     graph = counts.graph
     n = graph.n
     labels_in = counts.labels.copy()
-    rows = table.rows_of(graph)
-    active = table.active[rows]
-    fpsi = table.fpsi[rows]
+    active = table.column("active", graph)
+    fpsi = table.column("fpsi", graph)
 
     gm = goodness_map(counts, table)
     in_z0 = labels_in == PART_Z
@@ -116,11 +118,12 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     in_y = labels_in == PART_Y
 
     # step 1: extraction over the cross graph (X,Y)_G, on the counts of X|Y
-    target = np.where((in_x | in_y) & active, table.fpsi_star[rows], 0)
+    target = np.where((in_x | in_y) & active, table.column("fpsi_star", graph), 0)
     extract = None
     deleted_ids = np.empty(0, dtype=np.int64)
     if target.any():
-        extract = extract_dense(counts, (PART_X, PART_Y), target, table.eta[rows])
+        extract = extract_dense(counts, (PART_X, PART_Y), target,
+                                table.column("eta", graph))
         deleted_ids = extract.deleted_vertices
 
     # step 2: quarantine W1 and keep the pure remainder of Z
@@ -133,55 +136,68 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     # no Z1 vertex touches an extracted vertex (those went to W1 instead);
     # adjacency is symmetric, so the rows of the extracted vertices tell
     x1_mask = in_x & ~in_w
-    y1_mask = in_y & ~in_w
     z1_mask = in_z0 & ~in_w
     assert not bool(z1_mask[touched].any()), "a Z1 vertex touches an extracted vertex"
     w1_budget = len(deleted_ids) + int(graph.degree[deleted_ids].sum())
     assert len(w1) <= w1_budget, "W1 accounting bound violated"
 
-    # step 3: greedy absorption toward the side opposite the witnessed one
-    side = np.full(n, -1, dtype=np.int64)   # current side of core members
-    side[x1_mask] = PART_X
-    side[y1_mask] = PART_Y
-    # neighbors in columns PART_X, PART_Y, from one gather over W1's rows
-    owner = np.repeat(w1, graph.degree[w1])
-    nb_side = side[graph.indices[graph.row_entries(w1)]]
-    sided = nb_side >= 0
-    d_to = np.bincount(2 * owner[sided] + nb_side[sided],
-                       minlength=2 * n).reshape(n, 2)
-    w2 = w1.tolist()
+    # step 3: greedy absorption toward the side opposite the witnessed one,
+    # on python ints by position in W1 (w1 is sorted); only W1 rows are read
+    # again, so an absorbed vertex counts only toward its W1 neighbours.
+    # Side counts in columns PART_X, PART_Y come from one gather over W1's
+    # rows: a neighbour has a side when it is an X1 or Y1 core member.
+    k = len(w1)
+    degree = graph.degree[w1]
+    owner = np.repeat(np.arange(k), degree)
+    nbrs = graph.indices[graph.row_entries(w1)]
+    nb_lab = labels_in[nbrs]
+    nb_in_w = in_w[nbrs]
+    sided = (nb_lab <= PART_Y) & ~nb_in_w
+    flat = np.bincount(2 * owner[sided] + nb_lab[sided], minlength=2 * k)
+    d_to = (flat[PART_X::2].tolist(), flat[PART_Y::2].tolist())
+    # the W1 neighbours of position i are inner[bounds[i]:bounds[i + 1]]
+    inner = np.searchsorted(w1, nbrs[nb_in_w]).tolist()
+    bounds = [0] + np.cumsum(np.bincount(owner[nb_in_w], minlength=k)).tolist()
+    thr, ids, degree = fpsi[w1].tolist(), w1.tolist(), degree.tolist()
+    dest = [-1] * k
+    left = list(range(k))
     absorbed: list[Absorption] = []
     probe = [PART_X, PART_Y]  # reversed after every absorption
     changed = True
     while changed:
         changed = False
         remaining = []
-        for v in w2:
-            thr = fpsi[v]
-            seen = next((s for s in probe if d_to[v, s] >= thr), None)
-            if seen is None:
-                remaining.append(v)
+        for i in left:
+            t = thr[i]
+            first, second = probe
+            if d_to[first][i] >= t:
+                seen = first
+            elif d_to[second][i] >= t:
+                seen = second
+            else:
+                remaining.append(i)
                 continue
-            dest = PART_X + PART_Y - seen
-            side[v] = dest
-            absorbed.append(Absorption(int(v), int(graph.degree[v]), dest,
-                                       int(d_to[v, seen]), int(thr)))
-            d_to[graph.neighbors(v), dest] += 1
+            to = dest[i] = PART_X + PART_Y - seen
+            absorbed.append(Absorption(ids[i], degree[i], to, d_to[seen][i], t))
+            count = d_to[to]
+            for j in inner[bounds[i]:bounds[i + 1]]:
+                count[j] += 1
             probe.reverse()
             changed = True
-        w2 = remaining
-    w2 = np.array(w2, dtype=np.int64)
+        left = remaining
+    w2 = w1[np.array(left, dtype=np.int64)]
 
-    # absorption-exit facts
-    in_w2 = np.zeros(n, dtype=bool)
-    in_w2[w2] = True
-    checks = {"w2_all_active": bool(active[w2].all()) if len(w2) else True,
+    # absorption-exit facts, on the same counts
+    in_w2 = [False] * k
+    for i in left:
+        in_w2[i] = True
+    checks = {"w2_all_active": bool(active[w2].all()),
               "precut_side_floors": True, "precut_inner_floor": True}
-    for v in w2.tolist():
-        d_w2 = int(in_w2[graph.neighbors(v)].sum())
-        if not (d_to[v] < fpsi[v]).all():
+    for i in left:
+        t = thr[i]
+        if d_to[PART_X][i] >= t or d_to[PART_Y][i] >= t:
             checks["precut_side_floors"] = False
-        if d_w2 < 2 * fpsi[v]:
+        if sum(in_w2[j] for j in inner[bounds[i]:bounds[i + 1]]) < 2 * t:
             checks["precut_inner_floor"] = False
     assert checks["precut_side_floors"], \
         "absorption exited with an absorbable vertex left"
@@ -195,12 +211,13 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
         w_plus, w_minus = w2, np.empty(0, dtype=np.int64)
     else:
         w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
-    side[w_plus] = PART_X
-    side[w_minus] = PART_Y
+    side = np.array(dest, dtype=np.int64)  # by position in W1
+    side[np.searchsorted(w1, w_plus)] = PART_X
+    side[np.searchsorted(w1, w_minus)] = PART_Y
 
     # Z3 = Z1: quarantined Z vertices all got a side, the rest keep PART_Z
-    assert bool((side[w1] >= 0).all()), "a W1 vertex got no side"
-    counts.move(w1, side[w1])
+    assert bool((side >= 0).all()), "a W1 vertex got no side"
+    counts.move(w1, side)
     out = counts.labels
 
     # membership sandwich: X \ W1 ⊆ X1 ⊆ X3 ⊆ X ∪ W1

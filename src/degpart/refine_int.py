@@ -107,9 +107,8 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     graph, lab = counts.graph, counts.labels
     n = graph.n
     labels_in = lab.copy()
-    rows = table.rows_of(graph)
-    active = table.active[rows]
-    fphi = table.fphi[rows]
+    active = table.column("active", graph)
+    fphi = table.column("fphi", graph)
 
     gm = goodness_map(counts, table)
     in_a = lab == PART_A
@@ -126,33 +125,37 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     target = np.where(in_a & active, fphi, 0)
     extract = None
     if target.any():
-        extract = extract_dense(counts, (PART_A,), target, table.mu[rows])
+        extract = extract_dense(counts, (PART_A,), target, table.column("mu", graph))
         a_star = extract.surviving
     else:
         a_star = np.nonzero(in_a)[0]
 
-    # step 2: evacuation of joint-degree-deficient A vertices
+    # step 2: evacuation of joint-degree-deficient A vertices; the queue
+    # reads and writes the arrays as Python ints through zero-copy
+    # memoryviews, so it costs only what it visits
     dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
     constrained = active & (fphi >= 1)
     evacuations: list[Evacuation] = []
-    queue = deque(np.nonzero(in_a & constrained & (dac < fphi))[0].tolist())
+    queue = deque(np.flatnonzero(in_a & constrained & (dac < fphi)).tolist())
     in_c = lab == PART_C
+    a_of, c_of, dac_of = memoryview(in_a), memoryview(in_c), memoryview(dac)
+    floor_of, con_of = memoryview(fphi), memoryview(constrained)
+    ptr, nbr = memoryview(graph.indptr), memoryview(graph.indices)
     while queue:
         v = queue.popleft()
-        if not in_a[v] or dac[v] >= fphi[v]:
+        if not a_of[v] or dac_of[v] >= floor_of[v]:
             continue
-        absorbed = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-        evacuations.append(Evacuation(int(v), int(graph.degree[v]), int(dac[v]),
-                                      absorbed))
+        absorbed = [w for w in nbr[ptr[v]:ptr[v + 1]] if c_of[w]]
+        evacuations.append(Evacuation(v, ptr[v + 1] - ptr[v], dac_of[v], absorbed))
         moved = [v] + absorbed
         for u in moved:
-            in_c[u] = False
-        in_a[v] = False
+            c_of[u] = False
+        a_of[v] = False
         for u in moved:
-            for w in graph.neighbors(u).tolist():
-                if in_a[w]:
-                    dac[w] -= 1
-                    if constrained[w] and dac[w] < fphi[w]:
+            for w in nbr[ptr[u]:ptr[u + 1]]:
+                if a_of[w]:
+                    dac_of[w] -= 1
+                    if con_of[w] and dac_of[w] < floor_of[w]:
                         queue.append(w)
     counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
 
@@ -164,9 +167,9 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     ok = True
     failed_vertex = None
     if not skip_patch:
-        for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
-            need = int(fphi[v] - d_a[v])
-            donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
+        short = np.flatnonzero(in_a & constrained & (d_a < fphi))
+        for v, need in zip(short.tolist(), (fphi[short] - d_a[short]).tolist()):
+            donors = [w for w in nbr[ptr[v]:ptr[v + 1]] if c_of[w]]
             if len(donors) < need:
                 ok = False
                 failed_vertex = v

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +70,14 @@ class GoodnessMap:
 
 def goodness_map(counts: Counts, table: ThresholdTable) -> GoodnessMap:
     """Goodness of every vertex of a counted labeling against parts A and B."""
-    degree = counts.graph.degree
-    rows = table.rows_of(counts.graph)
-    active = table.active[rows]
-    thr_col = table.fthr_int if table.params.mode == INTERNAL else table.fthr_ext
-    thr = thr_col[rows]
+    graph = counts.graph
+    active = table.column("active", graph)
+    thr = table.column("fthr_int" if table.params.mode == INTERNAL else "fthr_ext",
+                       graph)
     good_a = ~active | (counts.matrix[:, PART_A] >= thr)
     good_b = ~active | (counts.matrix[:, PART_B] >= thr)
     bad = active & ~(good_a & good_b)
-    weight = int(degree[bad].sum())
+    weight = int(graph.degree[bad].sum())
     return GoodnessMap(good_a, good_b, active, weight)
 
 
@@ -132,6 +132,31 @@ class StageOneResult:
     counts: Counts | None = None  # the maintained counts of labels
 
 
+def _real(x, finite: bool = False) -> bool:
+    """A real number and no bool; with finite, no infinity either.  NaN is
+    never one.  A rational (int or Fraction) is finite at any size."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    return isinstance(x, numbers.Rational) or \
+        (math.isfinite(x) if finite else not math.isnan(x))
+
+
+def _window_bounds(window) -> tuple[tuple, tuple]:
+    """((loA, hiA), (loB, hiB)) of a size window: (lo, hi) applies to both
+    sides, ((loA, hiA), (loB, hiB)) is asymmetric.  Anything other than such
+    pairs of finite reals raises ValueError naming the window."""
+    def pair(w) -> bool:
+        return (isinstance(w, (tuple, list)) and len(w) == 2
+                and all(_real(x, finite=True) for x in w))
+    if pair(window):
+        return tuple(window), tuple(window)
+    if isinstance(window, (tuple, list)) and len(window) == 2 \
+            and all(pair(w) for w in window):
+        return tuple(window[0]), tuple(window[1])
+    raise ValueError(f"size_window must be 'vacuous', (lo, hi) or "
+                     f"((loA, hiA), (loB, hiB)) of finite reals, got {window!r}")
+
+
 def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
               seed: int = 0, attempts: int = 64,
               size_window=None, weight_budget=None,
@@ -139,7 +164,9 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     """Retry random tripartitions until (1a)-(1c) hold under the windows.
 
     size_window/weight_budget default to the values in the module docstring;
-    pass the string "vacuous" for (0, n) and infinity.  On failure the best
+    pass the string "vacuous" for (0, n) and infinity.  A size window is
+    (lo, hi) for both sides or ((loA, hiA), (loB, hiB)), of finite reals, and
+    a budget is a number; anything else raises ValueError.  On failure the best
     attempt (fewest violations, then smallest weight) is returned together
     with per-property failure counts.  stage_log, when given, receives
     one JSON line per attempt (sizes, weight, violated properties).
@@ -148,19 +175,16 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
         raise ValueError("need at least one attempt")
     if size_window is None:
         size_window = default_size_window(params, graph.n)
-    elif size_window == VACUOUS:
+    elif isinstance(size_window, str) and size_window == VACUOUS:
         size_window = (0.0, float(graph.n))
     if weight_budget is None:
         weight_budget = default_weight_budget(params, graph.n)
-    elif weight_budget == VACUOUS:
+    elif isinstance(weight_budget, str) and weight_budget == VACUOUS:
         weight_budget = math.inf
-
-    # (lo, hi) applies to both sides; ((loA, hiA), (loB, hiB)) is asymmetric
-    if hasattr(size_window[0], "__len__"):
-        (lo_a, hi_a), (lo_b, hi_b) = size_window
-    else:
-        lo_a, hi_a = size_window
-        lo_b, hi_b = size_window
+    elif not _real(weight_budget):
+        raise ValueError(f"weight_budget must be 'vacuous' or a number, "
+                         f"got {weight_budget!r}")
+    (lo_a, hi_a), (lo_b, hi_b) = _window_bounds(size_window)
     fail_counts = {"size": 0, "goodness": 0, "weight": 0}
     best: StageOneResult | None = None
     for t in range(attempts):

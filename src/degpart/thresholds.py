@@ -187,7 +187,8 @@ class ThresholdTable:
     one psi (and psi_star).  Integer floors of every threshold are
     precomputed since all degree comparisons use them.  Immutable after
     construction; ``rows_of`` remembers the vertex rows of the last graph
-    it was asked about.
+    it was asked about, and ``column`` the per-vertex columns gathered over
+    them.
     """
 
     def __init__(self, params: ParamSet, degrees):
@@ -258,6 +259,7 @@ class ThresholdTable:
         self._row_of = np.full(top, -1, dtype=np.int64)
         self._row_of[degs] = np.arange(degs.size)
         self._rows_graph = self._rows = None
+        self._columns: dict[str, np.ndarray] = {}
 
     @property
     def psi(self) -> np.ndarray:
@@ -289,7 +291,20 @@ class ThresholdTable:
             rows = self.row_index(values)[row]
             rows.setflags(write=False)
             self._rows_graph, self._rows = graph, rows
+            self._columns = {}
         return self._rows
+
+    def column(self, name: str, graph) -> np.ndarray:
+        """``getattr(self, name)[rows_of(graph)]``, read-only: the column's
+        value at each vertex of graph, gathered once per graph.  The last
+        graph's columns are kept beside its rows."""
+        rows = self.rows_of(graph)
+        col = self._columns.get(name)
+        if col is None:
+            col = getattr(self, name)[rows]
+            col.setflags(write=False)
+            self._columns[name] = col
+        return col
 
     def dump_csv(self, fh=None) -> str:
         """CSV with columns (i, phi, psi, psi_star, mu, lambda, eta, thr_int,

@@ -1,9 +1,13 @@
 """Shared strategies and helpers for the test suite."""
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
+from degpart.gen import gen_gnp
 from degpart.graph import Graph
 
 
@@ -17,8 +21,44 @@ def graphs(draw, min_n=2, max_n=12, min_edges=0):
     return Graph.from_edges(n, edges)
 
 
+# part mixes of X|Y|Z (or A|B|C) labels: balanced sides, a thin second or
+# first side (the external refinement then deletes, absorbs and reaches the
+# cut), a thin first side over a thin third part (the internal refinement
+# then evacuates), and a heavy third part
+LABEL_MIXES = ([0.4, 0.4, 0.2], [0.7, 0.1, 0.2], [0.1, 0.7, 0.2],
+               [0.15, 0.8, 0.05], [0.2, 0.2, 0.6])
+
+
+def mixed_labels(n, mix, seed):
+    return np.random.default_rng(seed).choice(3, size=n, p=mix).astype(np.int64)
+
+
+@st.composite
+def tripartitions(draw):
+    """A G(n, p) graph with n <= 40 and 3-part labels drawn from a mix."""
+    g = gen_gnp(draw(st.integers(1, 40)), draw(st.sampled_from([0.2, 0.5, 0.8])),
+                draw(st.integers(0, 99)))
+    return g, mixed_labels(g.n, draw(st.sampled_from(LABEL_MIXES)),
+                           draw(st.integers(0, 99)))
+
+
+@contextmanager
+def watchdog(seconds, what):
+    """Raise TimeoutError naming what once the block has run for seconds of
+    wall time, so a loop that never ends fails its test.  SIGALRM: main
+    thread only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{what} ran longer than {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def random_graph(n, p, seed):
-    from degpart.gen import gen_gnp
     return gen_gnp(n, p, seed)
 
 

@@ -27,7 +27,7 @@ from degpart.cuts import (BiasVector, _balanced_random_split, _move_thresholds,
 from degpart.gen import complete_graph, cycle_graph, gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 
-from conftest import graphs
+from conftest import graphs, watchdog
 
 PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
             (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -383,11 +383,19 @@ POLICIES = [(cuts._WINDOW, cuts._DENSE), (1, 0), (5, 0), (cuts._WINDOW, 0),
             (cuts._WINDOW, cuts._WINDOW + 1)]
 
 
+# wall-time bound of one kernel run in these tests; a defect that corrupts
+# the kernel's counts can make its search cycle forever
+KERNEL_SECONDS = 20
+
+
 def under_each_policy(run):
-    """run() under each window policy of the flip kernel, in turn."""
+    """run() under each window policy of the flip kernel, in turn; a run
+    past KERNEL_SECONDS raises TimeoutError naming its policy."""
     out = []
     for window, dense in POLICIES:
-        with mock.patch.multiple(cuts, _WINDOW=window, _DENSE=dense):
+        with mock.patch.multiple(cuts, _WINDOW=window, _DENSE=dense), \
+                watchdog(KERNEL_SECONDS, f"the flip kernel under policy "
+                                         f"(window={window}, dense={dense})"):
             out.append(run())
     return out
 

@@ -56,6 +56,26 @@ def test_rows_of_follows_the_graph_it_is_asked_about():
         assert table.rows_of(g).tolist() == table.row_index(g.degree).tolist()
 
 
+COLUMNS = ("active", "fphi", "fpsi", "fpsi_star", "fthr_int", "fthr_ext", "mu", "eta")
+
+
+@pytest.mark.parametrize("mode", [INTERNAL, EXTERNAL])
+def test_column_is_the_gather_over_the_rows_of_the_graph_asked_about(mode):
+    eps = 0.1 if mode == INTERNAL else 0.09
+    table = build_threshold_table(ParamSet(0.0, eps, mode, d_const=0.05), range(0, 30))
+    a, b = gen_gnp(30, 0.2, seed=1), gen_gnp(30, 0.1, seed=2)
+    for g in (a, b, a, a):
+        for name in COLUMNS:
+            col = table.column(name, g)
+            want = getattr(table, name)[table.rows_of(g)]
+            assert col.dtype == want.dtype and col.tolist() == want.tolist()
+            assert not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[1]
+            assert table.column(name, g) is col  # gathered once per graph
+    assert table.active.any() and not table.active.all()
+
+
 def test_rows_of_refuses_a_degree_the_table_lacks():
     g = gen_gnp(20, 0.5, seed=0)
     degrees = set(range(int(g.degree.max()) + 1)) - {int(g.degree[7])}

@@ -486,6 +486,22 @@ def test_bench_screens_its_manifest_before_any_run(tmp_path, capsys, manifest, w
     assert out.out == "" and out.err == f"error: {why}\n"
 
 
+def test_bench_reports_a_malformed_window_or_budget_as_a_diagnosis():
+    # these gave "'int' object is not subscriptable", "not enough values to
+    # unpack" and "'>' not supported ..." as error cells
+    window = ("size_window must be 'vacuous', (lo, hi) or ((loA, hiA), "
+              "(loB, hiB)) of finite reals, got ")
+    cases = [({"size_window": 5}, window + "5"),
+             ({"size_window": [1]}, window + "[1]"),
+             ({"weight_budget": "abc"},
+              "weight_budget must be 'vacuous' or a number, got 'abc'")]
+    rows = bench.bench_sweep([{"generator": {"type": "gnp", "n": 12, "p": 0.4},
+                               **options} for options, _ in cases])
+    assert [row["row_kind"] for row in rows] == ["pipeline", "baseline"] * 3
+    assert [row["error"] for row in rows[::2]] == [why for _, why in cases]
+    assert not any(row["ok"] for row in rows[::2])
+
+
 def test_bench_has_no_workers_option(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text("[]")

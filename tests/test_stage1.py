@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -140,6 +142,45 @@ def test_stage_one_asymmetric_window():
                     size_window=((10, 60), (0, 60)), weight_budget="vacuous")
     assert res.ok
     assert res.sizes[PART_A] >= 10
+
+
+WINDOW_REFUSAL = ("size_window must be 'vacuous', (lo, hi) or ((loA, hiA), "
+                  "(loB, hiB)) of finite reals, got ")
+BUDGET_REFUSAL = "weight_budget must be 'vacuous' or a number, got "
+
+
+@pytest.mark.parametrize("options,why", [
+    ({"size_window": 5}, WINDOW_REFUSAL + "5"),
+    ({"size_window": [1]}, WINDOW_REFUSAL + "[1]"),
+    ({"size_window": 2 ** 100}, WINDOW_REFUSAL + str(2 ** 100)),
+    ({"size_window": (0, 1, 2)}, WINDOW_REFUSAL + "(0, 1, 2)"),
+    ({"size_window": "wide"}, WINDOW_REFUSAL + "'wide'"),
+    ({"size_window": (0, float("inf"))}, WINDOW_REFUSAL + "(0, inf)"),
+    ({"size_window": (float("nan"), 5)}, WINDOW_REFUSAL + "(nan, 5)"),
+    ({"size_window": (True, 5)}, WINDOW_REFUSAL + "(True, 5)"),
+    ({"size_window": ((0, 5), (1, "9"))}, WINDOW_REFUSAL + "((0, 5), (1, '9'))"),
+    ({"size_window": ((0, 5), 7)}, WINDOW_REFUSAL + "((0, 5), 7)"),
+    ({"weight_budget": "abc"}, BUDGET_REFUSAL + "'abc'"),
+    ({"weight_budget": [1]}, BUDGET_REFUSAL + "[1]"),
+    ({"weight_budget": float("nan")}, BUDGET_REFUSAL + "nan"),
+    ({"weight_budget": False}, BUDGET_REFUSAL + "False")])
+def test_stage_one_refuses_a_malformed_window_or_budget(options, why):
+    g = gen_gnp(20, 0.3, seed=0)
+    p = ParamSet(0.0, 0.25, INTERNAL)
+    with pytest.raises(ValueError) as info:
+        stage_one(g, p, table_for(g, p), **options)
+    assert str(info.value) == why
+
+
+def test_stage_one_takes_every_window_and_budget_form():
+    # integers past float range and Fractions are finite reals
+    g = gen_gnp(20, 0.3, seed=0)
+    p = ParamSet(0.0, 0.25, INTERNAL)
+    for window, budget in [((0, 20), 10 ** 400), ([0, 10 ** 400], None),
+                           ([[0, 20], [Fraction(1, 2), 20.0]], float("inf")),
+                           ((np.int64(0), np.float64(20)), np.int64(5))]:
+        assert stage_one(g, p, table_for(g, p), size_window=window,
+                         weight_budget=budget, attempts=1).ok
 
 
 def test_stage_one_external_weight_budget_counts_active_only():
