@@ -59,13 +59,15 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed",
                  "_fingerprint", "_degree_classes")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
+    def __init__(self, n: int, rows: np.ndarray, indices: np.ndarray,
                  duplicates_collapsed: int = 0):
+        """The one constructor: rows and indices are the entries in CSR
+        order, sorted by (row, neighbor); indptr is derived from rows."""
         self.n = int(n)
-        self.indptr = indptr
+        self.rows = rows
         self.indices = indices
-        self.degree = np.diff(indptr).astype(np.int64)
-        self.rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degree)
+        self.indptr = np.searchsorted(rows, np.arange(self.n + 1))
+        self.degree = np.diff(self.indptr).astype(np.int64)
         for a in (self.indptr, self.indices, self.degree, self.rows):
             a.setflags(write=False)
         self.duplicates_collapsed = int(duplicates_collapsed)
@@ -101,8 +103,7 @@ class Graph:
         lo, hi = np.divmod(keys, n)
         # both orientations, sorted by (source, target): the CSR order
         src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
-        return cls(n, np.searchsorted(src, np.arange(n + 1)), dst,
-                   len(pairs) - len(keys))
+        return cls(n, src, dst, len(pairs) - len(keys))
 
     # -- basic queries ----------------------------------------------------
 
@@ -154,8 +155,7 @@ class Graph:
         """
         lu, lv = labels[self.rows], labels[self.indices]
         keep = ((lu == part_a) & (lv == part_b)) | ((lu == part_b) & (lv == part_a))
-        return Graph(self.n, np.searchsorted(self.rows[keep], np.arange(self.n + 1)),
-                     self.indices[keep])
+        return Graph(self.n, self.rows[keep], self.indices[keep])
 
     def induced_subgraph(self, ids: np.ndarray) -> "Graph":
         """G[ids] with vertex ids[k] renamed k; ids must be sorted and distinct,
@@ -166,7 +166,7 @@ class Graph:
         nb = pos[self.indices[self.row_entries(ids)]]
         keep = nb >= 0
         rows = np.repeat(np.arange(k), self.degree[ids])[keep]
-        return Graph(k, np.searchsorted(rows, np.arange(k + 1)), nb[keep])
+        return Graph(k, rows, nb[keep])
 
     def row_entries(self, ids: np.ndarray) -> np.ndarray:
         """Positions in ``indices`` of the CSR rows of ids, row after row, in

@@ -302,24 +302,23 @@ class TripartitionResult:
     counts: Counts | None = None
 
 
-def tripartition(graph: Graph, params: ParamSet,
-                 table: ThresholdTable | None = None, seed: int = 0,
+def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
                  **stage_one_options) -> TripartitionResult:
     """Stage one, then the refinement of ``params.mode``, then the conditions.
 
     stage_one_options (attempts, size_window, weight_budget, stage_log) go
     to ``stage_one``.  Internal mode refines side A, then side B with the
     roles of the sides exchanged (``refine_internal_once``); external mode
-    extracts, absorbs and cuts (``refine_external``).  The conditions of
+    extracts, absorbs and cuts (``refine_external``).  The threshold table
+    is built over ``graph.degree_classes[0]``.  The conditions of
     ``certify.tripartition_claims`` under the mode's table floor are judged
     by the verifier's claim code on the maintained counts and this table; ok
-    means the construction completed and every condition holds.  An explicit
+    means stage one succeeded and every condition holds.  An explicit
     size_window override replaces the default contract: the final size
     window is still recorded but no longer gates ok.
     Stage-one failure short-circuits with the stage diagnostics.
     """
-    if table is None:
-        table = build_threshold_table(params, graph.degree_classes[0])
+    table = build_threshold_table(params, graph.degree_classes[0])
     s1 = stage_one(graph, params, table, seed=seed, **stage_one_options)
     counts = s1.counts.copy()
     if not s1.ok:
@@ -328,18 +327,10 @@ def tripartition(graph: Graph, params: ParamSet,
             {"stage": "stage1", "violated": s1.violated,
              "failure_counts": s1.failure_counts}, counts)
     if params.mode == INTERNAL:
-        traces, diagnostics = [], {}
-        for stage, swap in (("refine_a", False), ("refine_b", True)):
-            if swap:
-                counts.swap(PART_A, PART_B)
-            trace = refine_internal_once(counts, params, table)
-            if swap:
-                counts.swap(PART_A, PART_B)
-            traces.append(trace)
-            if not trace.ok:
-                return TripartitionResult(
-                    False, counts.labels, {}, s1, traces, table,
-                    {"stage": stage, "failed_vertex": trace.failed_vertex}, counts)
+        traces, diagnostics = [refine_internal_once(counts, params, table)], {}
+        counts.swap(PART_A, PART_B)
+        traces.append(refine_internal_once(counts, params, table))
+        counts.swap(PART_A, PART_B)
     else:
         trace = refine_external(counts, params, table, cut_seed=seed)
         traces = [trace]
@@ -380,8 +371,8 @@ def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
     """
     if stage_one_options.get("size_window") is None:
         stage_one_options["size_window"] = window
-    # the table is passed as None, so a caller's table= is refused
-    tri = tripartition(graph, run_params, None, seed=seed, **stage_one_options)
+    # a caller's table= reaches stage_one beside the run's table: a TypeError
+    tri = tripartition(graph, run_params, seed=seed, **stage_one_options)
     if tri.ok or (hyp_floor is not None and tri.diagnostics["stage"] == "conditions"):
         counted, conditions, gate, diagnostics = finish(tri)
     else:

@@ -64,7 +64,6 @@ class ExternalTrace:
     absorbed: list
     w2: np.ndarray
     wcut: tuple
-    labels_out: np.ndarray
     precond: dict
     checks: dict
 
@@ -86,16 +85,12 @@ class ExternalTrace:
 
 
 def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
-                    cut_seed: int = 0, skip_cut: bool = False) -> ExternalTrace:
+                    cut_seed: int = 0) -> ExternalTrace:
     """Run extraction, quarantine, absorption and the W2 cut on counted
     X|Y|Z labels.
 
-    skip_cut replaces the max-cut split of the leftover W2 by an arbitrary
-    one-sided assignment (ablation: shows why the cut step is needed for the
-    leftover vertices' cross floors).
-
     The W1 side assignments go through counts and the final check reads
-    them, so they end at ``labels_out``.
+    them, so the refined labels are ``counts.labels`` when it returns.
     """
     graph = counts.graph
     n = graph.n
@@ -207,10 +202,7 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
             "leftover W2 vertex below twice the cross floor"
 
     # step 4: flip-local max-cut of G[W2]
-    if skip_cut:
-        w_plus, w_minus = w2, np.empty(0, dtype=np.int64)
-    else:
-        w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
+    w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
     side = np.array(dest, dtype=np.int64)  # by position in W1
     side[np.searchsorted(w1, w_plus)] = PART_X
     side[np.searchsorted(w1, w_minus)] = PART_Y
@@ -227,11 +219,11 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     in_y3 = out == PART_Y
     assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
 
-    # cut guarantee for the leftover vertices (void under the ablation)
-    if len(w2) and checks["precut_inner_floor"] and not skip_cut:
+    # cut guarantee for the leftover vertices
+    if len(w2) and checks["precut_inner_floor"]:
         for v in w2.tolist():
             cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
             assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
 
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), out.copy(),
-                         precond, checks)
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
+                         checks)

@@ -15,10 +15,11 @@ the goodness structure that C provides:
      floor(phi(i)) - d_A(x) of its C-neighbors into A (lowest ids first).
 
 After step 2 every surviving A-vertex has joint degree >= floor(phi(i)), so
-the patch can never run out of donors; evacuated vertices land in B with
-i - floor(phi(i)) + 1 or more B-neighbors, which exceeds the B-goodness
-threshold (the per-degree inequality i - floor(phi(i)) >= floor(thr_int(i))
-is re-checked numerically before each run rather than taken on faith).
+the patch can never run out of donors, which it asserts for each patched
+vertex; evacuated vertices land in B with i - floor(phi(i)) + 1 or more
+B-neighbors, which exceeds the B-goodness threshold (the per-degree
+inequality i - floor(phi(i)) >= floor(thr_int(i)) is re-checked numerically
+before each run rather than taken on faith).
 
 The pass takes the run's ``graph.Counts`` of the tripartition: every move
 goes through it and every check reads it.  ``pipelines.tripartition``
@@ -52,22 +53,17 @@ class Evacuation:
 class InternalRefineTrace:
     """Full audit trail of one refinement pass (refines part 0)."""
 
-    ok: bool
-    failed_vertex: int | None
     a_star: np.ndarray
     extract: ExtractResult | None
     evacuations: list
     patch: dict
     labels_in: np.ndarray
-    labels_out: np.ndarray
     precond: dict
     checks: dict
     guaranteed: bool
 
     def to_jsonable(self) -> dict:
         return {
-            "ok": self.ok,
-            "failed_vertex": self.failed_vertex,
             "a_star_size": int(len(self.a_star)),
             "evacuations": [
                 {"vertex": e.vertex, "degree": e.degree,
@@ -91,18 +87,17 @@ def _evacuee_landing_is_good(table: ThresholdTable) -> bool:
     return bool((~table.active | (table.degrees - table.fphi >= table.fthr_int)).all())
 
 
-def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable,
-                         skip_patch: bool = False) -> InternalRefineTrace:
+def refine_internal_once(counts: Counts, params: ParamSet,
+                         table: ThresholdTable) -> InternalRefineTrace:
     """One refinement pass over part 0 of a counted tripartition (parts 0|1|2).
 
     Preconditions (every active C-vertex both-good; the A-side weight below
     eps^2*n/250) are checked and recorded, and the pass runs regardless; the
     trace's ``guaranteed`` flag reports whether everything the construction
-    promises under those preconditions actually held.  skip_patch disables
-    step 3 for ablation runs (the floor check then reports honestly).
+    promises under those preconditions actually held.
 
     Every move of the pass goes through counts and every check reads them,
-    so they end at ``labels_out``.
+    so the pass's labels are ``counts.labels`` when it returns.
     """
     graph, lab = counts.graph, counts.labels
     n = graph.n
@@ -164,19 +159,12 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
     # step 3: patch deficient A vertices from their C-neighborhoods
     d_a = counts.matrix[:, PART_A]
     patch: dict[int, list[int]] = {}
-    ok = True
-    failed_vertex = None
-    if not skip_patch:
-        short = np.flatnonzero(in_a & constrained & (d_a < fphi))
-        for v, need in zip(short.tolist(), (fphi[short] - d_a[short]).tolist()):
-            donors = [w for w in nbr[ptr[v]:ptr[v + 1]] if c_of[w]]
-            if len(donors) < need:
-                ok = False
-                failed_vertex = v
-                break
-            patch[v] = donors[:need]
-    if ok:
-        counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
+    short = np.flatnonzero(in_a & constrained & (d_a < fphi))
+    for v, need in zip(short.tolist(), (fphi[short] - d_a[short]).tolist()):
+        donors = [w for w in nbr[ptr[v]:ptr[v + 1]] if c_of[w]]
+        assert len(donors) >= need, f"vertex {v} of A has too few C donors"
+        patch[v] = donors[:need]
+    counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
     # the pass contract, checked on the maintained counts
     gm2 = goodness_map(counts, table)
@@ -197,18 +185,16 @@ def refine_internal_once(counts: Counts, params: ParamSet, table: ThresholdTable
         "bad_b_contained": bool(
             ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
     }
-    if ok:
-        assert checks["b_grew_only"] and checks["c_shrank_only"]
-        if precond["goodness_ok"] and not skip_patch:
-            # patch donors come from C and are A-good, so the floor cannot
-            # miss unless the entry goodness precondition already failed
-            assert checks["floor_a"], \
-                "a vertex of A missed its own-degree floor after the patch"
-        if precond["goodness_ok"] and arithmetic_ok:
-            assert checks["new_b_good"], \
-                "an evacuated vertex landed in B without B-goodness"
-    guaranteed = ok and precond["goodness_ok"] and precond["weight_ok_entry"] \
+    assert checks["b_grew_only"] and checks["c_shrank_only"]
+    if precond["goodness_ok"]:
+        # patch donors come from C and are A-good, so the floor cannot
+        # miss unless the entry goodness precondition already failed
+        assert checks["floor_a"], \
+            "a vertex of A missed its own-degree floor after the patch"
+    if precond["goodness_ok"] and arithmetic_ok:
+        assert checks["new_b_good"], \
+            "an evacuated vertex landed in B without B-goodness"
+    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
         and all(checks.values())
-    return InternalRefineTrace(ok, failed_vertex, a_star, extract, evacuations,
-                               patch, labels_in, lab.copy(), precond, checks,
-                               guaranteed)
+    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
+                               precond, checks, guaranteed)

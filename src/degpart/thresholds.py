@@ -25,7 +25,6 @@ mode) and every pipeline records the constant actually used.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -306,17 +305,16 @@ class ThresholdTable:
             self._columns[name] = col
         return col
 
-    def dump_csv(self, fh=None) -> str:
-        """CSV with columns (i, phi, psi, psi_star, mu, lambda, eta, thr_int,
-        thr_ext, active)."""
-        buf = fh or io.StringIO()
-        buf.write("i,phi,psi,psi_star,mu,lambda,eta,thr_int,thr_ext,active\n")
+    def dump_csv(self) -> str:
+        """CSV text with columns (i, phi, psi, psi_star, mu, lambda, eta,
+        thr_int, thr_ext, active)."""
+        lines = ["i,phi,psi,psi_star,mu,lambda,eta,thr_int,thr_ext,active\n"]
         for k, i in enumerate(self.degrees.tolist()):
-            buf.write(
+            lines.append(
                 f"{i},{self.phi[k]:.12g},{self.psi[k]:.12g},{self.psi_star[k]:.12g},"
                 f"{self.mu[k]:.12g},{self.lam[k]:.12g},{self.eta[k]:.12g},"
                 f"{self.thr_int[k]:.12g},{self.thr_ext[k]:.12g},{int(self.active[k])}\n")
-        return "" if fh else buf.getvalue()
+        return "".join(lines)
 
 
 def build_threshold_table(params: ParamSet, degrees) -> ThresholdTable:

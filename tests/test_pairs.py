@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from pairs import summarize, summarize_traced  # noqa: E402
+from pairs import merge_rounds, summarize, summarize_traced  # noqa: E402
 
 END_TO_END = [{"name": "int_solve_s.p50", "better": "lower", "bound": 0.25},
               {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
@@ -80,3 +80,34 @@ def test_traced_summary_of_identical_work_and_a_changed_output():
     assert s["work_changed"] == {"calls_per_op": {}, "counts_per_op": {}}
     assert not s["output_sha256_equal"]
     assert (s["parent"]["output_sha256"], s["change"]["output_sha256"]) == ("o", "x")
+
+
+def test_three_rounds_merge_to_the_median_self_time():
+    rounds = [traced(), traced(), traced()]
+    for r, t in zip(rounds, (0.005, 0.002, 0.004)):
+        r["self_s_per_op"] = {"graph.part_profile": t, "cuts.local_maxcut": 10 * t}
+    del rounds[1]["self_s_per_op"]["cuts.local_maxcut"]  # reads 0 there
+    merged, mismatch = merge_rounds(rounds)
+    assert merged["self_s_per_op"] == {"cuts.local_maxcut": 0.04,
+                                       "graph.part_profile": 0.004}
+    # the rest of the report is the first round's, untouched
+    assert rounds[0]["self_s_per_op"]["graph.part_profile"] == 0.005
+    assert {key: merged[key] for key in ("calls_per_op", "counts_per_op",
+                                         "output_sha256")} == {
+        key: traced()[key] for key in ("calls_per_op", "counts_per_op",
+                                       "output_sha256")}
+    assert mismatch == {}
+    # a merged side goes to summarize_traced like a single traced run
+    s = summarize_traced(merged, merge_rounds([traced()] * 3)[0])
+    assert s["change"]["self_s_per_op"] == {"graph.part_profile": 0.004}
+    assert s["work_changed"] == {"calls_per_op": {}, "counts_per_op": {}}
+
+
+def test_three_rounds_report_every_count_and_digest_that_differs():
+    rounds = [traced(), traced(builds=2.0, sha="x"),
+              traced(extra={"cuts.flips": 1.5})]
+    _, mismatch = merge_rounds(rounds)
+    assert mismatch == {
+        "calls_per_op": {"thresholds.build_threshold_table": [3.0, 2.0, 3.0]},
+        "counts_per_op": {"cuts.flips": [0, 0, 1.5]},
+        "output_sha256": ["o", "x", "o"]}

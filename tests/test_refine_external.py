@@ -9,7 +9,7 @@ from degpart.certify import check_claims, table_floor, tripartition_claims
 from degpart.cuts import local_maxcut
 from degpart.dense import extract_dense
 from degpart.gen import gen_gnp
-from degpart.graph import Counts, part_profile
+from degpart.graph import Counts, Graph, part_profile
 from degpart.pipelines import tripartition
 from degpart.refine_ext import Absorption, ExternalTrace, refine_external
 from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map, stage_one
@@ -30,10 +30,11 @@ def test_vacuous_thresholds_refinement_is_identity():
     t = table_for(g, p)
     res = stage_one(g, p, t, seed=0, size_window="vacuous",
                     weight_budget="vacuous")
-    trace = refine_external(Counts(g, res.labels, 3), p, t)
+    counts = Counts(g, res.labels, 3)
+    trace = refine_external(counts, p, t)
     assert trace.extract is None or trace.extract.deleted == []
     assert len(trace.w1) == 0
-    assert (trace.labels_out == res.labels).all()
+    assert (counts.labels == res.labels).all()
 
 
 def test_refine_external_active_regime_crafted_labels():
@@ -46,13 +47,14 @@ def test_refine_external_active_regime_crafted_labels():
     assert t.active.any()
     rng = np.random.default_rng(5)
     labels = rng.choice(3, size=g.n, p=[0.4, 0.4, 0.2]).astype(np.int64)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=1)
+    counts = Counts(g, labels, 3)
+    trace = refine_external(counts, p, t, cut_seed=1)
     assert trace.checks["precut_side_floors"]
     assert trace.checks["w2_all_active"]
     # every absorbed vertex witnessed enough cross neighbors at its move
     assert all(a.witnessed_cross >= a.threshold for a in trace.absorbed)
     # membership: every quarantined vertex got a side
-    assert not np.isin(trace.w1, np.nonzero(trace.labels_out == PART_C)[0]).any()
+    assert not np.isin(trace.w1, np.nonzero(counts.labels == PART_C)[0]).any()
 
 
 def thin_y_trace(rng_seed):
@@ -62,10 +64,10 @@ def thin_y_trace(rng_seed):
     t = table_for(g, p)
     rng = np.random.default_rng(rng_seed)
     labels = rng.choice(3, size=g.n, p=[0.7, 0.1, 0.2]).astype(np.int64)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=1)
-    counts = part_profile(g, trace.labels_out, 3)
-    cross = np.where(trace.labels_out == PART_A, counts[:, PART_B],
-                     counts[:, PART_A])
+    out = Counts(g, labels, 3)
+    trace = refine_external(out, p, t, cut_seed=1)
+    counts = part_profile(g, out.labels, 3)
+    cross = np.where(out.labels == PART_A, counts[:, PART_B], counts[:, PART_A])
     return g, t.fpsi[t.row_index(g.degree)], trace, cross
 
 
@@ -122,7 +124,9 @@ def test_refine_external_thin_y_reaches_the_cut():
     g, fpsi, trace, cross = thin_y_trace(2)
     assert len(trace.w1) == len(trace.w2) == g.n and trace.absorbed == []
     w_plus, w_minus = trace.wcut
+    # the cut splits W2 and puts vertices on both sides
     assert len(w_plus) and len(w_minus)
+    assert sorted(w_plus.tolist() + w_minus.tolist()) == trace.w2.tolist()
     assert trace.checks["precut_inner_floor"]
     # the cut gives every leftover vertex its cross floor, from scratch
     assert (cross[trace.w2] >= fpsi[trace.w2]).all()
@@ -197,23 +201,11 @@ def test_absorption_monotone_progress():
     assert accounted == set(trace.w1.tolist())
 
 
-def test_skip_cut_ablation():
-    g = gen_gnp(90, 0.4, seed=8)
-    p = ParamSet(0.0, 0.09, EXTERNAL, d_const=0.02)
-    t = table_for(g, p)
-    rng = np.random.default_rng(5)
-    labels = rng.choice(3, size=g.n, p=[0.4, 0.4, 0.2]).astype(np.int64)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=1, skip_cut=True)
-    # everything left after absorption lands on one side
-    assert len(trace.wcut[1]) == 0
-    assert len(trace.wcut[0]) == len(trace.w2)
-
-
 # -- reference implementation: the refinement on per-vertex numpy reads ------
 # refine_external must give exactly its trace, labels and counts.
 
 
-def ref_refine_external(counts, params, table, cut_seed=0, skip_cut=False):
+def ref_refine_external(counts, params, table, cut_seed=0):
     """``refine_external`` with per-vertex numpy reads: side counts in an
     n-by-2 array, each absorption adding to all of the vertex's neighbours,
     and the exit facts read per W2 vertex."""
@@ -314,10 +306,7 @@ def ref_refine_external(counts, params, table, cut_seed=0, skip_cut=False):
             "leftover W2 vertex below twice the cross floor"
 
     # step 4: flip-local max-cut of G[W2]
-    if skip_cut:
-        w_plus, w_minus = w2, np.empty(0, dtype=np.int64)
-    else:
-        w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
+    w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
     side[w_plus] = PART_X
     side[w_minus] = PART_Y
 
@@ -333,14 +322,14 @@ def ref_refine_external(counts, params, table, cut_seed=0, skip_cut=False):
     in_y3 = out == PART_Y
     assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
 
-    # cut guarantee for the leftover vertices (void under the ablation)
-    if len(w2) and checks["precut_inner_floor"] and not skip_cut:
+    # cut guarantee for the leftover vertices
+    if len(w2) and checks["precut_inner_floor"]:
         for v in w2.tolist():
             cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
             assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
 
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), out.copy(),
-                         precond, checks)
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
+                         checks)
 
 
 # thin-Y labels on which quarantine takes every vertex and none is absorbed,
@@ -356,28 +345,49 @@ def test_the_w2_case_reaches_the_cut():
     assert len(trace.wcut[0]) and len(trace.wcut[1])
 
 
-def outcome(refine, counts, *args, **kwargs):
-    """The trace as JSON text, W1 and the output labels, and the counts it
-    left; an AssertionError's type if the run raised one."""
+# vertex 0 alone in X, the rest in Z: quarantine takes 0..5 and absorbs none,
+# and vertex 1 is left with one W2 neighbour (0) against a cross floor of 1
+INNER_FLOOR_CASE = (
+    Graph.from_edges(11, [(0, v) for v in range(1, 6)]
+                     + [(1, v) for v in range(6, 11)]
+                     + [(u, v) for u in range(2, 6) for v in range(u + 1, 6)]
+                     + [(u, v) for u in range(2, 6) for v in (6, 7)]),
+    np.array([PART_X] + [PART_Z] * 10))
+
+
+def test_a_leftover_vertex_below_twice_its_floor_fails_the_inner_floor():
+    g, labels = INNER_FLOOR_CASE
+    p = ParamSet(0.0, 0.02, EXTERNAL, d_const=0.005)
+    trace = refine_external(Counts(g, labels, 3), p, table_for(g, p))
+    assert trace.w1.tolist() == trace.w2.tolist() == list(range(6))
+    assert trace.absorbed == []
+    # the entry goodness fails, so the pass records the miss without asserting
+    assert not trace.precond["goodness_ok"]
+    assert not trace.checks["precut_inner_floor"]
+    assert trace.checks["precut_side_floors"] and trace.checks["w2_all_active"]
+
+
+def outcome(refine, counts, *args):
+    """The trace as JSON text, W1, and the labels and counts it left; an
+    AssertionError's type if the run raised one."""
     try:
-        trace = refine(counts, *args, **kwargs)
+        trace = refine(counts, *args)
     except AssertionError:
         return "AssertionError"
-    facts = (json.dumps(trace.to_jsonable()), trace.labels_out.tolist())
-    return facts + (trace.w1.tolist(), counts.labels.tolist(),
-                    counts.matrix.tolist(), counts.sizes.tolist())
+    return (json.dumps(trace.to_jsonable()), trace.w1.tolist(),
+            counts.labels.tolist(), counts.matrix.tolist(), counts.sizes.tolist())
 
 
 @settings(max_examples=300, deadline=None)
-@given(tripartitions(), st.sampled_from([0.005, 0.02, 0.1]), st.integers(0, 3),
-       st.booleans())
-@example(W2_CASE, 0.02, 1, False)
-@example(W2_CASE, 0.02, 1, True)
-def test_refine_external_matches_the_reference(case, d_const, cut_seed, skip_cut):
+@given(tripartitions(), st.sampled_from([0.02, 0.09]),
+       st.sampled_from([0.005, 0.02, 0.1]), st.integers(0, 3))
+@example(W2_CASE, 0.09, 0.02, 1)
+@example(INNER_FLOOR_CASE, 0.02, 0.005, 0)
+def test_refine_external_matches_the_reference(case, eps, d_const, cut_seed):
     g, labels = case
-    p = ParamSet(0.0, 0.09, EXTERNAL, d_const=d_const)
+    p = ParamSet(0.0, eps, EXTERNAL, d_const=d_const)
     t = table_for(g, p)
     counts = Counts(g, labels, 3)
-    got = outcome(refine_external, counts.copy(), p, t, cut_seed, skip_cut)
-    want = outcome(ref_refine_external, counts.copy(), p, t, cut_seed, skip_cut)
+    got = outcome(refine_external, counts.copy(), p, t, cut_seed)
+    want = outcome(ref_refine_external, counts.copy(), p, t, cut_seed)
     assert got == want

@@ -2,6 +2,7 @@ import json
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,9 +29,9 @@ def test_vacuous_thresholds_refinement_is_identity():
     t = table_for(g, p)
     res = stage_one(g, p, t, seed=0, size_window="vacuous",
                     weight_budget="vacuous")
-    trace = refine_internal_once(Counts(g, res.labels, 3), p, t)
-    assert trace.ok
-    assert (trace.labels_out == res.labels).all()
+    counts = Counts(g, res.labels, 3)
+    trace = refine_internal_once(counts, p, t)
+    assert (counts.labels == res.labels).all()
     assert trace.evacuations == [] and trace.patch == {}
     assert len(trace.a_star) == int((res.labels == PART_A).sum())
 
@@ -48,16 +49,16 @@ def active_setup(n=250, p_edge=0.3, seed=3, eps=0.02, d=0.05):
 
 def test_refine_enforces_own_floor_with_active_thresholds():
     g, params, t, res = active_setup()
-    trace = refine_internal_once(Counts(g, res.labels, 3), params, t)
-    assert trace.ok
+    out = Counts(g, res.labels, 3)
+    trace = refine_internal_once(out, params, t)
     assert trace.checks["floor_a"]
     assert trace.checks["b_grew_only"] and trace.checks["c_shrank_only"]
     # from-scratch recount of the floor
     rows = t.row_index(g.degree)
     fphi = t.fphi[rows]
     active = t.active[rows]
-    counts = part_profile(g, trace.labels_out, 3)
-    in_a = trace.labels_out == PART_A
+    counts = part_profile(g, out.labels, 3)
+    in_a = out.labels == PART_A
     assert ((counts[:, PART_A] >= fphi) | ~(in_a & active)).all()
 
 
@@ -122,10 +123,10 @@ def test_refine_smoke_k9_floor_one():
     k = int(t.row_index(np.array([8]))[0])
     assert t.fphi[k] == 1
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-    trace = refine_internal_once(Counts(g, labels, 3), params, t)
-    assert trace.ok
-    counts = part_profile(g, trace.labels_out, 3)
-    in_a = trace.labels_out == PART_A
+    out = Counts(g, labels, 3)
+    refine_internal_once(out, params, t)
+    counts = part_profile(g, out.labels, 3)
+    in_a = out.labels == PART_A
     assert (counts[in_a, PART_A] >= 1).all()
 
 
@@ -188,7 +189,7 @@ def test_isolated_vertices_unconstrained():
     assert not tri.table.active[rows][g.degree == 0].any()
 
 
-def test_skip_patch_ablation_reports_honestly():
+def test_the_patch_pulls_donors_and_meets_the_floor():
     # large C (c=0.5) with small degrees: some A vertices sit below the own
     # floor but hold enough C-neighbors, so the patch step has real work
     g = gen_gnp(600, 0.025, seed=4)
@@ -196,19 +197,21 @@ def test_skip_patch_ablation_reports_honestly():
     t = table_for(g, params)
     res = stage_one(g, params, t, seed=4, size_window="vacuous",
                     weight_budget="vacuous")
-    full = refine_internal_once(Counts(g, res.labels, 3), params, t)
-    assert full.patch and full.checks["floor_a"]
-    ablated = refine_internal_once(Counts(g, res.labels, 3), params, t, skip_patch=True)
-    assert ablated.patch == {}
-    assert not ablated.checks["floor_a"]
-    assert not ablated.guaranteed
+    counts = Counts(g, res.labels, 3)
+    trace = refine_internal_once(counts, params, t)
+    assert trace.patch and trace.checks["floor_a"]
+    # the patched vertices stay in A and their donors joined it from C
+    for x, rx in trace.patch.items():
+        assert counts.labels[x] == PART_A and trace.labels_in[x] == PART_A
+        assert (counts.labels[rx] == PART_A).all()
+        assert (trace.labels_in[rx] == PART_C).all()
 
 
 # -- reference implementation: the pass on per-vertex numpy reads ------------
 # refine_internal_once must give exactly its trace, labels and counts.
 
 
-def ref_refine_internal_once(counts, params, table, skip_patch=False):
+def ref_refine_internal_once(counts, params, table):
     """``refine_internal_once`` with per-vertex numpy reads: the evacuation
     queue and the patch index the arrays with numpy scalars and read each
     row through ``graph.neighbors``."""
@@ -269,19 +272,12 @@ def ref_refine_internal_once(counts, params, table, skip_patch=False):
     # step 3: patch deficient A vertices from their C-neighborhoods
     d_a = counts.matrix[:, PART_A]
     patch: dict[int, list[int]] = {}
-    ok = True
-    failed_vertex = None
-    if not skip_patch:
-        for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
-            need = int(fphi[v] - d_a[v])
-            donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-            if len(donors) < need:
-                ok = False
-                failed_vertex = v
-                break
-            patch[v] = donors[:need]
-    if ok:
-        counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
+    for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
+        need = int(fphi[v] - d_a[v])
+        donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
+        assert len(donors) >= need, f"vertex {v} of A has too few C donors"
+        patch[v] = donors[:need]
+    counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
     # the pass contract, checked on the maintained counts
     gm2 = goodness_map(counts, table)
@@ -302,36 +298,34 @@ def ref_refine_internal_once(counts, params, table, skip_patch=False):
         "bad_b_contained": bool(
             ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
     }
-    if ok:
-        assert checks["b_grew_only"] and checks["c_shrank_only"]
-        if precond["goodness_ok"] and not skip_patch:
-            # patch donors come from C and are A-good, so the floor cannot
-            # miss unless the entry goodness precondition already failed
-            assert checks["floor_a"], \
-                "a vertex of A missed its own-degree floor after the patch"
-        if precond["goodness_ok"] and arithmetic_ok:
-            assert checks["new_b_good"], \
-                "an evacuated vertex landed in B without B-goodness"
-    guaranteed = ok and precond["goodness_ok"] and precond["weight_ok_entry"] \
+    assert checks["b_grew_only"] and checks["c_shrank_only"]
+    if precond["goodness_ok"]:
+        # patch donors come from C and are A-good, so the floor cannot
+        # miss unless the entry goodness precondition already failed
+        assert checks["floor_a"], \
+            "a vertex of A missed its own-degree floor after the patch"
+    if precond["goodness_ok"] and arithmetic_ok:
+        assert checks["new_b_good"], \
+            "an evacuated vertex landed in B without B-goodness"
+    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
         and all(checks.values())
-    return InternalRefineTrace(ok, failed_vertex, a_star, extract, evacuations,
-                               patch, labels_in, lab.copy(), precond, checks,
-                               guaranteed)
+    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
+                               precond, checks, guaranteed)
 
 
 # On true counts the patch cannot run out of donors: after step 2 every
 # constrained vertex of A has d_A + d_C >= floor(phi).  Phantom C-neighbours
 # added to the count of the lowest vertex of A keep it out of the
-# evacuation, so its patch can fail.
+# evacuation, so only they can starve its patch, and the pass asserts.
 FAILED_PATCH_CASE = (gen_gnp(9, 0.8, 1), mixed_labels(9, [0.15, 0.8, 0.05], 2))
 
 
 def test_the_failed_patch_case_fails_after_an_evacuation():
     g, labels = FAILED_PATCH_CASE
     params = ParamSet(0.0, 0.02, INTERNAL, d_const=0.005)
-    trace = refine_internal_once(with_phantoms(Counts(g, labels, 3), 1), params,
-                                 table_for(g, params))
-    assert not trace.ok and trace.failed_vertex == 3 and trace.evacuations
+    with pytest.raises(AssertionError, match="vertex 3 of A has too few C donors"):
+        refine_internal_once(with_phantoms(Counts(g, labels, 3), 1), params,
+                             table_for(g, params))
 
 
 def with_phantoms(counts, phantom):
@@ -341,29 +335,27 @@ def with_phantoms(counts, phantom):
     return counts
 
 
-def outcome(refine, counts, *args, **kwargs):
-    """The trace as JSON text, the labels in, out and the A* core, and the
-    counts it left; an AssertionError's type if the run raised one."""
+def outcome(refine, counts, *args):
+    """The trace as JSON text, the labels in and the A* core, and the counts
+    it left; an AssertionError's type if the run raised one."""
     try:
-        trace = refine(counts, *args, **kwargs)
+        trace = refine(counts, *args)
     except AssertionError:
         return "AssertionError"
-    facts = (json.dumps(trace.to_jsonable()), trace.labels_out.tolist())
-    return facts + (trace.labels_in.tolist(), trace.a_star.tolist(),
-                    counts.labels.tolist(), counts.matrix.tolist(),
-                    counts.sizes.tolist())
+    return (json.dumps(trace.to_jsonable()), trace.labels_in.tolist(),
+            trace.a_star.tolist(), counts.labels.tolist(), counts.matrix.tolist(),
+            counts.sizes.tolist())
 
 
 @settings(max_examples=300, deadline=None)
 @given(tripartitions(), st.sampled_from([0.02, 0.1]),
-       st.sampled_from([0.005, 0.05, 0.2]), st.integers(0, 3), st.booleans())
-@example(FAILED_PATCH_CASE, 0.02, 0.005, 1, False)
-def test_refine_internal_once_matches_the_reference(case, eps, d_const, phantom,
-                                                   skip_patch):
+       st.sampled_from([0.005, 0.05, 0.2]), st.integers(0, 3))
+@example(FAILED_PATCH_CASE, 0.02, 0.005, 1)
+def test_refine_internal_once_matches_the_reference(case, eps, d_const, phantom):
     g, labels = case
     params = ParamSet(0.0, eps, INTERNAL, d_const=d_const)
     t = table_for(g, params)
     counts = with_phantoms(Counts(g, labels, 3), phantom)
-    got = outcome(refine_internal_once, counts.copy(), params, t, skip_patch)
-    want = outcome(ref_refine_internal_once, counts.copy(), params, t, skip_patch)
+    got = outcome(refine_internal_once, counts.copy(), params, t)
+    want = outcome(ref_refine_internal_once, counts.copy(), params, t)
     assert got == want

@@ -9,8 +9,9 @@ PARENT and CHANGE are git tree-ishes: a commit, a branch, or the tree id that
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in that
 export, T being ``run_seconds`` of the repo's BENCHMARK.json.  Pair k runs the
 parent first when k is even and the change first when k is odd.  After its
-pairs, each workload runs once more per side with ``--trace 1``, the parent
-first.  --workload may be given more than once; the workloads run in turn.
+pairs, each workload runs three rounds per side with ``--trace 1``,
+alternating the same way.  --workload may be given more than once; the
+workloads run in turn.
 
 The output holds, per workload, the ``pairs`` layout of BENCH_verdict.json:
 for each end-to-end metric of BENCHMARK.json every run's value, both medians,
@@ -18,9 +19,12 @@ the parent's interquartile range, the pairs the change won, the bound and
 whether the change's median is within it; then the summed attempted and
 failed ops and whether the input and output digests matched in every pair.
 Its ``traced`` section holds, per workload, each side's per-layer figures
-from the traced run (self seconds, calls and work counts per op, and the
-output digest) and every call or work count per op that differs between
-the sides.  Nothing under perfbench/ and no BENCHMARK.json is written.
+from the traced rounds (the median over the rounds of each layer's self
+seconds per op; calls and work counts per op, and the output digest, of the
+first round), every call or work count per op that differs between the
+sides, and per side every such count or digest that differs between its
+rounds (all equal on deterministic code).  Nothing under perfbench/ and no
+BENCHMARK.json is written.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# traced runs per side: one traced run cannot resolve a per-layer change
+# below about a fifth, so each layer reads its median self time over these
+TRACED_ROUNDS = 3
 # the per-layer figures of a traced report, and the ones that count work
 TRACED = ("self_s_per_op", "calls_per_op", "counts_per_op", "output_sha256")
 WORK = ("calls_per_op", "counts_per_op")
@@ -113,8 +120,36 @@ def summarize(runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def merge_rounds(reports: list[dict]) -> tuple[dict, dict]:
+    """One side's traced rounds as one traced report, and their mismatches.
+
+    The report's ``self_s_per_op`` is each layer's median over the rounds (a
+    layer missing in a round reads 0 there); its calls and work counts per
+    op and its ``output_sha256`` are the first round's.  The mismatches list,
+    per section, each call or work count per op whose rounds differ, and
+    under ``output_sha256`` the digests if they differ, as the list of the
+    rounds' values.
+    """
+    layers = sorted(set().union(*(r["self_s_per_op"] for r in reports)))
+    merged = dict(reports[0], self_s_per_op={
+        name: statistics.median(r["self_s_per_op"].get(name, 0.0) for r in reports)
+        for name in layers})
+    mismatch = {}
+    for section in WORK:
+        names = sorted(set().union(*(r[section] for r in reports)))
+        values = {name: [r[section].get(name, 0) for r in reports] for name in names}
+        changed = {name: v for name, v in values.items() if len(set(v)) > 1}
+        if changed:
+            mismatch[section] = changed
+    digests = [r["output_sha256"] for r in reports]
+    if len(set(digests)) > 1:
+        mismatch["output_sha256"] = digests
+    return merged, mismatch
+
+
 def summarize_traced(parent: dict, change: dict) -> dict:
-    """The ``traced`` entry of one workload from one traced report per side.
+    """The ``traced`` entry of one workload from one traced report per side
+    (a side's rounds merged by ``merge_rounds``).
 
     Each side keeps its ``self_s_per_op``, ``calls_per_op``,
     ``counts_per_op`` and ``output_sha256``.  ``work_changed`` lists, per
@@ -152,7 +187,8 @@ def main(argv=None) -> int:
                        f"{bench['run_seconds']} --trace 0 on {args.parent} "
                        f"('parent') and {args.change} ('change'), "
                        f"{args.pairs} alternating pairs per workload, then "
-                       f"one --trace 1 run per side",
+                       f"{TRACED_ROUNDS} alternating rounds of --trace 1 per "
+                       f"side, self times their per-layer median",
                "pairs": {}, "traced": {}}
         for workload in args.workload:
             runs = []
@@ -165,9 +201,20 @@ def main(argv=None) -> int:
                 runs.append(tuple(pair))
                 print(f"{workload} pair {k + 1}/{args.pairs} done", file=sys.stderr)
             out["pairs"][workload] = summarize(runs, bench["end_to_end"])
-            out["traced"][workload] = summarize_traced(
-                *(run_once(tree, workload, args.seed, bench["run_seconds"], trace=1)
-                  for tree in trees))
+            rounds = ([], [])
+            for k in range(TRACED_ROUNDS):
+                for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+                    rounds[i].append(run_once(trees[i], workload, args.seed,
+                                              bench["run_seconds"], trace=1))
+            merged = [merge_rounds(side) for side in rounds]
+            traced = summarize_traced(merged[0][0], merged[1][0])
+            traced["rounds"] = TRACED_ROUNDS
+            traced["round_mismatch"] = {side: m for side, (_, m) in zip(SIDES, merged)}
+            for side, (_, m) in zip(SIDES, merged):
+                if m:
+                    print(f"{workload}: the {side}'s traced rounds differ: {m}",
+                          file=sys.stderr)
+            out["traced"][workload] = traced
             Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
