@@ -5,7 +5,7 @@ Run:  python demos/01_graphs_and_profiles.py
 
 import numpy as np
 
-from degpart import Counts, LabeledPartition, gen_gnp, load_graph
+from degpart import Counts, gen_gnp, load_graph
 
 # Graphs load from plain edge lists (or DIMACS "p edge / e u v" streams).
 text = """\
@@ -25,9 +25,9 @@ in_s = Counts(c5, np.isin(np.arange(c5.n), [1, 3]).astype(np.int64), 2)
 print("neighbors of 0 inside {1, 3}:", in_s.matrix[0, 1])
 
 # Per-vertex cut profiles: own-part degree plus cross degrees per part.
-part = LabeledPartition(2, [0, 0, 0, 1, 1])
-counts = Counts(c5, part.labels, part.r).matrix
-d_own = counts[np.arange(c5.n), part.labels]
+labels = np.array([0, 0, 0, 1, 1])
+counts = Counts(c5, labels, 2).matrix
+d_own = counts[np.arange(c5.n), labels]
 for v in range(c5.n):
     print(f"  vertex {v}: own {d_own[v]}, toward part 0 {counts[v,0]}, "
           f"toward part 1 {counts[v,1]}")

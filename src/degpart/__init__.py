@@ -10,7 +10,7 @@ verifier re-checks from scratch, and a brute-force oracle supplies ground
 truth on small instances.
 """
 
-from .graph import Counts, Graph, LabeledPartition, load_graph
+from .graph import Counts, Graph, load_graph
 from .thresholds import (
     ParamSet,
     ThresholdTable,
@@ -34,15 +34,14 @@ from .pipelines import (
     r_partition,
     VERSION as __version__,
 )
-from .certify import Certificate, VerifyResult, check_claims, verify_certificate
+from .certify import Certificate, VerifyResult, verify_certificate
 from .oracle import best_bisection, ko_bisection_exists, dense_fixed_point_check
 from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite, complete_graph, cycle_graph, path_graph
-from .bench import bench_sweep, write_csv
+from .bench import bench_sweep
 
 __all__ = [
     "Counts",
     "Graph",
-    "LabeledPartition",
     "load_graph",
     "ParamSet",
     "ThresholdTable",
@@ -70,7 +69,6 @@ __all__ = [
     "r_partition",
     "Certificate",
     "VerifyResult",
-    "check_claims",
     "verify_certificate",
     "best_bisection",
     "ko_bisection_exists",
@@ -82,5 +80,4 @@ __all__ = [
     "cycle_graph",
     "path_graph",
     "bench_sweep",
-    "write_csv",
 ]

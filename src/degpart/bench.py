@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 import time
 
 from . import certify, pipelines
@@ -135,21 +134,11 @@ def bench_sweep(manifest: list[dict], emit_labels: bool = False) -> list[dict]:
             for row in run_entry(entry, seed, emit_labels)]
 
 
-def write_csv(rows: list[dict], path_or_fh) -> None:
-    """Serialize rows under the fixed, versioned column schema."""
-    own = isinstance(path_or_fh, (str, os.PathLike))
-    fh = open(path_or_fh, "w", newline="") if own else path_or_fh
-    try:
-        writer = csv.DictWriter(fh, fieldnames=COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if own:
-            fh.close()
-
-
 def rows_to_csv_text(rows: list[dict]) -> str:
+    """The one CSV writer: rows under the fixed, versioned column schema,
+    with the csv module's \\r\\n line endings."""
     buf = io.StringIO()
-    write_csv(rows, buf)
+    writer = csv.DictWriter(buf, fieldnames=COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()

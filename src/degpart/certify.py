@@ -25,11 +25,10 @@ Every table is built over the graph's ``degree_classes``, computed once per
 graph, and reads its per-vertex floor and ``active`` columns through
 ``ThresholdTable.column``, gathered once per graph.
 
-Every judgement screens its claims first (``judge``, and through it
-``check_claims`` and the pipelines, raise ``MalformedClaim``;
-``verify_certificate`` fails with the reason): a claim of unknown kind, with
-a missing or ill-typed field, or with a part index outside [0, r) is
-refused, never read.
+Every judgement screens its claims first (``judge``, and through it the
+pipelines, raise ``MalformedClaim``; ``verify_certificate`` fails with the
+reason): a claim of unknown kind, with a missing or ill-typed field, or with
+a part index outside [0, r) is refused, never read.
 
 Claim kinds:
 
@@ -406,30 +405,19 @@ def judge(ctx: _Context, claims: list) -> list[bool]:
     return [_check_claim(ctx, claim)[0] for claim in claims]
 
 
-def check_claims(graph: Graph, labels, r: int, claims: list) -> list[bool]:
-    """Judge each claim from scratch against (graph, labels); one flag each.
+def verify_certificate(graph: Graph, labels, cert: Certificate, r: int) -> VerifyResult:
+    """Recompute every claim from scratch against (graph, labels) as an
+    r-partition: the labels and ``r`` a report records.
 
-    Raises ValueError unless r is an integer in [1, max(3, n)], LabelError
-    unless labels is an integer array of length n with values in [0, r),
-    and MalformedClaim for a claim that cannot be judged (all ValueErrors).
-    """
-    return judge(recount(graph, labels, r), claims)
-
-
-def verify_certificate(graph: Graph, partition, cert: Certificate,
-                       r: int | None = None) -> VerifyResult:
-    """Recompute every claim from scratch against (graph, labels).
-
-    ``partition`` is a LabeledPartition or a bare label array (then ``r``
-    defaults to max label + 1, at least 2).  A graph-hash mismatch refuses
-    verification outright (ValueError) rather than failing a claim.  Labels
-    that are no r-partition of the vertices fail with ``reason`` set and the
-    first bad vertex as the witness; an r that is no integer in
-    [1, max(3, n)] fails with ``reason`` set.  The labels are counted once,
-    and the threshold tables rebuilt from the recorded parameters.  The
-    claims are screened as ``judge`` screens them: a failure names the first
-    claim that cannot be judged and the reason; else the first failing claim
-    and its witness vertex.
+    A graph-hash mismatch refuses verification outright (ValueError) rather
+    than failing a claim.  Otherwise nothing raises: labels that are no
+    r-partition of the vertices fail with ``reason`` set and the first bad
+    vertex as the witness; an r that is no integer in [1, max(3, n)] fails
+    with ``reason`` set.  The labels are counted once, and the threshold
+    tables rebuilt from the recorded parameters.  The claims are screened as
+    ``judge`` screens them: a failure names the first claim that cannot be
+    judged and the reason; else the first failing claim and its witness
+    vertex.
     """
     if not isinstance(cert.graph_hash, str):
         raise ValueError(f"certificate field 'graph_hash' must be a string, "
@@ -438,13 +426,6 @@ def verify_certificate(graph: Graph, partition, cert: Certificate,
         raise ValueError(
             f"certificate bound to graph {cert.graph_hash[:12]}..., "
             f"got {graph.fingerprint[:12]}...")
-    if hasattr(partition, "labels"):
-        labels, r = partition.labels, partition.r
-    else:
-        labels = np.asarray(partition)
-        if r is None:
-            integer = np.issubdtype(labels.dtype, np.integer)
-            r = max(2, int(labels.max()) + 1) if labels.size and integer else 2
     try:
         ctx = recount(graph, labels, r)
     except ValueError as exc:  # a bad r, or a LabelError naming its vertex

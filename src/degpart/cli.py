@@ -33,9 +33,10 @@ def _read_graph(path: str):
 
 
 def _write(text: str, path: str | None) -> None:
-    """Write text to the file at path, or to stdout without one."""
+    """Write text to the file at path, or to stdout without one; the file
+    keeps the text's line endings (a CSV's \\r\\n rows stay as written)."""
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -127,10 +128,7 @@ def _cmd_bench(args) -> int:
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     rows = bench.bench_sweep(manifest, emit_labels=args.emit_labels)
-    if args.out:
-        bench.write_csv(rows, args.out)
-    else:
-        sys.stdout.write(bench.rows_to_csv_text(rows))
+    _write(bench.rows_to_csv_text(rows), args.out)
     return EXIT_OK
 
 

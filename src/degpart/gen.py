@@ -12,6 +12,9 @@ import numpy as np
 
 from .graph import Graph
 
+# the most vertices gen_kuhn_osthus builds: n + C(n, l) grows fast in l
+_KO_MAX_VERTICES = 2_000_000
+
 
 def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): every unordered pair is an edge independently with prob p."""
@@ -25,7 +28,7 @@ def gen_gnp(n: int, p: float, seed: int = 0) -> Graph:
     return Graph.from_edges(n, np.concatenate(edges))
 
 
-def gen_kuhn_osthus(n: int, l: int, max_vertices: int = 2_000_000) -> Graph:
+def gen_kuhn_osthus(n: int, l: int) -> Graph:
     """Bipartite graph on X = {0..n-1} and one vertex per l-subset of X.
 
     Vertex n + k is the k-th l-subset in lexicographic order and is adjacent
@@ -38,8 +41,8 @@ def gen_kuhn_osthus(n: int, l: int, max_vertices: int = 2_000_000) -> Graph:
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     total = n + comb(n, l)
-    if total > max_vertices:
-        raise ValueError(f"graph would have {total} vertices (cap {max_vertices})")
+    if total > _KO_MAX_VERTICES:
+        raise ValueError(f"graph would have {total} vertices (cap {_KO_MAX_VERTICES})")
     edges = [(i, n + k) for k, subset in enumerate(combinations(range(n), l))
              for i in subset]
     return Graph.from_edges(total, edges)

@@ -13,7 +13,6 @@ import hashlib
 import io
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,29 +184,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass
-class LabeledPartition:
-    """A map vertex -> part index for r parts, as a label array."""
-
-    r: int
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("a partition needs at least 2 parts")
-        self.labels = _check_labels(self.labels, self.r).astype(np.int64)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.r)
-
-    def part(self, j: int) -> np.ndarray:
-        return np.nonzero(self.labels == j)[0]
 
 
 # -- ingestion -------------------------------------------------------------
@@ -382,15 +358,13 @@ def _read_lines(text: str, n: int | None) -> Graph:
 # -- degree/cut primitives --------------------------------------------------
 
 
-def _check_labels(labels, r: int, n: int | None = None) -> np.ndarray:
+def _check_labels(labels, r: int, n: int) -> np.ndarray:
     """labels as an array, refused with LabelError unless it holds one
-    integer in [0, r) per vertex (n vertices, when n is given)."""
+    integer in [0, r) for each of the n vertices."""
     labels = np.asarray(labels)
-    if n is not None and labels.shape != (n,):
+    if labels.shape != (n,):
         raise LabelError(f"label array of shape {labels.shape} for n={n}",
                          min(labels.size, n))
-    if labels.ndim != 1:
-        raise LabelError(f"label array of shape {labels.shape} is not 1-D", 0)
     if labels.size == 0:
         return labels
     if not np.issubdtype(labels.dtype, np.integer):

@@ -30,6 +30,7 @@ once; ``_make_report`` is also the one place a report's ok is decided.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import certify
 from .certify import Certificate
 from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
-from .graph import Counts, Graph, LabeledPartition
+from .graph import Counts, Graph
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
 from .stage1 import (PART_A, PART_B, PART_C, VACUOUS, StageOneResult,
@@ -155,9 +156,6 @@ class PipelineReport:
     guaranteed: bool
     seed: int
     diagnostics: dict = field(default_factory=dict)
-
-    def partition(self) -> LabeledPartition:
-        return LabeledPartition(self.r, self.labels)
 
     def to_jsonable(self) -> dict:
         """The report as JSON values; an infinite ratio minimum (no vertex
@@ -441,6 +439,14 @@ def _derived(c: float, eps: float, mode: str, d_const: float | None) -> ParamSet
     return ParamSet(c, (1.0 - c) ** 2 * eps / 40.0, mode, d_const=d_const)
 
 
+def _floor_k(k) -> int:
+    """A derived shape's integer floor k as an int; ValueError unless k is
+    an integer >= 0 (a numpy integer passes, a bool does not)."""
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    return int(k)
+
+
 def tripartition_exact(graph: Graph, k: int, params: ParamSet,
                        **options) -> PipelineReport:
     """Tripartition with integer floors: own-degree >= k on A and B (internal
@@ -451,8 +457,7 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet,
     minimum-degree hypothesis (4/(1-c)+eps)*k is reported and inputs below it
     run best-effort with guaranteed=False.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k = _floor_k(k)
     c, eps = params.c, params.eps
     if eps > 1.0 - c:
         raise ValueError(f"tripartition_exact needs eps <= 1-c, got {eps}")
@@ -490,6 +495,7 @@ def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
     cannot fail on the emitted labels.  The paper's (1-eps)*n target is
     judged only in ``diagnostics["secondary_ok"]``, which ``ok`` ignores.
     """
+    k = _floor_k(k)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     c = 1.0 - eps
@@ -525,6 +531,7 @@ def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
     floor once on its own side and keeps >= 2k cross neighbors, giving the
     cut at least 2k*|C| >= k*n/2 edges when the tripartition conditions held.
     """
+    k = _floor_k(k)
     c = 0.25
     n = graph.n
 

@@ -166,13 +166,17 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     size_window/weight_budget default to the values in the module docstring;
     pass the string "vacuous" for (0, n) and infinity.  A size window is
     (lo, hi) for both sides or ((loA, hiA), (loB, hiB)), of finite reals, and
-    a budget is a number; anything else raises ValueError.  On failure the best
-    attempt (fewest violations, then smallest weight) is returned together
-    with per-property failure counts.  stage_log, when given, receives
-    one JSON line per attempt (sizes, weight, violated properties).
+    a budget is a number; anything else raises ValueError, and so does an
+    ``attempts`` that is not an integer >= 1 (a bool is refused too).  On
+    failure the best attempt (fewest violations, then smallest weight) is
+    returned together with per-property failure counts.  stage_log, when
+    given, receives one JSON line per attempt (sizes, weight, violated
+    properties).
     """
-    if attempts < 1:
-        raise ValueError("need at least one attempt")
+    if not isinstance(attempts, numbers.Integral) or isinstance(attempts, bool) \
+            or attempts < 1:
+        raise ValueError(f"attempts must be an integer >= 1, got {attempts!r}")
+    attempts = int(attempts)  # a numpy integer is recorded as a JSON int
     if size_window is None:
         size_window = default_size_window(params, graph.n)
     elif isinstance(size_window, str) and size_window == VACUOUS:

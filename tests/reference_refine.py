@@ -1,0 +1,251 @@
+"""Reference implementations of the two refinement passes, on per-vertex
+numpy reads: ``refine_internal_once`` and ``refine_external`` must give
+exactly their traces, labels and counts, or raise the same AssertionError
+with the same message.
+
+This module is not a test module, so pytest leaves its asserts as they are:
+a failed check here raises an AssertionError whose text is the check's own
+message (empty for a bare assert), like the package's asserts, and the two
+can be compared as text.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from degpart.cuts import local_maxcut
+from degpart.dense import extract_dense
+from degpart.refine_ext import Absorption, ExternalTrace
+from degpart.refine_int import Evacuation, InternalRefineTrace, _evacuee_landing_is_good
+from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map
+
+PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
+
+
+def ref_refine_internal_once(counts, params, table):
+    """``refine_internal_once`` with per-vertex numpy reads: the evacuation
+    queue and the patch index the arrays with numpy scalars and read each
+    row through ``graph.neighbors``."""
+    graph, lab = counts.graph, counts.labels
+    n = graph.n
+    labels_in = lab.copy()
+    rows = table.rows_of(graph)
+    active = table.active[rows]
+    fphi = table.fphi[rows]
+
+    gm = goodness_map(counts, table)
+    in_a = lab == PART_A
+    weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
+    precond = {
+        "goodness_ok": not bool(((lab == PART_C) & active & ~gm.both_good).any()),
+        "weight_a": weight_a,
+        "weight_ok_entry": weight_a <= params.eps ** 2 * n / 250.0,
+        "weight_ok_stage": weight_a <= params.eps ** 2 * n / 1e4,
+    }
+    arithmetic_ok = _evacuee_landing_is_good(table)
+
+    # step 1: the dense core of G[A], on the counts of A
+    target = np.where(in_a & active, fphi, 0)
+    extract = None
+    if target.any():
+        extract = extract_dense(counts, (PART_A,), target, table.mu[rows])
+        a_star = extract.surviving
+    else:
+        a_star = np.nonzero(in_a)[0]
+
+    # step 2: evacuation of joint-degree-deficient A vertices
+    dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
+    constrained = active & (fphi >= 1)
+    evacuations: list[Evacuation] = []
+    queue = deque(np.nonzero(in_a & constrained & (dac < fphi))[0].tolist())
+    in_c = lab == PART_C
+    while queue:
+        v = queue.popleft()
+        if not in_a[v] or dac[v] >= fphi[v]:
+            continue
+        absorbed = [w for w in graph.neighbors(v).tolist() if in_c[w]]
+        evacuations.append(Evacuation(int(v), int(graph.degree[v]), int(dac[v]),
+                                      absorbed))
+        moved = [v] + absorbed
+        for u in moved:
+            in_c[u] = False
+        in_a[v] = False
+        for u in moved:
+            for w in graph.neighbors(u).tolist():
+                if in_a[w]:
+                    dac[w] -= 1
+                    if constrained[w] and dac[w] < fphi[w]:
+                        queue.append(w)
+    counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
+
+    assert in_a[a_star].all(), "extracted core lost vertices during evacuation"
+
+    # step 3: patch deficient A vertices from their C-neighborhoods
+    d_a = counts.matrix[:, PART_A]
+    patch: dict[int, list[int]] = {}
+    for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
+        need = int(fphi[v] - d_a[v])
+        donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
+        assert len(donors) >= need, f"vertex {v} of A has too few C donors"
+        patch[v] = donors[:need]
+    counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
+
+    # the pass contract, checked on the maintained counts
+    gm2 = goodness_map(counts, table)
+    in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
+    in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
+    drift = params.eps * n / 500.0
+    sz = lambda m: int(m.sum())
+    checks = {
+        "arithmetic_fact": arithmetic_ok,
+        "b_grew_only": bool((in_b0 <= in_b2).all()),
+        "c_shrank_only": bool((in_c2 <= in_c0).all()),
+        "size_drift_a": abs(sz(in_a2) - sz(labels_in == PART_A)) <= drift,
+        "size_drift_b": sz(in_b0) <= sz(in_b2) <= sz(in_b0) + drift,
+        "size_drift_c": sz(in_c0) - drift <= sz(in_c2) <= sz(in_c0),
+        "floor_a": bool((~(active & in_a2) | (d_a >= fphi)).all()),
+        "c_both_good": not bool((in_c2 & active & ~gm2.both_good).any()),
+        "new_b_good": not bool((in_b2 & ~in_b0 & active & ~gm2.good_b).any()),
+        "bad_b_contained": bool(
+            ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
+    }
+    assert checks["b_grew_only"] and checks["c_shrank_only"]
+    if precond["goodness_ok"]:
+        # patch donors come from C and are A-good, so the floor cannot
+        # miss unless the entry goodness precondition already failed
+        assert checks["floor_a"], \
+            "a vertex of A missed its own-degree floor after the patch"
+    if precond["goodness_ok"] and arithmetic_ok:
+        assert checks["new_b_good"], \
+            "an evacuated vertex landed in B without B-goodness"
+    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
+        and all(checks.values())
+    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
+                               precond, checks, guaranteed)
+
+
+def ref_refine_external(counts, params, table, cut_seed=0):
+    """``refine_external`` with per-vertex numpy reads: side counts in an
+    n-by-2 array, each absorption adding to all of the vertex's neighbours,
+    and the exit facts read per W2 vertex."""
+    graph = counts.graph
+    n = graph.n
+    labels_in = counts.labels.copy()
+    rows = table.rows_of(graph)
+    active = table.active[rows]
+    fpsi = table.fpsi[rows]
+
+    gm = goodness_map(counts, table)
+    in_z0 = labels_in == PART_Z
+    precond = {
+        "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
+        "stage_weight": gm.weight,
+    }
+    # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
+    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - params.c) * (1 + 1e-12)
+    assert (lifted | ~table.active).all(), \
+        f"psi* lift violated at degree {table.degrees[table.active & ~lifted][0]}"
+
+    in_x = labels_in == PART_X
+    in_y = labels_in == PART_Y
+
+    # step 1: extraction over the cross graph (X,Y)_G, on the counts of X|Y
+    target = np.where((in_x | in_y) & active, table.fpsi_star[rows], 0)
+    extract = None
+    deleted_ids = np.empty(0, dtype=np.int64)
+    if target.any():
+        extract = extract_dense(counts, (PART_X, PART_Y), target, table.eta[rows])
+        deleted_ids = extract.deleted_vertices
+
+    # step 2: quarantine W1 and keep the pure remainder of Z
+    in_w = np.zeros(n, dtype=bool)
+    in_w[deleted_ids] = True
+    touched = graph.indices[graph.row_entries(deleted_ids)]
+    in_w[touched[labels_in[touched] == PART_Z]] = True
+    w1 = np.nonzero(in_w)[0]
+    # purity: Z1 vertices have all their X/Y neighbors inside the core, i.e.
+    # no Z1 vertex touches an extracted vertex (those went to W1 instead);
+    # adjacency is symmetric, so the rows of the extracted vertices tell
+    x1_mask = in_x & ~in_w
+    y1_mask = in_y & ~in_w
+    z1_mask = in_z0 & ~in_w
+    assert not bool(z1_mask[touched].any()), "a Z1 vertex touches an extracted vertex"
+    w1_budget = len(deleted_ids) + int(graph.degree[deleted_ids].sum())
+    assert len(w1) <= w1_budget, "W1 accounting bound violated"
+
+    # step 3: greedy absorption toward the side opposite the witnessed one
+    side = np.full(n, -1, dtype=np.int64)   # current side of core members
+    side[x1_mask] = PART_X
+    side[y1_mask] = PART_Y
+    # neighbors in columns PART_X, PART_Y, from one gather over W1's rows
+    owner = np.repeat(w1, graph.degree[w1])
+    nb_side = side[graph.indices[graph.row_entries(w1)]]
+    sided = nb_side >= 0
+    d_to = np.bincount(2 * owner[sided] + nb_side[sided],
+                       minlength=2 * n).reshape(n, 2)
+    w2 = w1.tolist()
+    absorbed: list[Absorption] = []
+    probe = [PART_X, PART_Y]  # reversed after every absorption
+    changed = True
+    while changed:
+        changed = False
+        remaining = []
+        for v in w2:
+            thr = fpsi[v]
+            seen = next((s for s in probe if d_to[v, s] >= thr), None)
+            if seen is None:
+                remaining.append(v)
+                continue
+            dest = PART_X + PART_Y - seen
+            side[v] = dest
+            absorbed.append(Absorption(int(v), int(graph.degree[v]), dest,
+                                       int(d_to[v, seen]), int(thr)))
+            d_to[graph.neighbors(v), dest] += 1
+            probe.reverse()
+            changed = True
+        w2 = remaining
+    w2 = np.array(w2, dtype=np.int64)
+
+    # absorption-exit facts
+    in_w2 = np.zeros(n, dtype=bool)
+    in_w2[w2] = True
+    checks = {"w2_all_active": bool(active[w2].all()) if len(w2) else True,
+              "precut_side_floors": True, "precut_inner_floor": True}
+    for v in w2.tolist():
+        d_w2 = int(in_w2[graph.neighbors(v)].sum())
+        if not (d_to[v] < fpsi[v]).all():
+            checks["precut_side_floors"] = False
+        if d_w2 < 2 * fpsi[v]:
+            checks["precut_inner_floor"] = False
+    assert checks["precut_side_floors"], \
+        "absorption exited with an absorbable vertex left"
+    assert checks["w2_all_active"], "an inactive vertex survived absorption"
+    if precond["goodness_ok"]:
+        assert checks["precut_inner_floor"], \
+            "leftover W2 vertex below twice the cross floor"
+
+    # step 4: flip-local max-cut of G[W2]
+    w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
+    side[w_plus] = PART_X
+    side[w_minus] = PART_Y
+
+    # Z3 = Z1: quarantined Z vertices all got a side, the rest keep PART_Z
+    assert bool((side[w1] >= 0).all()), "a W1 vertex got no side"
+    counts.move(w1, side[w1])
+    out = counts.labels
+
+    # membership sandwich: X \ W1 ⊆ X1 ⊆ X3 ⊆ X ∪ W1
+    in_x3 = out == PART_X
+    assert bool(((in_x & ~in_w) <= in_x3).all()) and bool((x1_mask <= in_x3).all())
+    assert bool((in_x3 <= (in_x | in_w)).all())
+    in_y3 = out == PART_Y
+    assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
+
+    # cut guarantee for the leftover vertices
+    if len(w2) and checks["precut_inner_floor"]:
+        for v in w2.tolist():
+            cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
+            assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
+
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
+                         checks)

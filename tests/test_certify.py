@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from degpart import certify
 from degpart import graph as graph_module
-from degpart.certify import Certificate, check_claims, verify_certificate
+from degpart.certify import Certificate, verify_certificate
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
-from degpart.graph import Graph, LabeledPartition, LabelError
+from degpart.graph import Graph, LabelError
 from degpart.pipelines import bisect_internal
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
@@ -39,7 +39,7 @@ def test_verify_refuses_on_hash_mismatch():
     g = complete_graph(4)
     cert = Certificate("deadbeef", {}, 0, "test", [])
     with pytest.raises(ValueError, match="bound to graph"):
-        verify_certificate(g, np.array([0, 0, 1, 1]), cert)
+        verify_certificate(g, np.array([0, 0, 1, 1]), cert, r=2)
 
 
 def test_verify_refuses_certificate_of_another_graph():
@@ -146,46 +146,41 @@ def test_verify_refuses_malformed_labels_naming_the_first_bad_vertex():
     assert not res.passed and res.witness == 3 and "shape" in res.reason
     res = verify_certificate(g, np.array([0.0, 1.0, 0.0, 1.0]), cert, r=2)
     assert not res.passed and res.witness == 0 and "non-integer" in res.reason
-    res = verify_certificate(g, np.array([0, 1, -1, 1]), cert)
+    res = verify_certificate(g, np.array([0, 1, -1, 1]), cert, r=2)
     assert not res.passed and res.witness == 2
-    assert verify_certificate(g, np.array([0, 1, 0, 1]), cert).passed
+    assert verify_certificate(g, np.array([0, 1, 0, 1]), cert, r=2).passed
 
 
 def test_shifted_report_labels_are_refused_on_both_routes():
-    # a +0.4 shift used to be truncated away by LabeledPartition, so the
-    # report passed as a partition while its bare labels failed
+    # a +0.4 shift used to be truncated away by a label cast, so the report
+    # passed; the verifier fails it, and the pipelines' recount raises
     g = gen_gnp(40, 0.3, seed=2)
     report = bisect_internal(g, seed=0)
     shifted = report.labels + 0.4
     res = verify_certificate(g, shifted, report.certificate, r=2)
     assert not res.passed and res.witness == 0 and "non-integer" in res.reason
-    report.labels = shifted
     with pytest.raises(LabelError, match="non-integer") as exc:
-        verify_certificate(g, report.partition(), report.certificate)
+        certify.recount(g, shifted, 2)
     assert exc.value.vertex == 0
-    assert LabeledPartition(2, np.array([], dtype=float)).n == 0
 
 
 def test_out_of_range_and_2d_report_labels_are_refused_on_both_routes():
-    # LabeledPartition used to raise a plain ValueError naming no vertex for
-    # an out-of-range label, and to accept a 2-D label array
+    # the verifier fails an out-of-range label and a 2-D label array with the
+    # reason, and the pipelines' recount raises LabelError naming the vertex
     g = gen_gnp(40, 0.3, seed=2)
     report = bisect_internal(g, seed=0)
     bad = report.labels.copy()
     bad[7] = 2
     res = verify_certificate(g, bad, report.certificate, r=2)
     assert not res.passed and res.witness == 7 and "outside" in res.reason
-    report.labels = bad
     with pytest.raises(LabelError, match=r"^vertex 7 has label 2 outside \[0, 2\)$") as exc:
-        verify_certificate(g, report.partition(), report.certificate)
+        certify.recount(g, bad, 2)
     assert exc.value.vertex == 7
     square = bad.reshape(8, 5) % 2
     res = verify_certificate(g, square, report.certificate, r=2)
     assert not res.passed and "shape" in res.reason
-    report.labels = square
-    with pytest.raises(LabelError, match="is not 1-D") as exc:
-        verify_certificate(g, report.partition(), report.certificate)
-    assert exc.value.vertex == 0
+    with pytest.raises(LabelError, match=r"^label array of shape \(8, 5\) for n=40$"):
+        certify.recount(g, square, 2)
 
 
 MALFORMED_CLAIMS = [
@@ -216,22 +211,25 @@ MALFORMED_CLAIMS = [
 
 @pytest.mark.parametrize("claim,why", MALFORMED_CLAIMS)
 def test_verify_refuses_a_malformed_claim_on_both_routes(claim, why):
+    # the verifier fails the claim with the reason, and judge raises
     g = gen_gnp(40, 0.3, seed=2)
     report = bisect_internal(g, seed=0)
     cert = report.certificate
-    assert verify_certificate(g, report.labels, cert, r=2).passed
+    assert verify_certificate(g, report.labels, cert, r=report.r).passed
     idx = len(cert.claims)
     bad = Certificate(cert.graph_hash, cert.params, cert.seed, cert.version,
                       cert.claims + [claim])
-    for res in (verify_certificate(g, report.labels, bad, r=2),
-                verify_certificate(g, report.partition(), bad)):
-        assert not res.passed and res.failed_index == idx
-        assert res.failed_claim == claim and res.witness is None
-        assert res.reason.startswith(f"malformed claim #{idx}: ") and why in res.reason
+    res = verify_certificate(g, report.labels, bad, r=report.r)
+    assert not res.passed and res.failed_index == idx
+    assert res.failed_claim == claim and res.witness is None
+    assert res.reason.startswith(f"malformed claim #{idx}: ") and why in res.reason
+    with pytest.raises(certify.MalformedClaim) as exc:
+        certify.judge(certify.recount(g, report.labels, report.r), bad.claims)
+    assert str(exc.value) == res.reason
     # a well-formed claim on the last part still passes
     ok = Certificate(cert.graph_hash, cert.params, cert.seed, cert.version,
                      cert.claims + [certify.claim_part_size_window(1, 0, 40)])
-    assert verify_certificate(g, report.partition(), ok).passed
+    assert verify_certificate(g, report.labels, ok, r=report.r).passed
 
 
 @pytest.mark.parametrize("claim,why", MALFORMED_CLAIMS)
@@ -240,21 +238,21 @@ def test_judge_refuses_a_malformed_claim_on_every_path(claim, why):
     labels = np.array([0, 0, 1, 1])
     claims = [certify.claim_balance(1), claim]
     with pytest.raises(ValueError, match=r"^malformed claim #1: ") as exc:
-        check_claims(g, labels, 2, claims)
+        certify.judge(certify.recount(g, labels, 2), claims)
     assert why in str(exc.value) and exc.value.claim == claim
     # the pipelines judge their conditions on the counts they maintain
     with pytest.raises(certify.MalformedClaim, match=r"^malformed claim #1: "):
         certify.judge(certify.from_counts(graph_module.Counts(g, labels, 2)), claims)
 
 
-def test_check_claims_refuses_a_part_read_from_the_end():
+def test_judge_refuses_a_part_read_from_the_end():
     # numpy read part -1 and target -1 as the last part: [True, True]
     claims = [{"kind": "part_size_window", "part": -1, "lo": 2, "hi": 2},
               {"kind": "degree_floor", "source": "all", "target": -1,
                "floor": {"type": "const", "value": 1}}]
     with pytest.raises(ValueError, match=r"^malformed claim #0: part_size_window "
                                          r"claim has a bad 'part': -1 \(r=2\)$"):
-        check_claims(complete_graph(4), [0, 0, 1, 1], 2, claims)
+        certify.judge(certify.recount(complete_graph(4), [0, 0, 1, 1], 2), claims)
 
 
 @pytest.mark.parametrize("r", ["2", 2.5, True, 0])
@@ -267,7 +265,7 @@ def test_verify_refuses_a_part_count_that_is_no_integer(r):
     assert not res.passed and res.witness is None and res.failed_index is None
     assert res.reason == f"part count r={r!r} is not an integer >= 1"
     with pytest.raises(ValueError, match="is not an integer >= 1"):
-        check_claims(g, labels, r, [certify.claim_balance(1)])
+        certify.recount(g, labels, r)
     assert verify_certificate(g, labels, cert, r=np.int64(2)).passed
 
 
@@ -278,17 +276,17 @@ def test_huge_floors_do_not_wrap_on_both_routes():
     g = complete_graph(10)
     params = ParamSet(0, 0.01, INTERNAL, d_const=1e-4)
     labels = np.array([0] * 5 + [1] * 5)
-    routes = lambda cert: (verify_certificate(g, labels, cert, r=2),
-                           verify_certificate(g, LabeledPartition(2, labels), cert))
     cases = [(certify.table_floor("phi", params, f), f <= 2)
              for f in (-2 ** 70, 0, 2, 3, 2 ** 62, 2 ** 63, 2 ** 70)]
     cases += [(certify.const_floor(k), k <= 4)
               for k in (-2 ** 70, 4, 5, 2 ** 63, 2 ** 64)]
     for floor, holds in cases:
         cert = make_cert(g, [certify.claim_degree_floor("all", "own", floor)])
-        for res in routes(cert):
-            assert res.passed == holds and res.reason is None, floor
-            assert res.witness == (None if holds else 0)
+        res = verify_certificate(g, labels, cert, r=2)
+        assert res.passed == holds and res.reason is None, floor
+        assert res.witness == (None if holds else 0)
+        # the verifier and the pipelines' judge agree
+        assert certify.judge(certify.recount(g, labels, 2), cert.claims) == [holds]
 
 
 def test_zero_denominator_ratio_fails_on_both_routes():
@@ -299,15 +297,15 @@ def test_zero_denominator_ratio_fails_on_both_routes():
     for num, den, holds in ((4, 9, True), (8, 18, True), (0, 0, False), (4, 0, False),
                             (-4, -9, False), (1, -1, False), (0, 1, False)):
         cert = make_cert(g, [certify.claim_extremal_ratio("own", num, den)])
-        for res in (verify_certificate(g, labels, cert, r=2),
-                    verify_certificate(g, LabeledPartition(2, labels), cert)):
-            assert res.passed == holds and res.reason is None, (num, den)
-            assert res.failed_index == (None if holds else 0)
+        res = verify_certificate(g, labels, cert, r=2)
+        assert res.passed == holds and res.reason is None, (num, den)
+        assert res.failed_index == (None if holds else 0)
+        assert certify.judge(certify.recount(g, labels, 2), cert.claims) == [holds]
     # a graph without a positive-degree vertex claims den = 0, and only that
     empty = Graph.from_edges(4, [])
     for den, holds in ((0, True), (1, False)):
         cert = make_cert(empty, [certify.claim_extremal_ratio("cross", 0, den)])
-        assert verify_certificate(empty, np.array([0, 0, 1, 1]), cert).passed == holds
+        assert verify_certificate(empty, np.array([0, 0, 1, 1]), cert, r=2).passed == holds
 
 
 def ref_ratio_claim(graph, col, num, den):
@@ -368,14 +366,15 @@ def test_extremal_ratio_matches_a_fraction_reference(case):
         ref_ratio_claim(ctx.graph, ctx.stat(stat), num, den)
 
 
-def test_check_claims_one_flag_per_claim():
+def test_judge_one_flag_per_claim():
     g = complete_graph(4)
     claims = [certify.claim_balance(1), certify.claim_part_sizes([3, 1]),
               certify.claim_degree_floor("all", "own", certify.const_floor(1))]
-    assert check_claims(g, np.array([0, 0, 1, 1]), 2, claims) == [True, False, True]
-    assert check_claims(g, np.array([0, 0, 1, 1]), 2, []) == []
+    ctx = certify.recount(g, np.array([0, 0, 1, 1]), 2)
+    assert certify.judge(ctx, claims) == [True, False, True]
+    assert certify.judge(ctx, []) == []
     with pytest.raises(ValueError):
-        check_claims(g, np.array([0, 0, 1, 3]), 2, claims)
+        certify.recount(g, np.array([0, 0, 1, 3]), 2)
 
 
 def test_tripartition_claims_per_mode():

@@ -153,7 +153,7 @@ def test_a_rpart_op_builds_no_table_and_sorts_no_degrees(recorded):
     tables, sorts = recorded
     g = gen_gnp(60, 0.2, seed=2)
     report = pipelines.r_partition(g, pipelines.BiasVector(("1/3", "2/3")))
-    assert verify_certificate(g, report.labels, report.certificate).passed
+    assert verify_certificate(g, report.labels, report.certificate, r=report.r).passed
     assert tables == [] and g._degree_classes is None
     assert not [a for a in sorts if a is g.degree]
 

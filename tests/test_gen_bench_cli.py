@@ -98,15 +98,20 @@ def test_bench_failures_become_rows():
     assert len(rows) == 1 and rows[0]["error"]
 
 
-def test_bench_csv_write(tmp_path):
-    manifest = [{"generator": {"type": "gnp", "n": 10, "p": 0.5},
-                 "shape": "bisect", "mode": "internal", "seeds": [0, 1]}]
-    rows = bench.bench_sweep(manifest)
+def test_bench_csv_write(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"generator": {"type": "gnp", "n": 10, "p": 0.5},
+                                     "shape": "bisect", "mode": "internal",
+                                     "seeds": [0, 1]}]))
     out = tmp_path / "rows.csv"
-    bench.write_csv(rows, out)
-    lines = out.read_text().splitlines()
+    assert cli.main(["bench", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    raw = out.read_bytes()
+    lines = raw.decode().split("\r\n")
+    # every row ends in \r\n, the csv module's line ending, and no other
+    assert lines[-1] == "" and b"\n" not in raw.replace(b"\r\n", b"")
     assert lines[0] == ",".join(bench.COLUMNS)
-    assert len(lines) == 1 + len(rows)
+    assert len(lines[1:-1]) == 4  # a pipeline and a baseline row per seed
 
 
 def test_cli_gen_and_partition_and_verify(tmp_path):
@@ -295,7 +300,8 @@ def test_cli_verify_non_integer_r_exit_1(tmp_path, capsys):
     cli.main(["partition", "--graph", str(gpath), "--seed", "1",
               "--out", str(cpath)])
     payload = json.loads(cpath.read_text())
-    for r in ("2", 2.5):
+    # a null r used to be guessed from the labels, and passed
+    for r in ("2", 2.5, None):
         cpath.write_text(json.dumps(dict(payload, r=r)))
         capsys.readouterr()
         assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
@@ -494,10 +500,11 @@ def test_bench_reports_a_malformed_window_or_budget_as_a_diagnosis():
     cases = [({"size_window": 5}, window + "5"),
              ({"size_window": [1]}, window + "[1]"),
              ({"weight_budget": "abc"},
-              "weight_budget must be 'vacuous' or a number, got 'abc'")]
+              "weight_budget must be 'vacuous' or a number, got 'abc'"),
+             ({"shape": "tripart", "k": 1.5}, "k must be an integer >= 0, got 1.5")]
     rows = bench.bench_sweep([{"generator": {"type": "gnp", "n": 12, "p": 0.4},
                                **options} for options, _ in cases])
-    assert [row["row_kind"] for row in rows] == ["pipeline", "baseline"] * 3
+    assert [row["row_kind"] for row in rows] == ["pipeline", "baseline"] * len(cases)
     assert [row["error"] for row in rows[::2]] == [why for _, why in cases]
     assert not any(row["ok"] for row in rows[::2])
 

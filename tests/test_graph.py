@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from degpart import graph as graph_module
 from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
 from degpart.graph import (MAX_VERTICES, Counts, Graph, GraphFormatError,
-                           LabeledPartition, LabelError, load_graph, part_profile)
+                           LabelError, load_graph, part_profile)
 
 from conftest import graphs, naive_profile
 
@@ -116,11 +116,11 @@ def set_labels(n, subset):
     return labels
 
 
-def own_and_profile(g, part):
-    """(d_own, counts) of a LabeledPartition: the (n, r) profile and each
+def own_and_profile(g, labels, r):
+    """(d_own, counts) of an r-labeling: the (n, r) profile and each
     vertex's count into its own part."""
-    counts = part_profile(g, part.labels, part.r)
-    return counts[np.arange(g.n), part.labels], counts
+    counts = part_profile(g, labels, r)
+    return counts[np.arange(g.n), labels], counts
 
 
 def test_degree_in_set_examples():
@@ -139,27 +139,27 @@ def test_degree_in_full_vertex_set_is_degree(g):
 
 def test_cut_profile_k4_bisection():
     g = complete_graph(4)
-    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 0, 1, 1]))
+    d_own, counts = own_and_profile(g, [0, 0, 1, 1], 2)
     assert d_own.tolist() == [1, 1, 1, 1]
     assert (counts.sum(axis=1) == g.degree).all()
 
 
 def test_cut_profile_c4_proper_bipartition():
     g = cycle_graph(4)
-    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 1, 0, 1]))
+    d_own, counts = own_and_profile(g, [0, 1, 0, 1], 2)
     assert d_own.tolist() == [0, 0, 0, 0]
 
 
 def test_cut_profile_c5_example():
     g = cycle_graph(5)
-    d_own, counts = own_and_profile(g, LabeledPartition(2, [0, 0, 0, 1, 1]))
+    d_own, counts = own_and_profile(g, [0, 0, 0, 1, 1], 2)
     assert d_own[1] == 2 and (g.degree[1] - d_own[1]) == 0
 
 
 def test_cut_profile_size_mismatch():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        own_and_profile(g, LabeledPartition(2, [0, 1]))
+        own_and_profile(g, [0, 1], 2)
 
 
 @st.composite
@@ -223,26 +223,23 @@ def test_counts_move_after_a_packed_count_matches_a_fresh_count(case, data):
 
 
 def test_labeled_partition_names_the_first_bad_vertex():
+    # Counts and part_profile refuse a labeling that is no r-partition
+    k3 = complete_graph(3)
     with pytest.raises(LabelError, match=r"^vertex 1 has label 2 outside \[0, 2\)$") as exc:
-        LabeledPartition(2, [0, 2, 1])
+        Counts(k3, [0, 2, 1], 2)
     assert exc.value.vertex == 1
-    with pytest.raises(LabelError, match=r"^vertex 2 has label -1 outside \[0, 3\)$"):
-        LabeledPartition(3, np.array([0, 1, -1, 5]))
-    for labels in ([[0, 1], [1, 0]], 1, np.zeros((3, 1), dtype=np.int64)):
-        with pytest.raises(LabelError, match="is not 1-D") as exc:
-            LabeledPartition(2, labels)
-        assert exc.value.vertex == 0
-    assert LabeledPartition(3, np.array([2, 0, 1], dtype=np.int8)).labels.dtype == np.int64
-
-
-def test_partition_helpers():
-    p = LabeledPartition(2, [0, 1, 0, 1, 0])
-    assert p.sizes().tolist() == [3, 2]
-    assert p.part(1).tolist() == [1, 3]
-    with pytest.raises(ValueError):
-        LabeledPartition(2, [0, 2])
-    with pytest.raises(ValueError):
-        LabeledPartition(1, [0])
+    with pytest.raises(LabelError, match=r"^vertex 2 has label -1 outside \[0, 3\)$") as exc:
+        part_profile(path_graph(4), np.array([0, 1, -1, 5]), 3)
+    assert exc.value.vertex == 2
+    for labels, shape in (([[0, 1], [1, 0]], r"\(2, 2\)"), (1, r"\(\)"),
+                          (np.zeros((3, 1), dtype=np.int64), r"\(3, 1\)")):
+        with pytest.raises(LabelError, match=rf"^label array of shape {shape} for n=3$"):
+            Counts(k3, labels, 2)
+    counts = Counts(k3, np.array([2, 0, 1], dtype=np.int8), 3)
+    assert counts.labels.dtype == np.int64
+    assert Counts(path_graph(5), [0, 1, 0, 1, 0], 2).sizes.tolist() == [3, 2]
+    # no vertex, so no label to refuse, whatever the dtype
+    assert Counts(Graph.from_edges(0, []), np.array([], dtype=float), 2).labels.size == 0
 
 
 def test_isolated_vertices_are_legal():

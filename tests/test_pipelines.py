@@ -91,6 +91,29 @@ def test_the_shapes_take_no_threshold_table():
             run(table=table)
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, True])
+@pytest.mark.parametrize("shape", ["tripart", "dual", "cutavg"])
+def test_the_derived_shapes_refuse_a_k_that_is_no_integer_floor(monkeypatch, shape, k):
+    # on G(200, 0.3) dual and cutavg certified k=-1 (a floor of -1, a cut
+    # bound of -126), and k=1.5 ran as the floor 1 with diagnostics of 1.5
+    g = gen_gnp(200, 0.3, 1)
+    monkeypatch.setattr(pipelines, "stage_one", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=rf"^k must be an integer >= 0, got {k!r}$"):
+        pipelines.run_shape(g, shape, INTERNAL, k=k)
+
+
+def test_numpy_integer_k_and_attempts_are_recorded_as_ints():
+    r = bisect_dual(complete_graph(6), np.int64(1), 0.25, seed=0, **VAC)
+    assert type(r.diagnostics["k"]) is int and r.diagnostics["k"] == 1
+    assert json.dumps(r.to_jsonable())
+    # a failed stage one reports the attempts it was given; an np.int64 there
+    # made the report unwritable as JSON
+    r = bisect_internal(gen_gnp(12, 0.4, 1), seed=0, attempts=np.int64(1),
+                        size_window=(5.9, 6.0))
+    assert not r.ok and type(r.diagnostics["stage1_attempts"]) is int
+    assert json.dumps(r.to_jsonable())
+
+
 def test_bisect_internal_active_regime_floor_claim():
     g = gen_gnp(250, 0.3, seed=13)
     params = ParamSet(0.0, 0.02, INTERNAL, d_const=0.05)

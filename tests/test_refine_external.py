@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degpart.certify import check_claims, table_floor, tripartition_claims
-from degpart.cuts import local_maxcut
-from degpart.dense import extract_dense
+from degpart import certify
+from degpart.certify import table_floor, tripartition_claims
 from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.pipelines import tripartition
-from degpart.refine_ext import Absorption, ExternalTrace, refine_external
-from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map, stage_one
+from degpart.refine_ext import refine_external
+from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import EXTERNAL, ParamSet, build_threshold_table
 
 from conftest import mixed_labels, tripartitions
+from reference_refine import ref_refine_external
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
@@ -166,8 +166,8 @@ def test_min_outdegree_pipeline_enforces_cross_floor():
     tri = tripartition(g, p, seed=1, size_window="vacuous",
                        weight_budget="vacuous")
     claims = tripartition_claims(EXTERNAL, table_floor("psi", p), (0, g.n))
-    assert all(check_claims(g, tri.labels, 3,
-                            claims["floor_cross"] + claims["floor_z"]))
+    assert all(certify.judge(certify.recount(g, tri.labels, 3),
+                             claims["floor_cross"] + claims["floor_z"]))
     rows = tri.table.row_index(g.degree)
     active = tri.table.active[rows]
     fpsi = tri.table.fpsi[rows]
@@ -199,137 +199,6 @@ def test_absorption_monotone_progress():
     assert len(absorbed_ids) == len(set(absorbed_ids))
     accounted = set(absorbed_ids) | set(trace.w2.tolist())
     assert accounted == set(trace.w1.tolist())
-
-
-# -- reference implementation: the refinement on per-vertex numpy reads ------
-# refine_external must give exactly its trace, labels and counts.
-
-
-def ref_refine_external(counts, params, table, cut_seed=0):
-    """``refine_external`` with per-vertex numpy reads: side counts in an
-    n-by-2 array, each absorption adding to all of the vertex's neighbours,
-    and the exit facts read per W2 vertex."""
-    graph = counts.graph
-    n = graph.n
-    labels_in = counts.labels.copy()
-    rows = table.rows_of(graph)
-    active = table.active[rows]
-    fpsi = table.fpsi[rows]
-
-    gm = goodness_map(counts, table)
-    in_z0 = labels_in == PART_Z
-    precond = {
-        "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
-        "stage_weight": gm.weight,
-    }
-    # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
-    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - params.c) * (1 + 1e-12)
-    assert (lifted | ~table.active).all(), \
-        f"psi* lift violated at degree {table.degrees[table.active & ~lifted][0]}"
-
-    in_x = labels_in == PART_X
-    in_y = labels_in == PART_Y
-
-    # step 1: extraction over the cross graph (X,Y)_G, on the counts of X|Y
-    target = np.where((in_x | in_y) & active, table.fpsi_star[rows], 0)
-    extract = None
-    deleted_ids = np.empty(0, dtype=np.int64)
-    if target.any():
-        extract = extract_dense(counts, (PART_X, PART_Y), target, table.eta[rows])
-        deleted_ids = extract.deleted_vertices
-
-    # step 2: quarantine W1 and keep the pure remainder of Z
-    in_w = np.zeros(n, dtype=bool)
-    in_w[deleted_ids] = True
-    touched = graph.indices[graph.row_entries(deleted_ids)]
-    in_w[touched[labels_in[touched] == PART_Z]] = True
-    w1 = np.nonzero(in_w)[0]
-    # purity: Z1 vertices have all their X/Y neighbors inside the core, i.e.
-    # no Z1 vertex touches an extracted vertex (those went to W1 instead);
-    # adjacency is symmetric, so the rows of the extracted vertices tell
-    x1_mask = in_x & ~in_w
-    y1_mask = in_y & ~in_w
-    z1_mask = in_z0 & ~in_w
-    assert not bool(z1_mask[touched].any()), "a Z1 vertex touches an extracted vertex"
-    w1_budget = len(deleted_ids) + int(graph.degree[deleted_ids].sum())
-    assert len(w1) <= w1_budget, "W1 accounting bound violated"
-
-    # step 3: greedy absorption toward the side opposite the witnessed one
-    side = np.full(n, -1, dtype=np.int64)   # current side of core members
-    side[x1_mask] = PART_X
-    side[y1_mask] = PART_Y
-    # neighbors in columns PART_X, PART_Y, from one gather over W1's rows
-    owner = np.repeat(w1, graph.degree[w1])
-    nb_side = side[graph.indices[graph.row_entries(w1)]]
-    sided = nb_side >= 0
-    d_to = np.bincount(2 * owner[sided] + nb_side[sided],
-                       minlength=2 * n).reshape(n, 2)
-    w2 = w1.tolist()
-    absorbed: list[Absorption] = []
-    probe = [PART_X, PART_Y]  # reversed after every absorption
-    changed = True
-    while changed:
-        changed = False
-        remaining = []
-        for v in w2:
-            thr = fpsi[v]
-            seen = next((s for s in probe if d_to[v, s] >= thr), None)
-            if seen is None:
-                remaining.append(v)
-                continue
-            dest = PART_X + PART_Y - seen
-            side[v] = dest
-            absorbed.append(Absorption(int(v), int(graph.degree[v]), dest,
-                                       int(d_to[v, seen]), int(thr)))
-            d_to[graph.neighbors(v), dest] += 1
-            probe.reverse()
-            changed = True
-        w2 = remaining
-    w2 = np.array(w2, dtype=np.int64)
-
-    # absorption-exit facts
-    in_w2 = np.zeros(n, dtype=bool)
-    in_w2[w2] = True
-    checks = {"w2_all_active": bool(active[w2].all()) if len(w2) else True,
-              "precut_side_floors": True, "precut_inner_floor": True}
-    for v in w2.tolist():
-        d_w2 = int(in_w2[graph.neighbors(v)].sum())
-        if not (d_to[v] < fpsi[v]).all():
-            checks["precut_side_floors"] = False
-        if d_w2 < 2 * fpsi[v]:
-            checks["precut_inner_floor"] = False
-    assert checks["precut_side_floors"], \
-        "absorption exited with an absorbable vertex left"
-    assert checks["w2_all_active"], "an inactive vertex survived absorption"
-    if precond["goodness_ok"]:
-        assert checks["precut_inner_floor"], \
-            "leftover W2 vertex below twice the cross floor"
-
-    # step 4: flip-local max-cut of G[W2]
-    w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
-    side[w_plus] = PART_X
-    side[w_minus] = PART_Y
-
-    # Z3 = Z1: quarantined Z vertices all got a side, the rest keep PART_Z
-    assert bool((side[w1] >= 0).all()), "a W1 vertex got no side"
-    counts.move(w1, side[w1])
-    out = counts.labels
-
-    # membership sandwich: X \ W1 ⊆ X1 ⊆ X3 ⊆ X ∪ W1
-    in_x3 = out == PART_X
-    assert bool(((in_x & ~in_w) <= in_x3).all()) and bool((x1_mask <= in_x3).all())
-    assert bool((in_x3 <= (in_x | in_w)).all())
-    in_y3 = out == PART_Y
-    assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
-
-    # cut guarantee for the leftover vertices
-    if len(w2) and checks["precut_inner_floor"]:
-        for v in w2.tolist():
-            cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
-            assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
-
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
-                         checks)
 
 
 # thin-Y labels on which quarantine takes every vertex and none is absorbed,
@@ -369,11 +238,11 @@ def test_a_leftover_vertex_below_twice_its_floor_fails_the_inner_floor():
 
 def outcome(refine, counts, *args):
     """The trace as JSON text, W1, and the labels and counts it left; an
-    AssertionError's type if the run raised one."""
+    AssertionError's type and message if the run raised one."""
     try:
         trace = refine(counts, *args)
-    except AssertionError:
-        return "AssertionError"
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
     return (json.dumps(trace.to_jsonable()), trace.w1.tolist(),
             counts.labels.tolist(), counts.matrix.tolist(), counts.sizes.tolist())
 

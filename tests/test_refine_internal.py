@@ -1,22 +1,21 @@
 import json
-from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degpart.certify import check_claims, table_floor, tripartition_claims
-from degpart.dense import extract_dense
+from degpart import certify
+from degpart.certify import table_floor, tripartition_claims
 from degpart.gen import complete_graph, gen_gnp
 from degpart.graph import Counts, part_profile
 from degpart.pipelines import tripartition
-from degpart.refine_int import (Evacuation, InternalRefineTrace,
-                                _evacuee_landing_is_good, refine_internal_once)
-from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map, stage_one
+from degpart.refine_int import refine_internal_once
+from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import INTERNAL, ParamSet, build_threshold_table
 
 from conftest import mixed_labels, tripartitions
+from reference_refine import ref_refine_internal_once
 
 
 def table_for(graph, params):
@@ -164,8 +163,8 @@ def test_min_indegree_pipeline_active_regime():
                        weight_budget="vacuous")
     # the two refinement passes enforce the floors on both sides
     claims = tripartition_claims(INTERNAL, table_floor("phi", p), (0, g.n))
-    assert all(check_claims(g, tri.labels, 3,
-                            claims["floor_a"] + claims["floor_b"]))
+    assert all(certify.judge(certify.recount(g, tri.labels, 3),
+                             claims["floor_a"] + claims["floor_b"]))
     assert tri.conditions["floor_a"] and tri.conditions["floor_b"]
 
 
@@ -207,112 +206,6 @@ def test_the_patch_pulls_donors_and_meets_the_floor():
         assert (trace.labels_in[rx] == PART_C).all()
 
 
-# -- reference implementation: the pass on per-vertex numpy reads ------------
-# refine_internal_once must give exactly its trace, labels and counts.
-
-
-def ref_refine_internal_once(counts, params, table):
-    """``refine_internal_once`` with per-vertex numpy reads: the evacuation
-    queue and the patch index the arrays with numpy scalars and read each
-    row through ``graph.neighbors``."""
-    graph, lab = counts.graph, counts.labels
-    n = graph.n
-    labels_in = lab.copy()
-    rows = table.rows_of(graph)
-    active = table.active[rows]
-    fphi = table.fphi[rows]
-
-    gm = goodness_map(counts, table)
-    in_a = lab == PART_A
-    weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
-    precond = {
-        "goodness_ok": not bool(((lab == PART_C) & active & ~gm.both_good).any()),
-        "weight_a": weight_a,
-        "weight_ok_entry": weight_a <= params.eps ** 2 * n / 250.0,
-        "weight_ok_stage": weight_a <= params.eps ** 2 * n / 1e4,
-    }
-    arithmetic_ok = _evacuee_landing_is_good(table)
-
-    # step 1: the dense core of G[A], on the counts of A
-    target = np.where(in_a & active, fphi, 0)
-    extract = None
-    if target.any():
-        extract = extract_dense(counts, (PART_A,), target, table.mu[rows])
-        a_star = extract.surviving
-    else:
-        a_star = np.nonzero(in_a)[0]
-
-    # step 2: evacuation of joint-degree-deficient A vertices
-    dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
-    constrained = active & (fphi >= 1)
-    evacuations: list[Evacuation] = []
-    queue = deque(np.nonzero(in_a & constrained & (dac < fphi))[0].tolist())
-    in_c = lab == PART_C
-    while queue:
-        v = queue.popleft()
-        if not in_a[v] or dac[v] >= fphi[v]:
-            continue
-        absorbed = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-        evacuations.append(Evacuation(int(v), int(graph.degree[v]), int(dac[v]),
-                                      absorbed))
-        moved = [v] + absorbed
-        for u in moved:
-            in_c[u] = False
-        in_a[v] = False
-        for u in moved:
-            for w in graph.neighbors(u).tolist():
-                if in_a[w]:
-                    dac[w] -= 1
-                    if constrained[w] and dac[w] < fphi[w]:
-                        queue.append(w)
-    counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
-
-    assert in_a[a_star].all(), "extracted core lost vertices during evacuation"
-
-    # step 3: patch deficient A vertices from their C-neighborhoods
-    d_a = counts.matrix[:, PART_A]
-    patch: dict[int, list[int]] = {}
-    for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
-        need = int(fphi[v] - d_a[v])
-        donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-        assert len(donors) >= need, f"vertex {v} of A has too few C donors"
-        patch[v] = donors[:need]
-    counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
-
-    # the pass contract, checked on the maintained counts
-    gm2 = goodness_map(counts, table)
-    in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
-    in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
-    drift = params.eps * n / 500.0
-    sz = lambda m: int(m.sum())
-    checks = {
-        "arithmetic_fact": arithmetic_ok,
-        "b_grew_only": bool((in_b0 <= in_b2).all()),
-        "c_shrank_only": bool((in_c2 <= in_c0).all()),
-        "size_drift_a": abs(sz(in_a2) - sz(labels_in == PART_A)) <= drift,
-        "size_drift_b": sz(in_b0) <= sz(in_b2) <= sz(in_b0) + drift,
-        "size_drift_c": sz(in_c0) - drift <= sz(in_c2) <= sz(in_c0),
-        "floor_a": bool((~(active & in_a2) | (d_a >= fphi)).all()),
-        "c_both_good": not bool((in_c2 & active & ~gm2.both_good).any()),
-        "new_b_good": not bool((in_b2 & ~in_b0 & active & ~gm2.good_b).any()),
-        "bad_b_contained": bool(
-            ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
-    }
-    assert checks["b_grew_only"] and checks["c_shrank_only"]
-    if precond["goodness_ok"]:
-        # patch donors come from C and are A-good, so the floor cannot
-        # miss unless the entry goodness precondition already failed
-        assert checks["floor_a"], \
-            "a vertex of A missed its own-degree floor after the patch"
-    if precond["goodness_ok"] and arithmetic_ok:
-        assert checks["new_b_good"], \
-            "an evacuated vertex landed in B without B-goodness"
-    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
-        and all(checks.values())
-    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
-                               precond, checks, guaranteed)
-
-
 # On true counts the patch cannot run out of donors: after step 2 every
 # constrained vertex of A has d_A + d_C >= floor(phi).  Phantom C-neighbours
 # added to the count of the lowest vertex of A keep it out of the
@@ -337,11 +230,11 @@ def with_phantoms(counts, phantom):
 
 def outcome(refine, counts, *args):
     """The trace as JSON text, the labels in and the A* core, and the counts
-    it left; an AssertionError's type if the run raised one."""
+    it left; an AssertionError's type and message if the run raised one."""
     try:
         trace = refine(counts, *args)
-    except AssertionError:
-        return "AssertionError"
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
     return (json.dumps(trace.to_jsonable()), trace.labels_in.tolist(),
             trace.a_star.tolist(), counts.labels.tolist(), counts.matrix.tolist(),
             counts.sizes.tolist())

@@ -163,7 +163,13 @@ BUDGET_REFUSAL = "weight_budget must be 'vacuous' or a number, got "
     ({"weight_budget": "abc"}, BUDGET_REFUSAL + "'abc'"),
     ({"weight_budget": [1]}, BUDGET_REFUSAL + "[1]"),
     ({"weight_budget": float("nan")}, BUDGET_REFUSAL + "nan"),
-    ({"weight_budget": False}, BUDGET_REFUSAL + "False")])
+    ({"weight_budget": False}, BUDGET_REFUSAL + "False"),
+    # 2.5 and "3" used to end in Python's own TypeError messages, and True
+    # ran one attempt
+    ({"attempts": 0}, "attempts must be an integer >= 1, got 0"),
+    ({"attempts": 2.5}, "attempts must be an integer >= 1, got 2.5"),
+    ({"attempts": "3"}, "attempts must be an integer >= 1, got '3'"),
+    ({"attempts": True}, "attempts must be an integer >= 1, got True")])
 def test_stage_one_refuses_a_malformed_window_or_budget(options, why):
     g = gen_gnp(20, 0.3, seed=0)
     p = ParamSet(0.0, 0.25, INTERNAL)
