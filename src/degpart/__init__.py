@@ -35,8 +35,8 @@ from .pipelines import (
     VERSION as __version__,
 )
 from .certify import Certificate, VerifyResult, verify_certificate
-from .oracle import best_bisection, ko_bisection_exists, dense_fixed_point_check
-from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite, complete_graph, cycle_graph, path_graph
+from .oracle import best_bisection, ko_bisection_exists
+from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite
 from .bench import bench_sweep
 
 __all__ = [
@@ -72,12 +72,8 @@ __all__ = [
     "verify_certificate",
     "best_bisection",
     "ko_bisection_exists",
-    "dense_fixed_point_check",
     "gen_gnp",
     "gen_kuhn_osthus",
     "gen_complete_bipartite",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
     "bench_sweep",
 ]

@@ -411,8 +411,9 @@ def verify_certificate(graph: Graph, labels, cert: Certificate, r: int) -> Verif
 
     A graph-hash mismatch refuses verification outright (ValueError) rather
     than failing a claim.  Otherwise nothing raises: labels that are no
-    r-partition of the vertices fail with ``reason`` set and the first bad
-    vertex as the witness; an r that is no integer in [1, max(3, n)] fails
+    r-partition of the vertices fail with ``reason`` set and the first
+    vertex labelled outside [0, r) as the witness (none for an array of the
+    wrong shape or dtype); an r that is no integer in [1, max(3, n)] fails
     with ``reason`` set.  The labels are counted once, and the threshold
     tables rebuilt from the recorded parameters.  The claims are screened as
     ``judge`` screens them: a failure names the first claim that cannot be
@@ -428,7 +429,7 @@ def verify_certificate(graph: Graph, labels, cert: Certificate, r: int) -> Verif
             f"got {graph.fingerprint[:12]}...")
     try:
         ctx = recount(graph, labels, r)
-    except ValueError as exc:  # a bad r, or a LabelError naming its vertex
+    except ValueError as exc:  # a bad r, or a LabelError and its vertex, if any
         return VerifyResult(False, witness=getattr(exc, "vertex", None), reason=str(exc))
     try:
         _screen(ctx, cert.claims)

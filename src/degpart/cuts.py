@@ -59,9 +59,7 @@ No field borrows from or carries into the next, because 0 <= c_q <= maxdeg <
 maxdeg, 2^bits + maxdeg], within [0, 2^(bits+1)).  Under maximize, -1 <= t
 <= maxdeg puts 2^bits - 1 - t + c_q in the same range, and it reaches 2^bits
 iff c_q > t.  The key bits above the fields may borrow, but no guard bit
-reads them.  The first part a single vertex improves by moving to is the
-lowest set guard bit of the first word that has one, as words 0, 1, ...
-hold the parts in index order.
+reads them.
 
 So the mask of a set of vertices costs, per word, one gather of their bars,
 one subtract and one AND.  A move of x from i to j adds a delta to each
@@ -72,25 +70,36 @@ scatter.  The fields take as few words as they need (``_word_layout``): one
 word holds 3 parts up to maximum degree 2^14 - 1, and more parts or larger
 degrees take more words.  Building the tables costs O(r^2 * 2^bits).
 
+One vertex is tested on one python int y: part q's field at bit q * span
+(span = bits + 1) and the key above every field, so no field borrows or
+carries, as above.  With one word, y is word 0 itself; with more, it joins
+word 0's fields, those of words 1, 2, ... and the key.  Its bar is joined
+alike, so one guarded subtract (add) tests every part, and the first part
+the vertex improves by moving to is the lowest set guard bit.
+
 A sweep that reaches a dense stretch of vertex ids runs it as one block:
 when the window of ``_WINDOW`` ids from the next candidate holds at least
-``_DENSE`` candidates, the kernel reads the window's words and mask once as
-python ints and sweeps the window on them.  A mover updates the local words
-of its forward neighbours inside the window only, and marks them to be
-checked again when the sweep reaches them.  Then one pass applies all the
-block's moves to the packed words: an ``np.add.at`` of each move's field
-deltas over the movers' CSR rows, the word-0 key of every touched vertex
-rebuilt from its final label and that label's field, and the mask of the
-movers and their neighbours recomputed.  The block makes the moves that
-one-move steps make, in the same order, for three reasons.  Each vertex
-moves at most once per sweep, so the deltas commute and every field ends in
-[0, maxdeg] whatever order they are added in.  The sweep never returns to a
-vertex behind it, so a backward neighbour's words are needed only by later
-sweeps and windows, which read them after the bulk pass.  And whether a
-vertex can move is a function of its words, so a vertex whose local words
-no earlier mover of the window touched keeps the mask bit it had.  A window
-with fewer candidates (the sparse tail sweeps) keeps the one-move step,
-whose numpy calls per move are cheaper there than a block's per window.
+``_DENSE`` candidates, the kernel reads the window's y and mask once as
+python ints and sweeps the window on them.  A mover adds one delta, chosen
+by the neighbour's label, to the y of each forward neighbour inside the
+window only, and marks it to be checked again when the sweep reaches it.
+Then one pass applies all the block's moves to the packed words: an
+``np.add.at`` of each move's field deltas over the movers' CSR rows, then
+the word-0 keys rebuilt from the final labels and those labels' fields, and
+the mask recomputed.  The rebuild runs over the whole array (a slice) when
+the movers' rows hold more than n // 2 entries, as on a dense graph, and
+over the touched ids otherwise, where a whole-array pass per window would
+cost O(n) per block; a key and a mask are functions of the vertex's words,
+so both forms give the same.  The block makes the moves that one-move steps
+make, in the same order, for three reasons.  Each vertex moves at most once
+per sweep, so the deltas commute and every field ends in [0, maxdeg]
+whatever order they are added in.  The sweep never returns to a vertex
+behind it, so a backward neighbour's words are needed only by later sweeps
+and windows, which read them after the bulk pass.  And whether a vertex can
+move is a function of its words, so a vertex whose local words no earlier
+mover of the window touched keeps the mask bit it had.  A window with fewer
+candidates (the sparse tail sweeps) keeps the one-move step, whose numpy
+calls per move are cheaper there than a block's per window.
 """
 
 from __future__ import annotations
@@ -303,7 +312,6 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     guard = [0] * nw
     for q in range(r):
         guard[word[q]] |= one << offset[q]
-    first = [word.index(k) if k in word else 0 for k in range(nw)]
     # bar[k][l << bits | c]: per field of word k, 2**bits - 1 + thr (minus
     # thr under maximize) for a vertex of part l with c own neighbours
     thr = _move_thresholds(w, maxdeg, maximize)[:, :, np.minimum(np.arange(one), maxdeg)]
@@ -317,10 +325,32 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     combine_py = operator.add if maximize else operator.sub
 
     words = np.zeros((nw, n), dtype=np.int64)
+    every = np.arange(n)
     for q in range(r):
         words[word[q]] += matrix[:, q] << offset[q]
-    words[0] += ((labels << bits) + matrix[np.arange(n), labels]) << shift
+    words[0] += ((labels << bits) + matrix[every, labels]) << shift
     rows = list(words)
+    below_key = (1 << shift) - 1
+
+    # the scalar side reads a vertex as one python int y: part q's field at
+    # bit q * span and the key from bit yshift up, so y is word 0 when nw == 1
+    yshift = r * span
+    ylab, yguard = yshift + bits, sum(one << q * span for q in range(r))
+    lift = [word.index(k) * span for k in range(1, nw)]
+
+    def join(cols):
+        """The y of each vertex whose word k is listed in cols[k]."""
+        if nw == 1:
+            return cols[0]
+        return [x & below_key | x >> shift << yshift | sum(z << s for z, s in zip(zs, lift))
+                for x, *zs in zip(*cols)]
+
+    def load(a, b):
+        """The y of each vertex a..b-1."""
+        return join([row[a:b].tolist() for row in rows])
+
+    # the bar of each key as y: python ints, which may pass 63 bits, over words
+    bar_at = bars[0].item if nw == 1 else join([b.tolist() for b in bars]).__getitem__
 
     def fires(xs):
         """The guard bits that fire, per vertex, given each word of the
@@ -336,22 +366,13 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
             hit |= h
         return hit
 
-    def first_fire(xs, key):
-        """The first part whose field fires for one vertex with words xs (a
-        list of ints) and key, or None: the lowest guard bit of the first
-        word that has one."""
-        for k in range(nw):
-            h = combine_py(bars[k].item(key), xs[k]) & guard[k]
-            if h:
-                return first[k] + ((h & -h).bit_length() - 1) // span
-        return None
-
     # a move from i to j adds plan[i][j] to the words of the mover's
-    # neighbours: to word 0 by the neighbour's label, to word k its constant;
-    # step[i][j] is the same as python ints, and the block pass adds
+    # neighbours (to word 0 by the neighbour's label, to word k its constant),
+    # step[i][j][l] to the y of a neighbour labelled l, and in the block pass
     # delta[k][i * r + j] (the fields only, no key) to word k
     plan = [[None] * r for _ in range(r)]
-    step = [[None] * r for _ in range(r)]
+    step = [[[(1 << j * span) - (1 << i * span) + ((l == j) - (l == i) << yshift)
+              for l in range(r)] for j in range(r)] for i in range(r)]
     delta = np.zeros((nw, r * r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
@@ -361,13 +382,10 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
             by_label = np.full(r, d[0], dtype=np.int64)
             by_label[i] -= 1 << shift
             by_label[j] += 1 << shift
-            rest_words = [(k, int(d[k])) for k in range(1, nw) if d[k]]
-            plan[i][j] = by_label, rest_words
-            step[i][j] = by_label.tolist(), rest_words
+            plan[i][j] = by_label, [(k, int(d[k])) for k in range(1, nw) if d[k]]
     relabel = (np.arange(r * r) % r - np.arange(r * r) // r) << lab_shift
     # the field of part q of vertex v is flat[word_at[q] + v] >> offset_of[q]
     flat, word_at, offset_of = words.reshape(-1), np.array(word) * n, np.array(offset)
-    below_key = (1 << shift) - 1
     seen = np.zeros(n, dtype=bool)
 
     tot = 0
@@ -379,17 +397,17 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     degree, indptr, indices = graph.degree, graph.indptr.tolist(), graph.indices
     cand = fires(rows).astype(bool)
 
-    def take(xv):
-        """The move of a vertex with words xv (python ints), booked in f and
-        the sizes: (i, j, c_j), or None if it has none or would empty its
-        part."""
+    def take(y):
+        """The move of a vertex with joined counts y, booked in f and the
+        sizes: (i, j, c_j), or None if it has none or would empty its part."""
         nonlocal f_cur
-        key = xv[0] >> shift
+        key = y >> yshift
         i = key >> bits
-        j = first_fire(xv, key) if sizes[i] >= 2 else None
-        if j is None:
+        h = combine_py(bar_at(key), y) & yguard if sizes[i] >= 2 else 0
+        if not h:
             return None
-        c_i, c_j = key & mask, xv[word[j]] >> offset[j] & mask
+        j = ((h & -h).bit_length() - 1) // span
+        c_i, c_j = key & mask, y >> j * span & mask
         f_new = f_cur + (w[j] * c_j - w[i] * c_i)
         # f must strictly improve in the chosen direction
         assert sign * (f_new - f_cur) < 0
@@ -401,8 +419,7 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     def block(a, b):
         """Sweep the vertices a..b-1 on python ints, then apply their moves
         to the words and the mask in one pass.  Returns the moves made."""
-        local = [row[a:b].tolist() for row in rows]
-        lw0, due = local[0], cand[a:b].tolist()
+        ys, due = load(a, b), cand[a:b].tolist()
         # the forward neighbours inside the window of each row, t = v - a
         nbs = indices[indptr[a]:indptr[b]]
         src = np.repeat(np.arange(a, b), degree[a:b])
@@ -413,15 +430,13 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
         lo = 0
         for t in range(b - a):
             hi = ends[t]
-            if due[t] and (move := take([lw[t] for lw in local])):
+            if due[t] and (move := take(ys[t])):
                 i, j, _ = move
                 movers.append(a + t)
                 codes.append(i * r + j)
-                by_label, rest_words = step[i][j]
+                d = step[i][j]
                 for s in fwd[lo:hi]:
-                    lw0[s] += by_label[lw0[s] >> lab_shift]
-                    for k, d in rest_words:
-                        local[k][s] += d
+                    ys[s] += d[ys[s] >> ylab]
                     due[s] = True  # recheck s when the sweep reaches it
             lo = hi
         if not movers:
@@ -432,17 +447,21 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
         for k in range(nw):
             np.add.at(rows[k], nb, np.repeat(delta[k][code], reps))
         rows[0][mv] += relabel[code]
-        seen[nb] = True
-        seen[mv] = True
-        touched = np.flatnonzero(seen)
-        seen[touched] = False
+        # rebuild every vertex when the movers' rows reach past half the
+        # graph, else only the touched ones
+        if len(nb) > n // 2:
+            at, ids = slice(None), every
+        else:
+            seen[nb] = seen[mv] = True
+            at = ids = np.flatnonzero(seen)
+            seen[ids] = False
         # word 0's key from the final label and the field of that label
-        xs = [row[touched] for row in rows]
+        xs = [row[at] for row in rows]
         lab = xs[0] >> lab_shift
-        own = flat[word_at[lab] + touched] >> offset_of[lab] & mask
+        own = flat[word_at[lab] + ids] >> offset_of[lab] & mask
         xs[0] = xs[0] & below_key | ((lab << bits) + own) << shift
-        rows[0][touched] = xs[0]
-        cand[touched] = fires(xs).astype(bool)
+        rows[0][at] = xs[0]
+        cand[at] = fires(xs).astype(bool)
         return len(movers)
 
     moves = 0
@@ -463,13 +482,13 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
                 moved = moved or made > 0
                 v = b - 1
                 continue
-            xv = [row.item(v) for row in rows]
-            move = take(xv)
+            y = rows[0].item(v) if nw == 1 else load(v, v + 1)[0]
+            move = take(y)
             if move is None:
                 continue  # the move would empty the part
             i, j, c_j = move
-            xv[0] = xv[0] & below_key | (j << bits | c_j) << shift
-            rows[0][v] = xv[0]
+            key = j << bits | c_j
+            rows[0][v] = y & below_key | key << shift
             nb = indices[indptr[v]:indptr[v + 1]]
             by_label, rest_words = plan[i][j]
             xs = [row[nb] for row in rows]
@@ -479,7 +498,7 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
                 xs[k] += d
                 rows[k][nb] = xs[k]
             cand[nb] = fires(xs).astype(bool)
-            cand[v] = first_fire(xv, xv[0] >> shift) is not None  # v's counts are unchanged
+            cand[v] = combine_py(bar_at(key), y) & yguard != 0  # v's counts are unchanged
             moves += 1
             moved = True
     labels[:] = rows[0] >> lab_shift

@@ -1,6 +1,6 @@
 """Graph generators: Erdos-Renyi, the set-inclusion bipartite family, and
-complete bipartite graphs, plus small fixed shapes for tests and demos.
-All randomized generators are deterministic given their seed.
+complete bipartite graphs.  All randomized generators are deterministic
+given their seed.
 """
 
 from __future__ import annotations
@@ -75,16 +75,3 @@ def generate(name: str, params: dict) -> Graph:
     return fn(**{key: cast(params[key]) for key, cast in types.items()
                  if key in params})
 
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, combinations(range(n), 2))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])

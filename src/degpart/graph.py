@@ -29,11 +29,12 @@ class GraphFormatError(ValueError):
 class LabelError(ValueError):
     """A label array that is no r-partition of the graph's vertices.
 
-    ``vertex`` is the first vertex whose label is missing, non-integer or
-    outside [0, r).
+    ``vertex`` is the first vertex whose label is outside [0, r), or None
+    when the array as a whole is refused: a wrong shape or a non-integer
+    dtype names no vertex.
     """
 
-    def __init__(self, message: str, vertex: int):
+    def __init__(self, message: str, vertex: int | None):
         super().__init__(message)
         self.vertex = vertex
 
@@ -363,13 +364,12 @@ def _check_labels(labels, r: int, n: int) -> np.ndarray:
     integer in [0, r) for each of the n vertices."""
     labels = np.asarray(labels)
     if labels.shape != (n,):
-        raise LabelError(f"label array of shape {labels.shape} for n={n}",
-                         min(labels.size, n))
+        raise LabelError(f"label array of shape {labels.shape} for n={n}", None)
     if labels.size == 0:
         return labels
     if not np.issubdtype(labels.dtype, np.integer):
         # a cast would truncate them silently
-        raise LabelError(f"labels have non-integer dtype {labels.dtype}", 0)
+        raise LabelError(f"labels have non-integer dtype {labels.dtype}", None)
     bad = (labels < 0) | (labels >= r)
     if bad.any():
         v = int(np.argmax(bad))

@@ -1,9 +1,10 @@
 """Brute-force ground truth on small instances.
 
-``best_bisection``, ``ko_bisection_exists`` and ``dense_fixed_point_check``
-share one enumerator.  It walks the subsets of range(n) as bitmasks, vertex
-i on bit n-1-i, from the largest mask down: within one size, exactly the
-lexicographic order of ``itertools.combinations``.  The masks of size k
+``best_bisection`` and ``ko_bisection_exists`` share one enumerator, and
+the tests' fixed-point check of dense extraction runs on it too.  It walks
+the subsets of range(n) as bitmasks, vertex i on bit n-1-i, from the
+largest mask down: within one size, exactly the lexicographic order of
+``itertools.combinations``.  The masks of size k
 come from a table that depends only on (n, k), built once by the recursion
 M(n, k) = [M(n-1, k-1) | 2**(n-1), M(n-1, k)], which is descending as
 built; only the requested table is kept, read-only.
@@ -36,12 +37,10 @@ from math import comb, inf, lcm
 
 import numpy as np
 
-from .dense import extract_dense
 from .gen import gen_kuhn_osthus
-from .graph import Counts, Graph
+from .graph import Graph
 
 MAX_ORACLE_N = 24
-MAX_HOST = 15
 CHUNK = 1024  # sets per chunk: s and adj @ s stay cache-sized at every n
 
 OBJECTIVES = ("min-own-degree", "min-cross-degree", "min-own-ratio",
@@ -151,29 +150,3 @@ def ko_bisection_exists(n: int, l: int, k: int):
     return {"exists": False, "witness": None, "refuted": 2 * comb(nv, nv // 2),
             "n": n, "l": l, "k": k}
 
-
-def dense_fixed_point_check(graph: Graph, host, target, eta) -> bool:
-    """Greedy extraction equals the unique maximal valid subset.
-
-    host holds the host's vertex ids, and target and eta are as in
-    ``dense.extract_dense``, which runs on the two-part labeling with the
-    host as part 0.  A subset S of the host is valid when every classed
-    vertex in S has at least its target degree inside S.  Valid subsets are
-    closed under union, so the maximal one is the union of all of them;
-    hosts above 15 vertices are refused.
-    """
-    host = np.unique(np.asarray(host, dtype=np.int64))
-    if len(host) > MAX_HOST:
-        raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
-    sub = graph.induced_subgraph(host)
-    # a member meets its target (0: unclassed) when st = 2 * inside - deg
-    # reaches 2 * target - deg
-    need = (2 * np.asarray(target, dtype=np.int64)[host] - sub.degree)[:, None]
-    union = np.zeros(len(host), dtype=bool)
-    for s, st in _sets(sub):
-        inside = s > 0
-        union |= inside[:, (~inside | (st >= need)).all(axis=0)].any(axis=1)
-    labels = np.ones(graph.n, dtype=np.int64)
-    labels[host] = 0
-    result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
-    return set(result.surviving.tolist()) == set(host[union].tolist())

@@ -58,6 +58,20 @@ def watchdog(seconds, what):
         signal.signal(signal.SIGALRM, previous)
 
 
+def complete_graph(n):
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def cycle_graph(n):
+    if n < 3:
+        raise ValueError("a cycle needs at least 3 vertices")
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def random_graph(n, p, seed):
     return gen_gnp(n, p, seed)
 

@@ -15,7 +15,7 @@ import numpy as np
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector, biased_max_r_cut, local_maxcut
 from degpart.dense import extract_dense
-from degpart.gen import complete_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.graph import Counts, part_profile
 from degpart.oracle import best_bisection, ko_bisection_exists
 from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
@@ -26,6 +26,7 @@ from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
                                 verify_series_bound)
 
 from test_dense import assert_same_fixed_point, heap_extract_dense
+from conftest import complete_graph
 
 DATA = Path(__file__).parent / "data"
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from degpart import certify
 from degpart import graph as graph_module
-from degpart.certify import Certificate, verify_certificate
-from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
+from degpart.certify import Certificate, VerifyResult, verify_certificate
+from degpart.gen import gen_gnp
 from degpart.graph import Graph, LabelError
 from degpart.pipelines import bisect_internal
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
-from conftest import graphs
+from conftest import complete_graph, cycle_graph, graphs, path_graph
 from test_acceptance import _mutation_bases, naive_claim_truth
 
 
@@ -142,10 +142,11 @@ def test_verify_refuses_malformed_labels_naming_the_first_bad_vertex():
     # label 2 with r=2 used to raise IndexError from the degree recount
     res = verify_certificate(g, np.array([0, 2, 0, 0]), cert, r=2)
     assert not res.passed and res.witness == 1 and "outside" in res.reason
+    # a wrong shape or dtype refuses the array as a whole and names no vertex
     res = verify_certificate(g, np.array([0, 1, 0]), cert, r=2)
-    assert not res.passed and res.witness == 3 and "shape" in res.reason
+    assert not res.passed and res.witness is None and "shape" in res.reason
     res = verify_certificate(g, np.array([0.0, 1.0, 0.0, 1.0]), cert, r=2)
-    assert not res.passed and res.witness == 0 and "non-integer" in res.reason
+    assert not res.passed and res.witness is None and "non-integer" in res.reason
     res = verify_certificate(g, np.array([0, 1, -1, 1]), cert, r=2)
     assert not res.passed and res.witness == 2
     assert verify_certificate(g, np.array([0, 1, 0, 1]), cert, r=2).passed
@@ -158,15 +159,16 @@ def test_shifted_report_labels_are_refused_on_both_routes():
     report = bisect_internal(g, seed=0)
     shifted = report.labels + 0.4
     res = verify_certificate(g, shifted, report.certificate, r=2)
-    assert not res.passed and res.witness == 0 and "non-integer" in res.reason
+    assert not res.passed and res.witness is None and "non-integer" in res.reason
     with pytest.raises(LabelError, match="non-integer") as exc:
         certify.recount(g, shifted, 2)
-    assert exc.value.vertex == 0
+    assert exc.value.vertex is None
 
 
 def test_out_of_range_and_2d_report_labels_are_refused_on_both_routes():
-    # the verifier fails an out-of-range label and a 2-D label array with the
-    # reason, and the pipelines' recount raises LabelError naming the vertex
+    # the verifier fails an out-of-range label, a 2-D label array and a float
+    # one with the reason, and the pipelines' recount raises LabelError
+    # naming the vertex; the 2-D and float arrays name none
     g = gen_gnp(40, 0.3, seed=2)
     report = bisect_internal(g, seed=0)
     bad = report.labels.copy()
@@ -178,9 +180,16 @@ def test_out_of_range_and_2d_report_labels_are_refused_on_both_routes():
     assert exc.value.vertex == 7
     square = bad.reshape(8, 5) % 2
     res = verify_certificate(g, square, report.certificate, r=2)
-    assert not res.passed and "shape" in res.reason
-    with pytest.raises(LabelError, match=r"^label array of shape \(8, 5\) for n=40$"):
+    assert not res.passed and res.witness is None and "shape" in res.reason
+    with pytest.raises(LabelError, match=r"^label array of shape \(8, 5\) for n=40$") as exc:
         certify.recount(g, square, 2)
+    assert exc.value.vertex is None
+    floats = report.labels.astype(float)
+    res = verify_certificate(g, floats, report.certificate, r=2)
+    assert not res.passed and res.witness is None and "non-integer" in res.reason
+    with pytest.raises(LabelError, match=r"^labels have non-integer dtype float64$") as exc:
+        certify.recount(g, floats, 2)
+    assert exc.value.vertex is None
 
 
 MALFORMED_CLAIMS = [
@@ -253,6 +262,23 @@ def test_judge_refuses_a_part_read_from_the_end():
     with pytest.raises(ValueError, match=r"^malformed claim #0: part_size_window "
                                          r"claim has a bad 'part': -1 \(r=2\)$"):
         certify.judge(certify.recount(complete_graph(4), [0, 0, 1, 1], 2), claims)
+
+
+@pytest.mark.parametrize("g, labels, r, claims", [
+    # each part exactly on its window's lower bound, then on its upper bound
+    (complete_graph(4), [0, 0, 1, 1], 2,
+     [certify.claim_part_size_window(0, 2, 3), certify.claim_part_size_window(1, 1, 2)]),
+    # one part: every vertex in it, and no cross edge
+    (complete_graph(4), [0, 0, 0, 0], 1,
+     [certify.claim_part_sizes([4]), certify.claim_balance(0),
+      certify.claim_extremal_stat("min_cross_degree", 0)]),
+    (Graph.from_edges(0, []), [], 2,
+     [certify.claim_extremal_stat("min_own_degree", 0),
+      certify.claim_extremal_stat("min_cross_degree", 0)]),
+])
+def test_verification_passes_on_the_boundary_cases(g, labels, r, claims):
+    res = verify_certificate(g, np.array(labels, dtype=np.int64), make_cert(g, claims), r=r)
+    assert res == VerifyResult(True)
 
 
 @pytest.mark.parametrize("r", ["2", 2.5, True, 0])
@@ -442,7 +468,7 @@ def test_verifier_agrees_with_naive_recount(case):
     cert = make_cert(g, claims)
     res = verify_certificate(g, np.array(labels, dtype=np.int64), cert, r=r)
     if len(labels) != g.n:
-        assert not res.passed and res.witness == min(len(labels), g.n)
+        assert not res.passed and res.witness is None and "shape" in res.reason
         return
     bad = [v for v, lab in enumerate(labels) if not 0 <= lab < r]
     if bad:
@@ -475,6 +501,9 @@ THREE = [certify.claim_balance(1), certify.claim_extremal_stat("min_own_degree",
     (complete_graph(5), [0, 0, 1, 1, 1],
      [certify.claim_balance(1), FLOOR1,
       certify.claim_extremal_stat("min_cross_degree", 3)], 2, 2),
+    # the empty graph has no vertex to read a minimum from: only 0 holds
+    (Graph.from_edges(0, []), [], [certify.claim_extremal_stat("min_own_degree", 1)],
+     0, None),
 ])
 def test_failing_verification_counts_once_and_names_its_witness(
         monkeypatch, g, labels, claims, failed_index, witness):

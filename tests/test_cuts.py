@@ -24,10 +24,10 @@ from degpart import cuts
 from degpart.cuts import (BiasVector, _balanced_random_split, _move_thresholds,
                           _word_layout, biased_max_r_cut,
                           check_biased_local_min, local_maxcut)
-from degpart.gen import complete_graph, cycle_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 
-from conftest import graphs, watchdog
+from conftest import complete_graph, cycle_graph, graphs, watchdog
 
 PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
             (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
@@ -437,6 +437,23 @@ def test_biased_cut_matches_reference_sweep(case, seed, maximize):
         assert res.labels.tolist() == labels.tolist()
         assert (res.moves, res.objective_start, res.objective_end) == (moves, f0, f_end)
         assert type(res.objective_end) is type(f_end)
+
+
+@pytest.mark.parametrize("n, p", [(600, 0.08), (2000, 0.002)])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("maximize", [False, True])
+def test_biased_cut_matches_reference_at_the_shipped_policy(n, p, seed, maximize):
+    """The shipped (_WINDOW, _DENSE) on graphs large enough to make blocks.
+    At these seeds every block on G(600, 0.08) rebuilds keys and masks over
+    the whole array (5-12 blocks per search), and every block on
+    G(2000, 0.002) over its touched ids only (23-27 per search)."""
+    g = gen_gnp(n, p, 1)
+    labels, f0, f_end, moves = ref_biased_max_r_cut(g, THREE, seed=seed,
+                                                    maximize=maximize)
+    with watchdog(KERNEL_SECONDS, f"the flip kernel on G({n}, {p})"):
+        res = biased_max_r_cut(g, THREE, seed=seed, maximize=maximize)
+    assert res.labels.tolist() == labels.tolist()
+    assert (res.moves, res.objective_start, res.objective_end) == (moves, f0, f_end)
 
 
 def test_biased_cut_guard_keeps_last_vertex():

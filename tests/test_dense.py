@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from degpart import dense
 from degpart.dense import BudgetChain
-from degpart.gen import complete_graph, gen_complete_bipartite
+from degpart.gen import gen_complete_bipartite
 from degpart.graph import Counts, Graph
 
-from conftest import graphs
+from conftest import complete_graph, graphs
 
 
 # -- the class-based reference -------------------------------------------------

@@ -283,12 +283,16 @@ def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
     cli.main(["partition", "--graph", str(gpath), "--seed", "1",
               "--out", str(cpath)])
     payload = json.loads(cpath.read_text())
-    for labels in ([2] + payload["labels"][1:], payload["labels"][:-1],
-                   [0.5] + payload["labels"][1:]):
+    # a label out of range names its vertex; a wrong shape or dtype names none
+    for labels, why in (
+            ([2] + payload["labels"][1:],
+             "vertex 0 has label 2 outside [0, 2) (witness vertex 0)"),
+            (payload["labels"][:-1], "label array of shape (29,) for n=30"),
+            ([0.5] + payload["labels"][1:], "labels have non-integer dtype float64")):
         cpath.write_text(json.dumps(dict(payload, labels=labels)))
         capsys.readouterr()
         assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"FAIL: {why}\n"
 
 
 def test_cli_verify_non_integer_r_exit_1(tmp_path, capsys):

@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from degpart.cuts import BiasVector
-from degpart.gen import complete_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
                                bisect_with_cut_average, r_partition,
                                tripartition_exact)
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
+
+from conftest import complete_graph
 
 GOLDEN = Path(__file__).parent / "data" / "golden_claims.json"
 VACUOUS = {"size_window": "vacuous", "weight_budget": "vacuous"}

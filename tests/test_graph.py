@@ -8,11 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from degpart import graph as graph_module
-from degpart.gen import complete_graph, cycle_graph, gen_gnp, path_graph
+from degpart.gen import gen_gnp
 from degpart.graph import (MAX_VERTICES, Counts, Graph, GraphFormatError,
                            LabelError, load_graph, part_profile)
 
-from conftest import graphs, naive_profile
+from conftest import complete_graph, cycle_graph, graphs, naive_profile, path_graph
 
 # np.loadtxt warns on a body without data; the loader must decline it first
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -233,8 +233,9 @@ def test_labeled_partition_names_the_first_bad_vertex():
     assert exc.value.vertex == 2
     for labels, shape in (([[0, 1], [1, 0]], r"\(2, 2\)"), (1, r"\(\)"),
                           (np.zeros((3, 1), dtype=np.int64), r"\(3, 1\)")):
-        with pytest.raises(LabelError, match=rf"^label array of shape {shape} for n=3$"):
+        with pytest.raises(LabelError, match=rf"^label array of shape {shape} for n=3$") as exc:
             Counts(k3, labels, 2)
+        assert exc.value.vertex is None
     counts = Counts(k3, np.array([2, 0, 1], dtype=np.int8), 3)
     assert counts.labels.dtype == np.int64
     assert Counts(path_graph(5), [0, 1, 0, 1, 0], 2).sizes.tolist() == [3, 2]

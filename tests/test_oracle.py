@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 import degpart.oracle as oracle
 from degpart.dense import extract_dense
-from degpart.gen import complete_graph, cycle_graph, gen_gnp, gen_kuhn_osthus
+from degpart.gen import gen_gnp, gen_kuhn_osthus
 from degpart.graph import Counts, Graph, part_profile
-from degpart.oracle import (MAX_ORACLE_N, OBJECTIVES, best_bisection,
-                            dense_fixed_point_check, ko_bisection_exists)
+from degpart.oracle import MAX_ORACLE_N, OBJECTIVES, best_bisection, ko_bisection_exists
 
-from conftest import graphs
+from conftest import complete_graph, cycle_graph, graphs
 
 
 def brute_force_value(graph, objective):
@@ -143,6 +142,38 @@ def ref_ko_bisection_exists(n, l, k):
                         "a_part": a_part, "refuted": 0, "n": n, "l": l, "k": k}
     return {"exists": False, "witness": None, "refuted": checked,
             "n": n, "l": l, "k": k}
+
+
+# the largest host dense_fixed_point_check enumerates
+MAX_HOST = 15
+
+
+def dense_fixed_point_check(graph, host, target, eta):
+    """Greedy extraction equals the unique maximal valid subset.
+
+    host holds the host's vertex ids, and target and eta are as in
+    ``dense.extract_dense``, which runs on the two-part labeling with the
+    host as part 0.  A subset S of the host is valid when every classed
+    vertex in S has at least its target degree inside S.  Valid subsets are
+    closed under union, so the maximal one is the union of all of them,
+    read off the oracle's enumerator; hosts above MAX_HOST vertices are
+    refused.
+    """
+    host = np.unique(np.asarray(host, dtype=np.int64))
+    if len(host) > MAX_HOST:
+        raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
+    sub = graph.induced_subgraph(host)
+    # a member meets its target (0: unclassed) when st = 2 * inside - deg
+    # reaches 2 * target - deg
+    need = (2 * np.asarray(target, dtype=np.int64)[host] - sub.degree)[:, None]
+    union = np.zeros(len(host), dtype=bool)
+    for s, st in oracle._sets(sub):
+        inside = s > 0
+        union |= inside[:, (~inside | (st >= need)).all(axis=0)].any(axis=1)
+    labels = np.ones(graph.n, dtype=np.int64)
+    labels[host] = 0
+    result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
+    return set(result.surviving.tolist()) == set(host[union].tolist())
 
 
 def ref_dense_fixed_point_check(graph, host, target, eta):
@@ -376,7 +407,7 @@ def test_dense_fixed_point_refuses_a_wrong_extraction(case, pick):
     class Fake:
         surviving = wrong
 
-    with mock.patch.object(oracle, "extract_dense", lambda *args: Fake):
+    with mock.patch.dict(globals(), extract_dense=lambda *args: Fake):
         assert dense_fixed_point_check(graph, host, target, eta) is False
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from degpart import certify, pipelines
 from degpart.certify import verify_certificate
 from degpart.cuts import BiasVector, biased_max_r_cut
-from degpart.gen import complete_graph, cycle_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import best_bisection
 from degpart.pipelines import (_exact_min_ratio, _make_report, _repair,
@@ -25,6 +25,8 @@ from degpart.refine_ext import refine_external
 from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, stage_one
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet, build_threshold_table
+
+from conftest import complete_graph, cycle_graph
 
 from test_golden import RUNS
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from degpart import certify
 from degpart.certify import table_floor, tripartition_claims
-from degpart.gen import complete_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.graph import Counts, part_profile
 from degpart.pipelines import tripartition
 from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import INTERNAL, ParamSet, build_threshold_table
 
-from conftest import mixed_labels, tripartitions
+from conftest import complete_graph, mixed_labels, tripartitions
 from reference_refine import ref_refine_internal_once
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from degpart.gen import complete_graph, gen_gnp
+from degpart.gen import gen_gnp
 from degpart.graph import Counts
 from degpart.stage1 import (PART_A, PART_B, PART_C, balancing_sides, goodness_map,
                             random_tripartition_attempt, relocate_bad_from_c,
                             stage_one, tripartition_probabilities)
 from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
                                 build_threshold_table)
+
+from conftest import complete_graph
 
 
 def table_for(graph, params):
