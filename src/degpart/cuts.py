@@ -84,26 +84,24 @@ python ints and sweeps the window on them.  A mover adds one delta, chosen
 by the neighbour's label, to the y of each forward neighbour inside the
 window only, and marks it to be checked again when the sweep reaches it.
 Then one pass applies all the block's moves to the packed words: an
-``np.add.at`` of each move's field deltas over the movers' CSR rows, then
-the word-0 keys rebuilt from the final labels and those labels' fields, and
-the mask recomputed.  The rebuild runs over the whole array (a slice) when
-the movers' rows hold more than n // 2 entries, as on a dense graph, and
-over the touched ids otherwise, where a whole-array pass per window would
-cost O(n) per block; a key and a mask are functions of the vertex's words,
-so both forms give the same.  The block makes the moves that one-move steps
-make, in the same order, for three reasons.  Each vertex moves at most once
-per sweep, so the deltas commute and every field ends in [0, maxdeg]
-whatever order they are added in.  The sweep never returns to a vertex
-behind it, so a backward neighbour's words are needed only by later sweeps
-and windows, which read them after the bulk pass.  And whether a vertex can
-move is a function of its words, so a vertex whose local words no earlier
-mover of the window touched keeps the mask bit it had.  A window with fewer
-candidates (the sparse tail sweeps) keeps the one-move step, whose numpy
-calls per move are cheaper there than a block's per window.
+``np.add.at`` of each move's field deltas over the movers' CSR rows, the
+word-0 key of every touched vertex rebuilt from its final label and that
+label's field, and the mask of the movers and their neighbours recomputed.
+The block makes the moves that one-move steps make, in the same order, for
+three reasons.  Each vertex moves at most once per sweep, so the deltas
+commute and every field ends in [0, maxdeg] whatever order they are added
+in.  The sweep never returns to a vertex behind it, so a backward
+neighbour's words are needed only by later sweeps and windows, which read
+them after the bulk pass.  And whether a vertex can move is a function of
+its words, so a vertex whose local words no earlier mover of the window
+touched keeps the mask bit it had.  A window with fewer candidates (the
+sparse tail sweeps) keeps the one-move step, whose numpy calls per move are
+cheaper there than a block's per window.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -325,10 +323,9 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
     combine_py = operator.add if maximize else operator.sub
 
     words = np.zeros((nw, n), dtype=np.int64)
-    every = np.arange(n)
     for q in range(r):
         words[word[q]] += matrix[:, q] << offset[q]
-    words[0] += ((labels << bits) + matrix[every, labels]) << shift
+    words[0] += ((labels << bits) + matrix[np.arange(n), labels]) << shift
     rows = list(words)
     below_key = (1 << shift) - 1
 
@@ -340,17 +337,21 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
 
     def join(cols):
         """The y of each vertex whose word k is listed in cols[k]."""
-        if nw == 1:
-            return cols[0]
-        return [x & below_key | x >> shift << yshift | sum(z << s for z, s in zip(zs, lift))
-                for x, *zs in zip(*cols)]
+        ys = cols[0]
+        if nw > 1:
+            ys = [x & below_key | x >> shift << yshift for x in ys]
+            for zs, s in zip(cols[1:], lift):
+                ys = [y | z << s for y, z in zip(ys, zs)]
+        return ys
 
     def load(a, b):
         """The y of each vertex a..b-1."""
         return join([row[a:b].tolist() for row in rows])
 
-    # the bar of each key as y: python ints, which may pass 63 bits, over words
-    bar_at = bars[0].item if nw == 1 else join([b.tolist() for b in bars]).__getitem__
+    # the bar of a key as y, a python int that may pass 63 bits over words:
+    # joined on its first use, so only the keys the search meets are built
+    bar_at = bars[0].item if nw == 1 else functools.cache(
+        lambda key: join([[b.item(key)] for b in bars])[0])
 
     def fires(xs):
         """The guard bits that fire, per vertex, given each word of the
@@ -368,11 +369,15 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
 
     # a move from i to j adds plan[i][j] to the words of the mover's
     # neighbours (to word 0 by the neighbour's label, to word k its constant),
-    # step[i][j][l] to the y of a neighbour labelled l, and in the block pass
+    # step(i, j)[l] to the y of a neighbour labelled l, and in the block pass
     # delta[k][i * r + j] (the fields only, no key) to word k
     plan = [[None] * r for _ in range(r)]
-    step = [[[(1 << j * span) - (1 << i * span) + ((l == j) - (l == i) << yshift)
-              for l in range(r)] for j in range(r)] for i in range(r)]
+
+    @functools.cache
+    def step(i, j):
+        return [(1 << j * span) - (1 << i * span) + ((l == j) - (l == i) << yshift)
+                for l in range(r)]
+
     delta = np.zeros((nw, r * r), dtype=np.int64)
     for i in range(r):
         for j in range(r):
@@ -434,7 +439,7 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
                 i, j, _ = move
                 movers.append(a + t)
                 codes.append(i * r + j)
-                d = step[i][j]
+                d = step(i, j)
                 for s in fwd[lo:hi]:
                     ys[s] += d[ys[s] >> ylab]
                     due[s] = True  # recheck s when the sweep reaches it
@@ -447,21 +452,17 @@ def _flip_search(counts: Counts, w: list, maximize: bool = False):
         for k in range(nw):
             np.add.at(rows[k], nb, np.repeat(delta[k][code], reps))
         rows[0][mv] += relabel[code]
-        # rebuild every vertex when the movers' rows reach past half the
-        # graph, else only the touched ones
-        if len(nb) > n // 2:
-            at, ids = slice(None), every
-        else:
-            seen[nb] = seen[mv] = True
-            at = ids = np.flatnonzero(seen)
-            seen[ids] = False
+        seen[nb] = True
+        seen[mv] = True
+        touched = np.flatnonzero(seen)
+        seen[touched] = False
         # word 0's key from the final label and the field of that label
-        xs = [row[at] for row in rows]
+        xs = [row[touched] for row in rows]
         lab = xs[0] >> lab_shift
-        own = flat[word_at[lab] + ids] >> offset_of[lab] & mask
+        own = flat[word_at[lab] + touched] >> offset_of[lab] & mask
         xs[0] = xs[0] & below_key | ((lab << bits) + own) << shift
-        rows[0][at] = xs[0]
-        cand[at] = fires(xs).astype(bool)
+        rows[0][touched] = xs[0]
+        cand[touched] = fires(xs).astype(bool)
         return len(movers)
 
     moves = 0

@@ -1,8 +1,7 @@
 """Brute-force ground truth on small instances.
 
-``best_bisection`` and ``ko_bisection_exists`` share one enumerator, and
-the tests' fixed-point check of dense extraction runs on it too.  It walks
-the subsets of range(n) as bitmasks, vertex i on bit n-1-i, from the
+``best_bisection`` and ``ko_bisection_exists`` share one enumerator.  It
+walks the subsets of range(n) as bitmasks, vertex i on bit n-1-i, from the
 largest mask down: within one size, exactly the lexicographic order of
 ``itertools.combinations``.  The masks of size k
 come from a table that depends only on (n, k), built once by the recursion
@@ -58,15 +57,14 @@ def _set_table(n: int, size: int) -> np.ndarray:
     return row[size]
 
 
-def _sets(graph: Graph, size: int | None = None):
-    """Yield (s, st) per chunk of candidate sets: the ±1 matrix s and
-    st = s * (adj @ s).  With ``size``, only the sets of that size (of an
-    even n's bisections, only those holding vertex 0)."""
+def _sets(graph: Graph, size: int):
+    """Yield (s, st) per chunk of the sets of that size (of an even n's
+    bisections, only those holding vertex 0): the ±1 matrix s and
+    st = s * (adj @ s)."""
     n = graph.n
     adj = np.zeros((n, n), dtype=np.float32)
     adj[graph.rows, graph.indices] = 1
-    masks = (np.arange((1 << n) - 1, -1, -1, dtype=np.int32) if size is None else
-             _set_table(n, size)[:comb(n - 1, size - 1) if 2 * size == n else None])
+    masks = _set_table(n, size)[:comb(n - 1, size - 1) if 2 * size == n else None]
     shifts = np.arange(n - 1, -1, -1, dtype=np.int32)[:, None]
     for start in range(0, len(masks), CHUNK):
         s = ((masks[start:start + CHUNK] >> shifts) & 1).astype(np.float32)

@@ -443,15 +443,18 @@ def test_biased_cut_matches_reference_sweep(case, seed, maximize):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("maximize", [False, True])
 def test_biased_cut_matches_reference_at_the_shipped_policy(n, p, seed, maximize):
-    """The shipped (_WINDOW, _DENSE) on graphs large enough to make blocks.
-    At these seeds every block on G(600, 0.08) rebuilds keys and masks over
-    the whole array (5-12 blocks per search), and every block on
-    G(2000, 0.002) over its touched ids only (23-27 per search)."""
+    """The shipped (_WINDOW, _DENSE) on a dense and a sparse graph, both
+    large enough to make blocks.  Each block with a mover reads the movers'
+    CSR rows once through ``row_entries``, which counts those blocks: 5-12
+    per search on G(600, 0.08) and 23-27 on G(2000, 0.002) at these seeds."""
     g = gen_gnp(n, p, 1)
     labels, f0, f_end, moves = ref_biased_max_r_cut(g, THREE, seed=seed,
                                                     maximize=maximize)
-    with watchdog(KERNEL_SECONDS, f"the flip kernel on G({n}, {p})"):
+    with (watchdog(KERNEL_SECONDS, f"the flip kernel on G({n}, {p})"),
+          mock.patch.object(Graph, "row_entries", autospec=True,
+                            side_effect=Graph.row_entries) as blocks):
         res = biased_max_r_cut(g, THREE, seed=seed, maximize=maximize)
+    assert blocks.call_count > 0
     assert res.labels.tolist() == labels.tolist()
     assert (res.moves, res.objective_start, res.objective_end) == (moves, f0, f_end)
 

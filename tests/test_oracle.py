@@ -156,20 +156,17 @@ def dense_fixed_point_check(graph, host, target, eta):
     host as part 0.  A subset S of the host is valid when every classed
     vertex in S has at least its target degree inside S.  Valid subsets are
     closed under union, so the maximal one is the union of all of them,
-    read off the oracle's enumerator; hosts above MAX_HOST vertices are
-    refused.
+    read off ``chunked_sets``; hosts above MAX_HOST vertices are refused.
     """
     host = np.unique(np.asarray(host, dtype=np.int64))
     if len(host) > MAX_HOST:
         raise ValueError(f"host has {len(host)} vertices (cap {MAX_HOST})")
     sub = graph.induced_subgraph(host)
-    # a member meets its target (0: unclassed) when st = 2 * inside - deg
-    # reaches 2 * target - deg
-    need = (2 * np.asarray(target, dtype=np.int64)[host] - sub.degree)[:, None]
+    need = np.asarray(target, dtype=np.int64)[host]  # 0: unclassed
     union = np.zeros(len(host), dtype=bool)
-    for s, st in oracle._sets(sub):
-        inside = s > 0
-        union |= inside[:, (~inside | (st >= need)).all(axis=0)].any(axis=1)
+    for rows, in_set in chunked_sets(sub):
+        inside = rows > 0
+        union |= inside[(~inside | (in_set >= need)).all(axis=1)].any(axis=0)
     labels = np.ones(graph.n, dtype=np.int64)
     labels[host] = 0
     result = extract_dense(Counts(graph, labels, 2), (0,), target, eta)
