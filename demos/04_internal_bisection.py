@@ -20,7 +20,10 @@ print("ok:", report.ok, "| guaranteed:", report.guaranteed,
 print("sizes:", report.stats["sizes"])
 print("min own-degree:", report.stats["min_own_degree"],
       "| min own-ratio:", round(report.stats["min_own_ratio"], 4))
-print("stage-one attempts:", report.diagnostics["stage1_attempts"])
+# the report carries stage one's log: one record per attempt, the last the
+# accepted one
+print("stage-one attempts:", report.diagnostics["stage1_attempts"],
+      "| accepted:", report.diagnostics["stage1_log"][-1])
 
 # the certificate is a claim list bound to the exact graph
 for claim in report.certificate.claims:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 parameter error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -42,6 +41,16 @@ def _write(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _lo_hi(text: str, flag: str, kind=float) -> tuple:
+    """The two numbers of a lo:hi flag; ValueError naming the flag if the
+    text is no such pair."""
+    try:
+        lo, hi = text.split(":")
+        return kind(lo), kind(hi)
+    except ValueError:
+        raise ValueError(f"{flag} takes lo:hi, got {text!r}") from None
+
+
 def _parse_d_const(text: str) -> float | None:
     if text == "paper":
         return None
@@ -57,20 +66,14 @@ def _cmd_partition(args) -> int:
     graph = _read_graph(args.graph)
     options = {"attempts": args.retries}
     if args.size_window:
-        lo, hi = args.size_window.split(":")
-        options["size_window"] = (float(lo), float(hi))
+        options["size_window"] = _lo_hi(args.size_window, "--size-window")
     if args.vacuous_windows:
         options["size_window"] = "vacuous"
         options["weight_budget"] = "vacuous"
-    if args.stage_log and args.shape == "rpart":
-        raise ValueError("--stage-log: rpart has no stage one to log")
-    with (open(args.stage_log, "w") if args.stage_log
-          else contextlib.nullcontext()) as stage_log:
-        report = pipelines.run_shape(
-            graph, args.shape, MODES[args.mode], c=args.c, eps=args.eps,
-            k=args.k, alpha=args.alpha.split(","),
-            d_const=_parse_d_const(args.d_const), seed=args.seed,
-            stage_log=stage_log, **options)
+    report = pipelines.run_shape(
+        graph, args.shape, MODES[args.mode], c=args.c, eps=args.eps, k=args.k,
+        alpha=args.alpha.split(","), d_const=_parse_d_const(args.d_const),
+        seed=args.seed, **options)
     _write(json.dumps(report.to_jsonable(), indent=2, allow_nan=False) + "\n",
            args.out)
     print(f"ok={report.ok} guaranteed={report.guaranteed} "
@@ -136,7 +139,7 @@ def _cmd_thresholds(args) -> int:
     params = ParamSet(args.c, args.eps, MODES[args.mode],
                       d_const=_parse_d_const(args.d_const),
                       relaxed=args.relaxed)
-    lo, hi = (int(x) for x in args.degrees.split(":"))
+    lo, hi = _lo_hi(args.degrees, "--degrees", int)
     table = build_threshold_table(params, range(lo, hi + 1))
     _write(table.dump_csv(), args.out)
     return EXIT_OK
@@ -179,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi override for the stage-one size window")
     p.add_argument("--vacuous-windows", action="store_true",
                    help="disable stage-one windows (diagnostic runs)")
-    p.add_argument("--stage-log",
-                   help="write per-attempt stage-one diagnostics (JSON lines);"
-                        " not for rpart")
-    p.add_argument("--out", help="write the full report JSON here")
+    p.add_argument("--out", help="write the full report JSON here, stage one's "
+                   "per-attempt log included")
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("verify", help="re-verify a report's certificate")

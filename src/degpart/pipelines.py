@@ -16,15 +16,16 @@ certificate claims and judged by the verifier.  Every shape built on it
 (bisections, exact tripartitions, dual and cut-average bisections) sets its
 run parameters and a finish step, and one private driver, ``_construct``,
 does the rest.  The shapes take ``seed``, ``n_guarantee_threshold`` and the
-keywords of ``stage1.stage_one`` (attempts, size_window, weight_budget,
-stage_log) and pass them through unchanged.  ``tripartition`` keeps one
-``graph.Counts`` and one threshold table, built over the graph's degree
-classes, for the whole run: stage one counts each attempt once, and every
-later move, check and judgement reads the maintained counts.  Each labeling
-a pipeline emits is counted once more from scratch (``certify.recount``,
-with the run's table), and ``_make_report`` judges its conditions and its
-statistics on that count in one verifier pass, so each claim is judged
-once; ``_make_report`` is also the one place a report's ok is decided.
+keywords of ``stage1.stage_one`` (attempts, size_window, weight_budget)
+and pass them through unchanged; the report's diagnostics carry stage one's
+per-attempt log.  ``tripartition`` keeps one ``graph.Counts`` and one
+threshold table, built over the graph's degree classes, for the whole run:
+stage one counts each attempt once, and every later move, check and
+judgement reads the maintained counts.  Each labeling a pipeline emits is
+counted once more from scratch (``certify.recount``, with the run's table),
+and ``_make_report`` judges its conditions and its statistics on that count
+in one verifier pass, so each claim is judged once; ``_make_report`` is also
+the one place a report's ok is decided.
 """
 
 from __future__ import annotations
@@ -172,15 +173,22 @@ class PipelineReport:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "PipelineReport":
-        """Read back ``to_jsonable``'s form; a null ratio minimum is inf."""
+        """Read back ``to_jsonable``'s form; a null ratio minimum is inf.
+        Labels that make no 1-D array (a nested or ragged list, a scalar)
+        raise TypeError naming them."""
         if not isinstance(d, dict):
             raise TypeError(f"the report must be a JSON object, got {type(d).__name__}")
+        try:
+            labels = np.asarray(d["labels"])
+        except ValueError:  # a ragged list
+            labels = None
+        if labels is None or labels.ndim != 1:
+            raise TypeError("'labels' must be a flat list")
         stats = d["stats"]
         if isinstance(stats, dict):
             stats = {key: math.inf if key in _RATIO_STATS and value is None else value
                      for key, value in stats.items()}
-        return cls(d["mode"], d["shape"], d["params"], d["n"], d["r"],
-                   np.asarray(d["labels"]), stats,
+        return cls(d["mode"], d["shape"], d["params"], d["n"], d["r"], labels, stats,
                    Certificate.from_jsonable(d["certificate"]), d["ok"],
                    d["guaranteed"], d.get("seed", 0), d.get("diagnostics", {}))
 
@@ -304,8 +312,8 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
                  **stage_one_options) -> TripartitionResult:
     """Stage one, then the refinement of ``params.mode``, then the conditions.
 
-    stage_one_options (attempts, size_window, weight_budget, stage_log) go
-    to ``stage_one``.  Internal mode refines side A, then side B with the
+    stage_one_options (attempts, size_window, weight_budget) go to
+    ``stage_one``.  Internal mode refines side A, then side B with the
     roles of the sides exchanged (``refine_internal_once``); external mode
     extracts, absorbs and cuts (``refine_external``).  The threshold table
     is built over ``graph.degree_classes[0]``.  The conditions of
@@ -322,8 +330,7 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
     if not s1.ok:
         return TripartitionResult(
             False, counts.labels, {}, s1, [], table,
-            {"stage": "stage1", "violated": s1.violated,
-             "failure_counts": s1.failure_counts}, counts)
+            {"stage": "stage1", "violated": s1.violated}, counts)
     if params.mode == INTERNAL:
         traces, diagnostics = [refine_internal_once(counts, params, table)], {}
         counts.swap(PART_A, PART_B)
@@ -382,6 +389,7 @@ def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
         diagnostics["min_degree_hypothesis"] = {
             "required": hyp_floor, "actual": min_deg, "ok": hyp_ok}
     diagnostics["stage1_attempts"] = tri.stage1.attempts
+    diagnostics["stage1_log"] = tri.stage1.log
     return _make_report(counted, shape, run_params, conditions, gate, seed,
                         diagnostics, n_guarantee_threshold, hyp_ok)
 
@@ -664,9 +672,9 @@ def run_shape(graph: Graph, shape: str, mode: str, *, c: float = 0.0,
 
     eps defaults to 0.25, or to 0.09 for an external bisection (external mode
     caps eps at 0.1).  stage_one_options (attempts, size_window,
-    weight_budget, stage_log) go to stage one, None meaning the default;
-    rpart has none.  A parameter the shape does not read must keep its
-    default (c=0, k=0, eps and d_const None), or ValueError is raised.
+    weight_budget) go to stage one, None meaning the default; rpart has
+    none.  A parameter the shape does not read must keep its default (c=0,
+    k=0, eps and d_const None), or ValueError is raised.
     """
     given = {"c": c != 0.0, "k": k != 0, "eps": eps is not None,
              "d_const": d_const is not None}

@@ -67,22 +67,6 @@ class ExternalTrace:
     precond: dict
     checks: dict
 
-    def to_jsonable(self) -> dict:
-        return {
-            "deleted": [] if self.extract is None else
-            [list(t) for t in self.extract.deleted],
-            "w1_size": int(len(self.w1)),
-            "absorbed": [
-                {"vertex": a.vertex, "degree": a.degree, "dest": a.destination,
-                 "witnessed_cross": a.witnessed_cross, "threshold": a.threshold}
-                for a in self.absorbed],
-            "w2": self.w2.tolist(),
-            "w_plus": self.wcut[0].tolist(),
-            "w_minus": self.wcut[1].tolist(),
-            "precond": self.precond,
-            "checks": self.checks,
-        }
-
 
 def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
                     cut_seed: int = 0) -> ExternalTrace:

@@ -62,19 +62,6 @@ class InternalRefineTrace:
     checks: dict
     guaranteed: bool
 
-    def to_jsonable(self) -> dict:
-        return {
-            "a_star_size": int(len(self.a_star)),
-            "evacuations": [
-                {"vertex": e.vertex, "degree": e.degree,
-                 "joint_degree": e.joint_degree_at_move, "absorbed": e.absorbed}
-                for e in self.evacuations],
-            "patch": {str(x): rx for x, rx in self.patch.items()},
-            "precond": self.precond,
-            "checks": self.checks,
-            "guaranteed": self.guaranteed,
-        }
-
 
 def _evacuee_landing_is_good(table: ThresholdTable) -> bool:
     """Check i - floor(phi(i)) >= floor(thr_int(i)) for every active degree.

@@ -20,11 +20,12 @@ total degree; inactive vertices are unconstrained and never counted bad.
 
 Each attempt is counted once into a ``graph.Counts``: ``goodness_map`` reads
 it, ``relocate_bad_from_c`` moves through it, and the result hands it on.
+The result's ``log`` holds one record per attempt (its sizes, weight and
+violated properties), and the pipelines carry it into the report.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -120,16 +121,20 @@ VACUOUS = "vacuous"
 
 @dataclass
 class StageOneResult:
-    """Outcome of the randomized stage (best attempt if not ok)."""
+    """Outcome of the randomized stage (best attempt if not ok); log holds
+    one {"attempt", "sizes", "weight", "violated"} record per attempt run."""
 
     ok: bool
     labels: np.ndarray
-    attempts: int
     sizes: tuple[int, int, int]
     weight: int
     violated: list[str] = field(default_factory=list)
-    failure_counts: dict = field(default_factory=dict)
+    log: list[dict] = field(default_factory=list)
     counts: Counts | None = None  # the maintained counts of labels
+
+    @property
+    def attempts(self) -> int:
+        return len(self.log)
 
 
 def _real(x, finite: bool = False) -> bool:
@@ -159,8 +164,7 @@ def _window_bounds(window) -> tuple[tuple, tuple]:
 
 def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
               seed: int = 0, attempts: int = 64,
-              size_window=None, weight_budget=None,
-              stage_log=None) -> StageOneResult:
+              size_window=None, weight_budget=None) -> StageOneResult:
     """Retry random tripartitions until (1a)-(1c) hold under the windows.
 
     size_window/weight_budget default to the values in the module docstring;
@@ -169,14 +173,11 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     a budget is a number; anything else raises ValueError, and so does an
     ``attempts`` that is not an integer >= 1 (a bool is refused too).  On
     failure the best attempt (fewest violations, then smallest weight) is
-    returned together with per-property failure counts.  stage_log, when
-    given, receives one JSON line per attempt (sizes, weight, violated
-    properties).
+    returned.  Either way the result's log records every attempt run.
     """
     if not isinstance(attempts, numbers.Integral) or isinstance(attempts, bool) \
             or attempts < 1:
         raise ValueError(f"attempts must be an integer >= 1, got {attempts!r}")
-    attempts = int(attempts)  # a numpy integer is recorded as a JSON int
     if size_window is None:
         size_window = default_size_window(params, graph.n)
     elif isinstance(size_window, str) and size_window == VACUOUS:
@@ -189,7 +190,7 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
         raise ValueError(f"weight_budget must be 'vacuous' or a number, "
                          f"got {weight_budget!r}")
     (lo_a, hi_a), (lo_b, hi_b) = _window_bounds(size_window)
-    fail_counts = {"size": 0, "goodness": 0, "weight": 0}
+    log: list[dict] = []
     best: StageOneResult | None = None
     for t in range(attempts):
         # one count per attempt; the relocation moves vertices through it
@@ -206,20 +207,14 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
             violated.append("goodness")
         if gm2.weight > weight_budget:
             violated.append("weight")
-        for name in violated:
-            fail_counts[name] += 1
-        if stage_log is not None:
-            json.dump({"attempt": t, "sizes": list(sizes),
-                       "weight": gm2.weight, "violated": violated}, stage_log)
-            stage_log.write("\n")
-        res = StageOneResult(not violated, labels, t + 1, sizes, gm2.weight,
-                             violated, dict(fail_counts), counts)
+        log.append({"attempt": t, "sizes": list(sizes), "weight": gm2.weight,
+                    "violated": violated})
+        res = StageOneResult(not violated, labels, sizes, gm2.weight, violated,
+                             log, counts)
         if res.ok:
             return res
         if best is None or (len(res.violated), res.weight) < (len(best.violated), best.weight):
             best = res
-    best.attempts = attempts
-    best.failure_counts = fail_counts
     return best
 
 

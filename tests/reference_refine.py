@@ -6,9 +6,11 @@ with the same message.
 This module is not a test module, so pytest leaves its asserts as they are:
 a failed check here raises an AssertionError whose text is the check's own
 message (empty for a bare assert), like the package's asserts, and the two
-can be compared as text.
+can be compared as text.  ``plain`` gives a trace in a form two traces can
+be compared in, field by field.
 """
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -18,6 +20,21 @@ from degpart.dense import extract_dense
 from degpart.refine_ext import Absorption, ExternalTrace
 from degpart.refine_int import Evacuation, InternalRefineTrace, _evacuee_landing_is_good
 from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map
+
+
+def plain(value):
+    """value as plain Python data: a dataclass as the tuple of all its
+    fields, an array as a list, lists, tuples and dict values likewise; dict
+    keys stay as they are.  Its repr tells a bool from an int."""
+    if dataclasses.is_dataclass(value):
+        return tuple(plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(plain(v) for v in value)
+    return value
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 

@@ -231,17 +231,31 @@ def test_cli_report_of_an_edgeless_graph_is_strict_json_and_verifies(
     assert capsys.readouterr().out.startswith("PASS")
 
 
-def test_cli_stage_log_for_tripart(tmp_path):
-    gpath = tmp_path / "g.txt"
-    log = tmp_path / "stage.jsonl"
-    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--seed", "2",
+def test_cli_report_carries_the_stage_one_log(tmp_path):
+    gpath, out = tmp_path / "g.txt", tmp_path / "r.json"
+    cli.main(["gen", "--type", "gnp", "--n", "40", "--p", "0.4", "--seed", "1",
               "--out", str(gpath)])
-    code = cli.main(["partition", "--graph", str(gpath), "--shape", "tripart",
-                     "--k", "1", "--c", "0.5", "--eps", "0.5", "--retries", "3",
-                     "--stage-log", str(log), "--out", str(tmp_path / "r.json")])
-    assert code in (0, 1)
-    lines = [json.loads(ln) for ln in log.read_text().splitlines()]
-    assert lines and {"attempt", "sizes", "weight", "violated"} <= set(lines[0])
+    argv = ["partition", "--graph", str(gpath), "--shape", "tripart", "--k", "1",
+            "--c", "0.5", "--eps", "0.5", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 1  # stage one holds; the floors then fail
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    # the per-attempt lines this run wrote to a side file before the log
+    # moved into the report
+    assert diagnostics["stage1_attempts"] == 4
+    assert diagnostics["stage1_log"] == [
+        {"attempt": 0, "sizes": [8, 12, 20], "weight": 0, "violated": ["size"]},
+        {"attempt": 1, "sizes": [10, 14, 16], "weight": 0, "violated": ["size"]},
+        {"attempt": 2, "sizes": [11, 12, 17], "weight": 0, "violated": ["size"]},
+        {"attempt": 3, "sizes": [8, 10, 22], "weight": 0, "violated": []}]
+    # an empty window fails all three attempts, and each record says why
+    assert cli.main(argv + ["--retries", "3", "--size-window", "1:0"]) == 1
+    diagnostics = json.loads(out.read_text())["diagnostics"]
+    log = diagnostics["stage1_log"]
+    assert diagnostics["stage1_attempts"] == len(log) == 3
+    assert [rec["attempt"] for rec in log] == [0, 1, 2]
+    assert all(set(rec) == {"attempt", "sizes", "weight", "violated"}
+               and "size" in rec["violated"] for rec in log)
+    assert diagnostics["failure"] == {"stage": "stage1", "violated": log[-1]["violated"]}
 
 
 def test_cli_tripart_vacuous_windows(tmp_path):
@@ -263,16 +277,6 @@ def test_cli_external_bisect_uses_its_default_eps(tmp_path):
                      "--d-const", "1", "--out", str(out)])
     assert code in (0, 1)
     assert json.loads(out.read_text())["certificate"]["params"]["eps"] == 0.09
-
-
-def test_cli_stage_log_refused_for_rpart(tmp_path):
-    gpath = tmp_path / "g.txt"
-    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4",
-              "--out", str(gpath)])
-    assert cli.main(["partition", "--graph", str(gpath), "--shape", "rpart",
-                     "--stage-log", str(tmp_path / "s.jsonl")]) == 2
-    # refused before the log is opened, so no empty file is left behind
-    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_cli_verify_malformed_labels_exit_1(tmp_path, capsys):
@@ -612,6 +616,24 @@ def test_options_a_shape_does_not_read_are_refused(tmp_path, capsys):
                               "shape": "rpart", "size_window": [0, 20],
                               "seeds": [0]}])[0]
     assert row["error"] == "rpart has no stage one; it takes no size_window"
+
+
+@pytest.mark.parametrize("command, flag, text", [
+    (["partition"], "--size-window", "3"),
+    (["partition"], "--size-window", "a:b"),
+    (["partition"], "--size-window", "1:2:3"),
+    (["thresholds", "--eps", "0.25"], "--degrees", "5"),
+    (["thresholds", "--eps", "0.25"], "--degrees", "1:x")])
+def test_lo_hi_flags_name_themselves(tmp_path, capsys, command, flag, text):
+    # these printed "not enough values to unpack (expected 2, got 1)" and
+    # "could not convert string to float: 'a'"
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4", "--out", str(gpath)])
+    if command[0] == "partition":
+        command = command + ["--graph", str(gpath)]
+    capsys.readouterr()
+    assert cli.main(command + [flag, text]) == 2
+    assert capsys.readouterr().err == f"error: {flag} takes lo:hi, got {text!r}\n"
 
 
 def test_parameters_a_shape_never_reads_are_refused(tmp_path, capsys):

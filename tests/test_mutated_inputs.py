@@ -5,9 +5,10 @@ bisection and an rpart report of G(30, 0.4) for ``degpart verify``, and a
 three-entry manifest for ``degpart bench``.  Every field is swapped in turn
 for a value of each other JSON type, and deleted (of a label list, the first
 and the last entry); hypothesis sets one integer field, ``r`` included, to a
-value up to +-2**100.  Whatever the change, the command must return 0, 1 or
-2: ``verify`` prints one line, and ``bench`` prints its CSV with one-line
-error cells, or one ``error:`` line and nothing else.
+value up to +-2**100.  Whatever the change, ``verify`` must return 0 with
+one ``PASS`` line or 1 with one ``FAIL`` line, and ``bench`` must return 0
+with its CSV with one-line error cells, or 2 with one ``error:`` line and
+nothing else.
 """
 
 import contextlib
@@ -117,11 +118,11 @@ def reports(tmp_path_factory):
 
 def verify_diagnosis(where, doc):
     """Why ``degpart verify`` of doc, against the graph it was made on, gives
-    no one-line diagnosis; None if it does."""
+    no one-line PASS (exit 0) or FAIL (exit 1); None if it does."""
     path = where / "mutant.json"
     path.write_text(json.dumps(doc))
     code, out, err = run("verify", "--graph", where / "g.txt", "--cert", path)
-    lead = {0: "PASS", 1: "FAIL", 2: "error: "}.get(code)
+    lead = {0: "PASS", 1: "FAIL"}.get(code)
     text = out + err
     if lead is None or not text.startswith(lead) or text.count("\n") != 1 \
             or not text.endswith("\n"):

@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import pairs  # noqa: E402
 from pairs import merge_rounds, summarize, summarize_traced  # noqa: E402
 
 END_TO_END = [{"name": "int_solve_s.p50", "better": "lower", "bound": 0.25},
@@ -111,3 +112,23 @@ def test_three_rounds_report_every_count_and_digest_that_differs():
         "calls_per_op": {"thresholds.build_threshold_table": [3.0, 2.0, 3.0]},
         "counts_per_op": {"cuts.flips": [0, 0, 1.5]},
         "output_sha256": ["o", "x", "o"]}
+
+
+def test_a_missing_workdir_is_made(tmp_path, monkeypatch):
+    # TemporaryDirectory(dir=...) used to raise FileNotFoundError here
+    workdir = tmp_path / "fresh" / "exports"
+    made = []
+
+    class Exported(Exception):
+        pass
+
+    def export(ref, dest):
+        made.append((ref, dest.parent.parent))
+        raise Exported
+
+    monkeypatch.setattr(pairs, "export", export)
+    with pytest.raises(Exported):
+        pairs.main(["HEAD", "HEAD", "--workload", "gnp-paper", "--out",
+                    str(tmp_path / "out.json"), "--workdir", str(workdir)])
+    assert made == [("HEAD", workdir)]
+    assert workdir.is_dir() and not any(workdir.iterdir())

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import sys
@@ -19,8 +18,8 @@ from degpart.pipelines import (_exact_min_ratio, _make_report, _repair,
                                bisect_dual, bisect_external, bisect_internal,
                                bisect_with_cut_average, distribute_c_for_balance,
                                partition_stats, r_partition,
-                               random_bisection_stats, tripartition,
-                               tripartition_exact)
+                               random_bisection_stats, run_shape,
+                               tripartition, tripartition_exact)
 from degpart.refine_ext import refine_external
 from degpart.refine_int import refine_internal_once
 from degpart.stage1 import PART_A, PART_B, stage_one
@@ -237,6 +236,7 @@ def test_cut_average_split_failure_reports_attempts_and_hypothesis():
     assert r.diagnostics == {
         "failure": "C split infeasible", "cap_a": 2, "size_c": 1,
         "stage1_attempts": 1,
+        "stage1_log": [{"attempt": 0, "sizes": [1, 4, 1], "weight": 0, "violated": []}],
         "min_degree_hypothesis": {"required": 0.0, "actual": 1, "ok": True}}
     assert r.labels.tolist() == [1, 0, 1, 1, 2, 1]
     assert r.certificate.claims == [
@@ -458,18 +458,48 @@ def test_guarantee_requires_configured_threshold():
     assert r2.guaranteed == r2.ok
 
 
-def test_derived_pipelines_write_the_stage_log():
+def assert_stage1_log(rep, ok_attempt=True):
+    """The report's stage-one log: one record per attempt, in order, each
+    naming its violated properties; on an ok run the last record violates
+    nothing."""
+    log = rep.diagnostics["stage1_log"]
+    assert len(log) == rep.diagnostics["stage1_attempts"] >= 1
+    assert [rec["attempt"] for rec in log] == list(range(len(log)))
+    for rec in log:
+        assert set(rec) == {"attempt", "sizes", "weight", "violated"}
+        assert sum(rec["sizes"]) == rep.n and rec["weight"] >= 0
+        assert set(rec["violated"]) <= {"size", "goodness", "weight"}
+    assert all(rec["violated"] for rec in log[:-1])
+    assert (log[-1]["violated"] == []) == ok_attempt
+    return log
+
+
+def test_derived_shapes_carry_the_stage_one_log():
     g = complete_graph(20)
-    for run in (lambda log: tripartition_exact(
-                    g, 1, ParamSet(0.5, 0.5, INTERNAL, relaxed=True), seed=0,
-                    stage_log=log),
-                lambda log: bisect_dual(g, 1, 0.5, INTERNAL, seed=0, stage_log=log),
-                lambda log: bisect_with_cut_average(g, 1, 0.5, seed=0,
-                                                    stage_log=log)):
-        log = io.StringIO()
-        rep = run(log)
-        lines = [json.loads(ln) for ln in log.getvalue().splitlines()]
-        assert len(lines) == rep.diagnostics["stage1_attempts"]
+    for shape, kw in (("tripart", dict(k=1, c=0.5, eps=0.5)),
+                      ("dual", dict(k=1, eps=0.5)), ("cutavg", dict(k=1, eps=0.5))):
+        rep = run_shape(g, shape, INTERNAL, seed=0, **kw)
+        assert_stage1_log(rep)
+        # an empty window fails every attempt, and each record says why
+        rep = run_shape(g, shape, INTERNAL, seed=0, attempts=3, size_window=(1, 0), **kw)
+        log = assert_stage1_log(rep, ok_attempt=False)
+        assert len(log) == 3 and all("size" in rec["violated"] for rec in log)
+        assert rep.diagnostics["failure"] == {"stage": "stage1",
+                                              "violated": log[-1]["violated"]}
+        assert json.loads(json.dumps(rep.to_jsonable()))["diagnostics"]["stage1_log"] == log
+
+
+def test_the_stage_one_log_of_a_pinned_run():
+    # G(60, 0.3) at seed 0, external bisection with d_const 0.02, seed 1 and
+    # 3 attempts: the per-attempt lines this run wrote to a side file before
+    # the log moved into the report
+    rep = run_shape(gen_gnp(60, 0.3, seed=0), "bisect", EXTERNAL, d_const=0.02,
+                    seed=1, attempts=3)
+    assert assert_stage1_log(rep, ok_attempt=False) == [
+        {"attempt": 0, "sizes": [25, 27, 8], "weight": 266, "violated": ["size", "weight"]},
+        {"attempt": 1, "sizes": [23, 29, 8], "weight": 259, "violated": ["size", "weight"]},
+        {"attempt": 2, "sizes": [26, 26, 8], "weight": 245, "violated": ["weight"]}]
+    assert rep.diagnostics["failure"] == {"stage": "stage1", "violated": ["weight"]}
 
 
 # -- one maintained count per run --------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +13,7 @@ from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import EXTERNAL, ParamSet, build_threshold_table
 
 from conftest import mixed_labels, tripartitions
-from reference_refine import ref_refine_external
+from reference_refine import plain, ref_refine_external
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
@@ -142,8 +140,6 @@ def test_refine_external_w1_accounting_and_trace_json():
     if trace.extract is not None and trace.extract.deleted:
         deleted = trace.extract.deleted_vertices
         assert len(trace.w1) <= len(deleted) + int(g.degree[deleted].sum())
-    payload = trace.to_jsonable()
-    assert set(payload) >= {"deleted", "w1_size", "absorbed", "w2", "checks"}
 
 
 def test_min_outdegree_pipeline_vacuous_settings():
@@ -237,14 +233,14 @@ def test_a_leftover_vertex_below_twice_its_floor_fails_the_inner_floor():
 
 
 def outcome(refine, counts, *args):
-    """The trace as JSON text, W1, and the labels and counts it left; an
+    """The repr of every field of the trace and of the counts it left; an
     AssertionError's type and message if the run raised one."""
     try:
         trace = refine(counts, *args)
     except AssertionError as exc:
         return "AssertionError", str(exc)
-    return (json.dumps(trace.to_jsonable()), trace.w1.tolist(),
-            counts.labels.tolist(), counts.matrix.tolist(), counts.sizes.tolist())
+    return repr((plain(trace), counts.labels.tolist(), counts.matrix.tolist(),
+                 counts.sizes.tolist()))
 
 
 @settings(max_examples=300, deadline=None)

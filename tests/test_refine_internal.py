@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +13,7 @@ from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import INTERNAL, ParamSet, build_threshold_table
 
 from conftest import complete_graph, mixed_labels, tripartitions
-from reference_refine import ref_refine_internal_once
+from reference_refine import plain, ref_refine_internal_once
 
 
 def table_for(graph, params):
@@ -229,15 +227,14 @@ def with_phantoms(counts, phantom):
 
 
 def outcome(refine, counts, *args):
-    """The trace as JSON text, the labels in and the A* core, and the counts
-    it left; an AssertionError's type and message if the run raised one."""
+    """The repr of every field of the trace and of the counts it left; an
+    AssertionError's type and message if the run raised one."""
     try:
         trace = refine(counts, *args)
     except AssertionError as exc:
         return "AssertionError", str(exc)
-    return (json.dumps(trace.to_jsonable()), trace.labels_in.tolist(),
-            trace.a_star.tolist(), counts.labels.tolist(), counts.matrix.tolist(),
-            counts.sizes.tolist())
+    return repr((plain(trace), counts.labels.tolist(), counts.matrix.tolist(),
+                 counts.sizes.tolist()))
 
 
 @settings(max_examples=300, deadline=None)

@@ -116,12 +116,22 @@ def test_stage_one_vacuous_windows_first_attempt():
 def test_stage_one_default_windows_fail_small_n():
     g = gen_gnp(8, 0.5, seed=2)
     p = ParamSet(0.0, 0.25, INTERNAL)
-    res = stage_one(g, p, table_for(g, p), seed=0, attempts=8)
-    # the default window around [1.8, 2.2] forces both sides to exactly 2
-    # of 8 vertices; a miss names the violated property
-    if not res.ok:
-        assert res.violated and set(res.violated) <= {"size", "goodness", "weight"}
-        assert sum(res.failure_counts.values()) >= res.attempts - 1
+    t = table_for(g, p)
+    # the default window, [1.8, 2.2] rounded outward to [1, 3], misses three
+    # times at seed 3: each record names the violated property, and the best
+    # attempt (the first of equals) is returned
+    res = stage_one(g, p, t, seed=3, attempts=3)
+    assert not res.ok and res.violated == ["size"]
+    assert res.attempts == len(res.log) == 3
+    assert [rec["attempt"] for rec in res.log] == [0, 1, 2]
+    assert [rec["violated"] for rec in res.log] == [["size"]] * 3
+    assert list(res.sizes) == res.log[0]["sizes"] == [4, 2, 2]
+    # the fourth attempt holds, and the log keeps the misses before it
+    ok = stage_one(g, p, t, seed=3, attempts=8)
+    assert ok.ok and ok.attempts == len(ok.log) == 4
+    assert ok.log[:3] == res.log
+    assert ok.log[3] == {"attempt": 3, "sizes": list(ok.sizes), "weight": ok.weight,
+                         "violated": []}
 
 
 def test_stage_one_success_passes_independent_recount():

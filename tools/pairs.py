@@ -176,10 +176,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workdir", help="where the exports go "
+    parser.add_argument("--workdir", help="where the exports go, made if missing "
                         "(default: a temporary directory, removed at the end)")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workdir:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = [export(ref, Path(tmp) / side)
                  for ref, side in zip((args.parent, args.change), SIDES)]
