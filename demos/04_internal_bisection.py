@@ -8,7 +8,10 @@ independent verifier re-checks from scratch.
 Run:  python demos/04_internal_bisection.py
 """
 
-from degpart import ParamSet, bisect_internal, gen_gnp, verify_certificate
+import dataclasses
+
+from degpart import (ParamSet, bisect_internal, gen_gnp, verify_certificate,
+                     verify_report)
 from degpart.pipelines import random_bisection_stats
 
 g = gen_gnp(3000, 0.05, seed=5)
@@ -37,6 +40,22 @@ print("independent verifier:", "PASS" if res.passed else "FAIL")
 base = random_bisection_stats(g, seed=5)
 print(f"random-bisection baseline min own-ratio: {base['min_own_ratio']:.4f} "
       f"(pipeline: {report.stats['min_own_ratio']:.4f})")
+
+# the claims must also state the theorem the report records: verify_report
+# re-derives the bisection's statement from params["statement"]
+print("statement record:", report.certificate.params["statement"])
+res3 = verify_report(g, report)
+print("verify_report:", "PASS" if res3.passed else "FAIL",
+      "| statement certified:", res3.statement)
+# without its floor claim the labels still satisfy every remaining claim,
+# but the certificate no longer states the theorem
+claims = [c for c in report.certificate.claims if c["kind"] != "degree_floor"]
+stripped = dataclasses.replace(report, certificate=dataclasses.replace(
+    report.certificate, claims=claims))
+alone = verify_certificate(g, stripped.labels, stripped.certificate, r=2)
+res4 = verify_report(g, stripped)
+print("floor claim deleted: claims alone", "PASS" if alone.passed else "FAIL",
+      "| verify_report", "PASS" if res4.passed else "FAIL", f"({res4.reason})")
 
 # corrupting a single label must be caught
 bad = report.labels.copy()

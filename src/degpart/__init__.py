@@ -34,7 +34,7 @@ from .pipelines import (
     r_partition,
     VERSION as __version__,
 )
-from .certify import Certificate, VerifyResult, verify_certificate
+from .certify import Certificate, VerifyResult, verify_certificate, verify_report
 from .oracle import best_bisection, ko_bisection_exists
 from .gen import gen_gnp, gen_kuhn_osthus, gen_complete_bipartite
 from .bench import bench_sweep
@@ -70,6 +70,7 @@ __all__ = [
     "Certificate",
     "VerifyResult",
     "verify_certificate",
+    "verify_report",
     "best_bisection",
     "ko_bisection_exists",
     "gen_gnp",

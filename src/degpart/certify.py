@@ -21,6 +21,9 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
 * the standalone ``verify_certificate`` always recounts, and builds its own
   tables from the recorded parameters; that is what makes it independent.
 
+What a shape certifies is written once, in ``statement``: the pipelines
+gate on it, and ``verify_report`` requires it of a report's certificate.
+
 Every table is built over the graph's ``degree_classes``, computed once per
 graph, and reads its per-vertex floor and ``active`` columns through
 ``ThresholdTable.column``, gathered once per graph.
@@ -42,8 +45,6 @@ Claim kinds:
                        recorded threshold table, applied to active vertices
     cut_edges_at_least edge count between two parts is at least a bound
     count_meeting_floor  at least N vertices meet a constant floor
-                       (``bisect_dual`` claims its measured count: a
-                       measurement, not the (1-eps)n target)
     extremal_stat      the min over vertices of a degree stat equals a value
     extremal_ratio     the min over positive-degree vertices of stat/degree
                        equals num/den (compared cross-multiplied, exactly);
@@ -52,13 +53,16 @@ Claim kinds:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .graph import Counts, Graph
-from .thresholds import INTERNAL, ParamSet, ThresholdTable, build_threshold_table
+from .thresholds import (EXTERNAL, INTERNAL, ParamSet, ThresholdTable,
+                         build_threshold_table)
 
 
 @dataclass
@@ -91,7 +95,8 @@ class VerifyResult:
     failed_index: int | None = None
     failed_claim: dict | None = None
     witness: int | None = None
-    reason: str | None = None  # set when the labels or a claim are malformed
+    reason: str | None = None  # why it failed, unless a claim names it
+    statement: bool | None = None  # set by verify_report
 
     def __bool__(self) -> bool:
         return self.passed
@@ -146,32 +151,87 @@ def claim_extremal_ratio(stat: str, num: int, den: int) -> dict:
             "den": int(den)}
 
 
-def tripartition_claims(mode: str, floor: dict, window) -> dict[str, list]:
-    """The conditions of a tripartition A|B|C, each as a list of claims.
+# the degree each mode constrains
+TARGET = {INTERNAL: "own", EXTERNAL: "cross"}
 
-    size_window: |A| and |B| within window = (lo, hi), or each within its
-    own window when window = ((lo_a, hi_a), (lo_b, hi_b)).  Internal mode:
-    floor_a / floor_b, every A- (B-) vertex meets the floor inside its own
-    part; floor_c, every C-vertex meets twice the floor toward both A and B.
-    External mode: floor_cross, every A- and B-vertex meets the floor toward
-    the other side; floor_z, the doubled floors of C.
-    """
-    windows = window if hasattr(window[0], "__len__") else (window, window)
-    doubled = (dict(floor, value=2 * floor["value"]) if floor["type"] == "const"
-               else dict(floor, factor=2 * floor["factor"]))
+
+def floor_k(k) -> int:
+    """k as an int; ValueError unless an integer >= 0 (numpy yes, bool no)."""
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    return int(k)
+
+
+def _target_sizes(alphas, n: int) -> list[int]:
+    """floor(alpha_i n), the remainder to the largest fractions (ties: lower index)."""
+    floors = [int(a * n) for a in alphas]
+    order = sorted(range(len(alphas)), key=lambda i: (floors[i] - alphas[i] * n, i))
+    for i in order[:n - sum(floors)]:
+        floors[i] += 1
+    if 0 in floors:
+        bad = floors.index(0)
+        raise ValueError(f"part {bad} of n={n} rounds to zero (alpha {alphas[bad]})")
+    return floors
+
+
+def statement(record: dict, n: int) -> dict[str, list]:
+    """The named conditions (lists of claims) stating a shape's theorem on
+    n vertices.  record names the shape and the inputs it reads:
+
+        tripartition  mode, c, eps, d_const: ``pipelines.tripartition``'s target
+        bisect        mode, eps, d_const
+        tripart       mode, k, c, eps, window: null or [[lo_a, hi_a], [lo_b, hi_b]]
+        dual          mode, k, eps (exact: (1-eps)n reads Fraction(eps))
+        cutavg        k
+        rpart         alpha, as 'p/q' strings
+
+    A record it cannot read raises LookupError, TypeError, ValueError or
+    ArithmeticError."""
+    shape = record["shape"]
+    if shape not in ("tripartition", "bisect", "tripart", "dual", "cutavg", "rpart"):
+        raise ValueError(f"unknown shape {shape!r}")
+    if shape == "rpart":
+        alphas = [Fraction(a) for a in record["alpha"]]
+        return {"sizes": [claim_part_sizes(_target_sizes(alphas, n))]}
+    k = floor_k(record["k"]) if shape in ("tripart", "dual", "cutavg") else 0
+    balance = {"balance": [claim_balance(1)]}
+    if shape == "cutavg":
+        return {**balance, "own": [claim_degree_floor("all", "own", const_floor(k))],
+                "cut": [claim_cut_edges_at_least((k * n + 1) // 2)]}
+    mode = record["mode"]
+    own, other = TARGET[mode], TARGET[EXTERNAL if mode == INTERNAL else INTERNAL]
+    if shape == "dual":
+        at_least = math.ceil((1 - Fraction(record["eps"])) * n)
+        return {**balance, "primary": [claim_degree_floor("all", own, const_floor(k))],
+                "secondary": [claim_count_meeting_floor(other, k, at_least)]}
+    c, eps = 0.0 if shape == "bisect" else record["c"], record["eps"]
+    if shape == "tripart":
+        floor, doubled = const_floor(k), const_floor(2 * k)
+        windows = record["window"]
+        if windows is None:
+            windows = [((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)] * 2
+    else:
+        params = ParamSet(c, eps, mode, d_const=record["d_const"], relaxed=True)
+        fn = "phi" if mode == INTERNAL else "psi"
+        floor, doubled = (table_floor(fn, params, f) for f in (1, 2))
+        if shape == "bisect":
+            return {**balance, "floor": [claim_degree_floor("all", own, floor)]}
+        # rounded outward like the stage window, so small instances are not
+        # rejected by a sub-integer window width
+        windows = [(math.floor((1.0 - c - 3.0 * eps) / 2.0 * n),
+                    math.ceil((1.0 - c - eps) / 2.0 * n))] * 2
     conditions = {"size_window": [claim_part_size_window(part, lo, hi)
                                   for part, (lo, hi) in enumerate(windows)]}
+    # internal: each side's floor inside it; external: toward the other side
+    sides = [claim_degree_floor(p, p if mode == INTERNAL else 1 - p, floor)
+             for p in (0, 1)]
+    centre = [claim_degree_floor(2, p, doubled) for p in (0, 1)]
+    if shape == "tripart":
+        return {**conditions, "floor_ab": sides, "floor_c": centre}
     if mode == INTERNAL:
-        conditions["floor_a"] = [claim_degree_floor(0, 0, floor)]
-        conditions["floor_b"] = [claim_degree_floor(1, 1, floor)]
-        doubled_name = "floor_c"
-    else:
-        conditions["floor_cross"] = [claim_degree_floor(0, 1, floor),
-                                     claim_degree_floor(1, 0, floor)]
-        doubled_name = "floor_z"
-    conditions[doubled_name] = [claim_degree_floor(2, 0, doubled),
-                                claim_degree_floor(2, 1, doubled)]
-    return conditions
+        return {**conditions, "floor_a": sides[:1], "floor_b": sides[1:],
+                "floor_c": centre}
+    return {**conditions, "floor_cross": sides, "floor_z": centre}
 
 
 # -- verification ------------------------------------------------------------
@@ -440,3 +500,32 @@ def verify_certificate(graph: Graph, labels, cert: Certificate, r: int) -> Verif
         if not ok:
             return VerifyResult(False, idx, claim, witness)
     return VerifyResult(True)
+
+
+def verify_report(graph: Graph, report) -> VerifyResult:
+    """``verify_certificate`` on a report, then its statement: each claim of
+    ``statement(params["statement"], n)`` must be in the certificate, equal
+    as JSON.  ``passed`` means both hold.  ``statement`` is True; False, with
+    ``reason`` naming the missing or altered condition or why the record is
+    unreadable; or None when a claim fails or there is no record (pre-0.2.0)."""
+    result = verify_certificate(graph, report.labels, report.certificate, report.r)
+    if not result.passed:
+        return result
+    params = report.certificate.params
+    record = params.get("statement") if isinstance(params, dict) else None
+    if record is None:
+        return VerifyResult(False, reason="the certificate records no statement, "
+                                          "so its claims bind no theorem")
+    try:
+        conditions = statement(record, graph.n)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        return VerifyResult(False, reason=f"malformed statement record: "
+                            f"{type(exc).__name__}: {exc}", statement=False)
+    have = {json.dumps(claim, sort_keys=True) for claim in report.certificate.claims}
+    for name, claims in conditions.items():
+        for claim in claims:
+            if json.dumps(claim, sort_keys=True) not in have:
+                return VerifyResult(False, reason=(
+                    f"the {record['shape']} statement is not certified: condition "
+                    f"{name!r} has no claim {json.dumps(claim)}"), statement=False)
+    return VerifyResult(True, statement=True)

@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import __version__, bench, pipelines
-from .certify import verify_certificate
+from .certify import verify_report
 from .gen import GENERATORS, generate
 from .graph import GraphFormatError, load_graph
 from .oracle import OBJECTIVES, best_bisection, ko_bisection_exists
@@ -91,13 +91,13 @@ def _cmd_verify(args) -> int:
         print(f"FAIL: malformed report file: missing or bad field {exc}")
         return EXIT_VERIFY_FAIL
     try:
-        result = verify_certificate(graph, report.labels, report.certificate,
-                                    r=report.r)
+        result = verify_report(graph, report)
     except ValueError as exc:  # refused: another graph's or a malformed hash
         print(f"FAIL: {exc}")
         return EXIT_VERIFY_FAIL
     if result.passed:
-        print("PASS: all claims verified")
+        record = json.dumps(report.certificate.params["statement"])
+        print(f"PASS: all claims verified; statement certified: {record}")
         return EXIT_OK
     what = result.reason or f"claim #{result.failed_index} {result.failed_claim}"
     witness = "" if result.witness is None else f" (witness vertex {result.witness})"
@@ -140,6 +140,8 @@ def _cmd_thresholds(args) -> int:
                       d_const=_parse_d_const(args.d_const),
                       relaxed=args.relaxed)
     lo, hi = _lo_hi(args.degrees, "--degrees", int)
+    if lo > hi:
+        raise ValueError(f"--degrees takes lo <= hi, got {args.degrees!r}")
     table = build_threshold_table(params, range(lo, hi + 1))
     _write(table.dump_csv(), args.out)
     return EXIT_OK

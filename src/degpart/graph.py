@@ -190,7 +190,7 @@ class Graph:
 # -- ingestion -------------------------------------------------------------
 
 
-def load_graph(text, n: int | None = None) -> Graph:
+def load_graph(text) -> Graph:
     """Parse an edge-list or DIMACS-style stream into a validated Graph.
 
     Edge-list format: one "u v" pair of integer ids per line, whitespace
@@ -212,10 +212,8 @@ def load_graph(text, n: int | None = None) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
-    if n is not None:
-        n = _vertex_count(n)
-    graph = _read_clean(text, n) if isinstance(text, str) else None
-    return graph if graph is not None else _read_lines(text, n)
+    graph = _read_clean(text) if isinstance(text, str) else None
+    return graph if graph is not None else _read_lines(text)
 
 
 def _vertex_count(n) -> int:
@@ -229,7 +227,7 @@ def _vertex_count(n) -> int:
     return n
 
 
-def _read_clean(text: str, n: int | None) -> Graph | None:
+def _read_clean(text: str) -> Graph | None:
     """What ``_read_lines`` returns for an edge list, parsed at once; None
     declines.
 
@@ -240,7 +238,7 @@ def _read_clean(text: str, n: int | None) -> Graph | None:
     every id in range, so it never has a line to name.  DIMACS text always
     goes to the loop.
     """
-    declared_n, pos = n, 0
+    declared_n, pos = None, 0
     while pos < len(text):
         end = text.find("\n", pos) + 1 or len(text)
         line = text[pos:end]
@@ -279,14 +277,14 @@ def _read_clean(text: str, n: int | None) -> Graph | None:
     return Graph.from_edges(declared_n, pairs)
 
 
-def _read_lines(text: str, n: int | None) -> Graph:
+def _read_lines(text: str) -> Graph:
     """The reference parser of ``load_graph``: one line at a time, naming
     the first malformed line by number."""
     # a problem line as the loop below splits it
     dimacs = any(raw.split()[:1] == ["p"] for raw in text.splitlines())
     comment, offset = ("c", 1) if dimacs else ("#", 0)
     ids: list[int] = []
-    declared_n = n
+    declared_n = None
 
     def parse_int(tok: str, lineno: int) -> int:
         try:

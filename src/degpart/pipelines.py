@@ -11,27 +11,26 @@ have no known explicit values, so guaranteed=True additionally requires the
 caller to set ``n_guarantee_threshold`` and the instance to clear it.
 
 Every tripartition comes from one driver, ``tripartition``: stage one, the
-refinement of the run's mode, and the target conditions expressed as
-certificate claims and judged by the verifier.  Every shape built on it
+refinement of the run's mode, and the target conditions of its
+``certify.statement``, judged by the verifier.  Every shape built on it
 (bisections, exact tripartitions, dual and cut-average bisections) sets its
-run parameters and a finish step, and one private driver, ``_construct``,
-does the rest.  The shapes take ``seed``, ``n_guarantee_threshold`` and the
-keywords of ``stage1.stage_one`` (attempts, size_window, weight_budget)
-and pass them through unchanged; the report's diagnostics carry stage one's
-per-attempt log.  ``tripartition`` keeps one ``graph.Counts`` and one
-threshold table, built over the graph's degree classes, for the whole run:
-stage one counts each attempt once, and every later move, check and
-judgement reads the maintained counts.  Each labeling a pipeline emits is
-counted once more from scratch (``certify.recount``, with the run's table),
-and ``_make_report`` judges its conditions and its statistics on that count
-in one verifier pass, so each claim is judged once; ``_make_report`` is also
-the one place a report's ok is decided.
+run parameters, statement record and finish step; one private function,
+``_construct``, does the rest.  The shapes take ``seed``,
+``n_guarantee_threshold`` and the keywords of ``stage1.stage_one``
+(attempts, size_window, weight_budget) and pass them through unchanged; the
+report's diagnostics carry stage one's per-attempt log.  ``tripartition``
+keeps one ``graph.Counts`` and one threshold table, built over the graph's
+degree classes, for the whole run: stage one counts each attempt once, and
+every later move, check and judgement reads the maintained counts.  Each
+labeling a pipeline emits is counted once more from scratch
+(``certify.recount``, with the run's table), and ``_make_report`` judges its
+conditions and its statistics on that count in one verifier pass, so each
+claim is judged once; it is the one place a report's ok is decided.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,15 +43,11 @@ from .graph import Counts, Graph
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
 from .stage1 import (PART_A, PART_B, PART_C, VACUOUS, StageOneResult,
-                     balancing_sides, stage_one)
+                     balancing_sides, stage_one, window_bounds)
 from .thresholds import (EXTERNAL, INTERNAL, ParamSet, ThresholdTable,
                          build_threshold_table)
 
-VERSION = "0.1.0"
-
-# the table floor and the degree a mode constrains
-_FLOOR_FN = {INTERNAL: "phi", EXTERNAL: "psi"}
-_TARGET = {INTERNAL: "own", EXTERNAL: "cross"}
+VERSION = "0.2.0"
 
 
 # -- statistics --------------------------------------------------------------
@@ -193,9 +188,8 @@ class PipelineReport:
                    d["guaranteed"], d.get("seed", 0), d.get("diagnostics", {}))
 
 
-def _make_report(counted, shape: str, params: ParamSet | dict, conditions: dict,
-                 gate: tuple, seed: int, diagnostics: dict,
-                 n_guarantee_threshold: int | None = None,
+def _make_report(counted, params: dict, conditions: dict, seed: int,
+                 diagnostics: dict, n_guarantee_threshold: int | None = None,
                  hyp_ok: bool = True) -> PipelineReport:
     """Judge an emitted labeling and assemble its report; the one place a
     report's ok is decided.
@@ -204,8 +198,8 @@ def _make_report(counted, shape: str, params: ParamSet | dict, conditions: dict,
     the shape's named conditions (each a list of claims) are judged in one
     verifier pass on it.  The certificate carries the claims of the
     conditions that hold, then the statistics' claims, which must all hold.
-    ok means gate names a condition and every condition it names holds;
-    diagnostics' ``"conditions"`` key, if any, receives the verdict.
+    ok means there is a condition and every condition holds; diagnostics'
+    ``"conditions"`` key, if any, receives the verdict.
     """
     graph, labels, r = counted.graph, counted.labels, counted.matrix.shape[1]
     stats = partition_stats(counted)
@@ -214,15 +208,15 @@ def _make_report(counted, shape: str, params: ParamSet | dict, conditions: dict,
         f"pipeline emitted statistics its own verifier rejects: {stats}")
     if "conditions" in diagnostics:
         diagnostics["conditions"] = verdict
-    ok = bool(gate) and all(verdict[name] for name in gate)
+    ok = bool(conditions) and all(verdict.values())
     # the asymptotic size thresholds have no explicit values; without a
     # user-asserted threshold no run claims a guarantee
     guaranteed = bool(ok and hyp_ok and n_guarantee_threshold is not None
                       and graph.n >= n_guarantee_threshold)
-    pdict = params.as_dict() if isinstance(params, ParamSet) else dict(params)
-    cert = Certificate(graph.fingerprint, pdict, seed, VERSION, claims)
-    return PipelineReport(pdict.get("mode", "n/a"), shape, pdict, graph.n, r,
-                          labels, stats, cert, ok, guaranteed, seed, diagnostics)
+    cert = Certificate(graph.fingerprint, params, seed, VERSION, claims)
+    return PipelineReport(params["mode"], params["statement"]["shape"], params,
+                          graph.n, r, labels, stats, cert, ok, guaranteed, seed,
+                          diagnostics)
 
 
 def _judge(counted, conditions: dict):
@@ -316,9 +310,9 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
     ``stage_one``.  Internal mode refines side A, then side B with the
     roles of the sides exchanged (``refine_internal_once``); external mode
     extracts, absorbs and cuts (``refine_external``).  The threshold table
-    is built over ``graph.degree_classes[0]``.  The conditions of
-    ``certify.tripartition_claims`` under the mode's table floor are judged
-    by the verifier's claim code on the maintained counts and this table; ok
+    is built over ``graph.degree_classes[0]``.  The conditions of the
+    ``"tripartition"`` statement at these parameters are judged by the
+    verifier's claim code on the maintained counts and this table; ok
     means stage one succeeded and every condition holds.  An explicit
     size_window override replaces the default contract: the final size
     window is still recorded but no longer gates ok.
@@ -341,14 +335,8 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
         traces = [trace]
         diagnostics = {"precut_checks": dict(trace.checks),
                        "refine_precond": dict(trace.precond)}
-    n, c, eps = graph.n, params.c, params.eps
-    # rounded outward like the stage window, so small instances are not
-    # rejected by a sub-integer window width
-    window = (math.floor((1.0 - c - 3.0 * eps) / 2.0 * n),
-              math.ceil((1.0 - c - eps) / 2.0 * n))
-    floor = certify.table_floor(_FLOOR_FN[params.mode], params)
-    conditions, _ = _judge(certify.from_counts(counts, table),
-                           certify.tripartition_claims(params.mode, floor, window))
+    conditions, _ = _judge(certify.from_counts(counts, table), certify.statement(
+        {"shape": "tripartition", **params.as_dict()}, graph.n))
     failed = [k for k, v in conditions.items() if not v]
     gate_window = stage_one_options.get("size_window") is None
     ok = not [k for k in failed if gate_window or k != "size_window"]
@@ -358,31 +346,32 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
                               diagnostics, counts)
 
 
-def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
+def _construct(graph: Graph, record: dict, run_params: ParamSet, finish,
                hyp_floor: float | None = None, window=None, /, *, seed: int = 0,
                n_guarantee_threshold: int | None = None,
                **stage_one_options) -> PipelineReport:
     """Run the tripartition, report its failure or finish it, and make the
-    report.
+    report, with the statement record in its params.
 
-    finish(tri) returns the counted labeling to emit, its named conditions
-    (each a list of claims), the names that gate ok, and diagnostics, all
+    finish(tri, statement) gets ``certify.statement`` of record and returns
+    the counted labeling to emit, its named conditions and diagnostics, all
     handed to ``_make_report`` to judge; giving up, it names no condition
-    and the report is not ok.  window is the shape's default stage-one
-    size window.  hyp_floor is a derived shape's minimum-degree hypothesis;
-    such a shape judges unmet tripartition conditions in its finish step,
-    while a bisection (no hypothesis) fails on them.  finish, hyp_floor and
-    window are positional only, so no option a caller passes can bind them.
+    and the report is not ok.  window is the shape's default stage-one size
+    window.  hyp_floor is a derived shape's minimum-degree hypothesis; such
+    a shape judges unmet tripartition conditions in its finish step, while a
+    bisection (no hypothesis) fails on them.  finish, hyp_floor and window
+    are positional only, so no option a caller passes can bind them.
     """
     if stage_one_options.get("size_window") is None:
         stage_one_options["size_window"] = window
     # a caller's table= reaches stage_one beside the run's table: a TypeError
     tri = tripartition(graph, run_params, seed=seed, **stage_one_options)
     if tri.ok or (hyp_floor is not None and tri.diagnostics["stage"] == "conditions"):
-        counted, conditions, gate, diagnostics = finish(tri)
+        counted, conditions, diagnostics = finish(
+            tri, certify.statement(record, graph.n))
     else:
-        counted, conditions, gate, diagnostics = (
-            certify.recount(graph, tri.labels, 3), {}, (), {"failure": tri.diagnostics})
+        counted, conditions, diagnostics = (
+            certify.recount(graph, tri.labels, 3), {}, {"failure": tri.diagnostics})
     min_deg = int(graph.degree.min()) if graph.n else 0
     hyp_ok = hyp_floor is None or min_deg >= hyp_floor
     if hyp_floor is not None:
@@ -390,31 +379,30 @@ def _construct(graph: Graph, shape: str, run_params: ParamSet, finish,
             "required": hyp_floor, "actual": min_deg, "ok": hyp_ok}
     diagnostics["stage1_attempts"] = tri.stage1.attempts
     diagnostics["stage1_log"] = tri.stage1.log
-    return _make_report(counted, shape, run_params, conditions, gate, seed,
-                        diagnostics, n_guarantee_threshold, hyp_ok)
+    return _make_report(counted, {**run_params.as_dict(), "statement": record},
+                        conditions, seed, diagnostics, n_guarantee_threshold, hyp_ok)
 
 
 # -- bisection pipelines -----------------------------------------------------
 
 
-def _bisect(params: ParamSet, mode: str):
-    """The finish step of a bisection: C carries doubled floors, so folding
-    it in for balance keeps a C-vertex's floor on either side."""
+def _bisect(graph: Graph, params: ParamSet, mode: str, options) -> PipelineReport:
+    """A bisection: C carries doubled floors, so folding it in for balance
+    keeps a C-vertex's floor on either side.  Its measured sizes ride beside
+    its statement, certifying stats["sizes"]."""
     if params.c != 0.0 or params.mode != mode:
         raise ValueError(f"bisect_{mode} needs an {mode}-mode ParamSet with c=0")
 
-    def finish(tri):
-        counted = _fold(tri, _TARGET[mode])
+    def finish(tri, statement):
+        counted = _fold(tri, certify.TARGET[mode])
         diagnostics = {"tripartition_conditions": tri.conditions}
         if mode == EXTERNAL:
             diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
-        return counted, {
-            "balance": [certify.claim_balance(1)],
-            "sizes": [certify.claim_part_sizes(counted.sizes)],
-            "floor": [certify.claim_degree_floor(
-                "all", _TARGET[mode], certify.table_floor(_FLOOR_FN[mode], params, 1))],
-        }, ("balance", "floor"), diagnostics
-    return finish
+        return counted, {"balance": statement["balance"],
+                         "sizes": [certify.claim_part_sizes(counted.sizes)],
+                         "floor": statement["floor"]}, diagnostics
+    record = {"shape": "bisect", "mode": mode, "eps": params.eps, "d_const": params.d}
+    return _construct(graph, record, params, finish, **options)
 
 
 def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
@@ -425,7 +413,7 @@ def bisect_internal(graph: Graph, params: ParamSet | None = None, *,
     toward."""
     if params is None:
         params = ParamSet(0.0, eps, INTERNAL, d_const=d_const)
-    return _construct(graph, "bisect", params, _bisect(params, INTERNAL), **options)
+    return _bisect(graph, params, INTERNAL, options)
 
 
 def bisect_external(graph: Graph, params: ParamSet | None = None, *,
@@ -436,7 +424,7 @@ def bisect_external(graph: Graph, params: ParamSet | None = None, *,
     any destination works."""
     if params is None:
         params = ParamSet(0.0, eps, EXTERNAL, d_const=d_const)
-    return _construct(graph, "bisect", params, _bisect(params, EXTERNAL), **options)
+    return _bisect(graph, params, EXTERNAL, options)
 
 
 # -- exact tripartitions and derived bisection pipelines ---------------------
@@ -445,14 +433,6 @@ def bisect_external(graph: Graph, params: ParamSet | None = None, *,
 def _derived(c: float, eps: float, mode: str, d_const: float | None) -> ParamSet:
     """The run parameters of a derived shape: c with eps' = (1-c)^2*eps/40."""
     return ParamSet(c, (1.0 - c) ** 2 * eps / 40.0, mode, d_const=d_const)
-
-
-def _floor_k(k) -> int:
-    """A derived shape's integer floor k as an int; ValueError unless k is
-    an integer >= 0 (a numpy integer passes, a bool does not)."""
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
-    return int(k)
 
 
 def tripartition_exact(graph: Graph, k: int, params: ParamSet,
@@ -465,126 +445,90 @@ def tripartition_exact(graph: Graph, k: int, params: ParamSet,
     minimum-degree hypothesis (4/(1-c)+eps)*k is reported and inputs below it
     run best-effort with guaranteed=False.
     """
-    k = _floor_k(k)
+    k = certify.floor_k(k)
     c, eps = params.c, params.eps
     if eps > 1.0 - c:
         raise ValueError(f"tripartition_exact needs eps <= 1-c, got {eps}")
-    n = graph.n
-    # the window is stage one's and the final claim's alike
     window = options.pop("size_window", None)
-    if window is None:
-        window = ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n)
-    elif window == VACUOUS:
-        window = (0.0, float(n))
+    if window is not None:
+        window = [[float(lo), float(hi)] for lo, hi in window_bounds(
+            (0.0, graph.n) if window == VACUOUS else window)]
+    record = {"shape": "tripart", "mode": params.mode, "k": k, "c": c, "eps": eps,
+              "window": window}
+    # the window is stage one's and the final claim's alike
+    window = [(w["lo"], w["hi"])
+              for w in certify.statement(record, graph.n)["size_window"]]
 
-    def finish(tri):
-        # the integer-floor contract names the floors of A and B jointly
-        groups = list(certify.tripartition_claims(
-            params.mode, certify.const_floor(k), window).values())
-        named = {"size_window": groups[0], "floor_ab": sum(groups[1:-1], []),
-                 "floor_c": groups[-1]}
-        return (certify.recount(graph, tri.labels, 3), named, tuple(named),
+    def finish(tri, statement):
+        return (certify.recount(graph, tri.labels, 3), statement,
                 {"conditions": None, "k": k})
-    return _construct(graph, "tripart", _derived(c, eps, params.mode, params.d_const),
+    return _construct(graph, record, _derived(c, eps, params.mode, params.d_const),
                       finish, (4.0 / (1.0 - c) + eps) * k, window, **options)
 
 
 def bisect_dual(graph: Graph, k: int, eps: float, primary: str = INTERNAL, *,
                 d_const: float | None = None, **options) -> PipelineReport:
-    """Bisection meeting the primary floor k everywhere, with the count of
-    vertices also meeting the secondary floor k reported against (1-eps)*n.
+    """Bisection meeting the primary floor k everywhere, with at least
+    ceil((1-eps)*n) vertices also meeting the secondary floor k: the
+    ``"dual"`` statement, which gates ok.
 
     Runs the exact tripartition machinery at c = 1-eps: the C part (nearly
     everything) carries doubled floors toward both sides, so after folding C
     in, its vertices meet both the own and the cross floor.
-
-    The certificate's ``count_meeting_floor`` claim sets ``at_least`` to the
-    measured count, so it records a measurement the verifier re-counts and
-    cannot fail on the emitted labels.  The paper's (1-eps)*n target is
-    judged only in ``diagnostics["secondary_ok"]``, which ``ok`` ignores.
     """
-    k = _floor_k(k)
+    k = certify.floor_k(k)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     c = 1.0 - eps
-    n = graph.n
 
-    def finish(tri):
-        counted = _fold(tri, _TARGET[primary])
+    def finish(tri, statement):
+        counted = _fold(tri, certify.TARGET[primary])
         secondary = counted.cross if primary == INTERNAL else counted.own
-        secondary_count = int((secondary >= k).sum())
-        secondary_target = (1.0 - eps) * n
-        secondary_name = "cross" if primary == INTERNAL else "own"
-        return counted, {
-            "balance": [certify.claim_balance(1)],
-            "secondary": [certify.claim_count_meeting_floor(
-                secondary_name, k, secondary_count)],
-            "primary": [certify.claim_degree_floor(
-                "all", _TARGET[primary], certify.const_floor(k))],
-        }, ("primary", "balance"), {
-            "k": k, "eps": eps, "primary": primary,
-            "secondary_count": secondary_count, "secondary_target": secondary_target,
-            "secondary_ok": secondary_count >= secondary_target}
-    return _construct(graph, "dual", _derived(c, eps, primary, d_const), finish,
-                      (4.0 / eps + eps) * k, (0.0, (1.0 - c) / 2.0 * n), **options)
+        return counted, statement, {"k": k, "eps": eps, "primary": primary,
+                                    "secondary_count": int((secondary >= k).sum())}
+    record = {"shape": "dual", "mode": primary, "k": k, "eps": eps}
+    return _construct(graph, record, _derived(c, eps, primary, d_const), finish,
+                      (4.0 / eps + eps) * k, (0.0, (1.0 - c) / 2.0 * graph.n),
+                      **options)
 
 
 def bisect_with_cut_average(graph: Graph, k: int, eps: float, *,
                             d_const: float | None = None,
                             **options) -> PipelineReport:
-    """Bisection with own-degree >= k on both sides and cut size >= 2k*|C|.
+    """Bisection with own-degree >= k on both sides and at least
+    ceil(k*n/2) cut edges: the ``"cutavg"`` statement, which gates ok.
 
     Runs the internal tripartition at c = 1/4; C is split with exactly
     floor(n/2) - |A| vertices joining A, so each C-vertex spends its doubled
     floor once on its own side and keeps >= 2k cross neighbors, giving the
-    cut at least 2k*|C| >= k*n/2 edges when the tripartition conditions held.
+    cut at least 2k*|C| >= k*n/2 edges (|C| >= n/4) when the tripartition
+    conditions held; ``diagnostics["cut_bound"]`` holds 2k*|C|.
     """
-    k = _floor_k(k)
+    k = certify.floor_k(k)
     c = 0.25
     n = graph.n
 
-    def finish(tri):
+    def finish(tri, statement):
         sizes = tri.counts.sizes
         cap_a = n // 2 - int(sizes[PART_A])
         size_c = int(sizes[PART_C])
         if not 0 <= cap_a <= size_c:
-            return (certify.recount(graph, tri.labels, 3), {}, (),
+            return (certify.recount(graph, tri.labels, 3), {},
                     {"failure": "C split infeasible", "cap_a": cap_a,
                      "size_c": size_c})
         counted = _fold(tri, "own", cap_a)
         cut = int(counted.matrix[counted.labels == 0, 1].sum())
-        cut_bound = 2 * k * size_c
-        return counted, {
-            "balance": [certify.claim_balance(1)],
-            "own": [certify.claim_degree_floor("all", "own", certify.const_floor(k))],
-            "cut": [certify.claim_cut_edges_at_least(cut_bound)],
-        }, ("balance", "own", "cut"), {
-            "k": k, "eps": eps, "cut_edges": cut, "cut_bound": cut_bound,
+        return counted, statement, {
+            "k": k, "eps": eps, "cut_edges": cut, "cut_bound": 2 * k * size_c,
             "size_c": size_c, "cut_avg_degree": 2.0 * cut / n if n else 0.0,
             "avg_cut_target": float(k)}
-    return _construct(graph, "cutavg", _derived(c, eps, INTERNAL, d_const), finish,
+    return _construct(graph, {"shape": "cutavg", "k": k},
+                      _derived(c, eps, INTERNAL, d_const), finish,
                       (16.0 / 3.0 + eps) * k,
                       ((1.0 - c - eps) / 2.0 * n, (1.0 - c) / 2.0 * n), **options)
 
 
 # -- r-partitions ------------------------------------------------------------
-
-
-def _target_sizes(bias: BiasVector, n: int) -> list[int]:
-    """floor(alpha_i * n) with the remainder going to the largest fractional
-    parts (ties to the lower index)."""
-    alphas = bias.alpha
-    floors = [int(a * n) for a in alphas]
-    fracs = [a * n - f for a, f in zip(alphas, floors)]
-    rest = n - sum(floors)
-    order = sorted(range(len(alphas)), key=lambda i: (-fracs[i], i))
-    for i in order[:rest]:
-        floors[i] += 1
-    if any(f < 1 for f in floors):
-        bad = floors.index(0)
-        raise ValueError(
-            f"part {bad} rounds to zero vertices (alpha={float(alphas[bad])}, n={n})")
-    return floors
 
 
 def _repair(labels: np.ndarray, degree: np.ndarray,
@@ -628,7 +572,9 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     """
     if mode not in (INTERNAL, EXTERNAL):
         raise ValueError(f"mode must be internal or external, got {mode!r}")
-    targets = _target_sizes(bias, graph.n)
+    record = {"shape": "rpart", "alpha": [str(a) for a in bias.alpha]}
+    statement = certify.statement(record, graph.n)
+    targets = statement["sizes"][0]["sizes"]
     maximize = mode == INTERNAL
     result = biased_max_r_cut(graph, bias, seed=seed, maximize=maximize)
     # the search's own counts serve the check of the local optimum and its
@@ -643,13 +589,9 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
                        "objective_start": str(result.objective_start),
                        "objective_end": str(result.objective_end),
                        "moves": result.moves, "violations": len(violations)},
-        "repaired_vertices": repaired,
-        "alpha": [str(a) for a in bias.alpha],
-    }
-    params = {"mode": mode, "alpha": [float(a) for a in bias.alpha],
-              "r": bias.r}
-    return _make_report(certify.recount(graph, labels, bias.r), "rpart", params,
-                        {"sizes": [certify.claim_part_sizes(targets)]}, ("sizes",),
+        "repaired_vertices": repaired}
+    params = {"mode": mode, "r": bias.r, "statement": record}
+    return _make_report(certify.recount(graph, labels, bias.r), params, statement,
                         seed, diagnostics, n_guarantee_threshold)
 
 

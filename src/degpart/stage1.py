@@ -146,7 +146,7 @@ def _real(x, finite: bool = False) -> bool:
         (math.isfinite(x) if finite else not math.isnan(x))
 
 
-def _window_bounds(window) -> tuple[tuple, tuple]:
+def window_bounds(window) -> tuple[tuple, tuple]:
     """((loA, hiA), (loB, hiB)) of a size window: (lo, hi) applies to both
     sides, ((loA, hiA), (loB, hiB)) is asymmetric.  Anything other than such
     pairs of finite reals raises ValueError naming the window."""
@@ -189,7 +189,7 @@ def stage_one(graph: Graph, params: ParamSet, table: ThresholdTable,
     elif not _real(weight_budget):
         raise ValueError(f"weight_budget must be 'vacuous' or a number, "
                          f"got {weight_budget!r}")
-    (lo_a, hi_a), (lo_b, hi_b) = _window_bounds(size_window)
+    (lo_a, hi_a), (lo_b, hi_b) = window_bounds(size_window)
     log: list[dict] = []
     best: StageOneResult | None = None
     for t in range(attempts):

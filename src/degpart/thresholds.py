@@ -228,10 +228,7 @@ class ThresholdTable:
         self.eta = np.where(low_branch, 4.0 * eps * self.lam / (1.0 - c), self.mu)
         self.eta = np.where(pos, self.eta, 0.0)
 
-        if params.mode == EXTERNAL:
-            self.active = pos & (self.psi > 0.0)
-        else:
-            self.active = pos & (self.phi > 0.0)
+        self.active = pos & (self.phi > 0.0)  # psi is phi
 
         self.thr_int = 2.0 * (1.0 + self.mu) * self.phi
         self.thr_ext = 2.0 * (1.0 + self.eta) * self.psi_star

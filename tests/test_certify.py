@@ -404,20 +404,85 @@ def test_judge_one_flag_per_claim():
 
 
 def test_tripartition_claims_per_mode():
-    floor = certify.const_floor(2)
-    internal = certify.tripartition_claims(INTERNAL, floor, (1, 3))
+    # tripartition's own conditions: table floors, doubled on C, and the window
+    # [floor((1-c-3eps)n/2), ceil((1-c-eps)n/2)]
+    record = {"shape": "tripartition", "c": 0.0, "eps": 0.02, "d_const": 0.01}
+    internal = certify.statement(dict(record, mode=INTERNAL), 100)
     assert list(internal) == ["size_window", "floor_a", "floor_b", "floor_c"]
-    assert [(c["source"], c["target"], c["floor"]["value"])
+    assert [(c["source"], c["target"], c["floor"]["fn"], c["floor"]["factor"])
             for c in internal["floor_a"] + internal["floor_b"] + internal["floor_c"]] \
-        == [(0, 0, 2), (1, 1, 2), (2, 0, 4), (2, 1, 4)]
-    table = certify.table_floor("psi", ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01))
-    external = certify.tripartition_claims(EXTERNAL, table, (1, 3))
+        == [(0, 0, "phi", 1), (1, 1, "phi", 1), (2, 0, "phi", 2), (2, 1, "phi", 2)]
+    assert internal["floor_a"][0]["floor"] == certify.table_floor(
+        "phi", ParamSet(0.0, 0.02, INTERNAL, d_const=0.01))
+    external = certify.statement(dict(record, mode=EXTERNAL), 100)
     assert list(external) == ["size_window", "floor_cross", "floor_z"]
-    assert [(c["source"], c["target"], c["floor"]["factor"])
+    assert [(c["source"], c["target"], c["floor"]["fn"], c["floor"]["factor"])
             for c in external["floor_cross"] + external["floor_z"]] \
-        == [(0, 1, 1), (1, 0, 1), (2, 0, 2), (2, 1, 2)]
+        == [(0, 1, "psi", 1), (1, 0, "psi", 1), (2, 0, "psi", 2), (2, 1, "psi", 2)]
     assert [(c["part"], c["lo"], c["hi"]) for c in internal["size_window"]] \
-        == [(0, 1.0, 3.0), (1, 1.0, 3.0)]
+        == [(0, 47.0, 49.0), (1, 47.0, 49.0)] == \
+        [(c["part"], c["lo"], c["hi"]) for c in external["size_window"]]
+    # the integer-floor tripartition names the floors of A and B jointly
+    tripart = certify.statement({"shape": "tripart", "mode": INTERNAL, "k": 2, "c": 0.5,
+                                 "eps": 0.5, "window": [[1, 3], [2, 4]]}, 30)
+    assert list(tripart) == ["size_window", "floor_ab", "floor_c"]
+    assert [(c["source"], c["target"], c["floor"]["value"])
+            for c in tripart["floor_ab"] + tripart["floor_c"]] \
+        == [(0, 0, 2), (1, 1, 2), (2, 0, 4), (2, 1, 4)]
+    assert [(c["part"], c["lo"], c["hi"]) for c in tripart["size_window"]] \
+        == [(0, 1.0, 3.0), (1, 2.0, 4.0)]
+
+
+def test_statement_per_shape():
+    n = 10
+    bisect = certify.statement({"shape": "bisect", "mode": EXTERNAL, "eps": 0.02,
+                                "d_const": 0.01}, n)
+    assert bisect == {"balance": [certify.claim_balance(1)],
+                      "floor": [certify.claim_degree_floor("all", "cross", certify.table_floor(
+                          "psi", ParamSet(0.0, 0.02, EXTERNAL, d_const=0.01)))]}
+    # (1 - eps) n from eps itself: (1 - Fraction(0.1)) * 10 is just below 9,
+    # while Fraction(1 - 0.1) * 10 is 9.000...2, which rounds up to 10
+    dual = certify.statement({"shape": "dual", "mode": INTERNAL, "k": 2, "eps": 0.1}, n)
+    assert dual == {"balance": [certify.claim_balance(1)],
+                    "primary": [certify.claim_degree_floor("all", "own", certify.const_floor(2))],
+                    "secondary": [certify.claim_count_meeting_floor("cross", 2, 9)]}
+    dual = certify.statement({"shape": "dual", "mode": EXTERNAL, "k": 1, "eps": 0.5}, 7)
+    assert dual["primary"][0]["target"] == "cross"
+    assert dual["secondary"] == [certify.claim_count_meeting_floor("own", 1, 4)]
+    # ceil(k n / 2): 3 * 7 / 2 = 10.5
+    assert certify.statement({"shape": "cutavg", "k": 3}, 7) == {
+        "balance": [certify.claim_balance(1)],
+        "own": [certify.claim_degree_floor("all", "own", certify.const_floor(3))],
+        "cut": [certify.claim_cut_edges_at_least(11)]}
+    # largest remainders: 2, 3, 5 of 10; 1.4, 2.1, 3.5 of 7 round to 1, 2, 4
+    rpart = {"shape": "rpart", "alpha": ["1/5", "3/10", "1/2"]}
+    assert certify.statement(rpart, 10) == {"sizes": [certify.claim_part_sizes([2, 3, 5])]}
+    assert certify.statement(rpart, 7) == {"sizes": [certify.claim_part_sizes([1, 2, 4])]}
+    # the default tripart window is [(1-c-eps)n/2, (1-c)n/2]
+    tripart = certify.statement({"shape": "tripart", "mode": EXTERNAL, "k": 1, "c": 0.5,
+                                 "eps": 0.25, "window": None}, 40)
+    assert [(c["lo"], c["hi"]) for c in tripart["size_window"]] == [(5.0, 10.0)] * 2
+    assert [(c["source"], c["target"]) for c in tripart["floor_ab"]] == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("record,error", [
+    ({}, KeyError),
+    ({"shape": "square"}, ValueError),
+    ({"shape": "bisect", "mode": "sideways", "eps": 0.1, "d_const": 1.0}, KeyError),
+    ({"shape": "bisect", "mode": INTERNAL, "eps": 1.5, "d_const": 1.0}, ValueError),
+    ({"shape": "dual", "mode": INTERNAL, "k": 1.5, "eps": 0.1}, ValueError),
+    ({"shape": "cutavg", "k": True}, ValueError),
+    ({"shape": "dual", "mode": INTERNAL, "k": 1, "eps": float("inf")}, OverflowError),
+    ({"shape": "rpart", "alpha": ["1/0", "1"]}, ZeroDivisionError),
+    ({"shape": "rpart", "alpha": ["1/25", "24/25"]}, ValueError),
+    ({"shape": "tripart", "mode": INTERNAL, "k": 1, "c": 0.5, "eps": 0.1,
+      "window": 5}, TypeError),
+    ({"shape": "tripart", "mode": INTERNAL, "k": 1, "c": 0.5, "eps": 0.1,
+      "window": [[1, 2, 3]]}, ValueError),
+    ([], TypeError)])
+def test_statement_refuses_a_record_it_cannot_read(record, error):
+    with pytest.raises(error):
+        certify.statement(record, 10)
 
 
 TABLE_FLOOR = certify.table_floor(

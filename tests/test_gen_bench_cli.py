@@ -378,15 +378,53 @@ def _report_files(tmp_path):
          "'claims' must be a list, got dict\n"),
     ("balance", "FAIL: malformed report file: missing or bad field "
                 "'claims' must be a list, got str\n"),
-    ([], "PASS: all claims verified\n")], ids=["dict", "str", "empty-list"])
+    ([], "FAIL: the bisect statement is not certified: condition 'balance' has no "
+         "claim {\"kind\": \"balance\", \"max_diff\": 1}\n")],
+    ids=["dict", "str", "empty-list"])
 def test_verify_refuses_claims_that_are_not_a_list(tmp_path, capsys, claims, out):
-    # "claims": {} used to pass, since list({}) is []
+    # "claims": {} used to pass, since list({}) is []; "claims": [] passed
+    # until the verifier required the recorded statement
     gpath, cpath, payload = _report_files(tmp_path)
     cert = dict(payload["certificate"], claims=claims)
     cpath.write_text(json.dumps(dict(payload, certificate=cert)))
     capsys.readouterr()
     code = cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)])
-    assert (code, capsys.readouterr().out) == (0 if claims == [] else 1, out)
+    assert (code, capsys.readouterr().out) == (1, out)
+
+
+def _floor_claim(claims):
+    return next(i for i, c in enumerate(claims) if c["kind"] == "degree_floor")
+
+
+@pytest.mark.parametrize("edit,why", [
+    (lambda cert: cert["claims"].pop(_floor_claim(cert["claims"])), "condition 'floor'"),
+    (lambda cert: cert["claims"][_floor_claim(cert["claims"])]["floor"].update(
+        d_const=1e9), "condition 'floor'"),
+    (lambda cert: cert.update(claims=[]), "condition 'balance'"),
+    (lambda cert: cert["params"].pop("statement"), "records no statement")],
+    ids=["floor-deleted", "d_const-1e9", "no-claims", "no-statement"])
+def test_verify_passes_only_a_certified_statement(tmp_path, capsys, edit, why):
+    # on a G(150, 0.3) bisection, the first three used to print "PASS: all
+    # claims verified" and exit 0; the fourth is a report made before the
+    # statement was recorded
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "r.json"
+    assert cli.main(["gen", "--type", "gnp", "--n", "150", "--p", "0.3", "--seed", "1",
+                     "--out", str(gpath)]) == 0
+    assert cli.main(["partition", "--graph", str(gpath), "--out", str(cpath)]) == 0
+    payload = json.loads(cpath.read_text())
+    capsys.readouterr()
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 0
+    record = payload["certificate"]["params"]["statement"]
+    assert capsys.readouterr().out == \
+        f"PASS: all claims verified; statement certified: {json.dumps(record)}\n"
+    edit(payload["certificate"])
+    cpath.write_text(json.dumps(payload))
+    graph = degpart.load_graph(gpath.read_text())
+    result = certify.verify_report(graph, PipelineReport.from_jsonable(payload))
+    assert not result.passed and result.statement in (False, None)
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(cpath)]) == 1
+    out = capsys.readouterr().out
+    assert out == f"FAIL: {result.reason}\n" and why in out
 
 
 @pytest.mark.parametrize("edit,why", [
@@ -573,7 +611,8 @@ def test_bench_and_cli_agree_on_every_shape(shape, mode, options, tmp_path):
                     + flags)
     assert code in (0, 1)
     report = json.loads(rpath.read_text())
-    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(rpath)]) == 0
+    # verify passes the report exactly when its statement holds, as ok says
+    assert cli.main(["verify", "--graph", str(gpath), "--cert", str(rpath)]) == code
 
     entry = dict(options, generator={"type": "gnp", "n": 40, "p": 0.4},
                  shape=shape, mode=cli.MODES[mode], seeds=[seed])
@@ -634,6 +673,17 @@ def test_lo_hi_flags_name_themselves(tmp_path, capsys, command, flag, text):
     capsys.readouterr()
     assert cli.main(command + [flag, text]) == 2
     assert capsys.readouterr().err == f"error: {flag} takes lo:hi, got {text!r}\n"
+
+
+def test_an_inverted_degree_range_is_refused(tmp_path, capsys):
+    # this wrote only the CSV header and exited 0; an inverted --size-window
+    # stays a window that no attempt meets
+    assert cli.main(["thresholds", "--eps", "0.25", "--degrees", "5:1"]) == 2
+    assert capsys.readouterr().err == "error: --degrees takes lo <= hi, got '5:1'\n"
+    gpath = tmp_path / "g.txt"
+    cli.main(["gen", "--type", "gnp", "--n", "20", "--p", "0.4", "--out", str(gpath)])
+    assert cli.main(["partition", "--graph", str(gpath), "--retries", "2",
+                     "--size-window", "5:1"]) == 1
 
 
 def test_parameters_a_shape_never_reads_are_refused(tmp_path, capsys):

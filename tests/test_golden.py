@@ -9,19 +9,26 @@ when a change is meant to alter outputs:
     PYTHONPATH=src python tests/test_golden.py > tests/data/golden_claims.json
 """
 
+import copy
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from degpart import certify, pipelines
+from degpart.certify import verify_certificate, verify_report
 from degpart.cuts import BiasVector
 from degpart.gen import gen_gnp
-from degpart.pipelines import (bisect_dual, bisect_external, bisect_internal,
-                               bisect_with_cut_average, r_partition,
-                               tripartition_exact)
+from degpart.pipelines import (PipelineReport, bisect_dual, bisect_external,
+                               bisect_internal, bisect_with_cut_average,
+                               r_partition, tripartition_exact)
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
 
 from conftest import complete_graph
@@ -86,6 +93,87 @@ def summarize(report) -> dict:
 def test_golden_output(name):
     want = json.loads(GOLDEN.read_text())[name]
     assert summarize(RUNS[name]()) == want
+
+
+@lru_cache(maxsize=None)
+def graph_and_report(name):
+    """A golden run's report and its graph, read off the counted labeling
+    that ``_make_report`` receives."""
+    graphs, make = [], pipelines._make_report
+
+    def keep(counted, *args):
+        graphs.append(counted.graph)
+        return make(counted, *args)
+    with mock.patch.object(pipelines, "_make_report", keep):
+        report = RUNS[name]()
+    return graphs[-1], report
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_a_golden_report_certifies_its_statement_when_ok(name):
+    # a failed run certifies only the conditions that held: its statement
+    # is named as not certified
+    graph, report = graph_and_report(name)
+    written = PipelineReport.from_jsonable(json.loads(json.dumps(report.to_jsonable())))
+    for result in (verify_report(graph, report), verify_report(graph, written)):
+        assert result.passed is result.statement is report.ok
+        assert report.ok or "statement is not certified" in result.reason
+
+
+def weakened(claim):
+    """Weaker forms of a statement claim, each true wherever the claim is;
+    an altered part_sizes claim is false instead."""
+    kind, floor = claim["kind"], claim.get("floor")
+    out = []
+    if floor and floor["type"] == "table":
+        # a lower factor, a larger d, eps or c: phi falls, and so does every floor
+        out += [dict(claim, floor=dict(floor, **edit)) for edit in (
+            {"factor": floor["factor"] - 1}, {"d_const": floor["d_const"] * 1e9},
+            {"eps": min(2 * floor["eps"], 0.99)}, {"c": floor["c"] + 0.1})]
+    elif floor:
+        out.append(dict(claim, floor=dict(floor, value=floor["value"] - 1)))
+    edits = {"count_meeting_floor": {"at_least": -1}, "cut_edges_at_least": {"bound": -1},
+             "balance": {"max_diff": 1}, "part_size_window": {"lo": -1, "hi": 1}}
+    out += [dict(claim, **{key: claim[key] + step})
+            for key, step in edits.get(kind, {}).items()]
+    if kind == "part_sizes":
+        sizes = claim["sizes"]
+        out.append(dict(claim, sizes=[sizes[0] + 1, *sizes[1:-1], sizes[-1] - 1]))
+    return out
+
+
+OK_RUNS = [name for name in RUNS if json.loads(GOLDEN.read_text())[name]["ok"]]
+
+
+@st.composite
+def edited_statements(draw):
+    """An ok golden report with one statement claim deleted or weakened:
+    (graph, report, the condition's name, the claim, its replacement)."""
+    graph, report = graph_and_report(draw(st.sampled_from(OK_RUNS)))
+    conditions = certify.statement(report.certificate.params["statement"], graph.n)
+    name, claim = draw(st.sampled_from([(name, claim) for name, claims in
+                                        conditions.items() for claim in claims]))
+    return graph, report, name, claim, draw(st.sampled_from([None, *weakened(claim)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_statements())
+def test_a_deleted_or_weakened_statement_claim_is_named(case):
+    graph, report, name, claim, new = case
+    report = copy.deepcopy(report)
+    claims = report.certificate.claims
+    at = claims.index(claim)
+    claims[at:at + 1] = [] if new is None else [new]
+    alone = verify_certificate(graph, report.labels, report.certificate, report.r)
+    result = verify_report(graph, report)
+    assert not result.passed
+    if claim["kind"] == "part_sizes" and new is not None:
+        # exact sizes hold of no other sizes: the claims fail first
+        assert not alone.passed and result.failed_claim == new
+        return
+    # the claims that are left hold, so the claims alone pass
+    assert alone.passed and result.statement is False
+    assert f"condition {name!r} has no claim" in result.reason
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Mutated reports and manifests end in a one-line diagnosis, not a traceback.
 
 Each case takes a valid input and changes one field of it.  The inputs are a
-bisection and an rpart report of G(30, 0.4) for ``degpart verify``, and a
-three-entry manifest for ``degpart bench``.  Every field is swapped in turn
+bisection, a tripart (k = 1, with a size window), a dual and an rpart report
+of G(30, 0.4) for ``degpart verify``, so every field of each statement
+record is changed too, and a three-entry manifest for ``degpart bench``.  Every field is swapped in turn
 for a value of each other JSON type, and deleted (of a label list, the first
 and the last entry); hypothesis sets one integer field, ``r`` included, to a
 value up to +-2**100.  Whatever the change, ``verify`` must return 0 with
@@ -99,20 +100,26 @@ def large_integers(draw, doc):
                                    | st.integers(-BIG, top)))
 
 
+# the reports' shapes, and the partition flags of each
+SHAPES = {"bisect": [], "tripart": ["--k", 1, "--size-window", "5:15"],
+          "dual": ["--k", 1], "rpart": ["--alpha", "1/5,3/10,1/2"]}
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """A G(30, 0.4) graph file and its bisection and rpart reports."""
+    """A G(30, 0.4) graph file and a report of each of SHAPES."""
     where = tmp_path_factory.mktemp("mutated")
     graph = where / "g.txt"
     assert run("gen", "--type", "gnp", "--n", 30, "--p", 0.4, "--seed", 3,
                "--out", graph)[0] == 0
     docs = {}
-    for shape, extra in (("bisect", []), ("rpart", ["--alpha", "1/5,3/10,1/2"])):
+    for shape, extra in SHAPES.items():
         path = where / f"{shape}.json"
         run("partition", "--graph", graph, "--shape", shape, *extra, "--out", path)
-        assert run("verify", "--graph", graph, "--cert", path)[:2] == \
-            (0, "PASS: all claims verified\n")
         docs[shape] = json.loads(path.read_text())
+        record = json.dumps(docs[shape]["certificate"]["params"]["statement"])
+        assert run("verify", "--graph", graph, "--cert", path)[:2] == \
+            (0, f"PASS: all claims verified; statement certified: {record}\n")
     return where, docs
 
 
@@ -144,7 +151,7 @@ def bench_diagnosis(where, manifest):
     return f"exit {code}: {out!r} {err!r}"
 
 
-@pytest.mark.parametrize("shape", ["bisect", "rpart"])
+@pytest.mark.parametrize("shape", list(SHAPES))
 def test_verify_diagnoses_every_swapped_or_deleted_field(reports, shape):
     where, docs = reports
     bad = {what: why for what, doc in swapped_and_deleted(docs[shape])
@@ -153,7 +160,7 @@ def test_verify_diagnoses_every_swapped_or_deleted_field(reports, shape):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["bisect", "rpart"]), st.data())
+@given(st.sampled_from(list(SHAPES)), st.data())
 def test_verify_diagnoses_a_large_integer_field(reports, shape, data):
     where, docs = reports
     assert verify_diagnosis(where, data.draw(large_integers(docs[shape]))) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpart import certify, pipelines
-from degpart.certify import verify_certificate
+from degpart.certify import verify_certificate, verify_report
 from degpart.cuts import BiasVector, biased_max_r_cut
 from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
@@ -30,6 +31,23 @@ from conftest import complete_graph, cycle_graph
 from test_golden import RUNS
 
 VAC = {"size_window": "vacuous", "weight_budget": "vacuous"}
+
+
+@pytest.fixture(autouse=True)
+def every_ok_report_certifies_its_statement(monkeypatch):
+    """Each ok report a test here makes must pass ``verify_report`` with its
+    statement certified: the claims a pipeline gates on are its statement."""
+    made, make = [], pipelines._make_report
+
+    def keep(counted, *args, **kwargs):
+        made.append((counted.graph, make(counted, *args, **kwargs)))
+        return made[-1][1]
+    monkeypatch.setattr(pipelines, "_make_report", keep)
+    yield
+    for graph, report in made:
+        if report.ok:
+            result = verify_report(graph, report)
+            assert result.passed and result.statement is True, result.reason
 
 
 def test_bisect_internal_k4():
@@ -197,7 +215,8 @@ def test_bisect_dual_k20():
     r = bisect_dual(g, 2, 0.5, INTERNAL, seed=0)
     assert r.ok
     assert r.diagnostics["secondary_count"] == 20
-    assert r.diagnostics["secondary_ok"]
+    # ceil((1 - 0.5) * 20) = 10 vertices must meet the secondary floor
+    assert certify.claim_count_meeting_floor("cross", 2, 10) in r.certificate.claims
     assert verify_certificate(g, r.labels, r.certificate, r=2).passed
 
 
@@ -206,6 +225,26 @@ def test_bisect_dual_external_primary():
     r = bisect_dual(g, 2, 0.5, EXTERNAL, seed=0)
     assert r.ok
     assert r.diagnostics["secondary_count"] == 20
+
+
+def test_a_dual_run_short_of_the_secondary_count_is_not_ok(monkeypatch):
+    # two disjoint K_10, one per side: every vertex keeps 9 own neighbours
+    # (primary k=2 holds) and none has a cross neighbour, so the count of
+    # vertices meeting the secondary floor, 0, misses ceil((1 - 0.25) 20) = 15
+    g = Graph.from_edges(20, [(u, v) for base in (0, 10) for u in range(base, base + 10)
+                              for v in range(u + 1, base + 10)])
+    labels = np.repeat([0, 1], 10)
+    monkeypatch.setattr(pipelines, "_fold",
+                        lambda tri, prefer: certify.recount(g, labels, 2))
+    r = bisect_dual(g, 2, 0.25, INTERNAL, seed=0, **VAC)
+    assert not r.ok and r.diagnostics["secondary_count"] == 0
+    result = verify_report(g, r)
+    assert result.statement is False and "'secondary'" in result.reason
+    # the claim the statement asks for fails on these labels
+    wanted = certify.claim_count_meeting_floor("cross", 2, 15)
+    edited = dataclasses.replace(r.certificate, claims=r.certificate.claims + [wanted])
+    res = verify_certificate(g, r.labels, edited, r=2)
+    assert not res.passed and res.failed_claim == wanted
 
 
 def test_cut_average_k60():
@@ -659,8 +698,8 @@ def test_make_report_refuses_a_claim_its_labels_break(monkeypatch):
     conditions = {"balance": [certify.claim_balance(1)],
                   "sizes": [certify.claim_part_sizes([3, 1])]}
     # the labels break the gated balance: it is left out and ok is False
-    report = _make_report(certify.recount(g, labels, 2), "bisect",
-                          {"mode": INTERNAL}, conditions, ("balance",), 0,
+    params = {"mode": INTERNAL, "statement": {"shape": "bisect"}}
+    report = _make_report(certify.recount(g, labels, 2), params, conditions, 0,
                           {"conditions": None})
     assert not report.ok
     assert report.diagnostics["conditions"] == {"balance": False, "sizes": True}
@@ -673,8 +712,7 @@ def test_make_report_refuses_a_claim_its_labels_break(monkeypatch):
         return dict(stats, min_own_degree=stats["min_own_degree"] + 1)
     monkeypatch.setattr(pipelines, "partition_stats", one_too_high)
     with pytest.raises(AssertionError, match="verifier rejects"):
-        _make_report(certify.recount(g, labels, 2), "bisect", {"mode": INTERNAL},
-                     {}, (), 0, {})
+        _make_report(certify.recount(g, labels, 2), params, {}, 0, {})
 
 
 def test_no_claim_is_judged_twice_on_one_count(monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpart import certify
-from degpart.certify import table_floor, tripartition_claims
 from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.pipelines import tripartition
@@ -161,7 +160,8 @@ def test_min_outdegree_pipeline_enforces_cross_floor():
         pytest.skip("no active degrees at this size")
     tri = tripartition(g, p, seed=1, size_window="vacuous",
                        weight_budget="vacuous")
-    claims = tripartition_claims(EXTERNAL, table_floor("psi", p), (0, g.n))
+    claims = certify.statement({"shape": "tripartition", "mode": EXTERNAL, "c": p.c,
+                                "eps": p.eps, "d_const": p.d}, g.n)
     assert all(certify.judge(certify.recount(g, tri.labels, 3),
                              claims["floor_cross"] + claims["floor_z"]))
     rows = tri.table.row_index(g.degree)

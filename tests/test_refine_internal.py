@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degpart import certify
-from degpart.certify import table_floor, tripartition_claims
 from degpart.gen import gen_gnp
 from degpart.graph import Counts, part_profile
 from degpart.pipelines import tripartition
@@ -160,7 +159,8 @@ def test_min_indegree_pipeline_active_regime():
     tri = tripartition(g, p, seed=2, size_window="vacuous",
                        weight_budget="vacuous")
     # the two refinement passes enforce the floors on both sides
-    claims = tripartition_claims(INTERNAL, table_floor("phi", p), (0, g.n))
+    claims = certify.statement({"shape": "tripartition", "mode": INTERNAL, "c": p.c,
+                                "eps": p.eps, "d_const": p.d}, g.n)
     assert all(certify.judge(certify.recount(g, tri.labels, 3),
                              claims["floor_a"] + claims["floor_b"]))
     assert tri.conditions["floor_a"] and tri.conditions["floor_b"]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,11 @@ def test_integer_floors_clip_to_the_tabulated_degrees(params):
         # an int64 cast of a float beyond 2**63 warns and is platform-defined
         warnings.simplefilter("error")
         t = build_threshold_table(params, range(0, 2001))
+        # psi is phi: the other mode at the same (c, eps, d) is active alike
+        other = build_threshold_table(dataclasses.replace(
+            params, mode=EXTERNAL if params.mode == INTERNAL else INTERNAL,
+            d_const=params.d, relaxed=True), range(0, 2001))
+    assert (other.active == t.active).all()
     top = 2001
     for floor, col in ((t.fphi, t.phi), (t.fpsi_star, t.psi_star),
                        (t.fthr_int, t.thr_int), (t.fthr_ext, t.thr_ext)):
