@@ -521,11 +521,21 @@ def verify_report(graph: Graph, report) -> VerifyResult:
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         return VerifyResult(False, reason=f"malformed statement record: "
                             f"{type(exc).__name__}: {exc}", statement=False)
-    have = {json.dumps(claim, sort_keys=True) for claim in report.certificate.claims}
+    have = {_canonical(claim) for claim in report.certificate.claims}
     for name, claims in conditions.items():
         for claim in claims:
-            if json.dumps(claim, sort_keys=True) not in have:
+            if _canonical(claim) not in have:
                 return VerifyResult(False, reason=(
                     f"the {record['shape']} statement is not certified: condition "
-                    f"{name!r} has no claim {json.dumps(claim)}"), statement=False)
+                    f"{name!r} has no claim {_canonical(claim)}"), statement=False)
     return VerifyResult(True, statement=True)
+
+
+def _canonical(claim) -> str:
+    """A claim as JSON with sorted keys and numpy scalars as Python values,
+    so claims compare equal as their JSON files would."""
+    def plain(value):
+        if isinstance(value, np.generic):
+            return value.item()
+        raise TypeError(f"object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(claim, sort_keys=True, default=plain)

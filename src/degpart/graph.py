@@ -13,6 +13,8 @@ import hashlib
 import io
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,6 +22,9 @@ import numpy as np
 # the most vertices a graph holds: from_edges keys each edge as lo * n + hi,
 # which must fit in int64
 MAX_VERTICES = math.isqrt(2 ** 63 - 1)
+# the fewest CSR entries for which part_profile counts a range of rows on a
+# thread of its own (measured in its docstring)
+RANGE_ENTRIES = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -53,7 +58,8 @@ class Graph:
             construction (a warning counter, not an error).
 
     The arrays are read-only, so a graph's ``fingerprint`` and its
-    ``degree_classes`` are each computed once, on first use.
+    ``degree_classes`` are each computed once, on first use, and a graph is
+    shared as is by the worker threads of a large ``part_profile``.
     """
 
     __slots__ = ("n", "indptr", "indices", "degree", "rows", "duplicates_collapsed",
@@ -390,6 +396,31 @@ def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
     of zeros.  When r * bits > 63 the words would overflow, and one
     ``np.bincount`` over the n*r (row, part) keys counts instead.
 
+    On a large graph the packed count may use several threads: the
+    non-empty rows are cut into k contiguous ranges of equal row count, k =
+    min(CPUs this process may run on, entries // RANGE_ENTRIES), and each
+    range's gather and row sums run on a thread of its own (numpy releases
+    the GIL in both), the caller's thread taking the first.  The ranges
+    write disjoint rows of the words and only read the graph's arrays,
+    which are read-only and shared; the sums are exact integers, so the
+    result does not depend on the split.  Two ranges pay for the dispatch
+    to a pooled worker thread from 2**17 entries on, RANGE_ENTRIES = 2**16
+    per range; below that they lose or tie.  Medians of part_profile with
+    r = 3, serial -> two ranges, on 2 vCPUs (Python 3.11.7, numpy 2.4.6):
+
+        CSR entries   G(n, 32/(n-1))           G(n, 0.05)
+        2**14          42 ->   98 us            45 ->  109 us
+        2**15          67 ->  106 us            65 ->  109 us
+        2**16         128 ->  124 us           110 ->  151 us
+        2**17         270 ->  252 us           190 ->  166 us
+        2**18         580 ->  391 us           354 ->  269 us
+        2**19        1171 ->  794 us           701 ->  456 us
+        2**20        2358 -> 1538 us          1389 ->  834 us
+
+    Equal row counts beat equal entry counts on the Chung-Lu graph of the
+    powerlaw-bind benchmark (n = 20000, 389,808 entries, the first half of
+    the rows holding 78% of them): 0.73 against 0.81 ms for the sums.
+
     Raises LabelError unless labels holds one integer in [0, r) per vertex.
     """
     labels = _check_labels(labels, r, graph.n)
@@ -397,17 +428,70 @@ def part_profile(graph: Graph, labels: np.ndarray, r: int) -> np.ndarray:
     if r * bits > 63:
         flat = np.bincount(graph.rows * r + labels[graph.indices], minlength=n * r)
         return flat.reshape(n, r)
-    codes = np.left_shift(1, bits * np.arange(r, dtype=np.int64))
     words = np.zeros(n, dtype=np.int64)
-    if len(graph.indices):
-        nonempty = np.flatnonzero(graph.degree)
-        words[nonempty] = np.add.reduceat(codes[labels][graph.indices],
-                                          graph.indptr[nonempty])
+    nonempty = np.flatnonzero(graph.degree)
+    if len(nonempty):
+        codes = np.left_shift(1, bits * np.arange(r, dtype=np.int64))[labels]
+        k = _ranges(len(graph.indices), len(nonempty))
+        cuts = [len(nonempty) * i // k for i in range(k + 1)]
+        pending = []
+        if k > 1:
+            pool = _workers()
+            pending = [pool.submit(_sum_rows, words, codes, graph, nonempty[a:b])
+                       for a, b in zip(cuts[1:-1], cuts[2:])]
+        _sum_rows(words, codes, graph, nonempty[:cuts[1]])
+        for future in pending:
+            future.result()
     # one column at a time: a broadcast (n, r) shift is several times slower
     matrix = np.empty((n, r), dtype=np.int64)
     for j in range(r):
         np.bitwise_and(words >> (bits * j), (1 << bits) - 1, out=matrix[:, j])
     return matrix
+
+
+def _sum_rows(words: np.ndarray, codes: np.ndarray, graph: Graph,
+              rows: np.ndarray) -> None:
+    """words[rows] = the sums of the neighbours' codes of the consecutive
+    non-empty CSR rows ``rows``.  Runs on worker threads, so it calls only
+    numpy: the benchmark's tracer keeps one span stack for public calls."""
+    lo, hi = graph.indptr[rows[0]], graph.indptr[rows[-1] + 1]
+    words[rows] = np.add.reduceat(codes[graph.indices[lo:hi]], graph.indptr[rows] - lo)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ranges(entries: int, rows: int) -> int:
+    """How many threads count a CSR of ``entries`` entries over ``rows``
+    non-empty rows: one per CPU, while each range keeps RANGE_ENTRIES and
+    a row."""
+    return max(1, min(_cpus(), entries // RANGE_ENTRIES, rows))
+
+
+# the worker threads of the process that made them: a forked child has none
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = -1
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The process's pool of worker threads, one per CPU beside the
+    caller's, made on first use and made again in a forked child.
+
+    No lock: a lock held by another thread at a fork stays held in the
+    child.  Two first callers may each make a pool; the one stored last
+    serves from then on, and the other keeps at most its idle threads
+    until the interpreter exits."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1),
+                                   thread_name_prefix="part_profile")
+        _pool_pid = os.getpid()
+    return _pool
 
 
 class Counts:

@@ -52,6 +52,24 @@ def test_verify_refuses_certificate_of_another_graph():
         verify_certificate(other, report.labels, report.certificate, r=2)
 
 
+def test_verify_report_reads_numpy_scalar_claims_as_their_json():
+    g = gen_gnp(60, 0.3, seed=2)
+    report = bisect_internal(g, ParamSet(0.0, 0.25, INTERNAL), seed=0)
+    claims = copy.deepcopy(report.certificate.claims)
+    assert [c["kind"] for c in claims[:2]] == ["balance", "part_sizes"]
+    claims[0]["max_diff"] = np.int64(claims[0]["max_diff"])
+    claims[1]["sizes"] = [np.int32(size) for size in claims[1]["sizes"]]
+    edited = dataclasses.replace(report, certificate=dataclasses.replace(
+        report.certificate, claims=claims))
+    assert verify_certificate(g, edited.labels, edited.certificate, edited.r).passed
+    assert certify.verify_report(g, edited) == VerifyResult(True, statement=True)
+    # a numpy value that differs from the statement's is still no claim of it
+    claims[0]["max_diff"] = np.int64(claims[0]["max_diff"] + 1)
+    result = certify.verify_report(g, edited)
+    assert not result.passed and result.statement is False
+    assert "condition 'balance' has no claim" in result.reason
+
+
 def test_k4_own_degree_claim_passes_and_flip_fails():
     g = complete_graph(4)
     labels = np.array([0, 0, 1, 1])

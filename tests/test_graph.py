@@ -1,5 +1,9 @@
 import hashlib
 import io
+import os
+import signal
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +16,8 @@ from degpart.gen import gen_gnp
 from degpart.graph import (MAX_VERTICES, Counts, Graph, GraphFormatError,
                            LabelError, load_graph, part_profile)
 
-from conftest import complete_graph, cycle_graph, graphs, naive_profile, path_graph
+from conftest import (complete_graph, cycle_graph, graphs, naive_profile, path_graph,
+                      watchdog)
 
 # np.loadtxt warns on a body without data; the loader must decline it first
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -599,3 +604,150 @@ def test_from_edges_refuses_a_vertex_count_past_the_int64_keys():
     # the limit itself is a legal count (not built here: it would hold
     # MAX_VERTICES + 1 offsets)
     assert graph_module._vertex_count(MAX_VERTICES) == MAX_VERTICES
+
+
+# -- the split count -----------------------------------------------------------
+#
+# part_profile cuts the non-empty rows of a graph of at least 2 * RANGE_ENTRIES
+# CSR entries into one range per CPU; these graphs are above that size, and
+# the CPU count is set, so the split runs whatever machine runs the tests.
+
+
+def bincount_profile(g, labels, r):
+    """A naive recount: one bincount over the (row, part) keys."""
+    return np.bincount(g.rows * r + labels[g.indices], minlength=g.n * r).reshape(g.n, r)
+
+
+def placed(g, n, offset=0, isolated=()):
+    """g's edges on ids offset.. of an n-vertex graph, without those of the
+    isolated ids."""
+    u, v = g.edge_array()
+    keep = ~(np.isin(u, isolated) | np.isin(v, isolated))
+    return Graph.from_edges(n, np.stack([u[keep], v[keep]], axis=1) + offset)
+
+
+@pytest.fixture(scope="module")
+def big():
+    g = gen_gnp(2100, 0.05, seed=4)
+    assert len(g.indices) >= 3 * graph_module.RANGE_ENTRIES
+    return g
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(graph_module, "_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_a_split_count_matches_a_bincount(monkeypatch, big, count, r):
+    cpus(monkeypatch, count)
+    assert graph_module._ranges(len(big.indices), big.n) == count
+    labels = np.random.default_rng(r).integers(0, r, big.n)
+    assert np.array_equal(part_profile(big, labels, r), bincount_profile(big, labels, r))
+
+
+def test_isolated_vertices_at_the_split_row(monkeypatch, big):
+    cpus(monkeypatch, 2)
+    g = placed(big, big.n, isolated=[1049, 1050])
+    # the ranges split the 2098 non-empty rows after row 1048, so the two
+    # isolated rows lie between the last row of one range and the first of
+    # the next
+    nonempty = np.flatnonzero(g.degree)
+    cut = len(nonempty) // 2
+    assert (nonempty[cut - 1], nonempty[cut]) == (1048, 1051)
+    labels = np.random.default_rng(0).integers(0, 3, g.n)
+    counts = part_profile(g, labels, 3)
+    assert np.array_equal(counts, bincount_profile(g, labels, 3))
+    assert not counts[1049:1051].any()
+
+
+@pytest.mark.parametrize("offset", [0, 1700])
+def test_a_half_without_entries(monkeypatch, offset):
+    # a G(1700, 0.05) on one half of 3400 ids: the other half is isolated
+    g = placed(gen_gnp(1700, 0.05, seed=5), 3400, offset)
+    cpus(monkeypatch, 2)
+    assert graph_module._ranges(len(g.indices), g.n) == 2
+    labels = np.random.default_rng(1).integers(0, 3, g.n)
+    counts = part_profile(g, labels, 3)
+    assert np.array_equal(counts, bincount_profile(g, labels, 3))
+    assert not counts[1700 - offset:3400 - offset].any()
+
+
+def test_one_cpu_counts_on_the_calling_thread_alone(monkeypatch, big):
+    labels = np.random.default_rng(2).integers(0, 3, big.n)
+    cpus(monkeypatch, 2)
+    split = part_profile(big, labels, 3)
+    cpus(monkeypatch, 1)
+
+    def no_workers():
+        raise AssertionError("a one-CPU count asked for worker threads")
+    monkeypatch.setattr(graph_module, "_workers", no_workers)
+    assert graph_module._ranges(len(big.indices), big.n) == 1
+    assert np.array_equal(part_profile(big, labels, 3), split)
+
+
+def test_concurrent_split_counts_share_the_pool(monkeypatch, big):
+    # more calling threads than cores, each splitting its count into three
+    # ranges on the one pool, switching threads as often as the
+    # interpreter lets them: a range written twice or not at all would show
+    cpus(monkeypatch, 3)
+    labels = [np.random.default_rng(seed).integers(0, 3, big.n) for seed in range(6)]
+    expect = [bincount_profile(big, lab, 3) for lab in labels]
+    results = [None] * len(labels)
+
+    def count(i):
+        for _ in range(5):
+            if not np.array_equal(part_profile(big, labels[i], 3), expect[i]):
+                return
+        results[i] = True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=count, args=(i,)) for i in range(len(labels))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * len(labels)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_a_process_pinned_to_one_cpu_takes_the_serial_path(big):
+    # what `taskset -c 0` does, on this thread only, undone at the end
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        assert graph_module._cpus() == 1
+        assert graph_module._ranges(len(big.indices), big.n) == 1
+    finally:
+        os.sched_setaffinity(0, before)
+    assert graph_module._cpus() == len(before)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_child_forked_after_a_split_count_counts_again(monkeypatch, big):
+    cpus(monkeypatch, 2)
+    labels = np.random.default_rng(3).integers(0, 3, big.n)
+    expect = bincount_profile(big, labels, 3)
+    # the parent's pool now holds a worker thread, which the child lacks
+    assert np.array_equal(part_profile(big, labels, 3), expect)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(part_profile(big, labels, 3), expect) else 1
+        finally:
+            os._exit(code)
+    try:
+        with watchdog(30, "the forked child's count"):
+            _, status = os.waitpid(pid, 0)
+    except TimeoutError:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert np.array_equal(part_profile(big, labels, 3), expect)

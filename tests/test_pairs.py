@@ -12,11 +12,13 @@ END_TO_END = [{"name": "int_solve_s.p50", "better": "lower", "bound": 0.25},
               {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
 
 
-def report(solve, ops, out="o", failed=0):
+def report(solve, ops, out="o", failed=0, nproc=2):
     return {"metrics": {"int_solve_s.p50": {"value": solve},
                         "ops_per_s": {"value": ops}},
             "attempted": 10, "failed": failed, "correct": failed == 0,
-            "input_sha256": "i", "output_sha256": out}
+            "input_sha256": "i", "output_sha256": out,
+            "env": {"nproc": nproc, "python": "3.11.7", "numpy": "2.4.6",
+                    "commit": "abc"}}
 
 
 def test_summary_of_a_clear_gain():
@@ -50,6 +52,26 @@ def test_summary_of_a_regression_and_a_mismatch():
         m = s["metrics"][name]
         assert m["change_wins"] == "0/10"
         assert not m["clear_gain"] and not m["within_bound"]
+
+
+def test_the_summary_copies_each_runs_environment():
+    runs = [(report(1.0, 10.0), report(0.9, 11.0)) for _ in range(3)]
+    s = summarize(runs, END_TO_END)
+    assert s["env_equal"]
+    # the CPU count and versions only: the commit differs between the sides
+    assert s["env"] == {side: [{"nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}] * 3
+                        for side in ("parent", "change")}
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_run_on_another_cpu_count_is_flagged(side):
+    runs = [(report(1.0, 10.0), report(0.9, 11.0)) for _ in range(3)]
+    runs[2][side]["env"]["nproc"] = 1
+    s = summarize(runs, END_TO_END)
+    assert not s["env_equal"]
+    assert [e["nproc"] for e in s["env"][("parent", "change")[side]]] == [2, 2, 1]
+    # the metrics are summarised all the same
+    assert s["metrics"]["int_solve_s.p50"]["change_wins"] == "3/3"
 
 
 def traced(sha="o", **work):

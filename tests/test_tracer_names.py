@@ -6,12 +6,18 @@ public driver that stops being a plain module-level function is no longer
 wrapped: the benchmark's smoke test still passes, while that driver's self
 time silently reads 0.  This test runs the tracer, imported unedited from
 ``perfbench/``, over the two binding golden bisections and one r-partition.
+
+The tracer keeps one span stack, so a public function called from one of
+``part_profile``'s worker threads would push its span onto whatever the
+calling thread has open; the last test counts a split labeling under it.
 """
 
 import sys
 from pathlib import Path
 
-from degpart import pipelines
+import numpy as np
+
+from degpart import graph, pipelines
 from degpart.cuts import BiasVector
 from degpart.gen import gen_gnp
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet
@@ -44,3 +50,23 @@ def test_the_tracer_records_the_pinned_spans_and_counts():
     recorded = {name for name, *_ in tracer.spans}
     assert [name for name in SPANS if name not in recorded] == []
     assert [name for name in COUNTS if tracer.counts[name] == 0] == []
+
+
+def test_a_split_count_is_one_span_inside_its_parent(monkeypatch):
+    g = gen_gnp(1700, 0.05, seed=4)
+    labels = np.random.default_rng(0).integers(0, 3, g.n)
+    monkeypatch.setattr(graph, "_cpus", lambda: 2)
+    assert graph._ranges(len(g.indices), g.n) == 2
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.op("count"):
+            graph.part_profile(g, labels, 3)
+            graph.Counts(g, labels, 3)    # calls part_profile by module name
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("graph.part_profile") == 2
+    assert names.count("op") == 1 and len(names) == 3
+    for name, start, end, parent, op in tracer.spans:
+        assert op == "count"
+        if name != "op":
+            _, p_start, p_end, _, _ = tracer.spans[parent]
+            assert p_start <= start <= end <= p_end

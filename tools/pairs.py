@@ -17,7 +17,9 @@ The output holds, per workload, the ``pairs`` layout of BENCH_verdict.json:
 for each end-to-end metric of BENCHMARK.json every run's value, both medians,
 the parent's interquartile range, the pairs the change won, the bound and
 whether the change's median is within it; then the summed attempted and
-failed ops and whether the input and output digests matched in every pair.
+failed ops, whether the input and output digests matched in every pair, and
+each run's CPU count and Python and numpy versions, with whether they were
+the same in every run (``env_equal``).
 Its ``traced`` section holds, per workload, each side's per-layer figures
 from the traced rounds (the median over the rounds of each layer's self
 seconds per op; calls and work counts per op, and the output digest, of the
@@ -45,6 +47,9 @@ TRACED_ROUNDS = 3
 # the per-layer figures of a traced report, and the ones that count work
 TRACED = ("self_s_per_op", "calls_per_op", "counts_per_op", "output_sha256")
 WORK = ("calls_per_op", "counts_per_op")
+# what a run records of its host: a gain from a second core means nothing
+# unless both sides saw the same CPU count
+ENV = ("nproc", "python", "numpy")
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -78,14 +83,20 @@ def summarize(runs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """The ``pairs`` entry of one workload from its (parent, change) reports.
 
     A report needs ``metrics`` ({name: {"value": ...}}), ``attempted``,
-    ``failed``, ``correct``, ``input_sha256`` and ``output_sha256``.  A change
-    wins a pair when its value is strictly better; the parent's IQR is
-    q3 - q1 of ``statistics.quantiles``.  ``clear_gain`` says whether the
+    ``failed``, ``correct``, ``input_sha256``, ``output_sha256`` and ``env``.
+    A change wins a pair when its value is strictly better; the parent's IQR
+    is q3 - q1 of ``statistics.quantiles``.  ``clear_gain`` says whether the
     change won at least nine in ten pairs and its median beats the parent's
-    by more than the parent's IQR.
+    by more than the parent's IQR.  ``env`` holds each side's runs' CPU
+    count and Python and numpy versions, and ``env_equal`` whether every
+    run, on both sides, recorded the same.
     """
+    env = {side: [{key: pair[i]["env"][key] for key in ENV} for pair in runs]
+           for i, side in enumerate(SIDES)}
     summary = {
         "pairs": len(runs),
+        "env_equal": all(e == env["parent"][0] for side in SIDES for e in env[side]),
+        "env": env,
         "output_sha256_equal": all(p["output_sha256"] == c["output_sha256"]
                                    for p, c in runs),
         "input_sha256_equal": all(p["input_sha256"] == c["input_sha256"]
