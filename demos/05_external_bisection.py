@@ -24,7 +24,6 @@ print("extraction deleted:", 0 if trace.extract is None else
       "| quarantined W1:", len(trace.w1),
       "| absorbed:", len(trace.absorbed),
       "| left for the cut:", len(trace.w2))
-print("absorption-exit checks:", trace.checks)
 
 report = bisect_external(g, params, seed=9)
 print("\nbisection ok:", report.ok, "sizes:", report.stats["sizes"])

@@ -12,8 +12,7 @@ one ``graph.Counts``.  Three kinds of context split the work of one run:
 
 * the producer maintains its counts while it moves vertices, and
   ``from_counts(counts, table)`` judges its intermediate conditions on them
-  with the table it built (an r-partition reads the pre-repair statistics
-  of its local optimum from the search's counts the same way);
+  with the table it built;
 * each labeling a pipeline emits is counted once from scratch into a fresh
   Counts (``recount(graph, labels, r, table)``), on which its conditions and
   statistics are judged in one pass (``judge``), each claim once, with the

@@ -86,16 +86,23 @@ class Graph:
         pairs.
 
         Duplicate pairs are collapsed and counted in ``duplicates_collapsed``;
-        a self-loop or an id outside [0, n) raises GraphFormatError naming the
-        first bad pair in input order, and so does an n below 0 or above
+        a self-loop, an id outside [0, n) or ids of a non-integer dtype raise
+        GraphFormatError naming the first bad pair in input order, and so does
+        an n that is no integer (a bool included), below 0 or above
         ``MAX_VERTICES``.
         """
         n = _vertex_count(n)
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                           dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphFormatError(f"edges of shape {pairs.shape} are not (u, v) pairs")
+        if pairs.size and not np.issubdtype(pairs.dtype, np.integer):
+            # a cast would truncate them silently
+            rows = pairs.tolist()
+            a, b = rows[_first_cast_loss(rows)]
+            raise GraphFormatError(
+                f"edge ({a},{b}) has ids of non-integer dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= n)
@@ -215,15 +222,37 @@ def load_graph(text) -> Graph:
     (isqrt(2**63 - 1), the most whose edge keys fit in int64).  A count up to
     that limit, declared or inferred as the largest id + 1, is honoured as
     declared: the graph's arrays hold n + 1 offsets, however few edges follow.
+    text is a str, bytes, or a text or binary stream; bytes are decoded as
+    UTF-8 and parsed as the equal str, and bytes that do not decode raise
+    GraphFormatError.
     """
     if hasattr(text, "read"):
         text = text.read()
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"graph bytes are not UTF-8: {exc}") from None
     graph = _read_clean(text) if isinstance(text, str) else None
     return graph if graph is not None else _read_lines(text)
 
 
+def _first_cast_loss(rows: list) -> int:
+    """Index of the first row an int cast would change, or 0 if none would."""
+    for i, row in enumerate(rows):
+        try:
+            if any(x != int(x) for x in row):
+                return i
+        except (TypeError, ValueError, OverflowError):
+            return i
+    return 0
+
+
 def _vertex_count(n) -> int:
-    """n as an int, refused with GraphFormatError unless 0 <= n <= MAX_VERTICES."""
+    """n as an int, refused with GraphFormatError unless it is an integer
+    (not a bool) with 0 <= n <= MAX_VERTICES."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise GraphFormatError(f"vertex count n={n!r} is not an integer")
     n = int(n)
     if n < 0:
         raise GraphFormatError(f"negative vertex count n={n}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import certify
 from .certify import Certificate
-from .cuts import BiasVector, biased_max_r_cut, check_biased_local_min
+from .cuts import BiasVector, biased_max_r_cut
 from .graph import Counts, Graph
 from .refine_ext import refine_external
 from .refine_int import refine_internal_once
@@ -326,22 +326,18 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
             False, counts.labels, {}, s1, [], table,
             {"stage": "stage1", "violated": s1.violated}, counts)
     if params.mode == INTERNAL:
-        traces, diagnostics = [refine_internal_once(counts, params, table)], {}
+        traces = [refine_internal_once(counts, table)]
         counts.swap(PART_A, PART_B)
-        traces.append(refine_internal_once(counts, params, table))
+        traces.append(refine_internal_once(counts, table))
         counts.swap(PART_A, PART_B)
     else:
-        trace = refine_external(counts, params, table, cut_seed=seed)
-        traces = [trace]
-        diagnostics = {"precut_checks": dict(trace.checks),
-                       "refine_precond": dict(trace.precond)}
+        traces = [refine_external(counts, table, cut_seed=seed)]
     conditions, _ = _judge(certify.from_counts(counts, table), certify.statement(
         {"shape": "tripartition", **params.as_dict()}, graph.n))
     failed = [k for k, v in conditions.items() if not v]
     gate_window = stage_one_options.get("size_window") is None
     ok = not [k for k in failed if gate_window or k != "size_window"]
-    if not ok:
-        diagnostics.update({"stage": "conditions", "failed": failed})
+    diagnostics = {} if ok else {"stage": "conditions", "failed": failed}
     return TripartitionResult(ok, counts.labels, conditions, s1, traces, table,
                               diagnostics, counts)
 
@@ -395,12 +391,10 @@ def _bisect(graph: Graph, params: ParamSet, mode: str, options) -> PipelineRepor
 
     def finish(tri, statement):
         counted = _fold(tri, certify.TARGET[mode])
-        diagnostics = {"tripartition_conditions": tri.conditions}
-        if mode == EXTERNAL:
-            diagnostics["precut_checks"] = tri.diagnostics.get("precut_checks")
-        return counted, {"balance": statement["balance"],
-                         "sizes": [certify.claim_part_sizes(counted.sizes)],
-                         "floor": statement["floor"]}, diagnostics
+        conditions = {"balance": statement["balance"],
+                      "sizes": [certify.claim_part_sizes(counted.sizes)],
+                      "floor": statement["floor"]}
+        return counted, conditions, {"tripartition_conditions": tri.conditions}
     record = {"shape": "bisect", "mode": mode, "eps": params.eps, "d_const": params.d}
     return _construct(graph, record, params, finish, **options)
 
@@ -566,29 +560,24 @@ def r_partition(graph: Graph, bias: BiasVector, mode: str = EXTERNAL, *,
     vertices in parts of size >= 2.  The repair: each oversized part gives up
     its surplus of lowest-(degree, id) members; the movers, in (degree, id)
     order, each go to the part with the largest remaining deficit, the lower
-    index on ties.  ``diagnostics["repaired_vertices"]`` counts the movers.
-    The repair can break the local-optimum inequalities, so the report keeps
-    the certified pre-repair values apart from the measured post-repair ones.
+    index on ties.  ``diagnostics["repaired_vertices"]`` counts the movers,
+    and ``diagnostics["pre_repair"]`` holds the search's objective at its
+    start and end and its moves.  The search stops only at a local optimum;
+    the repair can break its inequalities, and the report's stats and claims
+    are the measured post-repair ones.
     """
     if mode not in (INTERNAL, EXTERNAL):
         raise ValueError(f"mode must be internal or external, got {mode!r}")
     record = {"shape": "rpart", "alpha": [str(a) for a in bias.alpha]}
     statement = certify.statement(record, graph.n)
     targets = statement["sizes"][0]["sizes"]
-    maximize = mode == INTERNAL
-    result = biased_max_r_cut(graph, bias, seed=seed, maximize=maximize)
-    # the search's own counts serve the check of the local optimum and its
-    # statistics: diagnostics of a labeling that is not emitted
-    violations = check_biased_local_min(result.counts, bias, maximize=maximize)
-    pre_stats = partition_stats(certify.from_counts(result.counts))
-    pre_certified = not violations
+    result = biased_max_r_cut(graph, bias, seed=seed, maximize=mode == INTERNAL)
     labels, repaired = _repair(result.labels, graph.degree, targets)
 
     diagnostics = {
-        "pre_repair": {"stats": pre_stats, "local_optimum_certified": pre_certified,
-                       "objective_start": str(result.objective_start),
+        "pre_repair": {"objective_start": str(result.objective_start),
                        "objective_end": str(result.objective_end),
-                       "moves": result.moves, "violations": len(violations)},
+                       "moves": result.moves},
         "repaired_vertices": repaired}
     params = {"mode": mode, "r": bias.r, "statement": record}
     return _make_report(certify.recount(graph, labels, bias.r), params, statement,

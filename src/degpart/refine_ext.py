@@ -25,10 +25,11 @@ degrees from its X and Y columns, quarantine and purity read only the CSR
 rows of the extracted vertices, absorption's side counts and W1-internal
 adjacency come from one gather over the rows of W1, the passes run on
 Python ints, and W1 moves through the counts at the end.
-The three absorption-exit facts (both side-degrees below floor(psi), inner
-W2 degree at least twice it) are asserted on every run;
-``pipelines.tripartition`` judges the final tripartition with the
-certificate verifier.
+The absorption-exit facts (both side-degrees below floor(psi), W2 all
+active, and, when every active Z-vertex entered X-good and Y-good, inner W2
+degree at least twice floor(psi)) are asserted on every run; the pass grades
+nothing else, and ``pipelines.tripartition`` judges the final tripartition
+with the certificate verifier.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .cuts import local_maxcut
 from .dense import ExtractResult, extract_dense
 from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
-from .thresholds import ParamSet, ThresholdTable
+from .thresholds import ThresholdTable
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
@@ -57,23 +58,21 @@ class Absorption:
 
 @dataclass
 class ExternalTrace:
-    """Audit trail of the external refinement after stage one."""
+    """What the external refinement did after stage one."""
 
     extract: ExtractResult | None
     w1: np.ndarray
     absorbed: list
     w2: np.ndarray
     wcut: tuple
-    precond: dict
-    checks: dict
 
 
-def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
+def refine_external(counts: Counts, table: ThresholdTable,
                     cut_seed: int = 0) -> ExternalTrace:
     """Run extraction, quarantine, absorption and the W2 cut on counted
     X|Y|Z labels.
 
-    The W1 side assignments go through counts and the final check reads
+    The W1 side assignments go through counts and the final assert reads
     them, so the refined labels are ``counts.labels`` when it returns.
     """
     graph = counts.graph
@@ -84,12 +83,10 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
 
     gm = goodness_map(counts, table)
     in_z0 = labels_in == PART_Z
-    precond = {
-        "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
-        "stage_weight": gm.weight,
-    }
+    goodness_ok = not bool((in_z0 & active & ~gm.both_good).any())
     # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
-    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - params.c) * (1 + 1e-12)
+    lifted = (table.degrees
+              <= 8.0 * table.psi_star / (1.0 - table.params.c) * (1 + 1e-12))
     assert (lifted | ~table.active).all(), \
         f"psi* lift violated at degree {table.degrees[table.active & ~lifted][0]}"
 
@@ -166,24 +163,18 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
         left = remaining
     w2 = w1[np.array(left, dtype=np.int64)]
 
-    # absorption-exit facts, on the same counts
+    # absorption-exit facts, on the same counts; the inner floor also gates
+    # the cut's guarantee below
     in_w2 = [False] * k
     for i in left:
         in_w2[i] = True
-    checks = {"w2_all_active": bool(active[w2].all()),
-              "precut_side_floors": True, "precut_inner_floor": True}
-    for i in left:
-        t = thr[i]
-        if d_to[PART_X][i] >= t or d_to[PART_Y][i] >= t:
-            checks["precut_side_floors"] = False
-        if sum(in_w2[j] for j in inner[bounds[i]:bounds[i + 1]]) < 2 * t:
-            checks["precut_inner_floor"] = False
-    assert checks["precut_side_floors"], \
+    assert all(d_to[PART_X][i] < thr[i] and d_to[PART_Y][i] < thr[i] for i in left), \
         "absorption exited with an absorbable vertex left"
-    assert checks["w2_all_active"], "an inactive vertex survived absorption"
-    if precond["goodness_ok"]:
-        assert checks["precut_inner_floor"], \
-            "leftover W2 vertex below twice the cross floor"
+    assert active[w2].all(), "an inactive vertex survived absorption"
+    inner_floor_ok = all(sum(in_w2[j] for j in inner[bounds[i]:bounds[i + 1]])
+                         >= 2 * thr[i] for i in left)
+    if goodness_ok:
+        assert inner_floor_ok, "leftover W2 vertex below twice the cross floor"
 
     # step 4: flip-local max-cut of G[W2]
     w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
@@ -204,10 +195,9 @@ def refine_external(counts: Counts, params: ParamSet, table: ThresholdTable,
     assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
 
     # cut guarantee for the leftover vertices
-    if len(w2) and checks["precut_inner_floor"]:
+    if len(w2) and inner_floor_ok:
         for v in w2.tolist():
             cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
             assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
 
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
-                         checks)
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus))

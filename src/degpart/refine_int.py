@@ -22,10 +22,10 @@ inequality i - floor(phi(i)) >= floor(thr_int(i)) is re-checked numerically
 before each run rather than taken on faith).
 
 The pass takes the run's ``graph.Counts`` of the tripartition: every move
-goes through it and every check reads it.  ``pipelines.tripartition``
-applies the pass twice after stage one, the second time with the roles of
-the two sides exchanged, and judges the target conditions with the
-certificate verifier.
+goes through it and every assert reads it.  The pass asserts what its
+construction guarantees and grades nothing else: ``pipelines.tripartition``
+applies it twice after stage one, the second time with the roles of the two
+sides exchanged, and the certificate verifier judges the target conditions.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .dense import ExtractResult, extract_dense
 from .graph import Counts
 from .stage1 import PART_A, PART_B, PART_C, goodness_map
-from .thresholds import ParamSet, ThresholdTable
+from .thresholds import ThresholdTable
 
 
 @dataclass
@@ -51,16 +51,12 @@ class Evacuation:
 
 @dataclass
 class InternalRefineTrace:
-    """Full audit trail of one refinement pass (refines part 0)."""
+    """What one refinement pass did (refines part 0)."""
 
     a_star: np.ndarray
     extract: ExtractResult | None
     evacuations: list
     patch: dict
-    labels_in: np.ndarray
-    precond: dict
-    checks: dict
-    guaranteed: bool
 
 
 def _evacuee_landing_is_good(table: ThresholdTable) -> bool:
@@ -74,34 +70,25 @@ def _evacuee_landing_is_good(table: ThresholdTable) -> bool:
     return bool((~table.active | (table.degrees - table.fphi >= table.fthr_int)).all())
 
 
-def refine_internal_once(counts: Counts, params: ParamSet,
+def refine_internal_once(counts: Counts,
                          table: ThresholdTable) -> InternalRefineTrace:
     """One refinement pass over part 0 of a counted tripartition (parts 0|1|2).
 
-    Preconditions (every active C-vertex both-good; the A-side weight below
-    eps^2*n/250) are checked and recorded, and the pass runs regardless; the
-    trace's ``guaranteed`` flag reports whether everything the construction
-    promises under those preconditions actually held.
+    The pass runs whether or not every active C-vertex enters both-good; the
+    asserts that rest on that entry goodness (A's floor after the patch, the
+    B-goodness of evacuees) fire only when it held.
 
-    Every move of the pass goes through counts and every check reads them,
+    Every move of the pass goes through counts and every assert reads them,
     so the pass's labels are ``counts.labels`` when it returns.
     """
     graph, lab = counts.graph, counts.labels
-    n = graph.n
     labels_in = lab.copy()
     active = table.column("active", graph)
     fphi = table.column("fphi", graph)
 
     gm = goodness_map(counts, table)
-    in_a = lab == PART_A
-    weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
-    precond = {
-        "goodness_ok": not bool(((lab == PART_C) & active & ~gm.both_good).any()),
-        "weight_a": weight_a,
-        "weight_ok_entry": weight_a <= params.eps ** 2 * n / 250.0,
-        "weight_ok_stage": weight_a <= params.eps ** 2 * n / 1e4,
-    }
-    arithmetic_ok = _evacuee_landing_is_good(table)
+    in_a, in_c = lab == PART_A, lab == PART_C
+    goodness_ok = not bool((in_c & active & ~gm.both_good).any())
 
     # step 1: the dense core of G[A], on the counts of A
     target = np.where(in_a & active, fphi, 0)
@@ -119,7 +106,6 @@ def refine_internal_once(counts: Counts, params: ParamSet,
     constrained = active & (fphi >= 1)
     evacuations: list[Evacuation] = []
     queue = deque(np.flatnonzero(in_a & constrained & (dac < fphi)).tolist())
-    in_c = lab == PART_C
     a_of, c_of, dac_of = memoryview(in_a), memoryview(in_c), memoryview(dac)
     floor_of, con_of = memoryview(fphi), memoryview(constrained)
     ptr, nbr = memoryview(graph.indptr), memoryview(graph.indices)
@@ -153,35 +139,18 @@ def refine_internal_once(counts: Counts, params: ParamSet,
         patch[v] = donors[:need]
     counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
-    # the pass contract, checked on the maintained counts
-    gm2 = goodness_map(counts, table)
-    in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
-    in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
-    drift = params.eps * n / 500.0
-    sz = lambda m: int(m.sum())
-    checks = {
-        "arithmetic_fact": arithmetic_ok,
-        "b_grew_only": bool((in_b0 <= in_b2).all()),
-        "c_shrank_only": bool((in_c2 <= in_c0).all()),
-        "size_drift_a": abs(sz(in_a2) - sz(labels_in == PART_A)) <= drift,
-        "size_drift_b": sz(in_b0) <= sz(in_b2) <= sz(in_b0) + drift,
-        "size_drift_c": sz(in_c0) - drift <= sz(in_c2) <= sz(in_c0),
-        "floor_a": bool((~(active & in_a2) | (d_a >= fphi)).all()),
-        "c_both_good": not bool((in_c2 & active & ~gm2.both_good).any()),
-        "new_b_good": not bool((in_b2 & ~in_b0 & active & ~gm2.good_b).any()),
-        "bad_b_contained": bool(
-            ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
-    }
-    assert checks["b_grew_only"] and checks["c_shrank_only"]
-    if precond["goodness_ok"]:
+    # what the construction guarantees, asserted on the maintained counts:
+    # B only grows and C only shrinks
+    in_b0 = labels_in == PART_B
+    assert (in_b0 <= (lab == PART_B)).all()
+    assert ((lab == PART_C) <= (labels_in == PART_C)).all()
+    if goodness_ok:
         # patch donors come from C and are A-good, so the floor cannot
         # miss unless the entry goodness precondition already failed
-        assert checks["floor_a"], \
+        assert (~(active & (lab == PART_A)) | (d_a >= fphi)).all(), \
             "a vertex of A missed its own-degree floor after the patch"
-    if precond["goodness_ok"] and arithmetic_ok:
-        assert checks["new_b_good"], \
-            "an evacuated vertex landed in B without B-goodness"
-    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
-        and all(checks.values())
-    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
-                               precond, checks, guaranteed)
+        if _evacuee_landing_is_good(table):
+            good_b = goodness_map(counts, table).good_b
+            assert not ((lab == PART_B) & ~in_b0 & active & ~good_b).any(), \
+                "an evacuated vertex landed in B without B-goodness"
+    return InternalRefineTrace(a_star, extract, evacuations, patch)

@@ -42,17 +42,20 @@ def default_d_constant(c: float, eps: float, mode: str) -> float:
     """The default series constant for a mode.
 
     internal: 1000/eps^2;  external: 1000/(sqrt(1-c)*eps^2).  Accepts the
-    closed boundary eps=1 (the formula is still well defined there).
+    closed boundary eps=1 (the formula is still well defined there).  An eps
+    so small that the constant overflows gives inf.
     """
     if eps <= 0 or eps > 1:
         raise ValueError(f"eps must lie in (0,1], got {eps}")
     if not 0 <= c < 1:
         raise ValueError(f"c must lie in [0,1), got {c}")
     if mode == INTERNAL:
-        return 1000.0 / (eps * eps)
-    if mode == EXTERNAL:
-        return 1000.0 / (math.sqrt(1.0 - c) * eps * eps)
-    raise ValueError(f"unknown mode {mode!r}")
+        scale = eps * eps
+    elif mode == EXTERNAL:
+        scale = math.sqrt(1.0 - c) * eps * eps
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return 1000.0 / scale if scale else math.inf
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class ParamSet:
     internal mode requires eps <= (1-c)/4 and external mode eps <= (1-c)/10;
     out-of-range values are rejected unless relaxed=True.  d_const=None means
     the mode's built-in default; an override must be finite and positive (0
-    only when relaxed).
+    only when relaxed).  An eps whose default constant is not finite is
+    rejected.
     """
 
     c: float
@@ -90,6 +94,9 @@ class ParamSet:
                 raise ValueError(f"d_const must be finite, got {self.d_const}")
             if self.d_const < 0 or (self.d_const == 0 and not self.relaxed):
                 raise ValueError(f"d_const must be positive, got {self.d_const}")
+        elif not math.isfinite(self.d):
+            raise ValueError(f"eps={self.eps} is too small: the {self.mode} mode's "
+                             f"default d constant is not finite")
 
     @property
     def d(self) -> float:

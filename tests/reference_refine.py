@@ -1,7 +1,8 @@
 """Reference implementations of the two refinement passes, on per-vertex
 numpy reads: ``refine_internal_once`` and ``refine_external`` must give
 exactly their traces, labels and counts, or raise the same AssertionError
-with the same message.
+with the same message; and ``recount_facts``, the facts a pass keeps that it
+does not assert, recounted from scratch from the labels before and after it.
 
 This module is not a test module, so pytest leaves its asserts as they are:
 a failed check here raises an AssertionError whose text is the check's own
@@ -17,9 +18,11 @@ import numpy as np
 
 from degpart.cuts import local_maxcut
 from degpart.dense import extract_dense
+from degpart.graph import part_profile
 from degpart.refine_ext import Absorption, ExternalTrace
 from degpart.refine_int import Evacuation, InternalRefineTrace, _evacuee_landing_is_good
 from degpart.stage1 import PART_A, PART_B, PART_C, goodness_map
+from degpart.thresholds import INTERNAL
 
 
 def plain(value):
@@ -39,12 +42,11 @@ def plain(value):
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
 
-def ref_refine_internal_once(counts, params, table):
+def ref_refine_internal_once(counts, table):
     """``refine_internal_once`` with per-vertex numpy reads: the evacuation
     queue and the patch index the arrays with numpy scalars and read each
     row through ``graph.neighbors``."""
     graph, lab = counts.graph, counts.labels
-    n = graph.n
     labels_in = lab.copy()
     rows = table.rows_of(graph)
     active = table.active[rows]
@@ -52,14 +54,7 @@ def ref_refine_internal_once(counts, params, table):
 
     gm = goodness_map(counts, table)
     in_a = lab == PART_A
-    weight_a = int(graph.degree[in_a & active & ~gm.good_a].sum())
-    precond = {
-        "goodness_ok": not bool(((lab == PART_C) & active & ~gm.both_good).any()),
-        "weight_a": weight_a,
-        "weight_ok_entry": weight_a <= params.eps ** 2 * n / 250.0,
-        "weight_ok_stage": weight_a <= params.eps ** 2 * n / 1e4,
-    }
-    arithmetic_ok = _evacuee_landing_is_good(table)
+    goodness_ok = not bool(((lab == PART_C) & active & ~gm.both_good).any())
 
     # step 1: the dense core of G[A], on the counts of A
     target = np.where(in_a & active, fphi, 0)
@@ -107,41 +102,23 @@ def ref_refine_internal_once(counts, params, table):
         patch[v] = donors[:need]
     counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
 
-    # the pass contract, checked on the maintained counts
-    gm2 = goodness_map(counts, table)
+    # the construction's guarantees, checked on the maintained counts
     in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
     in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
-    drift = params.eps * n / 500.0
-    sz = lambda m: int(m.sum())
-    checks = {
-        "arithmetic_fact": arithmetic_ok,
-        "b_grew_only": bool((in_b0 <= in_b2).all()),
-        "c_shrank_only": bool((in_c2 <= in_c0).all()),
-        "size_drift_a": abs(sz(in_a2) - sz(labels_in == PART_A)) <= drift,
-        "size_drift_b": sz(in_b0) <= sz(in_b2) <= sz(in_b0) + drift,
-        "size_drift_c": sz(in_c0) - drift <= sz(in_c2) <= sz(in_c0),
-        "floor_a": bool((~(active & in_a2) | (d_a >= fphi)).all()),
-        "c_both_good": not bool((in_c2 & active & ~gm2.both_good).any()),
-        "new_b_good": not bool((in_b2 & ~in_b0 & active & ~gm2.good_b).any()),
-        "bad_b_contained": bool(
-            ((in_b2 & active & ~gm2.good_b) <= (in_b0 & active & ~gm.good_b)).all()),
-    }
-    assert checks["b_grew_only"] and checks["c_shrank_only"]
-    if precond["goodness_ok"]:
+    assert (in_b0 <= in_b2).all() and (in_c2 <= in_c0).all()
+    if goodness_ok:
         # patch donors come from C and are A-good, so the floor cannot
         # miss unless the entry goodness precondition already failed
-        assert checks["floor_a"], \
+        assert (~(active & in_a2) | (d_a >= fphi)).all(), \
             "a vertex of A missed its own-degree floor after the patch"
-    if precond["goodness_ok"] and arithmetic_ok:
-        assert checks["new_b_good"], \
+    if goodness_ok and _evacuee_landing_is_good(table):
+        good_b = goodness_map(counts, table).good_b
+        assert not (in_b2 & ~in_b0 & active & ~good_b).any(), \
             "an evacuated vertex landed in B without B-goodness"
-    guaranteed = precond["goodness_ok"] and precond["weight_ok_entry"] \
-        and all(checks.values())
-    return InternalRefineTrace(a_star, extract, evacuations, patch, labels_in,
-                               precond, checks, guaranteed)
+    return InternalRefineTrace(a_star, extract, evacuations, patch)
 
 
-def ref_refine_external(counts, params, table, cut_seed=0):
+def ref_refine_external(counts, table, cut_seed=0):
     """``refine_external`` with per-vertex numpy reads: side counts in an
     n-by-2 array, each absorption adding to all of the vertex's neighbours,
     and the exit facts read per W2 vertex."""
@@ -154,12 +131,10 @@ def ref_refine_external(counts, params, table, cut_seed=0):
 
     gm = goodness_map(counts, table)
     in_z0 = labels_in == PART_Z
-    precond = {
-        "goodness_ok": not bool((in_z0 & active & ~gm.both_good).any()),
-        "stage_weight": gm.weight,
-    }
+    goodness_ok = not bool((in_z0 & active & ~gm.both_good).any())
     # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
-    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - params.c) * (1 + 1e-12)
+    c = table.params.c
+    lifted = table.degrees <= 8.0 * table.psi_star / (1.0 - c) * (1 + 1e-12)
     assert (lifted | ~table.active).all(), \
         f"psi* lift violated at degree {table.degrees[table.active & ~lifted][0]}"
 
@@ -226,20 +201,17 @@ def ref_refine_external(counts, params, table, cut_seed=0):
     # absorption-exit facts
     in_w2 = np.zeros(n, dtype=bool)
     in_w2[w2] = True
-    checks = {"w2_all_active": bool(active[w2].all()) if len(w2) else True,
-              "precut_side_floors": True, "precut_inner_floor": True}
+    side_floors = inner_floor = True
     for v in w2.tolist():
         d_w2 = int(in_w2[graph.neighbors(v)].sum())
         if not (d_to[v] < fpsi[v]).all():
-            checks["precut_side_floors"] = False
+            side_floors = False
         if d_w2 < 2 * fpsi[v]:
-            checks["precut_inner_floor"] = False
-    assert checks["precut_side_floors"], \
-        "absorption exited with an absorbable vertex left"
-    assert checks["w2_all_active"], "an inactive vertex survived absorption"
-    if precond["goodness_ok"]:
-        assert checks["precut_inner_floor"], \
-            "leftover W2 vertex below twice the cross floor"
+            inner_floor = False
+    assert side_floors, "absorption exited with an absorbable vertex left"
+    assert active[w2].all(), "an inactive vertex survived absorption"
+    if goodness_ok:
+        assert inner_floor, "leftover W2 vertex below twice the cross floor"
 
     # step 4: flip-local max-cut of G[W2]
     w_plus, w_minus, _ = local_maxcut(graph, w2, seed=cut_seed)
@@ -259,10 +231,64 @@ def ref_refine_external(counts, params, table, cut_seed=0):
     assert bool(((in_y & ~in_w) <= in_y3).all()) and bool((in_y3 <= (in_y | in_w)).all())
 
     # cut guarantee for the leftover vertices
-    if len(w2) and checks["precut_inner_floor"]:
+    if len(w2) and inner_floor:
         for v in w2.tolist():
             cross = counts.matrix[v, PART_Y if out[v] == PART_X else PART_X]
             assert cross >= fpsi[v], f"cut side of {v} lost its cross floor"
 
-    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus), precond,
-                         checks)
+    return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus))
+
+
+def recount_facts(graph, table, before, after, w2=None) -> dict:
+    """What a refinement pass at the table's parameters keeps, recounted
+    from scratch from its labels before and after it: {fact: holds}.
+
+    Both modes: ``entry_goodness``, every active vertex of part 2 (C, or Z)
+    was good toward parts 0 and 1 before the pass, against floor(thr_int)
+    or floor(thr_ext) by mode.
+
+    Internal mode (the pass refines part 0): ``size_drift``, A moved by at
+    most eps*n/500 vertices, B grew and C shrank by at most that;
+    ``c_both_good``, every active vertex left in C is A-good and B-good;
+    ``new_b_good``, every active vertex that joined B is B-good;
+    ``bad_b_contained``, every active vertex of B that is not B-good was
+    already so before.
+
+    External mode, with the trace's W2: ``w2_side_floors``, each W2 vertex
+    had fewer than floor(psi) neighbours on each side before the cut (the
+    sides after the pass, less W2); ``w2_inner_floor``, it has at least
+    2*floor(psi) neighbours in W2; ``w2_all_active``, it is active.
+    """
+    rows = table.rows_of(graph)
+    active = table.active[rows]
+    internal = table.params.mode == INTERNAL
+    thr = (table.fthr_int if internal else table.fthr_ext)[rows]
+    counts0, counts1 = (part_profile(graph, lab, 3) for lab in (before, after))
+    good_b0, good_b1 = (~active | (c[:, PART_B] >= thr) for c in (counts0, counts1))
+    both0, both1 = (~active | ((c[:, PART_A] >= thr) & (c[:, PART_B] >= thr))
+                    for c in (counts0, counts1))
+    facts = {"entry_goodness": bool(both0[before == PART_C].all())}
+    if internal:
+        in_b0, in_b1 = before == PART_B, after == PART_B
+        a0, b0, c0 = np.bincount(before, minlength=3)
+        a1, b1, c1 = np.bincount(after, minlength=3)
+        drift = table.params.eps * graph.n / 500.0
+        return facts | {
+            "size_drift": bool(abs(a1 - a0) <= drift and b0 <= b1 <= b0 + drift
+                               and c0 - drift <= c1 <= c0),
+            "c_both_good": bool(both1[after == PART_C].all()),
+            "new_b_good": bool(good_b1[in_b1 & ~in_b0].all()),
+            "bad_b_contained": bool(((in_b1 & ~good_b1) <= (in_b0 & ~good_b0)).all()),
+        }
+    w2 = np.asarray(w2, dtype=np.int64)
+    fpsi = table.fpsi[rows][w2]
+    in_w2 = np.zeros(graph.n, dtype=np.int64)
+    in_w2[w2] = 1
+    precut = part_profile(graph, np.where(in_w2 == 1, PART_C, after), 3)[w2]
+    inner = part_profile(graph, in_w2, 2)[w2, 1]
+    return facts | {
+        "w2_side_floors": bool(((precut[:, PART_A] < fpsi)
+                                & (precut[:, PART_B] < fpsi)).all()),
+        "w2_inner_floor": bool((inner >= 2 * fpsi).all()),
+        "w2_all_active": bool(active[w2].all()),
+    }

@@ -27,6 +27,7 @@ from degpart.thresholds import (EXTERNAL, INTERNAL, ParamSet,
 
 from test_dense import assert_same_fixed_point, heap_extract_dense
 from conftest import complete_graph
+from reference_refine import recount_facts
 
 DATA = Path(__file__).parent / "data"
 
@@ -372,10 +373,12 @@ def test_criterion_9_external_end_to_end():
         params = ParamSet(0.0, 0.09, EXTERNAL, d_const=1.0)
         tri = tripartition(g, params, seed=seed)
         if tri.stage1.ok:
-            checks = tri.diagnostics["precut_checks"]
-            assert checks["precut_side_floors"], f"seed {seed}: side floors"
-            assert checks["w2_all_active"], f"seed {seed}: inactive leftover"
-            assert checks["precut_inner_floor"], f"seed {seed}: inner floor"
+            # the absorption-exit facts, recounted from the labels
+            facts = recount_facts(g, tri.table, tri.stage1.labels, tri.labels,
+                                  tri.traces[0].w2)
+            assert facts["w2_side_floors"], f"seed {seed}: side floors"
+            assert facts["w2_all_active"], f"seed {seed}: inactive leftover"
+            assert facts["w2_inner_floor"], f"seed {seed}: inner floor"
         rep = bisect_external(g, params, seed=seed)
         if rep.ok:
             res = verify_certificate(g, rep.labels, rep.certificate, r=rep.r)

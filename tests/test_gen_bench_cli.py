@@ -141,6 +141,20 @@ def test_cli_parameter_error_exit_code(tmp_path):
                      "--objective", "min-own-degree"]) == 0
 
 
+@pytest.mark.parametrize("command", [
+    ["thresholds", "--eps", "1e-300"],
+    ["partition", "--graph", "{graph}", "--mode", "int", "--shape", "bisect",
+     "--eps", "1e-170"],
+])
+def test_cli_refuses_an_eps_whose_default_d_is_not_finite(command, tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 1\n1 2\n")
+    argv = [arg.format(graph=gpath) for arg in command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps=") and err.count("\n") == 1
+
+
 def test_cli_thresholds_and_bench(tmp_path):
     out = tmp_path / "t.csv"
     assert cli.main(["thresholds", "--eps", "0.25", "--d-const", "1",

@@ -308,6 +308,49 @@ def test_from_edges_names_the_first_bad_pair():
         Graph.from_edges(3, [(-1, 2)])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    # a cast to int64 would truncate the ids silently
+    (3, [(0.5, 1)], r"^edge \(0.5,1.0\) has ids of non-integer dtype float64$"),
+    (3, [(0, 1), (2.7, 1), (0.5, 2)], r"^edge \(2.7,1.0\) has ids of non-integer"),
+    (3, np.array([[0.0, 1.0]]), r"^edge \(0.0,1.0\) has ids of non-integer dtype"),
+    (3, [(True, False)], r"^edge \(True,False\) has ids of non-integer dtype bool$"),
+    (3, [("0", "1")], r"^edge \(0,1\) has ids of non-integer dtype <U1$"),
+    (True, [], r"^vertex count n=True is not an integer$"),
+    (np.bool_(True), [], r"^vertex count n=(np\.)?True_? is not an integer$"),
+    (2.7, [(0, 1)], r"^vertex count n=2.7 is not an integer$"),
+    (3.0, [], r"^vertex count n=3.0 is not an integer$"),
+    ("3", [], r"^vertex count n='3' is not an integer$"),
+])
+def test_from_edges_refuses_what_a_cast_would_change(n, edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph.from_edges(n, edges)
+
+
+def test_from_edges_takes_any_integer_dtype():
+    for n in (3, np.int32(3), np.uint8(3)):
+        for edges in ([(0, 1)], np.array([[0, 1]], dtype=np.uint16)):
+            g = Graph.from_edges(n, edges)
+            assert (g.n, g.m, g.neighbors(0).tolist()) == (3, 1, [1])
+
+
+def test_load_graph_reads_bytes_as_the_equal_str():
+    for text in ("0 1\n1 2\n", "# n 5\n0 4\n", "p edge 4 2\ne 1 2\ne 3 4\n",
+                 "0 1\n1 1\n"):
+        try:
+            want = load_graph(text)
+        except GraphFormatError as exc:
+            for source in (text.encode(), io.BytesIO(text.encode())):
+                with pytest.raises(GraphFormatError, match=f"^{exc}$"):
+                    load_graph(source)
+            continue
+        for source in (text.encode(), bytearray(text.encode()),
+                       io.BytesIO(text.encode())):
+            got = load_graph(source)
+            assert (got.n, got.fingerprint) == (want.n, want.fingerprint)
+    with pytest.raises(GraphFormatError, match="^graph bytes are not UTF-8"):
+        load_graph(b"0 1\n\xff 2\n")
+
+
 def test_from_edges_accepts_empty_input():
     for n, edges in [(0, []), (3, []), (3, np.empty((0, 2), dtype=np.int64))]:
         g = Graph.from_edges(n, edges)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from degpart import certify, pipelines
 from degpart.certify import verify_certificate, verify_report
-from degpart.cuts import BiasVector, biased_max_r_cut
+from degpart.cuts import BiasVector, biased_max_r_cut, check_biased_local_min
 from degpart.gen import gen_gnp
 from degpart.graph import Counts, Graph, part_profile
 from degpart.oracle import best_bisection
@@ -27,6 +27,7 @@ from degpart.stage1 import PART_A, PART_B, stage_one
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet, build_threshold_table
 
 from conftest import complete_graph, cycle_graph
+from reference_refine import plain, recount_facts
 
 from test_golden import RUNS
 
@@ -331,7 +332,10 @@ def test_r_partition_internal_mode_own_floor():
     g = gen_gnp(40, 0.4, seed=6)
     bias = BiasVector((Fraction(1, 2), Fraction(1, 2)))
     r = r_partition(g, bias, INTERNAL, seed=1)
-    assert r.diagnostics["pre_repair"]["local_optimum_certified"]
+    # the search it ran ends at a local optimum of the maximized objective
+    local = biased_max_r_cut(g, bias, seed=1, maximize=True)
+    assert r.diagnostics["pre_repair"]["moves"] == local.moves
+    assert check_biased_local_min(Counts(g, local.labels, 2), bias, maximize=True) == []
     assert r.stats["sizes"] == [20, 20]
 
 
@@ -570,26 +574,31 @@ def test_maintained_counts_equal_a_recount_after_every_stage(make, params, seed)
         for swap in (False, True):
             if swap:
                 counts.swap(PART_A, PART_B)
-            fresh = Counts(g, counts.labels.copy(), 3)
-            traces.append(refine_internal_once(counts, params, table))
+            before = counts.labels.copy()
+            fresh = Counts(g, before, 3)
+            traces.append(refine_internal_once(counts, table))
             assert_recounted(g, counts)
             # the pass behaves as it does on a fresh count of its labels
-            fresh_trace = refine_internal_once(fresh, params, table)
+            fresh_trace = refine_internal_once(fresh, table)
             assert (fresh.labels == counts.labels).all()
-            assert (fresh_trace.precond, fresh_trace.checks) == (
-                traces[-1].precond, traces[-1].checks)
+            assert plain(fresh_trace) == plain(traces[-1])
+            facts = recount_facts(g, table, before, counts.labels)
+            facts.pop("size_drift")  # binds only asymptotically
+            assert all(facts.values()), facts
             if swap:
                 counts.swap(PART_A, PART_B)
                 assert_recounted(g, counts)
         work = sum(len(t.evacuations) + len(t.patch) for t in traces)
     else:
-        fresh = Counts(g, counts.labels.copy(), 3)
-        trace = refine_external(counts, params, table, cut_seed=seed)
+        before = counts.labels.copy()
+        fresh = Counts(g, before, 3)
+        trace = refine_external(counts, table, cut_seed=seed)
         assert_recounted(g, counts)
-        fresh_trace = refine_external(fresh, params, table, cut_seed=seed)
+        fresh_trace = refine_external(fresh, table, cut_seed=seed)
         assert (fresh.labels == counts.labels).all()
-        assert (fresh_trace.precond, fresh_trace.checks) == (trace.precond,
-                                                             trace.checks)
+        assert plain(fresh_trace) == plain(trace)
+        facts = recount_facts(g, table, before, counts.labels, trace.w2)
+        assert all(facts.values()), facts
         work = len(trace.w1)
     tri = tripartition(g, params, seed=seed, **VAC)
     assert tri.ok and (tri.labels == counts.labels).all()
@@ -605,7 +614,7 @@ def test_maintained_counts_follow_the_w2_cut():
     table = build_threshold_table(params, np.unique(g.degree))
     rng = np.random.default_rng(2)
     counts = Counts(g, rng.choice(3, size=g.n, p=[0.7, 0.1, 0.2]), 3)
-    trace = refine_external(counts, params, table, cut_seed=1)
+    trace = refine_external(counts, table, cut_seed=1)
     assert len(trace.w2) == g.n
     assert_recounted(g, counts)
 
@@ -641,7 +650,7 @@ def test_refine_external_builds_no_cross_subgraph(monkeypatch, make, params, see
     table = build_threshold_table(params, np.unique(g.degree))
     counts = stage_one(g, params, table, seed=seed, **VAC).counts
     calls = count_cross_subgraph(monkeypatch)
-    trace = refine_external(counts, params, table, cut_seed=seed)
+    trace = refine_external(counts, table, cut_seed=seed)
     assert trace.extract is not None and calls == []
 
 
@@ -678,8 +687,7 @@ def test_a_bisection_counts_once_per_attempt_and_once_for_its_output(monkeypatch
 
 @pytest.mark.parametrize("mode", [EXTERNAL, INTERNAL])
 def test_an_r_partition_counts_its_search_once_and_its_output_once(monkeypatch, mode):
-    # the search's start; the emitted labels' recount.  The pre-repair check
-    # and statistics read the search's own counts.
+    # the search's start; the emitted labels' recount
     g = gen_gnp(120, 0.1, seed=2)
     calls = count_part_profile(monkeypatch)
     report = r_partition(g, BiasVector(("1/5", "3/10", "1/2")), mode, seed=1)
@@ -687,9 +695,10 @@ def test_an_r_partition_counts_its_search_once_and_its_output_once(monkeypatch, 
     monkeypatch.undo()
     bias = BiasVector(("1/5", "3/10", "1/2"))
     local = biased_max_r_cut(g, bias, seed=1, maximize=mode == INTERNAL)
-    pre = report.diagnostics["pre_repair"]
-    assert pre["moves"] == local.moves > 0
-    assert pre["stats"] == partition_stats(certify.recount(g, local.labels, 3))
+    assert local.moves > 0
+    assert report.diagnostics["pre_repair"] == {
+        "objective_start": str(local.objective_start),
+        "objective_end": str(local.objective_end), "moves": local.moves}
 
 
 def test_make_report_refuses_a_claim_its_labels_break(monkeypatch):

@@ -12,7 +12,7 @@ from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import EXTERNAL, ParamSet, build_threshold_table
 
 from conftest import mixed_labels, tripartitions
-from reference_refine import plain, ref_refine_external
+from reference_refine import plain, recount_facts, ref_refine_external
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
@@ -28,7 +28,7 @@ def test_vacuous_thresholds_refinement_is_identity():
     res = stage_one(g, p, t, seed=0, size_window="vacuous",
                     weight_budget="vacuous")
     counts = Counts(g, res.labels, 3)
-    trace = refine_external(counts, p, t)
+    trace = refine_external(counts, t)
     assert trace.extract is None or trace.extract.deleted == []
     assert len(trace.w1) == 0
     assert (counts.labels == res.labels).all()
@@ -45,9 +45,9 @@ def test_refine_external_active_regime_crafted_labels():
     rng = np.random.default_rng(5)
     labels = rng.choice(3, size=g.n, p=[0.4, 0.4, 0.2]).astype(np.int64)
     counts = Counts(g, labels, 3)
-    trace = refine_external(counts, p, t, cut_seed=1)
-    assert trace.checks["precut_side_floors"]
-    assert trace.checks["w2_all_active"]
+    trace = refine_external(counts, t, cut_seed=1)
+    facts = recount_facts(g, t, labels, counts.labels, trace.w2)
+    assert facts["w2_side_floors"] and facts["w2_all_active"]
     # every absorbed vertex witnessed enough cross neighbors at its move
     assert all(a.witnessed_cross >= a.threshold for a in trace.absorbed)
     # membership: every quarantined vertex got a side
@@ -62,14 +62,15 @@ def thin_y_trace(rng_seed):
     rng = np.random.default_rng(rng_seed)
     labels = rng.choice(3, size=g.n, p=[0.7, 0.1, 0.2]).astype(np.int64)
     out = Counts(g, labels, 3)
-    trace = refine_external(out, p, t, cut_seed=1)
+    trace = refine_external(out, t, cut_seed=1)
     counts = part_profile(g, out.labels, 3)
     cross = np.where(out.labels == PART_A, counts[:, PART_B], counts[:, PART_A])
-    return g, t.fpsi[t.row_index(g.degree)], trace, cross
+    facts = recount_facts(g, t, labels, out.labels, trace.w2)
+    return g, t.fpsi[t.row_index(g.degree)], trace, cross, facts
 
 
 def test_refine_external_thin_y_quarantines_and_absorbs():
-    g, fpsi, trace, cross = thin_y_trace(0)
+    g, fpsi, trace, cross, _ = thin_y_trace(0)
     assert len(trace.w1) == 57 and len(trace.w2) == 0
     assert sorted(a.vertex for a in trace.absorbed) == trace.w1.tolist()
     assert all(a.witnessed_cross >= a.threshold for a in trace.absorbed)
@@ -108,7 +109,7 @@ def test_absorption_order_matches_the_rule(rng_seed, probs):
     p = ParamSet(0.0, 0.09, EXTERNAL, d_const=0.02)
     t = table_for(g, p)
     labels = np.random.default_rng(rng_seed).choice(3, size=g.n, p=probs)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=1)
+    trace = refine_external(Counts(g, labels, 3), t, cut_seed=1)
     absorbed, w2 = replay_absorption(g, labels, trace.w1,
                                      t.fpsi[t.row_index(g.degree)])
     assert len(absorbed) > 10
@@ -118,13 +119,13 @@ def test_absorption_order_matches_the_rule(rng_seed, probs):
 
 
 def test_refine_external_thin_y_reaches_the_cut():
-    g, fpsi, trace, cross = thin_y_trace(2)
+    g, fpsi, trace, cross, facts = thin_y_trace(2)
     assert len(trace.w1) == len(trace.w2) == g.n and trace.absorbed == []
     w_plus, w_minus = trace.wcut
     # the cut splits W2 and puts vertices on both sides
     assert len(w_plus) and len(w_minus)
     assert sorted(w_plus.tolist() + w_minus.tolist()) == trace.w2.tolist()
-    assert trace.checks["precut_inner_floor"]
+    assert facts["w2_inner_floor"]
     # the cut gives every leftover vertex its cross floor, from scratch
     assert (cross[trace.w2] >= fpsi[trace.w2]).all()
 
@@ -135,7 +136,7 @@ def test_refine_external_w1_accounting_and_trace_json():
     t = table_for(g, p)
     rng = np.random.default_rng(7)
     labels = rng.choice(3, size=g.n, p=[0.4, 0.4, 0.2]).astype(np.int64)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=0)
+    trace = refine_external(Counts(g, labels, 3), t, cut_seed=0)
     if trace.extract is not None and trace.extract.deleted:
         deleted = trace.extract.deleted_vertices
         assert len(trace.w1) <= len(deleted) + int(g.degree[deleted].sum())
@@ -188,7 +189,7 @@ def test_absorption_monotone_progress():
     t = table_for(g, p)
     rng = np.random.default_rng(11)
     labels = rng.choice(3, size=g.n, p=[0.4, 0.4, 0.2]).astype(np.int64)
-    trace = refine_external(Counts(g, labels, 3), p, t, cut_seed=2)
+    trace = refine_external(Counts(g, labels, 3), t, cut_seed=2)
     # each vertex is absorbed at most once and W2 plus absorbed plus the cut
     # parts account for all of W1
     absorbed_ids = [a.vertex for a in trace.absorbed]
@@ -205,7 +206,7 @@ W2_CASE = (gen_gnp(20, 0.8, 2), mixed_labels(20, [0.7, 0.1, 0.2], 2))
 def test_the_w2_case_reaches_the_cut():
     g, labels = W2_CASE
     p = ParamSet(0.0, 0.09, EXTERNAL, d_const=0.02)
-    trace = refine_external(Counts(g, labels, 3), p, table_for(g, p), cut_seed=1)
+    trace = refine_external(Counts(g, labels, 3), table_for(g, p), cut_seed=1)
     assert len(trace.w2) == len(trace.w1) == 20
     assert len(trace.wcut[0]) and len(trace.wcut[1])
 
@@ -223,13 +224,38 @@ INNER_FLOOR_CASE = (
 def test_a_leftover_vertex_below_twice_its_floor_fails_the_inner_floor():
     g, labels = INNER_FLOOR_CASE
     p = ParamSet(0.0, 0.02, EXTERNAL, d_const=0.005)
-    trace = refine_external(Counts(g, labels, 3), p, table_for(g, p))
+    t = table_for(g, p)
+    counts = Counts(g, labels, 3)
+    trace = refine_external(counts, t)
     assert trace.w1.tolist() == trace.w2.tolist() == list(range(6))
     assert trace.absorbed == []
-    # the entry goodness fails, so the pass records the miss without asserting
-    assert not trace.precond["goodness_ok"]
-    assert not trace.checks["precut_inner_floor"]
-    assert trace.checks["precut_side_floors"] and trace.checks["w2_all_active"]
+    # the entry goodness fails, so the pass lets the miss through unasserted
+    facts = recount_facts(g, t, labels, counts.labels, trace.w2)
+    assert not facts["entry_goodness"]
+    assert not facts["w2_inner_floor"]
+    assert facts["w2_side_floors"] and facts["w2_all_active"]
+
+
+# Y holds 10 and 13, the rest is Z, and the entry goodness fails: quarantine
+# takes 12 vertices, absorbs none, and leaves vertex 12 below twice its cross
+# floor inside W2.  The pass must then not rely on the cut: 12 ends below its
+# cross floor, and asserting the floor there would be wrong.
+CUT_UNGUARDED_CASE = (gen_gnp(24, 0.3, 49),
+                      np.where(np.isin(np.arange(24), [10, 13]), PART_Y, PART_Z))
+
+
+def test_the_cut_floor_is_asserted_only_above_the_inner_floor():
+    g, labels = CUT_UNGUARDED_CASE
+    p = ParamSet(0.0, 0.02, EXTERNAL, d_const=0.001)
+    t = table_for(g, p)
+    counts = Counts(g, labels, 3)
+    trace = refine_external(counts, t, cut_seed=1)
+    assert len(trace.w2) == 12 and trace.absorbed == []
+    facts = recount_facts(g, t, labels, counts.labels, trace.w2)
+    assert not facts["entry_goodness"] and not facts["w2_inner_floor"]
+    profile = part_profile(g, counts.labels, 3)
+    fpsi = t.fpsi[t.row_index(g.degree)]
+    assert profile[12, PART_X if counts.labels[12] == PART_Y else PART_Y] < fpsi[12]
 
 
 def outcome(refine, counts, *args):
@@ -245,14 +271,15 @@ def outcome(refine, counts, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(tripartitions(), st.sampled_from([0.02, 0.09]),
-       st.sampled_from([0.005, 0.02, 0.1]), st.integers(0, 3))
+       st.sampled_from([0.001, 0.005, 0.02, 0.1]), st.integers(0, 3))
 @example(W2_CASE, 0.09, 0.02, 1)
 @example(INNER_FLOOR_CASE, 0.02, 0.005, 0)
+@example(CUT_UNGUARDED_CASE, 0.02, 0.001, 1)
 def test_refine_external_matches_the_reference(case, eps, d_const, cut_seed):
     g, labels = case
     p = ParamSet(0.0, eps, EXTERNAL, d_const=d_const)
     t = table_for(g, p)
     counts = Counts(g, labels, 3)
-    got = outcome(refine_external, counts.copy(), p, t, cut_seed)
-    want = outcome(ref_refine_external, counts.copy(), p, t, cut_seed)
+    got = outcome(refine_external, counts.copy(), t, cut_seed)
+    want = outcome(ref_refine_external, counts.copy(), t, cut_seed)
     assert got == want

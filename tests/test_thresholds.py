@@ -48,6 +48,17 @@ def test_paramset_refuses_a_non_finite_d_const(d, mode, relaxed):
         ParamSet(0.0, 0.05, mode, d_const=d, relaxed=relaxed)
 
 
+@pytest.mark.parametrize("eps", [1e-160, 1e-170, 1e-300, 5e-324])
+@pytest.mark.parametrize("mode", [INTERNAL, EXTERNAL])
+def test_paramset_refuses_an_eps_whose_default_d_is_not_finite(eps, mode):
+    # 1000/eps^2 overflows to inf, or eps^2 underflows to 0
+    assert default_d_constant(0.0, eps, mode) == float("inf")
+    with pytest.raises(ValueError, match=rf"^eps={eps} is too small: the {mode} "):
+        ParamSet(0.0, eps, mode)
+    # an explicit constant does not read the default
+    assert ParamSet(0.0, eps, mode, d_const=1.0).d == 1.0
+
+
 def test_paramset_default_d():
     p = ParamSet(0.0, 0.25, INTERNAL)
     assert p.d == 16000.0
