@@ -529,8 +529,7 @@ class Counts:
     ``matrix`` is ``part_profile(graph, labels, r)`` and ``sizes`` the part
     sizes; the object owns its copy of ``labels``.  It is counted once, at
     construction; ``move`` then touches only the CSR rows of the moved
-    vertices, and ``swap`` exchanges two parts by swapping columns.  Change
-    the labels only through these two methods.
+    vertices.  Change the labels only through it.
     """
 
     __slots__ = ("graph", "labels", "matrix", "sizes")
@@ -562,10 +561,3 @@ class Counts:
         np.subtract.at(self.sizes, src, 1)
         np.add.at(self.sizes, dst, 1)
         self.labels[vs] = dst
-
-    def swap(self, a: int, b: int) -> None:
-        """Exchange the names of parts a and b."""
-        in_a, in_b = self.labels == a, self.labels == b
-        self.labels[in_a], self.labels[in_b] = b, a
-        self.matrix[:, [a, b]] = self.matrix[:, [b, a]]
-        self.sizes[[a, b]] = self.sizes[[b, a]]

@@ -307,8 +307,8 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
     """Stage one, then the refinement of ``params.mode``, then the conditions.
 
     stage_one_options (attempts, size_window, weight_budget) go to
-    ``stage_one``.  Internal mode refines side A, then side B with the
-    roles of the sides exchanged (``refine_internal_once``); external mode
+    ``stage_one``.  Internal mode refines side A, then side B, each into
+    the other (``refine_internal_once``); external mode
     extracts, absorbs and cuts (``refine_external``).  The threshold table
     is built over ``graph.degree_classes[0]``.  The conditions of the
     ``"tripartition"`` statement at these parameters are judged by the
@@ -326,10 +326,8 @@ def tripartition(graph: Graph, params: ParamSet, seed: int = 0,
             False, counts.labels, {}, s1, [], table,
             {"stage": "stage1", "violated": s1.violated}, counts)
     if params.mode == INTERNAL:
-        traces = [refine_internal_once(counts, table)]
-        counts.swap(PART_A, PART_B)
-        traces.append(refine_internal_once(counts, table))
-        counts.swap(PART_A, PART_B)
+        traces = [refine_internal_once(counts, table, side)
+                  for side in (PART_A, PART_B)]
     else:
         traces = [refine_external(counts, table, cut_seed=seed)]
     conditions, _ = _judge(certify.from_counts(counts, table), certify.statement(

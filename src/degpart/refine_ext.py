@@ -41,7 +41,7 @@ import numpy as np
 from .cuts import local_maxcut
 from .dense import ExtractResult, extract_dense
 from .graph import Counts
-from .stage1 import PART_A, PART_B, PART_C, goodness_map
+from .stage1 import PART_A, PART_B, PART_C, _good
 from .thresholds import ThresholdTable
 
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
@@ -81,9 +81,9 @@ def refine_external(counts: Counts, table: ThresholdTable,
     active = table.column("active", graph)
     fpsi = table.column("fpsi", graph)
 
-    gm = goodness_map(counts, table)
     in_z0 = labels_in == PART_Z
-    goodness_ok = not bool((in_z0 & active & ~gm.both_good).any())
+    goodness_ok = bool(_good(counts, table, np.flatnonzero(in_z0 & active),
+                             (PART_X, PART_Y)).all())
     # psi* is lifted to at least (1-c)i/8, so i <= 8*psi*(i)/(1-c) for active i
     lifted = (table.degrees
               <= 8.0 * table.psi_star / (1.0 - table.params.c) * (1 + 1e-12))

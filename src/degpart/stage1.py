@@ -69,16 +69,25 @@ class GoodnessMap:
         return self.good_a & self.good_b
 
 
+def _good(counts: Counts, table: ThresholdTable, vs, parts) -> np.ndarray:
+    """Whether each vertex of vs (index array or slice) is inactive or has
+    degree at least the mode's floored goodness threshold into every part
+    of parts: the one definition of goodness, also for the refinements."""
+    graph = counts.graph
+    thr = table.column("fthr_int" if table.params.mode == INTERNAL else "fthr_ext",
+                       graph)[vs]
+    good = counts.matrix[vs, parts[0]] >= thr
+    for part in parts[1:]:
+        good &= counts.matrix[vs, part] >= thr
+    good |= ~table.column("active", graph)[vs]
+    return good
+
+
 def goodness_map(counts: Counts, table: ThresholdTable) -> GoodnessMap:
     """Goodness of every vertex of a counted labeling against parts A and B."""
-    graph = counts.graph
-    active = table.column("active", graph)
-    thr = table.column("fthr_int" if table.params.mode == INTERNAL else "fthr_ext",
-                       graph)
-    good_a = ~active | (counts.matrix[:, PART_A] >= thr)
-    good_b = ~active | (counts.matrix[:, PART_B] >= thr)
-    bad = active & ~(good_a & good_b)
-    weight = int(graph.degree[bad].sum())
+    good_a, good_b = (_good(counts, table, slice(None), (p,)) for p in (PART_A, PART_B))
+    active = table.column("active", counts.graph)
+    weight = int(counts.graph.degree[active & ~(good_a & good_b)].sum())
     return GoodnessMap(good_a, good_b, active, weight)
 
 

@@ -237,8 +237,11 @@ class ThresholdTable:
 
         self.active = pos & (self.phi > 0.0)  # psi is phi
 
-        self.thr_int = 2.0 * (1.0 + self.mu) * self.phi
-        self.thr_ext = 2.0 * (1.0 + self.eta) * self.psi_star
+        # a tiny eps makes d huge and (1 + mu) * phi (phi < 0, both finite)
+        # overflow to -inf; the clip below floors it to -1 like any negative
+        with np.errstate(over="ignore"):
+            self.thr_int = 2.0 * (1.0 + self.mu) * self.phi
+            self.thr_ext = 2.0 * (1.0 + self.eta) * self.psi_star
         # on the low branch the external threshold equals ((1-c)/4 + eps*lam)*i
         alt = ((1.0 - c) / 4.0 + eps * self.lam) * i
         bad = low_branch & pos & (np.abs(self.thr_ext - alt)

@@ -42,38 +42,41 @@ def plain(value):
 PART_X, PART_Y, PART_Z = PART_A, PART_B, PART_C
 
 
-def ref_refine_internal_once(counts, table):
+def ref_refine_internal_once(counts, table, side):
     """``refine_internal_once`` with per-vertex numpy reads: the evacuation
     queue and the patch index the arrays with numpy scalars and read each
-    row through ``graph.neighbors``."""
+    row through ``graph.neighbors``, and both goodness checks read a full
+    ``goodness_map``."""
     graph, lab = counts.graph, counts.labels
+    other = PART_A + PART_B - side
+    s_name, o_name = "AB"[side], "AB"[other]
     labels_in = lab.copy()
     rows = table.rows_of(graph)
     active = table.active[rows]
     fphi = table.fphi[rows]
 
     gm = goodness_map(counts, table)
-    in_a = lab == PART_A
+    in_s = lab == side
     goodness_ok = not bool(((lab == PART_C) & active & ~gm.both_good).any())
 
-    # step 1: the dense core of G[A], on the counts of A
-    target = np.where(in_a & active, fphi, 0)
+    # step 1: the dense core of G[side], on the counts of side
+    target = np.where(in_s & active, fphi, 0)
     extract = None
     if target.any():
-        extract = extract_dense(counts, (PART_A,), target, table.mu[rows])
+        extract = extract_dense(counts, (side,), target, table.mu[rows])
         a_star = extract.surviving
     else:
-        a_star = np.nonzero(in_a)[0]
+        a_star = np.nonzero(in_s)[0]
 
-    # step 2: evacuation of joint-degree-deficient A vertices
-    dac = counts.matrix[:, PART_A] + counts.matrix[:, PART_C]
+    # step 2: evacuation of joint-degree-deficient side vertices
+    dac = counts.matrix[:, side] + counts.matrix[:, PART_C]
     constrained = active & (fphi >= 1)
     evacuations: list[Evacuation] = []
-    queue = deque(np.nonzero(in_a & constrained & (dac < fphi))[0].tolist())
+    queue = deque(np.nonzero(in_s & constrained & (dac < fphi))[0].tolist())
     in_c = lab == PART_C
     while queue:
         v = queue.popleft()
-        if not in_a[v] or dac[v] >= fphi[v]:
+        if not in_s[v] or dac[v] >= fphi[v]:
             continue
         absorbed = [w for w in graph.neighbors(v).tolist() if in_c[w]]
         evacuations.append(Evacuation(int(v), int(graph.degree[v]), int(dac[v]),
@@ -81,40 +84,41 @@ def ref_refine_internal_once(counts, table):
         moved = [v] + absorbed
         for u in moved:
             in_c[u] = False
-        in_a[v] = False
+        in_s[v] = False
         for u in moved:
             for w in graph.neighbors(u).tolist():
-                if in_a[w]:
+                if in_s[w]:
                     dac[w] -= 1
                     if constrained[w] and dac[w] < fphi[w]:
                         queue.append(w)
-    counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], PART_B)
+    counts.move([u for e in evacuations for u in [e.vertex] + e.absorbed], other)
 
-    assert in_a[a_star].all(), "extracted core lost vertices during evacuation"
+    assert in_s[a_star].all(), "extracted core lost vertices during evacuation"
 
-    # step 3: patch deficient A vertices from their C-neighborhoods
-    d_a = counts.matrix[:, PART_A]
+    # step 3: patch deficient side vertices from their C-neighborhoods
+    d_s = counts.matrix[:, side]
     patch: dict[int, list[int]] = {}
-    for v in np.flatnonzero(in_a & constrained & (d_a < fphi)).tolist():
-        need = int(fphi[v] - d_a[v])
+    for v in np.flatnonzero(in_s & constrained & (d_s < fphi)).tolist():
+        need = int(fphi[v] - d_s[v])
         donors = [w for w in graph.neighbors(v).tolist() if in_c[w]]
-        assert len(donors) >= need, f"vertex {v} of A has too few C donors"
+        assert len(donors) >= need, f"vertex {v} of {s_name} has too few C donors"
         patch[v] = donors[:need]
-    counts.move(sorted({w for rx in patch.values() for w in rx}), PART_A)
+    counts.move(sorted({w for rx in patch.values() for w in rx}), side)
 
     # the construction's guarantees, checked on the maintained counts
-    in_a2, in_b2, in_c2 = (lab == PART_A), (lab == PART_B), (lab == PART_C)
-    in_b0, in_c0 = labels_in == PART_B, labels_in == PART_C
-    assert (in_b0 <= in_b2).all() and (in_c2 <= in_c0).all()
+    in_s2, in_o2, in_c2 = (lab == side), (lab == other), (lab == PART_C)
+    in_o0, in_c0 = labels_in == other, labels_in == PART_C
+    assert (in_o0 <= in_o2).all() and (in_c2 <= in_c0).all()
     if goodness_ok:
-        # patch donors come from C and are A-good, so the floor cannot
+        # patch donors come from C and are side-good, so the floor cannot
         # miss unless the entry goodness precondition already failed
-        assert (~(active & in_a2) | (d_a >= fphi)).all(), \
-            "a vertex of A missed its own-degree floor after the patch"
+        assert (~(active & in_s2) | (d_s >= fphi)).all(), \
+            f"a vertex of {s_name} missed its own-degree floor after the patch"
     if goodness_ok and _evacuee_landing_is_good(table):
-        good_b = goodness_map(counts, table).good_b
-        assert not (in_b2 & ~in_b0 & active & ~good_b).any(), \
-            "an evacuated vertex landed in B without B-goodness"
+        gm = goodness_map(counts, table)
+        good_o = gm.good_a if other == PART_A else gm.good_b
+        assert not (in_o2 & ~in_o0 & active & ~good_o).any(), \
+            f"an evacuated vertex landed in {o_name} without goodness there"
     return InternalRefineTrace(a_star, extract, evacuations, patch)
 
 
@@ -239,7 +243,7 @@ def ref_refine_external(counts, table, cut_seed=0):
     return ExternalTrace(extract, w1, absorbed, w2, (w_plus, w_minus))
 
 
-def recount_facts(graph, table, before, after, w2=None) -> dict:
+def recount_facts(graph, table, before, after, w2=None, side=PART_A) -> dict:
     """What a refinement pass at the table's parameters keeps, recounted
     from scratch from its labels before and after it: {fact: holds}.
 
@@ -247,12 +251,13 @@ def recount_facts(graph, table, before, after, w2=None) -> dict:
     was good toward parts 0 and 1 before the pass, against floor(thr_int)
     or floor(thr_ext) by mode.
 
-    Internal mode (the pass refines part 0): ``size_drift``, A moved by at
-    most eps*n/500 vertices, B grew and C shrank by at most that;
-    ``c_both_good``, every active vertex left in C is A-good and B-good;
-    ``new_b_good``, every active vertex that joined B is B-good;
-    ``bad_b_contained``, every active vertex of B that is not B-good was
-    already so before.
+    Internal mode (the pass refines part side, A or B, and the facts name
+    the other side B, as they read for side A): ``size_drift``, side moved
+    by at most eps*n/500 vertices, the other side grew and C shrank by at
+    most that; ``c_both_good``, every active vertex left in C is A-good and
+    B-good; ``new_b_good``, every active vertex that joined the other side
+    is good toward it; ``bad_b_contained``, every active vertex of the other
+    side that is not good toward it was already so before.
 
     External mode, with the trace's W2: ``w2_side_floors``, each W2 vertex
     had fewer than floor(psi) neighbours on each side before the cut (the
@@ -264,14 +269,15 @@ def recount_facts(graph, table, before, after, w2=None) -> dict:
     internal = table.params.mode == INTERNAL
     thr = (table.fthr_int if internal else table.fthr_ext)[rows]
     counts0, counts1 = (part_profile(graph, lab, 3) for lab in (before, after))
-    good_b0, good_b1 = (~active | (c[:, PART_B] >= thr) for c in (counts0, counts1))
+    other = PART_A + PART_B - side
+    good_b0, good_b1 = (~active | (c[:, other] >= thr) for c in (counts0, counts1))
     both0, both1 = (~active | ((c[:, PART_A] >= thr) & (c[:, PART_B] >= thr))
                     for c in (counts0, counts1))
     facts = {"entry_goodness": bool(both0[before == PART_C].all())}
     if internal:
-        in_b0, in_b1 = before == PART_B, after == PART_B
-        a0, b0, c0 = np.bincount(before, minlength=3)
-        a1, b1, c1 = np.bincount(after, minlength=3)
+        in_b0, in_b1 = before == other, after == other
+        (a0, b0, c0), (a1, b1, c1) = (np.bincount(lab, minlength=3)[[side, other, PART_C]]
+                                      for lab in (before, after))
         drift = table.params.eps * graph.n / 500.0
         return facts | {
             "size_drift": bool(abs(a1 - a0) <= drift and b0 <= b1 <= b0 + drift

@@ -23,11 +23,11 @@ from degpart.pipelines import (_exact_min_ratio, _make_report, _repair,
                                tripartition, tripartition_exact)
 from degpart.refine_ext import refine_external
 from degpart.refine_int import refine_internal_once
-from degpart.stage1 import PART_A, PART_B, stage_one
+from degpart.stage1 import PART_A, PART_B, PART_C, stage_one
 from degpart.thresholds import EXTERNAL, INTERNAL, ParamSet, build_threshold_table
 
 from conftest import complete_graph, cycle_graph
-from reference_refine import plain, recount_facts
+from reference_refine import plain, recount_facts, ref_refine_internal_once
 
 from test_golden import RUNS
 
@@ -555,6 +555,10 @@ BINDING = [  # (graph, params, seed): floors active on every vertex
 ]
 
 
+# a labeling indexed by this has parts A and B exchanged
+EXCHANGE = np.array([PART_B, PART_A, PART_C])
+
+
 def assert_recounted(g, counts):
     assert (counts.matrix == part_profile(g, counts.labels, 3)).all()
     assert (counts.sizes == np.bincount(counts.labels, minlength=3)).all()
@@ -571,23 +575,28 @@ def test_maintained_counts_equal_a_recount_after_every_stage(make, params, seed)
     counts = s1.counts.copy()
     if params.mode == INTERNAL:
         traces = []
-        for swap in (False, True):
-            if swap:
-                counts.swap(PART_A, PART_B)
+        for side in (PART_A, PART_B):
             before = counts.labels.copy()
             fresh = Counts(g, before, 3)
-            traces.append(refine_internal_once(counts, table))
+            traces.append(refine_internal_once(counts, table, side))
             assert_recounted(g, counts)
             # the pass behaves as it does on a fresh count of its labels
-            fresh_trace = refine_internal_once(fresh, table)
+            fresh_trace = refine_internal_once(fresh, table, side)
             assert (fresh.labels == counts.labels).all()
             assert plain(fresh_trace) == plain(traces[-1])
-            facts = recount_facts(g, table, before, counts.labels)
+            facts = recount_facts(g, table, before, counts.labels, side=side)
+            # and as the reference does on the labels with A and B exchanged,
+            # refining the other side and exchanging them back: for side B
+            # that is the swap, pass on A and swap back it once was
+            exchanged = Counts(g, EXCHANGE[before], 3)
+            other = PART_A + PART_B - side
+            exchanged_trace = ref_refine_internal_once(exchanged, table, other)
+            assert (EXCHANGE[exchanged.labels] == counts.labels).all()
+            assert plain(exchanged_trace) == plain(traces[-1])
+            assert recount_facts(g, table, EXCHANGE[before], exchanged.labels,
+                                 side=other) == facts
             facts.pop("size_drift")  # binds only asymptotically
             assert all(facts.values()), facts
-            if swap:
-                counts.swap(PART_A, PART_B)
-                assert_recounted(g, counts)
         work = sum(len(t.evacuations) + len(t.patch) for t in traces)
     else:
         before = counts.labels.copy()

@@ -236,6 +236,21 @@ def test_a_leftover_vertex_below_twice_its_floor_fails_the_inner_floor():
     assert facts["w2_side_floors"] and facts["w2_all_active"]
 
 
+def test_z_vertices_good_toward_x_alone_fail_the_entry_goodness():
+    # the entry check wants every active Z vertex good toward X and toward
+    # Y: phantom X-neighbours in the count make the Z vertices of the case
+    # above X-good, a count the pass reads nowhere else, but Y stays empty,
+    # so the pass still lets the inner-floor miss through unasserted
+    g, labels = INNER_FLOOR_CASE
+    t = table_for(g, ParamSet(0.0, 0.02, EXTERNAL, d_const=0.005))
+    counts = Counts(g, labels, 3)
+    in_z = labels == PART_Z
+    counts.matrix[in_z, PART_X] += t.fthr_ext[t.row_index(g.degree)][in_z]
+    assert (counts.matrix[in_z, PART_Y] == 0).all()
+    trace = refine_external(counts, t)
+    assert plain(trace) == plain(refine_external(Counts(g, labels, 3), t))
+
+
 # Y holds 10 and 13, the rest is Z, and the entry goodness fails: quarantine
 # takes 12 vertices, absorbs none, and leaves vertex 12 below twice its cross
 # floor inside W2.  The pass must then not rely on the cut: 12 ends below its

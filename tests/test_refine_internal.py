@@ -26,91 +26,132 @@ def test_vacuous_thresholds_refinement_is_identity():
     res = stage_one(g, p, t, seed=0, size_window="vacuous",
                     weight_budget="vacuous")
     counts = Counts(g, res.labels, 3)
-    trace = refine_internal_once(counts, t)
+    trace = refine_internal_once(counts, t, PART_A)
     assert (counts.labels == res.labels).all()
     assert trace.evacuations == [] and trace.patch == {}
     assert len(trace.a_star) == int((res.labels == PART_A).sum())
 
 
-def active_setup(n=250, p_edge=0.3, seed=3, eps=0.02, d=0.05):
+def active_setup(n=250, p_edge=0.3, seed=3, eps=0.02, d=0.05, stage_seed=None):
     g = gen_gnp(n, p_edge, seed=seed)
     params = ParamSet(0.0, eps, INTERNAL, d_const=d)
     t = table_for(g, params)
     assert t.active.any()
-    res = stage_one(g, params, t, seed=seed, size_window="vacuous",
-                    weight_budget="vacuous")
+    res = stage_one(g, params, t, seed=seed if stage_seed is None else stage_seed,
+                    size_window="vacuous", weight_budget="vacuous")
     assert res.ok
     return g, params, t, res
 
 
 def test_refine_enforces_own_floor_with_active_thresholds():
-    g, params, t, res = active_setup()
-    out = Counts(g, res.labels, 3)
-    refine_internal_once(out, t)
-    # B only grew and C only shrank
-    assert ((res.labels == PART_B) <= (out.labels == PART_B)).all()
-    assert ((out.labels == PART_C) <= (res.labels == PART_C)).all()
-    # from-scratch recount of the floor
+    g, params, t, res = evacuating_setup()
     rows = t.row_index(g.degree)
     fphi = t.fphi[rows]
     active = t.active[rows]
-    counts = part_profile(g, out.labels, 3)
-    in_a = out.labels == PART_A
-    assert ((counts[:, PART_A] >= fphi) | ~(in_a & active)).all()
+    for side in (PART_A, PART_B):
+        out = Counts(g, res.labels, 3)
+        trace = refine_internal_once(out, t, side)
+        assert len(trace.evacuations) > 0
+        # the other side only grew and C only shrank
+        other = PART_A + PART_B - side
+        assert ((res.labels == other) <= (out.labels == other)).all()
+        assert ((out.labels == PART_C) <= (res.labels == PART_C)).all()
+        # from-scratch recount of the floor
+        counts = part_profile(g, out.labels, 3)
+        in_s = out.labels == side
+        assert ((counts[:, side] >= fphi) | ~(in_s & active)).all()
+
+
+def evacuating_setup():
+    """G(400, 0.03) seed 1 at eps 0.02 and d_const 0.01, with stage one at
+    seed 0: a pass on either side of these labels evacuates one vertex."""
+    return active_setup(n=400, p_edge=0.03, seed=1, d=0.01, stage_seed=0)
 
 
 def test_refine_trace_replay_evacuations_sound():
-    g, params, t, res = active_setup(seed=11)
-    trace = refine_internal_once(Counts(g, res.labels, 3), t)
+    g, params, t, res = evacuating_setup()
     rows = t.row_index(g.degree)
     fphi = t.fphi[rows]
-    # replay: at each evacuation the recorded joint degree was below the
-    # floor, and the absorbed set was exactly the evacuee's C-neighborhood
-    lab = res.labels.copy()
-    for ev in trace.evacuations:
-        joint = sum(1 for w in g.neighbors(ev.vertex).tolist()
-                    if lab[w] in (PART_A, PART_C))
-        assert joint == ev.joint_degree_at_move
-        assert joint < fphi[ev.vertex]
-        expect_absorbed = [w for w in g.neighbors(ev.vertex).tolist()
-                           if lab[w] == PART_C]
-        assert expect_absorbed == ev.absorbed
-        lab[ev.vertex] = PART_B
-        for w in ev.absorbed:
-            lab[w] = PART_B
-    # after evacuations, patches pull only C-neighbors of the deficient vertex
-    for x, rx in trace.patch.items():
-        nb = set(g.neighbors(x).tolist())
-        for w in rx:
-            assert w in nb and lab[w] == PART_C
+    for side in (PART_A, PART_B):
+        trace = refine_internal_once(Counts(g, res.labels, 3), t, side)
+        assert len(trace.evacuations) > 0
+        # replay: at each evacuation the recorded joint degree was below the
+        # floor, and the absorbed set was exactly the evacuee's C-neighborhood
+        lab = res.labels.copy()
+        for ev in trace.evacuations:
+            joint = sum(1 for w in g.neighbors(ev.vertex).tolist()
+                        if lab[w] in (side, PART_C))
+            assert joint == ev.joint_degree_at_move
+            assert joint < fphi[ev.vertex]
+            expect_absorbed = [w for w in g.neighbors(ev.vertex).tolist()
+                               if lab[w] == PART_C]
+            assert expect_absorbed == ev.absorbed
+            lab[[ev.vertex] + ev.absorbed] = PART_A + PART_B - side
+        # after evacuations, patches pull only C-neighbors of the deficient
+        # vertex
+        for x, rx in trace.patch.items():
+            nb = set(g.neighbors(x).tolist())
+            for w in rx:
+                assert w in nb and lab[w] == PART_C
 
 
 def test_refine_c_goodness_stable_per_step_small_instance():
-    g, params, t, res = active_setup(n=60, p_edge=0.4, seed=21)
-    trace = refine_internal_once(Counts(g, res.labels, 3), t)
-    # surviving C vertices never lose A-side degree at any evacuation step
-    lab = res.labels.copy()
-    for ev in trace.evacuations:
-        before = part_profile(g, lab, 3)
-        lab2 = lab.copy()
-        lab2[ev.vertex] = PART_B
-        for w in ev.absorbed:
-            lab2[w] = PART_B
-        after = part_profile(g, lab2, 3)
-        still_c = lab2 == PART_C
-        assert (after[still_c, PART_A] == before[still_c, PART_A]).all()
-        lab = lab2
+    g, params, t, res = evacuating_setup()
+    for side in (PART_A, PART_B):
+        trace = refine_internal_once(Counts(g, res.labels, 3), t, side)
+        assert len(trace.evacuations) > 0
+        # surviving C vertices never lose side degree at any evacuation step
+        lab = res.labels.copy()
+        for ev in trace.evacuations:
+            before = part_profile(g, lab, 3)
+            lab2 = lab.copy()
+            lab2[[ev.vertex] + ev.absorbed] = PART_A + PART_B - side
+            after = part_profile(g, lab2, 3)
+            still_c = lab2 == PART_C
+            assert (after[still_c, side] == before[still_c, side]).all()
+            lab = lab2
 
 
 def test_refine_new_b_vertices_good_and_contained():
-    g, params, t, res = active_setup(seed=5)
-    out = Counts(g, res.labels, 3)
-    refine_internal_once(out, t)
-    facts = recount_facts(g, t, res.labels, out.labels)
-    assert facts["entry_goodness"] and facts["size_drift"]
-    assert facts["new_b_good"]
-    assert facts["bad_b_contained"]
+    g, params, t, res = evacuating_setup()
     assert _evacuee_landing_is_good(t)
+    for side in (PART_A, PART_B):
+        out = Counts(g, res.labels, 3)
+        trace = refine_internal_once(out, t, side)
+        assert len(trace.evacuations) > 0
+        facts = recount_facts(g, t, res.labels, out.labels, side=side)
+        assert facts["entry_goodness"]
+        # the other side grew by the evacuees and what they took from C, C
+        # shrank by that and the patch pulls, and side by the evacuees less
+        # the pulls; one vertex is above eps*n/500 here, so the size-drift
+        # bound, which binds only asymptotically, misses
+        moved = sum(1 + len(e.absorbed) for e in trace.evacuations)
+        pulled = sum(len(rx) for rx in trace.patch.values())
+        before, after = (np.bincount(lab, minlength=3) for lab in (res.labels, out.labels))
+        other = PART_A + PART_B - side
+        assert after[other] - before[other] == moved
+        assert before[PART_C] - after[PART_C] == moved - len(trace.evacuations) + pulled
+        assert after[side] - before[side] == pulled - len(trace.evacuations)
+        assert not facts["size_drift"]
+        assert facts["new_b_good"]
+        assert facts["bad_b_contained"]
+
+
+@pytest.mark.parametrize("side", [PART_A, PART_B])
+def test_the_landing_check_runs_when_c_enters_both_good(side):
+    # every active C vertex enters both-good, so the pass checks where its
+    # evacuee lands: lowered below its goodness floor toward the other side
+    # (a count the pass reads nowhere else), the evacuee trips the check
+    g, params, t, res = evacuating_setup()
+    other = PART_A + PART_B - side
+    done = Counts(g, res.labels, 3)
+    v = refine_internal_once(done, t, side).evacuations[0].vertex
+    thr = t.fthr_int[t.row_index(g.degree)][v]
+    counts = Counts(g, res.labels, 3)
+    counts.matrix[v, other] -= done.matrix[v, other] - thr + 1
+    with pytest.raises(AssertionError,
+                       match=f"landed in {'AB'[other]} without goodness there"):
+        refine_internal_once(counts, t, side)
 
 
 def test_refine_smoke_k9_floor_one():
@@ -123,7 +164,7 @@ def test_refine_smoke_k9_floor_one():
     assert t.fphi[k] == 1
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
     out = Counts(g, labels, 3)
-    refine_internal_once(out, t)
+    refine_internal_once(out, t, PART_A)
     counts = part_profile(g, out.labels, 3)
     in_a = out.labels == PART_A
     assert (counts[in_a, PART_A] >= 1).all()
@@ -198,7 +239,7 @@ def test_the_patch_pulls_donors_and_meets_the_floor():
     res = stage_one(g, params, t, seed=4, size_window="vacuous",
                     weight_budget="vacuous")
     counts = Counts(g, res.labels, 3)
-    trace = refine_internal_once(counts, t)
+    trace = refine_internal_once(counts, t, PART_A)
     assert trace.patch
     # every active vertex of A meets its own floor, from scratch
     rows = t.row_index(g.degree)
@@ -230,14 +271,14 @@ def test_the_failed_patch_case_fails_after_an_evacuation():
     g, labels = FAILED_PATCH_CASE
     params = ParamSet(0.0, 0.02, INTERNAL, d_const=0.005)
     with pytest.raises(AssertionError, match="vertex 3 of A has too few C donors"):
-        refine_internal_once(with_phantoms(Counts(g, labels, 3), 1),
-                             table_for(g, params))
+        refine_internal_once(with_phantoms(Counts(g, labels, 3), 1, PART_A),
+                             table_for(g, params), PART_A)
 
 
-def with_phantoms(counts, phantom):
-    in_a = np.flatnonzero(counts.labels == PART_A)
-    if len(in_a):
-        counts.matrix[in_a[0], PART_C] += phantom
+def with_phantoms(counts, phantom, side):
+    in_side = np.flatnonzero(counts.labels == side)
+    if len(in_side):
+        counts.matrix[in_side[0], PART_C] += phantom
     return counts
 
 
@@ -254,13 +295,14 @@ def outcome(refine, counts, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(tripartitions(), st.sampled_from([0.02, 0.1]),
-       st.sampled_from([0.005, 0.05, 0.2]), st.integers(0, 3))
-@example(FAILED_PATCH_CASE, 0.02, 0.005, 1)
-def test_refine_internal_once_matches_the_reference(case, eps, d_const, phantom):
+       st.sampled_from([0.005, 0.05, 0.2]), st.integers(0, 3),
+       st.sampled_from([PART_A, PART_B]))
+@example(FAILED_PATCH_CASE, 0.02, 0.005, 1, PART_A)
+def test_refine_internal_once_matches_the_reference(case, eps, d_const, phantom, side):
     g, labels = case
     params = ParamSet(0.0, eps, INTERNAL, d_const=d_const)
     t = table_for(g, params)
-    counts = with_phantoms(Counts(g, labels, 3), phantom)
-    got = outcome(refine_internal_once, counts.copy(), t)
-    want = outcome(ref_refine_internal_once, counts.copy(), t)
+    counts = with_phantoms(Counts(g, labels, 3), phantom, side)
+    got = outcome(refine_internal_once, counts.copy(), t, side)
+    want = outcome(ref_refine_internal_once, counts.copy(), t, side)
     assert got == want

@@ -59,6 +59,20 @@ def test_paramset_refuses_an_eps_whose_default_d_is_not_finite(eps, mode):
     assert ParamSet(0.0, eps, mode, d_const=1.0).d == 1.0
 
 
+@pytest.mark.parametrize("eps", [1e-100, 1e-120, 1e-140, 1e-150])
+@pytest.mark.parametrize("mode", [INTERNAL, EXTERNAL])
+def test_a_huge_finite_default_d_builds_a_quiet_table(eps, mode):
+    # d >= 1e203: the goodness product (1 + mu) * phi leaves the float range
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = build_threshold_table(ParamSet(0.0, eps, mode), range(0, 501))
+    assert not t.active.any()
+    pos = t.degrees > 0
+    for floor in (t.fphi, t.fthr_int):
+        assert (floor[pos] == -1).all() and floor[0] == 0
+
+
 def test_paramset_default_d():
     p = ParamSet(0.0, 0.25, INTERNAL)
     assert p.d == 16000.0
